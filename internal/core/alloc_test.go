@@ -7,12 +7,13 @@ import (
 )
 
 // Zero-allocation regression tests for the steady-state hot paths. The
-// contract (ISSUE 2 acceptance): with a warmed queue, one paired
-// Insert+TryExtractMax must perform zero heap allocations in leaky list
-// mode and in array mode. The pairing matters — an insert-only workload
-// grows the queue and therefore must allocate new element storage
-// eventually; "zero-allocation" is a claim about steady state, where node
-// recycling balances consumption.
+// contract: with a warmed queue, one paired Insert+TryExtractMax must
+// perform zero heap allocations in every set mode — memory-safe list (a
+// hazard publication is a store, and retired nodes come back through the
+// context's free stack), leaky list and array. The pairing matters — an
+// insert-only workload grows the queue and therefore must allocate new
+// element storage eventually; "zero-allocation" is a claim about steady
+// state, where node recycling balances consumption.
 //
 // Two enforcement layers per mode:
 //
@@ -20,16 +21,13 @@ import (
 //     rounded, so it alone could hide one allocation every few runs);
 //   - a strict MemStats.Mallocs delta across 10k paired operations with
 //     the GC disabled, which catches even rare per-refill allocations.
-//
-// Memory-safe list mode is exempt by design: hazard-pointer publication
-// (atomic.Value) boxes its operand on every Protect, which is part of the
-// §3.5 memory-safety cost the leak/no-leak benchmark split measures. See
-// DESIGN.md "Memory layout & batching".
 
 func zeroAllocConfigs() []struct {
 	name string
 	cfg  Config
 } {
+	safe := DefaultConfig()
+	safe.SetMode = SetModeList // whatever the zmsq_arrayset tag made the default
 	leaky := DefaultConfig()
 	leaky.Leaky = true
 	array := DefaultConfig()
@@ -40,6 +38,7 @@ func zeroAllocConfigs() []struct {
 		name string
 		cfg  Config
 	}{
+		{"memory-safe-list", safe},
 		{"leaky-list", leaky},
 		{"array", array},
 		{"array-leaky", arrayLeaky},
@@ -59,9 +58,14 @@ func zeroAllocConfigs() []struct {
 }
 
 // warmQueue builds a queue at a steady-state size with warmed context
-// pools, scratch capacities, and node caches.
+// pools, scratch capacities, and node caches, and keeps finalizers from
+// running until the test ends.
 func warmQueue(t *testing.T, cfg Config) (*Queue[int], func() uint64) {
 	t.Helper()
+	// Held from before the warm-up, not from just before the measurement:
+	// the collection it takes empties every sync.Pool, and the warm-up is
+	// what fills them again.
+	t.Cleanup(holdFinalizers())
 	q := New[int](cfg)
 	t.Cleanup(q.Close)
 	var rng uint64 = 0x9e3779b97f4a7c15
@@ -73,6 +77,17 @@ func warmQueue(t *testing.T, cfg Config) (*Queue[int], func() uint64) {
 	}
 	for i := 0; i < 1<<13; i++ {
 		q.Insert(draw(), i)
+	}
+	// Overshoot the steady size and come back. In memory-safe mode the
+	// nodes in circulation must cover the resident set plus a retired list
+	// one short of its scan plus a pool refill's worth; left to the mix
+	// that population is reached one fresh node at a time, whenever an
+	// allocation happens to find every spare node waiting for a scan.
+	for i := 0; i < 256; i++ {
+		q.Insert(draw(), i)
+	}
+	for i := 0; i < 256; i++ {
+		q.TryExtractMax()
 	}
 	for i := 0; i < 1<<12; i++ {
 		q.Insert(draw(), i)
@@ -93,6 +108,21 @@ func pinForAllocs(t *testing.T) {
 	})
 }
 
+// holdFinalizers parks the runtime's finalizer goroutine — one goroutine
+// runs every finalizer, in sequence — until the returned function is
+// called. A memory-safe context that sync.Pool dropped, or a whole queue an
+// earlier subtest left behind, is finalized at a time of the collector's
+// choosing; the finalizer pushes the context's free stack onto the shared
+// freelist, which may grow it, and that must not land in a measured window.
+func holdFinalizers() (release func()) {
+	type sentinel struct{ _ [4]*int } // past the tiny allocator, which may skip finalizers
+	held, done := make(chan struct{}), make(chan struct{})
+	runtime.SetFinalizer(new(sentinel), func(*sentinel) { close(held); <-done })
+	runtime.GC()
+	<-held
+	return func() { close(done) }
+}
+
 // skipIfInstrumented skips alloc assertions under instrumentation that
 // itself allocates on the measured paths.
 func skipIfInstrumented(t *testing.T) {
@@ -110,12 +140,13 @@ func TestZeroAllocInsertExtract(t *testing.T) {
 	for _, mode := range zeroAllocConfigs() {
 		t.Run(mode.name, func(t *testing.T) {
 			q, draw := warmQueue(t, mode.cfg)
-			pinForAllocs(t)
-
-			if got := testing.AllocsPerRun(2000, func() {
+			pair := func() {
 				q.Insert(draw(), 0)
 				q.TryExtractMax()
-			}); got != 0 {
+			}
+			pinForAllocs(t)
+
+			if got := testing.AllocsPerRun(2000, pair); got != 0 {
 				t.Errorf("AllocsPerRun(Insert+TryExtractMax) = %v, want 0", got)
 			}
 
@@ -123,8 +154,7 @@ func TestZeroAllocInsertExtract(t *testing.T) {
 			var before, after runtime.MemStats
 			runtime.ReadMemStats(&before)
 			for i := 0; i < ops; i++ {
-				q.Insert(draw(), 0)
-				q.TryExtractMax()
+				pair()
 			}
 			runtime.ReadMemStats(&after)
 			if d := after.Mallocs - before.Mallocs; d != 0 {

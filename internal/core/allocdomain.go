@@ -17,8 +17,10 @@ import (
 // the Config that built it:
 //
 //   - memory-safe list mode (the default): a hazard.Domain gates lnode
-//     reuse through a sharded freelist, so reclamation never depends on
-//     the garbage collector (§3.5);
+//     reuse, so reclamation never depends on the garbage collector
+//     (§3.5); nodes that pass a scan recycle through the retiring
+//     context's own free stack, with free as the shared pool behind the
+//     stacks;
 //   - leaky list mode (Config.Leaky): lnodes recycle through the sharded
 //     node cache, the GC backing any stale diagnostic reader;
 //   - array mode: sets hold no lnodes, so the domain is empty — nothing
@@ -28,15 +30,12 @@ import (
 // consumers; they are created by each queue's context pool.
 type AllocDomain[V any] struct {
 	// dom is non-nil iff memory-safe list mode.
-	dom *hazard.Domain
+	dom *hazard.Domain[lnode[V]]
 	// cache is non-nil iff leaky list mode.
 	cache *nodeCache[V]
-	// free receives retired lnodes once no hazard pointer refers to them
-	// (memory-safe mode only).
+	// free holds scanned lnodes the contexts' free stacks spilled or left
+	// behind (memory-safe mode only).
 	free freelist[V]
-	// reclaim is the retire callback pushing into free; built once so
-	// Retire calls don't allocate a closure per node.
-	reclaim func(hazard.Ptr)
 
 	arraySet bool
 	leaky    bool
@@ -63,11 +62,9 @@ func NewAllocDomain[V any](cfg Config) *AllocDomain[V] {
 	case ad.arraySet:
 		// Array sets have no lnodes, so there is nothing to reclaim: the
 		// paper's hazard pointers (§3.5) exist to gate list-node reuse.
-		// Skipping the domain keeps array-mode descents allocation-free
-		// (atomic.Value hazard publication boxes its operand).
+		// Skipping the domain spares array-mode descents the publications.
 	case !cfg.Leaky:
-		ad.dom = hazard.NewDomain()
-		ad.reclaim = func(p hazard.Ptr) { ad.free.push(p.(*lnode[V])) }
+		ad.dom = hazard.NewDomain[lnode[V]]()
 		if cfg.Faults != nil || cfg.Metrics != nil {
 			inj, met := cfg.Faults, cfg.Metrics
 			ad.dom.SetScanHook(func() {

@@ -153,9 +153,7 @@ func (q *Queue[V]) extractBatch(ctx *opCtx[V], dst []Element[V], n int) []Elemen
 // across batch extractions.
 func (q *Queue[V]) extractManyFromRoot(ctx *opCtx[V], dst []Element[V], need int, force bool) ([]Element[V], int, extractStatus) {
 	root := q.root()
-	if ctx.h != nil {
-		ctx.h.Protect(0, root)
-	}
+	ctx.protect(0, root)
 	if q.useTry && !force {
 		// Chaos hook: a forced trylock failure behaves exactly like losing
 		// the race to a concurrent refiller; see extractFromRoot.

@@ -138,9 +138,7 @@ func (q *Queue[V]) extractFromPool(ctx *opCtx[V]) (uint64, V, bool) {
 func (q *Queue[V]) extractFromRoot(ctx *opCtx[V], force bool) (uint64, V, extractStatus) {
 	var zero V
 	root := q.root()
-	if ctx.h != nil {
-		ctx.h.Protect(0, root)
-	}
+	ctx.protect(0, root)
 	if q.useTry && !force {
 		// Chaos hook: a forced trylock failure behaves exactly like losing
 		// the race to a concurrent refiller. The force path (attempt >= 16)

@@ -100,11 +100,9 @@ func (q *Queue[V]) selectPosition(ctx *opCtx[V], key uint64) (level, slot int, f
 				s = int(ctx.rng.Uint64n(uint64(1) << lvl))
 			}
 			n := q.node(lvl, s)
-			if ctx.h != nil {
-				// Memory-safety protocol (§3.5): hold a hazard pointer on
-				// the node being read optimistically.
-				ctx.h.Protect(0, n)
-			}
+			// Memory-safety protocol (§3.5): hold a hazard pointer on the
+			// node being read optimistically.
+			ctx.protect(0, n)
 			cnt := n.count.Load()
 			if cnt == 0 || n.max.Load() <= key {
 				return lvl, s, false
@@ -130,12 +128,10 @@ func (q *Queue[V]) binarySearchPosition(ctx *opCtx[V], level, slot int, key uint
 	for lo < hi {
 		mid := (lo + hi) / 2
 		anc := q.node(mid, slot>>uint(level-mid))
-		if ctx.h != nil {
-			// Hand-over-hand hazard pointers during traversal: alternate
-			// slots so the previous probe stays protected while the next is
-			// published.
-			ctx.h.Protect(mid&1, anc)
-		}
+		// Hand-over-hand hazard pointers during traversal: alternate slots
+		// so the previous probe stays protected while the next is
+		// published.
+		ctx.protect(mid&1, anc)
 		if anc.emptyOrAtMost(key) {
 			hi = mid
 		} else {

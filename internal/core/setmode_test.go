@@ -67,43 +67,45 @@ func TestSetModeSelectsImplementation(t *testing.T) {
 	}
 }
 
-// TestSharedAllocDomain builds several queues over one domain, churns them,
-// and verifies (a) cross-queue recycling happens through the shared
-// freelist and (b) mode-mismatched sharing is rejected.
+// TestSharedAllocDomain builds two queues over one domain and verifies (a)
+// cross-queue recycling: lnodes retired through one queue, once its
+// context's free stack spills them, serve the other queue's allocations
+// without a fresh one, and (b) mode-mismatched sharing is rejected.
 func TestSharedAllocDomain(t *testing.T) {
 	cfg := Config{Batch: 4, TargetLen: 8}
 	ad := NewAllocDomain[int](cfg)
-	qs := []*Queue[int]{
-		NewWithDomain[int](cfg, ad),
-		NewWithDomain[int](cfg, ad),
-		NewWithDomain[int](cfg, ad),
+	cfgA, cfgB := cfg, cfg
+	cfgA.Metrics, cfgB.Metrics = NewMetrics(), NewMetrics()
+	a, b := NewWithDomain[int](cfgA, ad), NewWithDomain[int](cfgB, ad)
+	if a.ad != ad || b.ad != ad {
+		t.Fatal("queue did not adopt the shared domain")
 	}
-	for round := 0; round < 10; round++ {
-		for _, q := range qs {
-			for i := 0; i < 200; i++ {
-				q.Insert(uint64(i), i)
-			}
-			for i := 0; i < 200; i++ {
-				q.TryExtractMax()
-			}
-		}
+
+	const n = 2000
+	for i := 0; i < n; i++ {
+		a.Insert(uint64(i), i)
 	}
-	for _, q := range qs {
-		if q.ad != ad {
-			t.Fatal("queue did not adopt the shared domain")
-		}
+	for i := 0; i < n; i++ {
+		a.TryExtractMax()
+	}
+	// All but the last partial scan's worth and one free stack's worth of
+	// a's n nodes have spilled to the shared freelist; b allocates from
+	// there.
+	const reusable = n - 4*localFreeDepth
+	for i := 0; i < reusable; i++ {
+		b.Insert(uint64(i), i)
+	}
+	// (Not under the race detector: there sync.Pool drops contexts between
+	// operations, and a dropped context's nodes wait for its finalizer.)
+	snap := b.Snapshot()
+	if !raceEnabled && (snap.NodeCacheMiss != 0 || snap.NodeCacheHit < reusable) {
+		t.Fatalf("queue b: %d fresh lnodes and %d recycled for %d inserts, want none fresh: nodes a retired did not reach it",
+			snap.NodeCacheMiss, snap.NodeCacheHit, reusable)
+	}
+	for _, q := range []*Queue[int]{a, b} {
 		if err := q.CheckInvariants(); err != nil {
 			t.Fatal(err)
 		}
-	}
-	pooled := 0
-	for i := range ad.free.shards {
-		ad.free.shards[i].mu.Lock()
-		pooled += len(ad.free.shards[i].nodes)
-		ad.free.shards[i].mu.Unlock()
-	}
-	if pooled == 0 {
-		t.Fatal("no lnodes reached the shared freelist after churn")
 	}
 
 	defer func() {

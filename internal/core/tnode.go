@@ -51,9 +51,14 @@ func swapContents[V any](a, b *tnode[V]) {
 
 // alloc is the per-operation view of an AllocDomain: the set-node allocator
 // threaded through set operations — the single seam both recycling
-// strategies sit behind. In memory-safe mode (h != nil) it pops recycled
-// lnodes from the domain's freelist and retires freed ones through the
-// hazard-pointer domain, so reuse never depends on the garbage collector.
+// strategies sit behind. In memory-safe mode (h != nil) it retires freed
+// lnodes through the hazard-pointer domain and reuses them only after a
+// clean scan, so reuse never depends on the garbage collector: a scan's
+// survivors land on local, this context's own LIFO stack, and get pops
+// there first — no lock, no shared counter, and the node it returns is the
+// one most recently in cache. The domain's shared freelist is touched only
+// to spill half a full stack or refill an empty one, which is also how a
+// node retired through one queue of a shared domain reaches another.
 // In leaky mode (the paper's "ZMSQ (leak)" configuration) it recycles
 // through the domain's sharded node cache instead: every lnode is only ever
 // read or written under its owning TNode's lock (the optimistic paths read
@@ -63,14 +68,50 @@ func swapContents[V any](a, b *tnode[V]) {
 // queue), queues sharing an AllocDomain recycle from a common pool.
 type alloc[V any] struct {
 	ad    *AllocDomain[V]
-	h     *hazard.Handle // nil in leaky/array mode
-	met   *Metrics       // nil unless Config.Metrics was set
-	shard uint32         // node-cache shard hash for this context
+	h     *hazard.Handle[lnode[V]] // nil in leaky/array mode
+	local *freeStack[V]            // non-nil iff h is
+	met   *Metrics                 // nil unless Config.Metrics was set
+	shard uint32                   // node-cache shard hash for this context
+}
+
+// newCtxAlloc returns a context's allocator; in memory-safe mode, with a
+// hazard record and a free stack of its own. The stack is a separate heap
+// object because the handle's reclaim callback points at it: were it a
+// field of the opCtx, the context would be reachable from itself and its
+// finalizer (see NewWithDomain) would never run.
+func newCtxAlloc[V any](ad *AllocDomain[V], met *Metrics, shard uint32) alloc[V] {
+	a := alloc[V]{ad: ad, met: met, shard: shard}
+	if ad.dom != nil {
+		local := &freeStack[V]{}
+		a.local = local
+		a.h = ad.dom.Get(func(n *lnode[V]) {
+			if local.n == len(local.nodes) {
+				ad.free.spill(local)
+			}
+			local.nodes[local.n] = n
+			local.n++
+		})
+	}
+	return a
+}
+
+// release gives the context's hazard record back to the domain and its
+// recycled nodes to the shared freelist. Put's last scan pushes onto local,
+// so the stack is handed over after it.
+func (a *alloc[V]) release() {
+	a.ad.dom.Put(a.h)
+	a.ad.free.push(a.local.nodes[:a.local.n])
 }
 
 func (a *alloc[V]) get() *lnode[V] {
-	if a.h != nil {
-		if n := a.ad.free.pop(); n != nil {
+	if s := a.local; s != nil {
+		if s.n == 0 {
+			a.ad.free.refill(s)
+		}
+		if s.n > 0 {
+			s.n--
+			n := s.nodes[s.n]
+			s.nodes[s.n] = nil
 			if a.met != nil {
 				a.met.NodeCacheHit.Inc(a.shard)
 			}
@@ -102,7 +143,7 @@ func (a *alloc[V]) put(n *lnode[V]) {
 	n.e = element[V]{}
 	n.next = nil
 	if a.h != nil {
-		a.h.Retire(n, a.ad.reclaim)
+		a.h.Retire(n)
 		return
 	}
 	if a.ad != nil && a.ad.cache != nil {
@@ -174,50 +215,59 @@ func (c *nodeCache[V]) put(shard uint32, n *lnode[V]) {
 	c.overflow.Put(n)
 }
 
-// freelistShards spreads freelist traffic over several locks; a single
-// mutex here would serialize every memory-safe insert and extract.
-const freelistShards = 8
+// localFreeDepth is the depth of a context's free stack: one hazard scan's
+// worth, which is what a context that retires as often as it allocates
+// needs to run without the shared freelist. Deeper stacks bought no
+// throughput and held more idle nodes per context.
+const localFreeDepth = 64
 
-// freelist is a sharded pool of reusable lnodes. Nodes enter via the hazard
-// domain's reclamation callback (only after no hazard pointer refers to
-// them) and leave via alloc.get.
-type freelist[V any] struct {
-	shards [freelistShards]freeShard[V]
-	rr     atomic.Uint32
+// freeStack is one context's LIFO of lnodes that have passed a hazard
+// scan; only its context touches it.
+type freeStack[V any] struct {
+	n     int
+	nodes [localFreeDepth]*lnode[V]
 }
 
-type freeShard[V any] struct {
+// freelist is the domain-wide pool behind the contexts' free stacks: what
+// they spill when full, what they refill from when empty, and what a dying
+// context leaves behind. Nodes reach it only after a hazard scan. Transfers
+// move half a stack under one lock acquisition, so even a context that only
+// allocates, or only retires, takes the lock once per localFreeDepth/2
+// operations.
+type freelist[V any] struct {
 	mu    sync.Mutex
 	nodes []*lnode[V]
-	_     [40]byte
 }
 
-func (f *freelist[V]) push(n *lnode[V]) {
-	s := &f.shards[f.rr.Add(1)%freelistShards]
-	s.mu.Lock()
-	s.nodes = append(s.nodes, n)
-	s.mu.Unlock()
+func (f *freelist[V]) push(nodes []*lnode[V]) {
+	f.mu.Lock()
+	f.nodes = append(f.nodes, nodes...)
+	f.mu.Unlock()
 }
 
-func (f *freelist[V]) pop() *lnode[V] {
-	start := f.rr.Add(1)
-	for i := uint32(0); i < freelistShards; i++ {
-		s := &f.shards[(start+i)%freelistShards]
-		s.mu.Lock()
-		if k := len(s.nodes); k > 0 {
-			n := s.nodes[k-1]
-			s.nodes[k-1] = nil
-			s.nodes = s.nodes[:k-1]
-			s.mu.Unlock()
-			return n
-		}
-		s.mu.Unlock()
-	}
-	return nil
+// spill moves the older half of a full stack to the freelist, keeping the
+// recently retired, cache-warm half local.
+func (f *freelist[V]) spill(s *freeStack[V]) {
+	const half = localFreeDepth / 2
+	f.push(s.nodes[:half])
+	copy(s.nodes[:half], s.nodes[half:])
+	clear(s.nodes[half:])
+	s.n = half
 }
 
-// opCtx carries per-operation state: a private RNG, the participant's
-// hazard-pointer handle, the set-node allocator, and reusable scratch
+// refill moves up to half a stack's worth of nodes into an empty stack.
+func (f *freelist[V]) refill(s *freeStack[V]) {
+	f.mu.Lock()
+	k := len(f.nodes)
+	take := min(k, localFreeDepth/2)
+	s.n = copy(s.nodes[:], f.nodes[k-take:])
+	clear(f.nodes[k-take:])
+	f.nodes = f.nodes[:k-take]
+	f.mu.Unlock()
+}
+
+// opCtx carries per-operation state: a private RNG, the set-node allocator
+// (and with it the participant's hazard-pointer handle), and reusable scratch
 // buffers — scratch for pool refills and batch root grabs, split for the
 // lower half moved by a set split. Contexts are pooled; one is held for
 // the duration of a single operation (or a whole batch call), so the
@@ -225,7 +275,6 @@ func (f *freelist[V]) pop() *lnode[V] {
 // allocating.
 type opCtx[V any] struct {
 	rng     xrand.Rand
-	h       *hazard.Handle
 	al      alloc[V]
 	scratch []element[V]
 	split   []element[V]
@@ -245,11 +294,19 @@ type opCtx[V any] struct {
 	sctr uint32
 }
 
+// protect publishes a hazard pointer on n in slot i; outside memory-safe
+// mode there is no protocol to follow.
+func (c *opCtx[V]) protect(i int, n *tnode[V]) {
+	if h := c.al.h; h != nil {
+		h.Protect(i, hazard.ID(n))
+	}
+}
+
 // clearHazards empties the traversal hazard slots at the end of an
 // operation.
 func (c *opCtx[V]) clearHazards() {
-	if c.h != nil {
-		c.h.Clear(0)
-		c.h.Clear(1)
+	if h := c.al.h; h != nil {
+		h.Clear(0)
+		h.Clear(1)
 	}
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -117,10 +118,13 @@ func NewWithDomain[V any](cfg Config, ad *AllocDomain[V]) *Queue[V] {
 		id := q.seedCtr.Add(1)
 		c := &opCtx[V]{}
 		c.rng.Seed(xrand.Mix64(cfg.Seed + id*0x9e3779b97f4a7c15))
-		if q.ad.dom != nil {
-			c.h = q.ad.dom.Get()
+		c.al = newCtxAlloc(q.ad, q.met, uint32(id))
+		if c.al.h != nil {
+			// sync.Pool drops idle contexts at a GC. One that kept its
+			// record would strand it, active and with its retirees, on the
+			// domain's grow-only list for every later scan to walk.
+			runtime.SetFinalizer(c, func(c *opCtx[V]) { c.al.release() })
 		}
-		c.al = alloc[V]{ad: q.ad, h: c.h, met: q.met, shard: uint32(id)}
 		// Pool refills move up to Batch elements; a batch root grab moves up
 		// to Batch+1. A split moves at most TargetLen+1 (half of an
 		// overflowing set). Pre-sizing both means the scratch slices never

@@ -2,30 +2,39 @@
 // memory reclamation scheme the ZMSQ paper uses to avoid depending on a
 // tracing garbage collector (§3.5).
 //
-// Go has a garbage collector, so "reclamation" here means returning retired
+// Go has a garbage collector, so "reclamation" here means handing retired
 // objects to a reuse pool rather than calling free. The protocol is the same
 // as in a non-GC language: a reader publishes a hazard pointer to an object
 // before dereferencing it optimistically; a writer that retires an object
-// may only hand it to the reuse pool once no published hazard pointer refers
-// to it. This keeps the paper-relevant property measurable — the
-// per-operation cost of publishing and validating hazard pointers, and of
-// the amortized scan — which is exactly what separates the "ZMSQ" and
-// "ZMSQ (leak)" curves in the paper's Figures 5, 7 and 8.
+// may only hand it on for reuse once no published hazard pointer refers to
+// it. It also costs what it costs there: a publication is one atomic store
+// of a word, a retirement an append, and every scanThreshold retirements a
+// scan snapshots the published words into a slice kept on the record and
+// tests the retirees against it. Nothing on those paths allocates. That
+// keeps the paper-relevant property measurable: the per-operation price of
+// publishing hazard pointers and of the amortized scan, which is what
+// separates the "ZMSQ" and "ZMSQ (leak)" curves in the paper's Figures 5, 7
+// and 8.
 //
-// The domain is untyped: callers pass object identities as interface values
-// (a *T boxed into Ptr). The domain only ever compares these identities —
-// it never dereferences them — so the package stays in safe Go with no
-// unsafe.Pointer use.
+// A Domain is typed by what it retires; what it protects may be of any
+// type, because a hazard slot holds only an identity word (see ID).
 package hazard
 
 import (
-	"sync"
 	"sync/atomic"
+	"unsafe"
 )
 
-// Ptr is the identity of a protected object. The domain only compares Ptr
-// values; it never dereferences them.
-type Ptr = any
+// ID returns p's identity word: what Protect publishes and what a scan
+// compares retirees against. It is the package's only use of unsafe, and it
+// is sound because an identity is only ever compared, never turned back
+// into a pointer. The collector does not see it and it keeps nothing alive:
+// the retired list holds the real pointer of every retiree, and a reader
+// holds the real pointer of whatever it publishes. Should a published
+// object die and its address go to a new object that is then retired, a
+// scan holds that retiree back longer than it needed to; it never hands
+// one on early.
+func ID[P any](p *P) uintptr { return uintptr(unsafe.Pointer(p)) }
 
 // slotsPerRecord is the number of hazard pointers each record provides. The
 // paper's analysis (§3.5) shows ZMSQ needs at most two hazard pointers per
@@ -40,35 +49,26 @@ const slotsPerRecord = 3
 const scanThreshold = 64
 
 // record is one participant's hazard-pointer record. Records are linked
-// into a grow-only list; a record freed by its owner is marked inactive and
-// may be re-acquired by another participant, so the list length is bounded
-// by the maximum number of concurrent participants.
-type record struct {
-	next    *record
+// into a grow-only list; a record released by its owner is marked inactive
+// and re-acquired by the next participant, so the list length is bounded by
+// the maximum number of concurrent participants. Only the owner touches
+// retired and snap; the active flag orders one owner's writes before the
+// next owner's reads.
+type record[T any] struct {
+	next    *record[T]
 	active  atomic.Bool
-	hazards [slotsPerRecord]atomic.Value // stores slot
-	retired []retiredObj
-	_       [48]byte // reduce false sharing between records
+	hazards [slotsPerRecord]atomic.Uintptr
+	retired []*T
+	snap    []uintptr // scan's snapshot of the published slots, reused
+	_       [40]byte  // a record fills its 128-byte size class: no false sharing
 }
 
-// slot wraps a Ptr so every atomic.Value store uses the same concrete type
-// (atomic.Value forbids storing nil or values of varying dynamic type).
-type slot struct {
-	p Ptr
-}
-
-type retiredObj struct {
-	ptr  Ptr
-	done func(Ptr)
-}
-
-// Domain is a hazard-pointer domain: a set of records plus the retired-object
-// machinery. The zero value is not usable; call NewDomain.
-type Domain struct {
-	head    atomic.Pointer[record]
+// Domain is a hazard-pointer domain retiring objects of type T: a set of
+// records plus the retired-object machinery. The zero value is not usable;
+// call NewDomain.
+type Domain[T any] struct {
+	head    atomic.Pointer[record[T]]
 	records atomic.Int64 // number of records ever created (for stats/tests)
-	// handles recycles Records across goroutines cheaply.
-	handles sync.Pool
 	// scanHook, when non-nil, runs at the start of every reclamation scan.
 	// Used by fault injection to stall scans; it must be set before the
 	// domain is used concurrently and must be safe to call from any
@@ -77,136 +77,128 @@ type Domain struct {
 }
 
 // NewDomain returns an empty domain.
-func NewDomain() *Domain {
-	d := &Domain{}
-	d.handles.New = func() any { return d.acquireRecord() }
-	return d
-}
+func NewDomain[T any]() *Domain[T] { return &Domain[T]{} }
 
 // Records reports how many records have been allocated in the domain's
 // lifetime. Used by tests to verify record reuse.
-func (d *Domain) Records() int64 { return d.records.Load() }
+func (d *Domain[T]) Records() int64 { return d.records.Load() }
 
 // SetScanHook installs f to run at the start of every reclamation scan.
 // Fault-injection harnesses use it to stall scans; it must be called
 // before the domain is used concurrently.
-func (d *Domain) SetScanHook(f func()) { d.scanHook = f }
+func (d *Domain[T]) SetScanHook(f func()) { d.scanHook = f }
 
-// acquireRecord finds an inactive record to reuse or appends a new one.
-func (d *Domain) acquireRecord() *record {
+// Handle is a participant's view of the domain: a record held from Get to
+// Put. Handles are not safe for concurrent use; hold one per goroutine, or
+// one per pooled operation context.
+type Handle[T any] struct {
+	d    *Domain[T]
+	r    *record[T]
+	done func(*T)
+}
+
+// Get acquires a handle, reusing a released record if there is one. Once no
+// hazard pointer in the domain refers to an object retired through the
+// handle, done is invoked on it exactly once (typically returning it to a
+// free stack), on whichever goroutine runs the scan — the holder's own.
+// Pair with Put.
+func (d *Domain[T]) Get(done func(*T)) *Handle[T] {
+	h := &Handle[T]{d: d, done: done}
 	for r := d.head.Load(); r != nil; r = r.next {
 		if !r.active.Load() && r.active.CompareAndSwap(false, true) {
-			return r
+			h.r = r
+			return h
 		}
 	}
-	r := &record{}
+	r := &record[T]{
+		retired: make([]*T, 0, scanThreshold),
+		snap:    make([]uintptr, 0, 2*slotsPerRecord),
+	}
 	r.active.Store(true)
 	for {
 		head := d.head.Load()
 		r.next = head
 		if d.head.CompareAndSwap(head, r) {
 			d.records.Add(1)
-			return r
+			h.r = r
+			return h
 		}
 	}
 }
 
-// Handle is a participant's view of the domain: a record acquired for the
-// duration of one or more operations. Handles are not safe for concurrent
-// use; acquire one per goroutine (or per operation via Get/Put, which use a
-// pool and are cheap).
-type Handle struct {
-	d *Domain
-	r *record
-}
-
-// Get acquires a handle. Pair with Put.
-func (d *Domain) Get() *Handle {
-	r := d.handles.Get().(*record)
-	if !r.active.Load() {
-		// Pooled record was released via Release; reactivate or replace.
-		if !r.active.CompareAndSwap(false, true) {
-			r = d.acquireRecord()
-		}
-	}
-	return &Handle{d: d, r: r}
-}
-
-// Put clears the handle's hazard slots and returns it to the pool. Retired
-// objects stay attached to the record and will be scanned on a later use.
-// The record is also marked inactive so that, if the pool drops it, another
-// participant can still re-acquire it from the record list instead of
-// growing the list.
-func (d *Domain) Put(h *Handle) {
+// Put clears the handle's hazard slots, scans once more so that everything
+// reclaimable goes to done, and releases the record. Retirees some other
+// participant still protects stay on the record and pass to its next
+// holder. The handle must not be used afterwards.
+func (d *Domain[T]) Put(h *Handle[T]) {
 	for i := range h.r.hazards {
-		h.r.hazards[i].Store(slot{})
+		h.r.hazards[i].Store(0)
+	}
+	if len(h.r.retired) > 0 {
+		h.scan()
 	}
 	h.r.active.Store(false)
-	d.handles.Put(h.r)
 	h.r = nil
 }
 
-// Protect publishes p in hazard slot i and returns p. The caller must
-// re-validate its source pointer after Protect returns (the standard
-// hazard-pointer load protocol): publish, re-read the source, retry if it
-// changed.
-func (h *Handle) Protect(i int, p Ptr) Ptr {
-	h.r.hazards[i].Store(slot{p: p})
-	return p
-}
+// Protect publishes id (see ID) in hazard slot i. The caller must
+// re-validate its source pointer afterwards (the standard hazard-pointer
+// load protocol): publish, re-read the source, retry if it changed.
+func (h *Handle[T]) Protect(i int, id uintptr) { h.r.hazards[i].Store(id) }
 
 // Clear empties hazard slot i.
-func (h *Handle) Clear(i int) {
-	h.r.hazards[i].Store(slot{})
-}
+func (h *Handle[T]) Clear(i int) { h.r.hazards[i].Store(0) }
 
-// Retire records that p is no longer reachable from the shared structure.
-// Once no hazard pointer in the domain refers to p, done(p) is invoked
-// exactly once (typically returning p to a freelist). done must be safe to
-// call from any goroutine that happens to run the scan.
-func (h *Handle) Retire(p Ptr, done func(Ptr)) {
-	h.r.retired = append(h.r.retired, retiredObj{ptr: p, done: done})
+// Retire records that p is no longer reachable from the shared structure;
+// it goes to the handle's done once a scan finds no hazard pointer on it.
+func (h *Handle[T]) Retire(p *T) {
+	h.r.retired = append(h.r.retired, p)
 	if len(h.r.retired) >= scanThreshold {
 		h.scan()
 	}
 }
 
 // scan applies the classic two-phase scan: snapshot all published hazard
-// pointers, then reclaim every retired object not in the snapshot.
-func (h *Handle) scan() {
+// pointers, then reclaim every retired object not in the snapshot. The
+// snapshot holds only non-empty slots — a few words, since a participant
+// between operations publishes nothing — so each retiree is tested by a
+// linear pass over it.
+func (h *Handle[T]) scan() {
 	if hook := h.d.scanHook; hook != nil {
 		hook()
 	}
-	protected := make(map[Ptr]struct{}, scanThreshold)
-	for r := h.d.head.Load(); r != nil; r = r.next {
-		for i := range r.hazards {
-			if v := r.hazards[i].Load(); v != nil {
-				if s, ok := v.(slot); ok && s.p != nil {
-					protected[s.p] = struct{}{}
-				}
+	r := h.r
+	snap := r.snap[:0]
+	for o := h.d.head.Load(); o != nil; o = o.next {
+		for i := range o.hazards {
+			if id := o.hazards[i].Load(); id != 0 {
+				snap = append(snap, id)
 			}
 		}
 	}
-	kept := h.r.retired[:0]
-	for _, ro := range h.r.retired {
-		if _, isProtected := protected[ro.ptr]; isProtected {
-			kept = append(kept, ro)
-		} else {
-			ro.done(ro.ptr)
+	r.snap = snap
+	kept := r.retired[:0]
+retirees:
+	for _, p := range r.retired {
+		id := ID(p)
+		for _, s := range snap {
+			if s == id {
+				kept = append(kept, p)
+				continue retirees
+			}
 		}
+		h.done(p)
 	}
 	// Zero the tail so reclaimed entries don't pin objects via the backing
 	// array.
-	for i := len(kept); i < len(h.r.retired); i++ {
-		h.r.retired[i] = retiredObj{}
-	}
-	h.r.retired = kept
+	clear(r.retired[len(kept):])
+	r.retired = kept
 }
 
 // Flush runs scans until the handle's retired list is empty or stops
 // shrinking (i.e. every remaining object is still protected). Tests and
 // shutdown paths use it to drain retirements deterministically.
-func (h *Handle) Flush() {
+func (h *Handle[T]) Flush() {
 	for {
 		before := len(h.r.retired)
 		if before == 0 {
@@ -221,4 +213,4 @@ func (h *Handle) Flush() {
 
 // RetiredCount reports how many objects are awaiting reclamation on this
 // handle. Exposed for tests.
-func (h *Handle) RetiredCount() int { return len(h.r.retired) }
+func (h *Handle[T]) RetiredCount() int { return len(h.r.retired) }

@@ -9,6 +9,7 @@ import (
 	"net"
 
 	"repro/internal/core"
+	"repro/internal/sharded"
 	"repro/internal/wire"
 )
 
@@ -23,9 +24,12 @@ type connState struct {
 	br     *bufio.Reader
 	respCh chan wire.Response
 	id     uint32 // histogram shard
-	keys   []uint64
-	frame  []byte
-	dst    []core.Element[[]byte]
+	// hs holds this connection's own operation context on each tenant's
+	// queue it has used (see handle).
+	hs    map[*tenant]*sharded.Handle[[]byte]
+	keys  []uint64
+	frame []byte
+	dst   []core.Element[[]byte]
 }
 
 // cloneValues detaches a request's payload views from the read buffer
@@ -54,6 +58,7 @@ func (s *Server) serveConn(conn net.Conn) {
 		br:     bufio.NewReaderSize(conn, 64<<10),
 		respCh: make(chan wire.Response, s.cfg.MaxInflight),
 		id:     s.connSeq.Add(1),
+		hs:     make(map[*tenant]*sharded.Handle[[]byte]),
 	}
 	writerDone := make(chan struct{})
 	go c.writeLoop(writerDone)
@@ -131,6 +136,21 @@ func (c *connState) badRequest(payload []byte, perr error) {
 	c.respond(wire.Response{Status: wire.StatusBadRequest, ID: id, Msg: perr.Error()})
 }
 
+// handle returns the connection's sharded.Handle on t's queue. Queue
+// operations go through it, not through the queue's pooled contexts, so a
+// connection's inserts keep one home shard for as long as it lives: the
+// pool re-homes whoever calls next after two idle garbage collections,
+// which made a tenant's element placement — and with it its rank error —
+// depend on the collector's timing.
+func (c *connState) handle(t *tenant) *sharded.Handle[[]byte] {
+	h := c.hs[t]
+	if h == nil {
+		h = t.q.NewHandle()
+		c.hs[t] = h
+	}
+	return h
+}
+
 // free reports how many response slots remain. Only the read loop adds
 // responses, so the value can only grow concurrently (the writer drains);
 // admission decisions on it are safely conservative.
@@ -174,13 +194,13 @@ func (c *connState) execute(req wire.Request) {
 	case wire.OpInsert:
 		c.coalesceInsert(t, req)
 	case wire.OpInsertBatch:
-		t.q.InsertBatch(req.Keys, cloneValues(req.Payloads))
+		c.handle(t).InsertBatch(req.Keys, cloneValues(req.Payloads))
 		s.batchSizes.Observe(c.id, uint64(len(req.Keys)))
 		s.inserts.Add(uint64(len(req.Keys)))
 		s.opsTotal.Add(1)
 		c.respond(wire.Response{Status: wire.StatusOK, ID: req.ID, Op: req.Op})
 	case wire.OpExtractMax:
-		key, val, ok := t.q.TryExtractMax()
+		key, val, ok := c.handle(t).TryExtractMax()
 		s.opsTotal.Add(1)
 		if !ok {
 			c.respond(wire.Response{Status: c.emptyStatus(t), ID: req.ID, Op: req.Op})
@@ -191,7 +211,7 @@ func (c *connState) execute(req wire.Request) {
 		// it to the response queue is safe.
 		c.respond(wire.Response{Status: wire.StatusOK, ID: req.ID, Op: req.Op, Value: key, Payload: val})
 	case wire.OpExtractBatch:
-		c.dst = t.q.ExtractBatch(c.dst[:0], req.N)
+		c.dst = c.handle(t).ExtractBatch(c.dst[:0], req.N)
 		s.opsTotal.Add(1)
 		if len(c.dst) == 0 {
 			c.respond(wire.Response{Status: c.emptyStatus(t), ID: req.ID, Op: req.Op})
@@ -277,7 +297,7 @@ func (c *connState) coalesceInsert(t *tenant, req wire.Request) {
 	if !anyVal {
 		vals = nil // key-only batch: zero values, key-only WAL record
 	}
-	t.q.InsertBatch(keys, vals)
+	c.handle(t).InsertBatch(keys, vals)
 	c.keys = keys[:0]
 	s.batchSizes.Observe(c.id, uint64(len(keys)))
 	s.inserts.Add(uint64(len(keys)))

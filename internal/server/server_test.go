@@ -2,6 +2,7 @@ package server
 
 import (
 	"net"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -407,5 +408,65 @@ func TestServerBadFrame(t *testing.T) {
 	}
 	if s.StatsSnapshot().ProtoErrors == 0 {
 		t.Fatal("protocol error not counted")
+	}
+}
+
+// TestConnKeepsHomeShard checks that a connection's inserts stay on one
+// shard of its tenant's queue however the collector runs between requests
+// (the queue's pooled contexts are forgotten, and re-homed, after two idle
+// collections), and that a second connection is homed elsewhere.
+func TestConnKeepsHomeShard(t *testing.T) {
+	cfg := baseConfig("alpha")
+	cfg.Queue.Shards = 4
+	s, addr := startServer(t, cfg)
+	occupied := func() (on []int) {
+		for i, ps := range s.tenants["alpha"].q.Snapshot().PerShard {
+			if ps.Len > 0 {
+				on = append(on, i)
+			}
+		}
+		return on
+	}
+	insert := func(c *wire.Client, base uint64) {
+		t.Helper()
+		keys := make([]uint64, 64)
+		for i := range keys {
+			keys[i] = base + uint64(i)
+		}
+		for _, req := range []wire.Request{
+			{Op: wire.OpInsertBatch, Tenant: "alpha", Keys: keys},
+			{Op: wire.OpInsert, Tenant: "alpha", Key: base + 64},
+		} {
+			if r, err := c.Do(req); err != nil || r.Status != wire.StatusOK {
+				t.Fatalf("insert: %+v %v", r, err)
+			}
+		}
+	}
+	c, err := wire.Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	insert(c, 0)
+	home := occupied()
+	if len(home) != 1 {
+		t.Fatalf("one connection's inserts landed on shards %v", home)
+	}
+	for round := uint64(1); round <= 3; round++ {
+		runtime.GC()
+		runtime.GC()
+		insert(c, round<<20)
+		if on := occupied(); len(on) != 1 || on[0] != home[0] {
+			t.Fatalf("round %d: the connection's inserts are on shards %v, were on %v", round, on, home)
+		}
+	}
+	c2, err := wire.Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c2.Close()
+	insert(c2, 1<<40)
+	if on := occupied(); len(on) != 2 {
+		t.Fatalf("a second connection shares the first one's home: shards %v", on)
 	}
 }

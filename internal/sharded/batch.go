@@ -29,6 +29,10 @@ func (q *Queue[V]) ExtractBatch(dst []core.Element[V], n int) []core.Element[V] 
 	}
 	c := q.getCtx()
 	defer q.putCtx(c)
+	return q.extractBatch(c, dst, n)
+}
+
+func (q *Queue[V]) extractBatch(c *opCtx, dst []core.Element[V], n int) []core.Element[V] {
 	for i := 0; i < n; i++ {
 		k, v, ok := q.tryExtract(c)
 		if !ok {

@@ -6,7 +6,8 @@
 //
 // Inserts are thread-affine: each pooled operation context is pinned to a
 // home shard, so a goroutine's inserts stream into one shard's tree with
-// no cross-shard traffic. Extraction is choice-of-two over the shards'
+// no cross-shard traffic (a caller that wants that pinning to outlast the
+// pool's memory holds a Handle). Extraction is choice-of-two over the shards'
 // advisory maxima (PeekMax: pool top vs root max), with every S'th
 // extraction on a context upgraded to a full peek sweep that targets the
 // argmax shard, and a work-stealing sweep over all shards before an empty
@@ -243,13 +244,16 @@ func NewWithDomain[V any](cfg Config, ad *core.AllocDomain[V]) *Queue[V] {
 		}
 		q.shards[i].q = core.NewWithDomain[V](scfg, ad)
 	}
-	q.ctxs.New = func() any {
-		id := q.seedCtr.Add(1)
-		c := &opCtx{home: q.homeCtr.Add(1) % uint32(len(q.shards))}
-		c.rng.Seed(xrand.Mix64(cfg.Queue.Seed ^ (id * 0x9e3779b97f4a7c15)))
-		return c
-	}
+	q.ctxs.New = func() any { return q.newCtx() }
 	return q
+}
+
+// newCtx makes a context homed on the next shard in turn.
+func (q *Queue[V]) newCtx() *opCtx {
+	id := q.seedCtr.Add(1)
+	c := &opCtx{home: q.homeCtr.Add(1) % uint32(len(q.shards))}
+	c.rng.Seed(xrand.Mix64(q.cfg.Queue.Seed ^ (id * 0x9e3779b97f4a7c15)))
+	return c
 }
 
 // NumShards returns the shard count S.
