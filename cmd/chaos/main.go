@@ -14,9 +14,6 @@
 //	chaos -seeds 16            # sweep 16 seeds
 //	chaos -sharded 3           # also chaos the sharded front-end (3 shards,
 //	                           # composed S·(b+1) window, per-shard never-fails)
-//	chaos -sharded 3 -policy v2  # sharded front-end under a v2 policy
-//	                           # (sticky/buffered/elastic; window widened by
-//	                           # the policy's WindowSlack)
 //	chaos -durable             # attach a WAL; after the drain the durable
 //	                           # state must replay to empty
 //	chaos -baselines           # also run conservation checks on baselines
@@ -33,7 +30,6 @@ import (
 	"repro/internal/fault"
 	"repro/internal/harness"
 	"repro/internal/locks"
-	"repro/internal/sharded"
 )
 
 func main() {
@@ -51,7 +47,6 @@ func main() {
 		hazard    = flag.Int("hazard", 50, "hazard-scan stall percentage")
 		grow      = flag.Int("grow", 75, "tree-growth stall percentage")
 		shardedN  = flag.Int("sharded", 0, "also chaos a sharded front-end with this many shards (0 = off)")
-		policy    = flag.String("policy", "v1", fmt.Sprintf("sharded front-end policy preset %v", sharded.PolicyNames()))
 		baselines = flag.Bool("baselines", false, "also run conservation chaos over the baselines")
 		durable   = flag.Bool("durable", false, "attach a write-ahead log and verify the durable state replays to empty after the drain")
 		walDir    = flag.String("waldir", "", "durability directory for -durable (default: a fresh temp dir per run)")
@@ -79,13 +74,6 @@ func main() {
 		},
 		Keys: harness.Uniform20,
 	}
-	pol, err := sharded.ParsePolicy(*policy)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	}
-	plan.Policy = pol
-
 	if err := plan.Queue.Validate(); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
@@ -100,9 +88,6 @@ func main() {
 			seed, *rounds, *producers, *consumers, *ops, *batch, *target, *trylock, *handoff, *hazard, *grow)
 		if shards > 0 {
 			fmt.Fprintf(&b, " -sharded %d", shards)
-			if *policy != "" && *policy != "v1" {
-				fmt.Fprintf(&b, " -policy %s", *policy)
-			}
 		}
 		if *durable {
 			b.WriteString(" -durable")

@@ -10,15 +10,14 @@
 // the frame layout and the backpressure and drain state machines.
 //
 //	go run ./cmd/zmsqd -addr :8219 -tenants alpha,beta
-//	go run ./cmd/zmsqd -tenants alpha -shards 8 -policy v2
+//	go run ./cmd/zmsqd -tenants alpha -shards 8
 //	go run ./cmd/zmsqd -tenants alpha,beta -wal /var/lib/zmsqd
 //
 // With -wal every tenant is durable: tenant T logs to <dir>/T, existing
 // state is recovered on startup, and SIGTERM runs a graceful drain —
-// connections are answered with a closed status, buffered inserts are
-// flushed and synced, and the logs closed, so every acked insert is
-// recoverable by the next start. Without -wal, SIGTERM drains the tenants
-// and prints what was dropped.
+// connections are answered with a closed status and the logs are synced
+// and closed, so every acked insert is recoverable by the next start.
+// Without -wal, SIGTERM drains the tenants and prints what was dropped.
 //
 // Drive it with cmd/zmsqload, the open-loop latency load generator.
 package main
@@ -43,7 +42,6 @@ func main() {
 		addr     = flag.String("addr", ":8219", "TCP listen address for the wire protocol")
 		tenants  = flag.String("tenants", "default", "comma-separated tenant names")
 		shards   = flag.Int("shards", 4, "shards per tenant queue")
-		policy   = flag.String("policy", "v1", fmt.Sprintf("sharded front-end policy preset %v", sharded.PolicyNames()))
 		batch    = flag.Int("batch", core.DefaultBatch, "queue relaxation (Config.Batch)")
 		array    = flag.Bool("array", false, "use array sets instead of lists (Config.SetMode)")
 		walDir   = flag.String("wal", "", "durability directory: per-tenant WAL + recovery on start (empty = volatile)")
@@ -66,15 +64,10 @@ func main() {
 	if *array {
 		qcfg.SetMode = core.SetModeArray
 	}
-	pol, err := sharded.ParsePolicy(*policy)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "zmsqd:", err)
-		os.Exit(2)
-	}
 
 	s, recovered, err := server.New(server.Config{
 		Tenants:          names,
-		Queue:            sharded.Config{Shards: *shards, Queue: qcfg, Policy: pol},
+		Queue:            sharded.Config{Shards: *shards, Queue: qcfg},
 		WALDir:           *walDir,
 		WALSnapshotBytes: *walSnap,
 		MaxInflight:      *inflight,
@@ -94,8 +87,8 @@ func main() {
 		fmt.Fprintln(os.Stderr, "zmsqd:", err)
 		os.Exit(1)
 	}
-	fmt.Printf("zmsqd: serving %d tenants %v on %s (shards=%d policy=%s wal=%q)\n",
-		len(names), names, ln.Addr(), *shards, *policy, *walDir)
+	fmt.Printf("zmsqd: serving %d tenants %v on %s (shards=%d wal=%q)\n",
+		len(names), names, ln.Addr(), *shards, *walDir)
 
 	sigc := make(chan os.Signal, 1)
 	signal.Notify(sigc, os.Interrupt, syscall.SIGTERM)

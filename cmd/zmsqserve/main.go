@@ -13,8 +13,6 @@
 //
 //	go run ./cmd/zmsqserve -addr :8217 -threads 8 -mix 50
 //	go run ./cmd/zmsqserve -shards 4        # sharded; serves the merged view
-//	go run ./cmd/zmsqserve -shards 4 -policy v2  # sharding v2: sticky homes,
-//	                                        # op buffers, elastic shard count
 //	go run ./cmd/zmsqserve -wal /var/lib/zmsq  # durable: WAL + recovery
 //	curl localhost:8217/metrics
 //
@@ -60,7 +58,6 @@ func main() {
 		prefill = flag.Int("prefill", 1<<16, "elements inserted before the workload starts")
 		batch   = flag.Int("batch", core.DefaultBatch, "queue relaxation (Config.Batch)")
 		shards  = flag.Int("shards", 0, "shard across this many ZMSQ shards (0 = single queue)")
-		policy  = flag.String("policy", "v1", fmt.Sprintf("sharded front-end policy preset %v", sharded.PolicyNames()))
 		array   = flag.Bool("array", false, "use array sets instead of lists (Config.SetMode)")
 		leaky   = flag.Bool("leaky", false, "disable hazard-pointer memory safety")
 		pace    = flag.Duration("pace", 50*time.Microsecond, "sleep between worker operations (0 = flat out)")
@@ -97,12 +94,7 @@ func main() {
 		err      error
 	)
 	if *shards > 0 {
-		pol, perr := sharded.ParsePolicy(*policy)
-		if perr != nil {
-			fmt.Fprintln(os.Stderr, "zmsqserve:", perr)
-			os.Exit(2)
-		}
-		scfg := sharded.Config{Shards: *shards, Queue: cfg, Policy: pol}
+		scfg := sharded.Config{Shards: *shards, Queue: cfg}
 		var sq *sharded.Queue[struct{}]
 		switch {
 		case *walDir != "" && wal.Exists(*walDir):
@@ -182,20 +174,12 @@ func main() {
 	}
 	wg.Wait()
 
-	// Graceful shutdown: close, flush, then drain whatever the workload
-	// left queued through the context-aware extraction capability — the
-	// same loop works for both substrates, classifying outcomes with the
-	// pq sentinels rather than concrete queue types. The flush must come
-	// before the drain: buffered-policy shards (sharded v2) hold inserts in
-	// per-shard buffers that a TryLock-skipping drain can miss, and SyncWAL
-	// below would push them back into the queue *after* the drain reported
-	// completion — leaving the log non-empty and the printed drain count
-	// short.
+	// Graceful shutdown: close, then drain whatever the workload left
+	// queued through the context-aware extraction capability — the same
+	// loop works for both substrates, classifying outcomes with the pq
+	// sentinels rather than concrete queue types.
 	if c, ok := q.(pq.Closer); ok {
 		c.Close()
-	}
-	if f, ok := q.(pq.Flusher); ok {
-		f.Flush()
 	}
 	drained := 0
 	if ce, ok := q.(pq.ContextExtractor); ok {
@@ -239,9 +223,5 @@ func main() {
 		ss := sq.ShardSnapshot()
 		fmt.Printf("zmsqserve: sharded — %d shards, %d full sweeps, %d steal sweeps, %d steals, imbalance %.3f\n",
 			ss.Shards, ss.FullSweeps, ss.StealSweeps, ss.Steals, ss.Imbalance)
-		if ss.Policy != "v1" {
-			fmt.Printf("zmsqserve: policy %s — %d/%d shards active, %d buffered, %d buf trylock fails, %d flushes, %d grows, %d shrinks, %d migrated\n",
-				ss.Policy, ss.ActiveShards, ss.Shards, ss.Buffered, ss.BufTryLockFail, ss.BufFlushes, ss.Grows, ss.Shrinks, ss.Migrated)
-		}
 	}
 }

@@ -75,15 +75,6 @@ type Config struct {
 	// insert landing on an already-swept shard can legitimately make a
 	// nonempty queue report empty. §3.7 never-fails holds per shard only.
 	Shards int
-	// Buffer is the sharded front-end's op-buffer window slack
-	// (sharded.Policy.WindowSlack): buffered elements ride outside the
-	// shards for a bounded number of ops, widening the composed window
-	// additively to S·(Batch+1) + Buffer. 0 for unbuffered policies.
-	//
-	// Buffer > 0 also disables the never-fails check (like Shards > 1): a
-	// contended op-buffer trylock makes a draw skip buffered elements, so
-	// a nonempty queue can legitimately report empty.
-	Buffer int
 	// Slack widens the true-max test (rank <= Slack) and the window bound
 	// to absorb recording reorder from concurrent strict consumers; 0 is
 	// exact for a single strict consumer.
@@ -94,14 +85,13 @@ type Config struct {
 }
 
 // windowBound is the longest permitted run of consecutive strict
-// extractions that all miss the true max: S·(Batch+1) - 1 plus the
-// op-buffer slack and Slack.
+// extractions that all miss the true max: S·(Batch+1) - 1 plus Slack.
 func (cfg Config) windowBound() int {
 	s := cfg.Shards
 	if s < 1 {
 		s = 1
 	}
-	return s*(cfg.Batch+1) - 1 + cfg.Buffer + cfg.Slack
+	return s*(cfg.Batch+1) - 1 + cfg.Slack
 }
 
 type eventKind uint8
@@ -235,12 +225,10 @@ func (r *Recorder) DidExtract(key uint64, ok bool) {
 		return
 	}
 	c.failedExtracts.Add(1)
-	if c.cfg.Shards > 1 || c.cfg.Buffer > 0 {
+	if c.cfg.Shards > 1 {
 		// Sharded front-ends observe emptiness by sweeping the shards —
 		// not an atomic cut — so the lower-bound argument below is unsound
-		// for them (see Config.Shards). Likewise a buffered front-end can
-		// skip a contended op buffer during the sweep (Config.Buffer).
-		// Count the failure, don't judge it.
+		// for them (see Config.Shards). Count the failure, don't judge it.
 		c.extractDoneAll.Add(1)
 		return
 	}
@@ -348,8 +336,8 @@ func (c *Checker) Verify() (Report, error) {
 				if run == bound+1 {
 					// Report once per offending window, at the point the
 					// window guarantee is first exceeded.
-					c.violate("no true-max extraction in %d consecutive strict extractions (allowed %d: batch %d, shards %d, buffer %d, slack %d)",
-						run, bound, c.cfg.Batch, c.cfg.Shards, c.cfg.Buffer, c.cfg.Slack)
+					c.violate("no true-max extraction in %d consecutive strict extractions (allowed %d: batch %d, shards %d, slack %d)",
+						run, bound, c.cfg.Batch, c.cfg.Shards, c.cfg.Slack)
 				}
 			}
 		}

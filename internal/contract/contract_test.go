@@ -352,49 +352,3 @@ func TestShardsZeroAndOneDegenerate(t *testing.T) {
 		t.Errorf("Shards=4 windowBound = %d, want %d", got, want)
 	}
 }
-
-func TestBufferWidensBounds(t *testing.T) {
-	// Buffer is the sharded op-buffer slack: like Slack it widens the
-	// window additively. Two consecutive rank-2 extractions violate
-	// batch=1 buffer=0 but pass buffer=1.
-	history := func(buffer int) *Checker {
-		c := NewChecker(Config{Batch: 1, Buffer: buffer})
-		r := c.Recorder()
-		for _, k := range []uint64{10, 20, 30, 40, 50} {
-			r.WillInsert(k)
-			r.DidInsert()
-		}
-		c.BeginStrict()
-		for _, k := range []uint64{30, 20} {
-			r.WillExtract()
-			r.DidExtract(k, true)
-		}
-		c.EndStrict()
-		return c
-	}
-	if _, err := history(0).Verify(); err == nil {
-		t.Fatal("run of 2 under batch=1 buffer=0 passed")
-	}
-	if _, err := history(1).Verify(); err != nil {
-		t.Fatalf("run of 2 under batch=1 buffer=1 rejected: %v", err)
-	}
-	// The composed arithmetic: S·(Batch+1) - 1 + Buffer + Slack.
-	if got, want := (Config{Batch: 3, Shards: 4, Buffer: 9, Slack: 2}).windowBound(), 4*4-1+9+2; got != want {
-		t.Fatalf("windowBound = %d, want %d", got, want)
-	}
-}
-
-func TestBufferDisablesNeverFails(t *testing.T) {
-	// An op-buffered front-end can report empty while a contended buffer
-	// holds elements, exactly like a sharded sweep racing placement — so
-	// Buffer > 0 must disable the never-fails judgment.
-	c := NewChecker(Config{Batch: 0, Buffer: 1})
-	r := c.Recorder()
-	r.WillInsert(7)
-	r.DidInsert()
-	r.WillExtract()
-	r.DidExtract(0, false)
-	if _, err := c.Verify(); err != nil {
-		t.Fatalf("buffered failed-extract on nonempty queue flagged: %v", err)
-	}
-}

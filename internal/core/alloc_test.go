@@ -27,7 +27,6 @@ func zeroAllocConfigs() []struct {
 	cfg  Config
 } {
 	safe := DefaultConfig()
-	safe.SetMode = SetModeList // whatever the zmsq_arrayset tag made the default
 	leaky := DefaultConfig()
 	leaky.Leaky = true
 	array := DefaultConfig()

@@ -20,8 +20,7 @@ func batchTestConfigs() []struct {
 } {
 	leaky := DefaultConfig()
 	leaky.Leaky = true
-	array := DefaultConfig()
-	array.ArraySet = true
+	array := withSetMode(DefaultConfig(), SetModeArray)
 	strict := DefaultConfig()
 	strict.Batch = 0
 	small := Config{Batch: 4, TargetLen: 6}
@@ -32,7 +31,9 @@ func batchTestConfigs() []struct {
 		{"default", DefaultConfig()},
 		{"leaky", leaky},
 		{"array", array},
+		{"array-leaky", withSetMode(leaky, SetModeArray)},
 		{"strict", strict},
+		{"array-strict", withSetMode(strict, SetModeArray)},
 		{"small", small},
 	}
 }
@@ -234,51 +235,54 @@ func TestBatchConcurrentConservation(t *testing.T) {
 // element — the true maximum — so a batch drain is in exact descending
 // order.
 func TestExtractBatchStrictOrder(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.Batch = 0
-	q := New[int](cfg)
-	r := xrand.New(7)
-	keys := make([]uint64, 2048)
-	for i := range keys {
-		keys[i] = r.Uint64() >> 40
-	}
-	q.InsertBatch(keys, nil)
-
-	got := q.ExtractBatch(nil, len(keys)+10)
-	if len(got) != len(keys) {
-		t.Fatalf("extracted %d, want %d", len(got), len(keys))
-	}
-	sorted := append([]uint64(nil), keys...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] > sorted[j] })
-	for i, e := range got {
-		if e.Key != sorted[i] {
-			t.Fatalf("position %d: got %d, want %d", i, e.Key, sorted[i])
+	forEachSetMode(t, func(t *testing.T, cfg Config) {
+		cfg.Batch = 0
+		q := New[int](cfg)
+		r := xrand.New(7)
+		keys := make([]uint64, 2048)
+		for i := range keys {
+			keys[i] = r.Uint64() >> 40
 		}
-	}
+		q.InsertBatch(keys, nil)
+
+		got := q.ExtractBatch(nil, len(keys)+10)
+		if len(got) != len(keys) {
+			t.Fatalf("extracted %d, want %d", len(got), len(keys))
+		}
+		sorted := append([]uint64(nil), keys...)
+		sort.Slice(sorted, func(i, j int) bool { return sorted[i] > sorted[j] })
+		for i, e := range got {
+			if e.Key != sorted[i] {
+				t.Fatalf("position %d: got %d, want %d", i, e.Key, sorted[i])
+			}
+		}
+	})
 }
 
 func TestInsertBatchVals(t *testing.T) {
-	q := New[string](DefaultConfig())
-	q.InsertBatch([]uint64{3, 1, 2}, []string{"c", "a", "b"})
-	want := map[uint64]string{1: "a", 2: "b", 3: "c"}
-	for i := 0; i < 3; i++ {
-		k, v, ok := q.TryExtractMax()
-		if !ok || want[k] != v {
-			t.Fatalf("got (%d,%q,%v), want val %q", k, v, ok, want[k])
+	forEachSetMode(t, func(t *testing.T, cfg Config) {
+		q := New[string](cfg)
+		q.InsertBatch([]uint64{3, 1, 2}, []string{"c", "a", "b"})
+		want := map[uint64]string{1: "a", 2: "b", 3: "c"}
+		for i := 0; i < 3; i++ {
+			k, v, ok := q.TryExtractMax()
+			if !ok || want[k] != v {
+				t.Fatalf("got (%d,%q,%v), want val %q", k, v, ok, want[k])
+			}
 		}
-	}
 
-	// nil vals inserts zero payloads.
-	q.InsertBatch([]uint64{9}, nil)
-	if _, v, ok := q.TryExtractMax(); !ok || v != "" {
-		t.Fatalf("nil-vals payload = %q, want zero value", v)
-	}
+		// nil vals inserts zero payloads.
+		q.InsertBatch([]uint64{9}, nil)
+		if _, v, ok := q.TryExtractMax(); !ok || v != "" {
+			t.Fatalf("nil-vals payload = %q, want zero value", v)
+		}
 
-	// Empty batch is a no-op.
-	q.InsertBatch(nil, nil)
-	if q.Len() != 0 {
-		t.Fatalf("Len = %d after empty batch", q.Len())
-	}
+		// Empty batch is a no-op.
+		q.InsertBatch(nil, nil)
+		if q.Len() != 0 {
+			t.Fatalf("Len = %d after empty batch", q.Len())
+		}
+	})
 }
 
 func TestInsertBatchLengthMismatchPanics(t *testing.T) {
@@ -292,22 +296,24 @@ func TestInsertBatchLengthMismatchPanics(t *testing.T) {
 }
 
 func TestExtractBatchEdgeCases(t *testing.T) {
-	q := New[int](DefaultConfig())
-	if got := q.ExtractBatch(nil, 0); got != nil {
-		t.Fatalf("n=0 returned %v", got)
-	}
-	if got := q.ExtractBatch(nil, -3); got != nil {
-		t.Fatalf("n<0 returned %v", got)
-	}
-	if got := q.ExtractBatch(nil, 5); len(got) != 0 {
-		t.Fatalf("empty queue returned %d elements", len(got))
-	}
+	forEachSetMode(t, func(t *testing.T, cfg Config) {
+		q := New[int](cfg)
+		if got := q.ExtractBatch(nil, 0); got != nil {
+			t.Fatalf("n=0 returned %v", got)
+		}
+		if got := q.ExtractBatch(nil, -3); got != nil {
+			t.Fatalf("n<0 returned %v", got)
+		}
+		if got := q.ExtractBatch(nil, 5); len(got) != 0 {
+			t.Fatalf("empty queue returned %d elements", len(got))
+		}
 
-	// dst is appended to, not overwritten.
-	q.Insert(42, 1)
-	pre := []Element[int]{{Key: 7, Val: 0}}
-	got := q.ExtractBatch(pre, 4)
-	if len(got) != 2 || got[0].Key != 7 || got[1].Key != 42 {
-		t.Fatalf("append semantics broken: %v", got)
-	}
+		// dst is appended to, not overwritten.
+		q.Insert(42, 1)
+		pre := []Element[int]{{Key: 7, Val: 0}}
+		got := q.ExtractBatch(pre, 4)
+		if len(got) != 2 || got[0].Key != 7 || got[1].Key != 42 {
+			t.Fatalf("append semantics broken: %v", got)
+		}
+	})
 }

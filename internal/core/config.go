@@ -98,8 +98,7 @@ type Config struct {
 	// SetMode selects the per-TNode set implementation at runtime. The zero
 	// value (SetModeDefault) defers to the legacy ArraySet bool, so existing
 	// configs keep their meaning; SetModeList and SetModeArray override it
-	// explicitly. The zmsq_arrayset build tag no longer forces a mode — it
-	// only flips the default that DefaultConfig hands out.
+	// explicitly.
 	SetMode SetMode
 
 	// ArraySet selects the unsorted fixed-capacity array set implementation
@@ -233,16 +232,12 @@ func (c Config) arraySet() bool { return c.ResolvedSetMode() == SetModeArray }
 
 // DefaultConfig returns the paper's recommended configuration: batch = 48,
 // targetLen = 72, TATAS trylocks, memory-safe list sets, blocking disabled.
-// Building with the zmsq_arrayset tag flips the default set implementation
-// to the fixed-capacity array (see setmode_list.go / setmode_array.go), so
-// CI can run the whole suite in both set modes; explicit Config literals
-// are unaffected.
+// Config.SetMode selects array sets.
 func DefaultConfig() Config {
 	return Config{
 		Batch:     DefaultBatch,
 		TargetLen: DefaultTargetLen,
 		Lock:      locks.TATAS,
-		ArraySet:  defaultArraySet,
 	}
 }
 

@@ -54,10 +54,15 @@ func FuzzStrictMatchesOracle(f *testing.F) {
 func FuzzRelaxedConservation(f *testing.F) {
 	f.Add([]byte{10, 20, 30, 200, 201, 40, 202}, uint8(4), uint8(6))
 	f.Add([]byte{255, 0, 255, 0, 255, 0, 255, 0}, uint8(1), uint8(1))
+	f.Add([]byte{10, 20, 30, 200, 201, 40, 202, 9, 8, 203}, uint8(0x83), uint8(2)) // array sets
 	f.Fuzz(func(t *testing.T, ops []byte, batchRaw, targetRaw uint8) {
 		batch := int(batchRaw%16) + 1
 		target := int(targetRaw%16) + 1
-		q := New[int](Config{Batch: batch, TargetLen: target})
+		cfg := Config{Batch: batch, TargetLen: target}
+		if batchRaw&0x80 != 0 {
+			cfg.SetMode = SetModeArray
+		}
+		q := New[int](cfg)
 		in := map[uint64]int{}
 		out := map[uint64]int{}
 		size := 0

@@ -6,8 +6,8 @@ import (
 )
 
 // TestResolvedSetMode pins the SetMode/ArraySet aliasing rules: the zero
-// SetMode defers to the legacy bool, explicit modes override it, and the
-// build tag influences nothing but DefaultConfig's ArraySet value.
+// SetMode defers to the legacy bool, explicit modes override it, and
+// DefaultConfig hands out list sets.
 func TestResolvedSetMode(t *testing.T) {
 	cases := []struct {
 		cfg  Config
@@ -26,14 +26,8 @@ func TestResolvedSetMode(t *testing.T) {
 			t.Errorf("ResolvedSetMode(%+v) = %v, want %v", c.cfg, got, c.want)
 		}
 	}
-	// DefaultConfig resolves to whatever the build tag selected.
-	def := DefaultConfig()
-	wantDef := SetModeList
-	if defaultArraySet {
-		wantDef = SetModeArray
-	}
-	if got := def.ResolvedSetMode(); got != wantDef {
-		t.Errorf("DefaultConfig().ResolvedSetMode() = %v, want %v", got, wantDef)
+	if got := DefaultConfig().ResolvedSetMode(); got != SetModeList {
+		t.Errorf("DefaultConfig().ResolvedSetMode() = %v, want %v", got, SetModeList)
 	}
 }
 

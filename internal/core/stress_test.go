@@ -15,6 +15,7 @@ import (
 func stressConfigs() map[string]Config {
 	return map[string]Config{
 		"default":   DefaultConfig(),
+		"def-array": withSetMode(DefaultConfig(), SetModeArray),
 		"strict":    {Batch: 0, TargetLen: 16, Lock: locks.TATAS},
 		"array":     {Batch: 16, TargetLen: 16, Lock: locks.TATAS, ArraySet: true},
 		"leaky":     {Batch: 16, TargetLen: 16, Lock: locks.TATAS, Leaky: true},

@@ -14,6 +14,7 @@ import (
 func testConfigs() map[string]Config {
 	return map[string]Config{
 		"default":       DefaultConfig(),
+		"default-array": withSetMode(DefaultConfig(), SetModeArray),
 		"strict":        {Batch: 0, TargetLen: 16, Lock: locks.TATAS},
 		"small-batch":   {Batch: 4, TargetLen: 8, Lock: locks.TATAS},
 		"array":         {Batch: 16, TargetLen: 16, Lock: locks.TATAS, ArraySet: true},
@@ -26,6 +27,20 @@ func testConfigs() map[string]Config {
 		"strict-array":  {Batch: 0, TargetLen: 16, ArraySet: true},
 		"tiny-targets":  {Batch: 2, TargetLen: 2},
 		"blocking-ring": {Batch: 8, TargetLen: 8, Blocking: true, RingSize: 8},
+	}
+}
+
+// withSetMode returns cfg with its set implementation pinned to mode.
+func withSetMode(cfg Config, mode SetMode) Config {
+	cfg.SetMode = mode
+	return cfg
+}
+
+// forEachSetMode runs f on the default configuration with list sets and
+// again with array sets.
+func forEachSetMode(t *testing.T, f func(t *testing.T, cfg Config)) {
+	for _, mode := range []SetMode{SetModeList, SetModeArray} {
+		t.Run(mode.String(), func(t *testing.T) { f(t, withSetMode(DefaultConfig(), mode)) })
 	}
 }
 
@@ -320,25 +335,27 @@ func TestDuplicateKeys(t *testing.T) {
 }
 
 func TestZeroAndMaxKeys(t *testing.T) {
-	q := New[int](DefaultConfig())
-	q.Insert(0, 1)
-	q.Insert(^uint64(0), 2)
-	q.Insert(1, 3)
-	k, v, _ := q.TryExtractMax()
-	if k != ^uint64(0) || v != 2 {
-		t.Fatalf("got (%d,%d)", k, v)
-	}
-	keys := []uint64{}
-	for {
-		k, _, ok := q.TryExtractMax()
-		if !ok {
-			break
+	forEachSetMode(t, func(t *testing.T, cfg Config) {
+		q := New[int](cfg)
+		q.Insert(0, 1)
+		q.Insert(^uint64(0), 2)
+		q.Insert(1, 3)
+		k, v, _ := q.TryExtractMax()
+		if k != ^uint64(0) || v != 2 {
+			t.Fatalf("got (%d,%d)", k, v)
 		}
-		keys = append(keys, k)
-	}
-	if len(keys) != 2 {
-		t.Fatalf("drained %d keys, want 2", len(keys))
-	}
+		keys := []uint64{}
+		for {
+			k, _, ok := q.TryExtractMax()
+			if !ok {
+				break
+			}
+			keys = append(keys, k)
+		}
+		if len(keys) != 2 {
+			t.Fatalf("drained %d keys, want 2", len(keys))
+		}
+	})
 }
 
 func TestTreeExpansion(t *testing.T) {

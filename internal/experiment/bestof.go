@@ -1,7 +1,7 @@
 package experiment
 
 // This file is the one interleaved best-of-N measurement loop. It used to
-// exist twice — cmd/shardgate and cmd/metricsgate each carried a copy,
+// exist twice — the sharded and metrics gate drivers each carried a copy,
 // and the copies had drifted in warmup handling. Both gates (and any
 // future A/B gate) now run through RunPaired.
 //

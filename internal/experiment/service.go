@@ -46,11 +46,7 @@ func runService(ex *Experiment, sc Scale, opt Options) ([]CellResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		pol, err := sharded.ParsePolicy(v.Policy)
-		if err != nil {
-			return nil, err
-		}
-		scfg := sharded.Config{Shards: v.Shards, Queue: qcfg, Policy: pol}
+		scfg := sharded.Config{Shards: v.Shards, Queue: qcfg}
 		if scfg.Shards <= 0 {
 			scfg.Shards = autoThreads()
 		}

@@ -17,8 +17,8 @@
 //     git SHA, and compare against the previous entry so cross-PR
 //     regressions are visible (and optionally fatal) at a glance.
 //
-// The six cmd/ drivers (runall, zmsqbench, expgrid, shardgate,
-// metricsgate, recoverygate, allocstat) are thin front-ends over this
+// The six cmd/ drivers (runall, zmsqbench, expgrid, metricsgate,
+// recoverygate, allocstat) are thin front-ends over this
 // package: flag parsing, spec lookup, row printing.
 package experiment
 
@@ -143,10 +143,6 @@ type Variant struct {
 	// Shards is the sharded front-end's shard count; 0 selects
 	// min(GOMAXPROCS, 8).
 	Shards int `json:"shards,omitempty"`
-	// Policy names a sharded front-end policy preset ("v1", "sticky",
-	// "buffered", "elastic"/"v2" — see sharded.ParsePolicy); empty means
-	// v1.
-	Policy string `json:"policy,omitempty"`
 	// Threads pins the relaxation parallelism for accuracy cells
 	// (SprayList tunes to it); 0 means 1.
 	Threads int `json:"threads,omitempty"`

@@ -1,6 +1,8 @@
 package experiment
 
 import (
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -90,6 +92,17 @@ func TestValidateRejects(t *testing.T) {
 	}
 	if err := base().Validate(); err != nil {
 		t.Fatalf("base spec should validate: %v", err)
+	}
+
+	// One more way, which only decoding can catch: a spec written for a
+	// schema field that no longer exists.
+	stale := filepath.Join(t.TempDir(), "spec.json")
+	if err := os.WriteFile(stale, []byte(`{"scales": {"small": {"ops": 10}}, "experiments": [{"name": "a",
+		"kind": "throughput", "variants": [{"name": "v", "queue": "sharded", "policy": "v2"}]}]}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := LoadSpec(stale); err == nil || !strings.Contains(err.Error(), `unknown field "policy"`) {
+		t.Errorf("removed variant field: err = %v, want an unknown-field error", err)
 	}
 }
 

@@ -70,47 +70,6 @@ func (t *Trajectory) Append(e TrajectoryEntry) *TrajectoryEntry {
 	return prev
 }
 
-// Merge records a PARTIAL entry: gates present in e replace (or join)
-// the same-named gates of the existing entry for e's git SHA, and every
-// other gate of that entry is kept — unlike Append, which replaces the
-// whole entry. This is how single-gate drivers (cmd/shardgate) record
-// their verdicts without wiping the expgrid job's full gate set for the
-// same revision; the entry keeps its position in the ledger. When no
-// entry for the SHA exists, Merge behaves like Append. Returns the
-// previous distinct entry for comparison (nil when there is none).
-func (t *Trajectory) Merge(e TrajectoryEntry) *TrajectoryEntry {
-	idx := -1
-	if e.Env.GitSHA != "unknown" {
-		for i := range t.Entries {
-			if t.Entries[i].Env.GitSHA == e.Env.GitSHA {
-				idx = i
-				break
-			}
-		}
-	}
-	if idx < 0 {
-		return t.Append(e)
-	}
-	ex := &t.Entries[idx]
-	for _, g := range e.Gates {
-		replaced := false
-		for i := range ex.Gates {
-			if ex.Gates[i].Name == g.Name {
-				ex.Gates[i] = g
-				replaced = true
-				break
-			}
-		}
-		if !replaced {
-			ex.Gates = append(ex.Gates, g)
-		}
-	}
-	if idx > 0 {
-		return &t.Entries[idx-1]
-	}
-	return nil
-}
-
 // Save writes the ledger back through the shared encoder.
 func (t *Trajectory) Save(path string) error { return WriteJSON(path, t) }
 

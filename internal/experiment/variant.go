@@ -87,10 +87,6 @@ func (v Variant) maker(opt Options) (harness.QueueMaker, error) {
 		if err != nil {
 			return nil, err
 		}
-		pol, err := sharded.ParsePolicy(v.Policy)
-		if err != nil {
-			return nil, err
-		}
 		shards := v.Shards
 		metrics := opt.Metrics || (v.Config != nil && v.Config.Metrics)
 		mk = func(int) pq.Queue {
@@ -98,7 +94,7 @@ func (v Variant) maker(opt Options) (harness.QueueMaker, error) {
 			if metrics {
 				cfg.Metrics = core.NewMetrics()
 			}
-			return harness.NewSharded(sharded.Config{Shards: shards, Queue: cfg, Policy: pol})
+			return harness.NewSharded(sharded.Config{Shards: shards, Queue: cfg})
 		}
 	default:
 		reg, ok := harness.Makers()[v.Queue]

@@ -45,12 +45,6 @@ type ChaosPlan struct {
 	// Queue is the ZMSQ configuration under test; its Seed and Faults
 	// fields are overwritten by the plan's.
 	Queue core.Config
-	// Policy selects the sharded front-end's v2 machinery (stickiness, op
-	// buffers, elasticity) for RunChaosSharded; the zero value is v1. The
-	// contract checker's window bound is widened by the *effective*
-	// policy's WindowSlack (extract buffering degrades to 0 under a WAL),
-	// plus a migration allowance for elastic policies.
-	Policy sharded.Policy
 	// Keys selects the workload key distribution.
 	Keys KeyDist
 	// Durable, when set, runs the whole chaos schedule with a write-ahead
@@ -281,48 +275,29 @@ func RunChaos(plan ChaosPlan) (ChaosResult, error) {
 }
 
 // RunChaosSharded runs the chaos schedule against a sharded front-end of
-// `shards` ZMSQ shards built from plan.Queue and plan.Policy, with fault
-// injection shared across shards. The strict-phase window check uses the
-// composed S·(Batch+1) + WindowSlack bound (contract.Config.Shards /
-// Buffer), and the never-fails check is per-shard only — the checker
-// skips it for S > 1 because a cross-shard empty observation is a sweep,
-// not an atomic cut.
+// `shards` ZMSQ shards built from plan.Queue, with fault injection shared
+// across shards. The strict-phase window check uses the composed
+// S·(Batch+1) bound (contract.Config.Shards), and the never-fails check is
+// per-shard only — the checker skips it for S > 1 because a cross-shard
+// empty observation is a sweep, not an atomic cut.
 func RunChaosSharded(plan ChaosPlan, shards int) (ChaosResult, error) {
 	plan = plan.withDefaults()
 	if shards < 1 {
 		shards = 1
 	}
 	name := fmt.Sprintf("sharded(%d)", shards)
-	if pn := plan.Policy.Name(); pn != "v1" {
-		name = fmt.Sprintf("sharded(%d,%s)", shards, pn)
-	}
 	inj := fault.New(plan.Seed, plan.Faults)
 	cfg := plan.Queue
 	cfg.Seed = plan.Seed
 	cfg.Faults = inj
 	cfg.Durability = plan.durability()
-	q, err := sharded.NewDurable[struct{}](sharded.Config{Shards: shards, Queue: cfg, Policy: plan.Policy})
+	q, err := sharded.NewDurable[struct{}](sharded.Config{Shards: shards, Queue: cfg})
 	if err != nil {
 		return ChaosResult{Name: name}, err
 	}
 	defer q.Close()
 
-	// The effective policy (post WAL degrade) sets the op-buffer window
-	// slack. Elastic shrink migration can additionally move the global
-	// maximum between shards mid-window — each event is rare (hysteresis,
-	// ResizeEvery spacing) but restarts the surfacing argument, so elastic
-	// strict sections get one extra composed window of Slack.
-	eff := q.Policy()
-	slack := 0
-	if eff.Elastic {
-		slack = shards * (cfg.Batch + 1)
-	}
-	checker := contract.NewChecker(contract.Config{
-		Batch:  cfg.Batch,
-		Shards: shards,
-		Buffer: eff.WindowSlack(shards),
-		Slack:  slack,
-	})
+	checker := contract.NewChecker(contract.Config{Batch: cfg.Batch, Shards: shards})
 	res := ChaosResult{Name: name, Rounds: plan.Rounds}
 
 	var inserted, extracted atomic.Int64
@@ -378,11 +353,10 @@ func RunChaosSharded(plan ChaosPlan, shards int) (ChaosResult, error) {
 		producersDone.Store(true)
 		cwg.Wait()
 
-		// Warm-up flush, scaled to the composed window plus the op-buffer
-		// slack: every shard's pool — and op buffer — may hold mixed-phase
-		// elements with stale ranks.
+		// Warm-up flush, scaled to the composed window: every shard's pool
+		// may hold mixed-phase elements with stale ranks.
 		warmRec := checker.Recorder()
-		for i := 0; i < shards*(cfg.Batch+1)+eff.WindowSlack(shards); i++ {
+		for i := 0; i < shards*(cfg.Batch+1); i++ {
 			if !extract(warmRec) {
 				break
 			}

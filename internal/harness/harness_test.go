@@ -36,10 +36,6 @@ func TestMakersProduceWorkingQueues(t *testing.T) {
 
 func TestVariantNames(t *testing.T) {
 	cfg := core.DefaultConfig()
-	// Pin the fields the name derives from: under the zmsq_arrayset build
-	// tag DefaultConfig flips ArraySet, and this test is about the naming,
-	// not the default.
-	cfg.ArraySet, cfg.Leaky = false, false
 	if VariantName(cfg) != "zmsq" {
 		t.Fatal("base variant name wrong")
 	}

@@ -7,12 +7,10 @@ import (
 )
 
 // Registry entries for the queues this repository implements: the three
-// ZMSQ variants of Figure 5 and the sharded elastic front-end.
+// ZMSQ variants of Figure 5 and the sharded front-end.
 
 // registerZMSQ registers a ZMSQ maker whose adapter is named by the maker
-// key itself. The key — not VariantName — is authoritative: under the
-// zmsq_arrayset build tag DefaultConfig flips to array sets, and the
-// "zmsq" maker must still label its rows "zmsq".
+// key itself: the key — not VariantName — is what labels result rows.
 func registerZMSQ(name string, mod func(*core.Config)) {
 	Register(name, func(int) pq.Queue {
 		cfg := core.DefaultConfig()

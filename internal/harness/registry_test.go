@@ -53,10 +53,8 @@ func TestRegisterSemantics(t *testing.T) {
 
 // TestMakerNamesMatchRegistry pins the registry's labeling contract: the
 // maker key is the single source of truth, so every registered maker must
-// build queues whose Name() is exactly the key — including the "zmsq"
-// maker under the zmsq_arrayset build tag, where VariantName would
-// otherwise drift to "zmsq(array)". pq.NameOf then labels runner results
-// with the key, never a fallback or variant string.
+// build queues whose Name() is exactly the key. pq.NameOf then labels
+// runner results with the key, never a fallback or variant string.
 func TestMakerNamesMatchRegistry(t *testing.T) {
 	for name, mk := range Makers() {
 		q := mk(2)

@@ -51,10 +51,6 @@ func (s *Sharded) Name() string { return s.n }
 // Close implements pq.Closer.
 func (s *Sharded) Close() { s.Q.Close() }
 
-// Flush implements pq.Flusher: buffered-policy inserts are pushed into
-// their shards so a following drain sees every element.
-func (s *Sharded) Flush() { s.Q.Flush() }
-
 // InsertBatch implements pq.Batcher.
 func (s *Sharded) InsertBatch(keys []uint64) { s.Q.InsertBatch(keys, nil) }
 

@@ -298,25 +298,3 @@ func (p *PromWriter) Histogram(name, help string, s HistogramSnapshot) {
 	p.printf("%s_bucket{le=\"+Inf\"} %d\n", name, s.Count)
 	p.printf("%s_sum %d\n%s_count %d\n", name, s.Sum, name, s.Count)
 }
-
-// Delta turns a monotonic counter into a rate source: each Observe call
-// returns the increment since the previous call (the first returns the
-// full value). It is the building block for feedback controllers that
-// act on recent activity rather than lifetime totals — e.g. the sharded
-// front-end's elastic resize policy, which compares trylock-failure
-// deltas against operation deltas between evaluations.
-//
-// Delta is NOT safe for concurrent use; callers serialize Observe under
-// whatever exclusion already guards the controller (the sharded
-// front-end uses its resize trylock).
-type Delta struct {
-	last uint64
-}
-
-// Observe records the counter's current value and returns the increment
-// since the previous Observe.
-func (d *Delta) Observe(v uint64) uint64 {
-	inc := v - d.last
-	d.last = v
-	return inc
-}

@@ -64,16 +64,6 @@ type Batcher interface {
 	ExtractBatch(dst []uint64, n int) []uint64
 }
 
-// Flusher is the optional capability interface for queues that buffer
-// operations outside the queue proper (e.g. the sharded v2 per-shard
-// insert buffers). Flush synchronously pushes every buffered operation
-// into the queue so that a subsequent drain or Len observes all of them;
-// harness and shutdown paths must Flush before draining, or buffered
-// elements re-appear after the drain reports completion.
-type Flusher interface {
-	Flush()
-}
-
 // ContextExtractor is the optional capability interface for queues whose
 // extraction honors a context: blocking implementations sleep
 // deadline-aware while empty; non-blocking ones return an empty error

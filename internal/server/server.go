@@ -43,8 +43,8 @@ type Config struct {
 	// tenant get StatusBadTenant. At least one tenant is required.
 	Tenants []string
 
-	// Queue configures every tenant's sharded.Queue (shard count, policy,
-	// core config). Per-tenant durability is derived from WALDir, not from
+	// Queue configures every tenant's sharded.Queue (shard count, core
+	// config). Per-tenant durability is derived from WALDir, not from
 	// Queue.Queue.Durability, which must be unset.
 	Queue sharded.Config
 
@@ -239,10 +239,10 @@ func (s *Server) Serve(ln net.Listener) error {
 
 // Shutdown gracefully drains the server: stop accepting, close client
 // connections (their in-flight requests get StatusClosed), then make
-// every tenant's state safe — durable tenants flush buffered inserts,
-// sync, and close their logs (every acked key is recoverable on the next
-// start); volatile tenants are closed and drained. Shutdown is
-// idempotent; only the first call does the work.
+// every tenant's state safe — durable tenants sync and close their logs
+// (every acked key is recoverable on the next start); volatile tenants
+// are closed and drained. Shutdown is idempotent; only the first call
+// does the work.
 func (s *Server) Shutdown() error {
 	if !s.draining.CompareAndSwap(false, true) {
 		<-s.done
@@ -265,9 +265,8 @@ func (s *Server) Shutdown() error {
 	for _, name := range s.order {
 		t := s.tenants[name]
 		if t.durable {
-			// Order matters: sync (which flushes buffered inserts into the
-			// logging shards) before closing the log, and never drain the
-			// elements — they stay logged so the next start recovers them.
+			// Sync before closing the log, and never drain the elements —
+			// they stay logged so the next start recovers them.
 			if err := t.q.SyncWAL(); err != nil && firstErr == nil {
 				firstErr = fmt.Errorf("server: tenant %q sync: %w", name, err)
 			}

@@ -6,15 +6,13 @@ import "repro/internal/core"
 // zero-valued payloads; otherwise len(vals) must equal len(keys). The whole
 // batch lands on the calling context's home shard through the shard's own
 // batch-native path, so the per-call setup cost is paid once and the
-// thread-affinity of single inserts is preserved. Batches bypass the
-// insert buffer — they already amortize the shard lock — but honor the
-// sticky/elastic home selection.
+// thread-affinity of single inserts is preserved.
 func (q *Queue[V]) InsertBatch(keys []uint64, vals []V) {
 	if len(keys) == 0 {
 		return
 	}
 	c := q.getCtx()
-	q.shards[q.homeOf(c)].q.InsertBatch(keys, vals)
+	q.shards[c.home].q.InsertBatch(keys, vals)
 	q.putCtx(c)
 }
 

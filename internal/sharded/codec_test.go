@@ -16,15 +16,14 @@ func valueFor(key uint64) []byte {
 }
 
 // TestDurableShardedCodecRoundTrip drives concurrent value-bearing
-// inserts through the sharded front-end (buffered inserts included) and
-// checks RecoverCodec restores every surviving payload byte-exactly.
-// All shards share one log, so the values interleave in a single LSN
-// space.
+// inserts through the sharded front-end and checks RecoverCodec restores
+// every surviving payload byte-exactly. All shards share one log, so the
+// values interleave in a single LSN space.
 func TestDurableShardedCodecRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	qcfg := core.DefaultConfig()
 	qcfg.Durability = &core.DurabilityConfig{WAL: true, Dir: dir, GroupCommit: time.Millisecond}
-	cfg := Config{Shards: 4, Queue: qcfg, Policy: Policy{InsertBuffer: 8}}
+	cfg := Config{Shards: 4, Queue: qcfg}
 
 	q, err := NewDurableCodec[[]byte](cfg, wal.BytesCodec{})
 	if err != nil {

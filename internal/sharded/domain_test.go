@@ -42,18 +42,24 @@ func TestSharedDomainAcrossQueues(t *testing.T) {
 }
 
 // TestSharedDomainModeMismatch pins the compatibility contract: a domain
-// built for list sets must refuse an array-set tenant.
+// built for one set mode must refuse a tenant of the other.
 func TestSharedDomainModeMismatch(t *testing.T) {
-	qcfg := core.DefaultConfig()
-	ad := core.NewAllocDomain[int](qcfg)
-	bad := qcfg
-	bad.SetMode = core.SetModeArray
-	defer func() {
-		if recover() == nil {
-			t.Fatal("NewWithDomain accepted a mode-mismatched domain")
-		}
-	}()
-	NewWithDomain[int](Config{Shards: 2, Queue: bad}, ad)
+	for _, tc := range []struct{ domain, tenant core.SetMode }{
+		{core.SetModeList, core.SetModeArray},
+		{core.SetModeArray, core.SetModeList},
+	} {
+		t.Run(tc.domain.String()+"-domain", func(t *testing.T) {
+			dcfg, tcfg := core.DefaultConfig(), core.DefaultConfig()
+			dcfg.SetMode, tcfg.SetMode = tc.domain, tc.tenant
+			ad := core.NewAllocDomain[int](dcfg)
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("NewWithDomain accepted a %v tenant on a %v domain", tc.tenant, tc.domain)
+				}
+			}()
+			NewWithDomain[int](Config{Shards: 2, Queue: tcfg}, ad)
+		})
+	}
 }
 
 // TestDurableSharedDomainRoundTrip runs the full durable tenant cycle on

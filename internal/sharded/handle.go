@@ -24,7 +24,7 @@ func (q *Queue[V]) NewHandle() *Handle[V] {
 // InsertBatch is Queue.InsertBatch on the Handle's context.
 func (h *Handle[V]) InsertBatch(keys []uint64, vals []V) {
 	if len(keys) > 0 {
-		h.q.shards[h.q.homeOf(h.c)].q.InsertBatch(keys, vals)
+		h.q.shards[h.c.home].q.InsertBatch(keys, vals)
 	}
 }
 

@@ -1,5 +1,5 @@
-// Package sharded composes S independent ZMSQ shards into one elastic
-// relaxed priority queue, trading a wider — but still bounded — relaxation
+// Package sharded composes S independent ZMSQ shards into one relaxed
+// priority queue, trading a wider — but still bounded — relaxation
 // window for MultiQueue-style scalability (Rihani, Sanders & Dementiev:
 // sharding plus choice-of-two extraction buys near-linear scaling at a
 // bounded quality cost).
@@ -31,17 +31,6 @@
 // hazard domain, one freelist, one leaky-mode node cache — instead of S
 // private copies, so churn moving between shards does not fragment the
 // recycling pools.
-//
-// # Sharding v2 (Config.Policy)
-//
-// The optional Policy layer adds the MultiQueue-style amortizations on
-// top of the v1 selection machinery: sticky shard selection (reuse a
-// picked shard for Policy.Sticky consecutive ops before re-picking),
-// per-shard insert/extract buffers flushed and refilled through the
-// batch path (buffer.go), and an elastic active shard count driven by
-// contention and imbalance telemetry (elastic.go). Buffering widens the
-// composed window by Policy.WindowSlack(S), which contract.Config.Buffer
-// accounts for; the zero Policy is exactly v1.
 package sharded
 
 import (
@@ -52,7 +41,6 @@ import (
 	"sync/atomic"
 
 	"repro/internal/core"
-	"repro/internal/metrics"
 	"repro/internal/xrand"
 )
 
@@ -70,11 +58,6 @@ type Config struct {
 	// Blocking is rejected: per-shard wait rings cannot compose a
 	// cross-shard sleep (see Validate).
 	Queue core.Config
-
-	// Policy selects the v2 operation machinery — sticky shard selection,
-	// per-shard op buffers, elastic shard count. The zero value is the v1
-	// policy. See Policy and ParsePolicy.
-	Policy Policy
 }
 
 // Validate reports a descriptive error for nonsensical configurations.
@@ -84,12 +67,6 @@ func (c Config) Validate() error {
 	}
 	if c.Queue.Blocking {
 		return fmt.Errorf("sharded: Config.Queue.Blocking is not supported: a consumer sleeping on one shard's ring would miss inserts landing on the other shards; use ExtractMaxContext polling or a single blocking core queue")
-	}
-	if err := c.Policy.Validate(); err != nil {
-		return err
-	}
-	if c.Shards > 0 && c.Policy.MinShards > c.Shards {
-		return fmt.Errorf("sharded: Policy.MinShards (%d) exceeds Config.Shards (%d)", c.Policy.MinShards, c.Shards)
 	}
 	return c.Queue.Validate()
 }
@@ -124,7 +101,6 @@ type Queue[V any] struct {
 	shards []shardSlot[V]
 	cfg    Config
 	ad     *core.AllocDomain[V]
-	batch  int
 
 	// wal is the durability policy shared by every shard (see wal.go):
 	// one log, one LSN space, so recovery rebuilds the union of the
@@ -133,50 +109,25 @@ type Queue[V any] struct {
 	wal      core.WALPolicy
 	walOwned bool
 
-	// pol is the effective v2 policy (Config.Policy after the WAL
-	// degrade: ExtractBuffer is forced to 0 while a WAL is attached, see
-	// Policy.ExtractBuffer). bufs is nil for unbuffered policies.
-	pol  Policy
-	bufs []shardBuf[V]
-
 	ctxs    sync.Pool
 	seedCtr atomic.Uint64
 	homeCtr atomic.Uint32
 	closed  atomic.Bool
 
-	// active is the elastic placement prefix (see elastic.go); fixed at
-	// len(shards) for non-elastic policies. resizeMu serializes the
-	// controller; failDelta/sweepDelta are its rate trackers, guarded by
-	// resizeMu.
-	active     atomic.Uint32
-	resizeMu   sync.Mutex
-	failDelta  metrics.Delta
-	sweepDelta metrics.Delta
-
-	// Sharded-level telemetry (see Snapshot). Padded siblings of the
-	// extraction path; incremented only on sweep/buffer events, never per
-	// uncontended op.
+	// Sharded-level telemetry (see Snapshot); incremented only on sweep
+	// events, never per uncontended op.
 	fullSweeps  atomic.Uint64
 	stealSweeps atomic.Uint64
 	steals      atomic.Uint64
-	bufTryFail  atomic.Uint64
-	bufFlushes  atomic.Uint64
-	grows       atomic.Uint64
-	shrinks     atomic.Uint64
-	migrated    atomic.Uint64
 }
 
 // opCtx is the pooled per-operation state: a private RNG, the context's
-// home shard for thread-affine inserts, the extraction counter driving
-// the periodic full peek sweep, and the v2 stickiness state (remaining
-// sticky ops for the insert home and the extraction target).
+// home shard for thread-affine inserts, and the extraction counter driving
+// the periodic full peek sweep.
 type opCtx struct {
-	rng     xrand.Rand
-	home    uint32
-	ops     uint32
-	insLeft uint32
-	extHome uint32
-	extLeft uint32
+	rng  xrand.Rand
+	home uint32
+	ops  uint32
 }
 
 // New returns an empty sharded queue configured by cfg. Like core.New it
@@ -211,18 +162,9 @@ func NewWithDomain[V any](cfg Config, ad *core.AllocDomain[V]) *Queue[V] {
 		shards:   make([]shardSlot[V], cfg.Shards),
 		cfg:      cfg,
 		ad:       ad,
-		batch:    cfg.Queue.Batch,
-		pol:      cfg.Policy,
 		wal:      w,
 		walOwned: owned,
 	}
-	if cfg.Shards == 1 {
-		// One shard has nothing to stick to, buffer against, or resize.
-		q.pol.Sticky, q.pol.Elastic = 0, false
-	}
-	q.active.Store(uint32(cfg.Shards))
-	q.degradeForWAL()
-	q.bufs = newBufs[V](cfg.Shards, q.pol)
 	for i := range q.shards {
 		scfg := cfg.Queue
 		// Decorrelate the shards' insert-path RNG streams.
@@ -265,37 +207,11 @@ func (q *Queue[V]) putCtx(c *opCtx) { q.ctxs.Put(c) }
 // Insert adds (key, val) to the inserting context's home shard. Contexts
 // are pooled per-P, so a goroutine's inserts stay on one shard — the
 // thread-affine fast path; cross-shard balance is restored on the
-// extraction side (choice-of-two, sweeps, stealing). Under a sticky
-// policy the home is re-picked among the active shards every
-// Policy.Sticky inserts; under a buffered policy the insert lands in the
-// home shard's buffer unless the buffer trylock is contended, in which
-// case it falls through to the shard's direct path.
+// extraction side (choice-of-two, sweeps, stealing).
 func (q *Queue[V]) Insert(key uint64, val V) {
 	c := q.getCtx()
-	h := q.homeOf(c)
-	if q.pol.InsertBuffer == 0 || !q.bufInsert(h, key, val) {
-		q.shards[h].q.Insert(key, val)
-	}
+	q.shards[c.home].q.Insert(key, val)
 	q.putCtx(c)
-}
-
-// homeOf returns (and, under a sticky policy, periodically re-picks) the
-// context's home shard, clamped into the active placement set.
-func (q *Queue[V]) homeOf(c *opCtx) uint32 {
-	act := q.activeShards()
-	if q.pol.Sticky > 0 {
-		if c.insLeft == 0 {
-			c.home = c.rng.Uint32() % act
-			c.insLeft = uint32(q.pol.Sticky)
-		}
-		c.insLeft--
-	}
-	h := c.home
-	if h >= act {
-		h %= act
-		c.home = h
-	}
-	return h
 }
 
 // TryExtractMax removes and returns a high-priority element without
@@ -318,82 +234,46 @@ func (q *Queue[V]) tryExtract(c *opCtx) (uint64, V, bool) {
 	s := uint32(len(q.shards))
 	c.ops++
 	if s == 1 {
-		if k, v, ok := q.drawShard(0); ok {
-			return k, v, true
-		}
-		var zero V
-		return 0, zero, false
-	}
-	if c.ops%s == 0 {
-		// Periodic full peek sweep: flush the insert buffers (a buffered
-		// element becomes sweep-visible within one period), then target
-		// the argmax shard over the effective maxima so the shard holding
-		// the global maximum is drawn from at least once per S
-		// extractions on this context (the composed-window guarantee).
-		fs := q.fullSweeps.Add(1)
-		if q.pol.Elastic && fs%q.pol.resizeEvery() == 0 {
-			q.maybeResize()
-		}
-		if q.pol.InsertBuffer > 0 {
-			q.flushAllInsertBuffers()
-		}
-		pick := q.argmaxShard()
-		if q.pol.Sticky > 0 {
-			// The sweep re-homes stickiness: follow the heaviest shard.
-			c.extHome, c.extLeft = pick, uint32(q.pol.Sticky)
-		}
-		if k, v, ok := q.drawShard(pick); ok {
-			return k, v, true
-		}
-		return q.stealSweep(c, pick)
+		return q.shards[0].q.TryExtractMax()
 	}
 	var pick uint32
-	if q.pol.Sticky > 0 && c.extLeft > 0 {
-		c.extLeft--
-		pick = c.extHome
-		if pick >= s {
-			pick %= s
-		}
+	if c.ops%s == 0 {
+		// Periodic full peek sweep: target the argmax shard so the shard
+		// holding the global maximum is drawn from at least once per S
+		// extractions on this context (the composed-window guarantee).
+		q.fullSweeps.Add(1)
+		pick = q.argmaxShard()
 	} else {
 		pick = q.choiceOfTwo(c)
-		if q.pol.Sticky > 0 {
-			c.extHome, c.extLeft = pick, uint32(q.pol.Sticky-1)
-		}
 	}
-	if k, v, ok := q.drawShard(pick); ok {
+	if k, v, ok := q.shards[pick].q.TryExtractMax(); ok {
 		return k, v, true
 	}
-	// The chosen shard was empty (or raced dry): drop stickiness so the
-	// next op re-picks, and steal from any other shard before reporting
-	// empty.
-	c.extLeft = 0
+	// The chosen shard was empty (or raced dry): steal from any other
+	// shard before reporting empty.
 	return q.stealSweep(c, pick)
 }
 
-// choiceOfTwo compares two distinct active shards' effective maxima and
-// returns the better one (the classic power-of-two-choices step).
+// choiceOfTwo compares two distinct shards' advisory maxima and returns
+// the better one (the classic power-of-two-choices step). Callers
+// guarantee S > 1.
 func (q *Queue[V]) choiceOfTwo(c *opCtx) uint32 {
-	s := q.activeShards()
-	if s == 1 {
-		return 0
-	}
+	s := uint32(len(q.shards))
 	a := c.rng.Uint32() % s
 	b := c.rng.Uint32() % (s - 1)
 	if b >= a {
 		b++
 	}
-	ka, oka := q.effectiveMax(a)
-	kb, okb := q.effectiveMax(b)
+	ka, oka := q.shards[a].q.PeekMax()
+	kb, okb := q.shards[b].q.PeekMax()
 	if !oka || (okb && kb > ka) {
 		return b
 	}
 	return a
 }
 
-// argmaxShard returns the shard with the largest effective maximum,
-// scanning the FULL shard table — deactivated elastic shards included —
-// so stranded elements are always found (empty shards compare as -inf;
-// ties and the all-empty case fall to shard 0).
+// argmaxShard returns the shard with the largest advisory maximum (empty
+// shards compare as -inf; ties and the all-empty case fall to shard 0).
 func (q *Queue[V]) argmaxShard() uint32 {
 	var (
 		best    uint32
@@ -401,15 +281,14 @@ func (q *Queue[V]) argmaxShard() uint32 {
 		found   bool
 	)
 	for i := range q.shards {
-		if k, ok := q.effectiveMax(uint32(i)); ok && (!found || k > bestKey) {
+		if k, ok := q.shards[i].q.PeekMax(); ok && (!found || k > bestKey) {
 			best, bestKey, found = uint32(i), k, true
 		}
 	}
 	return best
 }
 
-// stealSweep visits every shard other than skip in a random rotation —
-// the full table, so deactivated elastic shards are drained too —
+// stealSweep visits every shard other than skip in a random rotation,
 // returning the first successful extraction.
 func (q *Queue[V]) stealSweep(c *opCtx, skip uint32) (uint64, V, bool) {
 	q.stealSweeps.Add(1)
@@ -420,7 +299,7 @@ func (q *Queue[V]) stealSweep(c *opCtx, skip uint32) (uint64, V, bool) {
 		if sh == skip {
 			continue
 		}
-		if k, v, ok := q.drawShard(sh); ok {
+		if k, v, ok := q.shards[sh].q.TryExtractMax(); ok {
 			q.steals.Add(1)
 			return k, v, true
 		}
@@ -429,33 +308,25 @@ func (q *Queue[V]) stealSweep(c *opCtx, skip uint32) (uint64, V, bool) {
 	return 0, zero, false
 }
 
-// Policy returns the effective v2 policy: Config.Policy after the
-// single-shard and WAL degrades (ExtractBuffer is 0 while a WAL is
-// attached). Checkers should derive their window slack from this, not
-// from the configured policy.
-func (q *Queue[V]) Policy() Policy { return q.pol }
-
 // PeekMax returns an advisory snapshot of the highest-priority key across
-// all shards, buffered elements included; exact when quiescent, possibly
-// stale under concurrency.
+// all shards; exact when quiescent, possibly stale under concurrency.
 func (q *Queue[V]) PeekMax() (uint64, bool) {
 	var (
 		best  uint64
 		found bool
 	)
 	for i := range q.shards {
-		if k, ok := q.effectiveMax(uint32(i)); ok && (!found || k > best) {
+		if k, ok := q.shards[i].q.PeekMax(); ok && (!found || k > best) {
 			best, found = k, true
 		}
 	}
 	return best, found
 }
 
-// Len returns a snapshot count of queued elements across all shards,
-// buffered elements included; exact when quiescent, best-effort under
-// concurrency.
+// Len returns a snapshot count of queued elements across all shards;
+// exact when quiescent, best-effort under concurrency.
 func (q *Queue[V]) Len() int {
-	total := q.bufferedLen()
+	total := 0
 	for i := range q.shards {
 		total += q.shards[i].q.Len()
 	}
@@ -469,12 +340,12 @@ func (q *Queue[V]) Empty() bool {
 			return false
 		}
 	}
-	return q.bufferedLen() == 0
+	return true
 }
 
-// ForEach visits every queued element across all shards — buffered
-// elements included — in unspecified order, stopping early if f returns
-// false. Quiescent-queue diagnostics, exactly like core.Queue.ForEach.
+// ForEach visits every queued element across all shards in unspecified
+// order, stopping early if f returns false. Quiescent-queue diagnostics,
+// exactly like core.Queue.ForEach.
 func (q *Queue[V]) ForEach(f func(key uint64, val V) bool) {
 	stopped := false
 	for i := range q.shards {
@@ -489,53 +360,15 @@ func (q *Queue[V]) ForEach(f func(key uint64, val V) bool) {
 			return true
 		})
 	}
-	if stopped || q.bufs == nil {
-		return
-	}
-	// Snapshot each buffer under its lock, then visit outside it so f may
-	// call back into the queue without deadlocking.
-	var snap []core.Element[V]
-	for i := range q.bufs {
-		b := &q.bufs[i]
-		b.mu.Lock()
-		snap = append(snap, b.ext[b.extHead:]...)
-		for j, k := range b.insKeys {
-			snap = append(snap, core.Element[V]{Key: k, Val: b.insVals[j]})
-		}
-		b.mu.Unlock()
-	}
-	for _, e := range snap {
-		if !f(e.Key, e.Val) {
-			return
-		}
-	}
 }
 
-// CheckInvariants validates every shard's structural invariants plus the
-// buffer and elastic bookkeeping. Like the core checker it must only run
-// on a quiescent queue.
+// CheckInvariants validates every shard's structural invariants. Like the
+// core checker it must only run on a quiescent queue.
 func (q *Queue[V]) CheckInvariants() error {
 	for i := range q.shards {
 		if err := q.shards[i].q.CheckInvariants(); err != nil {
 			return fmt.Errorf("shard %d: %w", i, err)
 		}
-	}
-	for i := range q.bufs {
-		b := &q.bufs[i]
-		b.mu.Lock()
-		bad := b.extHead < 0 || b.extHead > len(b.ext) ||
-			len(b.insKeys) != len(b.insVals) ||
-			(q.pol.InsertBuffer > 0 && len(b.insKeys) > q.pol.InsertBuffer) ||
-			len(b.ext) > q.pol.ExtractBuffer
-		b.mu.Unlock()
-		if bad {
-			return fmt.Errorf("shard %d: corrupt op buffer (extHead %d, ext %d, insKeys %d, insVals %d)",
-				i, b.extHead, len(b.ext), len(b.insKeys), len(b.insVals))
-		}
-	}
-	act := q.activeShards()
-	if act < 1 || act > uint32(len(q.shards)) {
-		return fmt.Errorf("sharded: active shard count %d outside [1, %d]", act, len(q.shards))
 	}
 	return nil
 }

@@ -30,22 +30,8 @@ type Snapshot struct {
 	StealSweeps uint64 `json:"steal_sweeps"`
 	Steals      uint64 `json:"steals"`
 
-	// Sharding-v2 telemetry. Policy is the effective policy's preset name
-	// ("v1" when the v2 machinery is off); ActiveShards is the elastic
-	// placement prefix (== Shards for non-elastic policies); Buffered is
-	// the point-in-time count of elements sitting in op buffers;
-	// BufTryLockFail counts op-buffer trylock failures (the contention
-	// signal feeding the elastic controller); BufFlushes counts
-	// insert-buffer batch flushes; Grows/Shrinks count elastic resize
-	// events and Migrated the elements moved by shrink migration.
-	Policy         string `json:"policy"`
-	ActiveShards   int    `json:"active_shards"`
-	Buffered       int    `json:"buffered"`
-	BufTryLockFail uint64 `json:"buf_trylock_fail"`
-	BufFlushes     uint64 `json:"buf_flushes"`
-	Grows          uint64 `json:"grows"`
-	Shrinks        uint64 `json:"shrinks"`
-	Migrated       uint64 `json:"migrated"`
+	// ActiveShards always equals Shards; kept because bench/ladder.go reads it.
+	ActiveShards int `json:"active_shards"`
 
 	// ShardLenMin/Max are the smallest and largest per-shard element
 	// counts at snapshot time; Imbalance is (max-min)/mean (0 for an empty
@@ -61,19 +47,12 @@ type Snapshot struct {
 // not per-operation calls.
 func (q *Queue[V]) Snapshot() Snapshot {
 	s := Snapshot{
-		Shards:         len(q.shards),
-		PerShard:       make([]core.MetricsSnapshot, len(q.shards)),
-		FullSweeps:     q.fullSweeps.Load(),
-		StealSweeps:    q.stealSweeps.Load(),
-		Steals:         q.steals.Load(),
-		Policy:         q.pol.Name(),
-		ActiveShards:   int(q.activeShards()),
-		Buffered:       q.bufferedLen(),
-		BufTryLockFail: q.bufTryFail.Load(),
-		BufFlushes:     q.bufFlushes.Load(),
-		Grows:          q.grows.Load(),
-		Shrinks:        q.shrinks.Load(),
-		Migrated:       q.migrated.Load(),
+		Shards:       len(q.shards),
+		PerShard:     make([]core.MetricsSnapshot, len(q.shards)),
+		FullSweeps:   q.fullSweeps.Load(),
+		StealSweeps:  q.stealSweeps.Load(),
+		Steals:       q.steals.Load(),
+		ActiveShards: len(q.shards),
 	}
 	total := 0
 	for i := range q.shards {
@@ -110,12 +89,6 @@ func (s Snapshot) WritePrometheus(w io.Writer) error {
 	p.Gauge("zmsq_sharded_shard_len_min", "smallest per-shard element count", float64(s.ShardLenMin))
 	p.Gauge("zmsq_sharded_shard_len_max", "largest per-shard element count", float64(s.ShardLenMax))
 	p.Gauge("zmsq_sharded_imbalance", "(max-min)/mean shard occupancy", s.Imbalance)
-	p.Gauge("zmsq_sharded_active_shards", "elastic placement prefix (== shards when not elastic)", float64(s.ActiveShards))
-	p.Gauge("zmsq_sharded_buffered", "elements sitting in per-shard op buffers", float64(s.Buffered))
-	p.Counter("zmsq_sharded_buf_trylock_fail_total", "op-buffer trylock failures", s.BufTryLockFail)
-	p.Counter("zmsq_sharded_buf_flushes_total", "insert-buffer batch flushes", s.BufFlushes)
-	p.Counter("zmsq_sharded_grows_total", "elastic active-set grow events", s.Grows)
-	p.Counter("zmsq_sharded_shrinks_total", "elastic active-set shrink events", s.Shrinks)
-	p.Counter("zmsq_sharded_migrated_total", "elements moved by elastic shrink migration", s.Migrated)
+	p.Gauge("zmsq_sharded_active_shards", "always equal to zmsq_sharded_shards", float64(s.ActiveShards))
 	return p.Err()
 }

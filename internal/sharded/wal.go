@@ -88,7 +88,6 @@ func NewDurableWithDomainCodec[V any](cfg Config, ad *core.AllocDomain[V], codec
 			q.shards[i].q.AttachWAL(w, false)
 		}
 		q.wal, q.walOwned = w, owned
-		q.degradeForWAL()
 	}
 	return q, nil
 }
@@ -103,31 +102,13 @@ func (q *Queue[V]) AttachCodec(c wal.Codec[V]) {
 	}
 }
 
-// degradeForWAL disables extract buffering while a WAL is attached: a
-// buffered-but-undelivered element has already been logged as consumed,
-// so a crash would lose it and break the acked ⊆ recovered recovery
-// bound (contract.VerifyRecovery). Insert buffering stays — buffered
-// inserts are not yet logged at all, which is sound because SyncWAL
-// flushes them into the (logging) shards before it syncs, so anything
-// acked is on disk and anything lost was unacked. Called before any
-// traffic: from New, and from NewDurable/Recover right after AttachWAL.
-func (q *Queue[V]) degradeForWAL() {
-	if q.wal == nil {
-		return
-	}
-	q.pol.ExtractBuffer = 0
-}
-
 // SyncWAL makes every operation that returned before the call durable,
 // across all shards (they share the log, so one sync covers everything).
-// Buffered inserts are flushed into their shards first — that is what
-// appends them to the log — so the ack a nil return represents covers
-// them too. No-op without a WAL.
+// No-op without a WAL.
 func (q *Queue[V]) SyncWAL() error {
 	if q.wal == nil {
 		return nil
 	}
-	q.Flush()
 	return q.wal.Sync()
 }
 
@@ -215,6 +196,5 @@ func RecoverWithDomainCodec[V any](cfg Config, ad *core.AllocDomain[V], codec wa
 		q.shards[i].q.AttachWAL(l, false)
 	}
 	q.wal, q.walOwned = l, owned
-	q.degradeForWAL()
 	return q, st, nil
 }
