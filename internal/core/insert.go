@@ -203,8 +203,8 @@ func (q *Queue[V]) insertMaxLocked(ctx *opCtx[V], n *tnode[V], e element[V]) {
 }
 
 // addLocked inserts e into locked node n at whichever position its key
-// requires, maintaining the cached metadata. Used when distributing split
-// halves and demoted parent minima, where e may or may not exceed n's max.
+// requires, maintaining the cached metadata. Used for demoted parent minima
+// and helper pulls, where e may or may not exceed n's max.
 func (q *Queue[V]) addLocked(ctx *opCtx[V], n *tnode[V], e element[V]) {
 	cnt := n.count.Load()
 	if cnt == 0 || e.key >= n.max.Load() {
@@ -216,6 +216,28 @@ func (q *Queue[V]) addLocked(ctx *opCtx[V], n *tnode[V], e element[V]) {
 		n.min.Store(e.key)
 	}
 	n.count.Store(cnt + 1)
+}
+
+// addRunLocked is addLocked for each element of run in turn — same
+// placement, same cached metadata — as one set operation and one metadata
+// update. run must be in the order the node's splitLower produces.
+func (q *Queue[V]) addRunLocked(ctx *opCtx[V], n *tnode[V], run []element[V]) {
+	if len(run) == 0 {
+		return
+	}
+	lo, hi := run[0].key, run[0].key
+	for _, e := range run[1:] {
+		lo, hi = min(lo, e.key), max(hi, e.key)
+	}
+	cnt := n.count.Load()
+	n.set.addRun(&ctx.al, run)
+	if cnt == 0 || hi > n.max.Load() {
+		n.max.Store(hi)
+	}
+	if cnt == 0 || lo < n.min.Load() {
+		n.min.Store(lo)
+	}
+	n.count.Store(cnt + int64(len(run)))
 }
 
 // regularInsert inserts e as the new maximum of the node at (level, slot),
@@ -309,9 +331,9 @@ func (q *Queue[V]) maybeSplit(ctx *opCtx[V], level, slot int, n *tnode[V]) {
 			return
 		}
 	}
-	// The displaced lower half lands in the context's split scratch. The
-	// buffer is fully consumed by the distribution loop below before either
-	// recursive maybeSplit call reuses it, so one per-context buffer serves
+	// The displaced lower half lands in the context's split scratch. Both
+	// buffers are fully consumed by the distribution below before either
+	// recursive maybeSplit call reuses them, so one pair per context serves
 	// the whole recursion without allocating.
 	ctx.split = n.set.splitLower(&ctx.al, ctx.split[:0])
 	lower := ctx.split
@@ -325,17 +347,34 @@ func (q *Queue[V]) maybeSplit(ctx *opCtx[V], level, slot int, n *tnode[V]) {
 	r.lock.Lock()
 	n.lock.Unlock()
 
-	// Distribute the displaced elements across the children, balancing
-	// their sizes. Every displaced key is <= n's new minimum <= n.max, so
-	// the parent/child invariant holds regardless of placement.
-	for i, el := range lower {
-		c := l
-		if r.count.Load() < l.count.Load() {
-			c = r
-		}
-		q.addLocked(ctx, c, el)
-		lower[i] = element[V]{} // drop the scratch copy's payload reference
-	}
+	q.distribute(ctx, lower, l, r)
 	q.maybeSplit(ctx, level+1, 2*slot, l)   // unlocks l
 	q.maybeSplit(ctx, level+1, 2*slot+1, r) // unlocks r
+}
+
+// distribute hands the elements a split displaced to the locked children l
+// and r, balancing their sizes: each goes to whichever child is smaller at
+// its turn (the left on a tie). Every displaced key is <= the parent's new
+// minimum, so the parent/child invariant holds regardless of placement.
+// Which child an element goes to depends on the counts alone, so the run is
+// partitioned first (the left part compacted in place, order kept) and each
+// child takes its part in one addRun. lower is scratch: it comes back
+// cleared.
+func (q *Queue[V]) distribute(ctx *opCtx[V], lower []element[V], l, r *tnode[V]) {
+	lc, rc := l.count.Load(), r.count.Load()
+	left, right := lower[:0], ctx.splitR[:0]
+	for _, el := range lower {
+		if rc < lc {
+			right = append(right, el)
+			rc++
+		} else {
+			left = append(left, el)
+			lc++
+		}
+	}
+	ctx.splitR = right
+	q.addRunLocked(ctx, l, left)
+	q.addRunLocked(ctx, r, right)
+	clear(lower) // drop the scratch copies' payload references
+	clear(right)
 }

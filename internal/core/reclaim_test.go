@@ -130,3 +130,66 @@ func TestHazardSeams(t *testing.T) {
 		t.Fatalf("hit rate %.2f: recycled allocations are not counted as hits", snap.NodeCacheHitRate())
 	}
 }
+
+// TestRecycledNodesCarryNoLinks: a node that has sat in a list comes back
+// from alloc.get with neither link, whichever way it was recycled — the
+// context's own stack of scanned nodes, the shared freelist behind it (both
+// memory-safe mode) or the leaky node cache. A surviving prev would splice
+// a dead list into a live one the first time the node became a head.
+func TestRecycledNodesCarryNoLinks(t *testing.T) {
+	// cycle links fresh-or-recycled nodes into a list, unlinks them by every
+	// removing operation, and returns the set of nodes that went through.
+	cycle := func(al *alloc[int]) map[*lnode[int]]bool {
+		s := &listSet[int]{}
+		for i := 0; i < 256; i++ {
+			s.insertMax(al, element[int]{key: uint64(i)})
+			s.insertNonMax(al, element[int]{key: uint64(i / 2)})
+		}
+		used := make(map[*lnode[int]]bool, s.size)
+		for n := s.head; n != nil; n = n.next {
+			used[n] = true
+		}
+		s.splitLower(al, nil)
+		s.takeTop(al, 64, nil)
+		for s.length() > 1 {
+			s.removeMin(al)
+			s.removeMax(al)
+		}
+		return used
+	}
+	expectRecycled := func(t *testing.T, al *alloc[int], used map[*lnode[int]]bool, count int) (got []*lnode[int]) {
+		t.Helper()
+		for i := 0; i < count; i++ {
+			n := al.get()
+			got = append(got, n)
+			if !used[n] {
+				t.Fatalf("get %d returned a fresh node, want a recycled one", i)
+			}
+			if n.next != nil || n.prev != nil || n.e != (element[int]{}) {
+				t.Fatalf("get %d returned a node with next=%p prev=%p e=%v", i, n.next, n.prev, n.e)
+			}
+		}
+		return got
+	}
+
+	t.Run("safe", func(t *testing.T) {
+		q := New[int](Config{Batch: 0, TargetLen: 8})
+		ctx := q.getCtx()
+		runtime.SetFinalizer(ctx, nil) // released by hand below
+		used := cycle(&ctx.al)
+		// 511 retirements are seven scans' worth: the last scanned nodes sit
+		// on the context's stack, the rest were spilled to the freelist.
+		for _, n := range expectRecycled(t, &ctx.al, used, 300) {
+			n.next, n.prev = n, n // as if it had been linked again
+			ctx.al.put(n)
+		}
+		ctx.al.release()
+		next := q.ctxs.New().(*opCtx[int])
+		expectRecycled(t, &next.al, used, 200) // all through the shared freelist
+	})
+	t.Run("leaky", func(t *testing.T) {
+		q := New[int](Config{Batch: 0, TargetLen: 8, Leaky: true})
+		ctx := q.getCtx()
+		expectRecycled(t, &ctx.al, cycle(&ctx.al), nodeCacheShardCap)
+	})
+}

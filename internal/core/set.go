@@ -1,5 +1,7 @@
 package core
 
+import "slices"
+
 // element is one queue entry: a priority key (larger = higher priority) and
 // an arbitrary payload.
 type element[V any] struct {
@@ -8,10 +10,10 @@ type element[V any] struct {
 }
 
 // nodeSet is the per-TNode element container. Two implementations exist,
-// matching the paper's evaluation: a sorted singly-linked list (the mound's
-// representation, the default) and an unsorted fixed-capacity array (the
-// "(array)" curves). All methods are called with the owning TNode's lock
-// held; sets need no internal synchronization.
+// matching the paper's evaluation: a sorted doubly-linked list (the mound's
+// representation plus a back link, the default) and an unsorted
+// fixed-capacity array (the "(array)" curves). All methods are called with
+// the owning TNode's lock held; sets need no internal synchronization.
 //
 // Callers maintain the TNode's cached max/min/count; set methods report
 // enough (maxKey/minKey/length) to recompute them after a mutation.
@@ -25,6 +27,11 @@ type nodeSet[V any] interface {
 	insertMax(a *alloc[V], e element[V])
 	// insertNonMax adds e at a non-head position; e.key must be <= maxKey().
 	insertNonMax(a *alloc[V], e element[V])
+	// addRun adds every element of run, leaving the set exactly as
+	// insertMax (for a key >= maxKey(), or into an empty set) or
+	// insertNonMax (otherwise) applied to each in turn would. run must be
+	// in the order splitLower produces.
+	addRun(a *alloc[V], run []element[V])
 	// removeMax removes and returns the largest element. The set must be
 	// nonempty.
 	removeMax(a *alloc[V]) element[V]
@@ -35,17 +42,18 @@ type nodeSet[V any] interface {
 	// them to dst in ascending key order.
 	takeTop(a *alloc[V], n int, dst []element[V]) []element[V]
 	// splitLower removes the floor(length/2) smallest elements and appends
-	// them to dst (in any order).
+	// them to dst: in descending key order from a list (whose addRun relies
+	// on it), ascending from an array.
 	splitLower(a *alloc[V], dst []element[V]) []element[V]
-	// swapMin removes the minimum and inserts e in a single pass,
-	// returning the removed minimum and the new minimum key. Requirements:
-	// length >= 2, minKey() < e.key <= maxKey(). This is the §3.2
-	// parent-min quality swap, which runs on most regular inserts and so
-	// must not traverse the set three times.
+	// swapMin removes the minimum and inserts e, returning the removed
+	// minimum and the new minimum key. Requirements: length >= 2,
+	// minKey() < e.key <= maxKey(). This is the §3.2 parent-min quality
+	// swap, which runs on most regular inserts: the list unlinks its tail
+	// and walks only from the nearer end to e's position, the array makes
+	// one scan.
 	swapMin(a *alloc[V], e element[V]) (demoted element[V], newMin uint64)
-	// maxKey/minKey report the extreme keys; undefined when empty. Both are
-	// O(1) for both implementations' hot use (minKey is read on every
-	// parent-min swap).
+	// maxKey/minKey report the extreme keys; undefined when empty. O(1) on
+	// a list, a scan of an array (callers cache both in the TNode).
 	maxKey() uint64
 	minKey() uint64
 	length() int
@@ -54,18 +62,26 @@ type nodeSet[V any] interface {
 	ascending(dst []element[V]) []element[V]
 }
 
-// lnode is a node of the sorted list representation. In memory-safe mode
+// lnode is a node of the sorted list representation, linked both ways so
+// that the minimum leaves in O(1) and a position can be approached from
+// whichever end is nearer. For V = []byte the node is 48 bytes with or
+// without prev (40 rounds up to the 48-byte size class); for V = struct{} it
+// grows from the 16-byte class to the 24-byte one. In memory-safe mode
 // lnodes are recycled through a hazard-pointer-gated freelist; in leaky
 // mode they are recycled through the sharded node cache (the GC backs any
-// stale diagnostic reader).
+// stale diagnostic reader). Either way a recycled node carries no links
+// (alloc.put clears both).
 type lnode[V any] struct {
 	e    element[V]
 	next *lnode[V]
+	prev *lnode[V]
 }
 
-// listSet is a singly-linked list sorted descending by key: the head is the
-// maximum, as in the original mound. tail caches the last node so minKey —
-// read on every §3.2 parent-min swap — is O(1) instead of a full traversal.
+// listSet is a doubly-linked list sorted descending by key: the head is the
+// maximum, as in the original mound, and the tail the minimum, so both
+// extremes are read and removed in O(1). Among equal keys the order is
+// fixed by the insert rule (seek) and is part of the queue's observable
+// behaviour: it decides which of two equal keys is extracted first.
 type listSet[V any] struct {
 	head *lnode[V]
 	tail *lnode[V]
@@ -80,10 +96,52 @@ func (s *listSet[V]) insertMax(a *alloc[V], e element[V]) {
 	n := a.get()
 	n.e = e
 	n.next = s.head
-	s.head = n
-	if s.tail == nil {
+	if s.head != nil {
+		s.head.prev = n
+	} else {
 		s.tail = n
 	}
+	s.head = n
+	s.size++
+}
+
+// seek returns the node a non-max element with this key goes behind: the
+// last node that is the head or holds a strictly greater key. The new
+// element so lands behind every greater key and in front of every equal
+// one (the head excepted). The set must be nonempty. The search starts
+// from the end whose key is nearer, which on uniform keys is the end with
+// fewer nodes in between; both directions stop at the same node.
+func (s *listSet[V]) seek(key uint64) *lnode[V] {
+	lo, hi := s.tail.e.key, s.head.e.key
+	if key < lo || key-lo < hi-key {
+		p := s.tail
+		for p != s.head && p.e.key <= key {
+			p = p.prev
+		}
+		return p
+	}
+	return s.seekFrom(s.head, key)
+}
+
+// seekFrom is seek walking forward from p, which must be the head or hold a
+// key strictly greater than key.
+func (s *listSet[V]) seekFrom(p *lnode[V], key uint64) *lnode[V] {
+	for p.next != nil && p.next.e.key > key {
+		p = p.next
+	}
+	return p
+}
+
+func (s *listSet[V]) insertAfter(a *alloc[V], p *lnode[V], e element[V]) {
+	n := a.get()
+	n.e = e
+	n.prev, n.next = p, p.next
+	if p.next != nil {
+		p.next.prev = n
+	} else {
+		s.tail = n
+	}
+	p.next = n
 	s.size++
 }
 
@@ -93,24 +151,35 @@ func (s *listSet[V]) insertNonMax(a *alloc[V], e element[V]) {
 		s.insertMax(a, e)
 		return
 	}
-	prev := s.head
-	for prev.next != nil && prev.next.e.key > e.key {
-		prev = prev.next
+	s.insertAfter(a, s.seek(e.key), e)
+}
+
+func (s *listSet[V]) addRun(a *alloc[V], run []element[V]) {
+	// One forward-only cursor serves the whole run: each element is no
+	// greater than the one before, so it goes behind p (the node its
+	// predecessor went behind) or further down, never back towards the head.
+	var p *lnode[V]
+	for _, e := range run {
+		if s.head == nil || e.key >= s.head.e.key {
+			s.insertMax(a, e)
+			p = s.head
+			continue
+		}
+		if p == nil {
+			p = s.seek(e.key)
+		} else {
+			p = s.seekFrom(p, e.key)
+		}
+		s.insertAfter(a, p, e)
 	}
-	n := a.get()
-	n.e = e
-	n.next = prev.next
-	prev.next = n
-	if n.next == nil {
-		s.tail = n
-	}
-	s.size++
 }
 
 func (s *listSet[V]) removeMax(a *alloc[V]) element[V] {
 	n := s.head
 	s.head = n.next
-	if s.head == nil {
+	if s.head != nil {
+		s.head.prev = nil
+	} else {
 		s.tail = nil
 	}
 	s.size--
@@ -120,16 +189,13 @@ func (s *listSet[V]) removeMax(a *alloc[V]) element[V] {
 }
 
 func (s *listSet[V]) removeMin(a *alloc[V]) element[V] {
-	if s.head.next == nil {
-		return s.removeMax(a)
+	n := s.tail
+	s.tail = n.prev
+	if s.tail != nil {
+		s.tail.next = nil
+	} else {
+		s.head = nil
 	}
-	prev := s.head
-	for prev.next.next != nil {
-		prev = prev.next
-	}
-	n := prev.next
-	prev.next = nil
-	s.tail = prev
 	s.size--
 	e := n.e
 	a.put(n)
@@ -140,9 +206,7 @@ func (s *listSet[V]) takeTop(a *alloc[V], n int, dst []element[V]) []element[V] 
 	// The list is sorted descending, so the n largest are the first n.
 	// Append them to dst in ascending order: reserve space, fill backwards.
 	base := len(dst)
-	for i := 0; i < n; i++ {
-		dst = append(dst, element[V]{})
-	}
+	dst = slices.Grow(dst, n)[:base+n]
 	for i := n - 1; i >= 0; i-- {
 		dst[base+i] = s.removeMax(a)
 	}
@@ -154,49 +218,31 @@ func (s *listSet[V]) splitLower(a *alloc[V], dst []element[V]) []element[V] {
 	if take == 0 {
 		return dst
 	}
-	// Walk to the last kept node, detach the tail run.
-	keep := s.size - take
-	prev := s.head
-	for i := 1; i < keep; i++ {
-		prev = prev.next
+	// Unlink the run from the tail upwards, filling dst backwards so that it
+	// reads in list order: one pass over the nodes that leave, none over
+	// those that stay. take < size, so the walk ends on a kept node.
+	base := len(dst)
+	dst = slices.Grow(dst, take)[:base+take]
+	n := s.tail
+	for i := take - 1; i >= 0; i-- {
+		dst[base+i] = n.e
+		up := n.prev
+		a.put(n)
+		n = up
 	}
-	run := prev.next
-	prev.next = nil
-	s.tail = prev
-	s.size = keep
-	for run != nil {
-		next := run.next
-		dst = append(dst, run.e)
-		a.put(run)
-		run = next
-	}
+	n.next = nil
+	s.tail = n
+	s.size -= take
 	return dst
 }
 
 func (s *listSet[V]) swapMin(a *alloc[V], e element[V]) (element[V], uint64) {
-	// One pass over the descending list: splice e in at its sorted
-	// position, then continue to the tail and detach it. The contract
-	// (minKey < e.key <= maxKey, length >= 2) guarantees the insertion
-	// point is after the head and strictly before the old tail.
-	n := a.get()
-	n.e = e
-	prev := s.head
-	for prev.next != nil && prev.next.e.key > e.key {
-		prev = prev.next
-	}
-	n.next = prev.next
-	prev.next = n
-	// n.next is non-nil: the old tail's key (the minimum) is < e.key.
-	p2 := n
-	for p2.next.next != nil {
-		p2 = p2.next
-	}
-	old := p2.next
-	p2.next = nil
-	s.tail = p2
-	demoted := old.e
-	a.put(old)
-	return demoted, p2.e.key
+	// The contract (minKey < e.key <= maxKey, length >= 2) puts e strictly
+	// in front of the old tail, so the node seek finds is never the one
+	// unlinked below.
+	s.insertAfter(a, s.seek(e.key), e)
+	demoted := s.removeMin(a)
+	return demoted, s.tail.e.key
 }
 
 func (s *listSet[V]) ascending(dst []element[V]) []element[V] {
@@ -293,6 +339,7 @@ func (s *arraySet[V]) minKey() uint64 {
 
 func (s *arraySet[V]) insertMax(a *alloc[V], e element[V])    { s.elems = append(s.elems, e) }
 func (s *arraySet[V]) insertNonMax(a *alloc[V], e element[V]) { s.elems = append(s.elems, e) }
+func (s *arraySet[V]) addRun(a *alloc[V], run []element[V])   { s.elems = append(s.elems, run...) }
 
 func (s *arraySet[V]) removeAt(i int) element[V] {
 	e := s.elems[i]

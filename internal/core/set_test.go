@@ -3,9 +3,6 @@ package core
 import (
 	"sort"
 	"testing"
-	"testing/quick"
-
-	"repro/internal/xrand"
 )
 
 // newAlloc returns a leaky allocator for direct set testing.
@@ -203,75 +200,6 @@ func TestSetPayloadsPreserved(t *testing.T) {
 	})
 }
 
-func TestSetQuickEquivalence(t *testing.T) {
-	// Both set implementations must behave identically to a sorted-slice
-	// model under random operation sequences.
-	r := xrand.New(31)
-	for _, array := range []bool{false, true} {
-		name := "list"
-		if array {
-			name = "array"
-		}
-		t.Run(name, func(t *testing.T) {
-			f := func(ops []byte) bool {
-				a := newAlloc()
-				s := mkSet(array)
-				model := []uint64{}
-				for _, op := range ops {
-					switch {
-					case op < 110 || len(model) == 0: // insert
-						k := uint64(r.Intn(100))
-						if len(model) == 0 || k >= model[0] {
-							s.insertMax(a, element[int]{key: k})
-						} else {
-							s.insertNonMax(a, element[int]{key: k})
-						}
-						model = append(model, k)
-						sort.Slice(model, func(i, j int) bool { return model[i] > model[j] })
-					case op < 180: // removeMax
-						got := s.removeMax(a)
-						if got.key != model[0] {
-							return false
-						}
-						model = model[1:]
-					case op < 220: // removeMin
-						got := s.removeMin(a)
-						if got.key != model[len(model)-1] {
-							return false
-						}
-						model = model[:len(model)-1]
-					default: // takeTop of up to half
-						n := len(model) / 2
-						if n == 0 {
-							continue
-						}
-						out := s.takeTop(a, n, nil)
-						for i := 0; i < n; i++ {
-							if out[i].key != model[n-1-i] {
-								return false
-							}
-						}
-						model = model[n:]
-					}
-					// Cross-check extremes and size.
-					if s.length() != len(model) {
-						return false
-					}
-					if len(model) > 0 {
-						if s.maxKey() != model[0] || s.minKey() != model[len(model)-1] {
-							return false
-						}
-					}
-				}
-				return true
-			}
-			if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
-				t.Fatal(err)
-			}
-		})
-	}
-}
-
 func TestSetSwapMin(t *testing.T) {
 	setVariants(t, func(t *testing.T, mk func() nodeSet[int]) {
 		a := newAlloc()
@@ -306,44 +234,6 @@ func TestSetSwapMinBecomesNewMin(t *testing.T) {
 		demoted, newMin := s.swapMin(a, element[int]{key: 11})
 		if demoted.key != 10 || newMin != 11 {
 			t.Fatalf("got demoted=%d newMin=%d, want 10, 11", demoted.key, newMin)
-		}
-	})
-}
-
-func TestSetSwapMinQuick(t *testing.T) {
-	r := xrand.New(444)
-	setVariants(t, func(t *testing.T, mk func() nodeSet[int]) {
-		for trial := 0; trial < 300; trial++ {
-			a := newAlloc()
-			s := mk()
-			n := r.Intn(30) + 2
-			keys := make([]uint64, n)
-			for i := range keys {
-				keys[i] = uint64(r.Intn(1000))
-			}
-			fillSet(s, a, keys)
-			min, max := s.minKey(), s.maxKey()
-			if min == max {
-				continue // contract requires min < e.key <= max
-			}
-			e := min + 1 + uint64(r.Intn(int(max-min)))
-			demoted, newMin := s.swapMin(a, element[int]{key: e})
-			if demoted.key != min {
-				t.Fatalf("demoted %d, want min %d", demoted.key, min)
-			}
-			if got := s.minKey(); got != newMin {
-				t.Fatalf("reported newMin %d, actual %d", newMin, got)
-			}
-			if s.length() != n {
-				t.Fatalf("length changed: %d != %d", s.length(), n)
-			}
-			// Sortedness preserved.
-			out := s.ascending(nil)
-			for i := 1; i < len(out); i++ {
-				if out[i-1].key > out[i].key {
-					t.Fatal("set unsorted after swapMin")
-				}
-			}
 		}
 	})
 }

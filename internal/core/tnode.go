@@ -141,7 +141,7 @@ func (a *alloc[V]) get() *lnode[V] {
 
 func (a *alloc[V]) put(n *lnode[V]) {
 	n.e = element[V]{}
-	n.next = nil
+	n.next, n.prev = nil, nil
 	if a.h != nil {
 		a.h.Retire(n)
 		return
@@ -269,7 +269,8 @@ func (f *freelist[V]) refill(s *freeStack[V]) {
 // opCtx carries per-operation state: a private RNG, the set-node allocator
 // (and with it the participant's hazard-pointer handle), and reusable scratch
 // buffers — scratch for pool refills and batch root grabs, split for the
-// lower half moved by a set split. Contexts are pooled; one is held for
+// lower half moved by a set split and splitR for the part of it bound for
+// the right child. Contexts are pooled; one is held for
 // the duration of a single operation (or a whole batch call), so the
 // scratch slices reach a steady-state capacity and the hot paths stop
 // allocating.
@@ -278,6 +279,7 @@ type opCtx[V any] struct {
 	al      alloc[V]
 	scratch []element[V]
 	split   []element[V]
+	splitR  []element[V]
 	// wkeys is ExtractBatch's key scratch for batch WAL records;
 	// allocated only when the queue has a durability policy.
 	wkeys []uint64

@@ -11,7 +11,8 @@ import (
 // it takes no locks. Checked invariants:
 //
 //   - every node's cached count/max/min agree with its set's contents,
-//   - list sets are sorted descending,
+//   - list sets are sorted descending, every back link mirrors its
+//     forward link, and the cached tail and size match the walk,
 //   - a nonempty node's parent is nonempty with parent.max >= node.max
 //     (the mound invariant, §3.1),
 //   - the pool policy's structural invariants hold: for the batch pool,
@@ -40,6 +41,11 @@ func (q *Queue[V]) checkNode(level, slot int, n *tnode[V]) error {
 	cnt := int(n.count.Load())
 	if got := n.set.length(); got != cnt {
 		return fmt.Errorf("node (%d,%d): cached count %d != set length %d", level, slot, cnt, got)
+	}
+	if ls, ok := n.set.(*listSet[V]); ok {
+		if err := ls.checkLinks(); err != nil {
+			return fmt.Errorf("node (%d,%d): %w", level, slot, err)
+		}
 	}
 	if cnt == 0 {
 		return nil
@@ -73,6 +79,28 @@ func (q *Queue[V]) checkNode(level, slot int, n *tnode[V]) error {
 			return fmt.Errorf("mound invariant violated at (%d,%d): parent max %d < child max %d",
 				level, slot, p.max.Load(), n.max.Load())
 		}
+	}
+	return nil
+}
+
+// checkLinks verifies the list's shape: prev mirrors next from a head with
+// no prev to the cached tail with no next, over exactly size nodes.
+func (s *listSet[V]) checkLinks() error {
+	var last *lnode[V]
+	walked := 0
+	for n := s.head; n != nil; last, n = n, n.next {
+		if n.prev != last {
+			return fmt.Errorf("list node %d: back link does not mirror the forward link", walked)
+		}
+		if walked++; walked > s.size {
+			break
+		}
+	}
+	if walked != s.size {
+		return fmt.Errorf("list walk found %d nodes (or more), size says %d", walked, s.size)
+	}
+	if s.tail != last {
+		return fmt.Errorf("list tail is not the last node of the walk")
 	}
 	return nil
 }

@@ -131,6 +131,7 @@ func NewWithDomain[V any](cfg Config, ad *AllocDomain[V]) *Queue[V] {
 		// grow on the hot paths.
 		c.scratch = make([]element[V], 0, cfg.Batch+1)
 		c.split = make([]element[V], 0, cfg.TargetLen+2)
+		c.splitR = make([]element[V], 0, cfg.TargetLen+2)
 		if q.wal != nil {
 			// Scratch for ExtractBatch's one-record-per-batch logging;
 			// only paid for when durability is on.

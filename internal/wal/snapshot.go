@@ -314,6 +314,17 @@ func encodeSnapshot(lsn uint64, counts map[uint64]int64) []byte {
 	return binary.LittleEndian.AppendUint32(b, crc32.Checksum(b[8:], castagnoli))
 }
 
+// totalLen is the payload bytes vals hold. The two valued encoders size
+// their buffers exactly with it: grown by append, a multi-megabyte image
+// left two to three times its size in dead copies behind, and that garbage
+// — not the queue — set the peak memory of a durable run.
+func totalLen(vals [][]byte) (n int) {
+	for _, v := range vals {
+		n += len(v)
+	}
+	return n
+}
+
 // encodeBase serializes a full multiset as a base file, picking v1 when
 // no instance carries a payload (bit-compatible with pre-codec
 // snapshots) and v2 otherwise:
@@ -334,7 +345,11 @@ func encodeBase(lsn uint64, ms multiset) []byte {
 		}
 		return encodeSnapshot(lsn, counts)
 	}
-	b := make([]byte, 0, snapHeader+24*len(ms)+4)
+	size := snapHeader + 4
+	for _, st := range ms {
+		size += 16 + 4*int(st.count) + totalLen(st.vals)
+	}
+	b := make([]byte, 0, size)
 	b = binary.LittleEndian.AppendUint64(b, snapMagicV2)
 	b = binary.LittleEndian.AppendUint64(b, lsn)
 	b = binary.LittleEndian.AppendUint64(b, uint64(len(ms)))
@@ -366,7 +381,11 @@ func encodeBase(lsn uint64, ms multiset) []byte {
 //	n × (key uint64 LE, drops uint64 LE, adds uint32 LE, adds × payload)
 //	crc     uint32 LE
 func encodeDelta(prevLSN, lsn uint64, w window) []byte {
-	b := make([]byte, 0, 32+24*len(w)+4)
+	size := 32 + 4
+	for _, wk := range w {
+		size += 20 + 4*len(wk.adds) + totalLen(wk.adds)
+	}
+	b := make([]byte, 0, size)
 	b = binary.LittleEndian.AppendUint64(b, deltaMagic)
 	b = binary.LittleEndian.AppendUint64(b, prevLSN)
 	b = binary.LittleEndian.AppendUint64(b, lsn)

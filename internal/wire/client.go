@@ -29,6 +29,9 @@ type Client struct {
 
 	buf  []byte // AppendRequest scratch, guarded by mu
 	done chan struct{}
+
+	closeOnce sync.Once
+	closeErr  error
 }
 
 // Pending is an in-flight request handle returned by Start.
@@ -141,42 +144,54 @@ func (c *Client) Do(r Request) (Response, error) {
 
 // Close tears the connection down; in-flight Waits fail.
 func (c *Client) Close() error {
-	err := c.conn.Close()
+	err := c.closeConn()
 	<-c.done
 	return err
 }
 
-// fail records the first error and wakes every waiter. Caller holds mu.
+// closeConn closes the connection once and reports that close's result
+// ever after.
+func (c *Client) closeConn() error {
+	c.closeOnce.Do(func() { c.closeErr = c.conn.Close() })
+	return c.closeErr
+}
+
+// fail records the first error and wakes every waiter: closing the
+// connection ends the read loop, which closes done. Caller holds mu.
 func (c *Client) fail(err error) {
 	if c.err == nil {
 		c.err = err
 	}
+	_ = c.closeConn() // err is the failure; what Close says adds nothing
+}
+
+// abort is fail for the read loop, which does not hold mu.
+func (c *Client) abort(err error) {
+	c.mu.Lock()
+	c.fail(err)
+	c.mu.Unlock()
 }
 
 func (c *Client) readLoop() {
 	defer close(c.done)
+	// One read(2) fills the buffer with every response the server has
+	// written so far, instead of two per frame (header, then body).
+	br := bufio.NewReaderSize(c.conn, 64<<10)
 	var scratch []byte
 	var keys []uint64
 	for {
-		payload, ns, err := ReadFrame(c.conn, scratch)
+		payload, ns, err := ReadFrame(br, scratch)
 		scratch = ns
 		if err != nil {
-			c.mu.Lock()
-			if err != io.EOF {
-				c.fail(err)
-			} else {
-				c.fail(io.ErrUnexpectedEOF)
+			if err == io.EOF {
+				err = io.ErrUnexpectedEOF
 			}
-			c.mu.Unlock()
-			_ = c.conn.Close()
+			c.abort(err)
 			return
 		}
 		resp, err := ParseResponse(payload, keys[:0])
 		if err != nil {
-			c.mu.Lock()
-			c.fail(err)
-			c.mu.Unlock()
-			_ = c.conn.Close()
+			c.abort(err)
 			return
 		}
 		// The response escapes to a waiter; detach it from the scratch
@@ -200,10 +215,7 @@ func (c *Client) readLoop() {
 		delete(c.pending, resp.ID)
 		c.mu.Unlock()
 		if !ok {
-			c.mu.Lock()
-			c.fail(fmt.Errorf("%w: response for unknown request id %d", ErrProto, resp.ID))
-			c.mu.Unlock()
-			_ = c.conn.Close()
+			c.abort(fmt.Errorf("%w: response for unknown request id %d", ErrProto, resp.ID))
 			return
 		}
 		ch <- resp

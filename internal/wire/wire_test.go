@@ -7,7 +7,9 @@ import (
 	"io"
 	"net"
 	"strings"
+	"sync/atomic"
 	"testing"
+	"time"
 )
 
 func TestRequestRoundTrip(t *testing.T) {
@@ -296,5 +298,76 @@ func TestClientPipelined(t *testing.T) {
 		if resp.Status != StatusOK || resp.Value != uint64(i)*2 {
 			t.Fatalf("wait %d: got %+v", i, resp)
 		}
+	}
+}
+
+// failingConn is a net.Conn whose writes start failing once armed.
+type failingConn struct {
+	net.Conn
+	failWrites atomic.Bool
+}
+
+var errWriteSide = errors.New("write side down")
+
+func (c *failingConn) Write(p []byte) (int, error) {
+	if c.failWrites.Load() {
+		return 0, errWriteSide
+	}
+	return c.Conn.Write(p)
+}
+
+// TestClientWriteFailureWakesWaiters: when a Start or Flush fails on the
+// write side, requests already in flight must not wait for the peer to
+// close — the client closes the connection itself, the read loop ends and
+// every Wait returns the error.
+func TestClientWriteFailureWakesWaiters(t *testing.T) {
+	cli, srv := net.Pipe()
+	defer srv.Close()
+	go io.Copy(io.Discard, srv) // a peer that reads, never answers, never closes
+
+	fc := &failingConn{Conn: cli}
+	c := NewClient(fc)
+	var ps []*Pending
+	for i := 0; i < 3; i++ {
+		p, err := c.Start(Request{Op: OpInsert, Tenant: "t", Key: uint64(i)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ps = append(ps, p)
+	}
+	if err := c.Flush(); err != nil {
+		t.Fatal(err)
+	}
+
+	fc.failWrites.Store(true)
+	if _, err := c.Start(Request{Op: OpInsert, Tenant: "t", Key: 3}); err != nil {
+		t.Fatalf("Start only buffers, got %v", err)
+	}
+	if err := c.Flush(); !errors.Is(err, errWriteSide) {
+		t.Fatalf("Flush = %v, want the write error", err)
+	}
+
+	woke := make(chan error, len(ps))
+	for _, p := range ps {
+		go func() {
+			_, err := p.Wait()
+			woke <- err
+		}()
+	}
+	for range ps {
+		select {
+		case err := <-woke:
+			if !errors.Is(err, errWriteSide) {
+				t.Fatalf("Wait = %v, want the write error", err)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatal("Wait still blocked after the write side failed")
+		}
+	}
+	if _, err := c.Start(Request{Op: OpInsert, Tenant: "t", Key: 4}); !errors.Is(err, errWriteSide) {
+		t.Fatalf("Start after failure = %v, want the sticky error", err)
+	}
+	if err := c.Close(); err != nil {
+		t.Fatalf("Close after failure = %v", err)
 	}
 }
