@@ -255,7 +255,7 @@ func fig5Cells() []struct {
 		mk   harness.QueueMaker
 	}{
 		{"zmsq", zmsq(nil)},
-		{"zmsq-array", zmsq(func(c *core.Config) { c.ArraySet = true })},
+		{"zmsq-array", zmsq(func(c *core.Config) { c.SetMode = core.SetModeArray })},
 		{"zmsq-leak", zmsq(func(c *core.Config) { c.Leaky = true })},
 		{"mound", func(int) pq.Queue { return mound.New() }},
 		{"spraylist", func(p int) pq.Queue { return spray.New(p) }},
@@ -302,7 +302,7 @@ func BenchmarkBatchThroughput(b *testing.B) {
 
 // BenchmarkThroughput runs the Figure 5c-style mixed workload with
 // Config.Metrics off and on. It is the measurement target of the CI
-// metrics-overhead gate: cmd/metricsgate runs the same pair interleaved
+// metrics-overhead gate: the experiment grid runs the same pair interleaved
 // in-process and fails when enabling metrics costs more than the threshold
 // (5% in CI). The instrumentation is nil-gated branches plus sharded
 // atomic adds on context-private cache lines, so the two curves should be
@@ -492,7 +492,7 @@ func BenchmarkOpLatency(b *testing.B) {
 	}{
 		{"target8", core.Config{Batch: 8, TargetLen: 8}},
 		{"target72", core.Config{Batch: 48, TargetLen: 72}},
-		{"target72-array", core.Config{Batch: 48, TargetLen: 72, ArraySet: true}},
+		{"target72-array", core.Config{Batch: 48, TargetLen: 72, SetMode: core.SetModeArray}},
 	}
 	for _, cell := range cells {
 		cfg := cell.cfg

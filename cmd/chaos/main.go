@@ -20,8 +20,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"sort"
 	"strings"
@@ -32,26 +34,35 @@ import (
 	"repro/internal/locks"
 )
 
-func main() {
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("chaos", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		seed      = flag.Uint64("seed", 1, "base seed for the fault schedule and workload")
-		seeds     = flag.Int("seeds", 1, "number of consecutive seeds to sweep")
-		rounds    = flag.Int("rounds", 4, "mixed+strict rounds per run")
-		producers = flag.Int("producers", 4, "producer goroutines")
-		consumers = flag.Int("consumers", 4, "consumer goroutines")
-		ops       = flag.Int("ops", 2000, "inserts per producer per round")
-		batch     = flag.Int("batch", 8, "queue batch (relaxation) parameter")
-		target    = flag.Int("target", 8, "queue targetLen parameter")
-		trylock   = flag.Int("trylock", 20, "forced trylock-failure percentage")
-		handoff   = flag.Int("handoff", 25, "pool-handoff stall percentage")
-		hazard    = flag.Int("hazard", 50, "hazard-scan stall percentage")
-		grow      = flag.Int("grow", 75, "tree-growth stall percentage")
-		shardedN  = flag.Int("sharded", 0, "also chaos a sharded front-end with this many shards (0 = off)")
-		baselines = flag.Bool("baselines", false, "also run conservation chaos over the baselines")
-		durable   = flag.Bool("durable", false, "attach a write-ahead log and verify the durable state replays to empty after the drain")
-		walDir    = flag.String("waldir", "", "durability directory for -durable (default: a fresh temp dir per run)")
+		seed      = fs.Uint64("seed", 1, "base seed for the fault schedule and workload")
+		seeds     = fs.Int("seeds", 1, "number of consecutive seeds to sweep")
+		rounds    = fs.Int("rounds", 4, "mixed+strict rounds per run")
+		producers = fs.Int("producers", 4, "producer goroutines")
+		consumers = fs.Int("consumers", 4, "consumer goroutines")
+		ops       = fs.Int("ops", 2000, "inserts per producer per round")
+		batch     = fs.Int("batch", 8, "queue batch (relaxation) parameter")
+		target    = fs.Int("target", 8, "queue targetLen parameter")
+		trylock   = fs.Int("trylock", 20, "forced trylock-failure percentage")
+		handoff   = fs.Int("handoff", 25, "pool-handoff stall percentage")
+		hazard    = fs.Int("hazard", 50, "hazard-scan stall percentage")
+		grow      = fs.Int("grow", 75, "tree-growth stall percentage")
+		shardedN  = fs.Int("sharded", 0, "also chaos a sharded front-end with this many shards (0 = off)")
+		baselines = fs.Bool("baselines", false, "also run conservation chaos over the baselines")
+		durable   = fs.Bool("durable", false, "attach a write-ahead log and verify the durable state replays to empty after the drain")
+		walDir    = fs.String("waldir", "", "durability directory for -durable (default: a fresh temp dir per run)")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
 
 	plan := harness.ChaosPlan{
 		Rounds:      *rounds,
@@ -75,8 +86,8 @@ func main() {
 		Keys: harness.Uniform20,
 	}
 	if err := plan.Queue.Validate(); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
+		fmt.Fprintln(stderr, err)
+		return 2
 	}
 
 	// repro reconstructs the exact command that replays one run: the fault
@@ -100,7 +111,7 @@ func main() {
 	}
 
 	failed := false
-	runOne := func(seed uint64, shards int) {
+	runOne := func(seed uint64, shards int) error {
 		plan.Seed = seed
 		plan.Durable = *durable
 		if *durable {
@@ -108,8 +119,7 @@ func main() {
 			if plan.WALDir == "" {
 				dir, err := os.MkdirTemp("", "chaos-wal-*")
 				if err != nil {
-					fmt.Fprintln(os.Stderr, "chaos:", err)
-					os.Exit(2)
+					return err
 				}
 				defer os.RemoveAll(dir)
 				plan.WALDir = dir
@@ -122,22 +132,26 @@ func main() {
 		} else {
 			res, err = harness.RunChaos(plan)
 		}
-		printResult(res, seed)
+		printResult(stdout, res, seed)
 		if err != nil {
 			failed = true
-			reportFailure(res, err, seed, repro(seed, shards, ""))
+			reportFailure(stderr, res, err, seed, repro(seed, shards, ""))
 		}
+		return nil
 	}
 
-	fmt.Printf("%-20s %-10s %9s %9s %7s %9s %8s %7s\n",
+	fmt.Fprintf(stdout, "%-20s %-10s %9s %9s %7s %9s %8s %7s\n",
 		"queue", "seed", "inserted", "extracted", "failed", "strict", "maxrank", "run")
-	for s := 0; s < *seeds; s++ {
-		runOne(*seed+uint64(s), 0)
-	}
-
+	shapes := []int{0}
 	if *shardedN > 0 {
+		shapes = append(shapes, *shardedN)
+	}
+	for _, shards := range shapes {
 		for s := 0; s < *seeds; s++ {
-			runOne(*seed+uint64(s), *shardedN)
+			if err := runOne(*seed+uint64(s), shards); err != nil {
+				fmt.Fprintln(stderr, "chaos:", err)
+				return 2
+			}
 		}
 	}
 
@@ -151,22 +165,23 @@ func main() {
 		for _, name := range names {
 			plan.Seed = *seed
 			res, err := harness.RunChaosBaseline(name, makers[name], plan)
-			printResult(res, plan.Seed)
+			printResult(stdout, res, plan.Seed)
 			if err != nil {
 				failed = true
-				reportFailure(res, err, plan.Seed, repro(plan.Seed, 0, " -baselines"))
+				reportFailure(stderr, res, err, plan.Seed, repro(plan.Seed, 0, " -baselines"))
 			}
 		}
 	}
 
 	if failed {
-		os.Exit(1)
+		return 1
 	}
-	fmt.Println("# all contracts held")
+	fmt.Fprintln(stdout, "# all contracts held")
+	return 0
 }
 
-func printResult(res harness.ChaosResult, seed uint64) {
-	fmt.Printf("%-20s %-10d %9d %9d %7d %9d %8d %7d\n",
+func printResult(w io.Writer, res harness.ChaosResult, seed uint64) {
+	fmt.Fprintf(w, "%-20s %-10d %9d %9d %7d %9d %8d %7d\n",
 		res.Name, seed, res.Inserted, res.Extracted, res.FailedExtracts,
 		res.Report.StrictExtracts, res.Report.MaxStrictRank, res.Report.WorstRun)
 	if len(res.FaultFired) > 0 {
@@ -175,27 +190,27 @@ func printResult(res harness.ChaosResult, seed uint64) {
 			points = append(points, p)
 		}
 		sort.Strings(points)
-		fmt.Printf("#   faults:")
+		fmt.Fprintf(w, "#   faults:")
 		for _, p := range points {
-			fmt.Printf(" %s=%d/%d", p, res.FaultFired[p], res.FaultCalls[p])
+			fmt.Fprintf(w, " %s=%d/%d", p, res.FaultFired[p], res.FaultCalls[p])
 		}
-		fmt.Println()
+		fmt.Fprintln(w)
 	}
 	if res.WAL != nil {
 		perSync := float64(0)
 		if res.WAL.Syncs > 0 {
 			perSync = float64(res.WAL.Ops) / float64(res.WAL.Syncs)
 		}
-		fmt.Printf("#   wal: %d ops in %d records, %d syncs (%.1f ops/sync), %d snapshots, %d bytes\n",
+		fmt.Fprintf(w, "#   wal: %d ops in %d records, %d syncs (%.1f ops/sync), %d snapshots, %d bytes\n",
 			res.WAL.Ops, res.WAL.Records, res.WAL.Syncs, perSync, res.WAL.Snapshots, res.WAL.AppendedBytes)
 	}
 }
 
-func reportFailure(res harness.ChaosResult, err error, seed uint64, repro string) {
-	fmt.Fprintf(os.Stderr, "FAIL %s: %v\n", res.Name, err)
+func reportFailure(w io.Writer, res harness.ChaosResult, err error, seed uint64, repro string) {
+	fmt.Fprintf(w, "FAIL %s: %v\n", res.Name, err)
 	for _, v := range res.Report.Violations {
-		fmt.Fprintf(os.Stderr, "  violation: %s\n", v)
+		fmt.Fprintf(w, "  violation: %s\n", v)
 	}
-	fmt.Fprintf(os.Stderr, "  fault seed: %d (schedule is deterministic per seed)\n", seed)
-	fmt.Fprintf(os.Stderr, "  reproduce:  %s\n", repro)
+	fmt.Fprintf(w, "  fault seed: %d (schedule is deterministic per seed)\n", seed)
+	fmt.Fprintf(w, "  reproduce:  %s\n", repro)
 }

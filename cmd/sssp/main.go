@@ -12,8 +12,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strconv"
 	"strings"
@@ -25,17 +27,26 @@ import (
 	"repro/internal/sssp"
 )
 
-func main() {
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("sssp", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		graphName  = flag.String("graph", "artist", "artist|politician|livejournal|grid")
-		scale      = flag.Int("scale", 18, "livejournal RMAT scale (2^scale nodes)")
-		threadsCSV = flag.String("threads", "1,2,4,8", "worker counts")
-		seed       = flag.Uint64("seed", 1, "graph seed")
-		tune       = flag.Bool("tune", false, "sweep (batch,targetLen) configurations (Figure 8)")
-		validate   = flag.Bool("validate", true, "check results against sequential Dijkstra")
-		deltastep  = flag.Bool("deltastep", true, "include the delta-stepping reference rows")
+		graphName  = fs.String("graph", "artist", "artist|politician|livejournal|grid")
+		scale      = fs.Int("scale", 18, "livejournal RMAT scale (2^scale nodes)")
+		threadsCSV = fs.String("threads", "1,2,4,8", "worker counts")
+		seed       = fs.Uint64("seed", 1, "graph seed")
+		tune       = fs.Bool("tune", false, "sweep (batch,targetLen) configurations (Figure 8)")
+		validate   = fs.Bool("validate", true, "check results against sequential Dijkstra")
+		deltastep  = fs.Bool("deltastep", true, "include the delta-stepping reference rows")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
 
 	var g *graph.Graph
 	switch *graphName {
@@ -48,17 +59,17 @@ func main() {
 	case "grid":
 		g = graph.Grid(1000, 1000, *seed)
 	default:
-		fmt.Fprintf(os.Stderr, "unknown graph %q\n", *graphName)
-		os.Exit(2)
+		fmt.Fprintf(stderr, "unknown graph %q\n", *graphName)
+		return 2
 	}
-	fmt.Printf("# SSSP on %s: %v\n", *graphName, g)
+	fmt.Fprintf(stdout, "# SSSP on %s: %v\n", *graphName, g)
 
 	var threads []int
 	for _, part := range strings.Split(*threadsCSV, ",") {
 		t, err := strconv.Atoi(strings.TrimSpace(part))
 		if err != nil || t < 1 {
-			fmt.Fprintf(os.Stderr, "bad thread count %q\n", part)
-			os.Exit(2)
+			fmt.Fprintf(stderr, "bad thread count %q\n", part)
+			return 2
 		}
 		threads = append(threads, t)
 	}
@@ -90,7 +101,7 @@ func main() {
 				return harness.NewZMSQ(core.Config{Batch: 42, TargetLen: 64, Leaky: true})
 			}},
 			cell{"zmsq(42,64)array", func(int) pq.Queue {
-				return harness.NewZMSQ(core.Config{Batch: 42, TargetLen: 64, ArraySet: true})
+				return harness.NewZMSQ(core.Config{Batch: 42, TargetLen: 64, SetMode: core.SetModeArray})
 			}},
 			cell{"spraylist", harness.Makers()["spraylist"]},
 		)
@@ -101,7 +112,7 @@ func main() {
 				return harness.NewZMSQ(core.Config{Batch: 42, TargetLen: 64})
 			}},
 			{"zmsq(42,64)array", func(int) pq.Queue {
-				return harness.NewZMSQ(core.Config{Batch: 42, TargetLen: 64, ArraySet: true})
+				return harness.NewZMSQ(core.Config{Batch: 42, TargetLen: 64, SetMode: core.SetModeArray})
 			}},
 			{"zmsq(42,64)leak", func(int) pq.Queue {
 				return harness.NewZMSQ(core.Config{Batch: 42, TargetLen: 64, Leaky: true})
@@ -123,11 +134,11 @@ func main() {
 		return "ok"
 	}
 
-	fmt.Printf("%-18s %-8s %-14s %-10s %-8s\n", "queue", "threads", "elapsed", "wasted", "ok")
+	fmt.Fprintf(stdout, "%-18s %-8s %-14s %-10s %-8s\n", "queue", "threads", "elapsed", "wasted", "ok")
 	for _, t := range threads {
 		for _, c := range cells {
 			res := sssp.Run(g, 0, c.mk(t), t)
-			fmt.Printf("%-18s %-8d %-14v %-10.2f%% %-8s\n",
+			fmt.Fprintf(stdout, "%-18s %-8d %-14v %-10.2f%% %-8s\n",
 				c.name, t, res.Elapsed, 100*res.WastedFraction(), check(res))
 		}
 		if *deltastep {
@@ -135,8 +146,9 @@ func main() {
 			// scalability without a priority queue, at the cost of
 			// in-bucket re-relaxation.
 			res := sssp.DeltaStepping(g, 0, 0, t)
-			fmt.Printf("%-18s %-8d %-14v %-10.2f%% %-8s\n",
+			fmt.Fprintf(stdout, "%-18s %-8d %-14v %-10.2f%% %-8s\n",
 				"delta-stepping", t, res.Elapsed, 100*res.WastedFraction(), check(res))
 		}
 	}
+	return 0
 }

@@ -30,9 +30,9 @@ func zeroAllocConfigs() []struct {
 	leaky := DefaultConfig()
 	leaky.Leaky = true
 	array := DefaultConfig()
-	array.ArraySet = true
+	array.SetMode = SetModeArray
 	arrayLeaky := DefaultConfig()
-	arrayLeaky.ArraySet, arrayLeaky.Leaky = true, true
+	arrayLeaky.SetMode, arrayLeaky.Leaky = SetModeArray, true
 	out := []struct {
 		name string
 		cfg  Config

@@ -35,31 +35,23 @@ const (
 	DefaultTargetLen = 72
 )
 
-// SetMode selects the per-TNode set implementation. Historically this was
-// a build-tag-only choice (setmode_list.go / setmode_array.go); it is now a
-// runtime Config option, with the build tag only choosing the default that
-// DefaultConfig reports.
+// SetMode selects the per-TNode set implementation. It is read once, at
+// construction.
 type SetMode int
 
 const (
-	// SetModeDefault defers to the legacy Config.ArraySet bool (false =
-	// sorted list, true = array), keeping old configs byte-for-byte
-	// compatible.
-	SetModeDefault SetMode = iota
-	// SetModeList selects the mound-style sorted singly-linked list
-	// (memory-safe via hazard pointers unless Config.Leaky).
-	SetModeList
+	// SetModeList (the zero value) selects the mound-style sorted doubly
+	// linked list (memory-safe via hazard pointers unless Config.Leaky).
+	SetModeList SetMode = iota
 	// SetModeArray selects the unsorted fixed-capacity array set (the
 	// "(array)" curves in the paper's figures; no lnodes, so nothing to
 	// reclaim).
 	SetModeArray
 )
 
-// String returns "default", "list" or "array".
+// String returns "list" or "array".
 func (m SetMode) String() string {
 	switch m {
-	case SetModeDefault:
-		return "default"
 	case SetModeList:
 		return "list"
 	case SetModeArray:
@@ -95,17 +87,9 @@ type Config struct {
 	// restarting along a different random path.
 	NoTryLock bool
 
-	// SetMode selects the per-TNode set implementation at runtime. The zero
-	// value (SetModeDefault) defers to the legacy ArraySet bool, so existing
-	// configs keep their meaning; SetModeList and SetModeArray override it
-	// explicitly.
+	// SetMode selects the per-TNode set implementation: sorted lists (the
+	// zero value) or SetModeArray.
 	SetMode SetMode
-
-	// ArraySet selects the unsorted fixed-capacity array set implementation
-	// (the "(array)" curves in the paper's figures). The default is the
-	// mound-style sorted singly-linked list. Legacy alias: it is honored
-	// only when SetMode is SetModeDefault; prefer SetMode in new code.
-	ArraySet bool
 
 	// Leaky disables the hazard-pointer protocol, mirroring the paper's
 	// "ZMSQ (leak)" configuration: set nodes are allocated fresh and left
@@ -203,32 +187,15 @@ func (c Config) Validate() error {
 		return fmt.Errorf("zmsq: Config.Lock is unknown kind %d; valid kinds are %v", int(c.Lock), locks.Kinds())
 	}
 	switch c.SetMode {
-	case SetModeDefault, SetModeList, SetModeArray:
+	case SetModeList, SetModeArray:
 	default:
-		return fmt.Errorf("zmsq: Config.SetMode is unknown mode %d; valid modes are default(0), list(1), array(2)", int(c.SetMode))
+		return fmt.Errorf("zmsq: Config.SetMode is unknown mode %d; valid modes are list(0), array(1)", int(c.SetMode))
 	}
 	return c.validateDurability()
 }
 
-// ResolvedSetMode reports the set implementation this config selects once
-// the SetModeDefault/ArraySet aliasing is resolved: always SetModeList or
-// SetModeArray.
-func (c Config) ResolvedSetMode() SetMode {
-	switch c.SetMode {
-	case SetModeList:
-		return SetModeList
-	case SetModeArray:
-		return SetModeArray
-	default:
-		if c.ArraySet {
-			return SetModeArray
-		}
-		return SetModeList
-	}
-}
-
-// arraySet is the internal shorthand for ResolvedSetMode() == SetModeArray.
-func (c Config) arraySet() bool { return c.ResolvedSetMode() == SetModeArray }
+// arraySet is the internal shorthand for SetMode == SetModeArray.
+func (c Config) arraySet() bool { return c.SetMode == SetModeArray }
 
 // DefaultConfig returns the paper's recommended configuration: batch = 48,
 // targetLen = 72, TATAS trylocks, memory-safe list sets, blocking disabled.

@@ -17,7 +17,7 @@ func FuzzStrictMatchesOracle(f *testing.F) {
 	f.Add([]byte{}, uint8(3))
 	f.Fuzz(func(t *testing.T, ops []byte, variant uint8) {
 		cfg := Config{Batch: 0, TargetLen: 2 + int(variant%8)}
-		cfg.ArraySet = variant&1 != 0
+		cfg.SetMode = SetMode(variant & 1)
 		cfg.Leaky = variant&2 != 0
 		q := New[int](cfg)
 		var oracle []uint64

@@ -5,29 +5,23 @@ import (
 	"testing"
 )
 
-// TestResolvedSetMode pins the SetMode/ArraySet aliasing rules: the zero
-// SetMode defers to the legacy bool, explicit modes override it, and
-// DefaultConfig hands out list sets.
+// TestResolvedSetMode pins what a config resolves to: the zero SetMode is
+// list sets, DefaultConfig hands out list sets, and the two modes print
+// the names the grid spec uses.
 func TestResolvedSetMode(t *testing.T) {
-	cases := []struct {
-		cfg  Config
-		want SetMode
-	}{
-		{Config{}, SetModeList},
-		{Config{ArraySet: true}, SetModeArray},
-		{Config{SetMode: SetModeList}, SetModeList},
-		{Config{SetMode: SetModeArray}, SetModeArray},
-		// Explicit modes win over the legacy bool.
-		{Config{SetMode: SetModeList, ArraySet: true}, SetModeList},
-		{Config{SetMode: SetModeArray, ArraySet: false}, SetModeArray},
+	if got := (Config{}).SetMode; got != SetModeList {
+		t.Errorf("zero Config.SetMode = %v, want %v", got, SetModeList)
 	}
-	for _, c := range cases {
-		if got := c.cfg.ResolvedSetMode(); got != c.want {
-			t.Errorf("ResolvedSetMode(%+v) = %v, want %v", c.cfg, got, c.want)
+	if got := DefaultConfig().SetMode; got != SetModeList {
+		t.Errorf("DefaultConfig().SetMode = %v, want %v", got, SetModeList)
+	}
+	for mode, want := range map[SetMode]string{SetModeList: "list", SetModeArray: "array"} {
+		if got := mode.String(); got != want {
+			t.Errorf("SetMode(%d).String() = %q, want %q", int(mode), got, want)
 		}
-	}
-	if got := DefaultConfig().ResolvedSetMode(); got != SetModeList {
-		t.Errorf("DefaultConfig().ResolvedSetMode() = %v, want %v", got, SetModeList)
+		if got := (Config{SetMode: mode}).arraySet(); got != (mode == SetModeArray) {
+			t.Errorf("Config{SetMode: %v}.arraySet() = %v", mode, got)
+		}
 	}
 }
 

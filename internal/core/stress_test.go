@@ -17,7 +17,7 @@ func stressConfigs() map[string]Config {
 		"default":   DefaultConfig(),
 		"def-array": withSetMode(DefaultConfig(), SetModeArray),
 		"strict":    {Batch: 0, TargetLen: 16, Lock: locks.TATAS},
-		"array":     {Batch: 16, TargetLen: 16, Lock: locks.TATAS, ArraySet: true},
+		"array":     {Batch: 16, TargetLen: 16, Lock: locks.TATAS, SetMode: SetModeArray},
 		"leaky":     {Batch: 16, TargetLen: 16, Lock: locks.TATAS, Leaky: true},
 		"std-block": {Batch: 16, TargetLen: 16, Lock: locks.Std, NoTryLock: true},
 		"tiny":      {Batch: 2, TargetLen: 2, Lock: locks.TAS},

@@ -17,14 +17,14 @@ func testConfigs() map[string]Config {
 		"default-array": withSetMode(DefaultConfig(), SetModeArray),
 		"strict":        {Batch: 0, TargetLen: 16, Lock: locks.TATAS},
 		"small-batch":   {Batch: 4, TargetLen: 8, Lock: locks.TATAS},
-		"array":         {Batch: 16, TargetLen: 16, Lock: locks.TATAS, ArraySet: true},
+		"array":         {Batch: 16, TargetLen: 16, Lock: locks.TATAS, SetMode: SetModeArray},
 		"leaky":         {Batch: 16, TargetLen: 16, Lock: locks.TATAS, Leaky: true},
 		"std-lock":      {Batch: 16, TargetLen: 16, Lock: locks.Std, NoTryLock: true},
 		"tas-lock":      {Batch: 16, TargetLen: 16, Lock: locks.TAS},
 		"no-minswap":    {Batch: 16, TargetLen: 16, Lock: locks.TATAS, NoMinSwap: true},
 		"no-forced":     {Batch: 16, TargetLen: 16, Lock: locks.TATAS, NoForcedInsert: true},
-		"array-leaky":   {Batch: 16, TargetLen: 16, ArraySet: true, Leaky: true},
-		"strict-array":  {Batch: 0, TargetLen: 16, ArraySet: true},
+		"array-leaky":   {Batch: 16, TargetLen: 16, SetMode: SetModeArray, Leaky: true},
+		"strict-array":  {Batch: 0, TargetLen: 16, SetMode: SetModeArray},
 		"tiny-targets":  {Batch: 2, TargetLen: 2},
 		"blocking-ring": {Batch: 8, TargetLen: 8, Blocking: true, RingSize: 8},
 	}
@@ -85,8 +85,8 @@ func TestSingleElement(t *testing.T) {
 func TestStrictModeExactOrder(t *testing.T) {
 	// batch = 0 behaves exactly like the mound: every ExtractMax returns
 	// the true maximum.
-	for _, array := range []bool{false, true} {
-		cfg := Config{Batch: 0, TargetLen: 8, ArraySet: array}
+	for _, mode := range []SetMode{SetModeList, SetModeArray} {
+		cfg := Config{Batch: 0, TargetLen: 8, SetMode: mode}
 		q := New[int](cfg)
 		r := xrand.New(17)
 		const n = 5000
@@ -105,7 +105,7 @@ func TestStrictModeExactOrder(t *testing.T) {
 				t.Fatalf("extract %d failed with %d elements left", i, n-i)
 			}
 			if k != w {
-				t.Fatalf("strict extract %d = %d, want %d (array=%v)", i, k, w, array)
+				t.Fatalf("strict extract %d = %d, want %d (set mode %v)", i, k, w, mode)
 			}
 		}
 	}
@@ -533,9 +533,9 @@ func TestVariantNames(t *testing.T) {
 		want string
 	}{
 		{Config{}, "zmsq"},
-		{Config{ArraySet: true}, "zmsq-array"},
+		{Config{SetMode: SetModeArray}, "zmsq-array"},
 		{Config{Leaky: true}, "zmsq-leak"},
-		{Config{ArraySet: true, Leaky: true}, "zmsq-array-leak"},
+		{Config{SetMode: SetModeArray, Leaky: true}, "zmsq-array-leak"},
 	}
 	for _, c := range cases {
 		if got := c.cfg.variantName(); got != c.want {

@@ -9,10 +9,9 @@ import (
 	"repro/internal/xrand"
 )
 
-// This file is the steady-state allocation probe (previously private to
-// cmd/allocstat). For each (variant, op) cell the queue is prefilled and
-// warmed until every pooled context and scratch buffer has reached
-// steady-state capacity, then the op runs in a paired insert/extract loop
+// This file is the steady-state allocation probe. For each (variant, op)
+// cell the queue is prefilled and warmed until every pooled context and
+// scratch buffer has reached steady-state capacity, then the op runs in a paired insert/extract loop
 // (so the queue size — and with it the node-recycling balance — stays
 // constant) with the GC disabled while runtime.MemStats.Mallocs is
 // sampled around the loop. The paired loop is the point: insert-only

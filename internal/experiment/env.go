@@ -74,12 +74,12 @@ type GateReport struct {
 
 // WriteGateReport assembles and writes one gate's report next to its
 // grid: the gate verdict plus every cell of the gate's experiment.
-func WriteGateReport(dir, tool string, grid *GridResult, g GateSpec, res GateResult) error {
+func WriteGateReport(dir string, grid *GridResult, g GateSpec, res GateResult) error {
 	if g.Out == "" {
 		return nil
 	}
 	rep := GateReport{
-		Tool:  tool,
+		Tool:  grid.Tool,
 		Env:   grid.Env,
 		Scale: grid.Scale,
 		Seed:  grid.Seed,

@@ -38,6 +38,9 @@ func Rows(grid *GridResult) []harness.Row {
 			row.Labels["extracts"] = strconv.Itoa(c.Cell.Extracts)
 			row.Metrics["hit%"] = c.Value
 			row.Metrics["failures"] = c.Extra["failures"]
+			row.Metrics["rankErrMean"] = c.Extra["rank_err_mean"]
+			row.Metrics["rankErrP99"] = c.Extra["rank_err_p99"]
+			row.Metrics["rankErrMax"] = c.Extra["rank_err_max"]
 		case "handoff":
 			row.Labels["producers"] = strconv.Itoa(c.Cell.Producers)
 			row.Labels["consumers"] = strconv.Itoa(c.Cell.Consumers)
@@ -63,6 +66,14 @@ func Rows(grid *GridResult) []harness.Row {
 			row.Metrics["p50ms"] = c.Extra["p50_ms"]
 			row.Metrics["achievedQPS"] = c.Extra["achieved_qps"]
 			row.Metrics["batchP50"] = c.Extra["batch_p50"]
+		case "setstats":
+			row.Labels["keys"] = c.Cell.Keys
+			row.Metrics["setMean"] = c.Value
+			row.Metrics["setStddev"] = c.Extra["stddev"]
+			row.Metrics["setMin"] = c.Extra["min"]
+			row.Metrics["setMax"] = c.Extra["max"]
+			row.Metrics["leafLevel"] = c.Extra["leaf_level"]
+			row.Metrics["helperMoves"] = c.Extra["helper_moves"]
 		}
 		rows = append(rows, row)
 	}
@@ -71,7 +82,7 @@ func Rows(grid *GridResult) []harness.Row {
 
 var validUnits = map[string]bool{
 	"ops/s": true, "ns/handoff": true, "hit_pct": true, "allocs/op": true, "pass": true,
-	"p99_ms": true,
+	"p99_ms": true, "set_size": true,
 }
 
 // ValidateGrid checks a grid result against the canonical schema — shape,

@@ -3,6 +3,7 @@ package experiment
 import (
 	"fmt"
 
+	"repro/internal/core"
 	"repro/internal/harness"
 	"repro/internal/pq"
 )
@@ -30,9 +31,6 @@ type Options struct {
 	// OnQueue observes every queue a variant maker builds (live metrics
 	// endpoints hook here).
 	OnQueue func(pq.Queue)
-	// OnThroughput observes each completed throughput-style run with its
-	// full harness result (per-cell metrics snapshots, row printing).
-	OnThroughput func(Cell, harness.ThroughputResult)
 	// Progress, when non-nil, receives human-oriented progress lines.
 	Progress func(format string, args ...any)
 }
@@ -76,14 +74,17 @@ type Cell struct {
 type CellResult struct {
 	Cell Cell `json:"cell"`
 	// Unit names what Value measures: "ops/s", "ns/handoff", "hit_pct",
-	// "allocs/op", "pass", "p99_ms".
+	// "allocs/op", "pass", "p99_ms", "set_size".
 	Unit    string    `json:"unit"`
 	Samples []float64 `json:"samples"`
 	// Statistic says how Value was chosen from Samples: "best" or "mean".
 	Statistic string             `json:"statistic"`
 	Value     float64            `json:"value"`
 	Extra     map[string]float64 `json:"extra,omitempty"`
-	Error     string             `json:"error,omitempty"`
+	// Metrics is the queue's instrumentation snapshot after the cell's last
+	// run, on throughput-style cells whose queue had Config.Metrics on.
+	Metrics *core.MetricsSnapshot `json:"metrics,omitempty"`
+	Error   string                `json:"error,omitempty"`
 }
 
 // GridResult is one run of (part of) the grid under one environment.
@@ -96,7 +97,11 @@ type GridResult struct {
 }
 
 // Run expands and executes the named experiments (nil = all) and returns
-// the grid result. The environment block is captured once per run.
+// the grid result. The environment block is captured once per run. The
+// scale, every name and the key override are resolved before the first
+// cell runs: a request that does not resolve returns a nil grid, having
+// measured nothing. A cell that fails mid-run returns the grid so far
+// with its error.
 func (s *Spec) Run(names []string, opt Options) (*GridResult, error) {
 	scaleName := opt.Scale
 	if scaleName == "" {
@@ -106,20 +111,27 @@ func (s *Spec) Run(names []string, opt Options) (*GridResult, error) {
 	if !ok {
 		return nil, fmt.Errorf("experiment: unknown scale %q", scaleName)
 	}
+	if _, err := parseKeys(opt.Keys); err != nil {
+		return nil, fmt.Errorf("experiment: %w", err)
+	}
 	if opt.Seed == 0 {
 		opt.Seed = 1
 	}
+	var exps []*Experiment
 	if names == nil {
-		for _, ex := range s.Experiments {
-			names = append(names, ex.Name)
+		for i := range s.Experiments {
+			exps = append(exps, &s.Experiments[i])
 		}
 	}
-	grid := &GridResult{Tool: "expgrid", Scale: scaleName, Seed: opt.Seed, Env: CaptureEnv()}
 	for _, name := range names {
 		ex := s.Experiment(name)
 		if ex == nil {
 			return nil, fmt.Errorf("experiment: unknown experiment %q", name)
 		}
+		exps = append(exps, ex)
+	}
+	grid := &GridResult{Tool: "expgrid", Scale: scaleName, Seed: opt.Seed, Env: CaptureEnv()}
+	for _, ex := range exps {
 		var (
 			cells []CellResult
 			err   error
@@ -139,11 +151,13 @@ func (s *Spec) Run(names []string, opt Options) (*GridResult, error) {
 			cells, err = runRecoveryExperiment(ex, sc, opt)
 		case "service":
 			cells, err = runService(ex, sc, opt)
+		case "setstats":
+			cells, err = runSetStats(ex, sc, opt)
 		default:
 			err = fmt.Errorf("unknown kind %q", ex.Kind)
 		}
 		if err != nil {
-			return nil, fmt.Errorf("experiment %q: %w", name, err)
+			return grid, fmt.Errorf("experiment %q: %w", ex.Name, err)
 		}
 		grid.Cells = append(grid.Cells, cells...)
 	}
@@ -199,11 +213,7 @@ func keysFor(ex *Experiment, opt Options) (harness.KeyDist, string) {
 	if opt.Keys != "" {
 		name = opt.Keys
 	}
-	kd, err := parseKeys(name)
-	if err != nil {
-		// Validate caught spec-level names; an override typo falls back.
-		kd, name = harness.Uniform20, "uniform20"
-	}
+	kd, _ := parseKeys(name) // both sources were checked: Validate, Run
 	if name == "" {
 		name = kd.String()
 	}
@@ -254,9 +264,7 @@ func runThroughput(ex *Experiment, sc Scale, opt Options) ([]CellResult, error) 
 					}
 				}
 				res.Extra = map[string]float64{"failed_extract": float64(last.FailedExt)}
-				if opt.OnThroughput != nil {
-					opt.OnThroughput(cell, last)
-				}
+				res.Metrics = last.Metrics
 				out = append(out, res)
 			}
 		}
@@ -328,16 +336,14 @@ func runPairedExperiment(ex *Experiment, sc Scale, opt Options) ([]CellResult, e
 			res.Samples = append(res.Samples, side.pick(r))
 		}
 		res.Extra = map[string]float64{"failed_extract": float64(lasts[i == 1].FailedExt)}
-		if opt.OnThroughput != nil {
-			opt.OnThroughput(res.Cell, lasts[i == 1])
-		}
+		res.Metrics = lasts[i == 1].Metrics
 		results[i] = res
 	}
 	return results, nil
 }
 
 // runAccuracy expands sizes × extract counts × variants, averaging the
-// hit rate over the scale's trial count.
+// hit rate and the rank-error distribution over the scale's trial count.
 func runAccuracy(ex *Experiment, sc Scale, opt Options) ([]CellResult, error) {
 	trials := sc.Trials
 	if opt.Repeats > 0 {
@@ -365,6 +371,7 @@ func runAccuracy(ex *Experiment, sc Scale, opt Options) ([]CellResult, error) {
 				}
 				res := CellResult{Cell: cell, Unit: "hit_pct", Statistic: "mean"}
 				hits, failures := 0.0, 0.0
+				var rankMean, rankP99, rankMax float64
 				for trial := 0; trial < trials; trial++ {
 					ar := harness.RunAccuracy(mk, threads, harness.AccuracySpec{
 						QueueSize: size.QueueSize, Extracts: extracts,
@@ -373,9 +380,17 @@ func runAccuracy(ex *Experiment, sc Scale, opt Options) ([]CellResult, error) {
 					res.Samples = append(res.Samples, 100*ar.HitRate())
 					hits += 100 * ar.HitRate()
 					failures += float64(ar.Failures)
+					rankMean += ar.Rank.Mean
+					rankP99 += ar.Rank.P99
+					rankMax = max(rankMax, ar.Rank.Worst)
 				}
 				res.Value = hits / float64(trials)
-				res.Extra = map[string]float64{"failures": failures / float64(trials)}
+				res.Extra = map[string]float64{
+					"failures":      failures / float64(trials),
+					"rank_err_mean": rankMean / float64(trials),
+					"rank_err_p99":  rankP99 / float64(trials),
+					"rank_err_max":  rankMax,
+				}
 				out = append(out, res)
 			}
 		}

@@ -3,8 +3,9 @@
 // counts, key distributions, set modes, shard counts, repeats — and one
 // runner expands the grid into cells, executes each cell through the
 // existing harness entry points (RunThroughput / RunAccuracy / RunHandoff
-// / RunRecovery plus the alloc probe), and emits one canonical result
-// schema: cell spec + samples + chosen statistic + environment block.
+// / RunRecovery plus the alloc and set-size probes), and emits one
+// canonical result schema: cell spec + samples + chosen statistic +
+// environment block.
 //
 // On top of the runner sit two layers:
 //
@@ -17,9 +18,8 @@
 //     git SHA, and compare against the previous entry so cross-PR
 //     regressions are visible (and optionally fatal) at a glance.
 //
-// The six cmd/ drivers (runall, zmsqbench, expgrid, metricsgate,
-// recoverygate, allocstat) are thin front-ends over this
-// package: flag parsing, spec lookup, row printing.
+// cmd/expgrid is the one front-end over this package: flag parsing, spec
+// lookup, row printing.
 package experiment
 
 import (
@@ -59,11 +59,6 @@ type Scale struct {
 	AllocRuns int `json:"alloc_runs"`
 	// RecoverySeeds is the seed count per (crash kind, shape) pair.
 	RecoverySeeds int `json:"recovery_seeds"`
-	// LJScale and Artist size the SSSP step (cmd/runall): the scaled
-	// LiveJournal stand-in's log2 node count, and whether to include the
-	// large Artist graph.
-	LJScale int  `json:"lj_scale,omitempty"`
-	Artist  bool `json:"artist,omitempty"`
 }
 
 // Experiment is one named grid axis product. Kind selects the harness
@@ -72,10 +67,11 @@ type Scale struct {
 type Experiment struct {
 	Name string `json:"name"`
 	// Kind is one of "throughput", "paired", "accuracy", "handoff",
-	// "alloc", "recovery", "service".
+	// "alloc", "recovery", "service", "setstats".
 	Kind string `json:"kind"`
 	// Paper marks experiments belonging to the paper-reproduction grid
-	// that cmd/runall renders into EXPERIMENTS.md's tables and figures.
+	// (expgrid -experiments paper) behind EXPERIMENTS.md's tables and
+	// figures.
 	Paper bool `json:"paper,omitempty"`
 	// Mix is the insert percentage (throughput/paired kinds).
 	Mix int `json:"mix,omitempty"`
@@ -167,6 +163,7 @@ type QueueConfig struct {
 	Leaky     bool   `json:"leaky,omitempty"`
 	Blocking  bool   `json:"blocking,omitempty"`
 	Metrics   bool   `json:"metrics,omitempty"`
+	Helper    bool   `json:"helper,omitempty"` // the §5 maintenance goroutine
 }
 
 // GateSpec is one declarative CI gate: a threshold over named grid cells.
@@ -203,6 +200,7 @@ type GateSpec struct {
 var kinds = map[string]bool{
 	"throughput": true, "paired": true, "accuracy": true,
 	"handoff": true, "alloc": true, "recovery": true, "service": true,
+	"setstats": true,
 }
 
 // LoadSpec reads a grid spec from path, or the embedded default grid when
@@ -267,6 +265,9 @@ func (s *Spec) Validate() error {
 			vseen[v.Name] = true
 			if _, err := v.maker(Options{}); err != nil {
 				return fmt.Errorf("experiment %q variant %q: %w", ex.Name, v.Name, err)
+			}
+			if ex.Kind == "setstats" && v.Queue != "zmsq" && v.Queue != "" {
+				return fmt.Errorf("experiment %q variant %q: setstats kind reads a ZMSQ's tree, queue is %q", ex.Name, v.Name, v.Queue)
 			}
 		}
 	}
@@ -375,14 +376,8 @@ func autoThreads() int {
 	return t
 }
 
-// DefaultSweep exposes the grid's default thread sweep for front-ends
-// that sweep non-grid work over the same ladder (cmd/runall's SSSP
-// workers).
-func DefaultSweep() []int { return defaultSweep() }
-
 // defaultSweep is the thread sweep used when an experiment lists none:
-// 1, 2, 4, ... up to twice GOMAXPROCS, capped at 16 (cmd/runall's
-// historical sweep).
+// 1, 2, 4, ... up to twice GOMAXPROCS, capped at 16.
 func defaultSweep() []int {
 	maxT := runtime.GOMAXPROCS(0)
 	sweep := []int{1}

@@ -19,7 +19,7 @@ func TestEmbeddedSpecValid(t *testing.T) {
 			t.Errorf("embedded spec lacks scale %q", scale)
 		}
 	}
-	for _, name := range []string{"table1", "fig2a", "fig2b", "fig3a", "fig3b", "fig4",
+	for _, name := range []string{"table1", "sec32", "fig2a", "fig2b", "fig3a", "fig3b", "fig4",
 		"fig5a", "fig5b", "fig5c", "fig6", "batch", "sharded-sweep",
 		"metrics-overhead", "sharded-speedup", "alloc", "recovery"} {
 		if spec.Experiment(name) == nil {
@@ -69,6 +69,9 @@ func TestValidateRejects(t *testing.T) {
 		{"paired needs 2", func(s *Spec) { s.Experiments[1].Variants = s.Experiments[1].Variants[:1] }, "exactly 2 variants"},
 		{"unknown queue", func(s *Spec) { s.Experiments[0].Variants[0].Queue = "bogus" }, "neither zmsq"},
 		{"bad keys", func(s *Spec) { s.Experiments[0].Keys = "zipf" }, "key distribution"},
+		{"setstats on a baseline", func(s *Spec) {
+			s.Experiments[0].Kind, s.Experiments[0].Variants[0].Queue = "setstats", "mound"
+		}, "reads a ZMSQ's tree"},
 		{"bad lock", func(s *Spec) {
 			s.Experiments[0].Variants[0].Config = &QueueConfig{Lock: "spin"}
 		}, "unknown lock"},

@@ -53,6 +53,9 @@ func (c *QueueConfig) coreConfig() (core.Config, error) {
 	if c.Blocking {
 		cfg.Blocking = true
 	}
+	if c.Helper {
+		cfg.Helper = true
+	}
 	return cfg, nil
 }
 

@@ -13,7 +13,8 @@ import (
 // AccuracySpec describes one cell of Table 1: prefill a queue with unique
 // random keys, run a fixed number of extractions, and count how many of the
 // returned keys rank within the top-k of the original contents, where k is
-// the extraction count itself.
+// the extraction count itself. The same pass feeds an order-statistics
+// tracker, so every cell also carries the full rank-error distribution.
 type AccuracySpec struct {
 	// QueueSize is the prefill (1K and 64K in the paper).
 	QueueSize int
@@ -33,6 +34,10 @@ type AccuracyResult struct {
 	Hits int
 	// Failures counts extractions that returned ok=false and were retried.
 	Failures int
+	// Rank is the rank-error distribution of the extraction sequence: each
+	// extracted key's rank among the keys present at that moment (a strict
+	// superset of the thresholded hit rate; internal/quality).
+	Rank quality.RankSummary
 	// Metrics is the queue's instrumentation snapshot taken after the run,
 	// when available (see SnapshotOf); nil otherwise.
 	Metrics *core.MetricsSnapshot `json:",omitempty"`
@@ -73,8 +78,12 @@ func RunAccuracy(mk QueueMaker, threads int, spec AccuracySpec) AccuracyResult {
 		seen[k] = true
 		keys = append(keys, k)
 	}
+	// Not spec.Seed: the keys come from that stream, and a treap whose
+	// priorities track its keys is a linked list.
+	tr := quality.NewTracker(^spec.Seed)
 	for _, k := range keys {
 		q.Insert(k)
+		tr.Insert(k)
 	}
 
 	// The rank threshold: the Extracts-th largest key.
@@ -98,42 +107,10 @@ func RunAccuracy(mk QueueMaker, threads int, spec AccuracySpec) AccuracyResult {
 		if k >= threshold {
 			res.Hits++
 		}
-		done++
-	}
-	res.Metrics = SnapshotOf(q)
-	return res
-}
-
-// RunRankAccuracy measures the full rank-error distribution of an
-// extraction sequence (a strict superset of Table 1's thresholded hit
-// rate): every extracted key's rank among the keys present at that moment,
-// via the order-statistics tracker in internal/quality.
-func RunRankAccuracy(mk QueueMaker, threads int, spec AccuracySpec) (quality.RankSummary, string) {
-	q := mk(threads)
-	tr := quality.NewTracker(spec.Seed)
-	r := xrand.New(spec.Seed)
-	seen := make(map[uint64]bool, spec.QueueSize)
-	for len(seen) < spec.QueueSize {
-		k := r.Uint64() >> 1
-		if seen[k] {
-			continue
-		}
-		seen[k] = true
-		q.Insert(k)
-		tr.Insert(k)
-	}
-	done, failures := 0, 0
-	for done < spec.Extracts {
-		k, ok := q.ExtractMax()
-		if !ok {
-			failures++
-			if failures > 1000*spec.Extracts {
-				break
-			}
-			continue
-		}
 		tr.ObserveExtract(k)
 		done++
 	}
-	return tr.Summary(), pq.NameOf(q, "queue")
+	res.Rank = tr.Summary()
+	res.Metrics = SnapshotOf(q)
+	return res
 }

@@ -38,7 +38,7 @@ func WrapZMSQ(q *core.Queue[struct{}], name string) *ZMSQ {
 // makers_zmsq.go); this is the label for ad-hoc Config cells.
 func VariantName(cfg core.Config) string {
 	name := "zmsq"
-	if cfg.ResolvedSetMode() == core.SetModeArray {
+	if cfg.SetMode == core.SetModeArray {
 		name += "(array)"
 	}
 	if cfg.Leaky {

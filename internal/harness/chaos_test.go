@@ -75,7 +75,7 @@ func TestChaosZMSQVariants(t *testing.T) {
 	}{
 		{"strict", func(c *core.Config) { c.Batch = 0 }},
 		{"leaky", func(c *core.Config) { c.Leaky = true }},
-		{"arrayset", func(c *core.Config) { c.ArraySet = true }},
+		{"arrayset", func(c *core.Config) { c.SetMode = core.SetModeArray }},
 		{"notrylock", func(c *core.Config) { c.NoTryLock = true }},
 		{"helper", func(c *core.Config) { c.Helper = true }},
 	}

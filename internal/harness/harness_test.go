@@ -39,7 +39,7 @@ func TestVariantNames(t *testing.T) {
 	if VariantName(cfg) != "zmsq" {
 		t.Fatal("base variant name wrong")
 	}
-	cfg.ArraySet = true
+	cfg.SetMode = core.SetModeArray
 	cfg.Leaky = true
 	if VariantName(cfg) != "zmsq(array)(leak)" {
 		t.Fatalf("got %q", VariantName(cfg))
@@ -216,7 +216,7 @@ func TestRankAccuracyMaxRateGuarantee(t *testing.T) {
 		mk := func(int) pq.Queue {
 			return NewZMSQ(core.Config{Batch: batch, TargetLen: 64})
 		}
-		sum, _ := RunRankAccuracy(mk, 1, AccuracySpec{QueueSize: 4096, Extracts: 2048, Seed: 7})
+		sum := RunAccuracy(mk, 1, AccuracySpec{QueueSize: 4096, Extracts: 2048, Seed: 7}).Rank
 		if sum.Misses != 0 {
 			t.Fatalf("batch=%d: tracker misses=%d", batch, sum.Misses)
 		}
@@ -229,7 +229,7 @@ func TestRankAccuracyMaxRateGuarantee(t *testing.T) {
 
 func TestRankAccuracyStrictIsExact(t *testing.T) {
 	mk := func(int) pq.Queue { return pq.NewGlobalHeap(0) }
-	sum, _ := RunRankAccuracy(mk, 1, AccuracySpec{QueueSize: 2048, Extracts: 1024, Seed: 9})
+	sum := RunAccuracy(mk, 1, AccuracySpec{QueueSize: 2048, Extracts: 1024, Seed: 9}).Rank
 	if sum.MaxRate != 1 || sum.Worst != 0 {
 		t.Fatalf("strict queue rank summary: %+v", sum)
 	}

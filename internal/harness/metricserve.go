@@ -47,7 +47,7 @@ var (
 )
 
 // NewMetricsMux builds the observability endpoint set every serving tool
-// shares (cmd/zmsqserve, zmsqbench -metricsaddr):
+// shares (cmd/zmsqserve, expgrid -metricsaddr):
 //
 //	/metrics       Prometheus text exposition
 //	/metrics.json  the MetricsSnapshot as JSON

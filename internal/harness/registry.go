@@ -11,7 +11,7 @@ import (
 // themselves from per-implementation files (makers_zmsq.go,
 // makers_baselines.go) instead of being enumerated in one hand-maintained
 // map, so adding a substrate is one Register call next to its adapter — and
-// every cmd that iterates Makers() (runall, prodcons, sssp, chaos
+// everything that looks a queue up by name (the grid spec, sssp, chaos
 // -baselines) picks it up without edits.
 //
 // The registered name is also the display name: a maker must build queues

@@ -86,6 +86,15 @@ const (
 	LockTATAS LockKind = locks.TATAS
 )
 
+// SetMode selects the per-node set implementation (Config.SetMode):
+// sorted lists, the default, or the paper's "(array)" variant.
+type SetMode = core.SetMode
+
+const (
+	SetModeList  SetMode = core.SetModeList
+	SetModeArray SetMode = core.SetModeArray
+)
+
 // DefaultBatch and DefaultTargetLen are the paper's recommended tuning
 // (§4.2).
 const (

@@ -101,7 +101,7 @@ func TestPublicConfigKnobs(t *testing.T) {
 		Batch:     4,
 		TargetLen: 8,
 		Lock:      repro.LockTATAS,
-		ArraySet:  true,
+		SetMode:   repro.SetModeArray,
 	}
 	q := repro.New[struct{}](cfg)
 	for i := 0; i < 100; i++ {
