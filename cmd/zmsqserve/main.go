@@ -16,12 +16,12 @@
 //	go run ./cmd/zmsqserve -wal /var/lib/zmsq  # durable: WAL + recovery
 //	curl localhost:8217/metrics
 //
-// With -wal the queue is durable: on startup, existing state in the
-// directory is recovered (snapshot + log replay) and the workload resumes
-// on top of it; on SIGTERM the queue is closed, drained — every drained
-// element still logged — and the log synced and closed, so the next start
-// recovers an empty (fully drained) state. Kill -9 it instead and the
-// next start replays to the last group commit.
+// With -wal the queue is durable: on startup, whatever the directory holds
+// is recovered (snapshot + log replay) and the workload resumes on top of
+// it; on SIGTERM the queue is closed, drained — every drained element
+// still logged — and the log synced and closed, so the next start recovers
+// an empty (fully drained) state and prefills again. Kill -9 it instead and
+// the next start replays to the last group commit.
 //
 // The queue is driven entirely through the pq capability interfaces
 // (pq.Queue, pq.Closer, pq.ContextExtractor, harness.MetricsSource), so the
@@ -81,46 +81,32 @@ func main() {
 		}
 	}
 
-	// Build the queue: durable directories with existing state are
-	// recovered first, so a restart resumes where the last run's group
-	// commit left off. The no-op fallbacks keep the volatile path free of
-	// durability branches below.
+	// Build the queue. Open recovers whatever a durable directory holds, so
+	// a restart resumes where the last run's group commit left off. The
+	// no-op fallbacks keep the volatile path free of durability branches
+	// below.
 	var (
 		q        pq.Queue
 		syncWAL  = func() error { return nil }
 		closeWAL = func() error { return nil }
 		walStats = func() (wal.Stats, bool) { return wal.Stats{}, false }
 		st       *wal.State
-		err      error
 	)
 	if *shards > 0 {
-		scfg := sharded.Config{Shards: *shards, Queue: cfg}
-		var sq *sharded.Queue[struct{}]
-		switch {
-		case *walDir != "" && wal.Exists(*walDir):
-			sq, st, err = sharded.Recover[struct{}](scfg)
-		default:
-			sq, err = sharded.NewDurable[struct{}](scfg)
-		}
+		sq, sst, err := sharded.Open(sharded.Config{Shards: *shards, Queue: cfg}, core.Options[struct{}]{})
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "zmsqserve:", err)
 			os.Exit(1)
 		}
-		q = harness.WrapSharded(sq, "zmsq-sharded")
+		q, st = harness.WrapSharded(sq, "zmsq-sharded"), sst
 		syncWAL, closeWAL, walStats = sq.SyncWAL, sq.CloseWAL, sq.WALStats
 	} else {
-		var cq *core.Queue[struct{}]
-		switch {
-		case *walDir != "" && wal.Exists(*walDir):
-			cq, st, err = core.Recover[struct{}](cfg)
-		default:
-			cq, err = core.NewDurable[struct{}](cfg)
-		}
+		cq, cst, err := core.Open(cfg, core.Options[struct{}]{})
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "zmsqserve:", err)
 			os.Exit(1)
 		}
-		q = harness.WrapZMSQ(cq, harness.VariantName(cfg))
+		q, st = harness.WrapZMSQ(cq, harness.VariantName(cfg)), cst
 		syncWAL, closeWAL, walStats = cq.SyncWAL, cq.CloseWAL, cq.WALStats
 	}
 	src := q.(harness.MetricsSource)
@@ -128,8 +114,10 @@ func main() {
 	if st != nil {
 		fmt.Printf("zmsqserve: recovered %d live keys from %s (snapshot lsn %d + %d log records, %d torn bytes dropped)\n",
 			st.Live(), *walDir, st.SnapshotLSN, st.Records, st.TornBytes)
-	} else {
-		// Fresh state only: a recovered queue already holds its elements.
+	}
+	if st == nil || st.Live() == 0 {
+		// Only when nothing came back: a recovered queue already holds its
+		// elements.
 		r := xrand.New(*seed ^ 0xfeed)
 		for i := 0; i < *prefill; i++ {
 			q.Insert(r.Uint64() >> 16)

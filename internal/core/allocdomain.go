@@ -42,9 +42,9 @@ type AllocDomain[V any] struct {
 }
 
 // NewAllocDomain builds a standalone reclamation domain for cfg's set mode.
-// Use it with NewWithDomain to share one domain — one hazard domain, one
-// freelist, one node cache — across several queues; queues built with New
-// get a private domain automatically.
+// Hand it to Open as Options.Domain to share one domain — one hazard domain,
+// one freelist, one node cache — across several queues; queues opened
+// without one get a private domain automatically.
 //
 // cfg's Faults and Metrics, if set, instrument the domain's hazard
 // reclamation scans. A shared domain counts scans on the Metrics it was
@@ -83,10 +83,11 @@ func NewAllocDomain[V any](cfg Config) *AllocDomain[V] {
 	return ad
 }
 
-// compatible reports whether the domain's mode matches cfg's resolved set
-// mode; sharing a domain across mismatched modes would route lnodes
-// through the wrong (or no) reclamation protocol.
-func (ad *AllocDomain[V]) compatible(cfg Config) error {
+// Compatible reports whether the domain's mode matches cfg's set mode and
+// leak setting; sharing a domain across mismatched modes would route lnodes
+// through the wrong (or no) reclamation protocol. Open checks it before it
+// opens anything.
+func (ad *AllocDomain[V]) Compatible(cfg Config) error {
 	if ad.arraySet != cfg.arraySet() || ad.leaky != cfg.Leaky {
 		return fmt.Errorf("zmsq: AllocDomain mode (arraySet=%v leaky=%v) does not match Config (arraySet=%v leaky=%v)",
 			ad.arraySet, ad.leaky, cfg.arraySet(), cfg.Leaky)

@@ -16,15 +16,12 @@ func valueFor(key uint64) []byte {
 }
 
 // TestDurableCodecRoundTrip inserts value-bearing elements through both
-// the single and batch paths, extracts some, and checks RecoverCodec
-// hands back byte-exact payloads for every survivor.
+// the single and batch paths, extracts some, and checks reopening with
+// the codec hands back byte-exact payloads for every survivor.
 func TestDurableCodecRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	cfg := durableConfig(dir)
-	q, err := NewDurableCodec[[]byte](cfg, wal.BytesCodec{})
-	if err != nil {
-		t.Fatalf("NewDurableCodec: %v", err)
-	}
+	q, _ := mustOpen(t, cfg, Options[[]byte]{Codec: wal.BytesCodec{}})
 	for i := uint64(1); i <= 32; i++ {
 		q.Insert(i, valueFor(i))
 	}
@@ -44,10 +41,7 @@ func TestDurableCodecRoundTrip(t *testing.T) {
 		t.Fatalf("CloseWAL: %v", err)
 	}
 
-	r, st, err := RecoverCodec[[]byte](cfg, wal.BytesCodec{})
-	if err != nil {
-		t.Fatalf("RecoverCodec: %v", err)
-	}
+	r, st := mustOpen(t, cfg, Options[[]byte]{Codec: wal.BytesCodec{}})
 	if st.Live() != 48 {
 		t.Fatalf("recovered %d live keys, want 48", st.Live())
 	}
@@ -69,21 +63,25 @@ func TestDurableCodecRoundTrip(t *testing.T) {
 }
 
 // TestRecoverValuedWithoutCodecFails pins the safety property: a
-// directory holding value payloads must not recover through the
-// key-only path, which would silently discard acknowledged data.
+// directory holding value payloads must not open through the key-only
+// path, which would silently discard acknowledged data — and the refusal
+// must leave the directory openable with the codec.
 func TestRecoverValuedWithoutCodecFails(t *testing.T) {
-	dir := t.TempDir()
-	cfg := durableConfig(dir)
-	q, err := NewDurableCodec[[]byte](cfg, wal.BytesCodec{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	cfg := durableConfig(t.TempDir())
+	q, _ := mustOpen(t, cfg, Options[[]byte]{Codec: wal.BytesCodec{}})
 	q.Insert(7, []byte("precious"))
 	if err := q.CloseWAL(); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := Recover[[]byte](cfg); err == nil {
-		t.Fatal("Recover without a codec accepted a valued directory")
+	if q, _, err := Open(cfg, Options[[]byte]{}); err == nil || q != nil {
+		t.Fatalf("Open without a codec accepted a valued directory (queue %v, err %v)", q, err)
+	}
+	r, st := mustOpen(t, cfg, Options[[]byte]{Codec: wal.BytesCodec{}})
+	if _, v, ok := r.TryExtractMax(); st.Live() != 1 || !ok || string(v) != "precious" {
+		t.Fatalf("after the refused Open the directory recovered %d keys, value %q", st.Live(), v)
+	}
+	if err := r.CloseWAL(); err != nil {
+		t.Fatal(err)
 	}
 }
 

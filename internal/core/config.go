@@ -148,11 +148,11 @@ type Config struct {
 	Faults *fault.Injector
 
 	// Durability, when non-nil with WAL set, makes the queue own a
-	// write-ahead log: New opens it in Durability.Dir, every mutation is
-	// logged (inserts before visibility, extracts after removal), SyncWAL
-	// is the acknowledgement point, and CloseWAL closes the log after the
-	// final drain. Recovery is core.Recover. nil keeps the queue purely
-	// in-memory with the hot paths at 0 allocs/op.
+	// write-ahead log: Open recovers what Durability.Dir holds and opens
+	// the log there, every mutation is logged (inserts before visibility,
+	// extracts after removal), SyncWAL is the acknowledgement point, and
+	// CloseWAL closes the log after the final drain. nil keeps the queue
+	// purely in-memory with the hot paths at 0 allocs/op.
 	Durability *DurabilityConfig
 
 	// WAL attaches an externally owned durability policy instead of a

@@ -8,12 +8,9 @@ import (
 	"repro/internal/fault"
 )
 
-// This file is the extraction-pool policy seam. The paper's §3.3 batch pool
-// — the only relaxation mechanism ZMSQ has — used to be inlined into the
-// Queue struct; it now lives behind the poolPolicy interface so composed
-// front-ends (internal/sharded) and future policies (per-NUMA pools,
-// priority-partitioned pools) can reuse or replace the refill/claim
-// protocol without touching the tree code.
+// This file is the extraction pool of §3.3 — the only relaxation mechanism
+// ZMSQ has. A nil pool (Config.Batch = 0) means the queue is strict: every
+// extraction goes through the root.
 //
 // The protocol split mirrors the two sides of Listing 2:
 //
@@ -27,43 +24,10 @@ import (
 // Everything else (occupancy, peek, forEach, check) is read-side plumbing
 // for Len/Empty/ForEach/PeekMax/CheckInvariants and for the sharded
 // front-end's drain/steal accounting.
-
-// poolPolicy is the extraction-pool seam: how claimable elements are handed
-// from the refilling extractor to concurrent consumers. A nil poolPolicy
-// (Config.Batch = 0) means the queue is strict — every extraction goes
-// through the root.
 //
-// Implementations must support: concurrent claim callers; one prepare/
-// publish caller at a time (the root lock serializes refills); and
-// read-side methods racing everything (they are best-effort snapshots,
-// exactly like Queue.Len).
-type poolPolicy[V any] interface {
-	// capacity is the maximum elements one refill may publish (Config.Batch).
-	capacity() int
-	// occupancy is the current number of unclaimed elements (<= 0 = empty).
-	occupancy() int64
-	// claim removes one element. rank is the element's rank-from-top at its
-	// refill instant (telemetry only — see Metrics.RankError); ok is false
-	// when the pool was observed empty.
-	claim() (key uint64, val V, rank int64, ok bool)
-	// prepare blocks until the n slots the next publish will overwrite have
-	// been released by lagging consumers ("wait for lagging consumers",
-	// Listing 2). The caller must hold the refill serialization (root lock).
-	prepare(n int)
-	// publish stores elems (ascending key order) into the slots prepared for
-	// and publishes the new occupancy. It clears elems' entries to drop
-	// payload references; the caller must not reuse their contents.
-	publish(elems []element[V])
-	// peek reports the largest unclaimed key, best-effort under concurrency
-	// and exact when quiescent.
-	peek() (uint64, bool)
-	// forEach visits unclaimed elements best-effort (see Queue.ForEach for
-	// the torn-read contract), returning false if f stopped the walk.
-	forEach(f func(key uint64, val V) bool) bool
-	// check validates the policy's structural invariants on a quiescent
-	// queue (CheckInvariants).
-	check() error
-}
+// Concurrency: any number of claim callers; one prepare/publish caller at a
+// time (the root lock serializes refills); and read-side methods racing
+// everything (they are best-effort snapshots, exactly like Queue.Len).
 
 // batchPool is the paper's batch extraction pool: a fixed array of
 // cache-line-padded slots claimed top-down by fetch-and-decrement, refilled
@@ -103,12 +67,14 @@ func newBatchPool[V any](batch int, faults *fault.Injector) *batchPool[V] {
 	}
 }
 
-func (p *batchPool[V]) capacity() int    { return len(p.slots) }
+// occupancy is the current number of unclaimed elements (<= 0 = empty).
 func (p *batchPool[V]) occupancy() int64 { return p.next.Load() }
 
 // claim takes one pool element with a fetch-and-decrement. A claim owns
 // slots[idx] exclusively until it clears the slot's full flag, which is
-// what licenses the next refiller to overwrite the slot.
+// what licenses the next refiller to overwrite the slot. rank is the
+// element's rank-from-top at its refill instant (telemetry only — see
+// Metrics.RankError); ok is false when the pool was observed empty.
 func (p *batchPool[V]) claim() (uint64, V, int64, bool) {
 	var zero V
 	if p.next.Load() <= 0 {
@@ -137,6 +103,9 @@ func (p *batchPool[V]) claim() (uint64, V, int64, bool) {
 	return k, v, rank, true
 }
 
+// prepare blocks until the n slots the next publish will overwrite have
+// been released by lagging consumers ("wait for lagging consumers",
+// Listing 2). The caller must hold the refill serialization (root lock).
 func (p *batchPool[V]) prepare(n int) {
 	for i := 0; i < n; i++ {
 		for p.slots[i].full.Load() != 0 {
@@ -145,6 +114,9 @@ func (p *batchPool[V]) prepare(n int) {
 	}
 }
 
+// publish stores elems (ascending key order) into the slots prepared for
+// and publishes the new occupancy. It clears elems' entries to drop
+// payload references; the caller must not reuse their contents.
 func (p *batchPool[V]) publish(elems []element[V]) {
 	n := len(elems)
 	for i := 0; i < n; i++ {
@@ -160,6 +132,8 @@ func (p *batchPool[V]) publish(elems []element[V]) {
 	p.next.Store(int64(n))
 }
 
+// peek reports the largest unclaimed key, best-effort under concurrency
+// and exact when quiescent.
 func (p *batchPool[V]) peek() (uint64, bool) {
 	idx := p.next.Load() - 1
 	if idx < 0 || idx >= int64(len(p.slots)) {
@@ -176,7 +150,8 @@ func (p *batchPool[V]) peek() (uint64, bool) {
 // refiller's full.Store(1) (release) until the claiming consumer's
 // full.Store(0), so the copy is taken between two acquire loads of the flag
 // and discarded if either load sees the slot released. See Queue.ForEach
-// for the residual best-effort window.
+// for the residual best-effort window. It returns false if f stopped the
+// walk.
 func (p *batchPool[V]) forEach(f func(key uint64, val V) bool) bool {
 	n := p.next.Load()
 	if n > int64(len(p.slots)) {
@@ -201,6 +176,8 @@ func (p *batchPool[V]) forEach(f func(key uint64, val V) bool) bool {
 	return true
 }
 
+// check validates the pool's structural invariants on a quiescent queue
+// (CheckInvariants).
 func (p *batchPool[V]) check() error {
 	n := p.next.Load()
 	if n > int64(len(p.slots)) {

@@ -17,7 +17,7 @@ func TestRefillWaitsForLaggingConsumer(t *testing.T) {
 	}
 	// Trigger a refill: the pool now holds `batch` elements.
 	q.TryExtractMax()
-	p := q.pool.(*batchPool[int])
+	p := q.pool
 	if p.next.Load() != int64(q.batch) {
 		t.Fatalf("pool next = %d after refill, want %d", p.next.Load(), q.batch)
 	}

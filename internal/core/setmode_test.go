@@ -1,6 +1,7 @@
 package core
 
 import (
+	"os"
 	"strings"
 	"testing"
 )
@@ -58,13 +59,15 @@ func TestSetModeSelectsImplementation(t *testing.T) {
 // TestSharedAllocDomain builds two queues over one domain and verifies (a)
 // cross-queue recycling: lnodes retired through one queue, once its
 // context's free stack spills them, serve the other queue's allocations
-// without a fresh one, and (b) mode-mismatched sharing is rejected.
+// without a fresh one, and (b) mode-mismatched sharing is refused with an
+// error and nothing left behind.
 func TestSharedAllocDomain(t *testing.T) {
 	cfg := Config{Batch: 4, TargetLen: 8}
 	ad := NewAllocDomain[int](cfg)
 	cfgA, cfgB := cfg, cfg
 	cfgA.Metrics, cfgB.Metrics = NewMetrics(), NewMetrics()
-	a, b := NewWithDomain[int](cfgA, ad), NewWithDomain[int](cfgB, ad)
+	a, _ := mustOpen(t, cfgA, Options[int]{Domain: ad})
+	b, _ := mustOpen(t, cfgB, Options[int]{Domain: ad})
 	if a.ad != ad || b.ad != ad {
 		t.Fatal("queue did not adopt the shared domain")
 	}
@@ -96,10 +99,14 @@ func TestSharedAllocDomain(t *testing.T) {
 		}
 	}
 
-	defer func() {
-		if recover() == nil {
-			t.Fatal("NewWithDomain accepted a mode-mismatched domain")
-		}
-	}()
-	NewWithDomain[int](Config{Batch: 4, TargetLen: 8, SetMode: SetModeArray}, ad)
+	// A mismatched domain is an error, found before anything is opened.
+	dir := t.TempDir()
+	bad := durableConfig(dir)
+	bad.SetMode = SetModeArray
+	if q, _, err := Open(bad, Options[int]{Domain: ad}); err == nil || q != nil {
+		t.Fatalf("Open accepted a mode-mismatched domain (queue %v, err %v)", q, err)
+	}
+	if ents, err := os.ReadDir(dir); err != nil || len(ents) != 0 {
+		t.Fatalf("refused Open left %d entries in the durability directory (%v)", len(ents), err)
+	}
 }

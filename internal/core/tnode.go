@@ -78,7 +78,7 @@ type alloc[V any] struct {
 // hazard record and a free stack of its own. The stack is a separate heap
 // object because the handle's reclaim callback points at it: were it a
 // field of the opCtx, the context would be reachable from itself and its
-// finalizer (see NewWithDomain) would never run.
+// finalizer (see Open) would never run.
 func newCtxAlloc[V any](ad *AllocDomain[V], met *Metrics, shard uint32) alloc[V] {
 	a := alloc[V]{ad: ad, met: met, shard: shard}
 	if ad.dom != nil {

@@ -11,8 +11,8 @@ import (
 // WALPolicy is the durability seam: the queue calls it on every mutation
 // and at sync points, and stays oblivious to how (or whether) the records
 // reach stable storage. *wal.Log is the real implementation; tests can
-// substitute recorders. Like the other construction-time policies
-// (poolPolicy, locks.Kind), the choice is made once in Config — a nil
+// substitute recorders. Like the other construction-time choices
+// (SetMode, locks.Kind), it is made once in Config — a nil
 // policy compiles every hot-path hook down to a single predictable
 // branch, which is what keeps the durability-off paths at 0 allocs/op.
 //
@@ -31,7 +31,7 @@ type WALPolicy interface {
 	// AppendInsertValue and AppendInsertBatchValues are the valued
 	// variants: each inserted key carries its payload's encoded bytes
 	// (wal record format v2). The queue calls them instead of the
-	// key-only appends when a Codec is attached (AttachCodec); val bytes
+	// key-only appends when the queue has a Codec (Options.Codec); val bytes
 	// are consumed before the call returns, so callers may reuse the
 	// backing buffer. A nil vals[i] logs an empty payload — the valued
 	// record kind is uniform per call, not per member.
@@ -49,10 +49,10 @@ type WALPolicy interface {
 	Close() error
 }
 
-// DurabilityConfig asks the queue to own its durability subsystem: New
-// opens a write-ahead log in Dir and the queue logs every mutation
-// through it. See Config.Durability and, for the protocol itself,
-// package repro/internal/wal.
+// DurabilityConfig asks the queue to own its durability subsystem: Open
+// recovers whatever Dir holds, opens a write-ahead log there and the
+// queue logs every mutation through it. See Config.Durability and, for
+// the protocol itself, package repro/internal/wal.
 type DurabilityConfig struct {
 	// WAL enables the write-ahead log. (The struct being non-nil does not
 	// by itself enable anything, so a config template can carry the
@@ -114,27 +114,18 @@ func (c Config) validateDurability() error {
 	return nil
 }
 
-// openWAL resolves the configured durability policy: the external
-// Config.WAL verbatim, or a queue-owned wal.Log opened from
-// Config.Durability. owned reports whether CloseWAL should close it.
-func (c Config) openWAL() (w WALPolicy, owned bool, err error) {
-	if c.WAL != nil {
-		return c.WAL, false, nil
+// WALOptions translates Config.Durability, which must have WAL set, into
+// the options of the log Open opens after recovery. Exported for the
+// sharded front-end, whose shards share one log opened the same way.
+func (c Config) WALOptions() wal.Options {
+	d := c.Durability
+	return wal.Options{
+		Dir:           d.Dir,
+		GroupCommit:   d.GroupCommit,
+		SnapshotBytes: d.SnapshotBytes,
+		Seed:          c.Seed,
+		Faults:        c.Faults,
 	}
-	if d := c.Durability; d != nil && d.WAL {
-		l, err := wal.Open(wal.Options{
-			Dir:           d.Dir,
-			GroupCommit:   d.GroupCommit,
-			SnapshotBytes: d.SnapshotBytes,
-			Seed:          c.Seed,
-			Faults:        c.Faults,
-		})
-		if err != nil {
-			return nil, false, err
-		}
-		return l, true, nil
-	}
-	return nil, false, nil
 }
 
 // SyncWAL makes every queue operation that returned before the call
@@ -163,33 +154,18 @@ func (q *Queue[V]) CloseWAL() error {
 	return q.wal.Sync()
 }
 
-// AttachWAL attaches w as the queue's durability policy, with owned
-// deciding whether CloseWAL closes it. It exists for recovery: the
-// rebuilt queue must re-insert the recovered keys WITHOUT logging them —
-// they are already in the log — so Recover builds the queue bare,
-// replays, and only then attaches. It must be called before the queue is
-// shared; attaching mid-traffic would split operations across the
+// AttachWAL attaches w as the queue's durability policy, un-owned:
+// CloseWAL syncs it and whoever built it closes it. It is the seam the
+// sharded front-end needs — its shards are built bare, take the recovered
+// elements WITHOUT logging them (they are already in the log), and only
+// then attach the one log they share. It must be called before the queue
+// is shared; attaching mid-traffic would split operations across the
 // attachment unsoundly.
-func (q *Queue[V]) AttachWAL(w WALPolicy, owned bool) {
+func (q *Queue[V]) AttachWAL(w WALPolicy) {
 	if q.wal != nil {
 		panic("zmsq: AttachWAL on a queue that already has a WAL")
 	}
 	q.wal = w
-	q.walOwned = owned
-}
-
-// AttachCodec attaches the payload codec the durability layer logs
-// values through: with a codec set, Insert and InsertBatch encode each
-// element's payload and log it alongside the key (wal record format
-// v2), and recovery hands the bytes back through Codec.Decode. Without
-// one the queue logs key-only v1 records and recovery restores zero
-// values — the original key-only protocol, bit-identical on disk.
-//
-// Like AttachWAL it must be called before the queue is shared (the
-// constructors NewDurableCodec/RecoverCodec do both). Config cannot
-// carry the codec because Config is not generic over V.
-func (q *Queue[V]) AttachCodec(c wal.Codec[V]) {
-	q.codec = c
 }
 
 // WALStats reports the underlying wal.Log's activity counters, when the
@@ -201,102 +177,18 @@ func (q *Queue[V]) WALStats() (wal.Stats, bool) {
 	return wal.Stats{}, false
 }
 
-// NewDurable is New for configurations with a durability subsystem: it
-// returns errors — invalid config or a failure opening the write-ahead
-// log — instead of panicking, which matters for serving tools pointed at
-// an operator-supplied directory.
-func NewDurable[V any](cfg Config) (*Queue[V], error) {
-	return NewDurableCodec[V](cfg, nil)
-}
-
-// NewDurableCodec is NewDurable with a payload codec attached: every
-// insert logs its value's encoded bytes alongside the key, so a later
-// RecoverCodec restores the payloads byte-exactly. A nil codec is
-// exactly NewDurable — key-only v1 records, zero values on recovery.
-func NewDurableCodec[V any](cfg Config, codec wal.Codec[V]) (*Queue[V], error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	w, owned, err := cfg.openWAL()
-	if err != nil {
-		return nil, err
-	}
-	bare := cfg
-	bare.Durability = nil
-	bare.WAL = nil
-	q := New[V](bare)
-	q.AttachCodec(codec)
-	if w != nil {
-		q.AttachWAL(w, owned)
-	}
-	return q, nil
-}
-
-// Recover rebuilds a durable queue from cfg.Durability.Dir: the durable
-// element multiset is recovered from the snapshot chain + log,
-// re-inserted, and the reopened log attached so new operations continue
-// the LSN sequence. Without a codec the payloads recover as zero values
-// (the key-only protocol; a directory holding v2 value records is
-// rejected rather than silently dropped — use RecoverCodec). The
-// recovered elements are deliberately NOT re-logged: they are already
-// in the log, and re-appending them would double-count on the next
-// recovery. cfg must have Durability.WAL set. The returned wal.State
-// describes what was recovered.
-func Recover[V any](cfg Config) (*Queue[V], *wal.State, error) {
-	return RecoverCodec[V](cfg, nil)
-}
-
-// RecoverCodec is Recover with a payload codec: each recovered
-// instance's logged bytes are decoded back into its V and re-inserted
-// with its key, so the rebuilt queue holds the same (key, value) pairs
-// the crashed one had durably acknowledged. Key-only instances (v1
-// records, or valued queues that logged before a codec existed) recover
-// as zero values. The codec is attached to the returned queue, so new
-// inserts keep logging values.
-func RecoverCodec[V any](cfg Config, codec wal.Codec[V]) (*Queue[V], *wal.State, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, nil, err
-	}
-	d := cfg.Durability
-	if d == nil || !d.WAL {
-		return nil, nil, errors.New("zmsq: Recover needs Config.Durability with WAL enabled")
-	}
-	st, err := wal.Recover(d.Dir)
-	if err != nil {
-		return nil, nil, err
-	}
-	vals, err := DecodeRecovered[V](st, codec)
-	if err != nil {
-		return nil, nil, err
-	}
-
-	bare := cfg
-	bare.Durability = nil
-	bare.WAL = nil
-	q := New[V](bare)
-	q.AttachCodec(codec)
-	q.InsertBatch(st.Keys, vals)
-
-	l, _, err := cfg.openWAL()
-	if err != nil {
-		return nil, nil, err
-	}
-	q.AttachWAL(l, true)
-	return q, st, nil
-}
-
 // DecodeRecovered turns a recovered state's raw payload bytes into the
 // value slice InsertBatch wants, aligned with State.Keys. nil
 // State.Vals (a key-only directory) yields nil — zero values, the v1
 // behavior. Payload bytes without a codec are an error: recovery must
 // not silently discard durably acknowledged data. Exported for the
-// recovery paths that wrap this package (sharded.RecoverCodec).
+// one recovery path that wraps this package (sharded.Open).
 func DecodeRecovered[V any](st *wal.State, codec wal.Codec[V]) ([]V, error) {
 	if st.Vals == nil {
 		return nil, nil
 	}
 	if codec == nil {
-		return nil, errors.New("zmsq: recovered state carries value payloads but no codec is configured; use RecoverCodec")
+		return nil, errors.New("zmsq: recovered state carries value payloads but no codec is configured; set Options.Codec")
 	}
 	vals := make([]V, len(st.Keys))
 	for i, b := range st.Vals {

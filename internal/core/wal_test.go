@@ -5,12 +5,24 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/wal"
 )
 
 func durableConfig(dir string) Config {
 	cfg := DefaultConfig()
 	cfg.Durability = &DurabilityConfig{WAL: true, Dir: dir, GroupCommit: time.Millisecond}
 	return cfg
+}
+
+// mustOpen is Open for tests that expect it to succeed.
+func mustOpen[V any](t *testing.T, cfg Config, opts Options[V]) (*Queue[V], *wal.State) {
+	t.Helper()
+	q, st, err := Open(cfg, opts)
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	return q, st
 }
 
 // drainKeysSorted drains q and returns the keys sorted ascending.
@@ -45,10 +57,7 @@ func TestDurableRoundTrip(t *testing.T) {
 	// All 64 inserts and 16 extracts were synced: recovery must land on
 	// exactly the surviving 48. Which 48 depends on relaxation, so check
 	// the multiset against what the first queue would still hold.
-	r, st, err := Recover[int](cfg)
-	if err != nil {
-		t.Fatalf("Recover: %v", err)
-	}
+	r, st := mustOpen(t, cfg, Options[int]{})
 	if st.Live() != 48 {
 		t.Fatalf("recovered %d live keys, want 48 (state %+v)", st.Live(), st)
 	}
@@ -83,10 +92,7 @@ func TestDurableBatchPaths(t *testing.T) {
 	if err := q.CloseWAL(); err != nil {
 		t.Fatalf("CloseWAL: %v", err)
 	}
-	r, st, err := Recover[int](cfg)
-	if err != nil {
-		t.Fatalf("Recover: %v", err)
-	}
+	r, st := mustOpen(t, cfg, Options[int]{})
 	if st.Live() != 70 {
 		t.Fatalf("recovered %d live keys after batch ops, want 70", st.Live())
 	}
@@ -98,8 +104,8 @@ func TestDurableBatchPaths(t *testing.T) {
 	}
 }
 
-// TestRecoverDoesNotRelog recovers twice: if the rebuild re-logged the
-// recovered keys, the second recovery would double-count them.
+// TestRecoverDoesNotRelog reopens three times: if the rebuild re-logged
+// the recovered keys, the next Open would double-count them.
 func TestRecoverDoesNotRelog(t *testing.T) {
 	dir := t.TempDir()
 	cfg := durableConfig(dir)
@@ -110,10 +116,7 @@ func TestRecoverDoesNotRelog(t *testing.T) {
 		t.Fatal(err)
 	}
 	for round := 0; round < 3; round++ {
-		r, st, err := Recover[int](cfg)
-		if err != nil {
-			t.Fatalf("round %d: %v", round, err)
-		}
+		r, st := mustOpen(t, cfg, Options[int]{})
 		if st.Live() != 2 {
 			t.Fatalf("round %d recovered %d keys, want 2 (recovered keys were re-logged?)", round, st.Live())
 		}
@@ -243,5 +246,5 @@ func TestAttachWALPanicsWhenAlreadyAttached(t *testing.T) {
 			t.Fatal("AttachWAL on an already-durable queue did not panic")
 		}
 	}()
-	q.AttachWAL(newWALRecorder(), false)
+	q.AttachWAL(newWALRecorder())
 }

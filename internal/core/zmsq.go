@@ -32,9 +32,9 @@ type Queue[V any] struct {
 	leafLevel atomic.Int32
 	growMu    sync.Mutex
 
-	// pool is the extraction-pool policy (§3.3, see pool.go). nil iff
+	// pool is the extraction pool (§3.3, see pool.go). nil iff
 	// Config.Batch == 0, in which case every extraction is strict.
-	pool poolPolicy[V]
+	pool *batchPool[V]
 
 	ring   *waitring.Ring  // non-nil iff cfg.Blocking
 	ad     *AllocDomain[V] // set-node reclamation seam (possibly shared)
@@ -47,7 +47,7 @@ type Queue[V any] struct {
 	// only syncs it (Config.WAL, externally owned).
 	wal      WALPolicy
 	walOwned bool
-	// codec encodes payloads for valued WAL records (AttachCodec); nil
+	// codec encodes payloads for valued WAL records (Options.Codec); nil
 	// keeps the log key-only. Checked only inside q.wal != nil branches,
 	// so codec-off costs nothing on the hot paths.
 	codec wal.Codec[V]
@@ -60,33 +60,80 @@ type Queue[V any] struct {
 	helperMoves atomic.Int64
 }
 
-// New returns an empty queue configured by cfg. It panics with a
-// descriptive error if cfg is invalid; callers building configs from
-// external input should call Config.Validate first. See Config and
-// DefaultConfig.
-func New[V any](cfg Config) *Queue[V] {
-	return NewWithDomain[V](cfg, nil)
+// Options carries the two construction inputs Config cannot: both are
+// generic over the payload type V. The zero value is a private allocation
+// domain and key-only logging.
+type Options[V any] struct {
+	// Domain, when non-nil, is the allocation domain the queue's set nodes
+	// recycle through. Handing the same domain to several queues pools their
+	// recycled nodes, hazard handles and (leaky mode) node cache — the
+	// sharded front-end builds S shards over one domain this way. It must
+	// have been built (NewAllocDomain) from a config with the same set mode
+	// and leak setting. nil builds a private domain.
+	Domain *AllocDomain[V]
+	// Codec, when non-nil, encodes payloads for the durability layer: Insert
+	// and InsertBatch log each element's encoded value alongside its key (wal
+	// record format v2) and Open decodes recovered payloads back through it.
+	// nil logs key-only v1 records — bit-identical on disk to the pre-payload
+	// format — and recovers zero values.
+	Codec wal.Codec[V]
 }
 
-// NewWithDomain returns an empty queue configured by cfg whose set-node
-// reclamation runs through ad. Passing the same domain to several queues
-// pools their recycled nodes, hazard handles and (leaky mode) node cache —
-// the sharded front-end builds S shards over one domain this way. ad must
-// have been built (NewAllocDomain) from a config with the same set mode
-// and leak setting, or NewWithDomain panics. A nil ad builds a private
-// domain, making NewWithDomain(cfg, nil) identical to New(cfg).
-//
-// With Config.Durability set, opening the write-ahead log can fail for
-// I/O reasons no Validate call can foresee; NewWithDomain panics on
-// those too. Callers that want the error instead should use NewDurable.
-func NewWithDomain[V any](cfg Config, ad *AllocDomain[V]) *Queue[V] {
-	if err := cfg.Validate(); err != nil {
-		panic(err)
-	}
-	w, owned, err := cfg.openWAL()
+// New returns an empty queue configured by cfg — Open with default Options,
+// the recovered state dropped, and any error a panic. Callers building
+// configs from external input, or pointing Config.Durability at a directory
+// someone else supplied, should call Open. See Config and DefaultConfig.
+func New[V any](cfg Config) *Queue[V] {
+	q, _, err := Open(cfg, Options[V]{})
 	if err != nil {
 		panic(err)
 	}
+	return q
+}
+
+// Open is the one way to build a queue. Without durability in cfg the queue
+// is volatile and the returned state is nil; an external Config.WAL policy is
+// attached un-owned. With Config.Durability.WAL set, Open always recovers:
+// the durable element multiset is read back from the directory's snapshot
+// chain + log (a missing or empty directory recovers to an empty state),
+// decoded through opts.Codec, re-inserted, and only then is the reopened log
+// attached — the recovered elements are already in the log, and re-appending
+// them would double-count on the next Open. The returned wal.State says what
+// was recovered; State.Live() == 0 is a fresh queue. A directory holding
+// value payloads is rejected without a codec rather than silently stripped.
+//
+// Everything that can fail — validation, a domain whose mode does not match
+// cfg, recovery, decoding, opening the log — runs before the queue is built,
+// so an error leaves no queue, goroutine or open file behind.
+func Open[V any](cfg Config, opts Options[V]) (*Queue[V], *wal.State, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, nil, err
+	}
+	if opts.Domain != nil {
+		if err := opts.Domain.Compatible(cfg); err != nil {
+			return nil, nil, err
+		}
+	}
+	var (
+		st   *wal.State
+		vals []V
+		w    = cfg.WAL
+	)
+	if d := cfg.Durability; d != nil && d.WAL {
+		var err error
+		if st, err = wal.Recover(d.Dir); err != nil {
+			return nil, nil, err
+		}
+		if vals, err = DecodeRecovered(st, opts.Codec); err != nil {
+			return nil, nil, err
+		}
+		l, err := wal.Open(cfg.WALOptions())
+		if err != nil {
+			return nil, nil, err
+		}
+		w = l
+	}
+
 	cfg = cfg.withDefaults()
 	q := &Queue[V]{
 		cfg:       cfg,
@@ -95,15 +142,11 @@ func NewWithDomain[V any](cfg Config, ad *AllocDomain[V]) *Queue[V] {
 		useTry:    !cfg.NoTryLock,
 		faults:    cfg.Faults,
 		met:       cfg.Metrics,
-		wal:       w,
-		walOwned:  owned,
+		codec:     opts.Codec,
 	}
-	if ad == nil {
-		ad = NewAllocDomain[V](cfg)
-	} else if err := ad.compatible(cfg); err != nil {
-		panic(err)
+	if q.ad = opts.Domain; q.ad == nil {
+		q.ad = NewAllocDomain[V](cfg)
 	}
-	q.ad = ad
 	q.levels[0] = q.newLevel(1)
 	if cfg.Batch > 0 {
 		q.pool = newBatchPool[V](cfg.Batch, cfg.Faults)
@@ -148,10 +191,14 @@ func NewWithDomain[V any](cfg Config, ad *AllocDomain[V]) *Queue[V] {
 		}
 		return c
 	}
+	if st != nil {
+		q.InsertBatch(st.Keys, vals) // bare: the log already holds these
+	}
+	q.wal, q.walOwned = w, st != nil // a log Open opened is the queue's to close
 	if cfg.Helper {
 		go q.helperLoop(cfg.HelperInterval)
 	}
-	return q
+	return q, st, nil
 }
 
 func (q *Queue[V]) newLevel(n int) []tnode[V] {

@@ -27,8 +27,8 @@ func NewZMSQ(cfg core.Config) *ZMSQ {
 }
 
 // WrapZMSQ adapts an existing queue under the given display name — for
-// queues whose construction New can't do, like one rebuilt by
-// core.Recover or opened by core.NewDurable.
+// queues built by core.Open, whose error and recovered state the caller
+// wants to see.
 func WrapZMSQ(q *core.Queue[struct{}], name string) *ZMSQ {
 	return &ZMSQ{Q: q, n: name}
 }

@@ -123,7 +123,7 @@ func RunChaos(plan ChaosPlan) (ChaosResult, error) {
 	cfg.Seed = plan.Seed
 	cfg.Faults = inj
 	cfg.Durability = plan.durability()
-	q, err := core.NewDurable[struct{}](cfg)
+	q, _, err := core.Open(cfg, core.Options[struct{}]{})
 	if err != nil {
 		return ChaosResult{Name: VariantName(cfg)}, err
 	}
@@ -291,7 +291,7 @@ func RunChaosSharded(plan ChaosPlan, shards int) (ChaosResult, error) {
 	cfg.Seed = plan.Seed
 	cfg.Faults = inj
 	cfg.Durability = plan.durability()
-	q, err := sharded.NewDurable[struct{}](sharded.Config{Shards: shards, Queue: cfg})
+	q, _, err := sharded.Open(sharded.Config{Shards: shards, Queue: cfg}, core.Options[struct{}]{})
 	if err != nil {
 		return ChaosResult{Name: name}, err
 	}

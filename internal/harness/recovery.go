@@ -261,17 +261,18 @@ func RunRecovery(plan RecoveryPlan) (RecoveryResult, error) {
 		valueFor = func(key uint64) []byte { return RecoveryValueFor(key, n) }
 		codec = wal.BytesCodec{}
 	}
+	opts := core.Options[[]byte]{Codec: codec}
 	var q recoveryTarget
 	if plan.Shards > 1 {
-		sq := sharded.New[[]byte](sharded.Config{Shards: plan.Shards, Queue: cfg})
-		sq.AttachCodec(codec)
-		q = sq
+		q, _, err = sharded.Open(sharded.Config{Shards: plan.Shards, Queue: cfg}, opts)
 		res.Name = fmt.Sprintf("sharded(%d)", plan.Shards)
 	} else {
-		cq := core.New[[]byte](cfg)
-		cq.AttachCodec(codec)
-		q = cq
+		q, _, err = core.Open(cfg, opts)
 		res.Name = VariantName(cfg)
+	}
+	if err != nil {
+		_ = log.Close()
+		return res, err
 	}
 	defer q.Close()
 
@@ -423,9 +424,9 @@ func RunRecovery(plan RecoveryPlan) (RecoveryResult, error) {
 		st *wal.State
 	)
 	if plan.Shards > 1 {
-		rq, st, err = sharded.RecoverCodec[[]byte](sharded.Config{Shards: plan.Shards, Queue: rcfg}, codec)
+		rq, st, err = sharded.Open(sharded.Config{Shards: plan.Shards, Queue: rcfg}, opts)
 	} else {
-		rq, st, err = core.RecoverCodec[[]byte](rcfg, codec)
+		rq, st, err = core.Open(rcfg, opts)
 	}
 	if err != nil {
 		return res, fmt.Errorf("recovery(%s/%s): %w", res.Name, res.Kind, err)

@@ -24,8 +24,8 @@ func NewSharded(cfg sharded.Config) *Sharded {
 	return &Sharded{Q: sharded.New[struct{}](cfg), n: "zmsq-sharded"}
 }
 
-// WrapSharded adapts an existing sharded queue (e.g. one rebuilt by
-// sharded.Recover) under the given display name.
+// WrapSharded adapts an existing sharded queue (e.g. one built by
+// sharded.Open) under the given display name.
 func WrapSharded(q *sharded.Queue[struct{}], name string) *Sharded {
 	return &Sharded{Q: q, n: name}
 }

@@ -33,57 +33,6 @@ type Recorder struct {
 // Add appends a row.
 func (r *Recorder) Add(row Row) { r.rows = append(r.rows, row) }
 
-// AddThroughput flattens a ThroughputResult.
-func (r *Recorder) AddThroughput(experiment string, res ThroughputResult) {
-	r.Add(Row{
-		Experiment: experiment,
-		Queue:      res.Queue,
-		Labels: map[string]string{
-			"threads": strconv.Itoa(res.Spec.Threads),
-			"mix":     strconv.Itoa(int(res.Spec.InsertPct)),
-			"keys":    res.Spec.Keys.String(),
-		},
-		Metrics: map[string]float64{
-			"Mops/s":        res.OpsPerSec() / 1e6,
-			"failedExtract": float64(res.FailedExt),
-		},
-	})
-}
-
-// AddAccuracy flattens an AccuracyResult.
-func (r *Recorder) AddAccuracy(experiment string, res AccuracyResult) {
-	r.Add(Row{
-		Experiment: experiment,
-		Queue:      res.Queue,
-		Labels: map[string]string{
-			"size":     strconv.Itoa(res.Spec.QueueSize),
-			"extracts": strconv.Itoa(res.Spec.Extracts),
-		},
-		Metrics: map[string]float64{
-			"hit%":     100 * res.HitRate(),
-			"failures": float64(res.Failures),
-		},
-	})
-}
-
-// AddHandoff flattens a HandoffResult.
-func (r *Recorder) AddHandoff(experiment string, res HandoffResult) {
-	r.Add(Row{
-		Experiment: experiment,
-		Queue:      res.Queue,
-		Labels: map[string]string{
-			"mode":      res.Mode,
-			"producers": strconv.Itoa(res.Spec.Producers),
-			"consumers": strconv.Itoa(res.Spec.Consumers),
-		},
-		Metrics: map[string]float64{
-			"ns/handoff": float64(res.Elapsed.Nanoseconds()) / float64(max(res.Spec.TotalItems, 1)),
-			"meanLatNs":  float64(res.MeanLatency.Nanoseconds()),
-			"cpuSec":     res.CPUSeconds,
-		},
-	})
-}
-
 // Rows returns the accumulated rows.
 func (r *Recorder) Rows() []Row { return r.rows }
 

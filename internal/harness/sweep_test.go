@@ -10,25 +10,15 @@ import (
 
 func sampleRecorder() *Recorder {
 	var r Recorder
-	r.AddThroughput("fig5a", ThroughputResult{
-		Spec:    ThroughputSpec{Threads: 4, TotalOps: 1000, InsertPct: 100, Keys: Uniform20},
-		Queue:   "zmsq",
-		Elapsed: time.Second,
-		Ops:     1000,
-	})
-	r.AddAccuracy("table1a", AccuracyResult{
-		Spec:  AccuracySpec{QueueSize: 1024, Extracts: 102},
-		Queue: "spraylist",
-		Hits:  51,
-	})
-	r.AddHandoff("fig4", HandoffResult{
-		Spec:        HandoffSpec{Producers: 4, Consumers: 8, TotalItems: 100},
-		Queue:       "zmsq",
-		Mode:        "block",
-		Elapsed:     time.Millisecond,
-		MeanLatency: time.Microsecond,
-		CPUSeconds:  0.5,
-	})
+	r.Add(Row{Experiment: "fig5a", Queue: "zmsq",
+		Labels:  map[string]string{"threads": "4", "mix": "100", "keys": "uniform20"},
+		Metrics: map[string]float64{"Mops/s": 0.001, "failedExtract": 0}})
+	r.Add(Row{Experiment: "table1a", Queue: "spraylist",
+		Labels:  map[string]string{"size": "1024", "extracts": "102"},
+		Metrics: map[string]float64{"hit%": 50, "failures": 0}})
+	r.Add(Row{Experiment: "fig4", Queue: "zmsq",
+		Labels:  map[string]string{"mode": "block", "producers": "4", "consumers": "8"},
+		Metrics: map[string]float64{"ns/handoff": 10000, "meanLatNs": 1000, "cpuSec": 0.5}})
 	return &r
 }
 

@@ -128,7 +128,7 @@ type RecoveredTenant struct {
 }
 
 // New builds the server: one shared allocation domain, then one
-// sharded.Queue per tenant over it. With cfg.WALDir set, tenants with
+// sharded.Open per tenant over it. With cfg.WALDir set, tenants with
 // existing state recover it (the returned RecoveredTenant list says who
 // and how much) and all tenants log from the first insert on.
 func New(cfg Config) (*Server, []RecoveredTenant, error) {
@@ -163,30 +163,21 @@ func New(cfg Config) (*Server, []RecoveredTenant, error) {
 		if len(name) == 0 || s.tenants[name] != nil {
 			return nil, nil, fmt.Errorf("server: empty or duplicate tenant %q", name)
 		}
-		t := &tenant{name: name}
-		if cfg.WALDir == "" {
-			t.q = sharded.NewWithDomain[[]byte](cfg.Queue, ad)
-		} else {
-			t.durable = true
-			qcfg := cfg.Queue
-			dir := filepath.Join(cfg.WALDir, name)
+		t := &tenant{name: name, durable: cfg.WALDir != ""}
+		qcfg := cfg.Queue
+		if t.durable {
 			qcfg.Queue.Durability = &core.DurabilityConfig{
-				WAL: true, Dir: dir, GroupCommit: wal.DefaultGroupCommit,
+				WAL: true, Dir: filepath.Join(cfg.WALDir, name), GroupCommit: wal.DefaultGroupCommit,
 				SnapshotBytes: cfg.WALSnapshotBytes,
 			}
-			var err error
-			if wal.Exists(dir) {
-				var st *wal.State
-				t.q, st, err = sharded.RecoverWithDomainCodec[[]byte](qcfg, ad, wal.BytesCodec{})
-				if err == nil {
-					recovered = append(recovered, RecoveredTenant{Tenant: name, Live: st.Live()})
-				}
-			} else {
-				t.q, err = sharded.NewDurableWithDomainCodec[[]byte](qcfg, ad, wal.BytesCodec{})
-			}
-			if err != nil {
-				return nil, nil, fmt.Errorf("server: tenant %q: %w", name, err)
-			}
+		}
+		q, st, err := sharded.Open(qcfg, core.Options[[]byte]{Domain: ad, Codec: wal.BytesCodec{}})
+		if err != nil {
+			return nil, nil, fmt.Errorf("server: tenant %q: %w", name, err)
+		}
+		t.q = q
+		if st != nil && st.NextLSN > 1 { // the directory has been logged to before
+			recovered = append(recovered, RecoveredTenant{Tenant: name, Live: st.Live()})
 		}
 		s.tenants[name] = t
 		s.order = append(s.order, name)

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/wal"
@@ -16,19 +15,13 @@ func valueFor(key uint64) []byte {
 }
 
 // TestDurableShardedCodecRoundTrip drives concurrent value-bearing
-// inserts through the sharded front-end and checks RecoverCodec restores
+// inserts through the sharded front-end and checks reopening restores
 // every surviving payload byte-exactly. All shards share one log, so the
 // values interleave in a single LSN space.
 func TestDurableShardedCodecRoundTrip(t *testing.T) {
-	dir := t.TempDir()
-	qcfg := core.DefaultConfig()
-	qcfg.Durability = &core.DurabilityConfig{WAL: true, Dir: dir, GroupCommit: time.Millisecond}
-	cfg := Config{Shards: 4, Queue: qcfg}
-
-	q, err := NewDurableCodec[[]byte](cfg, wal.BytesCodec{})
-	if err != nil {
-		t.Fatalf("NewDurableCodec: %v", err)
-	}
+	cfg := durableConfig(4, t.TempDir())
+	opts := core.Options[[]byte]{Codec: wal.BytesCodec{}}
+	q, _ := mustOpen(t, cfg, opts)
 	const producers, perProducer = 4, 200
 	var wg sync.WaitGroup
 	for p := 0; p < producers; p++ {
@@ -60,10 +53,7 @@ func TestDurableShardedCodecRoundTrip(t *testing.T) {
 		t.Fatalf("CloseWAL: %v", err)
 	}
 
-	r, st, err := RecoverCodec[[]byte](cfg, wal.BytesCodec{})
-	if err != nil {
-		t.Fatalf("RecoverCodec: %v", err)
-	}
+	r, st := mustOpen(t, cfg, opts)
 	wantLive := producers*perProducer - len(extracted)
 	if st.Live() != wantLive {
 		t.Fatalf("recovered %d live keys, want %d", st.Live(), wantLive)

@@ -1,9 +1,9 @@
 package sharded
 
 import (
+	"os"
 	"path/filepath"
 	"testing"
-	"time"
 
 	"repro/internal/core"
 )
@@ -18,7 +18,7 @@ func TestSharedDomainAcrossQueues(t *testing.T) {
 	const tenants, keys = 3, 500
 	qs := make([]*Queue[int], tenants)
 	for i := range qs {
-		qs[i] = NewWithDomain[int](Config{Shards: 2, Queue: qcfg}, ad)
+		qs[i], _ = mustOpen(t, Config{Shards: 2, Queue: qcfg}, core.Options[int]{Domain: ad})
 	}
 	for i, q := range qs {
 		for k := 1; k <= keys; k++ {
@@ -42,22 +42,24 @@ func TestSharedDomainAcrossQueues(t *testing.T) {
 }
 
 // TestSharedDomainModeMismatch pins the compatibility contract: a domain
-// built for one set mode must refuse a tenant of the other.
+// built for one set mode must refuse a tenant of the other — with an
+// error, before the tenant's durability directory is touched.
 func TestSharedDomainModeMismatch(t *testing.T) {
 	for _, tc := range []struct{ domain, tenant core.SetMode }{
 		{core.SetModeList, core.SetModeArray},
 		{core.SetModeArray, core.SetModeList},
 	} {
 		t.Run(tc.domain.String()+"-domain", func(t *testing.T) {
-			dcfg, tcfg := core.DefaultConfig(), core.DefaultConfig()
-			dcfg.SetMode, tcfg.SetMode = tc.domain, tc.tenant
+			dir := t.TempDir()
+			dcfg, tcfg := core.DefaultConfig(), durableConfig(2, dir)
+			dcfg.SetMode, tcfg.Queue.SetMode = tc.domain, tc.tenant
 			ad := core.NewAllocDomain[int](dcfg)
-			defer func() {
-				if recover() == nil {
-					t.Fatalf("NewWithDomain accepted a %v tenant on a %v domain", tc.tenant, tc.domain)
-				}
-			}()
-			NewWithDomain[int](Config{Shards: 2, Queue: tcfg}, ad)
+			if q, _, err := Open(tcfg, core.Options[int]{Domain: ad}); err == nil || q != nil {
+				t.Fatalf("Open accepted a %v tenant on a %v domain (queue %v, err %v)", tc.tenant, tc.domain, q, err)
+			}
+			if ents, err := os.ReadDir(dir); err != nil || len(ents) != 0 {
+				t.Fatalf("refused Open left %d entries in the durability directory (%v)", len(ents), err)
+			}
 		})
 	}
 }
@@ -67,21 +69,12 @@ func TestSharedDomainModeMismatch(t *testing.T) {
 // both over a fresh shared domain, and check per-tenant conservation.
 func TestDurableSharedDomainRoundTrip(t *testing.T) {
 	root := t.TempDir()
-	mkcfg := func(tenant string) Config {
-		qcfg := core.DefaultConfig()
-		qcfg.Durability = &core.DurabilityConfig{
-			WAL: true, Dir: filepath.Join(root, tenant), GroupCommit: time.Millisecond,
-		}
-		return Config{Shards: 2, Queue: qcfg}
-	}
+	mkcfg := func(tenant string) Config { return durableConfig(2, filepath.Join(root, tenant)) }
 	ad := core.NewAllocDomain[struct{}](core.DefaultConfig())
 
 	tenants := []string{"alpha", "beta"}
 	for ti, name := range tenants {
-		q, err := NewDurableWithDomain[struct{}](mkcfg(name), ad)
-		if err != nil {
-			t.Fatalf("NewDurableWithDomain(%s): %v", name, err)
-		}
+		q, _ := mustOpen(t, mkcfg(name), core.Options[struct{}]{Domain: ad})
 		for k := 1; k <= 100*(ti+1); k++ {
 			q.Insert(uint64(k), struct{}{})
 		}
@@ -98,10 +91,7 @@ func TestDurableSharedDomainRoundTrip(t *testing.T) {
 
 	rd := core.NewAllocDomain[struct{}](core.DefaultConfig())
 	for ti, name := range tenants {
-		q, st, err := RecoverWithDomain[struct{}](mkcfg(name), rd)
-		if err != nil {
-			t.Fatalf("RecoverWithDomain(%s): %v", name, err)
-		}
+		q, st := mustOpen(t, mkcfg(name), core.Options[struct{}]{Domain: rd})
 		want := 100*(ti+1) - 1
 		if st.Live() != want {
 			t.Fatalf("tenant %s: recovered %d live keys, want %d", name, st.Live(), want)

@@ -41,6 +41,7 @@ import (
 	"sync/atomic"
 
 	"repro/internal/core"
+	"repro/internal/wal"
 	"repro/internal/xrand"
 )
 
@@ -130,50 +131,79 @@ type opCtx struct {
 	ops  uint32
 }
 
-// New returns an empty sharded queue configured by cfg. Like core.New it
-// panics on an invalid configuration; callers with external input should
-// run Config.Validate first.
-func New[V any](cfg Config) *Queue[V] { return NewWithDomain[V](cfg, nil) }
-
-// NewWithDomain is New with an explicit allocation domain: every shard of
-// the returned queue — and, when multiple queues are built over the same
-// domain, every shard of every such queue — shares ad's hazard-pointer
-// domain, freelist, and node caches. This is how a multi-tenant server
-// keeps N tenant queues on one memory-reclamation substrate instead of N
-// (see internal/server). A nil ad builds a private domain (== New).
-// Panics if ad's mode (set mode, leakiness) does not match cfg.Queue —
-// the same compatibility contract as core.NewWithDomain.
-func NewWithDomain[V any](cfg Config, ad *core.AllocDomain[V]) *Queue[V] {
-	if err := cfg.Validate(); err != nil {
+// New returns an empty sharded queue configured by cfg — Open with default
+// Options, the recovered state dropped, and any error a panic. Callers with
+// external input, or a durability directory someone else supplied, should
+// call Open.
+func New[V any](cfg Config) *Queue[V] {
+	q, _, err := Open(cfg, core.Options[V]{})
+	if err != nil {
 		panic(err)
+	}
+	return q
+}
+
+// Open is the one way to build a sharded queue; it takes the same Options
+// as core.Open and makes the same promises. Every shard of the returned
+// queue — and, when several queues are opened over one Options.Domain,
+// every shard of every such queue — shares one hazard-pointer domain,
+// freelist and node cache; this is how a multi-tenant server keeps N tenant
+// queues on one memory-reclamation substrate instead of N (see
+// internal/server). Without durability in cfg.Queue the queue is volatile
+// and the returned state is nil; an external cfg.Queue.WAL policy is shared
+// by every shard un-owned. With cfg.Queue.Durability.WAL set, Open always
+// recovers: the durable multiset is read back, decoded through opts.Codec
+// and re-inserted bare before the one log all shards share is attached (see
+// wal.go). Everything that can fail runs before the first shard is built.
+func Open[V any](cfg Config, opts core.Options[V]) (*Queue[V], *wal.State, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, nil, err
 	}
 	if cfg.Shards == 0 {
 		cfg.Shards = DefaultShards()
 	}
-	metricsOn := cfg.Queue.Metrics != nil
-	w, owned, err := openSharedWAL(cfg)
-	if err != nil {
-		panic(err)
+	if opts.Domain != nil {
+		if err := opts.Domain.Compatible(cfg.Queue); err != nil {
+			return nil, nil, err
+		}
 	}
-	if ad == nil {
-		ad = core.NewAllocDomain[V](cfg.Queue)
+	var (
+		st   *wal.State
+		vals []V
+		w    = cfg.Queue.WAL
+	)
+	if d := cfg.Queue.Durability; d != nil && d.WAL {
+		var err error
+		if st, err = wal.Recover(d.Dir); err != nil {
+			return nil, nil, err
+		}
+		if vals, err = core.DecodeRecovered(st, opts.Codec); err != nil {
+			return nil, nil, err
+		}
+		l, err := wal.Open(cfg.Queue.WALOptions())
+		if err != nil {
+			return nil, nil, err
+		}
+		w = l
+	}
+
+	if opts.Domain == nil {
+		opts.Domain = core.NewAllocDomain[V](cfg.Queue)
 	}
 	q := &Queue[V]{
-		shards:   make([]shardSlot[V], cfg.Shards),
-		cfg:      cfg,
-		ad:       ad,
-		wal:      w,
-		walOwned: owned,
+		shards: make([]shardSlot[V], cfg.Shards),
+		cfg:    cfg,
+		ad:     opts.Domain,
 	}
 	for i := range q.shards {
 		scfg := cfg.Queue
 		// Decorrelate the shards' insert-path RNG streams.
 		scfg.Seed = cfg.Queue.Seed + uint64(i+1)*0x9e3779b97f4a7c15
-		// All shards log through ONE shared policy (single LSN space);
-		// the shard-level queues never own it.
+		// The shards are built bare: they log through ONE shared policy
+		// (single LSN space), attached below and never owned by a shard.
 		scfg.Durability = nil
-		scfg.WAL = w
-		if metricsOn {
+		scfg.WAL = nil
+		if cfg.Queue.Metrics != nil {
 			if i == 0 {
 				// Shard 0 keeps the caller's Metrics so an externally held
 				// pointer still observes traffic (and the shared domain's
@@ -184,10 +214,25 @@ func NewWithDomain[V any](cfg Config, ad *core.AllocDomain[V]) *Queue[V] {
 			}
 			scfg.Metrics = q.shards[i].met
 		}
-		q.shards[i].q = core.NewWithDomain[V](scfg, ad)
+		sq, _, err := core.Open(scfg, opts)
+		if err != nil {
+			// Unreachable: cfg.Queue and the domain were checked above, and a
+			// bare shard opens nothing.
+			panic(err)
+		}
+		q.shards[i].q = sq
 	}
 	q.ctxs.New = func() any { return q.newCtx() }
-	return q
+	if st != nil {
+		q.InsertBatch(st.Keys, vals) // bare: the log already holds these
+	}
+	if w != nil {
+		for i := range q.shards {
+			q.shards[i].q.AttachWAL(w)
+		}
+		q.wal, q.walOwned = w, st != nil // a log Open opened is the queue's to close
+	}
+	return q, st, nil
 }
 
 // newCtx makes a context homed on the next shard in turn.

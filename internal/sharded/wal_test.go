@@ -7,13 +7,28 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/wal"
 )
 
-func TestDurableShardedRoundTrip(t *testing.T) {
-	dir := t.TempDir()
+// mustOpen is Open for tests that expect it to succeed.
+func mustOpen[V any](t *testing.T, cfg Config, opts core.Options[V]) (*Queue[V], *wal.State) {
+	t.Helper()
+	q, st, err := Open(cfg, opts)
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	return q, st
+}
+
+// durableConfig is an S-shard queue logging to dir.
+func durableConfig(shards int, dir string) Config {
 	qcfg := core.DefaultConfig()
 	qcfg.Durability = &core.DurabilityConfig{WAL: true, Dir: dir, GroupCommit: time.Millisecond}
-	cfg := Config{Shards: 4, Queue: qcfg}
+	return Config{Shards: shards, Queue: qcfg}
+}
+
+func TestDurableShardedRoundTrip(t *testing.T) {
+	cfg := durableConfig(4, t.TempDir())
 
 	q := New[int](cfg)
 	const producers, perProducer = 4, 400
@@ -46,10 +61,7 @@ func TestDurableShardedRoundTrip(t *testing.T) {
 		t.Fatalf("CloseWAL: %v", err)
 	}
 
-	r, st, err := Recover[int](cfg)
-	if err != nil {
-		t.Fatalf("Recover: %v", err)
-	}
+	r, st := mustOpen(t, cfg, core.Options[int]{})
 	wantLive := producers*perProducer - len(extracted)
 	if st.Live() != wantLive {
 		t.Fatalf("recovered %d live keys, want %d", st.Live(), wantLive)
@@ -77,12 +89,9 @@ func TestDurableShardedRoundTrip(t *testing.T) {
 
 // TestShardedSharesOneLog asserts the shards write a single LSN space:
 // records logged from different shards interleave in one file, and a
-// second recovery sees no duplication.
+// second reopening sees no duplication.
 func TestShardedSharesOneLog(t *testing.T) {
-	dir := t.TempDir()
-	qcfg := core.DefaultConfig()
-	qcfg.Durability = &core.DurabilityConfig{WAL: true, Dir: dir, GroupCommit: time.Millisecond}
-	cfg := Config{Shards: 3, Queue: qcfg}
+	cfg := durableConfig(3, t.TempDir())
 
 	q := New[int](cfg)
 	stats, ok := q.WALStats()
@@ -98,10 +107,7 @@ func TestShardedSharesOneLog(t *testing.T) {
 		t.Fatal(err)
 	}
 	for round := 0; round < 2; round++ {
-		r, st, err := Recover[int](cfg)
-		if err != nil {
-			t.Fatalf("round %d: %v", round, err)
-		}
+		r, st := mustOpen(t, cfg, core.Options[int]{})
 		if st.Live() != len(keys) {
 			t.Fatalf("round %d recovered %d keys, want %d", round, st.Live(), len(keys))
 		}

@@ -3,9 +3,6 @@ package wal
 import (
 	"errors"
 	"fmt"
-	"os"
-	"strconv"
-	"strings"
 )
 
 // This file is the crash-simulation support used by the chaos and
@@ -107,33 +104,6 @@ func (l *Log) SimulateCrash() (CrashInfo, error) {
 		return info, fmt.Errorf("wal: simulate crash: %w", err)
 	}
 	return info, nil
-}
-
-// Exists reports whether dir holds any durable queue state (a log, a
-// completed snapshot base, or a snapshot delta).
-func Exists(dir string) bool {
-	for _, name := range []string{walName, snapName} {
-		if st, err := os.Stat(dir + string(os.PathSeparator) + name); err == nil && st.Size() > 0 {
-			return true
-		}
-	}
-	ents, err := os.ReadDir(dir)
-	if err != nil {
-		return false
-	}
-	for _, e := range ents {
-		name := e.Name()
-		if !strings.HasPrefix(name, deltaPrefix) {
-			continue
-		}
-		if _, err := strconv.Atoi(name[len(deltaPrefix):]); err != nil {
-			continue
-		}
-		if fi, err := e.Info(); err == nil && fi.Size() > 0 {
-			return true
-		}
-	}
-	return false
 }
 
 // IsCrashed reports whether err is the simulated-crash sentinel.

@@ -435,21 +435,6 @@ func TestOpenValidatesOptions(t *testing.T) {
 	}
 }
 
-func TestExists(t *testing.T) {
-	dir := t.TempDir()
-	if Exists(dir) {
-		t.Fatal("Exists on empty dir")
-	}
-	l := mustOpen(t, Options{Dir: dir, GroupCommit: time.Millisecond})
-	l.AppendInsert(1)
-	if err := l.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if !Exists(dir) {
-		t.Fatal("Exists false after a logged insert")
-	}
-}
-
 func TestDecoderCleanEOF(t *testing.T) {
 	var b []byte
 	b = appendRecord(b, recInsert, 1, 10, nil)

@@ -102,7 +102,8 @@ const (
 	DefaultTargetLen = core.DefaultTargetLen
 )
 
-// New returns an empty queue configured by cfg.
+// New returns an empty queue configured by cfg, panicking on an invalid
+// configuration; Open returns the error instead.
 func New[V any](cfg Config) *Queue[V] { return core.New[V](cfg) }
 
 // NewMetrics returns a Metrics ready to assign to Config.Metrics:
@@ -142,9 +143,10 @@ func NewStrict[V any]() *Queue[V] {
 // Queue.SyncWAL returns nil; see DESIGN.md §10 for the protocol.
 type DurabilityConfig = core.DurabilityConfig
 
-// RecoveredState describes what Recover read back from a durability
+// RecoveredState describes what Open read back from a durability
 // directory: the surviving key multiset, the snapshot watermark, and what
-// a crash's torn tail cost.
+// a crash's torn tail cost. Live() == 0 is a fresh (or fully drained)
+// directory.
 type RecoveredState = wal.State
 
 // DefaultGroupCommit is the recommended DurabilityConfig.GroupCommit
@@ -152,7 +154,7 @@ type RecoveredState = wal.State
 const DefaultGroupCommit = wal.DefaultGroupCommit
 
 // Durability configuration errors, matched with errors.Is against the
-// error Config.Validate (and NewDurable) returns.
+// error Config.Validate (and Open) returns.
 var (
 	ErrDurabilityDir         = core.ErrDurabilityDir
 	ErrDurabilityGroupCommit = core.ErrDurabilityGroupCommit
@@ -160,44 +162,25 @@ var (
 	ErrDurabilityConflict    = core.ErrDurabilityConflict
 )
 
-// Codec encodes element values for the write-ahead log: attach one via
-// NewDurableCodec/RecoverCodec and every insert's value rides its log
-// record (record format v2), recovering byte-exact after a crash.
-// Without one the queue writes key-only v1 records — bit-identical to
-// the pre-payload format — and recovery restores zero values.
+// Codec encodes element values for the write-ahead log: hand one to Open
+// and every insert's value rides its log record (record format v2),
+// recovering byte-exact after a crash. Without one the queue writes
+// key-only v1 records — bit-identical to the pre-payload format — and
+// recovery restores zero values.
 type Codec[V any] = wal.Codec[V]
 
 // BytesCodec is the identity Codec for Queue[[]byte].
 type BytesCodec = wal.BytesCodec
 
-// NewDurable is New for configurations with Config.Durability set,
-// returning errors (invalid config, log open failure) instead of
-// panicking. Call Queue.CloseWAL after the final drain. Values are not
-// logged (key-only records); use NewDurableCodec to persist them.
-func NewDurable[V any](cfg Config) (*Queue[V], error) { return core.NewDurable[V](cfg) }
-
-// NewDurableCodec is NewDurable with a value codec: every insert logs
-// its value's encoded bytes alongside the key, and RecoverCodec
-// restores them byte-exactly.
-func NewDurableCodec[V any](cfg Config, codec Codec[V]) (*Queue[V], error) {
-	return core.NewDurableCodec[V](cfg, codec)
+// Open is New with errors instead of panics, and the one way to a durable
+// queue. With Config.Durability.WAL set it always recovers first: whatever
+// cfg.Durability.Dir durably holds — nothing, for a new directory — is
+// re-inserted and the reopened log attached, so new operations continue the
+// sequence; the returned state says what came back. With a codec the
+// recovered queue holds the same (key, value) pairs the last one had durably
+// acknowledged; with nil, values are not logged and a directory that carries
+// value payloads is rejected rather than stripped. Call Queue.CloseWAL after
+// the final drain. Without durability in cfg the state is nil.
+func Open[V any](cfg Config, codec Codec[V]) (*Queue[V], *RecoveredState, error) {
+	return core.Open(cfg, core.Options[V]{Codec: codec})
 }
-
-// Recover rebuilds a durable queue from cfg.Durability.Dir: snapshot +
-// log replay restore the surviving keys (with zero V values) and the
-// reopened log is attached so new operations continue the sequence. A
-// directory whose records carry value payloads is rejected — use
-// RecoverCodec, which can decode them.
-func Recover[V any](cfg Config) (*Queue[V], *RecoveredState, error) {
-	return core.Recover[V](cfg)
-}
-
-// RecoverCodec is Recover with a value codec: each recovered instance's
-// logged bytes decode back into its V, so the rebuilt queue holds the
-// same (key, value) pairs the crashed one had durably acknowledged.
-func RecoverCodec[V any](cfg Config, codec Codec[V]) (*Queue[V], *RecoveredState, error) {
-	return core.RecoverCodec[V](cfg, codec)
-}
-
-// WALExists reports whether dir holds durable queue state to Recover.
-func WALExists(dir string) bool { return wal.Exists(dir) }

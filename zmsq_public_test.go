@@ -1,6 +1,7 @@
 package repro_test
 
 import (
+	"errors"
 	"sort"
 	"sync"
 	"testing"
@@ -116,5 +117,50 @@ func TestPublicConfigKnobs(t *testing.T) {
 	}
 	if repro.DefaultBatch != 48 || repro.DefaultTargetLen != 72 {
 		t.Fatal("paper defaults changed")
+	}
+}
+
+// TestPublicOpenKeyOnly drives the codec-less durable path through the
+// facade: keys come back after a reopen, values as zero, and a bad
+// durability config is an error matched by its sentinel.
+func TestPublicOpenKeyOnly(t *testing.T) {
+	cfg := repro.DefaultConfig()
+	cfg.Durability = &repro.DurabilityConfig{WAL: true, GroupCommit: repro.DefaultGroupCommit}
+	if _, _, err := repro.Open[string](cfg, nil); !errors.Is(err, repro.ErrDurabilityDir) {
+		t.Fatalf("Open without a directory: %v, want ErrDurabilityDir", err)
+	}
+	cfg.Durability.Dir = t.TempDir()
+
+	q, st, err := repro.Open[string](cfg, nil)
+	if err != nil || st.Live() != 0 {
+		t.Fatalf("fresh Open: state %+v, err %v", st, err)
+	}
+	q.InsertBatch([]uint64{3, 1, 2}, []string{"c", "a", "b"})
+	if err := q.SyncWAL(); err != nil {
+		t.Fatal(err)
+	}
+	if err := q.CloseWAL(); err != nil {
+		t.Fatal(err)
+	}
+
+	q, st, err = repro.Open[string](cfg, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Live() != 3 || st.Vals != nil {
+		t.Fatalf("reopen recovered %d keys, payloads %v; want 3 key-only", st.Live(), st.Vals)
+	}
+	for _, e := range q.Drain() {
+		if e.Val != "" {
+			t.Fatalf("key %d recovered value %q without a codec", e.Key, e.Val)
+		}
+	}
+	if err := q.CloseWAL(); err != nil {
+		t.Fatal(err)
+	}
+
+	// Volatile configs open too, with no state.
+	if q, st, err := repro.Open[string](repro.DefaultConfig(), nil); err != nil || st != nil || q == nil {
+		t.Fatalf("volatile Open = (%v, %v, %v)", q, st, err)
 	}
 }
