@@ -52,7 +52,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		handoff   = fs.Int("handoff", 25, "pool-handoff stall percentage")
 		hazard    = fs.Int("hazard", 50, "hazard-scan stall percentage")
 		grow      = fs.Int("grow", 75, "tree-growth stall percentage")
-		shardedN  = fs.Int("sharded", 0, "also chaos a sharded front-end with this many shards (0 = off)")
+		shardedN  = fs.Int("sharded", 0, "also chaos a sharded front-end with this many shards (0 or 1 = off)")
 		baselines = fs.Bool("baselines", false, "also run conservation chaos over the baselines")
 		durable   = fs.Bool("durable", false, "attach a write-ahead log and verify the durable state replays to empty after the drain")
 		walDir    = fs.String("waldir", "", "durability directory for -durable (default: a fresh temp dir per run)")
@@ -113,6 +113,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	failed := false
 	runOne := func(seed uint64, shards int) error {
 		plan.Seed = seed
+		plan.Shards = shards
 		plan.Durable = *durable
 		if *durable {
 			plan.WALDir = *walDir
@@ -125,13 +126,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 				plan.WALDir = dir
 			}
 		}
-		var res harness.ChaosResult
-		var err error
-		if shards > 0 {
-			res, err = harness.RunChaosSharded(plan, shards)
-		} else {
-			res, err = harness.RunChaos(plan)
-		}
+		res, err := harness.RunChaos(plan)
 		printResult(stdout, res, seed)
 		if err != nil {
 			failed = true
@@ -143,7 +138,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fmt.Fprintf(stdout, "%-20s %-10s %9s %9s %7s %9s %8s %7s\n",
 		"queue", "seed", "inserted", "extracted", "failed", "strict", "maxrank", "run")
 	shapes := []int{0}
-	if *shardedN > 0 {
+	if *shardedN > 1 {
 		shapes = append(shapes, *shardedN)
 	}
 	for _, shards := range shapes {

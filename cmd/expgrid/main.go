@@ -40,6 +40,7 @@ import (
 	"repro/internal/experiment"
 	"repro/internal/harness"
 	"repro/internal/pq"
+	"repro/internal/server"
 )
 
 func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
@@ -149,11 +150,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		defer ln.Close()
 		fmt.Fprintf(stdout, "expgrid: metrics on http://%s/metrics\n", ln.Addr())
-		mux := harness.NewMetricsMux(func() core.MetricsSnapshot {
+		mux := server.NewMetricsMux(func(tenant string) (server.View, bool) {
+			var snap core.MetricsSnapshot
 			if f := live.Load(); f != nil {
-				return (*f)()
+				snap = (*f)()
 			}
-			return core.MetricsSnapshot{}
+			return snap, tenant == ""
 		})
 		go func() {
 			if err := http.Serve(ln, mux); err != nil && !errors.Is(err, net.ErrClosed) {

@@ -223,15 +223,3 @@ func (c Config) withDefaults() Config {
 	}
 	return c
 }
-
-// name fragments used by experiment output.
-func (c Config) variantName() string {
-	name := "zmsq"
-	if c.arraySet() {
-		name += "-array"
-	}
-	if c.Leaky {
-		name += "-leak"
-	}
-	return name
-}

@@ -527,23 +527,6 @@ func TestLenWithPool(t *testing.T) {
 	}
 }
 
-func TestVariantNames(t *testing.T) {
-	cases := []struct {
-		cfg  Config
-		want string
-	}{
-		{Config{}, "zmsq"},
-		{Config{SetMode: SetModeArray}, "zmsq-array"},
-		{Config{Leaky: true}, "zmsq-leak"},
-		{Config{SetMode: SetModeArray, Leaky: true}, "zmsq-array-leak"},
-	}
-	for _, c := range cases {
-		if got := c.cfg.variantName(); got != c.want {
-			t.Errorf("variantName = %q, want %q", got, c.want)
-		}
-	}
-}
-
 // TestFreelistReuseInSafeMode: once a memory-safe queue's node population
 // has settled, churn at the same size allocates no fresh lnode — every
 // retired node passes a hazard scan and comes back.

@@ -26,13 +26,6 @@ func NewZMSQ(cfg core.Config) *ZMSQ {
 	return &ZMSQ{Q: core.New[struct{}](cfg), n: VariantName(cfg)}
 }
 
-// WrapZMSQ adapts an existing queue under the given display name — for
-// queues built by core.Open, whose error and recovered state the caller
-// wants to see.
-func WrapZMSQ(q *core.Queue[struct{}], name string) *ZMSQ {
-	return &ZMSQ{Q: q, n: name}
-}
-
 // VariantName formats the display name the paper's figures use for a ZMSQ
 // configuration. Registry makers override it with the maker key (see
 // makers_zmsq.go); this is the label for ad-hoc Config cells.
@@ -118,8 +111,7 @@ var (
 
 // KLSMAdapter exposes a k-LSM through pq.Queue using one handle per
 // adapter; the caller must use one adapter per goroutine (matching the
-// thread-local design). MakeKLSM builds per-worker adapters over a shared
-// KLSM.
+// thread-local design).
 type KLSMAdapter struct {
 	h *klsm.Handle
 	q *klsm.KLSM
@@ -142,7 +134,3 @@ func (a *KLSMAdapter) Close() { a.h.Release() }
 // sharded front-end tune their relaxation to it, matching the paper's
 // setup.
 type QueueMaker func(threads int) pq.Queue
-
-// PerWorkerMaker optionally builds a distinct pq.Queue view per worker over
-// shared state (used by k-LSM). Runners use it when non-nil.
-type PerWorkerMaker func(threads int) func(worker int) pq.Queue

@@ -9,7 +9,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/fault"
 	"repro/internal/pq"
-	"repro/internal/sharded"
 	"repro/internal/wal"
 	"repro/internal/xrand"
 )
@@ -45,6 +44,9 @@ type ChaosPlan struct {
 	// Queue is the ZMSQ configuration under test; its Seed and Faults
 	// fields are overwritten by the plan's.
 	Queue core.Config
+	// Shards > 1 runs the schedule against the sharded front-end, faults
+	// shared across shards; 0 or 1 against a single queue.
+	Shards int
 	// Keys selects the workload key distribution.
 	Keys KeyDist
 	// Durable, when set, runs the whole chaos schedule with a write-ahead
@@ -113,9 +115,13 @@ type ChaosResult struct {
 	WAL *wal.Stats
 }
 
-// RunChaos runs the full chaos schedule against a ZMSQ built from
-// plan.Queue, with fault injection and invariant validation. The returned
-// error is non-nil if any invariant or contract was violated.
+// RunChaos runs the full chaos schedule against the queue plan.Queue and
+// plan.Shards describe, with fault injection and invariant validation. The
+// returned error is non-nil if any invariant or contract was violated. For
+// Shards > 1 the strict-phase window check uses the composed S·(Batch+1)
+// bound (contract.Config.Shards), and the never-fails check is per-shard
+// only — the checker skips it because a cross-shard empty observation is a
+// sweep, not an atomic cut.
 func RunChaos(plan ChaosPlan) (ChaosResult, error) {
 	plan = plan.withDefaults()
 	inj := fault.New(plan.Seed, plan.Faults)
@@ -123,20 +129,17 @@ func RunChaos(plan ChaosPlan) (ChaosResult, error) {
 	cfg.Seed = plan.Seed
 	cfg.Faults = inj
 	cfg.Durability = plan.durability()
-	q, _, err := core.Open(cfg, core.Options[struct{}]{})
+	q, _, name, err := openTarget(plan.Shards, cfg, core.Options[[]byte]{})
 	if err != nil {
-		return ChaosResult{Name: VariantName(cfg)}, err
+		return ChaosResult{Name: name}, err
 	}
 	defer q.Close()
 
 	// Slack 0: the strict phase below is single-consumer with producers
-	// quiescent, so the recorded order is the real order and the b+1 window
+	// quiescent, so the recorded order is the real order and the window
 	// check is exact.
-	checker := contract.NewChecker(contract.Config{
-		Batch: cfg.Batch,
-		Slack: 0,
-	})
-	res := ChaosResult{Name: VariantName(cfg), Rounds: plan.Rounds}
+	checker := contract.NewChecker(contract.Config{Batch: cfg.Batch, Shards: plan.Shards})
+	res := ChaosResult{Name: name, Rounds: plan.Rounds}
 
 	var inserted, extracted atomic.Int64
 	extract := func(r *contract.Recorder) bool {
@@ -169,7 +172,7 @@ func RunChaos(plan ChaosPlan) (ChaosResult, error) {
 				for i := 0; i < plan.OpsPerRound; i++ {
 					key := plan.Keys.Draw(&rng)
 					rec.WillInsert(key)
-					q.Insert(key, struct{}{})
+					q.Insert(key, nil)
 					rec.DidInsert()
 					inserted.Add(1)
 				}
@@ -194,19 +197,20 @@ func RunChaos(plan ChaosPlan) (ChaosResult, error) {
 		producersDone.Store(true)
 		cwg.Wait()
 
-		// Warm-up flush: the pool may still hold elements refilled
-		// mid-mixed-phase, whose ranks reflect that older state. Drain
-		// batch+1 elements non-strictly so the strict-phase diagnostics
-		// (MaxStrictRank, TopFrac) start from a freshly refilled pool.
+		// Warm-up flush: every shard's pool may still hold elements
+		// refilled mid-mixed-phase, whose ranks reflect that older state.
+		// Drain one composed window non-strictly so the strict-phase
+		// diagnostics (MaxStrictRank, TopFrac) start from freshly refilled
+		// pools.
 		warmRec := checker.Recorder()
-		for i := 0; i <= cfg.Batch; i++ {
+		for i := 0; i < max(plan.Shards, 1)*(cfg.Batch+1); i++ {
 			if !extract(warmRec) {
 				break
 			}
 		}
 
 		// Strict phase: producers quiescent and a single consumer, so the
-		// recorded order is the real order and the b+1 window check is
+		// recorded order is the real order and the window check is
 		// exact. Faults keep firing — a forced trylock failure or handoff
 		// stall must not be able to break the window guarantee.
 		if quota := q.Len() / 2; quota > 0 {
@@ -227,7 +231,7 @@ func RunChaos(plan ChaosPlan) (ChaosResult, error) {
 		// contract checks above still apply in full.
 		if !cfg.Helper {
 			if err := q.CheckInvariants(); err != nil {
-				return res, fmt.Errorf("chaos round %d: %w", round, err)
+				return res, fmt.Errorf("chaos(%s) round %d: %w", name, round, err)
 			}
 		}
 	}
@@ -238,14 +242,14 @@ func RunChaos(plan ChaosPlan) (ChaosResult, error) {
 	}
 	q.Close() // stops the helper (when enabled); idempotent with the deferred Close
 	if err := q.CheckInvariants(); err != nil {
-		return res, fmt.Errorf("chaos final drain: %w", err)
+		return res, fmt.Errorf("chaos(%s) final drain: %w", name, err)
 	}
 	if plan.Durable {
 		if stats, ok := q.WALStats(); ok {
 			res.WAL = &stats
 		}
 		if err := q.CloseWAL(); err != nil {
-			return res, fmt.Errorf("chaos durable: closing WAL: %w", err)
+			return res, fmt.Errorf("chaos(%s) durable: closing WAL: %w", name, err)
 		}
 		if err := verifyDurableEmpty(plan.WALDir); err != nil {
 			return res, err
@@ -268,157 +272,8 @@ func RunChaos(plan ChaosPlan) (ChaosResult, error) {
 		return res, err
 	}
 	if rep.Remaining != 0 {
-		return res, fmt.Errorf("chaos: %d elements lost (inserted %d, extracted %d)",
-			rep.Remaining, res.Inserted, res.Extracted)
-	}
-	return res, nil
-}
-
-// RunChaosSharded runs the chaos schedule against a sharded front-end of
-// `shards` ZMSQ shards built from plan.Queue, with fault injection shared
-// across shards. The strict-phase window check uses the composed
-// S·(Batch+1) bound (contract.Config.Shards), and the never-fails check is
-// per-shard only — the checker skips it for S > 1 because a cross-shard
-// empty observation is a sweep, not an atomic cut.
-func RunChaosSharded(plan ChaosPlan, shards int) (ChaosResult, error) {
-	plan = plan.withDefaults()
-	if shards < 1 {
-		shards = 1
-	}
-	name := fmt.Sprintf("sharded(%d)", shards)
-	inj := fault.New(plan.Seed, plan.Faults)
-	cfg := plan.Queue
-	cfg.Seed = plan.Seed
-	cfg.Faults = inj
-	cfg.Durability = plan.durability()
-	q, _, err := sharded.Open(sharded.Config{Shards: shards, Queue: cfg}, core.Options[struct{}]{})
-	if err != nil {
-		return ChaosResult{Name: name}, err
-	}
-	defer q.Close()
-
-	checker := contract.NewChecker(contract.Config{Batch: cfg.Batch, Shards: shards})
-	res := ChaosResult{Name: name, Rounds: plan.Rounds}
-
-	var inserted, extracted atomic.Int64
-	extract := func(r *contract.Recorder) bool {
-		r.WillExtract()
-		k, _, ok := q.TryExtractMax()
-		r.DidExtract(k, ok)
-		if ok {
-			extracted.Add(1)
-		}
-		return ok
-	}
-
-	mixedQuota := plan.Producers * plan.OpsPerRound / (2 * plan.Consumers)
-	if mixedQuota < 1 {
-		mixedQuota = 1
-	}
-	for round := 0; round < plan.Rounds; round++ {
-		var producersDone atomic.Bool
-		var wg sync.WaitGroup
-		for p := 0; p < plan.Producers; p++ {
-			wg.Add(1)
-			go func(p int) {
-				defer wg.Done()
-				rec := checker.Recorder()
-				var rng xrand.Rand
-				rng.Seed(xrand.Mix64(plan.Seed ^ uint64(round)<<32 ^ uint64(p+1)))
-				for i := 0; i < plan.OpsPerRound; i++ {
-					key := plan.Keys.Draw(&rng)
-					rec.WillInsert(key)
-					q.Insert(key, struct{}{})
-					rec.DidInsert()
-					inserted.Add(1)
-				}
-			}(p)
-		}
-		var cwg sync.WaitGroup
-		for c := 0; c < plan.Consumers; c++ {
-			cwg.Add(1)
-			go func() {
-				defer cwg.Done()
-				rec := checker.Recorder()
-				for got := 0; got < mixedQuota; {
-					if extract(rec) {
-						got++
-					} else if producersDone.Load() {
-						return
-					}
-				}
-			}()
-		}
-		wg.Wait()
-		producersDone.Store(true)
-		cwg.Wait()
-
-		// Warm-up flush, scaled to the composed window: every shard's pool
-		// may hold mixed-phase elements with stale ranks.
-		warmRec := checker.Recorder()
-		for i := 0; i < shards*(cfg.Batch+1); i++ {
-			if !extract(warmRec) {
-				break
-			}
-		}
-
-		// Strict phase: quiescent producers, one consumer, exact composed
-		// window accounting with faults still firing.
-		if quota := q.Len() / 2; quota > 0 {
-			checker.BeginStrict()
-			rec := checker.Recorder()
-			for i := 0; i < quota; i++ {
-				if !extract(rec) {
-					break
-				}
-			}
-			checker.EndStrict()
-		}
-
-		if !cfg.Helper {
-			if err := q.CheckInvariants(); err != nil {
-				return res, fmt.Errorf("sharded chaos round %d: %w", round, err)
-			}
-		}
-	}
-
-	rec := checker.Recorder()
-	for extract(rec) {
-	}
-	q.Close()
-	if err := q.CheckInvariants(); err != nil {
-		return res, fmt.Errorf("sharded chaos final drain: %w", err)
-	}
-	if plan.Durable {
-		if stats, ok := q.WALStats(); ok {
-			res.WAL = &stats
-		}
-		if err := q.CloseWAL(); err != nil {
-			return res, fmt.Errorf("sharded chaos durable: closing WAL: %w", err)
-		}
-		if err := verifyDurableEmpty(plan.WALDir); err != nil {
-			return res, err
-		}
-	}
-
-	res.Inserted = inserted.Load()
-	res.Extracted = extracted.Load()
-	res.FaultCalls = make(map[string]uint64, fault.NumPoints)
-	res.FaultFired = make(map[string]uint64, fault.NumPoints)
-	for _, p := range fault.Points() {
-		res.FaultCalls[p.String()] = inj.Calls(p)
-		res.FaultFired[p.String()] = inj.Fired(p)
-	}
-
-	rep, err := checker.Verify()
-	res.Report = rep
-	res.FailedExtracts = rep.FailedExtracts
-	if err != nil {
-		return res, err
-	}
-	if rep.Remaining != 0 {
-		return res, fmt.Errorf("sharded chaos: %d elements lost (inserted %d, extracted %d)",
-			rep.Remaining, res.Inserted, res.Extracted)
+		return res, fmt.Errorf("chaos(%s): %d elements lost (inserted %d, extracted %d)",
+			name, rep.Remaining, res.Inserted, res.Extracted)
 	}
 	return res, nil
 }

@@ -29,37 +29,54 @@ func chaosPlan(seed uint64) ChaosPlan {
 	}
 }
 
-// TestChaosZMSQ is the acceptance gate: a seeded fault schedule must
-// inject at all four points and complete with intact invariants, zero
-// failed extractions on a provably nonempty queue, and no b+1 contract
-// violations.
+// TestChaosZMSQ is the acceptance gate, for the single queue and for the
+// sharded front-end: a seeded fault schedule must inject at all four points
+// and complete with intact invariants (per round, across shards), zero
+// failed extractions on a provably nonempty queue, conservation, and no
+// violation of the b+1 window — composed to S·(Batch+1) for S shards.
 func TestChaosZMSQ(t *testing.T) {
-	plan := chaosPlan(0xC4A05)
-	res, err := RunChaos(plan)
-	if err != nil {
-		t.Fatalf("chaos run failed: %v\nviolations: %v", err, res.Report.Violations)
+	for _, tc := range []struct {
+		name   string
+		seed   uint64
+		shards int
+	}{
+		{"zmsq", 0xC4A05, 0},
+		{"sharded(3)", 0x5A4D, 3},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			plan := chaosPlan(tc.seed)
+			plan.Shards = tc.shards
+			res, err := RunChaos(plan)
+			if err != nil {
+				t.Fatalf("chaos run failed: %v\nviolations: %v", err, res.Report.Violations)
+			}
+			if res.Name != tc.name {
+				t.Errorf("result is named %q, want %q", res.Name, tc.name)
+			}
+			for _, p := range fault.Points() {
+				if !plan.Faults.Armed(p) {
+					continue // WAL crash points stay unarmed in volatile chaos runs
+				}
+				if res.FaultFired[p.String()] == 0 {
+					t.Errorf("fault point %v never fired (calls=%d)", p, res.FaultCalls[p.String()])
+				}
+			}
+			if res.Inserted == 0 || res.Inserted != res.Extracted {
+				t.Fatalf("conservation: inserted %d, extracted %d", res.Inserted, res.Extracted)
+			}
+			if res.Report.StrictExtracts == 0 {
+				t.Fatal("strict phase recorded no extractions; window contract unexercised")
+			}
+			bound := max(tc.shards, 1)*(plan.Queue.Batch+1) - 1
+			if res.Report.WorstRun > bound {
+				t.Errorf("WorstRun = %d exceeds the window bound %d: checker should have flagged this",
+					res.Report.WorstRun, bound)
+			}
+			t.Logf("chaos: %d ops, %d strict extracts, max strict rank %d, worst run %d (bound %d), faults %v",
+				res.Inserted, res.Report.StrictExtracts, res.Report.MaxStrictRank,
+				res.Report.WorstRun, bound, res.FaultFired)
+		})
 	}
-	for _, p := range fault.Points() {
-		if !plan.Faults.Armed(p) {
-			continue // WAL crash points stay unarmed in volatile chaos runs
-		}
-		if res.FaultFired[p.String()] == 0 {
-			t.Errorf("fault point %v never fired (calls=%d)", p, res.FaultCalls[p.String()])
-		}
-	}
-	if res.Inserted == 0 || res.Inserted != res.Extracted {
-		t.Fatalf("conservation: inserted %d, extracted %d", res.Inserted, res.Extracted)
-	}
-	if res.Report.StrictExtracts == 0 {
-		t.Fatal("strict phase recorded no extractions; b+1 contract unexercised")
-	}
-	if res.Report.WorstRun > 8 { // the plan's batch
-		t.Errorf("WorstRun = %d exceeds batch 8: b+1 window should have flagged this",
-			res.Report.WorstRun)
-	}
-	t.Logf("chaos: %d ops, %d strict extracts, max strict rank %d, worst run %d, faults %v",
-		res.Inserted, res.Report.StrictExtracts, res.Report.MaxStrictRank,
-		res.Report.WorstRun, res.FaultFired)
 }
 
 // TestChaosZMSQVariants runs shorter schedules over the paper's other
@@ -134,40 +151,6 @@ func TestChaosDeterministicSchedule(t *testing.T) {
 	if a.Inserted != b.Inserted {
 		t.Fatalf("workload not reproducible: %d vs %d inserts", a.Inserted, b.Inserted)
 	}
-}
-
-// TestChaosSharded is the sharded front-end's chaos acceptance gate: the
-// same seeded fault schedule against 3 ZMSQ shards must hold every
-// composed contract — per-round invariants across shards, conservation,
-// and the S·(Batch+1) strict window — with all four fault points firing.
-func TestChaosSharded(t *testing.T) {
-	const shards = 3
-	plan := chaosPlan(0x5A4D)
-	res, err := RunChaosSharded(plan, shards)
-	if err != nil {
-		t.Fatalf("sharded chaos run failed: %v\nviolations: %v", err, res.Report.Violations)
-	}
-	for _, p := range fault.Points() {
-		if !plan.Faults.Armed(p) {
-			continue // WAL crash points stay unarmed in volatile chaos runs
-		}
-		if res.FaultFired[p.String()] == 0 {
-			t.Errorf("fault point %v never fired (calls=%d)", p, res.FaultCalls[p.String()])
-		}
-	}
-	if res.Inserted == 0 || res.Inserted != res.Extracted {
-		t.Fatalf("conservation: inserted %d, extracted %d", res.Inserted, res.Extracted)
-	}
-	if res.Report.StrictExtracts == 0 {
-		t.Fatal("strict phase recorded no extractions; composed window unexercised")
-	}
-	if bound := shards*(plan.Queue.Batch+1) - 1; res.Report.WorstRun > bound {
-		t.Errorf("WorstRun = %d exceeds composed bound %d: checker should have flagged this",
-			res.Report.WorstRun, bound)
-	}
-	t.Logf("sharded chaos: %d ops, %d strict extracts, worst run %d (bound %d), faults %v",
-		res.Inserted, res.Report.StrictExtracts, res.Report.WorstRun,
-		shards*(plan.Queue.Batch+1)-1, res.FaultFired)
 }
 
 // TestChaosBaselineConservation runs the fault-free chaos workload over

@@ -1,10 +1,6 @@
 package harness
 
 import (
-	"encoding/json"
-	"io"
-	"net/http/httptest"
-	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -52,57 +48,5 @@ func TestRunThroughputAttachesMetrics(t *testing.T) {
 	res = RunThroughput(func(int) pq.Queue { return NewZMSQ(core.DefaultConfig()) }, spec)
 	if res.Metrics != nil {
 		t.Error("ThroughputResult.Metrics non-nil for a plain queue")
-	}
-}
-
-func TestMetricsMuxEndpoints(t *testing.T) {
-	z := NewZMSQ(metricsConfig())
-	defer z.Close()
-	for i := uint64(0); i < 300; i++ {
-		z.Insert(i)
-	}
-	for i := 0; i < 100; i++ {
-		z.ExtractMax()
-	}
-	srv := httptest.NewServer(NewMetricsMux(z.Snapshot))
-	defer srv.Close()
-
-	get := func(path string) string {
-		t.Helper()
-		resp, err := srv.Client().Get(srv.URL + path)
-		if err != nil {
-			t.Fatalf("GET %s: %v", path, err)
-		}
-		defer resp.Body.Close()
-		if resp.StatusCode != 200 {
-			t.Fatalf("GET %s: status %d", path, resp.StatusCode)
-		}
-		body, err := io.ReadAll(resp.Body)
-		if err != nil {
-			t.Fatalf("GET %s: read: %v", path, err)
-		}
-		return string(body)
-	}
-
-	prom := get("/metrics")
-	for _, want := range []string{"zmsq_extract_pool_hit_total", "zmsq_len", "# TYPE zmsq_rank_error_sample histogram"} {
-		if !strings.Contains(prom, want) {
-			t.Errorf("/metrics missing %q", want)
-		}
-	}
-
-	var snap core.MetricsSnapshot
-	if err := json.Unmarshal([]byte(get("/metrics.json")), &snap); err != nil {
-		t.Fatalf("/metrics.json did not decode: %v", err)
-	}
-	if snap.InsertsTotal() != 300 {
-		t.Errorf("/metrics.json inserts = %d, want 300", snap.InsertsTotal())
-	}
-
-	if vars := get("/debug/vars"); !strings.Contains(vars, `"zmsq"`) {
-		t.Error(`/debug/vars missing the "zmsq" expvar`)
-	}
-	if idx := get("/debug/pprof/"); !strings.Contains(idx, "goroutine") {
-		t.Error("/debug/pprof/ index looks wrong")
 	}
 }

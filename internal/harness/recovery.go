@@ -179,16 +179,38 @@ type RecoveryResult struct {
 	Report contract.RecoveryReport `json:"report"`
 }
 
-// recoveryTarget is the queue surface the harness needs; both
+// target is the queue surface the chaos and recovery harnesses need; both
 // core.Queue[[]byte] and sharded.Queue[[]byte] satisfy it. The element
 // type is []byte even for key-only plans (nil values, no codec, v1
 // records on disk) so one workload covers both protocols.
-type recoveryTarget interface {
+type target interface {
 	Insert(key uint64, val []byte)
 	TryExtractMax() (key uint64, val []byte, ok bool)
 	Drain() []core.Element[[]byte]
+	Len() int
 	CheckInvariants() error
 	Close()
+	WALStats() (wal.Stats, bool)
+	CloseWAL() error
+}
+
+// openTarget opens the queue a plan describes — the sharded front-end for
+// shards > 1, a single queue otherwise — and returns it with the name
+// reports give it.
+func openTarget(shards int, cfg core.Config, opts core.Options[[]byte]) (target, *wal.State, string, error) {
+	if shards > 1 {
+		name := fmt.Sprintf("sharded(%d)", shards)
+		q, st, err := sharded.Open(sharded.Config{Shards: shards, Queue: cfg}, opts)
+		if err != nil {
+			return nil, nil, name, err
+		}
+		return q, st, name, nil
+	}
+	q, st, err := core.Open(cfg, opts)
+	if err != nil {
+		return nil, nil, VariantName(cfg), err
+	}
+	return q, st, VariantName(cfg), nil
 }
 
 // RecoveryValueFor is the deterministic key→payload generator valued
@@ -262,14 +284,8 @@ func RunRecovery(plan RecoveryPlan) (RecoveryResult, error) {
 		codec = wal.BytesCodec{}
 	}
 	opts := core.Options[[]byte]{Codec: codec}
-	var q recoveryTarget
-	if plan.Shards > 1 {
-		q, _, err = sharded.Open(sharded.Config{Shards: plan.Shards, Queue: cfg}, opts)
-		res.Name = fmt.Sprintf("sharded(%d)", plan.Shards)
-	} else {
-		q, _, err = core.Open(cfg, opts)
-		res.Name = VariantName(cfg)
-	}
+	q, _, name, err := openTarget(plan.Shards, cfg, opts)
+	res.Name = name
 	if err != nil {
 		_ = log.Close()
 		return res, err
@@ -419,15 +435,7 @@ func RunRecovery(plan RecoveryPlan) (RecoveryResult, error) {
 	rcfg.Durability = &core.DurabilityConfig{
 		WAL: true, Dir: plan.Dir, GroupCommit: wal.DefaultGroupCommit,
 	}
-	var (
-		rq recoveryTarget
-		st *wal.State
-	)
-	if plan.Shards > 1 {
-		rq, st, err = sharded.Open(sharded.Config{Shards: plan.Shards, Queue: rcfg}, opts)
-	} else {
-		rq, st, err = core.Open(rcfg, opts)
-	}
+	rq, st, _, err := openTarget(plan.Shards, rcfg, opts)
 	if err != nil {
 		return res, fmt.Errorf("recovery(%s/%s): %w", res.Name, res.Kind, err)
 	}
@@ -473,10 +481,8 @@ func RunRecovery(plan RecoveryPlan) (RecoveryResult, error) {
 				res.Name, res.Kind, k, drained[k], n)
 		}
 	}
-	if cw, ok := rq.(interface{ CloseWAL() error }); ok {
-		if err := cw.CloseWAL(); err != nil {
-			return res, fmt.Errorf("recovery(%s/%s): closing recovered WAL: %w", res.Name, res.Kind, err)
-		}
+	if err := rq.CloseWAL(); err != nil {
+		return res, fmt.Errorf("recovery(%s/%s): closing recovered WAL: %w", res.Name, res.Kind, err)
 	}
 	return res, nil
 }

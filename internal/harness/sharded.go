@@ -24,12 +24,6 @@ func NewSharded(cfg sharded.Config) *Sharded {
 	return &Sharded{Q: sharded.New[struct{}](cfg), n: "zmsq-sharded"}
 }
 
-// WrapSharded adapts an existing sharded queue (e.g. one built by
-// sharded.Open) under the given display name.
-func WrapSharded(q *sharded.Queue[struct{}], name string) *Sharded {
-	return &Sharded{Q: q, n: name}
-}
-
 // Insert implements pq.Queue.
 func (s *Sharded) Insert(key uint64) { s.Q.Insert(key, struct{}{}) }
 
@@ -67,13 +61,8 @@ func (s *Sharded) ExtractBatch(dst []uint64, n int) []uint64 {
 
 // Snapshot implements MetricsSource with the merged cross-shard view, so
 // runners and the serving mux treat a sharded queue exactly like a single
-// one. The per-shard breakdown and the sharded-level telemetry are on
-// ShardSnapshot.
+// one.
 func (s *Sharded) Snapshot() core.MetricsSnapshot { return s.Q.Snapshot().Merged }
-
-// ShardSnapshot returns the full sharded snapshot: merged and per-shard
-// metrics plus the sweep/steal counters and imbalance gauges.
-func (s *Sharded) ShardSnapshot() sharded.Snapshot { return s.Q.Snapshot() }
 
 var (
 	_ pq.Queue            = (*Sharded)(nil)

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"strconv"
-	"time"
 )
 
 // This file provides the sweep/record layer the cmd tools share: experiment
@@ -114,7 +113,3 @@ func (r *Recorder) WriteText(w io.Writer) error {
 	}
 	return nil
 }
-
-// Timestamp formats t for result-file naming; split out so tests can pin
-// it.
-func Timestamp(t time.Time) string { return t.Format("20060102-150405") }

@@ -5,7 +5,6 @@ import (
 	"encoding/csv"
 	"strings"
 	"testing"
-	"time"
 )
 
 func sampleRecorder() *Recorder {
@@ -74,12 +73,5 @@ func TestRecorderRows(t *testing.T) {
 	r := sampleRecorder()
 	if len(r.Rows()) != 3 {
 		t.Fatalf("Rows = %d", len(r.Rows()))
-	}
-}
-
-func TestTimestampFormat(t *testing.T) {
-	ts := Timestamp(time.Date(2026, 7, 5, 13, 4, 5, 0, time.UTC))
-	if ts != "20260705-130405" {
-		t.Fatalf("Timestamp = %q", ts)
 	}
 }

@@ -23,7 +23,7 @@ type connState struct {
 	conn   net.Conn
 	br     *bufio.Reader
 	respCh chan wire.Response
-	id     uint32 // histogram shard
+	id     uint32 // telemetry shard
 	// hs holds this connection's own operation context on each tenant's
 	// queue it has used (see handle).
 	hs    map[*tenant]*sharded.Handle[[]byte]
@@ -109,7 +109,7 @@ func (c *connState) readLoop() {
 		c.frame = frame
 		if err != nil {
 			if err != io.EOF && !errors.Is(err, net.ErrClosed) {
-				c.s.protoErrors.Add(1)
+				c.s.protoErrors.Inc(c.id)
 			}
 			return
 		}
@@ -128,7 +128,7 @@ func (c *connState) readLoop() {
 // badRequest answers an ungrammatical frame, echoing the correlation id
 // when the payload is long enough to carry one.
 func (c *connState) badRequest(payload []byte, perr error) {
-	c.s.protoErrors.Add(1)
+	c.s.protoErrors.Inc(c.id)
 	var id uint32
 	if len(payload) >= 5 {
 		id = binary.LittleEndian.Uint32(payload[1:])
@@ -163,7 +163,7 @@ func (c *connState) admit(req wire.Request) bool {
 	if c.free() >= 2 {
 		return true
 	}
-	c.s.overloads.Add(1)
+	c.s.overloads.Inc(c.id)
 	c.respond(wire.Response{
 		Status: wire.StatusOverloaded, ID: req.ID, Op: req.Op,
 		RetryAfterMillis: uint32(c.s.cfg.RetryAfter.Milliseconds()),
@@ -196,23 +196,23 @@ func (c *connState) execute(req wire.Request) {
 	case wire.OpInsertBatch:
 		c.handle(t).InsertBatch(req.Keys, cloneValues(req.Payloads))
 		s.batchSizes.Observe(c.id, uint64(len(req.Keys)))
-		s.inserts.Add(uint64(len(req.Keys)))
-		s.opsTotal.Add(1)
+		s.inserts.Add(c.id, uint64(len(req.Keys)))
+		s.opsTotal.Inc(c.id)
 		c.respond(wire.Response{Status: wire.StatusOK, ID: req.ID, Op: req.Op})
 	case wire.OpExtractMax:
 		key, val, ok := c.handle(t).TryExtractMax()
-		s.opsTotal.Add(1)
+		s.opsTotal.Inc(c.id)
 		if !ok {
 			c.respond(wire.Response{Status: c.emptyStatus(t), ID: req.ID, Op: req.Op})
 			return
 		}
-		s.extracts.Add(1)
+		s.extracts.Inc(c.id)
 		// val is the element's own copy (detached at insert), so handing
 		// it to the response queue is safe.
 		c.respond(wire.Response{Status: wire.StatusOK, ID: req.ID, Op: req.Op, Value: key, Payload: val})
 	case wire.OpExtractBatch:
 		c.dst = c.handle(t).ExtractBatch(c.dst[:0], req.N)
-		s.opsTotal.Add(1)
+		s.opsTotal.Inc(c.id)
 		if len(c.dst) == 0 {
 			c.respond(wire.Response{Status: c.emptyStatus(t), ID: req.ID, Op: req.Op})
 			return
@@ -234,16 +234,16 @@ func (c *connState) execute(req wire.Request) {
 				vals[i] = c.dst[i].Val
 			}
 		}
-		s.extracts.Add(uint64(len(keys)))
+		s.extracts.Add(c.id, uint64(len(keys)))
 		for i := range c.dst {
 			c.dst[i] = core.Element[[]byte]{} // drop the payload references
 		}
 		c.respond(wire.Response{Status: wire.StatusOK, ID: req.ID, Op: req.Op, Keys: keys, Payloads: vals})
 	case wire.OpLen:
-		s.opsTotal.Add(1)
+		s.opsTotal.Inc(c.id)
 		c.respond(wire.Response{Status: wire.StatusOK, ID: req.ID, Op: req.Op, Value: uint64(t.q.Len())})
 	case wire.OpSnapshot:
-		s.opsTotal.Add(1)
+		s.opsTotal.Inc(c.id)
 		c.respond(wire.Response{Status: wire.StatusOK, ID: req.ID, Op: req.Op, Blob: s.statsJSON()})
 	}
 }
@@ -300,8 +300,8 @@ func (c *connState) coalesceInsert(t *tenant, req wire.Request) {
 	c.handle(t).InsertBatch(keys, vals)
 	c.keys = keys[:0]
 	s.batchSizes.Observe(c.id, uint64(len(keys)))
-	s.inserts.Add(uint64(len(keys)))
-	s.opsTotal.Add(uint64(len(ids)))
+	s.inserts.Add(c.id, uint64(len(keys)))
+	s.opsTotal.Add(c.id, uint64(len(ids)))
 	for _, id := range ids {
 		c.respond(wire.Response{Status: wire.StatusOK, ID: id, Op: wire.OpInsert})
 	}

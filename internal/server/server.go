@@ -35,6 +35,7 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/sharded"
 	"repro/internal/wal"
+	"repro/internal/wire"
 )
 
 // Config configures a Server.
@@ -45,7 +46,8 @@ type Config struct {
 
 	// Queue configures every tenant's sharded.Queue (shard count, core
 	// config). Per-tenant durability is derived from WALDir, not from
-	// Queue.Queue.Durability, which must be unset.
+	// Queue.Queue.Durability, which must be unset — as must
+	// Queue.Queue.Metrics: every tenant is given its own (see Scrape).
 	Queue sharded.Config
 
 	// WALDir, when non-empty, makes every tenant durable: tenant T logs to
@@ -106,17 +108,20 @@ type Server struct {
 	draining atomic.Bool
 	done     chan struct{}
 
-	// Telemetry. batchSizes records every insert execution's batch size —
-	// singletons included — so its p50 measures how much pipelining the
-	// coalescer actually captures.
+	// Telemetry, sharded by connection id. batchSizes records every insert
+	// execution's batch size — singletons included — so its p50 measures
+	// how much pipelining the coalescer actually captures.
 	batchSizes  metrics.Histogram
-	opsTotal    atomic.Uint64
-	inserts     atomic.Uint64
-	extracts    atomic.Uint64
-	overloads   atomic.Uint64
-	protoErrors atomic.Uint64
-	connsOpened atomic.Uint64
-	connSeq     atomic.Uint32
+	opsTotal    metrics.Counter
+	inserts     metrics.Counter
+	extracts    metrics.Counter
+	overloads   metrics.Counter
+	protoErrors metrics.Counter
+	// connSeq numbers accepted connections: the last id is also the count.
+	connSeq atomic.Uint32
+	// domMet observes the shared allocation domain, whose hazard scans
+	// belong to no one tenant; only its HazardScans is ever written.
+	domMet *core.Metrics
 }
 
 // RecoveredTenant reports one tenant's startup recovery.
@@ -128,15 +133,18 @@ type RecoveredTenant struct {
 }
 
 // New builds the server: one shared allocation domain, then one
-// sharded.Open per tenant over it. With cfg.WALDir set, tenants with
-// existing state recover it (the returned RecoveredTenant list says who
-// and how much) and all tenants log from the first insert on.
+// sharded.Open per tenant over it, each with its own core.Metrics — the
+// scrape is how an operator sees the relaxation bound holding, so it is not
+// switchable. With cfg.WALDir set, tenants with existing state recover it
+// (the returned RecoveredTenant list says who and how much) and all tenants
+// log from the first insert on. Every name is validated before anything is
+// opened, and a tenant that fails to open closes the ones before it.
 func New(cfg Config) (*Server, []RecoveredTenant, error) {
 	if len(cfg.Tenants) == 0 {
 		return nil, nil, errors.New("server: at least one tenant required")
 	}
-	if cfg.Queue.Queue.Durability != nil || cfg.Queue.Queue.WAL != nil {
-		return nil, nil, errors.New("server: set Config.WALDir, not Queue.Queue.Durability/WAL — durability is per tenant")
+	if q := cfg.Queue.Queue; q.Durability != nil || q.WAL != nil || q.Metrics != nil {
+		return nil, nil, errors.New("server: Queue.Queue.Durability/WAL/Metrics must be unset — durability (Config.WALDir) and metrics are per tenant")
 	}
 	if cfg.MaxInflight == 0 {
 		cfg.MaxInflight = DefaultMaxInflight
@@ -150,21 +158,30 @@ func New(cfg Config) (*Server, []RecoveredTenant, error) {
 	if err := cfg.Queue.Validate(); err != nil {
 		return nil, nil, fmt.Errorf("server: queue config: %w", err)
 	}
+	// A tenant name is both a wire field and a directory under WALDir.
+	seen := make(map[string]bool, len(cfg.Tenants))
+	for _, name := range cfg.Tenants {
+		if name == "." || name == ".." || name != filepath.Base(name) || len(name) > wire.MaxTenantLen || seen[name] {
+			return nil, nil, fmt.Errorf("server: tenant %q: names must be unique, non-empty plain directory names of at most %d bytes", name, wire.MaxTenantLen)
+		}
+		seen[name] = true
+	}
 
 	s := &Server{
 		cfg:     cfg,
 		tenants: make(map[string]*tenant, len(cfg.Tenants)),
 		conns:   make(map[net.Conn]struct{}),
 		done:    make(chan struct{}),
+		domMet:  core.NewMetrics(),
 	}
-	ad := core.NewAllocDomain[[]byte](cfg.Queue.Queue)
+	dcfg := cfg.Queue.Queue
+	dcfg.Metrics = s.domMet
+	ad := core.NewAllocDomain[[]byte](dcfg)
 	var recovered []RecoveredTenant
 	for _, name := range cfg.Tenants {
-		if len(name) == 0 || s.tenants[name] != nil {
-			return nil, nil, fmt.Errorf("server: empty or duplicate tenant %q", name)
-		}
 		t := &tenant{name: name, durable: cfg.WALDir != ""}
 		qcfg := cfg.Queue
+		qcfg.Queue.Metrics = core.NewMetrics()
 		if t.durable {
 			qcfg.Queue.Durability = &core.DurabilityConfig{
 				WAL: true, Dir: filepath.Join(cfg.WALDir, name), GroupCommit: wal.DefaultGroupCommit,
@@ -173,6 +190,7 @@ func New(cfg Config) (*Server, []RecoveredTenant, error) {
 		}
 		q, st, err := sharded.Open(qcfg, core.Options[[]byte]{Domain: ad, Codec: wal.BytesCodec{}})
 		if err != nil {
+			_ = s.closeTenants() // the open failure is the error to report
 			return nil, nil, fmt.Errorf("server: tenant %q: %w", name, err)
 		}
 		t.q = q
@@ -216,7 +234,6 @@ func (s *Server) Serve(ln net.Listener) error {
 		}
 		s.conns[conn] = struct{}{}
 		s.mu.Unlock()
-		s.connsOpened.Add(1)
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -252,6 +269,12 @@ func (s *Server) Shutdown() error {
 	for _, c := range conns {
 		_ = c.Close()
 	}
+	return s.closeTenants()
+}
+
+// closeTenants makes every built tenant's state safe and reports the first
+// failure: durable tenants sync and close their logs, volatile ones drain.
+func (s *Server) closeTenants() error {
 	var firstErr error
 	for _, name := range s.order {
 		t := s.tenants[name]
@@ -305,12 +328,12 @@ func (s *Server) StatsSnapshot() Stats {
 	hs := s.batchSizes.Snapshot()
 	st := Stats{
 		Tenants:     make(map[string]int, len(s.order)),
-		Conns:       s.connsOpened.Load(),
-		Ops:         s.opsTotal.Load(),
-		Inserts:     s.inserts.Load(),
-		Extracts:    s.extracts.Load(),
-		Overloads:   s.overloads.Load(),
-		ProtoErrors: s.protoErrors.Load(),
+		Conns:       uint64(s.connSeq.Load()),
+		Ops:         s.opsTotal.Value(),
+		Inserts:     s.inserts.Value(),
+		Extracts:    s.extracts.Value(),
+		Overloads:   s.overloads.Value(),
+		ProtoErrors: s.protoErrors.Value(),
 		BatchP50:    hs.Quantile(0.50),
 		BatchMean:   hs.Mean(),
 		Batches:     hs.Count,

@@ -2,7 +2,10 @@ package server
 
 import (
 	"net"
+	"os"
+	"path/filepath"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -189,7 +192,7 @@ func TestServerOverload(t *testing.T) {
 	// Wait until admission control has demonstrably refused at least one
 	// request — the stable state: writer blocked on the unread pipe,
 	// queue full, reader refusing.
-	for i := 0; s.overloads.Load() == 0; i++ {
+	for i := 0; s.overloads.Value() == 0; i++ {
 		if i > 5000 {
 			t.Fatal("admission control never refused despite full response queue")
 		}
@@ -468,5 +471,117 @@ func TestConnKeepsHomeShard(t *testing.T) {
 	insert(c2, 1<<40)
 	if on := occupied(); len(on) != 2 {
 		t.Fatalf("a second connection shares the first one's home: shards %v", on)
+	}
+}
+
+// TestNewValidatesBeforeOpening: a tenant name is a wire field and a
+// directory, so New must refuse a bad one — and a caller-supplied Metrics —
+// before it opens anything: an error, nothing under WALDir, no group-commit
+// goroutine left running.
+func TestNewValidatesBeforeOpening(t *testing.T) {
+	long := strings.Repeat("x", wire.MaxTenantLen+1)
+	for _, tc := range []struct {
+		name    string
+		tenants []string
+		metrics *core.Metrics
+	}{
+		{"empty", []string{"alpha", ""}, nil},
+		{"duplicate", []string{"alpha", "alpha"}, nil},
+		{"over-long", []string{"alpha", long}, nil},
+		{"slash", []string{"alpha", "a/b"}, nil},
+		{"dot", []string{"alpha", "."}, nil},
+		{"dotdot", []string{"alpha", ".."}, nil},
+		{"caller metrics", []string{"alpha"}, core.NewMetrics()},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := baseConfig(tc.tenants...)
+			cfg.WALDir = t.TempDir()
+			cfg.Queue.Queue.Metrics = tc.metrics
+			before := runtime.NumGoroutine()
+			if s, _, err := New(cfg); err == nil {
+				_ = s.Shutdown()
+				t.Fatal("New accepted the config")
+			}
+			if ents, err := os.ReadDir(cfg.WALDir); err != nil || len(ents) != 0 {
+				t.Errorf("WALDir holds %d entries after the refusal (%v)", len(ents), err)
+			}
+			settleGoroutines(t, before)
+		})
+	}
+}
+
+// TestNewClosesEarlierTenantsOnFailure: when tenant k cannot open, tenants
+// 1…k−1 are closed again — their group-commit goroutines must not outlive
+// the failed New.
+func TestNewClosesEarlierTenantsOnFailure(t *testing.T) {
+	cfg := baseConfig("alpha", "beta")
+	cfg.WALDir = t.TempDir()
+	// beta's directory is a file: its log cannot be opened.
+	if err := os.WriteFile(filepath.Join(cfg.WALDir, "beta"), nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	before := runtime.NumGoroutine()
+	if s, _, err := New(cfg); err == nil {
+		_ = s.Shutdown()
+		t.Fatal("New opened a tenant whose directory is a file")
+	}
+	settleGoroutines(t, before)
+}
+
+// settleGoroutines waits for the goroutine count to fall back to want.
+func settleGoroutines(t *testing.T, want int) {
+	t.Helper()
+	for i := 0; runtime.NumGoroutine() > want; i++ {
+		if i > 2000 {
+			t.Fatalf("%d goroutines still running, %d before New", runtime.NumGoroutine(), want)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestStatsMatchTenantLedgers pins the two ledgers the scrape shows side by
+// side: after a mixed run the server's insert/extract totals equal the sum
+// of what the tenants' own core metrics counted.
+func TestStatsMatchTenantLedgers(t *testing.T) {
+	s, addr := startServer(t, baseConfig("alpha", "beta"))
+	c, err := wire.Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	keys := make([]uint64, 40)
+	for i := range keys {
+		keys[i] = uint64(i + 1)
+	}
+	for i := 0; i < 300; i++ {
+		tenant := []string{"alpha", "beta"}[i%2]
+		req := wire.Request{Op: wire.OpInsert, Tenant: tenant, Key: uint64(i)}
+		switch i % 5 {
+		case 1:
+			req = wire.Request{Op: wire.OpInsertBatch, Tenant: tenant, Keys: keys}
+		case 2:
+			req = wire.Request{Op: wire.OpExtractMax, Tenant: tenant}
+		case 3:
+			req = wire.Request{Op: wire.OpExtractBatch, Tenant: tenant, N: 7}
+		}
+		if _, err := c.Do(req); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sc := s.Scrape()
+	var ins, ext uint64
+	for _, ts := range sc.Tenants {
+		ins += ts.Queue.Merged.InsertsTotal()
+		ext += ts.Queue.Merged.ExtractsTotal()
+	}
+	st := s.StatsSnapshot()
+	if st.Inserts == 0 || st.Extracts == 0 {
+		t.Fatalf("the run inserted %d and extracted %d", st.Inserts, st.Extracts)
+	}
+	if st.Inserts != ins || st.Extracts != ext {
+		t.Fatalf("server counted %d inserts / %d extracts, tenants %d / %d", st.Inserts, st.Extracts, ins, ext)
+	}
+	if sc.Queues.InsertsTotal() != ins || sc.Queues.ExtractsTotal() != ext {
+		t.Fatalf("merged view has %d / %d, tenants sum to %d / %d", sc.Queues.InsertsTotal(), sc.Queues.ExtractsTotal(), ins, ext)
 	}
 }

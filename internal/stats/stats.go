@@ -79,29 +79,3 @@ func Percentile(xs []float64, p float64) float64 {
 	frac := rank - float64(lo)
 	return sorted[lo]*(1-frac) + sorted[hi]*frac
 }
-
-// MeanInts is a convenience for integer measurement sets.
-func MeanInts(xs []int) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	var sum int
-	for _, x := range xs {
-		sum += x
-	}
-	return float64(sum) / float64(len(xs))
-}
-
-// StdDevInts returns the population standard deviation of xs.
-func StdDevInts(xs []int) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	mean := MeanInts(xs)
-	var ss float64
-	for _, x := range xs {
-		d := float64(x) - mean
-		ss += d * d
-	}
-	return math.Sqrt(ss / float64(len(xs)))
-}

@@ -111,19 +111,6 @@ func TestPercentileOrderedProperty(t *testing.T) {
 	}
 }
 
-func TestMeanAndStdDevInts(t *testing.T) {
-	xs := []int{2, 4, 4, 4, 5, 5, 7, 9}
-	if m := MeanInts(xs); !almostEqual(m, 5, 1e-12) {
-		t.Fatalf("MeanInts = %v", m)
-	}
-	if sd := StdDevInts(xs); !almostEqual(sd, 2, 1e-12) {
-		t.Fatalf("StdDevInts = %v", sd)
-	}
-	if MeanInts(nil) != 0 || StdDevInts(nil) != 0 {
-		t.Fatal("empty int stats should be zero")
-	}
-}
-
 func TestBucketIndexMonotonic(t *testing.T) {
 	prev := -1
 	for _, ns := range []uint64{0, 1, 2, 15, 16, 17, 31, 32, 100, 1000, 1 << 20, 1 << 40} {

@@ -3,6 +3,7 @@ package wal
 import (
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sync"
@@ -10,6 +11,7 @@ import (
 	"time"
 
 	"repro/internal/fault"
+	"repro/internal/metrics"
 	"repro/internal/xrand"
 )
 
@@ -575,6 +577,22 @@ func (l *Log) Stats() Stats {
 		DurableLSN:           l.durableLSN.Load(),
 		LastLSN:              l.lastLSN(),
 	}
+}
+
+// WritePrometheus renders the summary in Prometheus text exposition format
+// under the zmsq_wal_ namespace, returning the first write error.
+func (s Stats) WritePrometheus(w io.Writer) error {
+	p := metrics.NewPromWriter(w)
+	p.Counter("zmsq_wal_ops_total", "logged operations (batch members each count)", s.Ops)
+	p.Counter("zmsq_wal_records_total", "appended records", s.Records)
+	p.Counter("zmsq_wal_syncs_total", "completed fsyncs (ops/syncs is the group-commit factor)", s.Syncs)
+	p.Counter("zmsq_wal_snapshots_total", "completed online snapshots", s.Snapshots)
+	p.Counter("zmsq_wal_rebases_total", "snapshots that rebased the delta chain", s.Rebases)
+	p.Counter("zmsq_wal_appended_bytes_total", "record bytes appended", uint64(s.AppendedBytes))
+	p.Counter("zmsq_wal_snapshot_bytes_total", "snapshot bytes written (base + delta files)", uint64(s.SnapshotBytesWritten))
+	p.Gauge("zmsq_wal_durable_lsn", "highest LSN covered by a completed fsync", float64(s.DurableLSN))
+	p.Gauge("zmsq_wal_last_lsn", "highest LSN assigned", float64(s.LastLSN))
+	return p.Err()
 }
 
 func (l *Log) lastLSN() uint64 {
