@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"sync/atomic"
 
 	"repro/internal/core"
 	"repro/internal/sharded"
@@ -14,97 +15,141 @@ import (
 )
 
 // connState is the per-connection machinery: a buffered reader the
-// coalescer can inspect without blocking, a bounded response queue
-// drained by a dedicated writer goroutine (flushing only when the queue
-// goes idle, so pipelined responses share flushes the same way pipelined
-// requests share batches), and reusable scratch buffers.
+// coalescer can inspect without blocking, response bursts encoded by the
+// reader and written by a dedicated writer goroutine, and reusable
+// scratch buffers.
 type connState struct {
-	s      *Server
-	conn   net.Conn
-	br     *bufio.Reader
-	respCh chan wire.Response
-	id     uint32 // telemetry shard
+	s    *Server
+	conn net.Conn
+	br   *bufio.Reader
+	id   uint32 // telemetry shard
 	// hs holds this connection's own operation context on each tenant's
 	// queue it has used (see handle).
-	hs    map[*tenant]*sharded.Handle[[]byte]
+	hs map[*tenant]*sharded.Handle[[]byte]
+	// last is the previous request's tenant, tried before the tenant map.
+	last *tenant
+
+	// out is the burst being encoded, outN the responses in it. There are
+	// two burst buffers: full hands a finished one to the writer, empty
+	// returns it written, so the reader fills one while the writer writes
+	// the other. unanswered counts responses handed off but not yet
+	// written.
+	out        []byte
+	outN       int
+	full       chan burst
+	empty      chan []byte
+	unanswered atomic.Int64
+
 	keys  []uint64
+	vals  [][]byte
+	ids   []uint32
 	frame []byte
 	dst   []core.Element[[]byte]
 }
 
-// cloneValues detaches a request's payload views from the read buffer
-// before they are stored in a queue (where they outlive the frame).
-// Each member gets its own copy so an extracted element never pins its
-// batch siblings' bytes. nil in (a key-only request) is nil out; nil
-// members stay nil so key-only semantics survive mixed batches.
-func cloneValues(vals [][]byte) [][]byte {
+// burst is a buffer of n encoded responses.
+type burst struct {
+	b []byte
+	n int
+}
+
+// cloneValues appends to dst a copy of each of a request's payload views,
+// detaching them from the read buffer before they are stored in a queue
+// (where they outlive the frame). Each member gets its own copy so an
+// extracted element never pins its batch siblings' bytes. nil in (a
+// key-only request) is nil out; nil members stay nil so key-only
+// semantics survive mixed batches.
+func cloneValues(dst, vals [][]byte) [][]byte {
 	if vals == nil {
 		return nil
 	}
-	out := make([][]byte, len(vals))
-	for i, v := range vals {
+	for _, v := range vals {
 		if v != nil {
-			out[i] = append([]byte{}, v...)
+			v = append([]byte{}, v...)
 		}
+		dst = append(dst, v)
 	}
-	return out
+	return dst
 }
 
 // serveConn runs one connection to completion.
 func (s *Server) serveConn(conn net.Conn) {
 	c := &connState{
-		s:      s,
-		conn:   conn,
-		br:     bufio.NewReaderSize(conn, 64<<10),
-		respCh: make(chan wire.Response, s.cfg.MaxInflight),
-		id:     s.connSeq.Add(1),
-		hs:     make(map[*tenant]*sharded.Handle[[]byte]),
+		s:     s,
+		conn:  conn,
+		br:    bufio.NewReaderSize(conn, 64<<10),
+		id:    s.connSeq.Add(1),
+		hs:    make(map[*tenant]*sharded.Handle[[]byte]),
+		full:  make(chan burst, 1),
+		empty: make(chan []byte, 1),
 	}
+	c.empty <- nil // the second buffer, grown on first use
 	writerDone := make(chan struct{})
 	go c.writeLoop(writerDone)
 	c.readLoop()
-	close(c.respCh)
+	c.flush()
+	close(c.full)
 	<-writerDone
 	_ = conn.Close()
 }
 
-// writeLoop frames and writes responses in queue order, flushing whenever
-// the queue drains so a burst of pipelined responses costs one flush.
+// writeLoop writes each burst with one write(2), in order.
 func (c *connState) writeLoop(done chan struct{}) {
 	defer close(done)
-	bw := bufio.NewWriterSize(c.conn, 64<<10)
-	var buf []byte
-	for resp := range c.respCh {
-		buf = wire.AppendResponse(buf[:0], resp)
-		if _, err := bw.Write(buf); err != nil {
-			// The connection is gone; keep draining so the reader never
-			// blocks on a full queue.
-			for range c.respCh {
-			}
-			return
+	var err error
+	for b := range c.full {
+		// After a failed write the connection is gone; keep returning
+		// buffers so the reader never blocks on a handoff.
+		if err == nil {
+			_, err = c.conn.Write(b.b)
 		}
-		if len(c.respCh) == 0 {
-			if err := bw.Flush(); err != nil {
-				for range c.respCh {
-				}
-				return
-			}
-		}
+		c.unanswered.Add(-int64(b.n))
+		c.empty <- b.b[:0]
 	}
-	_ = bw.Flush()
 }
 
-// respond enqueues one response. It may block when the queue is full —
-// that is the terminal backpressure: the writer is always draining, so a
-// block here only ever waits for the socket.
-func (c *connState) respond(r wire.Response) { c.respCh <- r }
+// respond encodes one response into the burst. A response that would
+// exceed MaxInflight unanswered ones first waits until the writer has
+// written everything: the reader stops reading, which is the terminal
+// backpressure — it only ever waits for the socket.
+func (c *connState) respond(r wire.Response) {
+	if c.free() <= 0 {
+		c.drain()
+	}
+	c.out = wire.AppendResponse(c.out, r)
+	c.outN++
+}
+
+// flush hands the burst to the writer and takes the other buffer back,
+// waiting until the writer has finished with it.
+func (c *connState) flush() {
+	if c.outN == 0 {
+		return
+	}
+	c.unanswered.Add(int64(c.outN))
+	c.full <- burst{c.out, c.outN}
+	c.out, c.outN = <-c.empty, 0
+}
+
+// drain flushes and then waits until the burst just handed off is
+// written, so nothing is left unanswered.
+func (c *connState) drain() {
+	c.flush()
+	b := <-c.empty
+	c.empty <- b
+}
 
 // readLoop decodes and executes requests until the stream ends. A torn
 // frame (including a peer that just disappears mid-frame) terminates the
 // connection; a CRC-valid but ungrammatical frame gets StatusBadRequest
-// and the stream continues — framing is still in sync.
+// and the stream continues — framing is still in sync. A burst ends, and
+// its responses go to the writer, whenever no complete frame remains
+// buffered.
 func (c *connState) readLoop() {
 	for {
+		if _, ok := c.bufferedFrame(); !ok {
+			c.flush()
+		}
 		payload, frame, err := wire.ReadFrame(c.br, c.frame)
 		c.frame = frame
 		if err != nil {
@@ -113,7 +158,7 @@ func (c *connState) readLoop() {
 			}
 			return
 		}
-		req, perr := wire.ParseRequest(payload, c.keys[:0])
+		req, tname, perr := wire.ParseRequestBytes(payload, c.keys[:0])
 		if perr != nil {
 			c.badRequest(payload, perr)
 			continue
@@ -121,7 +166,7 @@ func (c *connState) readLoop() {
 		if cap(req.Keys) > cap(c.keys) {
 			c.keys = req.Keys[:0]
 		}
-		c.execute(req)
+		c.execute(req, tname)
 	}
 }
 
@@ -151,10 +196,13 @@ func (c *connState) handle(t *tenant) *sharded.Handle[[]byte] {
 	return h
 }
 
-// free reports how many response slots remain. Only the read loop adds
-// responses, so the value can only grow concurrently (the writer drains);
-// admission decisions on it are safely conservative.
-func (c *connState) free() int { return cap(c.respCh) - len(c.respCh) }
+// free reports how many more responses may be encoded before
+// MaxInflight are unanswered. Only the read loop adds responses, so the
+// value can only grow concurrently (the writer writes); admission
+// decisions on it are safely conservative.
+func (c *connState) free() int {
+	return c.s.cfg.MaxInflight - int(c.unanswered.Load()) - c.outN
+}
 
 // admit applies admission control: a request that could not leave a slot
 // for its own response — the client has ~MaxInflight unanswered requests
@@ -171,9 +219,24 @@ func (c *connState) admit(req wire.Request) bool {
 	return false
 }
 
-// execute runs one admitted, grammatical request. Inserts detour through
-// the coalescer; everything else executes directly.
-func (c *connState) execute(req wire.Request) {
+// tenant resolves a request's tenant name without allocating: the
+// previous request's tenant first, then the map, whose string(name) index
+// does not copy. nil means no such tenant.
+func (c *connState) tenant(name []byte) *tenant {
+	if c.last != nil && c.last.name == string(name) {
+		return c.last
+	}
+	t := c.s.tenants[string(name)]
+	if t != nil {
+		c.last = t
+	}
+	return t
+}
+
+// execute runs one admitted, grammatical request on the tenant named
+// tname. Inserts detour through the coalescer; everything else executes
+// directly.
+func (c *connState) execute(req wire.Request, tname []byte) {
 	s := c.s
 	if s.draining.Load() {
 		c.respond(wire.Response{Status: wire.StatusClosed, ID: req.ID, Op: req.Op})
@@ -182,11 +245,11 @@ func (c *connState) execute(req wire.Request) {
 	if !c.admit(req) {
 		return
 	}
-	t, ok := s.tenants[req.Tenant]
-	if !ok {
+	t := c.tenant(tname)
+	if t == nil {
 		c.respond(wire.Response{
 			Status: wire.StatusBadTenant, ID: req.ID, Op: req.Op,
-			Msg: fmt.Sprintf("unknown tenant %q", req.Tenant),
+			Msg: fmt.Sprintf("unknown tenant %q", tname),
 		})
 		return
 	}
@@ -194,7 +257,9 @@ func (c *connState) execute(req wire.Request) {
 	case wire.OpInsert:
 		c.coalesceInsert(t, req)
 	case wire.OpInsertBatch:
-		c.handle(t).InsertBatch(req.Keys, cloneValues(req.Payloads))
+		vals := cloneValues(c.vals[:0], req.Payloads)
+		c.handle(t).InsertBatch(req.Keys, vals)
+		c.release(vals)
 		s.batchSizes.Observe(c.id, uint64(len(req.Keys)))
 		s.inserts.Add(c.id, uint64(len(req.Keys)))
 		s.opsTotal.Inc(c.id)
@@ -207,8 +272,6 @@ func (c *connState) execute(req wire.Request) {
 			return
 		}
 		s.extracts.Inc(c.id)
-		// val is the element's own copy (detached at insert), so handing
-		// it to the response queue is safe.
 		c.respond(wire.Response{Status: wire.StatusOK, ID: req.ID, Op: req.Op, Value: key, Payload: val})
 	case wire.OpExtractBatch:
 		c.dst = c.handle(t).ExtractBatch(c.dst[:0], req.N)
@@ -217,34 +280,40 @@ func (c *connState) execute(req wire.Request) {
 			c.respond(wire.Response{Status: c.emptyStatus(t), ID: req.ID, Op: req.Op})
 			return
 		}
-		// The response outlives c.dst (it waits in the queue); detach the
-		// keys. The values are element-owned copies already. Only send the
-		// valued form when at least one member carries bytes, so key-only
-		// tenants keep the compact key-only frames.
-		keys := make([]uint64, len(c.dst))
-		var vals [][]byte
-		for i := range c.dst {
-			keys[i] = c.dst[i].Key
-			if c.dst[i].Val != nil && vals == nil {
-				vals = make([][]byte, len(c.dst))
-			}
+		// The response is encoded before anything else runs, so the
+		// scratch views need no copies. Only send the valued form when at
+		// least one member carries bytes, so key-only tenants keep the
+		// compact key-only frames.
+		keys, vals, valued := c.keys[:0], c.vals[:0], false
+		for _, e := range c.dst {
+			keys = append(keys, e.Key)
+			vals = append(vals, e.Val)
+			valued = valued || e.Val != nil
 		}
-		if vals != nil {
-			for i := range c.dst {
-				vals[i] = c.dst[i].Val
-			}
+		resp := wire.Response{Status: wire.StatusOK, ID: req.ID, Op: req.Op, Keys: keys}
+		if valued {
+			resp.Payloads = vals
 		}
+		c.respond(resp)
 		s.extracts.Add(c.id, uint64(len(keys)))
-		for i := range c.dst {
-			c.dst[i] = core.Element[[]byte]{} // drop the payload references
-		}
-		c.respond(wire.Response{Status: wire.StatusOK, ID: req.ID, Op: req.Op, Keys: keys, Payloads: vals})
+		clear(c.dst) // drop the payload references
+		c.keys = keys[:0]
+		c.release(vals)
 	case wire.OpLen:
 		s.opsTotal.Inc(c.id)
 		c.respond(wire.Response{Status: wire.StatusOK, ID: req.ID, Op: req.Op, Value: uint64(t.q.Len())})
 	case wire.OpSnapshot:
 		s.opsTotal.Inc(c.id)
 		c.respond(wire.Response{Status: wire.StatusOK, ID: req.ID, Op: req.Op, Blob: s.statsJSON()})
+	}
+}
+
+// release keeps vals' array as the values scratch, minus its references:
+// the scratch must not pin values the queue or the client now own.
+func (c *connState) release(vals [][]byte) {
+	if vals != nil {
+		clear(vals)
+		c.vals = vals[:0]
 	}
 }
 
@@ -267,38 +336,32 @@ func (c *connState) emptyStatus(t *tenant) byte {
 // read buffer, so both are detached before the batch is stored.
 func (c *connState) coalesceInsert(t *tenant, req wire.Request) {
 	s := c.s
-	budget := s.cfg.MaxCoalesce
-	if f := c.free() - 1; f < budget {
-		budget = f
+	budget := min(s.cfg.MaxCoalesce, c.free()-1)
+	var head []byte
+	if req.Payload != nil {
+		head = append([]byte{}, req.Payload...)
 	}
-	keys := c.keys[:0]
-	keys = append(keys, req.Key)
-	var vals [][]byte
-	anyVal := req.Payload != nil
-	if anyVal {
-		vals = append(vals, append([]byte{}, req.Payload...))
-	} else {
-		vals = append(vals, nil)
-	}
-	ids := make([]uint32, 1, 8)
-	ids[0] = req.ID
+	keys := append(c.keys[:0], req.Key)
+	vals := append(c.vals[:0], head)
+	ids := append(c.ids[:0], req.ID)
+	anyVal := head != nil
 	for len(keys) < budget {
-		next, ok := c.peekInsert(t.name)
+		next, ok := c.peekInsert(t)
 		if !ok {
 			break
 		}
 		keys = append(keys, next.Key)
 		vals = append(vals, next.Payload) // already detached by peekInsert
-		if next.Payload != nil {
-			anyVal = true
-		}
+		anyVal = anyVal || next.Payload != nil
 		ids = append(ids, next.ID)
 	}
+	batchVals := vals
 	if !anyVal {
-		vals = nil // key-only batch: zero values, key-only WAL record
+		batchVals = nil // key-only batch: zero values, key-only WAL record
 	}
-	c.handle(t).InsertBatch(keys, vals)
-	c.keys = keys[:0]
+	c.handle(t).InsertBatch(keys, batchVals)
+	c.release(vals)
+	c.keys, c.ids = keys[:0], ids[:0]
 	s.batchSizes.Observe(c.id, uint64(len(keys)))
 	s.inserts.Add(c.id, uint64(len(keys)))
 	s.opsTotal.Add(c.id, uint64(len(ids)))
@@ -307,26 +370,34 @@ func (c *connState) coalesceInsert(t *tenant, req wire.Request) {
 	}
 }
 
-// peekInsert consumes and returns the next frame iff it is already fully
-// buffered AND parses to an Insert for the same tenant. Anything else —
-// incomplete frame, other op, other tenant, torn bytes — leaves the
-// buffer untouched for the main loop.
-func (c *connState) peekInsert(tenant string) (wire.Request, bool) {
-	// Buffered() is what makes this non-blocking: Peek(n) would WAIT for
-	// n bytes, but only already-received bytes count as pipelined.
+// bufferedFrame reports the size of the next frame and whether all of it
+// is already in the read buffer. Buffered() is what makes this
+// non-blocking: Peek(n) would WAIT for n bytes, but only already-received
+// bytes count as pipelined. A torn length reads as not buffered; the main
+// loop reports it and closes.
+func (c *connState) bufferedFrame() (int, bool) {
 	if c.br.Buffered() < wire.HeaderSize {
-		return wire.Request{}, false
+		return 0, false
 	}
 	head, err := c.br.Peek(wire.HeaderSize)
-	if err != nil || len(head) < wire.HeaderSize {
-		return wire.Request{}, false
+	if err != nil {
+		return 0, false
 	}
 	length := binary.LittleEndian.Uint32(head)
 	if length < 1 || length > wire.MaxPayload {
-		return wire.Request{}, false // torn; main loop reports and closes
+		return 0, false
 	}
 	total := wire.HeaderSize + int(length)
-	if c.br.Buffered() < total {
+	return total, c.br.Buffered() >= total
+}
+
+// peekInsert consumes and returns the next frame iff it is already fully
+// buffered AND parses to an Insert for tenant t. Anything else —
+// incomplete frame, other op, other tenant, torn bytes — leaves the
+// buffer untouched for the main loop.
+func (c *connState) peekInsert(t *tenant) (wire.Request, bool) {
+	total, ok := c.bufferedFrame()
+	if !ok {
 		return wire.Request{}, false
 	}
 	frame, err := c.br.Peek(total)
@@ -340,8 +411,8 @@ func (c *connState) peekInsert(tenant string) (wire.Request, bool) {
 	if len(payload) < 1 || payload[0] != wire.OpInsert {
 		return wire.Request{}, false
 	}
-	req, perr := wire.ParseRequest(payload, nil)
-	if perr != nil || req.Tenant != tenant {
+	req, tname, perr := wire.ParseRequestBytes(payload, nil)
+	if perr != nil || string(tname) != t.name {
 		return wire.Request{}, false
 	}
 	if req.Payload != nil {

@@ -8,11 +8,11 @@
 // frames into one InsertBatch — the network edge recreates the batch
 // shape the queue's relaxation window is built around.
 //
-// Admission control is per connection: each connection owns a bounded
-// response queue, and a request that would overflow it is answered with
-// StatusOverloaded plus a retry-after hint instead of being executed.
-// Back-pressure therefore degrades one pipelining client, not the
-// server.
+// Admission control is per connection: each connection bounds its
+// unanswered responses, and a request that would exceed the bound is
+// answered with StatusOverloaded plus a retry-after hint instead of being
+// executed. Back-pressure therefore degrades one pipelining client, not
+// the server.
 //
 // Shutdown is a graceful drain (see Server.Shutdown): stop accepting,
 // answer in-flight requests with StatusClosed, then flush + sync + close
@@ -75,7 +75,7 @@ type Config struct {
 
 // Defaults for the zero values of Config.
 const (
-	// DefaultMaxInflight is the per-connection response-queue bound.
+	// DefaultMaxInflight is the per-connection unanswered-response bound.
 	DefaultMaxInflight = 1024
 	// DefaultMaxCoalesce caps one coalesced InsertBatch.
 	DefaultMaxCoalesce = 128

@@ -15,7 +15,7 @@ import (
 	"repro/internal/wire"
 )
 
-func startServer(t *testing.T, cfg Config) (*Server, string) {
+func startServer(t testing.TB, cfg Config) (*Server, string) {
 	t.Helper()
 	s, _, err := New(cfg)
 	if err != nil {

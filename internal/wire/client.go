@@ -17,15 +17,17 @@ import (
 //
 // A background read loop routes responses to waiters by correlation id,
 // so a Client is safe for concurrent use and responses may be awaited in
-// any order.
+// any order. Request handles are recycled: after warm-up a request costs
+// no allocation but the copy of the values its response carries.
 type Client struct {
 	conn net.Conn
 	bw   *bufio.Writer
 
-	mu      sync.Mutex // guards bw, nextID, pending, err
+	mu      sync.Mutex // guards bw, nextID, pending, free, err, buf
 	nextID  uint32
-	pending map[uint32]chan Response
-	err     error // sticky: first read-loop or write failure
+	pending map[uint32]*Pending
+	free    []*Pending // handles whose Wait has returned, reused by Start
+	err     error      // sticky: first read-loop or write failure
 
 	buf  []byte // AppendRequest scratch, guarded by mu
 	done chan struct{}
@@ -34,11 +36,16 @@ type Client struct {
 	closeErr  error
 }
 
-// Pending is an in-flight request handle returned by Start.
+// Pending is an in-flight request handle returned by Start. It is valid
+// until its Wait returns; the Client then reuses it for a later request,
+// so Wait is called at most once and the handle dropped after it.
 type Pending struct {
-	c  *Client
-	ch chan Response
-	id uint32
+	c *Client
+	// ch carries the read loop's one delivery per use (cap 1, so the
+	// read loop never blocks on it); resp and err are written before it.
+	ch   chan struct{}
+	resp Response
+	err  error
 }
 
 // Dial connects to a zmsqd server at addr.
@@ -56,7 +63,7 @@ func NewClient(conn net.Conn) *Client {
 	c := &Client{
 		conn:    conn,
 		bw:      bufio.NewWriterSize(conn, 64<<10),
-		pending: make(map[uint32]chan Response),
+		pending: make(map[uint32]*Pending),
 		done:    make(chan struct{}),
 	}
 	go c.readLoop()
@@ -67,7 +74,6 @@ func NewClient(conn net.Conn) *Client {
 // a handle to await the response. The request's ID field is assigned by
 // the client; any value the caller set is overwritten.
 func (c *Client) Start(r Request) (*Pending, error) {
-	ch := make(chan Response, 1)
 	c.mu.Lock()
 	if c.err != nil {
 		err := c.err
@@ -82,16 +88,23 @@ func (c *Client) Start(r Request) (*Pending, error) {
 		c.mu.Unlock()
 		return nil, err
 	}
-	c.pending[r.ID] = ch
 	if _, werr := c.bw.Write(c.buf); werr != nil {
-		delete(c.pending, r.ID)
 		c.fail(werr)
 		c.mu.Unlock()
 		return nil, werr
 	}
-	id := r.ID
+	// Registered under the same lock hold as the write, so the read loop
+	// cannot see the response first.
+	var p *Pending
+	if n := len(c.free); n > 0 {
+		p = c.free[n-1]
+		c.free = c.free[:n-1]
+	} else {
+		p = &Pending{c: c, ch: make(chan struct{}, 1)}
+	}
+	c.pending[r.ID] = p
 	c.mu.Unlock()
-	return &Pending{c: c, ch: ch, id: id}, nil
+	return p, nil
 }
 
 // Flush pushes every Started request to the server.
@@ -108,26 +121,17 @@ func (c *Client) Flush() error {
 	return nil
 }
 
-// Wait blocks until the response arrives (or the connection dies).
+// Wait blocks until the response arrives (or the connection dies), then
+// hands the handle back to the Client for reuse.
 func (p *Pending) Wait() (Response, error) {
-	select {
-	case r := <-p.ch:
-		return r, nil
-	case <-p.c.done:
-		// Drain a response that raced with the shutdown.
-		select {
-		case r := <-p.ch:
-			return r, nil
-		default:
-		}
-		p.c.mu.Lock()
-		err := p.c.err
-		p.c.mu.Unlock()
-		if err == nil {
-			err = io.ErrClosedPipe
-		}
-		return Response{}, err
-	}
+	<-p.ch
+	r, err := p.resp, p.err
+	p.resp, p.err = Response{}, nil
+	c := p.c
+	c.mu.Lock()
+	c.free = append(c.free, p)
+	c.mu.Unlock()
+	return r, err
 }
 
 // Do sends r and waits for its response: Start + Flush + Wait.
@@ -157,7 +161,8 @@ func (c *Client) closeConn() error {
 }
 
 // fail records the first error and wakes every waiter: closing the
-// connection ends the read loop, which closes done. Caller holds mu.
+// connection ends the read loop, which fails every registered request.
+// Caller holds mu.
 func (c *Client) fail(err error) {
 	if c.err == nil {
 		c.err = err
@@ -172,8 +177,20 @@ func (c *Client) abort(err error) {
 	c.mu.Unlock()
 }
 
+// readLoop delivers each response to its request's handle. It ends only
+// through abort, so the sticky error is set by the time it fails the
+// requests still registered; Start registers none after that.
 func (c *Client) readLoop() {
 	defer close(c.done)
+	defer func() {
+		c.mu.Lock()
+		for id, p := range c.pending {
+			delete(c.pending, id)
+			p.err = c.err
+			p.ch <- struct{}{}
+		}
+		c.mu.Unlock()
+	}()
 	// One read(2) fills the buffer with every response the server has
 	// written so far, instead of two per frame (header, then body).
 	br := bufio.NewReaderSize(c.conn, 64<<10)
@@ -211,13 +228,14 @@ func (c *Client) readLoop() {
 			}
 		}
 		c.mu.Lock()
-		ch, ok := c.pending[resp.ID]
+		p, ok := c.pending[resp.ID]
 		delete(c.pending, resp.ID)
 		c.mu.Unlock()
 		if !ok {
 			c.abort(fmt.Errorf("%w: response for unknown request id %d", ErrProto, resp.ID))
 			return
 		}
-		ch <- resp
+		p.resp = resp
+		p.ch <- struct{}{}
 	}
 }

@@ -314,15 +314,27 @@ func AppendResponse(buf []byte, r Response) []byte {
 // keyScratch, if non-nil, is reused for batch keys; the returned
 // Request.Keys alias it.
 func ParseRequest(payload []byte, keyScratch []uint64) (Request, error) {
-	if len(payload) < reqFixed {
-		return Request{}, fmt.Errorf("%w: request payload of %d bytes shorter than preamble", ErrProto, len(payload))
+	r, tenant, err := ParseRequestBytes(payload, keyScratch)
+	if err != nil {
+		return Request{}, err
 	}
-	r := Request{Op: payload[0], ID: binary.LittleEndian.Uint32(payload[1:])}
+	r.Tenant = string(tenant)
+	return r, nil
+}
+
+// ParseRequestBytes is ParseRequest without the tenant string: the
+// returned Request's Tenant is empty and tenant aliases payload, so a
+// server that resolves tenants by name pays no allocation per request.
+func ParseRequestBytes(payload []byte, keyScratch []uint64) (r Request, tenant []byte, err error) {
+	if len(payload) < reqFixed {
+		return Request{}, nil, fmt.Errorf("%w: request payload of %d bytes shorter than preamble", ErrProto, len(payload))
+	}
+	r = Request{Op: payload[0], ID: binary.LittleEndian.Uint32(payload[1:])}
 	tlen := int(payload[5])
 	if tlen == 0 || tlen > MaxTenantLen || len(payload) < reqFixed+tlen {
-		return Request{}, fmt.Errorf("%w: tenant length %d does not fit payload of %d bytes", ErrProto, tlen, len(payload))
+		return Request{}, nil, fmt.Errorf("%w: tenant length %d does not fit payload of %d bytes", ErrProto, tlen, len(payload))
 	}
-	r.Tenant = string(payload[reqFixed : reqFixed+tlen])
+	tenant = payload[reqFixed : reqFixed+tlen]
 	body := payload[reqFixed+tlen:]
 	switch r.Op {
 	case OpInsert:
@@ -333,19 +345,19 @@ func ParseRequest(payload []byte, keyScratch []uint64) (Request, error) {
 			r.Key = binary.LittleEndian.Uint64(body)
 			vlen := binary.LittleEndian.Uint32(body[8:])
 			if vlen > MaxValueLen || int(vlen) != len(body)-12 {
-				return Request{}, fmt.Errorf("%w: insert payload length %d disagrees with %d body bytes", ErrProto, vlen, len(body))
+				return Request{}, nil, fmt.Errorf("%w: insert payload length %d disagrees with %d body bytes", ErrProto, vlen, len(body))
 			}
 			r.Payload = body[12 : 12+vlen : 12+vlen]
 		default:
-			return Request{}, fmt.Errorf("%w: insert body of %d bytes (want 8 or >= 12)", ErrProto, len(body))
+			return Request{}, nil, fmt.Errorf("%w: insert body of %d bytes (want 8 or >= 12)", ErrProto, len(body))
 		}
 	case OpInsertBatch:
 		if len(body) < 4 {
-			return Request{}, fmt.Errorf("%w: insert-batch body of %d bytes (want >= 4)", ErrProto, len(body))
+			return Request{}, nil, fmt.Errorf("%w: insert-batch body of %d bytes (want >= 4)", ErrProto, len(body))
 		}
 		n := binary.LittleEndian.Uint32(body)
 		if n == 0 || n > MaxBatchKeys {
-			return Request{}, fmt.Errorf("%w: insert-batch count %d outside [1, %d]", ErrProto, n, MaxBatchKeys)
+			return Request{}, nil, fmt.Errorf("%w: insert-batch count %d outside [1, %d]", ErrProto, n, MaxBatchKeys)
 		}
 		if len(body) == 4+8*int(n) {
 			// Key-only form: exactly count keys, no length fields. A valued
@@ -357,28 +369,27 @@ func ParseRequest(payload []byte, keyScratch []uint64) (Request, error) {
 			}
 			break
 		}
-		var err error
 		r.Keys, r.Payloads, err = parseValuedMembers(body[4:], int(n), keyScratch[:0])
 		if err != nil {
-			return Request{}, fmt.Errorf("%w: insert-batch: %s", ErrProto, err)
+			return Request{}, nil, fmt.Errorf("%w: insert-batch: %s", ErrProto, err)
 		}
 	case OpExtractBatch:
 		if len(body) != 4 {
-			return Request{}, fmt.Errorf("%w: extract-batch body of %d bytes (want 4)", ErrProto, len(body))
+			return Request{}, nil, fmt.Errorf("%w: extract-batch body of %d bytes (want 4)", ErrProto, len(body))
 		}
 		n := binary.LittleEndian.Uint32(body)
 		if n == 0 || n > MaxBatchKeys {
-			return Request{}, fmt.Errorf("%w: extract-batch budget %d outside [1, %d]", ErrProto, n, MaxBatchKeys)
+			return Request{}, nil, fmt.Errorf("%w: extract-batch budget %d outside [1, %d]", ErrProto, n, MaxBatchKeys)
 		}
 		r.N = int(n)
 	case OpExtractMax, OpLen, OpSnapshot:
 		if len(body) != 0 {
-			return Request{}, fmt.Errorf("%w: op %d with %d unexpected body bytes", ErrProto, r.Op, len(body))
+			return Request{}, nil, fmt.Errorf("%w: op %d with %d unexpected body bytes", ErrProto, r.Op, len(body))
 		}
 	default:
-		return Request{}, fmt.Errorf("%w: unknown request op %d", ErrProto, r.Op)
+		return Request{}, nil, fmt.Errorf("%w: unknown request op %d", ErrProto, r.Op)
 	}
-	return r, nil
+	return r, tenant, nil
 }
 
 // parseValuedMembers walks n × (key uint64 LE + vlen uint32 LE + vlen
@@ -559,18 +570,25 @@ func (d *Decoder) Next() ([]byte, error) {
 // io.EOF; streams cut mid-frame return a TornError; an implausible length
 // or CRC mismatch is a TornError too (a desynchronized stream cannot be
 // re-synchronized, so the caller must drop the connection either way).
+//
+// The header is read into scratch too: a local array would escape through
+// io.Reader and cost an allocation per frame.
 func ReadFrame(r io.Reader, scratch []byte) (payload, newScratch []byte, err error) {
-	var head [HeaderSize]byte
-	if _, err := io.ReadFull(r, head[:]); err != nil {
+	if cap(scratch) < HeaderSize {
+		scratch = make([]byte, 0, 512) // room for a typical frame, too
+	}
+	head := scratch[:HeaderSize]
+	if _, err := io.ReadFull(r, head); err != nil {
 		if err == io.EOF {
 			return nil, scratch, io.EOF
 		}
 		return nil, scratch, &TornError{Reason: "short header: " + err.Error(), Err: err}
 	}
-	length := binary.LittleEndian.Uint32(head[:])
+	length := binary.LittleEndian.Uint32(head)
 	if length < 1 || length > MaxPayload {
 		return nil, scratch, &TornError{Reason: fmt.Sprintf("implausible payload length %d", length)}
 	}
+	crc := binary.LittleEndian.Uint32(head[4:]) // the body overwrites head
 	if cap(scratch) < int(length) {
 		scratch = make([]byte, 0, int(length))
 	}
@@ -578,7 +596,7 @@ func ReadFrame(r io.Reader, scratch []byte) (payload, newScratch []byte, err err
 	if _, err := io.ReadFull(r, body); err != nil {
 		return nil, scratch, &TornError{Reason: "short payload: " + err.Error(), Err: err}
 	}
-	if crc := crc32.Checksum(body, castagnoli); crc != binary.LittleEndian.Uint32(head[4:]) {
+	if crc32.Checksum(body, castagnoli) != crc {
 		return nil, scratch, &TornError{Reason: "crc mismatch"}
 	}
 	return body, scratch, nil

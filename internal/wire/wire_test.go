@@ -1,12 +1,14 @@
 package wire
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/binary"
 	"errors"
 	"io"
 	"net"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -369,5 +371,142 @@ func TestClientWriteFailureWakesWaiters(t *testing.T) {
 	}
 	if err := c.Close(); err != nil {
 		t.Fatalf("Close after failure = %v", err)
+	}
+}
+
+// reverseEcho serves one connection: it answers each burst of requests —
+// every frame that arrived together — in reverse order, echoing 2·Key as
+// Value, except requests for tenant "mute", which it never answers.
+func reverseEcho(t *testing.T) string {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ln.Close() })
+	go func() {
+		conn, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		defer conn.Close()
+		br := bufio.NewReader(conn)
+		var scratch, out []byte
+		var resps []Response
+		for {
+			payload, ns, err := ReadFrame(br, scratch)
+			scratch = ns
+			if err != nil {
+				return
+			}
+			req, err := ParseRequest(payload, nil)
+			if err != nil {
+				return
+			}
+			if req.Tenant != "mute" {
+				resps = append(resps, Response{Status: StatusOK, ID: req.ID, Op: OpExtractMax, Value: req.Key * 2})
+			}
+			if br.Buffered() > 0 || len(resps) == 0 {
+				continue
+			}
+			out = out[:0]
+			for i := len(resps) - 1; i >= 0; i-- {
+				out = AppendResponse(out, resps[i])
+			}
+			resps = resps[:0]
+			if _, err := conn.Write(out); err != nil {
+				return
+			}
+		}
+	}()
+	return ln.Addr().String()
+}
+
+// TestClientPendingRecycle shares one Client between goroutines whose
+// request handles are recycled under them: every response must reach the
+// request it answers, exactly once, and a Close with requests outstanding
+// must fail every one of them.
+func TestClientPendingRecycle(t *testing.T) {
+	c, err := Dial(reverseEcho(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const workers, perWorker, window = 8, 2000, 4
+	var mu sync.Mutex
+	deliveries := make(map[uint32]int) // by response id
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			var ps [window]*Pending
+			for n := 0; n < perWorker; n += window {
+				for i := range ps {
+					p, err := c.Start(Request{Op: OpInsert, Tenant: "t", Key: uint64(w)<<32 | uint64(n+i)})
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					ps[i] = p
+				}
+				if err := c.Flush(); err != nil {
+					t.Error(err)
+					return
+				}
+				for i, p := range ps {
+					resp, err := p.Wait()
+					if key := uint64(w)<<32 | uint64(n+i); err != nil || resp.Value != 2*key {
+						t.Errorf("worker %d request %d: got %+v %v, want value %d", w, n+i, resp, err, 2*key)
+						return
+					}
+					mu.Lock()
+					deliveries[resp.ID]++
+					mu.Unlock()
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	if t.Failed() {
+		return
+	}
+	if len(deliveries) != workers*perWorker {
+		t.Fatalf("%d distinct response ids, want %d", len(deliveries), workers*perWorker)
+	}
+	for id, n := range deliveries {
+		if n != 1 {
+			t.Fatalf("response id %d delivered %d times", id, n)
+		}
+	}
+
+	// Requests the server never answers, on recycled handles, then Close.
+	woke := make(chan error, workers)
+	for w := 0; w < workers; w++ {
+		p, err := c.Start(Request{Op: OpInsert, Tenant: "mute", Key: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		go func() {
+			_, err := p.Wait()
+			woke <- err
+		}()
+	}
+	if err := c.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	for w := 0; w < workers; w++ {
+		select {
+		case err := <-woke:
+			if err == nil {
+				t.Fatal("Wait after Close returned no error")
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatal("Wait still blocked after Close")
+		}
+	}
+	if _, err := c.Start(Request{Op: OpInsert, Tenant: "t", Key: 1}); err == nil {
+		t.Fatal("Start after Close succeeded")
 	}
 }
