@@ -30,15 +30,15 @@ func (q *Queue[V]) InsertBatch(keys []uint64, vals []V) {
 	ctx := q.getCtx()
 	if q.wal != nil {
 		// One record for the whole batch, logged before any element
-		// becomes visible — the group-commit amortization lever.
+		// becomes visible — the group-commit amortization lever. With no
+		// payloads to carry (vals == nil inserts zero values, which is
+		// exactly what a key-only record recovers to) or no codec it is
+		// the v1 key-only record, bit-identical to pre-codec logs.
+		var enc [][]byte
 		if q.codec != nil && vals != nil {
-			q.appendValuedBatch(ctx, keys, vals)
-		} else {
-			// No payloads to carry (vals == nil inserts zero values, which
-			// is exactly what a key-only record recovers to), or no codec:
-			// the v1 key-only record, bit-identical to pre-codec logs.
-			q.wal.AppendInsertBatch(keys)
+			enc = q.encodeVals(ctx, vals)
 		}
+		q.wal.AppendInserts(keys, enc)
 	}
 	for i, k := range keys {
 		e := element[V]{key: k}
@@ -57,12 +57,12 @@ func (q *Queue[V]) InsertBatch(keys []uint64, vals []V) {
 	}
 }
 
-// appendValuedBatch logs one valued batch record: every payload is
-// encoded into the context's arena first (appends can grow/move it, so
-// the member views are sliced out only after the last encode), then the
-// whole batch goes to the WAL as aligned key/value columns. The WAL
-// copies the bytes before returning, so the scratch is free for reuse.
-func (q *Queue[V]) appendValuedBatch(ctx *opCtx[V], keys []uint64, vals []V) {
+// encodeVals encodes every payload into the context's arena (appends can
+// grow/move it, so the member views are sliced out only after the last
+// encode) and returns the views, aligned with vals. They alias the
+// context's scratch: the WAL copies the bytes before returning, and the
+// next batch overwrites them.
+func (q *Queue[V]) encodeVals(ctx *opCtx[V], vals []V) [][]byte {
 	ctx.venc = ctx.venc[:0]
 	ctx.voffs = ctx.voffs[:0]
 	for _, v := range vals {
@@ -75,10 +75,7 @@ func (q *Queue[V]) appendValuedBatch(ctx *opCtx[V], keys []uint64, vals []V) {
 		ctx.vptrs = append(ctx.vptrs, ctx.venc[prev:end:end])
 		prev = end
 	}
-	q.wal.AppendInsertBatchValues(keys, ctx.vptrs)
-	for i := range ctx.vptrs {
-		ctx.vptrs[i] = nil // drop the arena views until the next batch
-	}
+	return ctx.vptrs
 }
 
 // ExtractBatch removes up to n high-priority elements, appending them to
@@ -110,7 +107,7 @@ func (q *Queue[V]) ExtractBatch(dst []Element[V], n int) []Element[V] {
 		for _, e := range dst[start:] {
 			ctx.wkeys = append(ctx.wkeys, e.Key)
 		}
-		q.wal.AppendExtractBatch(ctx.wkeys)
+		q.wal.AppendExtracts(ctx.wkeys)
 	}
 	return dst
 }

@@ -3,6 +3,10 @@ package core
 import (
 	"bytes"
 	"fmt"
+	"os"
+	"path/filepath"
+	"reflect"
+	"runtime"
 	"testing"
 
 	"repro/internal/wal"
@@ -83,6 +87,65 @@ func TestRecoverValuedWithoutCodecFails(t *testing.T) {
 	if err := r.CloseWAL(); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestRefusedOpenClosesLog: Open opens the log (recovering as it does)
+// before it decodes, so refusing a valued directory without a codec must
+// close that log again — no group-commit goroutine, no open file left —
+// and a later Open with the codec must recover exactly what Recover
+// reported before the refusal, torn tail included.
+func TestRefusedOpenClosesLog(t *testing.T) {
+	cfg := durableConfig(t.TempDir())
+	q, _ := mustOpen(t, cfg, Options[[]byte]{Codec: wal.BytesCodec{}})
+	for k := uint64(1); k <= 40; k++ {
+		q.Insert(k, valueFor(k))
+	}
+	q.ExtractBatch(nil, 5)
+	if err := q.CloseWAL(); err != nil {
+		t.Fatal(err)
+	}
+	f, err := os.OpenFile(filepath.Join(cfg.Durability.Dir, "queue.wal"), os.O_APPEND|os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Write([]byte{9, 0, 0}); err != nil { // a torn frame header
+		t.Fatal(err)
+	}
+	f.Close()
+	want, err := wal.Recover(cfg.Durability.Dir)
+	if err != nil || want.TornOffset < 0 {
+		t.Fatalf("Recover = (%+v, %v), want a state with a torn tail", want, err)
+	}
+
+	goroutines, fds := runtime.NumGoroutine(), openFDs(t)
+	if _, _, err := Open(cfg, Options[[]byte]{}); err == nil {
+		t.Fatal("Open without a codec accepted a valued directory")
+	}
+	if n := runtime.NumGoroutine(); n > goroutines {
+		t.Fatalf("refused Open left %d goroutines running, %d before", n, goroutines)
+	}
+	if n := openFDs(t); n > fds {
+		t.Fatalf("refused Open left %d files open, %d before", n, fds)
+	}
+
+	r, got := mustOpen(t, cfg, Options[[]byte]{Codec: wal.BytesCodec{}})
+	if !reflect.DeepEqual(got.Keys, want.Keys) || !reflect.DeepEqual(got.Vals, want.Vals) {
+		t.Fatalf("Open after the refusal recovered %d keys, Recover reported %d before it", got.Live(), want.Live())
+	}
+	if err := r.CloseWAL(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// openFDs counts the process's open file descriptors, skipping the test
+// where /proc/self/fd does not exist.
+func openFDs(t *testing.T) int {
+	t.Helper()
+	ents, err := os.ReadDir("/proc/self/fd")
+	if err != nil {
+		t.Skipf("cannot count open files: %v", err)
+	}
+	return len(ents)
 }
 
 // TestKeyOnlyQueueStaysV1 pins bit-format stability: a durable queue

@@ -78,11 +78,7 @@ func (q *Queue[V]) tryExtract(ctx *opCtx[V]) (uint64, V, bool) {
 	for attempt := 0; ; attempt++ {
 		if q.batch > 0 {
 			if k, v, ok := q.extractFromPool(ctx); ok {
-				if q.wal != nil {
-					// Log after the physical removal (see WALPolicy); this
-					// funnel covers every single-extract entry point.
-					q.wal.AppendExtract(k)
-				}
+				q.logExtract(ctx, k)
 				return k, v, true
 			}
 		}
@@ -92,9 +88,7 @@ func (q *Queue[V]) tryExtract(ctx *opCtx[V]) (uint64, V, bool) {
 		k, v, st := q.extractFromRoot(ctx, force)
 		switch st {
 		case extractGot:
-			if q.wal != nil {
-				q.wal.AppendExtract(k)
-			}
+			q.logExtract(ctx, k)
 			return k, v, true
 		case extractEmpty:
 			var zero V
@@ -102,6 +96,16 @@ func (q *Queue[V]) tryExtract(ctx *opCtx[V]) (uint64, V, bool) {
 		case extractRaced:
 			runtime.Gosched()
 		}
+	}
+}
+
+// logExtract logs one extracted key after its physical removal (see
+// WALPolicy). tryExtract's two success paths funnel every single-extract
+// entry point through it.
+func (q *Queue[V]) logExtract(ctx *opCtx[V], k uint64) {
+	if q.wal != nil {
+		ctx.k1[0] = k
+		q.wal.AppendExtracts(ctx.k1[:])
 	}
 }
 

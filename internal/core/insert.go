@@ -19,12 +19,14 @@ func (q *Queue[V]) Insert(key uint64, val V) {
 		// Log before the element becomes visible: its insert record must
 		// precede any extract record a concurrent consumer could produce.
 		// (Taking the context first is fine — getCtx publishes nothing.)
+		ctx.k1[0] = key
+		var vals [][]byte
 		if q.codec != nil {
 			ctx.venc = q.codec.Append(ctx.venc[:0], val)
-			q.wal.AppendInsertValue(key, ctx.venc)
-		} else {
-			q.wal.AppendInsert(key)
+			ctx.v1[0] = ctx.venc
+			vals = ctx.v1[:]
 		}
+		q.wal.AppendInserts(ctx.k1[:], vals)
 	}
 	q.insert(ctx, element[V]{key: key, val: val})
 	q.putCtx(ctx)

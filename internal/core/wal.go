@@ -16,33 +16,31 @@ import (
 // policy compiles every hot-path hook down to a single predictable
 // branch, which is what keeps the durability-off paths at 0 allocs/op.
 //
+// Every append is batch-shaped: Insert and single extractions pass
+// one-element slices, InsertBatch and ExtractBatch the whole batch, so
+// each call logs as one record (one frame, one LSN).
+//
 // Ordering contract (what makes replay sound): the queue calls
-// AppendInsert/AppendInsertBatch BEFORE an element becomes visible and
-// AppendExtract/AppendExtractBatch AFTER it is physically removed, so in
-// the log every element's insert record precedes any extract record for
-// it, and every durable prefix replays to a well-formed multiset.
+// AppendInserts BEFORE the elements become visible and AppendExtracts
+// AFTER they are physically removed, so in the log every element's
+// insert record precedes any extract record for it, and every durable
+// prefix replays to a well-formed multiset.
 type WALPolicy interface {
-	// AppendInsert logs one inserted key; AppendInsertBatch logs a batch
-	// as one record. Appends do not return errors — durability is only
-	// ever promised by Sync, and the implementation must latch failures
-	// so a later Sync cannot falsely acknowledge.
-	AppendInsert(key uint64)
-	AppendInsertBatch(keys []uint64)
-	// AppendInsertValue and AppendInsertBatchValues are the valued
-	// variants: each inserted key carries its payload's encoded bytes
-	// (wal record format v2). The queue calls them instead of the
-	// key-only appends when the queue has a Codec (Options.Codec); val bytes
-	// are consumed before the call returns, so callers may reuse the
-	// backing buffer. A nil vals[i] logs an empty payload — the valued
-	// record kind is uniform per call, not per member.
-	AppendInsertValue(key uint64, val []byte)
-	AppendInsertBatchValues(keys []uint64, vals [][]byte)
-	// AppendExtract logs one extracted key; AppendExtractBatch a batch.
-	// Extract records stay key-only in both formats: replay only needs
-	// to know which instance died, and the insert record already carries
-	// the bytes.
-	AppendExtract(key uint64)
-	AppendExtractBatch(keys []uint64)
+	// AppendInserts logs inserted keys. vals nil logs them key-only (wal
+	// record format v1); otherwise vals is aligned with keys and carries
+	// each payload's encoded bytes (format v2) — the queue passes them
+	// when it has a Codec (Options.Codec) and values to log. A nil
+	// vals[i] logs an empty payload: the valued record kind is uniform
+	// per call, not per member. The bytes are consumed before the call
+	// returns, so callers may reuse the backing buffers. Appends do not
+	// return errors — durability is only ever promised by Sync, and the
+	// implementation must latch failures so a later Sync cannot falsely
+	// acknowledge.
+	AppendInserts(keys []uint64, vals [][]byte)
+	// AppendExtracts logs extracted keys. Extract records are key-only in
+	// both formats: replay only needs to know which instance died, and
+	// the insert record already carries the bytes.
+	AppendExtracts(keys []uint64)
 	// Sync makes every append that returned before the call durable.
 	Sync() error
 	// Close performs a final Sync and releases the policy's resources.
@@ -50,8 +48,8 @@ type WALPolicy interface {
 }
 
 // DurabilityConfig asks the queue to own its durability subsystem: Open
-// recovers whatever Dir holds, opens a write-ahead log there and the
-// queue logs every mutation through it. See Config.Durability and, for
+// opens the write-ahead log in Dir, recovering whatever Dir holds, and
+// the queue logs every mutation through it. See Config.Durability and, for
 // the protocol itself, package repro/internal/wal.
 type DurabilityConfig struct {
 	// WAL enables the write-ahead log. (The struct being non-nil does not
@@ -115,7 +113,7 @@ func (c Config) validateDurability() error {
 }
 
 // WALOptions translates Config.Durability, which must have WAL set, into
-// the options of the log Open opens after recovery. Exported for the
+// the options of the log Open recovers and opens. Exported for the
 // sharded front-end, whose shards share one log opened the same way.
 func (c Config) WALOptions() wal.Options {
 	d := c.Durability

@@ -138,35 +138,23 @@ func newWALRecorder() *walRecorder {
 	return &walRecorder{inserts: map[uint64]int{}, extracts: map[uint64]int{}}
 }
 
-func (r *walRecorder) AppendInsert(key uint64) {
-	r.mu.Lock()
-	r.inserts[key]++
-	r.mu.Unlock()
-}
-func (r *walRecorder) AppendInsertBatch(keys []uint64) {
+func (r *walRecorder) AppendInserts(keys []uint64, _ [][]byte) {
 	r.mu.Lock()
 	for _, k := range keys {
 		r.inserts[k]++
 	}
 	r.mu.Unlock()
 }
-func (r *walRecorder) AppendInsertValue(key uint64, _ []byte) { r.AppendInsert(key) }
-func (r *walRecorder) AppendInsertBatchValues(keys []uint64, _ [][]byte) {
-	r.AppendInsertBatch(keys)
-}
-func (r *walRecorder) AppendExtract(key uint64) {
+func (r *walRecorder) AppendExtracts(keys []uint64) {
 	r.mu.Lock()
-	// The ordering contract: an extract append can never precede its
-	// insert append.
-	if r.extracts[key] >= r.inserts[key] {
-		panic("extract appended before its insert")
-	}
-	r.extracts[key]++
-	r.mu.Unlock()
-}
-func (r *walRecorder) AppendExtractBatch(keys []uint64) {
+	defer r.mu.Unlock()
 	for _, k := range keys {
-		r.AppendExtract(k)
+		// The ordering contract: an extract append can never precede its
+		// insert append.
+		if r.extracts[k] >= r.inserts[k] {
+			panic("extract appended before its insert")
+		}
+		r.extracts[k]++
 	}
 }
 func (r *walRecorder) Sync() error  { r.mu.Lock(); r.syncs++; r.mu.Unlock(); return nil }

@@ -94,17 +94,19 @@ func New[V any](cfg Config) *Queue[V] {
 // Open is the one way to build a queue. Without durability in cfg the queue
 // is volatile and the returned state is nil; an external Config.WAL policy is
 // attached un-owned. With Config.Durability.WAL set, Open always recovers:
-// the durable element multiset is read back from the directory's snapshot
-// chain + log (a missing or empty directory recovers to an empty state),
-// decoded through opts.Codec, re-inserted, and only then is the reopened log
-// attached — the recovered elements are already in the log, and re-appending
-// them would double-count on the next Open. The returned wal.State says what
-// was recovered; State.Live() == 0 is a fresh queue. A directory holding
-// value payloads is rejected without a codec rather than silently stripped.
+// wal.Open reads the durable element multiset back from the directory's
+// snapshot chain + log (a missing or empty directory recovers to an empty
+// state) while it opens the log, the elements are decoded through
+// opts.Codec and re-inserted, and only then is the log attached — the
+// recovered elements are already in the log, and re-appending them would
+// double-count on the next Open. The returned wal.State says what was
+// recovered; State.Live() == 0 is a fresh queue. A directory holding value
+// payloads is rejected without a codec rather than silently stripped.
 //
 // Everything that can fail — validation, a domain whose mode does not match
-// cfg, recovery, decoding, opening the log — runs before the queue is built,
-// so an error leaves no queue, goroutine or open file behind.
+// cfg, recovery, opening the log, decoding — runs before the queue is built,
+// and a log opened before a failure is closed again, so an error leaves no
+// queue, goroutine or open file behind.
 func Open[V any](cfg Config, opts Options[V]) (*Queue[V], *wal.State, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, nil, err
@@ -120,18 +122,15 @@ func Open[V any](cfg Config, opts Options[V]) (*Queue[V], *wal.State, error) {
 		w    = cfg.WAL
 	)
 	if d := cfg.Durability; d != nil && d.WAL {
-		var err error
-		if st, err = wal.Recover(d.Dir); err != nil {
-			return nil, nil, err
-		}
-		if vals, err = DecodeRecovered(st, opts.Codec); err != nil {
-			return nil, nil, err
-		}
-		l, err := wal.Open(cfg.WALOptions())
+		l, s, err := wal.Open(cfg.WALOptions())
 		if err != nil {
 			return nil, nil, err
 		}
-		w = l
+		if vals, err = DecodeRecovered(s, opts.Codec); err != nil {
+			l.Close()
+			return nil, nil, err
+		}
+		st, w = s, l
 	}
 
 	cfg = cfg.withDefaults()

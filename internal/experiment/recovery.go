@@ -117,7 +117,7 @@ func snapshotWriteAmpCell(ex *Experiment, opt Options) (CellResult, error) {
 		return cr, fmt.Errorf("snapshot write-amp temp dir: %w", err)
 	}
 	defer os.RemoveAll(dir)
-	l, err := wal.Open(wal.Options{Dir: dir, GroupCommit: wal.DefaultGroupCommit, Seed: opt.Seed})
+	l, _, err := wal.Open(wal.Options{Dir: dir, GroupCommit: wal.DefaultGroupCommit, Seed: opt.Seed})
 	if err != nil {
 		return cr, err
 	}
@@ -126,14 +126,14 @@ func snapshotWriteAmpCell(ex *Experiment, opt Options) (CellResult, error) {
 	for i := range keys {
 		keys[i] = uint64(i + 1)
 	}
-	l.AppendInsertBatch(keys)
+	l.AppendInserts(keys, nil)
 	if err := l.Snapshot(); err != nil {
 		return cr, err
 	}
 	full := l.Stats().SnapshotBytesWritten // delta #0 carries the full state
 	for i := uint64(1); i <= window/2; i++ {
-		l.AppendInsert(uint64(live) + 10000 + i)
-		l.AppendExtract(i)
+		l.AppendInserts([]uint64{uint64(live) + 10000 + i}, nil)
+		l.AppendExtracts([]uint64{i})
 	}
 	if err := l.Snapshot(); err != nil {
 		return cr, err

@@ -264,7 +264,7 @@ func RunRecovery(plan RecoveryPlan) (RecoveryResult, error) {
 	}
 
 	inj := fault.New(plan.Seed, plan.faultPlan())
-	log, err := wal.Open(plan.walOptions(inj))
+	log, _, err := wal.Open(plan.walOptions(inj))
 	if err != nil {
 		return res, err
 	}

@@ -29,7 +29,7 @@ func TestOpen(t *testing.T) {
 	}
 	// The external policy is a log the test owns, as the crash harness does.
 	extDir := t.TempDir()
-	ext, err := wal.Open(wal.Options{Dir: extDir, GroupCommit: time.Millisecond})
+	ext, _, err := wal.Open(wal.Options{Dir: extDir, GroupCommit: time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -152,9 +152,11 @@ func New[V any](cfg Config) *Queue[V] {
 // internal/server). Without durability in cfg.Queue the queue is volatile
 // and the returned state is nil; an external cfg.Queue.WAL policy is shared
 // by every shard un-owned. With cfg.Queue.Durability.WAL set, Open always
-// recovers: the durable multiset is read back, decoded through opts.Codec
-// and re-inserted bare before the one log all shards share is attached (see
-// wal.go). Everything that can fail runs before the first shard is built.
+// recovers: wal.Open reads the durable multiset back while it opens the one
+// log all shards share, and the multiset is decoded through opts.Codec and
+// re-inserted bare before that log is attached (see wal.go). Everything
+// that can fail runs before the first shard is built, and a log opened
+// before a failure is closed again.
 func Open[V any](cfg Config, opts core.Options[V]) (*Queue[V], *wal.State, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, nil, err
@@ -173,18 +175,15 @@ func Open[V any](cfg Config, opts core.Options[V]) (*Queue[V], *wal.State, error
 		w    = cfg.Queue.WAL
 	)
 	if d := cfg.Queue.Durability; d != nil && d.WAL {
-		var err error
-		if st, err = wal.Recover(d.Dir); err != nil {
-			return nil, nil, err
-		}
-		if vals, err = core.DecodeRecovered(st, opts.Codec); err != nil {
-			return nil, nil, err
-		}
-		l, err := wal.Open(cfg.Queue.WALOptions())
+		l, s, err := wal.Open(cfg.Queue.WALOptions())
 		if err != nil {
 			return nil, nil, err
 		}
-		w = l
+		if vals, err = core.DecodeRecovered(s, opts.Codec); err != nil {
+			l.Close()
+			return nil, nil, err
+		}
+		st, w = s, l
 	}
 
 	if opts.Domain == nil {

@@ -75,7 +75,7 @@ type CrashInfo struct {
 // to the cut, and closes it — leaving the directory exactly as a kill -9
 // at the cut point would have. If no crash point fired during the run it
 // behaves like ForceCrash first. The Log is unusable afterwards; reopen
-// the directory with Recover + Open.
+// the directory with Open (or inspect it read-only with Recover).
 func (l *Log) SimulateCrash() (CrashInfo, error) {
 	l.ForceCrash() // no-op if a fault point already froze a cut
 	l.stopBackground()

@@ -4,15 +4,102 @@ import (
 	"bytes"
 	"errors"
 	"io"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
+	"time"
 )
+
+// FuzzSnapshotDecode drives the chain-file body decoders — v1 base, v2
+// base, delta — with arbitrary bytes, and applies every body that
+// decodes as a delta to a small live multiset (or to the base the same
+// body decoded to). Chain files are CRC-framed, so a mutated file never
+// reaches these decoders; fuzzing the bodies directly is what exercises
+// their bounds checks. The property: nothing panics, and every error
+// wraps ErrCorrupt. Seeds are the bodies of real chain files.
+func FuzzSnapshotDecode(f *testing.F) {
+	for _, body := range chainBodies(f) {
+		f.Add(body)
+	}
+	f.Add(wrappedV1Body())
+	f.Add([]byte{})
+
+	f.Fuzz(func(t *testing.T, body []byte) {
+		ok := func(err error) bool {
+			if err != nil && !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("decode error does not wrap ErrCorrupt: %v", err)
+			}
+			return err == nil
+		}
+		ms := multiset{}
+		ms.insert(7, nil)
+		ms.insert(7, []byte("x"))
+		ms.insert(1, nil)
+		for _, valued := range []bool{false, true} {
+			if _, m, err := decodeBase(body, valued); ok(err) {
+				ms = m
+			}
+		}
+		if _, _, w, err := decodeDelta(body); ok(err) {
+			ok(applyDelta(ms, w))
+		}
+	})
+}
+
+// chainBodies runs a key-only and a valued log through rebaseEvery+2
+// snapshots — deltas, a rebase into a base (v1 and v2 respectively), one
+// more delta — and returns the body of every chain file left behind.
+func chainBodies(f *testing.F) [][]byte {
+	var out [][]byte
+	for _, valued := range []bool{false, true} {
+		dir := f.TempDir()
+		l, _, err := Open(Options{Dir: dir, GroupCommit: time.Hour})
+		if err != nil {
+			f.Fatal(err)
+		}
+		for i := uint64(0); i < rebaseEvery+2; i++ {
+			var vals [][]byte
+			if valued {
+				vals = [][]byte{[]byte("payload"), nil, {}}
+			}
+			l.AppendInserts([]uint64{i, i + 1, 7}, vals)
+			l.AppendInserts([]uint64{100 + i}, nil)
+			l.AppendExtracts([]uint64{i})
+			if err := l.Snapshot(); err != nil {
+				f.Fatal(err)
+			}
+		}
+		if err := l.Close(); err != nil {
+			f.Fatal(err)
+		}
+		if st, err := Recover(dir); err != nil || st.Deltas != 1 || st.SnapshotLSN == 0 {
+			f.Fatalf("seed chain (valued %v) recovered %+v, %v; want a base and one delta", valued, st, err)
+		}
+		ents, err := os.ReadDir(dir)
+		if err != nil {
+			f.Fatal(err)
+		}
+		for _, e := range ents {
+			if !strings.HasPrefix(e.Name(), snapName) {
+				continue
+			}
+			_, body, err := readSnapFile(filepath.Join(dir, e.Name()))
+			if err != nil {
+				f.Fatal(err)
+			}
+			out = append(out, body)
+		}
+	}
+	return out
+}
 
 // FuzzWALDecode drives the record decoder with arbitrary bytes. The
 // properties under test:
 //
 //  1. Never panic, whatever the input.
-//  2. Encode → decode round-trips: a stream of appendRecord /
-//     appendValueRecord frames (all six kinds, v1 and v2) decodes back
+//  2. Encode → decode round-trips: a stream of appendRecord frames (all
+//     six kinds, v1 and v2) decodes back
 //     to the same (kind, lsn, keys, vals) sequence, ending in a clean
 //     io.EOF.
 //  3. Torn-tail prefixes decode to a clean truncation: every proper
@@ -23,12 +110,12 @@ import (
 //     CRC covers the value, so a half-written payload can only truncate.
 func FuzzWALDecode(f *testing.F) {
 	var seed []byte
-	seed = appendRecord(seed, recInsert, 1, 42, nil)
-	seed = appendRecord(seed, recInsertBatch, 2, 0, []uint64{7, 7, 9})
-	seed = appendRecord(seed, recExtract, 3, 7, nil)
-	seed = appendRecord(seed, recExtractBatch, 4, 0, []uint64{9})
-	seed = appendValueRecord(seed, recInsertV, 5, []uint64{42}, [][]byte{[]byte("hello")})
-	seed = appendValueRecord(seed, recInsertBatchV, 6, []uint64{1, 2}, [][]byte{{}, []byte("xyz")})
+	seed = appendRecord(seed, recInsert, 1, []uint64{42}, nil)
+	seed = appendRecord(seed, recInsertBatch, 2, []uint64{7, 7, 9}, nil)
+	seed = appendRecord(seed, recExtract, 3, []uint64{7}, nil)
+	seed = appendRecord(seed, recExtractBatch, 4, []uint64{9}, nil)
+	seed = appendRecord(seed, recInsertV, 5, []uint64{42}, [][]byte{[]byte("hello")})
+	seed = appendRecord(seed, recInsertBatchV, 6, []uint64{1, 2}, [][]byte{{}, []byte("xyz")})
 	f.Add(seed, uint16(len(seed)))
 	f.Add([]byte{}, uint16(0))
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0, 0, 0, 0, 1}, uint16(3))
@@ -76,7 +163,7 @@ func FuzzWALDecode(f *testing.F) {
 			}
 			switch kind {
 			case recInsertBatch, recExtractBatch:
-				enc = appendRecord(enc, kind, lsn, 0, keys)
+				enc = appendRecord(enc, kind, lsn, keys, nil)
 				want = append(want, rec{kind, lsn, keys, nil})
 			case recInsertV, recInsertBatchV:
 				vals := make([][]byte, len(keys))
@@ -86,10 +173,10 @@ func FuzzWALDecode(f *testing.F) {
 						vals[j][x] = raw[i+1] + byte(j) + byte(x)
 					}
 				}
-				enc = appendValueRecord(enc, kind, lsn, keys, vals)
+				enc = appendRecord(enc, kind, lsn, keys, vals)
 				want = append(want, rec{kind, lsn, keys, vals})
 			default:
-				enc = appendRecord(enc, kind, lsn, keys[0], nil)
+				enc = appendRecord(enc, kind, lsn, keys, nil)
 				want = append(want, rec{kind, lsn, keys, nil})
 			}
 		}

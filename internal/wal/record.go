@@ -18,6 +18,17 @@
 // queue simply gains v2 records after its v1 prefix, and recovery reads
 // either transparently.
 //
+// # Two appends, one read at startup
+//
+// Every write to the log is batch-shaped: Log.AppendInserts(keys, vals)
+// and Log.AppendExtracts(keys), one call per queue operation or batch.
+// The Log picks each record's kind from its input — one key gives
+// recInsert, recExtract or recInsertV, several keys the batch kinds, and
+// non-nil vals the v2 kinds — and cuts a batch too large for one frame
+// into several records. Open is Recover plus the repairs an appending
+// log needs (torn tail cut, temps dropped): it returns the recovered
+// State, so a restart reads the directory once.
+//
 // # Record framing
 //
 // Every record is framed as
@@ -135,50 +146,46 @@ type Record struct {
 	Vals [][]byte
 }
 
-// appendRecord frames one v1 (key-only) record into buf and returns the
-// extended slice. It is the single v1 encoder used by the Log's append
-// paths; writing straight into the Log's pending buffer keeps appends
-// allocation-free once the buffer has grown to its steady-state size.
-func appendRecord(buf []byte, kind byte, lsn uint64, key uint64, keys []uint64) []byte {
-	payloadLen := minPayload
-	batch := kind == recInsertBatch || kind == recExtractBatch
-	if batch {
-		payloadLen = 13 + 8*len(keys)
+// recordKind picks the kind of a record carrying n keys: the single-key
+// kinds for one key, the batch kinds otherwise, and the v2 kinds when
+// the inserts carry payloads (vals non-nil).
+func recordKind(insert bool, n int, valued bool) byte {
+	switch {
+	case !insert && n == 1:
+		return recExtract
+	case !insert:
+		return recExtractBatch
+	case valued && n == 1:
+		return recInsertV
+	case valued:
+		return recInsertBatchV
+	case n == 1:
+		return recInsert
 	}
-	start := len(buf)
-	buf = append(buf, make([]byte, headerSize)...)
-	buf = append(buf, kind)
-	buf = binary.LittleEndian.AppendUint64(buf, lsn)
-	if batch {
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(keys)))
-		for _, k := range keys {
-			buf = binary.LittleEndian.AppendUint64(buf, k)
-		}
-	} else {
-		buf = binary.LittleEndian.AppendUint64(buf, key)
-	}
-	payload := buf[start+headerSize:]
-	binary.LittleEndian.PutUint32(buf[start:], uint32(payloadLen))
-	binary.LittleEndian.PutUint32(buf[start+4:], crc32.Checksum(payload, castagnoli))
-	return buf
+	return recInsertBatch
 }
 
-// appendValueRecord frames one v2 (valued insert) record into buf. keys
-// and vals are aligned; a nil val is written as an empty payload. The
-// caller is responsible for keeping the encoded record under maxPayload
-// (see the byte-budget chunking in appendValued).
-func appendValueRecord(buf []byte, kind byte, lsn uint64, keys []uint64, vals [][]byte) []byte {
+// appendRecord frames one record of the given kind into buf and returns
+// the extended slice: the batch kinds get a count, and the valued kinds
+// a length-prefixed payload per key (vals aligned with keys; a nil entry
+// is written as an empty payload). It is the one encoder behind the
+// Log's appends; writing straight into the Log's pending buffer keeps
+// appends allocation-free once the buffer has grown to its steady-state
+// size. The caller keeps the record under maxPayload (see chunkLen).
+func appendRecord(buf []byte, kind byte, lsn uint64, keys []uint64, vals [][]byte) []byte {
 	start := len(buf)
 	buf = append(buf, make([]byte, headerSize)...)
 	buf = append(buf, kind)
 	buf = binary.LittleEndian.AppendUint64(buf, lsn)
-	if kind == recInsertBatchV {
+	if kind == recInsertBatch || kind == recExtractBatch || kind == recInsertBatchV {
 		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(keys)))
 	}
 	for i, k := range keys {
 		buf = binary.LittleEndian.AppendUint64(buf, k)
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(vals[i])))
-		buf = append(buf, vals[i]...)
+		if vals != nil {
+			buf = binary.LittleEndian.AppendUint32(buf, uint32(len(vals[i])))
+			buf = append(buf, vals[i]...)
+		}
 	}
 	payload := buf[start+headerSize:]
 	binary.LittleEndian.PutUint32(buf[start:], uint32(len(payload)))
@@ -186,8 +193,26 @@ func appendValueRecord(buf []byte, kind byte, lsn uint64, keys []uint64, vals []
 	return buf
 }
 
-// valuedMemberLen is the encoded size of one member of a v2 record body.
-func valuedMemberLen(val []byte) int { return 12 + len(val) }
+// chunkLen is how many leading members of keys/vals fit one record under
+// maxPayload, on top of the 13-byte batch envelope: a key-only member
+// counts 8 bytes, so maxBatchKeys of them fit, and a valued one counts
+// 12 + its payload. A chunk always holds at least one member (values are
+// bounded by MaxValueLen).
+func chunkLen(keys []uint64, vals [][]byte) int {
+	if vals == nil {
+		return min(len(keys), maxBatchKeys)
+	}
+	size, c := 13, 0
+	for c < len(keys) {
+		m := 12 + len(vals[c])
+		if c > 0 && size+m > maxPayload {
+			break
+		}
+		size += m
+		c++
+	}
+	return c
+}
 
 // Decoder walks a byte image of a WAL file. It never panics on arbitrary
 // input (fuzzed: FuzzWALDecode) and distinguishes three stream endings:

@@ -1,11 +1,12 @@
 package wal
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
+	"slices"
 )
 
 // State is the durable queue state recovered from a durability
@@ -48,6 +49,10 @@ type State struct {
 
 	// WALBytes is the size of the log file as found on disk.
 	WALBytes int64
+
+	// deltaSeq is where the chain's delta file numbering left off: the
+	// sequence number Open's log gives its next delta.
+	deltaSeq int
 }
 
 // Live returns the number of live elements.
@@ -57,7 +62,8 @@ func (s *State) Live() int { return len(s.Keys) }
 // element multiset: snapshot chain first (base plus deltas, if any
 // completed), then every intact log record above the chain watermark.
 // It is read-only — it never truncates or repairs anything — so it can
-// be called repeatedly, before Open, or on a copy of the directory. A
+// be called repeatedly or on a copy of the directory; Open is Recover
+// plus the repairs an appending log needs. A
 // missing or empty directory recovers to an empty state. Both record
 // formats replay transparently: a v1 key-only log recovers exactly as it
 // always did (Vals stays nil), and v2 records restore each instance's
@@ -76,6 +82,7 @@ func Recover(dir string) (*State, error) {
 	st.SnapshotLSN = ch.lsn
 	st.SnapshotKeys = ch.ms.instances()
 	st.Deltas = ch.deltas
+	st.deltaSeq = ch.nextSeq
 
 	b, err := os.ReadFile(filepath.Join(dir, walName))
 	if err != nil && !errors.Is(err, os.ErrNotExist) {
@@ -83,7 +90,7 @@ func Recover(dir string) (*State, error) {
 	}
 	st.WALBytes = int64(len(b))
 
-	lastLSN, records, torn, err := replayMultiset(ch.ms, b, ch.lsn)
+	lastLSN, records, torn, err := replay(b, ch.lsn, ch.ms.apply)
 	if err != nil {
 		return nil, err
 	}
@@ -99,17 +106,24 @@ func Recover(dir string) (*State, error) {
 	}
 	st.NextLSN = next + 1
 
-	distinct := make([]uint64, 0, len(ch.ms))
-	for k := range ch.ms {
-		distinct = append(distinct, k)
+	// Sort (key, state) pairs rather than bare keys: expanding them then
+	// needs no second map lookup per key.
+	type liveKey struct {
+		k  uint64
+		ks *keyState
 	}
-	sort.Slice(distinct, func(i, j int) bool { return distinct[i] < distinct[j] })
-	n := ch.ms.instances()
+	distinct := make([]liveKey, 0, len(ch.ms))
+	n := 0
+	for k, ks := range ch.ms {
+		distinct = append(distinct, liveKey{k, ks})
+		n += int(ks.count)
+	}
+	slices.SortFunc(distinct, func(a, b liveKey) int { return cmp.Compare(a.k, b.k) })
 	st.Keys = make([]uint64, 0, n)
 	vals := make([][]byte, 0, n)
 	anyVal := false
-	for _, k := range distinct {
-		ks := ch.ms[k]
+	for _, d := range distinct {
+		k, ks := d.k, d.ks
 		for i := int64(0); i < ks.count; i++ {
 			st.Keys = append(st.Keys, k)
 			var v []byte

@@ -1,6 +1,7 @@
 package wal
 
 import (
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -8,7 +9,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -31,7 +32,7 @@ import (
 // the previous durable watermark. Writing a delta costs O(window), not
 // O(live state), which is the whole point: a small burst of operations
 // against a large queue no longer rewrites every live element. Every
-// RebaseEvery deltas the chain is folded into a fresh base and the delta
+// rebaseEvery deltas the chain is folded into a fresh base and the delta
 // files deleted, bounding recovery cost and directory clutter.
 //
 // Each chain element is written to a temp file, fsynced, and renamed into
@@ -166,100 +167,76 @@ func cloneVal(v []byte) []byte {
 	return out
 }
 
-// replayMultiset applies the records of a log image to ms, skipping
-// records at or below sinceLSN (already covered by the snapshot chain).
-// It returns the last LSN applied or skipped, the number of records
+// replay walks the records of a log image and hands each one above
+// sinceLSN to apply (records at or below it are already covered by the
+// snapshot chain). It returns the last LSN walked, the number of records
 // walked, and the offset of a torn tail (-1 if the image ends cleanly).
-// A key extracted with no live instance means an extract record without
-// a matching insert — impossible under the append-before-insert /
-// append-after-extract ordering, so it is corruption. Payloads are
-// copied out of the image.
-func replayMultiset(ms multiset, b []byte, sinceLSN uint64) (lastLSN, records uint64, tornOff int64, err error) {
+// A CRC-valid corrupt frame, or an error from apply, stops the walk.
+func replay(b []byte, sinceLSN uint64, apply func(Record) error) (lastLSN, records uint64, tornOff int64, err error) {
 	d := NewDecoder(b)
-	tornOff = -1
 	for {
 		rec, err := d.Next()
-		if err != nil {
-			if errors.Is(err, io.EOF) {
-				return lastLSN, records, tornOff, nil
-			}
-			if errors.Is(err, ErrTornTail) {
-				return lastLSN, records, d.Offset(), nil
-			}
-			return lastLSN, records, tornOff, err
+		switch {
+		case errors.Is(err, io.EOF):
+			return lastLSN, records, -1, nil
+		case errors.Is(err, ErrTornTail):
+			return lastLSN, records, d.Offset(), nil
+		case err != nil:
+			return lastLSN, records, -1, err
 		}
 		records++
 		lastLSN = rec.LSN
-		if rec.LSN <= sinceLSN {
-			continue
-		}
-		switch rec.Kind {
-		case recInsert, recInsertBatch:
-			for _, k := range rec.Keys {
-				ms.insert(k, nil)
-			}
-		case recInsertV, recInsertBatchV:
-			for i, k := range rec.Keys {
-				ms.insert(k, cloneVal(rec.Vals[i]))
-			}
-		case recExtract, recExtractBatch:
-			for _, k := range rec.Keys {
-				if !ms.extract(k) {
-					return lastLSN, records, tornOff, fmt.Errorf("%w: extract of key %d at LSN %d without a durable insert", ErrCorrupt, k, rec.LSN)
-				}
+		if rec.LSN > sinceLSN {
+			if err := apply(rec); err != nil {
+				return lastLSN, records, -1, err
 			}
 		}
 	}
 }
 
-// replayWindow accumulates the records of a log image above sinceLSN
-// into w, for delta encoding. Same return contract as replayMultiset.
-// Window values alias b; the caller keeps b alive until the delta is
+// isExtract reports whether a record kind logs extractions.
+func isExtract(kind byte) bool { return kind == recExtract || kind == recExtractBatch }
+
+// apply replays one log record into ms, copying payloads out of the
+// image. A key extracted with no live instance means an extract record
+// without a matching insert — impossible under the append-before-insert
+// / append-after-extract ordering, so it is corruption.
+func (ms multiset) apply(rec Record) error {
+	for i, k := range rec.Keys {
+		switch {
+		case isExtract(rec.Kind):
+			if !ms.extract(k) {
+				return fmt.Errorf("%w: extract of key %d at LSN %d without a durable insert", ErrCorrupt, k, rec.LSN)
+			}
+		case rec.Vals != nil:
+			ms.insert(k, cloneVal(rec.Vals[i]))
+		default:
+			ms.insert(k, nil)
+		}
+	}
+	return nil
+}
+
+// apply accumulates one log record into w, for delta encoding. Window
+// values alias the image; the caller keeps it alive until the delta is
 // encoded.
-func replayWindow(w window, b []byte, sinceLSN uint64) (lastLSN, records uint64, tornOff int64, err error) {
-	d := NewDecoder(b)
-	tornOff = -1
-	get := func(k uint64) *windowKey {
+func (w window) apply(rec Record) error {
+	for i, k := range rec.Keys {
 		wk := w[k]
 		if wk == nil {
 			wk = &windowKey{}
 			w[k] = wk
 		}
-		return wk
-	}
-	for {
-		rec, err := d.Next()
-		if err != nil {
-			if errors.Is(err, io.EOF) {
-				return lastLSN, records, tornOff, nil
-			}
-			if errors.Is(err, ErrTornTail) {
-				return lastLSN, records, d.Offset(), nil
-			}
-			return lastLSN, records, tornOff, err
-		}
-		records++
-		lastLSN = rec.LSN
-		if rec.LSN <= sinceLSN {
-			continue
-		}
-		switch rec.Kind {
-		case recInsert, recInsertBatch:
-			for _, k := range rec.Keys {
-				wk := get(k)
-				wk.adds = append(wk.adds, nil)
-			}
-		case recInsertV, recInsertBatchV:
-			for i, k := range rec.Keys {
-				wk := get(k)
-				wk.adds = append(wk.adds, rec.Vals[i])
-			}
-		case recExtract, recExtractBatch:
-			for _, k := range rec.Keys {
-				get(k).drops++
-			}
+		switch {
+		case isExtract(rec.Kind):
+			wk.drops++
+		case rec.Vals != nil:
+			wk.adds = append(wk.adds, rec.Vals[i])
+		default:
+			wk.adds = append(wk.adds, nil)
 		}
 	}
+	return nil
 }
 
 // applyDelta applies one decoded window to ms: per key, the window's
@@ -295,25 +272,6 @@ func applyDelta(ms multiset, w window) error {
 	return nil
 }
 
-// encodeSnapshot serializes a key-only multiset in the v1 base format:
-//
-//	magic  uint64 LE
-//	lsn    uint64 LE   watermark: records with LSN <= lsn are covered
-//	n      uint64 LE   number of distinct keys
-//	n × (key uint64 LE, count uint64 LE)
-//	crc    uint32 LE   CRC-32C of everything after magic
-func encodeSnapshot(lsn uint64, counts map[uint64]int64) []byte {
-	b := make([]byte, 0, snapHeader+16*len(counts)+4)
-	b = binary.LittleEndian.AppendUint64(b, snapMagic)
-	b = binary.LittleEndian.AppendUint64(b, lsn)
-	b = binary.LittleEndian.AppendUint64(b, uint64(len(counts)))
-	for k, c := range counts {
-		b = binary.LittleEndian.AppendUint64(b, k)
-		b = binary.LittleEndian.AppendUint64(b, uint64(c))
-	}
-	return binary.LittleEndian.AppendUint32(b, crc32.Checksum(b[8:], castagnoli))
-}
-
 // totalLen is the payload bytes vals hold. The two valued encoders size
 // their buffers exactly with it: grown by append, a multi-megabyte image
 // left two to three times its size in dead copies behind, and that garbage
@@ -325,51 +283,82 @@ func totalLen(vals [][]byte) (n int) {
 	return n
 }
 
-// encodeBase serializes a full multiset as a base file, picking v1 when
-// no instance carries a payload (bit-compatible with pre-codec
-// snapshots) and v2 otherwise:
+// encodeBase serializes a full multiset as a base file, in the v1
+// (key-only) format when no instance carries a payload — bit-compatible
+// with pre-codec snapshots — and in v2 otherwise:
 //
-//	magic  uint64 LE   snapMagicV2
-//	lsn    uint64 LE
+//	magic  uint64 LE   snapMagic (v1) or snapMagicV2
+//	lsn    uint64 LE   watermark: records with LSN <= lsn are covered
 //	n      uint64 LE   number of distinct keys
-//	n × (key uint64 LE, count uint64 LE, count × payload)
-//	crc    uint32 LE
-//
-// where payload = vlen uint32 LE + vlen bytes, vlen == noPayload marking
-// a payload-less instance.
+//	n × (key uint64 LE, count uint64 LE)            v1
+//	n × (key uint64 LE, count uint64 LE, payloads)  v2: count entries, see appendPayloads
+//	crc    uint32 LE   CRC-32C of everything after magic
 func encodeBase(lsn uint64, ms multiset) []byte {
-	if !ms.hasVals() {
-		counts := make(map[uint64]int64, len(ms))
-		for k, st := range ms {
-			counts[k] = st.count
+	valued := ms.hasVals()
+	magic, size := snapMagic, snapHeader+4+16*len(ms)
+	if valued {
+		magic = snapMagicV2
+		for _, st := range ms {
+			size += 4*int(st.count) + totalLen(st.vals)
 		}
-		return encodeSnapshot(lsn, counts)
-	}
-	size := snapHeader + 4
-	for _, st := range ms {
-		size += 16 + 4*int(st.count) + totalLen(st.vals)
 	}
 	b := make([]byte, 0, size)
-	b = binary.LittleEndian.AppendUint64(b, snapMagicV2)
+	b = binary.LittleEndian.AppendUint64(b, magic)
 	b = binary.LittleEndian.AppendUint64(b, lsn)
 	b = binary.LittleEndian.AppendUint64(b, uint64(len(ms)))
 	for k, st := range ms {
 		b = binary.LittleEndian.AppendUint64(b, k)
 		b = binary.LittleEndian.AppendUint64(b, uint64(st.count))
-		for i := int64(0); i < st.count; i++ {
-			var v []byte
-			if st.vals != nil {
-				v = st.vals[i]
-			}
-			if v == nil {
-				b = binary.LittleEndian.AppendUint32(b, noPayload)
-				continue
-			}
-			b = binary.LittleEndian.AppendUint32(b, uint32(len(v)))
-			b = append(b, v...)
+		if valued {
+			b = appendPayloads(b, int(st.count), st.vals)
 		}
 	}
 	return binary.LittleEndian.AppendUint32(b, crc32.Checksum(b[8:], castagnoli))
+}
+
+// appendPayloads encodes n payload entries, the list format base v2 and
+// delta files share: per entry vlen uint32 LE + vlen bytes, vlen ==
+// noPayload marking a payload-less instance. vals nil means all n are
+// payload-less.
+func appendPayloads(b []byte, n int, vals [][]byte) []byte {
+	for i := 0; i < n; i++ {
+		if vals == nil || vals[i] == nil {
+			b = binary.LittleEndian.AppendUint32(b, noPayload)
+			continue
+		}
+		b = binary.LittleEndian.AppendUint32(b, uint32(len(vals[i])))
+		b = append(b, vals[i]...)
+	}
+	return b
+}
+
+// readPayloads decodes n entries of the appendPayloads format from body
+// at off, copying each payload out of the file image, and returns the
+// offset after them. file and k name the entries' owner in errors.
+func readPayloads(body []byte, off int, n uint64, file string, k uint64) ([][]byte, int, error) {
+	// Every entry takes at least its 4-byte vlen, which bounds n before
+	// anything is allocated for it.
+	if n > uint64(len(body)-off)/4 {
+		return nil, 0, fmt.Errorf("%w: %s key %d claims %d payloads in %d body bytes", ErrCorrupt, file, k, n, len(body)-off)
+	}
+	vals := make([][]byte, 0, n)
+	for j := uint64(0); j < n; j++ {
+		if len(body)-off < 4 {
+			return nil, 0, fmt.Errorf("%w: %s key %d payload %d overruns body", ErrCorrupt, file, k, j)
+		}
+		vlen := binary.LittleEndian.Uint32(body[off:])
+		off += 4
+		if vlen == noPayload {
+			vals = append(vals, nil)
+			continue
+		}
+		if int(vlen) > len(body)-off {
+			return nil, 0, fmt.Errorf("%w: %s key %d payload %d overruns body", ErrCorrupt, file, k, j)
+		}
+		vals = append(vals, cloneVal(body[off:off+int(vlen)]))
+		off += int(vlen)
+	}
+	return vals, off, nil
 }
 
 // encodeDelta serializes a window as a delta file:
@@ -394,14 +383,7 @@ func encodeDelta(prevLSN, lsn uint64, w window) []byte {
 		b = binary.LittleEndian.AppendUint64(b, k)
 		b = binary.LittleEndian.AppendUint64(b, uint64(wk.drops))
 		b = binary.LittleEndian.AppendUint32(b, uint32(len(wk.adds)))
-		for _, v := range wk.adds {
-			if v == nil {
-				b = binary.LittleEndian.AppendUint32(b, noPayload)
-				continue
-			}
-			b = binary.LittleEndian.AppendUint32(b, uint32(len(v)))
-			b = append(b, v...)
-		}
+		b = appendPayloads(b, len(wk.adds), wk.adds)
 	}
 	return binary.LittleEndian.AppendUint32(b, crc32.Checksum(b[8:], castagnoli))
 }
@@ -430,40 +412,19 @@ func readSnapFile(path string) (magic uint64, body []byte, err error) {
 	return magic, body, nil
 }
 
-// decodeBaseV1 parses a v1 (key-only) base body into a multiset.
-func decodeBaseV1(body []byte) (lsn uint64, ms multiset, err error) {
+// decodeBase parses a base body into a multiset: v1 (key-only) entries
+// are (key, count), v2 (valued) entries are followed by count payloads,
+// copied out of the file image.
+func decodeBase(body []byte, valued bool) (lsn uint64, ms multiset, err error) {
 	if len(body) < 16 {
 		return 0, nil, fmt.Errorf("%w: snapshot header truncated", ErrCorrupt)
 	}
 	lsn = binary.LittleEndian.Uint64(body)
 	n := binary.LittleEndian.Uint64(body[8:])
-	if uint64(len(body)) != 16+16*n {
-		return 0, nil, fmt.Errorf("%w: snapshot count %d disagrees with %d body bytes", ErrCorrupt, n, len(body))
-	}
-	ms = make(multiset, n)
-	for i := uint64(0); i < n; i++ {
-		k := binary.LittleEndian.Uint64(body[16+16*i:])
-		c := int64(binary.LittleEndian.Uint64(body[24+16*i:]))
-		if c <= 0 {
-			return 0, nil, fmt.Errorf("%w: snapshot key %d has count %d", ErrCorrupt, k, c)
-		}
-		if _, dup := ms[k]; dup {
-			return 0, nil, fmt.Errorf("%w: snapshot key %d duplicated", ErrCorrupt, k)
-		}
-		ms[k] = &keyState{count: c}
-	}
-	return lsn, ms, nil
-}
-
-// decodeBaseV2 parses a v2 (valued) base body into a multiset, copying
-// payloads out of the file image.
-func decodeBaseV2(body []byte) (lsn uint64, ms multiset, err error) {
-	if len(body) < 16 {
-		return 0, nil, fmt.Errorf("%w: snapshot header truncated", ErrCorrupt)
-	}
-	lsn = binary.LittleEndian.Uint64(body)
-	n := binary.LittleEndian.Uint64(body[8:])
-	if n > uint64(len(body))/20 {
+	// Every entry takes at least 16 bytes. Bound n by division: 16*n
+	// wraps for n >= 2^60, and a wrapped count once passed a multiplied
+	// check and indexed past the body.
+	if n > uint64(len(body)-16)/16 {
 		return 0, nil, fmt.Errorf("%w: snapshot count %d implausible for %d body bytes", ErrCorrupt, n, len(body))
 	}
 	ms = make(multiset, n)
@@ -473,30 +434,19 @@ func decodeBaseV2(body []byte) (lsn uint64, ms multiset, err error) {
 			return 0, nil, fmt.Errorf("%w: snapshot key %d overruns body", ErrCorrupt, i)
 		}
 		k := binary.LittleEndian.Uint64(body[off:])
-		c := int64(binary.LittleEndian.Uint64(body[off+8:]))
+		c := binary.LittleEndian.Uint64(body[off+8:])
 		off += 16
-		if c <= 0 || c > int64(len(body)) {
-			return 0, nil, fmt.Errorf("%w: snapshot key %d has count %d", ErrCorrupt, k, c)
+		if int64(c) <= 0 {
+			return 0, nil, fmt.Errorf("%w: snapshot key %d has count %d", ErrCorrupt, k, int64(c))
 		}
 		if _, dup := ms[k]; dup {
 			return 0, nil, fmt.Errorf("%w: snapshot key %d duplicated", ErrCorrupt, k)
 		}
-		st := &keyState{count: c, vals: make([][]byte, 0, c)}
-		for j := int64(0); j < c; j++ {
-			if len(body)-off < 4 {
-				return 0, nil, fmt.Errorf("%w: snapshot key %d payload %d overruns body", ErrCorrupt, k, j)
+		st := &keyState{count: int64(c)}
+		if valued {
+			if st.vals, off, err = readPayloads(body, off, c, "snapshot", k); err != nil {
+				return 0, nil, err
 			}
-			vlen := binary.LittleEndian.Uint32(body[off:])
-			off += 4
-			if vlen == noPayload {
-				st.vals = append(st.vals, nil)
-				continue
-			}
-			if int(vlen) > len(body)-off {
-				return 0, nil, fmt.Errorf("%w: snapshot key %d payload %d overruns body", ErrCorrupt, k, j)
-			}
-			st.vals = append(st.vals, cloneVal(body[off:off+int(vlen)]))
-			off += int(vlen)
 		}
 		ms[k] = st
 	}
@@ -531,31 +481,15 @@ func decodeDelta(body []byte) (prevLSN, lsn uint64, w window, err error) {
 		drops := int64(binary.LittleEndian.Uint64(body[off+8:]))
 		adds := binary.LittleEndian.Uint32(body[off+16:])
 		off += 20
-		if drops < 0 || uint64(adds) > uint64(len(body)) {
-			return 0, 0, nil, fmt.Errorf("%w: delta key %d has drops %d adds %d", ErrCorrupt, k, drops, adds)
+		if drops < 0 {
+			return 0, 0, nil, fmt.Errorf("%w: delta key %d has drops %d", ErrCorrupt, k, drops)
 		}
 		if _, dup := w[k]; dup {
 			return 0, 0, nil, fmt.Errorf("%w: delta key %d duplicated", ErrCorrupt, k)
 		}
 		wk := &windowKey{drops: drops}
-		if adds > 0 {
-			wk.adds = make([][]byte, 0, adds)
-		}
-		for j := uint32(0); j < adds; j++ {
-			if len(body)-off < 4 {
-				return 0, 0, nil, fmt.Errorf("%w: delta key %d payload %d overruns body", ErrCorrupt, k, j)
-			}
-			vlen := binary.LittleEndian.Uint32(body[off:])
-			off += 4
-			if vlen == noPayload {
-				wk.adds = append(wk.adds, nil)
-				continue
-			}
-			if int(vlen) > len(body)-off {
-				return 0, 0, nil, fmt.Errorf("%w: delta key %d payload %d overruns body", ErrCorrupt, k, j)
-			}
-			wk.adds = append(wk.adds, cloneVal(body[off:off+int(vlen)]))
-			off += int(vlen)
+		if wk.adds, off, err = readPayloads(body, off, uint64(adds), "delta", k); err != nil {
+			return 0, 0, nil, err
 		}
 		w[k] = wk
 	}
@@ -591,44 +525,18 @@ func loadChain(dir string) (chain, error) {
 	case errors.Is(err, os.ErrNotExist):
 	case err != nil:
 		return ch, err
-	case magic == snapMagic:
-		ch.lsn, ch.ms, err = decodeBaseV1(body)
-		if err != nil {
-			return ch, err
-		}
-	case magic == snapMagicV2:
-		ch.lsn, ch.ms, err = decodeBaseV2(body)
-		if err != nil {
+	case magic == snapMagic || magic == snapMagicV2:
+		if ch.lsn, ch.ms, err = decodeBase(body, magic == snapMagicV2); err != nil {
 			return ch, err
 		}
 	default:
 		return ch, fmt.Errorf("%w: snapshot missing magic", ErrCorrupt)
 	}
 
-	ents, err := os.ReadDir(dir)
+	dfs, err := deltaFiles(dir)
 	if err != nil {
-		if errors.Is(err, os.ErrNotExist) {
-			return ch, nil
-		}
-		return ch, fmt.Errorf("wal: snapshot: %w", err)
+		return ch, err
 	}
-	type dfile struct {
-		seq  int
-		name string
-	}
-	var dfs []dfile
-	for _, e := range ents {
-		name := e.Name()
-		if !strings.HasPrefix(name, deltaPrefix) {
-			continue
-		}
-		seq, err := strconv.Atoi(name[len(deltaPrefix):])
-		if err != nil {
-			continue // deltaTmpName and other non-chain files
-		}
-		dfs = append(dfs, dfile{seq: seq, name: name})
-	}
-	sort.Slice(dfs, func(i, j int) bool { return dfs[i].seq < dfs[j].seq })
 	for _, df := range dfs {
 		if df.seq >= ch.nextSeq {
 			ch.nextSeq = df.seq + 1
@@ -664,20 +572,39 @@ func loadChain(dir string) (chain, error) {
 // crash here has a watermark at or below the base's and loadChain skips
 // it.
 func removeDeltas(dir string) {
+	dfs, _ := deltaFiles(dir) // best effort: an unlistable dir keeps its deltas
+	for _, df := range dfs {
+		_ = os.Remove(filepath.Join(dir, df.name))
+	}
+}
+
+// deltaFile is one delta file of a chain directory.
+type deltaFile struct {
+	seq  int
+	name string
+}
+
+// deltaFiles lists the delta files of dir in sequence order. A name that
+// does not end in a sequence number (deltaTmpName, anything else) is not
+// a delta; a missing directory has none.
+func deltaFiles(dir string) ([]deltaFile, error) {
 	ents, err := os.ReadDir(dir)
+	if errors.Is(err, os.ErrNotExist) {
+		return nil, nil
+	}
 	if err != nil {
-		return
+		return nil, fmt.Errorf("wal: snapshot: %w", err)
 	}
+	var dfs []deltaFile
 	for _, e := range ents {
-		name := e.Name()
-		if !strings.HasPrefix(name, deltaPrefix) {
-			continue
+		if s, ok := strings.CutPrefix(e.Name(), deltaPrefix); ok {
+			if seq, err := strconv.Atoi(s); err == nil {
+				dfs = append(dfs, deltaFile{seq, e.Name()})
+			}
 		}
-		if _, err := strconv.Atoi(name[len(deltaPrefix):]); err != nil {
-			continue
-		}
-		_ = os.Remove(filepath.Join(dir, name))
 	}
+	slices.SortFunc(dfs, func(a, b deltaFile) int { return cmp.Compare(a.seq, b.seq) })
+	return dfs, nil
 }
 
 // Snapshot extends the snapshot chain and trims the covered log prefix.
@@ -685,7 +612,7 @@ func removeDeltas(dir string) {
 // the pending buffer and the file tail while the durable prefix is read
 // back and compacted. The common cycle writes an incremental delta —
 // O(operations since the last snapshot), not O(live state); every
-// Options.RebaseEvery deltas the chain is folded into a fresh full base
+// rebaseEvery (8) deltas the chain is folded into a fresh full base
 // instead. Automatic snapshots (Options.SnapshotBytes) call this from
 // the group-commit goroutine.
 func (l *Log) Snapshot() error {
@@ -724,17 +651,23 @@ func (l *Log) Snapshot() error {
 		return fmt.Errorf("wal: snapshot: reading durable prefix: %w", err)
 	}
 
-	if l.deltaCount >= l.opts.RebaseEvery {
-		// Rebase: fold base + deltas + window into one fresh base.
-		ch, err := loadChain(l.dir)
-		if err != nil {
+	// A rebase folds base + deltas + window into one fresh base; otherwise
+	// the window alone becomes the next delta.
+	rebase := l.deltaCount >= rebaseEvery
+	ch, w := chain{lsn: l.chainLSN}, window{}
+	apply := w.apply
+	if rebase {
+		if ch, err = loadChain(l.dir); err != nil {
 			return err
 		}
-		if _, _, torn, err := replayMultiset(ch.ms, prefix, ch.lsn); err != nil {
-			return err
-		} else if torn >= 0 {
-			return fmt.Errorf("%w: durable prefix of live log is torn at byte %d", ErrCorrupt, torn)
-		}
+		apply = ch.ms.apply
+	}
+	if _, _, torn, err := replay(prefix, ch.lsn, apply); err != nil {
+		return err
+	} else if torn >= 0 {
+		return fmt.Errorf("%w: durable prefix of live log is torn at byte %d", ErrCorrupt, torn)
+	}
+	if rebase {
 		if err := l.writeSnapFile(snapTmpName, snapName, encodeBase(cutLSN, ch.ms)); err != nil {
 			return err
 		}
@@ -742,12 +675,6 @@ func (l *Log) Snapshot() error {
 		l.deltaCount, l.deltaSeq = 0, 0
 		l.rebases.Add(1)
 	} else {
-		w := window{}
-		if _, _, torn, err := replayWindow(w, prefix, l.chainLSN); err != nil {
-			return err
-		} else if torn >= 0 {
-			return fmt.Errorf("%w: durable prefix of live log is torn at byte %d", ErrCorrupt, torn)
-		}
 		if err := l.writeSnapFile(deltaTmpName, deltaName(l.deltaSeq), encodeDelta(l.chainLSN, cutLSN, w)); err != nil {
 			return err
 		}

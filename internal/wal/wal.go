@@ -34,9 +34,11 @@ const (
 // enough that an ack waits at most a few milliseconds.
 const DefaultGroupCommit = 2 * time.Millisecond
 
-// DefaultRebaseEvery is how many incremental delta snapshots accumulate
-// before a full rebase folds the chain back into one base file.
-const DefaultRebaseEvery = 8
+// rebaseEvery is how many incremental delta snapshots accumulate before
+// a full rebase folds the chain back into one base file. Recovery cost
+// and directory file count grow with the chain length; write
+// amplification shrinks with it.
+const rebaseEvery = 8
 
 // ErrCrashed is returned once a simulated crash has been triggered (see
 // the fault.WALAppend/WALFsync/WALSnapshot points and ForceCrash): the
@@ -56,12 +58,6 @@ type Options struct {
 	// log) whenever the log file grows past this size. 0 disables
 	// automatic snapshots; Snapshot can still be called manually.
 	SnapshotBytes int64
-	// RebaseEvery bounds the incremental snapshot chain: after this many
-	// delta snapshots the next snapshot is a full rebase that merges the
-	// chain into one base file and deletes the deltas. 0 means
-	// DefaultRebaseEvery. Recovery cost and directory file count grow
-	// with the chain length; write amplification shrinks with it.
-	RebaseEvery int
 	// Seed seeds the crash-point randomization used by the fault hooks.
 	Seed uint64
 	// Faults, when non-nil, arms the WAL crash points (fault.WALAppend,
@@ -138,87 +134,65 @@ type Log struct {
 	deltaCount int    // deltas since the last full base (snapMu)
 	deltaSeq   int    // next delta file sequence number (snapMu)
 
-	// k1/v1 are single-element scratch for AppendInsertValue, so the
-	// valued single-insert path shares the batch encoder without
-	// allocating. Guarded by mu; v1s[0] is cleared after use so the log
-	// never retains a caller's value buffer.
-	k1s [1]uint64
-	v1s [1][]byte
-
 	records, ops, syncs, snaps, trims atomic.Uint64
 	deltaSnaps, rebases               atomic.Uint64
 	bytes, snapBytes                  atomic.Int64
 }
 
-// Open opens (creating if necessary) the write-ahead log in opts.Dir and
-// starts the group-commit goroutine. An existing log is scanned to its
-// last intact record — a torn tail from an earlier crash is truncated
-// away (Recover reports what such a tail contained; by the time Open
-// runs, recovery has already decided those bytes are lost) — and new
-// records continue the LSN sequence above both the log's last record and
-// the snapshot watermark.
-func Open(opts Options) (*Log, error) {
+// Open recovers the durability directory opts.Dir (created if missing)
+// and opens its write-ahead log for appending: it is Recover, plus
+// cutting a torn tail from an earlier crash off the file (the returned
+// State reports what that tail held; no ack ever covered it), plus
+// starting the group-commit goroutine. New records continue the LSN
+// sequence at State.NextLSN. The directory is read once: the caller
+// rebuilds its queue from the returned State.
+func Open(opts Options) (*Log, *State, error) {
 	if opts.Dir == "" {
-		return nil, errors.New("wal: Options.Dir is empty")
+		return nil, nil, errors.New("wal: Options.Dir is empty")
 	}
 	if opts.GroupCommit <= 0 {
-		return nil, fmt.Errorf("wal: Options.GroupCommit is %v; it must be > 0 (DefaultGroupCommit is %v)", opts.GroupCommit, DefaultGroupCommit)
+		return nil, nil, fmt.Errorf("wal: Options.GroupCommit is %v; it must be > 0 (DefaultGroupCommit is %v)", opts.GroupCommit, DefaultGroupCommit)
 	}
 	if err := os.MkdirAll(opts.Dir, 0o755); err != nil {
-		return nil, fmt.Errorf("wal: %w", err)
+		return nil, nil, fmt.Errorf("wal: %w", err)
 	}
-	// A snapshot temp is a crash leftover: never valid, always safe to
-	// drop. (A wal temp is handled by scanExisting below: the rename in
-	// trimTo is atomic, so queue.wal is always whole.)
+	// Temps are crash leftovers: never valid, always safe to drop. (The
+	// rename in trimTo is atomic, so queue.wal itself is always whole.)
 	_ = os.Remove(filepath.Join(opts.Dir, snapTmpName))
 	_ = os.Remove(filepath.Join(opts.Dir, deltaTmpName))
 	_ = os.Remove(filepath.Join(opts.Dir, walTmpName))
 
-	// Loading the whole snapshot chain validates every base/delta file
-	// and yields the watermark new LSNs must stay above, plus where the
-	// delta numbering left off.
-	ch, err := loadChain(opts.Dir)
+	st, err := Recover(opts.Dir)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	snapLSN := ch.lsn
-	end, lastLSN, err := scanExisting(filepath.Join(opts.Dir, walName))
-	if err != nil {
-		return nil, err
+	end := st.WALBytes
+	if st.TornOffset >= 0 {
+		end = st.TornOffset
 	}
-
 	f, err := os.OpenFile(filepath.Join(opts.Dir, walName), os.O_CREATE|os.O_RDWR, 0o644)
 	if err != nil {
-		return nil, fmt.Errorf("wal: %w", err)
+		return nil, nil, fmt.Errorf("wal: %w", err)
 	}
 	if err := f.Truncate(end); err != nil {
 		f.Close()
-		return nil, fmt.Errorf("wal: truncating torn tail: %w", err)
+		return nil, nil, fmt.Errorf("wal: truncating torn tail: %w", err)
 	}
 	if _, err := f.Seek(end, 0); err != nil {
 		f.Close()
-		return nil, fmt.Errorf("wal: %w", err)
+		return nil, nil, fmt.Errorf("wal: %w", err)
 	}
 
-	next := lastLSN
-	if snapLSN > next {
-		next = snapLSN
-	}
-	next++
-
-	if opts.RebaseEvery <= 0 {
-		opts.RebaseEvery = DefaultRebaseEvery
-	}
 	l := &Log{
 		dir:        opts.Dir,
 		opts:       opts,
 		faults:     opts.Faults,
 		f:          f,
-		nextLSN:    next,
+		nextLSN:    st.NextLSN,
 		written:    end,
-		chainLSN:   ch.lsn,
-		deltaCount: ch.deltas,
-		deltaSeq:   ch.nextSeq,
+		chainLSN:   st.SnapshotLSN,
+		deltaCount: st.Deltas,
+		deltaSeq:   st.deltaSeq,
 		stop:       make(chan struct{}),
 		done:       make(chan struct{}),
 		crashC:     make(chan struct{}),
@@ -227,73 +201,62 @@ func Open(opts Options) (*Log, error) {
 	// Everything already in the file survived a previous session (or its
 	// crash): it is durable by construction.
 	l.durableOff.Store(end)
-	l.durableLSN.Store(next - 1)
+	l.durableLSN.Store(st.NextLSN - 1)
 	go l.run()
-	return l, nil
+	return l, st, nil
 }
 
-// scanExisting finds the end of the last intact record and the last LSN
-// of an existing log file. A missing file is an empty log; a torn tail is
-// cut at its start; CRC-valid corruption is a hard error.
-func scanExisting(path string) (end int64, lastLSN uint64, err error) {
-	b, err := os.ReadFile(path)
-	if errors.Is(err, os.ErrNotExist) {
-		return 0, 0, nil
-	}
-	if err != nil {
-		return 0, 0, fmt.Errorf("wal: %w", err)
-	}
-	d := NewDecoder(b)
-	for {
-		rec, err := d.Next()
-		if err != nil {
-			if errors.Is(err, ErrCorrupt) {
-				return 0, 0, err
-			}
-			break // io.EOF (clean end) or a torn tail to truncate
-		}
-		lastLSN = rec.LSN
-	}
-	return d.Offset(), lastLSN, nil
-}
+// AppendInserts logs inserted keys; vals nil logs them key-only (format
+// v1), otherwise vals is aligned with keys and each key carries its
+// encoded payload (format v2; a nil entry is logged as an empty
+// payload). Call it BEFORE the elements become visible in the queue:
+// that ordering guarantees every element's insert record precedes any
+// extract record for it, so every durable prefix of the log replays to a
+// non-negative multiset. The bytes are copied into the pending buffer
+// before return. A value over MaxValueLen latches an error (surfaced by
+// Sync) instead of writing an invalid frame.
+func (l *Log) AppendInserts(keys []uint64, vals [][]byte) { l.append(true, keys, vals) }
 
-// append frames one or more records into the pending buffer. key is used
-// for the single-op kinds; keys for the batch kinds. A batch larger than
-// maxBatchKeys is chunked into several records (each with its own LSN):
-// the decoder rejects frames over maxPayload, so a single oversized frame
-// would be classified on recovery as a torn tail and truncated — along
-// with every record after it.
-func (l *Log) append(kind byte, key uint64, keys []uint64) {
-	n := 1
-	batch := kind == recInsertBatch || kind == recExtractBatch
-	if batch {
-		n = len(keys)
-		if n == 0 {
-			return
-		}
+// AppendExtracts logs extracted keys. Call it AFTER the elements have
+// been physically removed. Extract records are always key-only — the
+// extractor already holds the value.
+func (l *Log) AppendExtracts(keys []uint64) { l.append(false, keys, nil) }
+
+// append frames keys (and vals, for valued inserts) into the pending
+// buffer: one record when they fit under maxPayload, otherwise as many
+// records as chunkLen cuts (each with its own LSN) — the decoder rejects
+// frames over maxPayload, so a single oversized frame would be classified
+// on recovery as a torn tail and truncated, along with every record after
+// it. Each record's kind follows from its own key count (recordKind).
+func (l *Log) append(insert bool, keys []uint64, vals [][]byte) {
+	n := len(keys)
+	if n == 0 {
+		return
 	}
 	l.mu.Lock()
 	if l.err != nil || l.crashed.Load() {
 		l.mu.Unlock()
 		return
 	}
+	for i, v := range vals {
+		if len(v) > MaxValueLen {
+			l.err = fmt.Errorf("wal: value for key %d is %d bytes, over MaxValueLen %d", keys[i], len(v), MaxValueLen)
+			l.mu.Unlock()
+			return
+		}
+	}
 	start := len(l.buf)
 	recs := uint64(0)
-	if batch {
-		for len(keys) > 0 {
-			c := keys
-			if len(c) > maxBatchKeys {
-				c = c[:maxBatchKeys]
-			}
-			l.buf = appendRecord(l.buf, kind, l.nextLSN, 0, c)
-			l.nextLSN++
-			keys = keys[len(c):]
-			recs++
+	for len(keys) > 0 {
+		c := chunkLen(keys, vals)
+		var cv [][]byte
+		if vals != nil {
+			cv, vals = vals[:c], vals[c:]
 		}
-	} else {
-		l.buf = appendRecord(l.buf, kind, l.nextLSN, key, nil)
+		l.buf = appendRecord(l.buf, recordKind(insert, c, cv != nil), l.nextLSN, keys[:c], cv)
 		l.nextLSN++
-		recs = 1
+		keys = keys[c:]
+		recs++
 	}
 	recLen := int64(len(l.buf) - start)
 	if l.faults != nil && l.faults.Fire(fault.WALAppend) {
@@ -307,111 +270,6 @@ func (l *Log) append(kind byte, key uint64, keys []uint64) {
 	l.ops.Add(uint64(n))
 	l.bytes.Add(recLen)
 }
-
-// AppendInsert logs one inserted key. Call it BEFORE the element becomes
-// visible in the queue: that ordering guarantees every element's insert
-// record precedes any extract record for it, so every durable prefix of
-// the log replays to a non-negative multiset.
-func (l *Log) AppendInsert(key uint64) { l.append(recInsert, key, nil) }
-
-// AppendInsertBatch logs a batch of inserted keys as one record (one
-// frame, one LSN), chunked into several records above maxBatchKeys keys.
-// Same ordering rule as AppendInsert.
-func (l *Log) AppendInsertBatch(keys []uint64) { l.append(recInsertBatch, 0, keys) }
-
-// AppendInsertValue logs one inserted key together with its encoded
-// payload value as a v2 record. Same ordering rule as AppendInsert. The
-// value bytes are copied into the pending buffer before return; the
-// caller's slice is not retained. A value over MaxValueLen latches an
-// error (surfaced by Sync) instead of writing an invalid frame.
-func (l *Log) AppendInsertValue(key uint64, val []byte) {
-	l.mu.Lock()
-	if l.err != nil || l.crashed.Load() {
-		l.mu.Unlock()
-		return
-	}
-	if len(val) > MaxValueLen {
-		l.err = fmt.Errorf("wal: value for key %d is %d bytes, over MaxValueLen %d", key, len(val), MaxValueLen)
-		l.mu.Unlock()
-		return
-	}
-	start := len(l.buf)
-	l.k1s[0], l.v1s[0] = key, val
-	l.buf = appendValueRecord(l.buf, recInsertV, l.nextLSN, l.k1s[:], l.v1s[:])
-	l.v1s[0] = nil
-	l.nextLSN++
-	recLen := int64(len(l.buf) - start)
-	if l.faults != nil && l.faults.Fire(fault.WALAppend) {
-		recStart := l.written + int64(start)
-		l.crashLocked(recStart + int64(l.rng.Uint64n(uint64(recLen))))
-	}
-	l.mu.Unlock()
-	l.records.Add(1)
-	l.ops.Add(1)
-	l.bytes.Add(recLen)
-}
-
-// AppendInsertBatchValues logs a batch of inserted keys with their
-// encoded payload values, chunked into as many v2 records as the
-// per-record byte budget requires (each chunk holds at least one
-// member). keys and vals must be aligned; a nil value is logged as an
-// empty payload. Same ordering rule as AppendInsert.
-func (l *Log) AppendInsertBatchValues(keys []uint64, vals [][]byte) {
-	n := len(keys)
-	if n == 0 {
-		return
-	}
-	l.mu.Lock()
-	if l.err != nil || l.crashed.Load() {
-		l.mu.Unlock()
-		return
-	}
-	for i := range vals {
-		if len(vals[i]) > MaxValueLen {
-			l.err = fmt.Errorf("wal: value for key %d is %d bytes, over MaxValueLen %d", keys[i], len(vals[i]), MaxValueLen)
-			l.mu.Unlock()
-			return
-		}
-	}
-	start := len(l.buf)
-	recs := uint64(0)
-	for len(keys) > 0 {
-		// Greedy byte-budget chunk: pack members while the encoded record
-		// stays under maxPayload. A single member always fits (values are
-		// bounded by MaxValueLen above).
-		size := 13 // kind(1) + lsn(8) + count(4)
-		c := 0
-		for c < len(keys) {
-			m := valuedMemberLen(vals[c])
-			if c > 0 && size+m > maxPayload {
-				break
-			}
-			size += m
-			c++
-		}
-		l.buf = appendValueRecord(l.buf, recInsertBatchV, l.nextLSN, keys[:c], vals[:c])
-		l.nextLSN++
-		keys, vals = keys[c:], vals[c:]
-		recs++
-	}
-	recLen := int64(len(l.buf) - start)
-	if l.faults != nil && l.faults.Fire(fault.WALAppend) {
-		recStart := l.written + int64(start)
-		l.crashLocked(recStart + int64(l.rng.Uint64n(uint64(recLen))))
-	}
-	l.mu.Unlock()
-	l.records.Add(recs)
-	l.ops.Add(uint64(n))
-	l.bytes.Add(recLen)
-}
-
-// AppendExtract logs one extracted key. Call it AFTER the element has
-// been physically removed. Extract records are always key-only — the
-// extractor already holds the value.
-func (l *Log) AppendExtract(key uint64) { l.append(recExtract, key, nil) }
-
-// AppendExtractBatch logs a batch of extracted keys as one record.
-func (l *Log) AppendExtractBatch(keys []uint64) { l.append(recExtractBatch, 0, keys) }
 
 // flushLocked writes the pending buffer to the file. l.mu must be held.
 func (l *Log) flushLocked() error {

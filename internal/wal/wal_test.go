@@ -18,7 +18,7 @@ func testOptions(t *testing.T) Options {
 
 func mustOpen(t *testing.T, opts Options) *Log {
 	t.Helper()
-	l, err := Open(opts)
+	l, _, err := Open(opts)
 	if err != nil {
 		t.Fatalf("Open: %v", err)
 	}
@@ -50,10 +50,10 @@ func wantKeys(t *testing.T, got []uint64, want ...uint64) {
 func TestRoundTrip(t *testing.T) {
 	opts := testOptions(t)
 	l := mustOpen(t, opts)
-	l.AppendInsert(5)
-	l.AppendInsertBatch([]uint64{7, 9, 7})
-	l.AppendExtract(9)
-	l.AppendExtractBatch([]uint64{7})
+	l.AppendInserts([]uint64{5}, nil)
+	l.AppendInserts([]uint64{7, 9, 7}, nil)
+	l.AppendExtracts([]uint64{9})
+	l.AppendExtracts([]uint64{7})
 	if err := l.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
 	}
@@ -72,8 +72,8 @@ func TestOversizedBatchChunked(t *testing.T) {
 	for i := range keys {
 		keys[i] = uint64(i)
 	}
-	l.AppendInsertBatch(keys)
-	l.AppendExtractBatch([]uint64{0, uint64(n - 1)})
+	l.AppendInserts(keys, nil)
+	l.AppendExtracts([]uint64{0, uint64(n - 1)})
 	if err := l.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
 	}
@@ -111,15 +111,15 @@ func TestEmptyDirRecoversEmpty(t *testing.T) {
 func TestReopenContinuesLSN(t *testing.T) {
 	opts := testOptions(t)
 	l := mustOpen(t, opts)
-	l.AppendInsert(1)
-	l.AppendInsert(2)
+	l.AppendInserts([]uint64{1}, nil)
+	l.AppendInserts([]uint64{2}, nil)
 	if err := l.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
 	}
 
 	l = mustOpen(t, opts)
-	l.AppendInsert(3)
-	l.AppendExtract(1)
+	l.AppendInserts([]uint64{3}, nil)
+	l.AppendExtracts([]uint64{1})
 	if err := l.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
 	}
@@ -138,14 +138,14 @@ func TestSyncMakesDurable(t *testing.T) {
 	opts := testOptions(t)
 	opts.GroupCommit = time.Hour // no background syncs: only explicit Sync counts
 	l := mustOpen(t, opts)
-	l.AppendInsert(11)
+	l.AppendInserts([]uint64{11}, nil)
 	if err := l.Sync(); err != nil {
 		t.Fatalf("Sync: %v", err)
 	}
 	if got := l.DurableLSN(); got != 1 {
 		t.Fatalf("DurableLSN = %d after syncing 1 record, want 1", got)
 	}
-	l.AppendInsert(22) // never synced
+	l.AppendInserts([]uint64{22}, nil) // never synced
 	info, err := l.SimulateCrash()
 	if err != nil {
 		t.Fatalf("SimulateCrash: %v", err)
@@ -164,11 +164,11 @@ func TestSyncMakesDurable(t *testing.T) {
 func TestTornTailTruncatedOnReopen(t *testing.T) {
 	opts := testOptions(t)
 	l := mustOpen(t, opts)
-	l.AppendInsert(1)
+	l.AppendInserts([]uint64{1}, nil)
 	if err := l.Sync(); err != nil {
 		t.Fatalf("Sync: %v", err)
 	}
-	l.AppendInsert(2)
+	l.AppendInserts([]uint64{2}, nil)
 	l.mu.Lock()
 	l.flushLocked()
 	l.mu.Unlock()
@@ -192,7 +192,7 @@ func TestTornTailTruncatedOnReopen(t *testing.T) {
 
 	// Reopen truncates the tear and continues the LSN sequence.
 	l = mustOpen(t, opts)
-	l.AppendInsert(3)
+	l.AppendInserts([]uint64{3}, nil)
 	if err := l.Close(); err != nil {
 		t.Fatalf("Close after tear: %v", err)
 	}
@@ -202,7 +202,7 @@ func TestTornTailTruncatedOnReopen(t *testing.T) {
 func TestCorruptionFailsHard(t *testing.T) {
 	opts := testOptions(t)
 	l := mustOpen(t, opts)
-	l.AppendInsert(1)
+	l.AppendInserts([]uint64{1}, nil)
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -211,7 +211,7 @@ func TestCorruptionFailsHard(t *testing.T) {
 	// mistaken for a torn tail.
 	path := filepath.Join(opts.Dir, walName)
 	b, _ := os.ReadFile(path)
-	b = appendRecord(b, recExtract, 99, 42, nil)
+	b = appendRecord(b, recExtract, 99, []uint64{42}, nil)
 	if err := os.WriteFile(path, b, 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -224,10 +224,10 @@ func TestSnapshotCompactsAndRecovers(t *testing.T) {
 	opts := testOptions(t)
 	l := mustOpen(t, opts)
 	for i := uint64(1); i <= 100; i++ {
-		l.AppendInsert(i)
+		l.AppendInserts([]uint64{i}, nil)
 	}
 	for i := uint64(1); i <= 90; i++ {
-		l.AppendExtract(i)
+		l.AppendExtracts([]uint64{i})
 	}
 	if err := l.Snapshot(); err != nil {
 		t.Fatalf("Snapshot: %v", err)
@@ -246,8 +246,8 @@ func TestSnapshotCompactsAndRecovers(t *testing.T) {
 	}
 
 	// Appends continue against the snapshot watermark.
-	l.AppendInsert(200)
-	l.AppendExtract(95)
+	l.AppendInserts([]uint64{200}, nil)
+	l.AppendExtracts([]uint64{95})
 	if err := l.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
 	}
@@ -267,7 +267,7 @@ func TestAutoSnapshotByBytes(t *testing.T) {
 	opts.SnapshotBytes = 1 << 10
 	l := mustOpen(t, opts)
 	for i := uint64(0); i < 2000; i++ {
-		l.AppendInsert(i)
+		l.AppendInserts([]uint64{i}, nil)
 		if i%64 == 0 {
 			if err := l.Sync(); err != nil {
 				t.Fatalf("Sync: %v", err)
@@ -294,7 +294,7 @@ func TestCrashMidAppendLeavesTornTail(t *testing.T) {
 	opts.GroupCommit = time.Hour
 	opts.Faults = fault.New(7, fault.Plan{WALAppendPct: 100})
 	l := mustOpen(t, opts)
-	l.AppendInsert(1) // crash point fires inside this append
+	l.AppendInserts([]uint64{1}, nil) // crash point fires inside this append
 	select {
 	case <-l.Crashed():
 	default:
@@ -325,7 +325,7 @@ func TestCrashMidFsyncDoesNotAck(t *testing.T) {
 	opts.GroupCommit = time.Hour
 	opts.Faults = fault.New(3, fault.Plan{WALFsyncPct: 100})
 	l := mustOpen(t, opts)
-	l.AppendInsert(1)
+	l.AppendInserts([]uint64{1}, nil)
 	if err := l.Sync(); !errors.Is(err, ErrCrashed) {
 		t.Fatalf("Sync with WALFsync at 100%% = %v, want ErrCrashed", err)
 	}
@@ -345,7 +345,7 @@ func TestCrashMidSnapshotKeepsOldState(t *testing.T) {
 	opts.GroupCommit = time.Hour
 	l := mustOpen(t, opts)
 	for i := uint64(1); i <= 50; i++ {
-		l.AppendInsert(i)
+		l.AppendInserts([]uint64{i}, nil)
 	}
 	if err := l.Snapshot(); err != nil {
 		t.Fatalf("first snapshot: %v", err)
@@ -358,7 +358,7 @@ func TestCrashMidSnapshotKeepsOldState(t *testing.T) {
 	// mid-write and must not damage the first.
 	opts.Faults = fault.New(9, fault.Plan{WALSnapshotPct: 100})
 	l = mustOpen(t, opts)
-	l.AppendExtract(50)
+	l.AppendExtracts([]uint64{50})
 	if err := l.Snapshot(); !errors.Is(err, ErrCrashed) {
 		t.Fatalf("Snapshot with WALSnapshot armed = %v, want ErrCrashed", err)
 	}
@@ -384,7 +384,7 @@ func TestForceCrashTornTail(t *testing.T) {
 	opts.GroupCommit = time.Hour
 	l := mustOpen(t, opts)
 	for i := uint64(1); i <= 8; i++ {
-		l.AppendInsert(i)
+		l.AppendInserts([]uint64{i}, nil)
 		if i == 4 {
 			if err := l.Sync(); err != nil {
 				t.Fatal(err)
@@ -414,12 +414,12 @@ func TestAppendsDroppedAfterCrash(t *testing.T) {
 	opts := testOptions(t)
 	opts.GroupCommit = time.Hour
 	l := mustOpen(t, opts)
-	l.AppendInsert(1)
+	l.AppendInserts([]uint64{1}, nil)
 	if err := l.Sync(); err != nil {
 		t.Fatal(err)
 	}
 	l.ForceCrash()
-	l.AppendInsert(2) // dropped: the process is "dead"
+	l.AppendInserts([]uint64{2}, nil) // dropped: the process is "dead"
 	if _, err := l.SimulateCrash(); err != nil {
 		t.Fatal(err)
 	}
@@ -427,18 +427,18 @@ func TestAppendsDroppedAfterCrash(t *testing.T) {
 }
 
 func TestOpenValidatesOptions(t *testing.T) {
-	if _, err := Open(Options{GroupCommit: time.Millisecond}); err == nil {
+	if _, _, err := Open(Options{GroupCommit: time.Millisecond}); err == nil {
 		t.Fatal("Open with empty Dir succeeded")
 	}
-	if _, err := Open(Options{Dir: t.TempDir()}); err == nil {
+	if _, _, err := Open(Options{Dir: t.TempDir()}); err == nil {
 		t.Fatal("Open with zero GroupCommit succeeded")
 	}
 }
 
 func TestDecoderCleanEOF(t *testing.T) {
 	var b []byte
-	b = appendRecord(b, recInsert, 1, 10, nil)
-	b = appendRecord(b, recExtractBatch, 2, 0, []uint64{10})
+	b = appendRecord(b, recInsert, 1, []uint64{10}, nil)
+	b = appendRecord(b, recExtractBatch, 2, []uint64{10}, nil)
 	d := NewDecoder(b)
 	for i := 0; i < 2; i++ {
 		if _, err := d.Next(); err != nil {

@@ -83,8 +83,8 @@ func TestGoldenV1ContinuesAsV2(t *testing.T) {
 		}
 	}
 	l := mustOpen(t, Options{Dir: dir, GroupCommit: time.Millisecond, Seed: 1})
-	l.AppendInsertValue(900, []byte("payload"))
-	l.AppendInsertBatchValues([]uint64{901, 902}, [][]byte{[]byte("a"), nil})
+	l.AppendInserts([]uint64{900}, [][]byte{[]byte("payload")})
+	l.AppendInserts([]uint64{901, 902}, [][]byte{[]byte("a"), nil})
 	if err := l.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
 	}
@@ -143,11 +143,11 @@ func readDirBytes(t *testing.T, dir string) map[string][]byte {
 func TestValueRoundTrip(t *testing.T) {
 	opts := testOptions(t)
 	l := mustOpen(t, opts)
-	l.AppendInsertValue(5, []byte("old"))
-	l.AppendInsertValue(5, []byte("new"))
-	l.AppendInsertBatchValues([]uint64{7, 9}, [][]byte{[]byte("seven"), {}})
-	l.AppendExtract(5) // consumes "old"
-	l.AppendExtractBatch([]uint64{9})
+	l.AppendInserts([]uint64{5}, [][]byte{[]byte("old")})
+	l.AppendInserts([]uint64{5}, [][]byte{[]byte("new")})
+	l.AppendInserts([]uint64{7, 9}, [][]byte{[]byte("seven"), {}})
+	l.AppendExtracts([]uint64{5}) // consumes "old"
+	l.AppendExtracts([]uint64{9})
 	if err := l.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
 	}
@@ -168,7 +168,7 @@ func TestValuedBatchChunkedByBytes(t *testing.T) {
 	opts := testOptions(t)
 	l := mustOpen(t, opts)
 	val := bytes.Repeat([]byte{0xab}, 400<<10) // 3 × 400KiB > maxPayload
-	l.AppendInsertBatchValues([]uint64{1, 2, 3}, [][]byte{val, val, val})
+	l.AppendInserts([]uint64{1, 2, 3}, [][]byte{val, val, val})
 	if err := l.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
 	}
@@ -194,7 +194,7 @@ func TestOversizedValueLatchesError(t *testing.T) {
 	opts := testOptions(t)
 	opts.GroupCommit = time.Hour
 	l := mustOpen(t, opts)
-	l.AppendInsertValue(1, make([]byte, MaxValueLen+1))
+	l.AppendInserts([]uint64{1}, [][]byte{make([]byte, MaxValueLen+1)})
 	if err := l.Sync(); err == nil {
 		t.Fatal("Sync acked an oversized value")
 	}
@@ -208,11 +208,11 @@ func TestOversizedValueLatchesError(t *testing.T) {
 func TestTornValuePayloadTruncates(t *testing.T) {
 	opts := testOptions(t)
 	l := mustOpen(t, opts)
-	l.AppendInsertValue(1, []byte("survives"))
+	l.AppendInserts([]uint64{1}, [][]byte{[]byte("survives")})
 	if err := l.Sync(); err != nil {
 		t.Fatal(err)
 	}
-	l.AppendInsertValue(2, bytes.Repeat([]byte{0xcd}, 256))
+	l.AppendInserts([]uint64{2}, [][]byte{bytes.Repeat([]byte{0xcd}, 256)})
 	l.mu.Lock()
 	l.flushLocked()
 	l.mu.Unlock()
@@ -248,7 +248,7 @@ func TestIncrementalSnapshotSmallerThanFull(t *testing.T) {
 	for i := range keys {
 		keys[i] = uint64(i + 1)
 	}
-	l.AppendInsertBatch(keys)
+	l.AppendInserts(keys, nil)
 	if err := l.Snapshot(); err != nil { // delta #0 carries the full state
 		t.Fatalf("Snapshot: %v", err)
 	}
@@ -256,8 +256,8 @@ func TestIncrementalSnapshotSmallerThanFull(t *testing.T) {
 
 	// Small burst: 20 ops against 5000 live keys.
 	for i := uint64(1); i <= 10; i++ {
-		l.AppendInsert(10000 + i)
-		l.AppendExtract(i)
+		l.AppendInserts([]uint64{10000 + i}, nil)
+		l.AppendExtracts([]uint64{i})
 	}
 	if err := l.Snapshot(); err != nil {
 		t.Fatalf("Snapshot: %v", err)
@@ -283,20 +283,19 @@ func TestIncrementalSnapshotSmallerThanFull(t *testing.T) {
 }
 
 // TestRebaseFoldsChain drives enough snapshot cycles to trigger a full
-// rebase and checks the chain collapses: one base, deltas deleted,
-// recovery identical.
+// rebase (rebaseEvery deltas, then one more snapshot) and checks the
+// chain collapses: one base, deltas deleted, recovery identical.
 func TestRebaseFoldsChain(t *testing.T) {
 	opts := testOptions(t)
-	opts.RebaseEvery = 2
 	l := mustOpen(t, opts)
 	live := map[uint64][]byte{}
-	for round := uint64(0); round < 5; round++ {
+	for round := uint64(0); round < rebaseEvery+1; round++ {
 		k := round + 1
 		v := []byte{byte(round), 0xee}
-		l.AppendInsertValue(k, v)
+		l.AppendInserts([]uint64{k}, [][]byte{v})
 		live[k] = v
 		if round == 2 {
-			l.AppendExtract(1) // oldest instance of key 1
+			l.AppendExtracts([]uint64{1}) // oldest instance of key 1
 			delete(live, 1)
 		}
 		if err := l.Snapshot(); err != nil {
@@ -305,7 +304,7 @@ func TestRebaseFoldsChain(t *testing.T) {
 	}
 	stats := l.Stats()
 	if stats.Rebases == 0 {
-		t.Fatalf("no rebase after 5 snapshots with RebaseEvery=2: %+v", stats)
+		t.Fatalf("no rebase after %d snapshots with rebaseEvery=%d: %+v", rebaseEvery+1, rebaseEvery, stats)
 	}
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
@@ -335,21 +334,27 @@ func TestRebaseFoldsChain(t *testing.T) {
 func TestCrashDuringRebaseKeepsState(t *testing.T) {
 	opts := testOptions(t)
 	opts.GroupCommit = time.Hour
-	opts.RebaseEvery = 1
 	l := mustOpen(t, opts)
-	l.AppendInsertValue(1, []byte("one"))
-	if err := l.Snapshot(); err != nil { // delta #0
-		t.Fatal(err)
+	l.AppendInserts([]uint64{1}, [][]byte{[]byte("one")})
+	for i := 0; i < rebaseEvery; i++ { // deltas #0..#7
+		if i > 0 {
+			// Each delta needs a window; this one nets out to nothing.
+			l.AppendInserts([]uint64{100}, [][]byte{[]byte("gone")})
+			l.AppendExtracts([]uint64{100})
+		}
+		if err := l.Snapshot(); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
 
 	// Reopen with the crash point armed; the next snapshot is a rebase
-	// (deltaCount == RebaseEvery) and dies mid-write.
+	// (deltaCount == rebaseEvery) and dies mid-write.
 	opts.Faults = fault.New(9, fault.Plan{WALSnapshotPct: 100})
 	l = mustOpen(t, opts)
-	l.AppendInsertValue(2, []byte("two"))
+	l.AppendInserts([]uint64{2}, [][]byte{[]byte("two")})
 	if err := l.Sync(); err != nil {
 		t.Fatal(err)
 	}
