@@ -103,7 +103,7 @@ func TestOneWayIn(t *testing.T) {
 	for path, want := range map[string]map[string]bool{
 		"internal/core": {
 			"New": false, "Open": false, "NewAllocDomain": false, "NewMetrics": false,
-			"Queue.AttachWAL": false, "DecodeRecovered": false,
+			"Queue.AttachWAL": false, "OpenLog": false,
 		},
 		"internal/sharded": {
 			"New": false, "Open": false, "Queue.NewHandle": false,

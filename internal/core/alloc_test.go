@@ -57,7 +57,7 @@ func zeroAllocConfigs() []struct {
 }
 
 // warmQueue builds a queue at a steady-state size with warmed context
-// pools, scratch capacities, and node caches, and keeps finalizers from
+// pools, scratch capacities, and free stacks, and keeps finalizers from
 // running until the test ends.
 func warmQueue(t *testing.T, cfg Config) (*Queue[int], func() uint64) {
 	t.Helper()

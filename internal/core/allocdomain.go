@@ -10,8 +10,8 @@ import (
 // AllocDomain is the set-node allocation/reclamation seam, promoted to a
 // first-class object so it can be shared across queues: a sharded
 // front-end (internal/sharded) builds S core queues over ONE domain, so
-// recycled lnodes, the hazard-pointer domain and the leaky-mode node cache
-// are pooled across shards instead of fragmenting into S private copies.
+// recycled lnodes and the hazard-pointer domain are pooled across shards
+// instead of fragmenting into S private copies.
 //
 // A domain is in exactly one of three modes, fixed at construction from
 // the Config that built it:
@@ -21,8 +21,9 @@ import (
 //     (§3.5); nodes that pass a scan recycle through the retiring
 //     context's own free stack, with free as the shared pool behind the
 //     stacks;
-//   - leaky list mode (Config.Leaky): lnodes recycle through the sharded
-//     node cache, the GC backing any stale diagnostic reader;
+//   - leaky list mode (Config.Leaky): the same stacks and freelist,
+//     without the scan — a freed lnode goes straight onto its context's
+//     stack, the GC backing any stale diagnostic reader;
 //   - array mode: sets hold no lnodes, so the domain is empty — nothing
 //     to reclaim.
 //
@@ -31,10 +32,8 @@ import (
 type AllocDomain[V any] struct {
 	// dom is non-nil iff memory-safe list mode.
 	dom *hazard.Domain[lnode[V]]
-	// cache is non-nil iff leaky list mode.
-	cache *nodeCache[V]
-	// free holds scanned lnodes the contexts' free stacks spilled or left
-	// behind (memory-safe mode only).
+	// free holds lnodes the contexts' free stacks spilled or left behind
+	// (list modes only).
 	free freelist[V]
 
 	arraySet bool
@@ -42,8 +41,8 @@ type AllocDomain[V any] struct {
 }
 
 // NewAllocDomain builds a standalone reclamation domain for cfg's set mode.
-// Hand it to Open as Options.Domain to share one domain — one hazard domain,
-// one freelist, one node cache — across several queues; queues opened
+// Hand it to Open as Options.Domain to share one domain — one hazard domain
+// and one freelist — across several queues; queues opened
 // without one get a private domain automatically.
 //
 // cfg's Faults and Metrics, if set, instrument the domain's hazard
@@ -58,27 +57,24 @@ func NewAllocDomain[V any](cfg Config) *AllocDomain[V] {
 		arraySet: cfg.arraySet(),
 		leaky:    cfg.Leaky,
 	}
-	switch {
-	case ad.arraySet:
-		// Array sets have no lnodes, so there is nothing to reclaim: the
-		// paper's hazard pointers (§3.5) exist to gate list-node reuse.
-		// Skipping the domain spares array-mode descents the publications.
-	case !cfg.Leaky:
-		ad.dom = hazard.NewDomain[lnode[V]]()
-		if cfg.Faults != nil || cfg.Metrics != nil {
-			inj, met := cfg.Faults, cfg.Metrics
-			ad.dom.SetScanHook(func() {
-				if met != nil {
-					// Scans run on arbitrary goroutines with no opCtx in
-					// reach; they are rare (amortized over retirements), so
-					// a fixed shard is fine.
-					met.HazardScans.Inc(0)
-				}
-				inj.Stall(fault.HazardScan)
-			})
-		}
-	default:
-		ad.cache = newNodeCache[V]()
+	if ad.arraySet || ad.leaky {
+		// Array sets have no lnodes, and leaky lists reuse them unscanned:
+		// the paper's hazard pointers (§3.5) exist only to gate list-node
+		// reuse. Skipping the domain spares these descents the publications.
+		return ad
+	}
+	ad.dom = hazard.NewDomain[lnode[V]]()
+	if cfg.Faults != nil || cfg.Metrics != nil {
+		inj, met := cfg.Faults, cfg.Metrics
+		ad.dom.SetScanHook(func() {
+			if met != nil {
+				// Scans run on arbitrary goroutines with no opCtx in reach;
+				// they are rare (amortized over retirements), so a fixed
+				// shard is fine.
+				met.HazardScans.Inc(0)
+			}
+			inj.Stall(fault.HazardScan)
+		})
 	}
 	return ad
 }

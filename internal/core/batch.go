@@ -1,10 +1,6 @@
 package core
 
-import (
-	"runtime"
-
-	"repro/internal/fault"
-)
+import "runtime"
 
 // This file implements the batch-native API. Batching is the biggest
 // engineering lever for relaxed-PQ throughput ("Engineering MultiQueues",
@@ -141,69 +137,26 @@ func (q *Queue[V]) extractBatch(ctx *opCtx[V], dst []Element[V], n int) []Elemen
 	return dst
 }
 
-// extractManyFromRoot locks the root and either (a) discovers a concurrent
-// refill and retries, (b) observes a truly empty queue, or (c) moves up to
-// min(need, batch+1) elements straight into dst — largest first — and
-// repairs the invariant downward. The batch+1 cap matches what one pool
-// refill cycle moves out of the root (one element for the refiller plus
-// batch for the pool), which is what keeps the b+1 window guarantee intact
-// across batch extractions.
+// extractManyFromRoot moves up to min(need, batch+1) elements of the
+// locked root straight into dst — largest first — and repairs the
+// invariant downward; see lockRoot for the raced and empty outcomes. The
+// batch+1 cap matches what one pool refill cycle moves out of the root
+// (one element for the refiller plus batch for the pool), which is what
+// keeps the b+1 window guarantee intact across batch extractions.
 func (q *Queue[V]) extractManyFromRoot(ctx *opCtx[V], dst []Element[V], need int, force bool) ([]Element[V], int, extractStatus) {
-	root := q.root()
-	ctx.protect(0, root)
-	if q.useTry && !force {
-		// Chaos hook: a forced trylock failure behaves exactly like losing
-		// the race to a concurrent refiller; see extractFromRoot.
-		if q.faults != nil && q.faults.Fire(fault.TryLock) {
-			q.countRaced(ctx)
-			return dst, 0, extractRaced
-		}
-		if !root.lock.TryLock() {
-			q.countRaced(ctx)
-			return dst, 0, extractRaced
-		}
-	} else {
-		root.lock.Lock()
+	root, cnt, st := q.lockRoot(ctx, force)
+	if st != extractGot {
+		return dst, 0, st
 	}
-	if q.pool != nil && q.pool.occupancy() > 0 {
-		// Someone refilled between our pool miss and taking the lock.
-		root.lock.Unlock()
-		q.countRaced(ctx)
-		return dst, 0, extractRaced
-	}
-	cnt := root.count.Load()
-	if cnt == 0 {
-		root.lock.Unlock()
-		if m := q.met; m != nil {
-			m.ExtractEmpty.Inc(ctx.al.shard)
-		}
-		return dst, 0, extractEmpty
-	}
-	m := need
-	if m > q.batch+1 {
-		m = q.batch + 1
-	}
-	if int64(m) > cnt {
-		m = int(cnt)
-	}
+	m := int(min(int64(need), int64(q.batch+1), cnt))
 	ctx.scratch = root.set.takeTop(&ctx.al, m, ctx.scratch[:0])
 	for i := m - 1; i >= 0; i-- {
 		dst = append(dst, Element[V]{Key: ctx.scratch[i].key, Val: ctx.scratch[i].val})
 		ctx.scratch[i] = element[V]{}
 	}
-	cnt -= int64(m)
-	root.count.Store(cnt)
-	if cnt > 0 {
-		root.max.Store(root.set.maxKey())
-	}
-	q.swapDown(ctx, 0, 0) // repairs invariant and unlocks the root chain
+	q.releaseRoot(ctx, root, cnt-int64(m), m)
 	if met := q.met; met != nil {
-		met.ExtractRootElems.Add(ctx.al.shard, uint64(m))
 		met.BatchGrabSize.Observe(ctx.al.shard, uint64(m))
-		if ctx.sctr++; ctx.sctr&(rankSampleEvery-1) == 0 {
-			// The grab's first element is the root maximum: rank 0.
-			met.RankError.Observe(ctx.al.shard, 0)
-		}
 	}
 	return dst, m, extractGot
 }

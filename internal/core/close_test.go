@@ -48,7 +48,7 @@ func TestInsertAfterCloseIsRetrievable(t *testing.T) {
 }
 
 func TestCloseReleasesBlockedConsumersExactlyOnce(t *testing.T) {
-	q := New[int](Config{Batch: 4, TargetLen: 4, Blocking: true, RingSize: 4})
+	q := New[int](Config{Batch: 4, TargetLen: 4, Blocking: true})
 	const consumers = 8
 	var returned atomic.Int32
 	var wg sync.WaitGroup
@@ -79,7 +79,7 @@ func TestCloseReleasesBlockedConsumersExactlyOnce(t *testing.T) {
 
 func TestCloseStopsHelperGoroutine(t *testing.T) {
 	base := runtime.NumGoroutine()
-	q := New[int](Config{Batch: 4, TargetLen: 4, Helper: true, HelperInterval: time.Millisecond})
+	q := New[int](Config{Batch: 4, TargetLen: 4, Helper: true})
 	q.Insert(1, 1)
 	time.Sleep(5 * time.Millisecond) // let the helper run at least once
 	q.Close()
@@ -118,7 +118,7 @@ func TestDrainReturnsEverything(t *testing.T) {
 }
 
 func TestCloseAndDrainReleasesAndReturnsRemainder(t *testing.T) {
-	q := New[int](Config{Batch: 4, TargetLen: 4, Blocking: true, RingSize: 4})
+	q := New[int](Config{Batch: 4, TargetLen: 4, Blocking: true})
 	var blocked sync.WaitGroup
 	blocked.Add(1)
 	go func() {
@@ -161,7 +161,7 @@ func TestExtractMaxContextEmptyNonBlocking(t *testing.T) {
 }
 
 func TestExtractMaxContextCancellation(t *testing.T) {
-	q := New[int](Config{Batch: 4, TargetLen: 4, Blocking: true, RingSize: 4})
+	q := New[int](Config{Batch: 4, TargetLen: 4, Blocking: true})
 	ctx, cancel := context.WithCancel(context.Background())
 	errc := make(chan error, 1)
 	go func() {
@@ -181,7 +181,7 @@ func TestExtractMaxContextCancellation(t *testing.T) {
 }
 
 func TestExtractMaxContextDeadline(t *testing.T) {
-	q := New[int](Config{Batch: 4, TargetLen: 4, Blocking: true, RingSize: 4})
+	q := New[int](Config{Batch: 4, TargetLen: 4, Blocking: true})
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
 	defer cancel()
 	start := time.Now()
@@ -195,7 +195,7 @@ func TestExtractMaxContextDeadline(t *testing.T) {
 }
 
 func TestExtractMaxContextWokenByInsert(t *testing.T) {
-	q := New[int](Config{Batch: 4, TargetLen: 4, Blocking: true, RingSize: 4})
+	q := New[int](Config{Batch: 4, TargetLen: 4, Blocking: true})
 	type result struct {
 		k   uint64
 		err error
@@ -218,7 +218,7 @@ func TestExtractMaxContextWokenByInsert(t *testing.T) {
 }
 
 func TestExtractMaxContextClosedDrains(t *testing.T) {
-	q := New[int](Config{Batch: 4, TargetLen: 4, Blocking: true, RingSize: 4})
+	q := New[int](Config{Batch: 4, TargetLen: 4, Blocking: true})
 	q.Insert(5, 50)
 	q.Close()
 	// A closed queue still hands out its remaining elements...
@@ -233,7 +233,7 @@ func TestExtractMaxContextClosedDrains(t *testing.T) {
 }
 
 func TestExtractMaxContextCloseReleasesWaiter(t *testing.T) {
-	q := New[int](Config{Batch: 4, TargetLen: 4, Blocking: true, RingSize: 4})
+	q := New[int](Config{Batch: 4, TargetLen: 4, Blocking: true})
 	errc := make(chan error, 1)
 	go func() {
 		_, _, err := q.ExtractMaxContext(context.Background())

@@ -21,7 +21,6 @@ package core
 
 import (
 	"fmt"
-	"time"
 
 	"repro/internal/fault"
 	"repro/internal/locks"
@@ -92,20 +91,18 @@ type Config struct {
 	SetMode SetMode
 
 	// Leaky disables the hazard-pointer protocol, mirroring the paper's
-	// "ZMSQ (leak)" configuration: set nodes are allocated fresh and left
-	// to the garbage collector rather than being retired through the
-	// hazard-pointer domain into a reuse pool. Use it to measure the cost
-	// of the memory-safety protocol.
+	// "ZMSQ (leak)" configuration: a freed set node goes straight back onto
+	// its context's free stack for reuse, with no hazard scan, and any stale
+	// pointer to it is left to the garbage collector. Both list modes
+	// recycle through the same stacks and freelist, so the gap between them
+	// is the cost of the memory-safety protocol alone.
 	Leaky bool
 
 	// Blocking enables the §3.6 futex-ring blocking mechanism: ExtractMax
 	// sleeps when the queue is empty and Insert wakes sleepers. When false,
-	// ExtractMax behaves like TryExtractMax.
+	// ExtractMax behaves like TryExtractMax. The ring has
+	// waitring.DefaultSlots slots.
 	Blocking bool
-
-	// RingSize is the number of slots in the blocking ring (rounded up to a
-	// power of two; zero selects waitring.DefaultSlots).
-	RingSize int
 
 	// NoMinSwap disables the insertion-quality optimization that moves a
 	// parent's minimum down into the child when inserting a new child
@@ -118,12 +115,8 @@ type Config struct {
 
 	// Helper enables the §5 future-work maintenance goroutine, which
 	// refills under-full non-leaf sets by pulling elements up from their
-	// children (see helper.go). Stopped by Close.
+	// children, one pass every 200µs (see helper.go). Stopped by Close.
 	Helper bool
-
-	// HelperInterval is the pause between helper passes (zero selects
-	// 200µs).
-	HelperInterval time.Duration
 
 	// Seed seeds the per-operation random number generators. Zero means a
 	// fixed default seed; runs with equal seeds and a single goroutine are
@@ -175,12 +168,6 @@ func (c Config) Validate() error {
 	if c.TargetLen < 0 {
 		return fmt.Errorf("zmsq: Config.TargetLen is %d; it must be >= 0 (0 selects the default %d)", c.TargetLen, DefaultTargetLen)
 	}
-	if c.RingSize < 0 {
-		return fmt.Errorf("zmsq: Config.RingSize is %d; it must be >= 0 (0 selects the default ring size)", c.RingSize)
-	}
-	if c.HelperInterval < 0 {
-		return fmt.Errorf("zmsq: Config.HelperInterval is %v; it must be >= 0 (0 selects the default)", c.HelperInterval)
-	}
 	switch c.Lock {
 	case locks.Std, locks.TAS, locks.TATAS:
 	default:
@@ -217,9 +204,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Seed == 0 {
 		c.Seed = 0x5eed5eed5eed5eed
-	}
-	if c.HelperInterval <= 0 {
-		c.HelperInterval = 200 * time.Microsecond
 	}
 	return c
 }

@@ -19,8 +19,6 @@ func TestConfigValidate(t *testing.T) {
 		{"zero value", Config{}, ""},
 		{"negative batch", Config{Batch: -1}, "Batch"},
 		{"negative targetLen", Config{TargetLen: -8}, "TargetLen"},
-		{"negative ringSize", Config{RingSize: -2}, "RingSize"},
-		{"negative helperInterval", Config{HelperInterval: -1}, "HelperInterval"},
 		{"unknown lock", Config{Lock: locks.Kind(99)}, "Lock"},
 	}
 	for _, tc := range cases {

@@ -135,26 +135,25 @@ func (q *Queue[V]) extractFromPool(ctx *opCtx[V]) (uint64, V, bool) {
 	return k, v, true
 }
 
-// extractFromRoot locks the root and either (a) discovers a concurrent
-// refill and retries, (b) observes a truly empty queue, or (c) removes the
-// maximum for the caller, moves up to batch further elements into the pool,
-// and repairs the invariant downward.
-func (q *Queue[V]) extractFromRoot(ctx *opCtx[V], force bool) (uint64, V, extractStatus) {
-	var zero V
+// lockRoot is how both root extraction paths begin. It publishes a hazard
+// pointer on the root and takes its lock — a trylock unless the queue has
+// trylocks off or the caller forces a blocking acquisition — and then
+// either (a) discovers a concurrent refill, or loses the trylock, and
+// reports extractRaced, (b) observes a truly empty queue (under the lock,
+// so the observation is exact) and reports extractEmpty, both with the
+// root unlocked, or (c) reports extractGot with the root locked and
+// returns its element count, which is then > 0.
+func (q *Queue[V]) lockRoot(ctx *opCtx[V], force bool) (*tnode[V], int64, extractStatus) {
 	root := q.root()
 	ctx.protect(0, root)
 	if q.useTry && !force {
 		// Chaos hook: a forced trylock failure behaves exactly like losing
 		// the race to a concurrent refiller. The force path (attempt >= 16)
 		// deliberately bypasses injection so progress is never starved.
-		if q.faults != nil && q.faults.Fire(fault.TryLock) {
-			q.countRaced(ctx)
-			return 0, zero, extractRaced
-		}
-		if !root.lock.TryLock() {
+		if (q.faults != nil && q.faults.Fire(fault.TryLock)) || !root.lock.TryLock() {
 			// Likely a concurrent refill; go back to the pool.
 			q.countRaced(ctx)
-			return 0, zero, extractRaced
+			return nil, 0, extractRaced
 		}
 	} else {
 		root.lock.Lock()
@@ -163,7 +162,7 @@ func (q *Queue[V]) extractFromRoot(ctx *opCtx[V], force bool) (uint64, V, extrac
 		// Someone refilled between our pool miss and taking the lock.
 		root.lock.Unlock()
 		q.countRaced(ctx)
-		return 0, zero, extractRaced
+		return nil, 0, extractRaced
 	}
 	cnt := root.count.Load()
 	if cnt == 0 {
@@ -171,17 +170,44 @@ func (q *Queue[V]) extractFromRoot(ctx *opCtx[V], force bool) (uint64, V, extrac
 		if m := q.met; m != nil {
 			m.ExtractEmpty.Inc(ctx.al.shard)
 		}
-		return 0, zero, extractEmpty
+		return nil, 0, extractEmpty
 	}
+	return root, cnt, extractGot
+}
 
+// releaseRoot is how both root extraction paths end, once taken elements
+// have left the locked root and cnt remain: it publishes the root's new
+// count and max, repairs the invariant downward — unlocking the root chain
+// — and counts the taken elements, the first of which was the root
+// maximum.
+func (q *Queue[V]) releaseRoot(ctx *opCtx[V], root *tnode[V], cnt int64, taken int) {
+	root.count.Store(cnt)
+	if cnt > 0 {
+		root.max.Store(root.set.maxKey())
+	}
+	q.swapDown(ctx, 0, 0)
+	if m := q.met; m != nil {
+		m.ExtractRootElems.Add(ctx.al.shard, uint64(taken))
+		if ctx.sctr++; ctx.sctr&(rankSampleEvery-1) == 0 {
+			// The root maximum is rank 0 by construction.
+			m.RankError.Observe(ctx.al.shard, 0)
+		}
+	}
+}
+
+// extractFromRoot takes the locked root's maximum for the caller, moves up
+// to batch further elements into the pool, and repairs the invariant
+// downward; see lockRoot for the raced and empty outcomes.
+func (q *Queue[V]) extractFromRoot(ctx *opCtx[V], force bool) (uint64, V, extractStatus) {
+	root, cnt, st := q.lockRoot(ctx, force)
+	if st != extractGot {
+		var zero V
+		return 0, zero, st
+	}
 	e := root.set.removeMax(&ctx.al)
 	cnt--
-
 	if q.pool != nil && cnt > 0 {
-		n := int(cnt)
-		if n > q.batch {
-			n = q.batch
-		}
+		n := int(min(cnt, int64(q.batch)))
 		// Wait for lagging consumers: a slot claimed in a previous round
 		// may not have been read yet (prepare), then move the next n
 		// largest root elements into the pool and publish them.
@@ -194,19 +220,7 @@ func (q *Queue[V]) extractFromRoot(ctx *opCtx[V], force bool) (uint64, V, extrac
 			m.PoolRefillSize.Observe(ctx.al.shard, uint64(n))
 		}
 	}
-
-	root.count.Store(cnt)
-	if cnt > 0 {
-		root.max.Store(root.set.maxKey())
-	}
-	q.swapDown(ctx, 0, 0) // repairs invariant and unlocks the root chain
-	if m := q.met; m != nil {
-		m.ExtractRootElems.Inc(ctx.al.shard)
-		if ctx.sctr++; ctx.sctr&(rankSampleEvery-1) == 0 {
-			// The refiller keeps the root maximum: rank 0 by construction.
-			m.RankError.Observe(ctx.al.shard, 0)
-		}
-	}
+	q.releaseRoot(ctx, root, cnt, 1)
 	return e.key, e.val, extractGot
 }
 

@@ -32,12 +32,15 @@ import (
 // having observed poolNext <= 0 under the root lock) would race with
 // claimers. See DESIGN.md.
 
-// helperLoop runs until the queue is closed. interval bounds the pass
-// rate; each pass touches at most one parent/child pair.
-func (q *Queue[V]) helperLoop(interval time.Duration) {
+// helperInterval is the pause between helper passes.
+const helperInterval = 200 * time.Microsecond
+
+// helperLoop runs until the queue is closed. helperInterval bounds the
+// pass rate; each pass touches at most one parent/child pair.
+func (q *Queue[V]) helperLoop() {
 	ctx := q.getCtx()
 	defer q.putCtx(ctx)
-	ticker := time.NewTicker(interval)
+	ticker := time.NewTicker(helperInterval)
 	defer ticker.Stop()
 	for {
 		select {

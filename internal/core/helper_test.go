@@ -77,7 +77,7 @@ func TestHelperPreservesConservation(t *testing.T) {
 }
 
 func TestHelperGoroutineLifecycle(t *testing.T) {
-	q := New[int](Config{Batch: 8, TargetLen: 16, Helper: true, HelperInterval: 50 * time.Microsecond})
+	q := New[int](Config{Batch: 8, TargetLen: 16, Helper: true})
 	r := xrand.New(3)
 	for i := 0; i < 30000; i++ {
 		q.Insert(r.Uint64(), 0)
@@ -113,7 +113,7 @@ func TestHelperGoroutineLifecycle(t *testing.T) {
 }
 
 func TestHelperUnderConcurrentLoad(t *testing.T) {
-	q := New[int](Config{Batch: 8, TargetLen: 16, Helper: true, HelperInterval: 20 * time.Microsecond})
+	q := New[int](Config{Batch: 8, TargetLen: 16, Helper: true})
 	defer q.Close()
 	var wg sync.WaitGroup
 	perG := 10000

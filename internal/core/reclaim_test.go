@@ -133,9 +133,9 @@ func TestHazardSeams(t *testing.T) {
 
 // TestRecycledNodesCarryNoLinks: a node that has sat in a list comes back
 // from alloc.get with neither link, whichever way it was recycled — the
-// context's own stack of scanned nodes, the shared freelist behind it (both
-// memory-safe mode) or the leaky node cache. A surviving prev would splice
-// a dead list into a live one the first time the node became a head.
+// context's own free stack or the shared freelist behind it, in either
+// list mode. A surviving prev would splice a dead list into a live one the
+// first time the node became a head.
 func TestRecycledNodesCarryNoLinks(t *testing.T) {
 	// cycle links fresh-or-recycled nodes into a list, unlinks them by every
 	// removing operation, and returns the set of nodes that went through.
@@ -172,24 +172,25 @@ func TestRecycledNodesCarryNoLinks(t *testing.T) {
 		return got
 	}
 
-	t.Run("safe", func(t *testing.T) {
-		q := New[int](Config{Batch: 0, TargetLen: 8})
-		ctx := q.getCtx()
-		runtime.SetFinalizer(ctx, nil) // released by hand below
-		used := cycle(&ctx.al)
-		// 511 retirements are seven scans' worth: the last scanned nodes sit
-		// on the context's stack, the rest were spilled to the freelist.
-		for _, n := range expectRecycled(t, &ctx.al, used, 300) {
-			n.next, n.prev = n, n // as if it had been linked again
-			ctx.al.put(n)
-		}
-		ctx.al.release()
-		next := q.ctxs.New().(*opCtx[int])
-		expectRecycled(t, &next.al, used, 200) // all through the shared freelist
-	})
-	t.Run("leaky", func(t *testing.T) {
-		q := New[int](Config{Batch: 0, TargetLen: 8, Leaky: true})
-		ctx := q.getCtx()
-		expectRecycled(t, &ctx.al, cycle(&ctx.al), nodeCacheShardCap)
-	})
+	for _, tc := range []struct {
+		name  string
+		leaky bool
+	}{{"safe", false}, {"leaky", true}} {
+		t.Run(tc.name, func(t *testing.T) {
+			q := New[int](Config{Batch: 0, TargetLen: 8, Leaky: tc.leaky})
+			ctx := q.getCtx()
+			runtime.SetFinalizer(ctx, nil) // released by hand below
+			used := cycle(&ctx.al)
+			// 511 frees — seven scans' worth in memory-safe mode: the last
+			// ones sit on the context's stack, the rest were spilled to the
+			// freelist.
+			for _, n := range expectRecycled(t, &ctx.al, used, 300) {
+				n.next, n.prev = n, n // as if it had been linked again
+				ctx.al.put(n)
+			}
+			ctx.al.release()
+			next := q.ctxs.New().(*opCtx[int])
+			expectRecycled(t, &next.al, used, 200) // all through the shared freelist
+		})
+	}
 }

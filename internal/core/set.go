@@ -66,11 +66,11 @@ type nodeSet[V any] interface {
 // that the minimum leaves in O(1) and a position can be approached from
 // whichever end is nearer. For V = []byte the node is 48 bytes with or
 // without prev (40 rounds up to the 48-byte size class); for V = struct{} it
-// grows from the 16-byte class to the 24-byte one. In memory-safe mode
-// lnodes are recycled through a hazard-pointer-gated freelist; in leaky
-// mode they are recycled through the sharded node cache (the GC backs any
-// stale diagnostic reader). Either way a recycled node carries no links
-// (alloc.put clears both).
+// grows from the 16-byte class to the 24-byte one. Both list modes recycle
+// lnodes through per-context free stacks and a shared freelist; in
+// memory-safe mode a node reaches them only through a hazard scan, in leaky
+// mode at once (the GC backs any stale diagnostic reader). Either way a
+// recycled node carries no links (alloc.put clears both).
 type lnode[V any] struct {
 	e    element[V]
 	next *lnode[V]

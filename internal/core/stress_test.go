@@ -156,7 +156,7 @@ func TestConcurrentExtractNeverFailsWithBalance(t *testing.T) {
 }
 
 func TestBlockingProducerConsumer(t *testing.T) {
-	q := New[int](Config{Batch: 8, TargetLen: 8, Blocking: true, RingSize: 8})
+	q := New[int](Config{Batch: 8, TargetLen: 8, Blocking: true})
 	const producers = 2
 	const consumers = 8 // must divide producers*perP so the handoff balances
 	perP := 20000

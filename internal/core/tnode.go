@@ -50,56 +50,55 @@ func swapContents[V any](a, b *tnode[V]) {
 }
 
 // alloc is the per-operation view of an AllocDomain: the set-node allocator
-// threaded through set operations — the single seam both recycling
-// strategies sit behind. In memory-safe mode (h != nil) it retires freed
-// lnodes through the hazard-pointer domain and reuses them only after a
-// clean scan, so reuse never depends on the garbage collector: a scan's
-// survivors land on local, this context's own LIFO stack, and get pops
-// there first — no lock, no shared counter, and the node it returns is the
-// one most recently in cache. The domain's shared freelist is touched only
-// to spill half a full stack or refill an empty one, which is also how a
-// node retired through one queue of a shared domain reaches another.
-// In leaky mode (the paper's "ZMSQ (leak)" configuration) it recycles
-// through the domain's sharded node cache instead: every lnode is only ever
-// read or written under its owning TNode's lock (the optimistic paths read
-// TNode atomics, never list nodes), so immediate reuse is safe, and any
-// stale pointer held by a quiescent-only diagnostic keeps its object alive
-// through the GC as before. Because it addresses the domain (not the
-// queue), queues sharing an AllocDomain recycle from a common pool.
+// threaded through set operations. Both list modes recycle through local,
+// this context's own LIFO stack: get pops there first — no lock, no shared
+// counter, and the node it returns is the one most recently in cache — and
+// the domain's shared freelist is touched only to spill half a full stack
+// or refill an empty one, which is also how a node freed through one queue
+// of a shared domain reaches another. The modes differ only in how a freed
+// node reaches the stack. In memory-safe mode (h != nil) put retires it
+// through the hazard-pointer domain, and only a clean scan pushes it, so
+// reuse never depends on the garbage collector. In leaky mode (the paper's
+// "ZMSQ (leak)" configuration) put pushes it at once, with no scan: every
+// lnode is only ever read or written under its owning TNode's lock (the
+// optimistic paths read TNode atomics, never list nodes), so immediate
+// reuse is safe, and any stale pointer held by a quiescent-only diagnostic
+// keeps its object alive through the GC. Array mode has no lnodes and no
+// stack.
 type alloc[V any] struct {
 	ad    *AllocDomain[V]
 	h     *hazard.Handle[lnode[V]] // nil in leaky/array mode
-	local *freeStack[V]            // non-nil iff h is
+	local *freeStack[V]            // nil in array mode
 	met   *Metrics                 // nil unless Config.Metrics was set
-	shard uint32                   // node-cache shard hash for this context
+	shard uint32                   // metrics shard hash for this context
 }
 
-// newCtxAlloc returns a context's allocator; in memory-safe mode, with a
-// hazard record and a free stack of its own. The stack is a separate heap
-// object because the handle's reclaim callback points at it: were it a
-// field of the opCtx, the context would be reachable from itself and its
-// finalizer (see Open) would never run.
+// newCtxAlloc returns a context's allocator; in list mode, with a free
+// stack of its own, and in memory-safe mode a hazard record whose scans
+// push onto that stack. The stack is a separate heap object because the
+// handle's reclaim callback points at it: were it a field of the opCtx, the
+// context would be reachable from itself and its finalizer (see Open)
+// would never run.
 func newCtxAlloc[V any](ad *AllocDomain[V], met *Metrics, shard uint32) alloc[V] {
 	a := alloc[V]{ad: ad, met: met, shard: shard}
+	if ad.arraySet {
+		return a
+	}
+	local := &freeStack[V]{}
+	a.local = local
 	if ad.dom != nil {
-		local := &freeStack[V]{}
-		a.local = local
-		a.h = ad.dom.Get(func(n *lnode[V]) {
-			if local.n == len(local.nodes) {
-				ad.free.spill(local)
-			}
-			local.nodes[local.n] = n
-			local.n++
-		})
+		a.h = ad.dom.Get(func(n *lnode[V]) { local.push(&ad.free, n) })
 	}
 	return a
 }
 
-// release gives the context's hazard record back to the domain and its
-// recycled nodes to the shared freelist. Put's last scan pushes onto local,
-// so the stack is handed over after it.
+// release gives the context's hazard record, if it has one, back to the
+// domain and its stacked nodes to the shared freelist. Put's last scan
+// pushes onto local, so the stack is handed over after it.
 func (a *alloc[V]) release() {
-	a.ad.dom.Put(a.h)
+	if a.h != nil {
+		a.ad.dom.Put(a.h)
+	}
 	a.ad.free.push(a.local.nodes[:a.local.n])
 }
 
@@ -117,21 +116,6 @@ func (a *alloc[V]) get() *lnode[V] {
 			}
 			return n
 		}
-		if a.met != nil {
-			a.met.NodeCacheMiss.Inc(a.shard)
-		}
-		return new(lnode[V])
-	}
-	if a.ad != nil && a.ad.cache != nil {
-		n, hit := a.ad.cache.get(a.shard)
-		if a.met != nil {
-			if hit {
-				a.met.NodeCacheHit.Inc(a.shard)
-			} else {
-				a.met.NodeCacheMiss.Inc(a.shard)
-			}
-		}
-		return n
 	}
 	if a.met != nil {
 		a.met.NodeCacheMiss.Inc(a.shard)
@@ -142,77 +126,12 @@ func (a *alloc[V]) get() *lnode[V] {
 func (a *alloc[V]) put(n *lnode[V]) {
 	n.e = element[V]{}
 	n.next, n.prev = nil, nil
-	if a.h != nil {
+	switch {
+	case a.h != nil:
 		a.h.Retire(n)
-		return
+	case a.local != nil:
+		a.local.push(&a.ad.free, n)
 	}
-	if a.ad != nil && a.ad.cache != nil {
-		a.ad.cache.put(a.shard, n)
-	}
-}
-
-// nodeCacheShards spreads leaky-mode recycling over several stacks so
-// concurrent operations on different contexts rarely contend; each opCtx
-// hashes to one shard for its lifetime, so a single goroutine's get/put
-// traffic stays on one uncontended, cache-hot stack.
-const (
-	nodeCacheShards   = 8
-	nodeCacheShardCap = 128
-)
-
-// nodeCache is the leaky-mode lnode recycler: fixed-capacity per-shard
-// stacks (cache-line padded) with a sync.Pool behind them, so shard
-// imbalance overflows into the runtime's per-P caches instead of the heap.
-// Steady-state insert/extract pairs on one context recycle through their
-// shard without allocating.
-type nodeCache[V any] struct {
-	shards   [nodeCacheShards]nodeCacheShard[V]
-	overflow sync.Pool
-}
-
-type nodeCacheShard[V any] struct {
-	mu    sync.Mutex
-	nodes []*lnode[V]
-	_     [40]byte
-}
-
-func newNodeCache[V any]() *nodeCache[V] {
-	c := &nodeCache[V]{}
-	for i := range c.shards {
-		c.shards[i].nodes = make([]*lnode[V], 0, nodeCacheShardCap)
-	}
-	return c
-}
-
-// get pops a recycled lnode, reporting hit=false only when it had to
-// allocate fresh (the sync.Pool overflow still counts as recycling).
-func (c *nodeCache[V]) get(shard uint32) (*lnode[V], bool) {
-	s := &c.shards[shard%nodeCacheShards]
-	s.mu.Lock()
-	if k := len(s.nodes); k > 0 {
-		n := s.nodes[k-1]
-		s.nodes[k-1] = nil
-		s.nodes = s.nodes[:k-1]
-		s.mu.Unlock()
-		return n, true
-	}
-	s.mu.Unlock()
-	if v := c.overflow.Get(); v != nil {
-		return v.(*lnode[V]), true
-	}
-	return new(lnode[V]), false
-}
-
-func (c *nodeCache[V]) put(shard uint32, n *lnode[V]) {
-	s := &c.shards[shard%nodeCacheShards]
-	s.mu.Lock()
-	if len(s.nodes) < cap(s.nodes) {
-		s.nodes = append(s.nodes, n)
-		s.mu.Unlock()
-		return
-	}
-	s.mu.Unlock()
-	c.overflow.Put(n)
 }
 
 // localFreeDepth is the depth of a context's free stack: one hazard scan's
@@ -221,19 +140,28 @@ func (c *nodeCache[V]) put(shard uint32, n *lnode[V]) {
 // throughput and held more idle nodes per context.
 const localFreeDepth = 64
 
-// freeStack is one context's LIFO of lnodes that have passed a hazard
-// scan; only its context touches it.
+// freeStack is one context's LIFO of reusable lnodes — in memory-safe mode,
+// ones that have passed a hazard scan; only its context touches it.
 type freeStack[V any] struct {
 	n     int
 	nodes [localFreeDepth]*lnode[V]
 }
 
+// push stacks n, first spilling half a full stack to f.
+func (s *freeStack[V]) push(f *freelist[V], n *lnode[V]) {
+	if s.n == len(s.nodes) {
+		f.spill(s)
+	}
+	s.nodes[s.n] = n
+	s.n++
+}
+
 // freelist is the domain-wide pool behind the contexts' free stacks: what
 // they spill when full, what they refill from when empty, and what a dying
-// context leaves behind. Nodes reach it only after a hazard scan. Transfers
-// move half a stack under one lock acquisition, so even a context that only
-// allocates, or only retires, takes the lock once per localFreeDepth/2
-// operations.
+// context leaves behind. In memory-safe mode nodes reach it only after a
+// hazard scan. Transfers move half a stack under one lock acquisition, so
+// even a context that only allocates, or only retires, takes the lock once
+// per localFreeDepth/2 operations.
 type freelist[V any] struct {
 	mu    sync.Mutex
 	nodes []*lnode[V]

@@ -112,18 +112,38 @@ func (c Config) validateDurability() error {
 	return nil
 }
 
-// WALOptions translates Config.Durability, which must have WAL set, into
-// the options of the log Open recovers and opens. Exported for the
-// sharded front-end, whose shards share one log opened the same way.
-func (c Config) WALOptions() wal.Options {
-	d := c.Durability
-	return wal.Options{
+// OpenLog resolves the durability policy a queue built from cfg logs
+// through; core.Open and the sharded front-end, whose shards share one log,
+// both start here. Without Config.Durability.WAL it opens nothing and
+// returns cfg.WAL — an external policy or nil — with a nil State. With it,
+// wal.Open recovers the directory while it opens the log, and the
+// recovered payloads are decoded through codec into the returned values,
+// aligned with State.Keys (nil for a key-only directory: zero values).
+// Payload bytes without a codec are an error — recovery must not silently
+// discard durably acknowledged data — and a log opened before any error is
+// closed again. A non-nil State means the returned policy is the caller's
+// to close.
+func OpenLog[V any](cfg Config, codec wal.Codec[V]) (WALPolicy, *wal.State, []V, error) {
+	d := cfg.Durability
+	if d == nil || !d.WAL {
+		return cfg.WAL, nil, nil, nil
+	}
+	l, st, err := wal.Open(wal.Options{
 		Dir:           d.Dir,
 		GroupCommit:   d.GroupCommit,
 		SnapshotBytes: d.SnapshotBytes,
-		Seed:          c.Seed,
-		Faults:        c.Faults,
+		Seed:          cfg.Seed,
+		Faults:        cfg.Faults,
+	})
+	if err != nil {
+		return nil, nil, nil, err
 	}
+	vals, err := decodeRecovered(st, codec)
+	if err != nil {
+		l.Close()
+		return nil, nil, nil, err
+	}
+	return l, st, vals, nil
 }
 
 // SyncWAL makes every queue operation that returned before the call
@@ -175,13 +195,9 @@ func (q *Queue[V]) WALStats() (wal.Stats, bool) {
 	return wal.Stats{}, false
 }
 
-// DecodeRecovered turns a recovered state's raw payload bytes into the
-// value slice InsertBatch wants, aligned with State.Keys. nil
-// State.Vals (a key-only directory) yields nil — zero values, the v1
-// behavior. Payload bytes without a codec are an error: recovery must
-// not silently discard durably acknowledged data. Exported for the
-// one recovery path that wraps this package (sharded.Open).
-func DecodeRecovered[V any](st *wal.State, codec wal.Codec[V]) ([]V, error) {
+// decodeRecovered is OpenLog's decoding step: st's payload bytes as the
+// value slice InsertBatch wants.
+func decodeRecovered[V any](st *wal.State, codec wal.Codec[V]) ([]V, error) {
 	if st.Vals == nil {
 		return nil, nil
 	}

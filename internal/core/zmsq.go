@@ -66,10 +66,10 @@ type Queue[V any] struct {
 type Options[V any] struct {
 	// Domain, when non-nil, is the allocation domain the queue's set nodes
 	// recycle through. Handing the same domain to several queues pools their
-	// recycled nodes, hazard handles and (leaky mode) node cache — the
-	// sharded front-end builds S shards over one domain this way. It must
-	// have been built (NewAllocDomain) from a config with the same set mode
-	// and leak setting. nil builds a private domain.
+	// recycled nodes and hazard handles — the sharded front-end builds S
+	// shards over one domain this way. It must have been built
+	// (NewAllocDomain) from a config with the same set mode and leak
+	// setting. nil builds a private domain.
 	Domain *AllocDomain[V]
 	// Codec, when non-nil, encodes payloads for the durability layer: Insert
 	// and InsertBatch log each element's encoded value alongside its key (wal
@@ -94,10 +94,10 @@ func New[V any](cfg Config) *Queue[V] {
 // Open is the one way to build a queue. Without durability in cfg the queue
 // is volatile and the returned state is nil; an external Config.WAL policy is
 // attached un-owned. With Config.Durability.WAL set, Open always recovers:
-// wal.Open reads the durable element multiset back from the directory's
+// OpenLog reads the durable element multiset back from the directory's
 // snapshot chain + log (a missing or empty directory recovers to an empty
-// state) while it opens the log, the elements are decoded through
-// opts.Codec and re-inserted, and only then is the log attached — the
+// state) while it opens the log and decodes the elements through
+// opts.Codec, they are re-inserted, and only then is the log attached — the
 // recovered elements are already in the log, and re-appending them would
 // double-count on the next Open. The returned wal.State says what was
 // recovered; State.Live() == 0 is a fresh queue. A directory holding value
@@ -116,21 +116,9 @@ func Open[V any](cfg Config, opts Options[V]) (*Queue[V], *wal.State, error) {
 			return nil, nil, err
 		}
 	}
-	var (
-		st   *wal.State
-		vals []V
-		w    = cfg.WAL
-	)
-	if d := cfg.Durability; d != nil && d.WAL {
-		l, s, err := wal.Open(cfg.WALOptions())
-		if err != nil {
-			return nil, nil, err
-		}
-		if vals, err = DecodeRecovered(s, opts.Codec); err != nil {
-			l.Close()
-			return nil, nil, err
-		}
-		st, w = s, l
+	w, st, vals, err := OpenLog(cfg, opts.Codec)
+	if err != nil {
+		return nil, nil, err
 	}
 
 	cfg = cfg.withDefaults()
@@ -151,7 +139,7 @@ func Open[V any](cfg Config, opts Options[V]) (*Queue[V], *wal.State, error) {
 		q.pool = newBatchPool[V](cfg.Batch, cfg.Faults)
 	}
 	if cfg.Blocking {
-		q.ring = waitring.New(cfg.RingSize)
+		q.ring = waitring.New(waitring.DefaultSlots)
 	}
 	if cfg.Helper {
 		q.helperStop = make(chan struct{})
@@ -161,10 +149,12 @@ func Open[V any](cfg Config, opts Options[V]) (*Queue[V], *wal.State, error) {
 		c := &opCtx[V]{}
 		c.rng.Seed(xrand.Mix64(cfg.Seed + id*0x9e3779b97f4a7c15))
 		c.al = newCtxAlloc(q.ad, q.met, uint32(id))
-		if c.al.h != nil {
+		if c.al.local != nil {
 			// sync.Pool drops idle contexts at a GC. One that kept its
-			// record would strand it, active and with its retirees, on the
-			// domain's grow-only list for every later scan to walk.
+			// stack would take up to localFreeDepth reusable nodes with it,
+			// and one that kept its hazard record would strand it, active
+			// and with its retirees, on the domain's grow-only list for
+			// every later scan to walk.
 			runtime.SetFinalizer(c, func(c *opCtx[V]) { c.al.release() })
 		}
 		// Pool refills move up to Batch elements; a batch root grab moves up
@@ -195,7 +185,7 @@ func Open[V any](cfg Config, opts Options[V]) (*Queue[V], *wal.State, error) {
 	}
 	q.wal, q.walOwned = w, st != nil // a log Open opened is the queue's to close
 	if cfg.Helper {
-		go q.helperLoop(cfg.HelperInterval)
+		go q.helperLoop()
 	}
 	return q, st, nil
 }

@@ -26,7 +26,7 @@ func testConfigs() map[string]Config {
 		"array-leaky":   {Batch: 16, TargetLen: 16, SetMode: SetModeArray, Leaky: true},
 		"strict-array":  {Batch: 0, TargetLen: 16, SetMode: SetModeArray},
 		"tiny-targets":  {Batch: 2, TargetLen: 2},
-		"blocking-ring": {Batch: 8, TargetLen: 8, Blocking: true, RingSize: 8},
+		"blocking-ring": {Batch: 8, TargetLen: 8, Blocking: true},
 	}
 }
 
@@ -527,42 +527,56 @@ func TestLenWithPool(t *testing.T) {
 	}
 }
 
-// TestFreelistReuseInSafeMode: once a memory-safe queue's node population
-// has settled, churn at the same size allocates no fresh lnode — every
-// retired node passes a hazard scan and comes back.
+// TestFreelistReuseInSafeMode: once a list-mode queue's node population
+// has settled, churn at the same size allocates no fresh lnode, in either
+// mode — a memory-safe queue's freed nodes come back through a hazard
+// scan, a leaky queue's straight through the same free stack, with no
+// scan at all.
 func TestFreelistReuseInSafeMode(t *testing.T) {
 	if raceEnabled {
 		t.Skip("under the race detector sync.Pool drops contexts between operations; their nodes wait for a finalizer")
 	}
-	met := NewMetrics()
-	q := New[int](Config{Batch: 0, TargetLen: 8, Metrics: met}) // memory-safe by default
-	churn := func() {
-		for i := 0; i < 200; i++ {
-			q.Insert(uint64(i), 0)
-		}
-		for i := 0; i < 200; i++ {
-			q.TryExtractMax()
-		}
-	}
-	// The first rounds allocate, until the nodes in circulation cover the
-	// 200 resident plus a retired list one short of its scan.
-	for round := 0; round < 10; round++ {
-		churn()
-	}
-	warm := q.Snapshot()
-	for round := 0; round < 10; round++ {
-		churn()
-	}
-	after := q.Snapshot()
-	if after.NodeCacheMiss != warm.NodeCacheMiss {
-		t.Fatalf("steady churn allocated %d fresh lnodes", after.NodeCacheMiss-warm.NodeCacheMiss)
-	}
-	if after.NodeCacheHit-warm.NodeCacheHit < 2000 {
-		t.Fatalf("only %d recycled allocations over 2000 inserts", after.NodeCacheHit-warm.NodeCacheHit)
+	for _, tc := range []struct {
+		name  string
+		leaky bool
+	}{{"safe", false}, {"leaky", true}} {
+		t.Run(tc.name, func(t *testing.T) {
+			q := New[int](Config{Batch: 0, TargetLen: 8, Leaky: tc.leaky, Metrics: NewMetrics()})
+			churn := func() {
+				for i := 0; i < 200; i++ {
+					q.Insert(uint64(i), 0)
+				}
+				for i := 0; i < 200; i++ {
+					q.TryExtractMax()
+				}
+			}
+			// The first rounds allocate, until the nodes in circulation cover
+			// the 200 resident plus (memory-safe) a retired list one short of
+			// its scan.
+			for round := 0; round < 10; round++ {
+				churn()
+			}
+			warm := q.Snapshot()
+			for round := 0; round < 10; round++ {
+				churn()
+			}
+			after := q.Snapshot()
+			if after.NodeCacheMiss != warm.NodeCacheMiss {
+				t.Fatalf("steady churn allocated %d fresh lnodes", after.NodeCacheMiss-warm.NodeCacheMiss)
+			}
+			if after.NodeCacheHit-warm.NodeCacheHit < 2000 {
+				t.Fatalf("only %d recycled allocations over 2000 inserts", after.NodeCacheHit-warm.NodeCacheHit)
+			}
+			if scans := after.HazardScans; tc.leaky != (scans == 0) {
+				t.Fatalf("%d hazard scans, leaky=%v", scans, tc.leaky)
+			}
+		})
 	}
 }
 
-func TestLeakyModeSkipsFreelist(t *testing.T) {
+// TestLeakyModeSkipsHazardScans: leaky mode builds no hazard domain, so its
+// contexts recycle through their free stacks without a hazard record.
+func TestLeakyModeSkipsHazardScans(t *testing.T) {
 	q := New[int](Config{Batch: 0, TargetLen: 8, Leaky: true})
 	for i := 0; i < 500; i++ {
 		q.Insert(uint64(i), 0)
@@ -570,8 +584,11 @@ func TestLeakyModeSkipsFreelist(t *testing.T) {
 	for i := 0; i < 500; i++ {
 		q.TryExtractMax()
 	}
-	if q.ad.dom != nil || len(q.ad.free.nodes) != 0 {
-		t.Fatal("leaky mode built a hazard domain or populated the freelist")
+	if q.ad.dom != nil {
+		t.Fatal("leaky mode built a hazard domain")
+	}
+	if ctx := q.getCtx(); ctx.al.h != nil || ctx.al.local == nil {
+		t.Fatalf("leaky context has hazard record %p and free stack %p, want none and one", ctx.al.h, ctx.al.local)
 	}
 }
 

@@ -96,7 +96,7 @@ func measureAllocs(cfg core.Config, op string, runs int, seed uint64) (int, floa
 		return 0, 0, fmt.Errorf("unknown alloc op %q (want insert+extract, batch64)", op)
 	}
 
-	// Warm pooled contexts, scratch capacities, and the node caches.
+	// Warm pooled contexts, scratch capacities, and the free stacks.
 	for i := 0; i < 4096/perRun+1; i++ {
 		step()
 	}

@@ -6,8 +6,6 @@
 package harness
 
 import (
-	"context"
-	"errors"
 	"sync"
 
 	"repro/internal/core"
@@ -40,21 +38,6 @@ func VariantName(cfg core.Config) string {
 	return name
 }
 
-// pqErr translates core's extraction sentinels into package pq's, so
-// harness callers classify outcomes with pq.IsEmpty/pq.IsClosed and never
-// need the concrete queue type.
-func pqErr(err error) error {
-	switch {
-	case err == nil:
-		return nil
-	case errors.Is(err, core.ErrEmpty):
-		return pq.ErrEmpty
-	case errors.Is(err, core.ErrClosed):
-		return pq.ErrClosed
-	}
-	return err
-}
-
 // Insert implements pq.Queue.
 func (z *ZMSQ) Insert(key uint64) { z.Q.Insert(key, struct{}{}) }
 
@@ -62,12 +45,6 @@ func (z *ZMSQ) Insert(key uint64) { z.Q.Insert(key, struct{}{}) }
 func (z *ZMSQ) ExtractMax() (uint64, bool) {
 	k, _, ok := z.Q.TryExtractMax()
 	return k, ok
-}
-
-// ExtractMaxContext implements pq.ContextExtractor.
-func (z *ZMSQ) ExtractMaxContext(ctx context.Context) (uint64, error) {
-	k, _, err := z.Q.ExtractMaxContext(ctx)
-	return k, pqErr(err)
 }
 
 // Name implements pq.Named.
@@ -100,13 +77,12 @@ func (z *ZMSQ) ExtractBatch(dst []uint64, n int) []uint64 {
 // Compile-time capability registrations: every substrate reaches the
 // runners through pq.Queue plus these optional interfaces.
 var (
-	_ pq.Queue            = (*ZMSQ)(nil)
-	_ pq.Named            = (*ZMSQ)(nil)
-	_ pq.Closer           = (*ZMSQ)(nil)
-	_ pq.Batcher          = (*ZMSQ)(nil)
-	_ pq.ContextExtractor = (*ZMSQ)(nil)
-	_ pq.Queue            = (*KLSMAdapter)(nil)
-	_ pq.Closer           = (*KLSMAdapter)(nil)
+	_ pq.Queue   = (*ZMSQ)(nil)
+	_ pq.Named   = (*ZMSQ)(nil)
+	_ pq.Closer  = (*ZMSQ)(nil)
+	_ pq.Batcher = (*ZMSQ)(nil)
+	_ pq.Queue   = (*KLSMAdapter)(nil)
+	_ pq.Closer  = (*KLSMAdapter)(nil)
 )
 
 // KLSMAdapter exposes a k-LSM through pq.Queue using one handle per

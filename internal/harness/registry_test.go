@@ -1,7 +1,6 @@
 package harness
 
 import (
-	"context"
 	"testing"
 
 	"repro/internal/pq"
@@ -73,18 +72,18 @@ func TestMakerNamesMatchRegistry(t *testing.T) {
 // of the optional ones (they are plain pq.Queue + pq.Named).
 func TestCapabilityPassThrough(t *testing.T) {
 	cases := []struct {
-		maker                            string
-		batcher, closer, ctxExt, metrics bool
+		maker                    string
+		batcher, closer, metrics bool
 	}{
-		{"zmsq", true, true, true, true},
-		{"zmsq(array)", true, true, true, true},
-		{"zmsq(leak)", true, true, true, true},
-		{"zmsq-sharded", true, true, true, true},
-		{"mound", false, false, false, false},
-		{"spraylist", false, false, false, false},
-		{"multiqueue", false, false, false, false},
-		{"globalheap", false, false, false, false},
-		{"fifo", false, false, false, false},
+		{"zmsq", true, true, true},
+		{"zmsq(array)", true, true, true},
+		{"zmsq(leak)", true, true, true},
+		{"zmsq-sharded", true, true, true},
+		{"mound", false, false, false},
+		{"spraylist", false, false, false},
+		{"multiqueue", false, false, false},
+		{"globalheap", false, false, false},
+		{"fifo", false, false, false},
 	}
 	makers := Makers()
 	for _, tc := range cases {
@@ -103,41 +102,11 @@ func TestCapabilityPassThrough(t *testing.T) {
 		if _, ok := q.(pq.Closer); ok != tc.closer {
 			t.Errorf("%s: pq.Closer = %v, want %v", tc.maker, ok, tc.closer)
 		}
-		if _, ok := q.(pq.ContextExtractor); ok != tc.ctxExt {
-			t.Errorf("%s: pq.ContextExtractor = %v, want %v", tc.maker, ok, tc.ctxExt)
-		}
 		if _, ok := q.(MetricsSource); ok != tc.metrics {
 			t.Errorf("%s: MetricsSource = %v, want %v", tc.maker, ok, tc.metrics)
 		}
 		if c, ok := q.(pq.Closer); ok {
 			c.Close()
-		}
-	}
-}
-
-// TestContextExtractorSentinels checks that the adapters translate the
-// core sentinels into package pq's, so callers can classify with
-// pq.IsEmpty / pq.IsClosed without importing core.
-func TestContextExtractorSentinels(t *testing.T) {
-	ctx := context.Background()
-	for _, name := range []string{"zmsq", "zmsq-sharded"} {
-		q := Makers()[name](2)
-		ce := q.(pq.ContextExtractor)
-		if _, err := ce.ExtractMaxContext(ctx); !pq.IsEmpty(err) {
-			t.Errorf("%s: empty queue returned %v, want pq.ErrEmpty", name, err)
-		}
-		q.Insert(11)
-		if k, err := ce.ExtractMaxContext(ctx); err != nil || k != 11 {
-			t.Errorf("%s: got %d, %v", name, k, err)
-		}
-		q.(pq.Closer).Close()
-		if _, err := ce.ExtractMaxContext(ctx); !pq.IsClosed(err) {
-			t.Errorf("%s: closed+drained queue returned %v, want pq.ErrClosed", name, err)
-		}
-		canceled, cancel := context.WithCancel(ctx)
-		cancel()
-		if _, err := ce.ExtractMaxContext(canceled); err != context.Canceled {
-			t.Errorf("%s: canceled ctx returned %v", name, err)
 		}
 	}
 }

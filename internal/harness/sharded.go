@@ -1,8 +1,6 @@
 package harness
 
 import (
-	"context"
-
 	"repro/internal/core"
 	"repro/internal/pq"
 	"repro/internal/sharded"
@@ -10,8 +8,8 @@ import (
 
 // Sharded adapts a payload-less sharded.Queue — S ZMSQ shards behind a
 // choice-of-two front-end — to the harness's pq.Queue, with the full
-// capability set the ZMSQ adapter exposes: Named, Closer, Batcher,
-// ContextExtractor and MetricsSource.
+// capability set the ZMSQ adapter exposes: Named, Closer, Batcher and
+// MetricsSource.
 type Sharded struct {
 	Q *sharded.Queue[struct{}]
 	n string
@@ -31,12 +29,6 @@ func (s *Sharded) Insert(key uint64) { s.Q.Insert(key, struct{}{}) }
 func (s *Sharded) ExtractMax() (uint64, bool) {
 	k, _, ok := s.Q.TryExtractMax()
 	return k, ok
-}
-
-// ExtractMaxContext implements pq.ContextExtractor.
-func (s *Sharded) ExtractMaxContext(ctx context.Context) (uint64, error) {
-	k, _, err := s.Q.ExtractMaxContext(ctx)
-	return k, pqErr(err)
 }
 
 // Name implements pq.Named.
@@ -65,10 +57,9 @@ func (s *Sharded) ExtractBatch(dst []uint64, n int) []uint64 {
 func (s *Sharded) Snapshot() core.MetricsSnapshot { return s.Q.Snapshot().Merged }
 
 var (
-	_ pq.Queue            = (*Sharded)(nil)
-	_ pq.Named            = (*Sharded)(nil)
-	_ pq.Closer           = (*Sharded)(nil)
-	_ pq.Batcher          = (*Sharded)(nil)
-	_ pq.ContextExtractor = (*Sharded)(nil)
-	_ MetricsSource       = (*Sharded)(nil)
+	_ pq.Queue      = (*Sharded)(nil)
+	_ pq.Named      = (*Sharded)(nil)
+	_ pq.Closer     = (*Sharded)(nil)
+	_ pq.Batcher    = (*Sharded)(nil)
+	_ MetricsSource = (*Sharded)(nil)
 )

@@ -9,19 +9,6 @@
 // paper's extractMax orientation.
 package pq
 
-import (
-	"context"
-	"errors"
-)
-
-// ErrEmpty is returned by ContextExtractor implementations that cannot
-// block when the queue is observed empty.
-var ErrEmpty = errors.New("pq: queue empty")
-
-// ErrClosed is returned by ContextExtractor implementations once the queue
-// is closed and drained.
-var ErrClosed = errors.New("pq: queue closed and drained")
-
 // Queue is the minimal interface every priority-queue implementation in
 // this repository satisfies. Implementations must be safe for concurrent
 // use unless their documentation says otherwise.
@@ -62,29 +49,6 @@ type Batcher interface {
 	// dst and returning the extended slice. Fewer than n appended keys
 	// means the queue was observed empty.
 	ExtractBatch(dst []uint64, n int) []uint64
-}
-
-// ContextExtractor is the optional capability interface for queues whose
-// extraction honors a context: blocking implementations sleep
-// deadline-aware while empty; non-blocking ones return an empty error
-// instead of waiting. Implementations must return ErrEmpty / ErrClosed (or
-// errors wrapping them) for those two outcomes and ctx.Err() for context
-// cancellation; adapters over concrete queues translate the queue's own
-// sentinels. Callers classify with IsEmpty/IsClosed, so harness code never
-// needs the concrete queue type.
-type ContextExtractor interface {
-	ExtractMaxContext(ctx context.Context) (uint64, error)
-}
-
-// IsEmpty reports whether err marks a transient empty-queue observation
-// from any implementation's ExtractMaxContext.
-func IsEmpty(err error) bool {
-	return errors.Is(err, ErrEmpty)
-}
-
-// IsClosed reports whether err marks a closed-and-drained queue.
-func IsClosed(err error) bool {
-	return errors.Is(err, ErrClosed)
 }
 
 // NameOf returns q's display name, falling back to fallback.

@@ -1,8 +1,8 @@
 // Package server implements zmsqd, the multi-tenant network front-end
 // over the sharded relaxed priority queue. Each tenant is one
 // sharded.Queue; all tenants share a single core.AllocDomain, so N
-// tenants cost one hazard-pointer domain, one freelist, and one set of
-// node caches instead of N. The wire protocol (package wire) is a
+// tenants cost one hazard-pointer domain and one freelist instead of N.
+// The wire protocol (package wire) is a
 // compact CRC-checked binary framing over TCP; requests pipeline, and
 // the per-connection read loop coalesces consecutive same-tenant Insert
 // frames into one InsertBatch — the network edge recreates the batch

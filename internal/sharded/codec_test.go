@@ -3,6 +3,8 @@ package sharded
 import (
 	"bytes"
 	"fmt"
+	"os"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -73,4 +75,55 @@ func TestDurableShardedCodecRoundTrip(t *testing.T) {
 	if err := r.CloseWAL(); err != nil {
 		t.Fatalf("CloseWAL on recovered queue: %v", err)
 	}
+}
+
+// TestRefusedOpenClosesLog is core.TestRefusedOpenClosesLog for the
+// front-end: refusing a valued directory without a codec closes the log
+// Open opened — no group-commit goroutine, no open file left — and the
+// directory then opens with the codec, every payload intact.
+func TestRefusedOpenClosesLog(t *testing.T) {
+	cfg := durableConfig(3, t.TempDir())
+	opts := core.Options[[]byte]{Codec: wal.BytesCodec{}}
+	q, _ := mustOpen(t, cfg, opts)
+	for k := uint64(1); k <= 40; k++ {
+		q.Insert(k, valueFor(k))
+	}
+	if err := q.CloseWAL(); err != nil {
+		t.Fatal(err)
+	}
+
+	goroutines, fds := runtime.NumGoroutine(), openFDs(t)
+	if r, _, err := Open(cfg, core.Options[[]byte]{}); err == nil || r != nil {
+		t.Fatalf("Open without a codec accepted a valued directory (queue %v, err %v)", r, err)
+	}
+	if n := runtime.NumGoroutine(); n > goroutines {
+		t.Fatalf("refused Open left %d goroutines running, %d before", n, goroutines)
+	}
+	if n := openFDs(t); n > fds {
+		t.Fatalf("refused Open left %d files open, %d before", n, fds)
+	}
+
+	r, st := mustOpen(t, cfg, opts)
+	if st.Live() != 40 {
+		t.Fatalf("Open after the refusal recovered %d keys, want 40", st.Live())
+	}
+	for _, e := range r.Drain() {
+		if want := valueFor(e.Key); !bytes.Equal(e.Val, want) {
+			t.Fatalf("key %d recovered payload %q, want %q", e.Key, e.Val, want)
+		}
+	}
+	if err := r.CloseWAL(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// openFDs counts the process's open file descriptors, skipping the test
+// where /proc/self/fd does not exist.
+func openFDs(t *testing.T) int {
+	t.Helper()
+	ents, err := os.ReadDir("/proc/self/fd")
+	if err != nil {
+		t.Skipf("cannot count open files: %v", err)
+	}
+	return len(ents)
 }

@@ -28,13 +28,11 @@
 // (contract.Config.Shards).
 //
 // All shards recycle set nodes through ONE shared core.AllocDomain — one
-// hazard domain, one freelist, one leaky-mode node cache — instead of S
-// private copies, so churn moving between shards does not fragment the
-// recycling pools.
+// hazard domain, one freelist — instead of S private copies, so churn
+// moving between shards does not fragment the recycling pools.
 package sharded
 
 import (
-	"context"
 	"fmt"
 	"runtime"
 	"sync"
@@ -67,7 +65,7 @@ func (c Config) Validate() error {
 		return fmt.Errorf("sharded: Config.Shards is %d; it must be >= 0 (0 selects min(GOMAXPROCS, %d))", c.Shards, defaultMaxShards)
 	}
 	if c.Queue.Blocking {
-		return fmt.Errorf("sharded: Config.Queue.Blocking is not supported: a consumer sleeping on one shard's ring would miss inserts landing on the other shards; use ExtractMaxContext polling or a single blocking core queue")
+		return fmt.Errorf("sharded: Config.Queue.Blocking is not supported: a consumer sleeping on one shard's ring would miss inserts landing on the other shards; poll TryExtractMax or use a single blocking core queue")
 	}
 	return c.Queue.Validate()
 }
@@ -146,17 +144,17 @@ func New[V any](cfg Config) *Queue[V] {
 // Open is the one way to build a sharded queue; it takes the same Options
 // as core.Open and makes the same promises. Every shard of the returned
 // queue — and, when several queues are opened over one Options.Domain,
-// every shard of every such queue — shares one hazard-pointer domain,
-// freelist and node cache; this is how a multi-tenant server keeps N tenant
+// every shard of every such queue — shares one hazard-pointer domain and
+// freelist; this is how a multi-tenant server keeps N tenant
 // queues on one memory-reclamation substrate instead of N (see
 // internal/server). Without durability in cfg.Queue the queue is volatile
 // and the returned state is nil; an external cfg.Queue.WAL policy is shared
 // by every shard un-owned. With cfg.Queue.Durability.WAL set, Open always
-// recovers: wal.Open reads the durable multiset back while it opens the one
-// log all shards share, and the multiset is decoded through opts.Codec and
-// re-inserted bare before that log is attached (see wal.go). Everything
-// that can fail runs before the first shard is built, and a log opened
-// before a failure is closed again.
+// recovers: core.OpenLog reads the durable multiset back while it opens the
+// one log all shards share and decodes it through opts.Codec, and the
+// multiset is re-inserted bare before that log is attached (see wal.go).
+// Everything that can fail runs before the first shard is built, and a log
+// opened before a failure is closed again.
 func Open[V any](cfg Config, opts core.Options[V]) (*Queue[V], *wal.State, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, nil, err
@@ -169,21 +167,9 @@ func Open[V any](cfg Config, opts core.Options[V]) (*Queue[V], *wal.State, error
 			return nil, nil, err
 		}
 	}
-	var (
-		st   *wal.State
-		vals []V
-		w    = cfg.Queue.WAL
-	)
-	if d := cfg.Queue.Durability; d != nil && d.WAL {
-		l, s, err := wal.Open(cfg.Queue.WALOptions())
-		if err != nil {
-			return nil, nil, err
-		}
-		if vals, err = core.DecodeRecovered(s, opts.Codec); err != nil {
-			l.Close()
-			return nil, nil, err
-		}
-		st, w = s, l
+	w, st, vals, err := core.OpenLog(cfg.Queue, opts.Codec)
+	if err != nil {
+		return nil, nil, err
 	}
 
 	if opts.Domain == nil {
@@ -450,28 +436,4 @@ func (q *Queue[V]) Drain() []core.Element[V] {
 func (q *Queue[V]) CloseAndDrain() []core.Element[V] {
 	q.Close()
 	return q.Drain()
-}
-
-// ExtractMaxContext removes and returns a high-priority element, honoring
-// ctx. The sharded queue has no blocking mode, so an empty observation
-// returns core.ErrEmpty immediately; once the queue is closed and drained
-// it returns core.ErrClosed. Remaining elements of a closed queue are
-// still handed out, so shutdown never strands queued work.
-func (q *Queue[V]) ExtractMaxContext(ctx context.Context) (uint64, V, error) {
-	var zero V
-	if err := ctx.Err(); err != nil {
-		return 0, zero, err
-	}
-	if k, v, ok := q.TryExtractMax(); ok {
-		return k, v, nil
-	}
-	if q.closed.Load() {
-		// Re-try once: an element may have landed between the failed try
-		// and the closed check (Insert remains legal after Close).
-		if k, v, ok := q.TryExtractMax(); ok {
-			return k, v, nil
-		}
-		return 0, zero, core.ErrClosed
-	}
-	return 0, zero, core.ErrEmpty
 }

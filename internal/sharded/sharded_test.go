@@ -1,7 +1,6 @@
 package sharded
 
 import (
-	"context"
 	"sort"
 	"strings"
 	"sync"
@@ -106,36 +105,6 @@ func TestForEachAndDrain(t *testing.T) {
 	}
 	if !q.Empty() {
 		t.Fatal("nonempty after Drain")
-	}
-}
-
-func TestExtractMaxContext(t *testing.T) {
-	q := New[int](testCfg(2, 4))
-	ctx := context.Background()
-
-	if _, _, err := q.ExtractMaxContext(ctx); err != core.ErrEmpty {
-		t.Fatalf("empty queue: err = %v, want core.ErrEmpty", err)
-	}
-	q.Insert(7, 7)
-	if k, _, err := q.ExtractMaxContext(ctx); err != nil || k != 7 {
-		t.Fatalf("got %d, %v", k, err)
-	}
-	canceled, cancel := context.WithCancel(ctx)
-	cancel()
-	if _, _, err := q.ExtractMaxContext(canceled); err != context.Canceled {
-		t.Fatalf("canceled ctx: err = %v", err)
-	}
-	q.Insert(9, 9)
-	q.Close()
-	if !q.Closed() {
-		t.Fatal("Closed() false after Close")
-	}
-	// Closed queues still hand out remaining elements.
-	if k, _, err := q.ExtractMaxContext(ctx); err != nil || k != 9 {
-		t.Fatalf("after close: got %d, %v", k, err)
-	}
-	if _, _, err := q.ExtractMaxContext(ctx); err != core.ErrClosed {
-		t.Fatalf("drained closed queue: err = %v, want core.ErrClosed", err)
 	}
 }
 

@@ -23,6 +23,7 @@ func FuzzSnapshotDecode(f *testing.F) {
 		f.Add(body)
 	}
 	f.Add(wrappedV1Body())
+	f.Add(hugeCountV1Body())
 	f.Add([]byte{})
 
 	f.Fuzz(func(t *testing.T, body []byte) {

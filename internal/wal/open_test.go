@@ -166,3 +166,68 @@ func TestSnapshotCountWrapIsCorrupt(t *testing.T) {
 		t.Fatalf("Open = %v, want ErrCorrupt", err)
 	}
 }
+
+// hugeCountV1Body is a well-formed v1 base body whose two keys claim 2^62
+// instances each: every count is valid on its own, and their sum wraps
+// int64.
+func hugeCountV1Body() []byte {
+	b := binary.LittleEndian.AppendUint64(nil, 1) // watermark LSN
+	b = binary.LittleEndian.AppendUint64(b, 2)    // distinct keys
+	for k := uint64(1); k <= 2; k++ {
+		b = binary.LittleEndian.AppendUint64(b, k)
+		b = binary.LittleEndian.AppendUint64(b, 1<<62)
+	}
+	return b
+}
+
+// TestSnapshotCountOverflowIsCorrupt: a CRC-valid v1 base whose per-key
+// counts sum past what a slice can hold once panicked Recover sizing Keys
+// (makeslice: cap out of range). It is corruption.
+func TestSnapshotCountOverflowIsCorrupt(t *testing.T) {
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, snapName), snapFileBytes(snapMagic, hugeCountV1Body()), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Recover(dir); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("Recover = %v, want ErrCorrupt", err)
+	}
+	if _, _, err := Open(Options{Dir: dir, GroupCommit: time.Millisecond}); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("Open = %v, want ErrCorrupt", err)
+	}
+}
+
+// TestExtractedPayloadsLeaveNoVals: State.Vals is nil unless a live
+// instance carries a payload. A key whose valued instance was extracted,
+// leaving a key-only one, recovers key-only — also after a rebase has
+// written the key into a valued base — so a directory whose payloads are
+// all gone opens without a codec.
+func TestExtractedPayloadsLeaveNoVals(t *testing.T) {
+	dir := t.TempDir()
+	l, _, err := Open(Options{Dir: dir, GroupCommit: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	l.AppendInserts([]uint64{5}, [][]byte{[]byte("gone")})
+	l.AppendInserts([]uint64{5, 6}, nil)
+	l.AppendExtracts([]uint64{5})
+	check := func(when string) {
+		t.Helper()
+		st, err := Recover(dir)
+		if err != nil || !reflect.DeepEqual(st.Keys, []uint64{5, 6}) || st.Vals != nil {
+			t.Fatalf("%s: Recover = (%+v, %v), want keys [5 6] and nil Vals", when, st, err)
+		}
+	}
+	if err := l.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	check("from the log")
+	for i := 0; i < rebaseEvery; i++ {
+		if err := l.Snapshot(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	check("from a rebased chain")
+}

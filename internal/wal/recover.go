@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"errors"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"slices"
@@ -22,8 +23,8 @@ type State struct {
 	// Vals holds each instance's recovered payload bytes, aligned with
 	// Keys; a nil entry is a payload-less instance (logged key-only, so
 	// recovery restores a zero value). Instances of the same key appear
-	// in insertion order. Vals is nil when nothing in the directory
-	// carried a payload — the key-only fast path. Entries do not alias
+	// in insertion order. Vals is nil when no live instance carries a
+	// payload — the key-only fast path. Entries do not alias
 	// the on-disk files; decode them with the queue's Codec.
 	Vals [][]byte
 
@@ -113,15 +114,17 @@ func Recover(dir string) (*State, error) {
 		ks *keyState
 	}
 	distinct := make([]liveKey, 0, len(ch.ms))
-	n := 0
+	var n uint64
 	for k, ks := range ch.ms {
 		distinct = append(distinct, liveKey{k, ks})
-		n += int(ks.count)
+		// n <= maxLive before the add and a count is below 2^63, so the
+		// sum cannot wrap before the check catches it.
+		if n += uint64(ks.count); n > maxLive {
+			return nil, fmt.Errorf("%w: recovered state claims more than %d live instances", ErrCorrupt, uint64(maxLive))
+		}
 	}
 	slices.SortFunc(distinct, func(a, b liveKey) int { return cmp.Compare(a.k, b.k) })
 	st.Keys = make([]uint64, 0, n)
-	vals := make([][]byte, 0, n)
-	anyVal := false
 	for _, d := range distinct {
 		k, ks := d.k, d.ks
 		for i := int64(0); i < ks.count; i++ {
@@ -130,14 +133,22 @@ func Recover(dir string) (*State, error) {
 			if ks.vals != nil {
 				v = ks.vals[i]
 			}
-			if v != nil {
-				anyVal = true
+			if v != nil && st.Vals == nil {
+				// The first live payload: every instance before it is
+				// payload-less. A key-only directory never gets here.
+				st.Vals = make([][]byte, len(st.Keys)-1, n)
 			}
-			vals = append(vals, v)
+			if st.Vals != nil {
+				st.Vals = append(st.Vals, v)
+			}
 		}
-	}
-	if anyVal {
-		st.Vals = vals
 	}
 	return st, nil
 }
+
+// maxLive is the most live instances a recovered State can hold: Keys
+// takes 8 bytes per instance, and the Go runtime allocates at most 2^48
+// bytes in one object on 64-bit platforms (int bounds it first on 32-bit
+// ones). A chain that claims more — a v1 base's per-key counts are not
+// bounded by its size — is corrupt.
+const maxLive = min(1<<45, math.MaxInt/8)

@@ -23,9 +23,9 @@
 // overhead (context acquisition, pool-slot handoff, root-lock traffic)
 // across a whole batch while observing the same relaxation contract as the
 // equivalent sequence of single-element calls. The steady-state hot paths
-// are allocation-free: set nodes recycle through a hazard-gated freelist
-// (memory-safe mode) or a sharded node cache (leaky mode), and all
-// transient buffers live in pooled per-operation contexts.
+// are allocation-free: set nodes recycle through per-context free stacks
+// and a shared freelist (hazard-gated in memory-safe mode, direct in leaky
+// mode), and all transient buffers live in pooled per-operation contexts.
 //
 // The repository also contains the paper's baselines (mound, SprayList,
 // MultiQueue, k-LSM), the experiment harness that regenerates every table
