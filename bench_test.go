@@ -210,19 +210,21 @@ func BenchmarkTable1bAccuracy64K(b *testing.B) {
 func benchHandoffZMSQ(b *testing.B, blocking bool, metric string) {
 	cfg := core.DefaultConfig()
 	cfg.Batch = 32
+	cfg.Blocking = blocking
+	mk := func(int) pq.Queue { return harness.NewZMSQ(cfg) }
 	for _, consumers := range []int{2, 8, 32} {
 		consumers := consumers
 		b.Run(fmt.Sprintf("consumers=%d", consumers), func(b *testing.B) {
 			var last harness.HandoffResult
 			for i := 0; i < b.N; i++ {
-				last = harness.RunHandoffZMSQ(cfg, blocking, harness.HandoffSpec{
+				last = harness.RunHandoff(mk, harness.HandoffSpec{
 					Producers: 4, Consumers: consumers, TotalItems: 100_000, Seed: uint64(i) + 1,
 				})
 			}
 			switch metric {
 			case "latency":
-				b.ReportMetric(float64(last.Elapsed.Nanoseconds())/float64(last.Spec.TotalItems), "ns/handoff")
-				b.ReportMetric(float64(last.MeanLatency.Nanoseconds()), "meanLatencyNs")
+				b.ReportMetric(last.PerHandoff(), "ns/handoff")
+				b.ReportMetric(last.Latency.Mean, "meanLatencyNs")
 			case "cpu":
 				b.ReportMetric(last.CPUSeconds, "cpu-sec")
 			}
@@ -346,7 +348,7 @@ func BenchmarkFig6ProducerConsumer(b *testing.B) {
 						Producers: rt.p, Consumers: rt.c, TotalItems: 100_000, Seed: uint64(i) + 1,
 					})
 				}
-				b.ReportMetric(float64(last.Elapsed.Nanoseconds())/float64(last.Spec.TotalItems), "ns/item")
+				b.ReportMetric(last.PerHandoff(), "ns/item")
 			})
 		}
 	}
@@ -505,8 +507,8 @@ func BenchmarkOpLatency(b *testing.B) {
 						Keys: harness.Normal20, Prefill: 100_000, Seed: uint64(i) + 1,
 					})
 			}
-			b.ReportMetric(float64(last.Insert.P99.Nanoseconds()), "insP99ns")
-			b.ReportMetric(float64(last.Extract.P99.Nanoseconds()), "extP99ns")
+			b.ReportMetric(last.Insert.P99, "insP99ns")
+			b.ReportMetric(last.Extract.P99, "extP99ns")
 		})
 	}
 }

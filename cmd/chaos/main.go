@@ -39,6 +39,7 @@ func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("chaos", flag.ContinueOnError)
 	fs.SetOutput(stderr)
+	faults := fault.DefaultPlan()
 	var (
 		seed      = fs.Uint64("seed", 1, "base seed for the fault schedule and workload")
 		seeds     = fs.Int("seeds", 1, "number of consecutive seeds to sweep")
@@ -48,10 +49,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 		ops       = fs.Int("ops", 2000, "inserts per producer per round")
 		batch     = fs.Int("batch", 8, "queue batch (relaxation) parameter")
 		target    = fs.Int("target", 8, "queue targetLen parameter")
-		trylock   = fs.Int("trylock", 20, "forced trylock-failure percentage")
-		handoff   = fs.Int("handoff", 25, "pool-handoff stall percentage")
-		hazard    = fs.Int("hazard", 50, "hazard-scan stall percentage")
-		grow      = fs.Int("grow", 75, "tree-growth stall percentage")
+		trylock   = fs.Int("trylock", faults.TryLockPct, "forced trylock-failure percentage")
+		handoff   = fs.Int("handoff", faults.PoolHandoffPct, "pool-handoff stall percentage")
+		hazard    = fs.Int("hazard", faults.HazardScanPct, "hazard-scan stall percentage")
+		grow      = fs.Int("grow", faults.TreeGrowPct, "tree-growth stall percentage")
 		shardedN  = fs.Int("sharded", 0, "also chaos a sharded front-end with this many shards (0 or 1 = off)")
 		baselines = fs.Bool("baselines", false, "also run conservation chaos over the baselines")
 		durable   = fs.Bool("durable", false, "attach a write-ahead log and verify the durable state replays to empty after the drain")
@@ -63,21 +64,15 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		return 2
 	}
+	faults.TryLockPct, faults.PoolHandoffPct = *trylock, *handoff
+	faults.HazardScanPct, faults.TreeGrowPct = *hazard, *grow
 
 	plan := harness.ChaosPlan{
 		Rounds:      *rounds,
 		Producers:   *producers,
 		Consumers:   *consumers,
 		OpsPerRound: *ops,
-		Faults: fault.Plan{
-			TryLockPct:        *trylock,
-			PoolHandoffPct:    *handoff,
-			PoolHandoffYields: 8,
-			HazardScanPct:     *hazard,
-			HazardScanYields:  16,
-			TreeGrowPct:       *grow,
-			TreeGrowYields:    32,
-		},
+		Faults:      faults,
 		Queue: core.Config{
 			Batch:     *batch,
 			TargetLen: *target,

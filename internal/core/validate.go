@@ -3,7 +3,7 @@ package core
 import (
 	"fmt"
 
-	"repro/internal/stats"
+	"repro/internal/metrics"
 )
 
 // CheckInvariants verifies the structural invariants of the queue. It must
@@ -122,9 +122,9 @@ type TreeStats struct {
 	// NonLeafSets summarizes the set sizes of nonempty nodes above the
 	// leaf level — the paper reports mean 32 with stddev 2.76 for
 	// targetLen=32 after 8M mixed operations.
-	NonLeafSets stats.Summary
+	NonLeafSets metrics.Summary
 	// AllSets summarizes set sizes over all nonempty nodes.
-	AllSets stats.Summary
+	AllSets metrics.Summary
 	// PoolRemaining is the number of unclaimed pool elements.
 	PoolRemaining int
 }
@@ -154,7 +154,7 @@ func (q *Queue[V]) Stats() TreeStats {
 		st.PoolRemaining = int(p)
 		st.Elements += int(p)
 	}
-	st.NonLeafSets = stats.Summarize(nonLeaf)
-	st.AllSets = stats.Summarize(all)
+	st.NonLeafSets = metrics.Summarize(nonLeaf)
+	st.AllSets = metrics.Summarize(all)
 	return st
 }

@@ -398,9 +398,8 @@ func runAccuracy(ex *Experiment, sc Scale, opt Options) ([]CellResult, error) {
 	return out, nil
 }
 
-// runHandoff expands ratios × variants. Variants with a Config or
-// Blocking flag run the ZMSQ handoff (which can block on the futex
-// ring); registry variants run the generic spinning handoff.
+// runHandoff expands ratios × variants. A zmsq variant whose config sets
+// "blocking" runs Figure 4's blocking mode; every other cell spins.
 func runHandoff(ex *Experiment, sc Scale, opt Options) ([]CellResult, error) {
 	items := opt.Ops
 	if items <= 0 {
@@ -416,35 +415,25 @@ func runHandoff(ex *Experiment, sc Scale, opt Options) ([]CellResult, error) {
 	for _, ratio := range ex.Ratios {
 		prod, cons := ratio[0], ratio[1]
 		for _, v := range ex.Variants {
-			spec := harness.HandoffSpec{
+			mk, err := v.maker(opt)
+			if err != nil {
+				return nil, err
+			}
+			hr := harness.RunHandoff(mk, harness.HandoffSpec{
 				Producers: prod, Consumers: cons, TotalItems: items, Seed: opt.Seed,
-			}
-			var hr harness.HandoffResult
-			if v.Queue == "zmsq" && (v.Config != nil || v.Blocking) {
-				cfg, err := v.Config.coreConfig()
-				if err != nil {
-					return nil, err
-				}
-				hr = harness.RunHandoffZMSQ(cfg, v.Blocking, spec)
-			} else {
-				mk, err := v.maker(opt)
-				if err != nil {
-					return nil, err
-				}
-				hr = harness.RunHandoff(mk, spec)
-			}
+			})
 			cell := Cell{
 				Experiment: ex.Name, Kind: ex.Kind, Variant: v.Name,
 				Producers: prod, Consumers: cons, Ops: items,
 				Repeats: 1, Seed: opt.Seed,
 			}
-			perHandoff := float64(hr.Elapsed.Nanoseconds()) / float64(max(items, 1))
+			perHandoff := hr.PerHandoff()
 			res := CellResult{
 				Cell: cell, Unit: "ns/handoff", Statistic: "mean",
 				Samples: []float64{perHandoff}, Value: perHandoff,
 				Extra: map[string]float64{
-					"mean_latency_ns": float64(hr.MeanLatency.Nanoseconds()),
-					"p99_latency_ns":  float64(hr.P99Latency.Nanoseconds()),
+					"mean_latency_ns": hr.Latency.Mean,
+					"p99_latency_ns":  hr.Latency.P99,
 					"cpu_sec":         hr.CPUSeconds,
 				},
 			}

@@ -28,7 +28,7 @@ func tinySpec() *Spec {
 			{
 				Name: "hand", Kind: "handoff", Ratios: [][2]int{{1, 1}},
 				Variants: []Variant{
-					{Name: "block", Queue: "zmsq", Blocking: true},
+					{Name: "block", Queue: "zmsq", Config: &QueueConfig{Blocking: true}},
 					{Name: "mound", Queue: "mound"},
 				},
 			},

@@ -142,8 +142,6 @@ type Variant struct {
 	// Threads pins the relaxation parallelism for accuracy cells
 	// (SprayList tunes to it); 0 means 1.
 	Threads int `json:"threads,omitempty"`
-	// Blocking selects the futex-ring mode for zmsq handoff cells.
-	Blocking bool `json:"blocking,omitempty"`
 }
 
 // Dynamic are per-thread multipliers for Batch and TargetLen.

@@ -139,12 +139,6 @@ func DefaultPlan() Plan {
 	}
 }
 
-// Armed reports whether the plan gives p a nonzero fire rate. Only armed
-// points can ever fire, so exhaustiveness checks ("did every point
-// inject?") should quantify over armed points — the WAL crash points are
-// deliberately unarmed in volatile chaos schedules.
-func (pl Plan) Armed(p Point) bool { return pl.pct(p) > 0 }
-
 // pct returns the fire rate for p.
 func (pl Plan) pct(p Point) int {
 	switch p {
@@ -252,13 +246,4 @@ func (in *Injector) Fired(p Point) uint64 {
 		return 0
 	}
 	return in.state[p].fired.Load()
-}
-
-// Counts returns a per-point "point: fired/calls" summary for reports.
-func (in *Injector) Counts() map[string]string {
-	out := make(map[string]string, NumPoints)
-	for _, p := range Points() {
-		out[p.String()] = fmt.Sprintf("%d/%d", in.Fired(p), in.Calls(p))
-	}
-	return out
 }

@@ -103,14 +103,16 @@ func TestSeedsDiverge(t *testing.T) {
 	}
 }
 
-func TestCountsFormat(t *testing.T) {
+func TestFiredAndCalls(t *testing.T) {
 	in := New(3, Plan{TryLockPct: 100})
 	in.Fire(TryLock)
-	m := in.Counts()
-	if m["trylock"] != "1/1" {
-		t.Fatalf("Counts[trylock] = %q, want 1/1", m["trylock"])
-	}
-	if len(m) != NumPoints {
-		t.Fatalf("Counts has %d entries, want %d", len(m), NumPoints)
+	for _, p := range Points() {
+		want := uint64(0)
+		if p == TryLock {
+			want = 1
+		}
+		if in.Fired(p) != want || in.Calls(p) != want {
+			t.Fatalf("%v: fired/calls = %d/%d, want %d/%d", p, in.Fired(p), in.Calls(p), want, want)
+		}
 	}
 }

@@ -38,11 +38,6 @@ func (g *Graph) NumNodes() int { return len(g.Offsets) - 1 }
 // NumEdges returns the stored (directed) edge count.
 func (g *Graph) NumEdges() int { return len(g.Targets) }
 
-// Degree returns node u's out-degree.
-func (g *Graph) Degree(u uint32) int {
-	return int(g.Offsets[u+1] - g.Offsets[u])
-}
-
 // Neighbors returns node u's targets and weights as parallel slices.
 func (g *Graph) Neighbors(u uint32) ([]uint32, []uint32) {
 	lo, hi := g.Offsets[u], g.Offsets[u+1]

@@ -41,9 +41,10 @@ func VariantName(cfg core.Config) string {
 // Insert implements pq.Queue.
 func (z *ZMSQ) Insert(key uint64) { z.Q.Insert(key, struct{}{}) }
 
-// ExtractMax implements pq.Queue.
+// ExtractMax implements pq.Queue. It is TryExtractMax unless the queue was
+// built with Config.Blocking, where it sleeps while the queue is empty.
 func (z *ZMSQ) ExtractMax() (uint64, bool) {
-	k, _, ok := z.Q.TryExtractMax()
+	k, _, ok := z.Q.ExtractMax()
 	return k, ok
 }
 

@@ -168,28 +168,65 @@ func TestRunHandoffTransfersEverything(t *testing.T) {
 	if res.Elapsed <= 0 {
 		t.Fatal("no elapsed time")
 	}
-	if res.MeanLatency <= 0 {
-		t.Fatal("no latency recorded")
+	if res.Latency.Count != spec.TotalItems || res.Latency.Mean <= 0 {
+		t.Fatalf("latency %+v, want %d positive samples", res.Latency, spec.TotalItems)
 	}
 	if res.PerHandoff() <= 0 {
 		t.Fatal("per-handoff latency not positive")
 	}
 }
 
+// TestRunHandoffUnevenSplit: a count the producers cannot split evenly
+// still moves every item, and every item is counted.
+func TestRunHandoffUnevenSplit(t *testing.T) {
+	spec := HandoffSpec{Producers: 4, Consumers: 2, TotalItems: 1001, Seed: 3}
+	var q pq.Queue
+	res := RunHandoff(func(threads int) pq.Queue {
+		q = Makers()["zmsq"](threads)
+		return q
+	}, spec)
+	if res.Latency.Count != 1001 {
+		t.Fatalf("counted %d handoffs, want 1001", res.Latency.Count)
+	}
+	if _, ok := q.ExtractMax(); ok {
+		t.Fatal("an item was left in the queue")
+	}
+	if got, want := res.PerHandoff(), float64(res.Elapsed.Nanoseconds())/1001; got != want {
+		t.Fatalf("PerHandoff = %v, want %v", got, want)
+	}
+}
+
+// TestRunHandoffZMSQBothModes runs Figure 4's two ZMSQ modes through the one
+// runner: blocking consumers terminate (the last consumer's Close releases
+// the sleepers), every item is consumed, and CPU time is measured.
 func TestRunHandoffZMSQBothModes(t *testing.T) {
 	spec := HandoffSpec{Producers: 2, Consumers: 4, TotalItems: 20000, Seed: 2}
 	for _, blocking := range []bool{false, true} {
-		res := RunHandoffZMSQ(core.DefaultConfig(), blocking, spec)
-		wantMode := "spin"
-		if blocking {
-			wantMode = "block"
+		cfg := core.DefaultConfig()
+		cfg.Blocking = blocking
+		res := RunHandoff(func(int) pq.Queue { return NewZMSQ(cfg) }, spec)
+		if res.Elapsed <= 0 || res.Latency.Count != spec.TotalItems || res.Latency.Mean < 0 {
+			t.Fatalf("blocking=%v: bad result: %+v", blocking, res)
 		}
-		if res.Mode != wantMode {
-			t.Fatalf("mode = %q", res.Mode)
+		if res.CPUSeconds <= 0 {
+			t.Fatalf("blocking=%v: CPU seconds %v, want > 0", blocking, res.CPUSeconds)
 		}
-		if res.Elapsed <= 0 || res.MeanLatency < 0 {
-			t.Fatalf("bad result: %+v", res)
-		}
+	}
+}
+
+// TestSummarizeExact: the latency summary is over the raw samples, so the
+// mean and the interpolated p99 of 1…1000 ns are exact, not bucket bounds.
+func TestSummarizeExact(t *testing.T) {
+	ns := make([]float64, 1000)
+	for i := range ns {
+		ns[i] = float64(i + 1)
+	}
+	got := summarize(ns)
+	if got.Count != 1000 || got.Mean != 500.5 || got.P50 != 500.5 || got.P99 != 990.01 {
+		t.Fatalf("summarize(1…1000) = %+v, want mean 500.5, p50 500.5, p99 990.01", got)
+	}
+	if (summarize(nil) != Latency{}) {
+		t.Fatal("summary of no samples is not zero")
 	}
 }
 
@@ -244,7 +281,7 @@ func TestRunOpLatency(t *testing.T) {
 	if res.Insert.Count == 0 || res.Extract.Count == 0 {
 		t.Fatalf("no samples: %+v", res)
 	}
-	if res.Insert.Count+res.Extract.Count != uint64(spec.TotalOps) {
+	if res.Insert.Count+res.Extract.Count != spec.TotalOps {
 		t.Fatalf("sample count %d != ops %d", res.Insert.Count+res.Extract.Count, spec.TotalOps)
 	}
 	if res.Insert.P99 < res.Insert.P50 || res.Extract.P99 < res.Extract.P50 {

@@ -5,8 +5,8 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/metrics"
 	"repro/internal/pq"
-	"repro/internal/stats"
 	"repro/internal/xrand"
 )
 
@@ -18,38 +18,47 @@ import (
 type LatencyResult struct {
 	Spec    ThroughputSpec
 	Queue   string
-	Insert  OpLatency
-	Extract OpLatency
+	Insert  Latency
+	Extract Latency
 }
 
-// OpLatency summarizes one operation type's latency distribution.
-type OpLatency struct {
-	Count uint64
-	Mean  time.Duration
-	P50   time.Duration
-	P99   time.Duration
+// Latency summarizes a run's raw latency samples exactly: every sample is
+// kept, so the percentiles are order statistics, not bucket bounds.
+type Latency struct {
+	Count int
+	// Mean, P50 and P99 are in nanoseconds.
+	Mean, P50, P99 float64
 }
 
-func summarizeRecorder(r *stats.LatencyRecorder) OpLatency {
-	return OpLatency{
-		Count: r.Count(),
-		Mean:  r.Mean(),
-		P50:   r.Quantile(0.50),
-		P99:   r.Quantile(0.99),
+// summarize reports the exact mean, median and 99th percentile of
+// samples, each a latency in nanoseconds.
+func summarize(samples []float64) Latency {
+	if len(samples) == 0 {
+		return Latency{}
 	}
+	return Latency{
+		Count: len(samples),
+		Mean:  metrics.Summarize(samples).Mean,
+		P50:   metrics.Percentile(samples, 50),
+		P99:   metrics.Percentile(samples, 99),
+	}
+}
+
+// String formats the summary as "mean=… p50=… p99=…" in nanoseconds.
+func (l Latency) String() string {
+	return fmt.Sprintf("mean=%.0fns p50=%.0fns p99=%.0fns", l.Mean, l.P50, l.P99)
 }
 
 // String formats the result as an experiment row.
 func (r LatencyResult) String() string {
-	return fmt.Sprintf("%-14s threads=%-3d insert{mean=%v p50=%v p99=%v} extract{mean=%v p50=%v p99=%v}",
-		r.Queue, r.Spec.Threads,
-		r.Insert.Mean, r.Insert.P50, r.Insert.P99,
-		r.Extract.Mean, r.Extract.P50, r.Extract.P99)
+	return fmt.Sprintf("%-14s threads=%-3d insert{%v} extract{%v}",
+		r.Queue, r.Spec.Threads, r.Insert, r.Extract)
 }
 
 // RunOpLatency runs the spec's operation mix while timing every individual
-// operation into log-bucketed histograms (one pair per worker, merged at
-// the end, so recording never serializes workers).
+// operation. Each worker appends to its own sample slices, sized to its
+// operation count before the clock starts, so recording never allocates
+// and never serializes workers.
 func RunOpLatency(mk QueueMaker, spec ThroughputSpec) LatencyResult {
 	q := mk(spec.Threads)
 	name := pq.NameOf(q, "queue")
@@ -60,46 +69,46 @@ func RunOpLatency(mk QueueMaker, spec ThroughputSpec) LatencyResult {
 	}
 
 	perWorker := spec.TotalOps / spec.Threads
-	insertRecs := make([]*stats.LatencyRecorder, spec.Threads)
-	extractRecs := make([]*stats.LatencyRecorder, spec.Threads)
+	insertNs := make([][]float64, spec.Threads)
+	extractNs := make([][]float64, spec.Threads)
 	var start, stop sync.WaitGroup
 	start.Add(1)
 	stop.Add(spec.Threads)
 	for w := 0; w < spec.Threads; w++ {
-		insertRecs[w] = stats.NewLatencyRecorder()
-		extractRecs[w] = stats.NewLatencyRecorder()
+		insertNs[w] = make([]float64, 0, perWorker)
+		extractNs[w] = make([]float64, 0, perWorker)
 		go func(w int) {
 			defer stop.Done()
 			r := xrand.New(spec.Seed + uint64(w)*0x9e3779b97f4a7c15)
-			ins, ext := insertRecs[w], extractRecs[w]
+			ins, ext := insertNs[w], extractNs[w]
 			start.Wait()
 			for i := 0; i < perWorker; i++ {
 				if spec.InsertPct.IsInsert(r) {
 					k := spec.Keys.Draw(r)
 					t0 := time.Now()
 					q.Insert(k)
-					ins.Record(time.Since(t0))
+					ins = append(ins, float64(time.Since(t0)))
 				} else {
 					t0 := time.Now()
 					q.ExtractMax()
-					ext.Record(time.Since(t0))
+					ext = append(ext, float64(time.Since(t0)))
 				}
 			}
+			insertNs[w], extractNs[w] = ins, ext
 		}(w)
 	}
 	start.Done()
 	stop.Wait()
 
-	insAll := stats.NewLatencyRecorder()
-	extAll := stats.NewLatencyRecorder()
+	var insAll, extAll []float64
 	for w := 0; w < spec.Threads; w++ {
-		insAll.Merge(insertRecs[w])
-		extAll.Merge(extractRecs[w])
+		insAll = append(insAll, insertNs[w]...)
+		extAll = append(extAll, extractNs[w]...)
 	}
 	return LatencyResult{
 		Spec:    spec,
 		Queue:   name,
-		Insert:  summarizeRecorder(insAll),
-		Extract: summarizeRecorder(extAll),
+		Insert:  summarize(insAll),
+		Extract: summarize(extAll),
 	}
 }

@@ -8,9 +8,7 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/pq"
-	"repro/internal/stats"
 )
 
 // HandoffSpec describes a producer/consumer experiment (Figures 4 and 6):
@@ -27,29 +25,25 @@ type HandoffSpec struct {
 type HandoffResult struct {
 	Spec    HandoffSpec
 	Queue   string
-	Mode    string // "spin" or "block"
 	Elapsed time.Duration
-	// MeanLatency and P99Latency measure insert-to-extract handoff time.
-	MeanLatency time.Duration
-	P99Latency  time.Duration
+	// Latency is the insert-to-extract handoff time of every item.
+	Latency Latency
 	// CPUSeconds is the Go-runtime user+GC CPU consumed during the run —
 	// the quantity Figure 4b compares (spinning consumers burn CPU
 	// proportional to their count; blocked consumers do not).
 	CPUSeconds float64
 }
 
-// PerHandoff is the latency per handoff (Figure 4a's y-axis).
-func (r HandoffResult) PerHandoff() time.Duration {
-	if r.Spec.TotalItems == 0 {
-		return 0
-	}
-	return r.Elapsed / time.Duration(r.Spec.TotalItems)
+// PerHandoff is the elapsed time per handoff in nanoseconds (Figure 4a's
+// y-axis).
+func (r HandoffResult) PerHandoff() float64 {
+	return float64(r.Elapsed.Nanoseconds()) / float64(max(r.Spec.TotalItems, 1))
 }
 
 // String formats the result as an experiment table row.
 func (r HandoffResult) String() string {
-	return fmt.Sprintf("%-14s %-5s prod=%-3d cons=%-3d elapsed=%-12v meanLat=%-10v p99=%-10v cpu=%.2fs",
-		r.Queue, r.Mode, r.Spec.Producers, r.Spec.Consumers, r.Elapsed, r.MeanLatency, r.P99Latency, r.CPUSeconds)
+	return fmt.Sprintf("%-14s prod=%-3d cons=%-3d elapsed=%-12v latency{%v} cpu=%.2fs",
+		r.Queue, r.Spec.Producers, r.Spec.Consumers, r.Elapsed, r.Latency, r.CPUSeconds)
 }
 
 func cpuSeconds() float64 {
@@ -68,103 +62,38 @@ func cpuSeconds() float64 {
 	return total
 }
 
-// RunHandoffZMSQ runs the Figure 4 experiment on a ZMSQ: the same queue
-// configuration measured in spinning mode (blocking disabled; consumers
-// retry TryExtractMax) and blocking mode (consumers sleep on the futex
-// ring).
-func RunHandoffZMSQ(cfg core.Config, blocking bool, spec HandoffSpec) HandoffResult {
-	cfg.Blocking = blocking
-	q := core.New[int64](cfg)
-	mode := "spin"
-	if blocking {
-		mode = "block"
-	}
-
-	var consumed atomic.Int64
-	rec := stats.NewLatencyRecorder()
-	var wg sync.WaitGroup
-	begin := time.Now()
-	cpuBefore := cpuSeconds()
-
-	perProducer := spec.TotalItems / spec.Producers
-	for p := 0; p < spec.Producers; p++ {
-		wg.Add(1)
-		go func(p int) {
-			defer wg.Done()
-			for i := 0; i < perProducer; i++ {
-				// The payload carries the insertion timestamp; the key is
-				// the same value so later items have higher priority (a
-				// plausible freshness-priority workload, and near-empty
-				// queues make the choice immaterial).
-				now := time.Since(begin).Nanoseconds()
-				q.Insert(uint64(now), now)
-			}
-		}(p)
-	}
-	total := int64(perProducer * spec.Producers)
-	for c := 0; c < spec.Consumers; c++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				if consumed.Load() >= total {
-					return
-				}
-				var ts int64
-				var ok bool
-				if blocking {
-					_, ts, ok = q.ExtractMax()
-					if !ok {
-						return // closed
-					}
-				} else {
-					_, ts, ok = q.TryExtractMax()
-					if !ok {
-						continue
-					}
-				}
-				rec.Record(time.Duration(time.Since(begin).Nanoseconds() - ts))
-				if consumed.Add(1) >= total {
-					q.Close() // release blocked siblings
-					return
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	elapsed := time.Since(begin)
-	cpuAfter := cpuSeconds()
-
-	return HandoffResult{
-		Spec:        spec,
-		Queue:       VariantName(cfg),
-		Mode:        mode,
-		Elapsed:     elapsed,
-		MeanLatency: rec.Mean(),
-		P99Latency:  rec.Quantile(0.99),
-		CPUSeconds:  cpuAfter - cpuBefore,
-	}
-}
-
-// RunHandoff runs the Figure 6 experiment: transfer TotalItems through any
-// pq.Queue with dedicated producers and consumers (blocking disabled, as
-// the paper does for cross-queue fairness — SprayList cannot block).
+// RunHandoff runs the Figures 4 and 6 experiment: transfer TotalItems
+// through a fresh queue from mk with dedicated producers and consumers.
+// Consumers call ExtractMax, so a ZMSQ built with Config.Blocking sleeps on
+// the futex ring (Figure 4's blocking mode) and every other queue spins
+// (Figure 6 disables blocking for cross-queue fairness — SprayList cannot
+// block). The consumer that takes the last item closes a pq.Closer queue,
+// which releases blocked siblings.
 func RunHandoff(mk QueueMaker, spec HandoffSpec) HandoffResult {
-	threads := spec.Producers + spec.Consumers
-	q := mk(threads)
-
+	q := mk(spec.Producers + spec.Consumers)
+	total := int64(spec.TotalItems)
+	// One slot per item, written by the consumer whose consumed.Add took
+	// that index: the only shared write a handoff adds to the measurement.
+	latNs := make([]float64, total)
 	var consumed atomic.Int64
-	rec := stats.NewLatencyRecorder()
 	var wg sync.WaitGroup
+	cpuBefore := cpuSeconds()
 	begin := time.Now()
 
-	perProducer := spec.TotalItems / spec.Producers
-	total := int64(perProducer * spec.Producers)
 	for p := 0; p < spec.Producers; p++ {
+		// The first TotalItems%Producers producers take one extra item, so
+		// exactly TotalItems move.
+		n := spec.TotalItems / spec.Producers
+		if p < spec.TotalItems%spec.Producers {
+			n++
+		}
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for i := 0; i < perProducer; i++ {
+			for i := 0; i < n; i++ {
+				// The key is the insertion timestamp, so later items have
+				// higher priority (a freshness-priority workload; near-empty
+				// queues make the choice immaterial).
 				q.Insert(uint64(time.Since(begin).Nanoseconds()))
 			}
 		}()
@@ -176,25 +105,31 @@ func RunHandoff(mk QueueMaker, spec HandoffSpec) HandoffResult {
 			for consumed.Load() < total {
 				ts, ok := q.ExtractMax()
 				if !ok {
-					// Empty or spuriously failed (SprayList): retry. The
-					// paper highlights that SprayList consumers need
-					// multiple calls per element here (§4.5.2).
+					// Empty or spuriously failed (SprayList; the paper
+					// highlights that its consumers need multiple calls per
+					// element, §4.5.2), or closed: the loop test decides.
 					continue
 				}
-				rec.Record(time.Duration(time.Since(begin).Nanoseconds() - int64(ts)))
-				if consumed.Add(1) >= total {
+				lat := time.Since(begin).Nanoseconds() - int64(ts)
+				i := consumed.Add(1) - 1
+				latNs[i] = float64(lat)
+				if i == total-1 {
+					if cl, ok := q.(pq.Closer); ok {
+						cl.Close()
+					}
 					return
 				}
 			}
 		}()
 	}
 	wg.Wait()
+	elapsed := time.Since(begin)
+
 	return HandoffResult{
-		Spec:        spec,
-		Queue:       pq.NameOf(q, "queue"),
-		Mode:        "spin",
-		Elapsed:     time.Since(begin),
-		MeanLatency: rec.Mean(),
-		P99Latency:  rec.Quantile(0.99),
+		Spec:       spec,
+		Queue:      pq.NameOf(q, "queue"),
+		Elapsed:    elapsed,
+		Latency:    summarize(latNs),
+		CPUSeconds: cpuSeconds() - cpuBefore,
 	}
 }

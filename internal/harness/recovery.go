@@ -10,6 +10,7 @@ import (
 	"repro/internal/contract"
 	"repro/internal/core"
 	"repro/internal/fault"
+	"repro/internal/loadgen"
 	"repro/internal/sharded"
 	"repro/internal/wal"
 )
@@ -213,22 +214,6 @@ func openTarget(shards int, cfg core.Config, opts core.Options[[]byte]) (target,
 	return q, st, VariantName(cfg), nil
 }
 
-// RecoveryValueFor is the deterministic key→payload generator valued
-// recovery plans insert with: n bytes mixed from the key alone, so the
-// verifier can re-derive any instance's expected payload without a
-// ledger of the actual bytes.
-func RecoveryValueFor(key uint64, n int) []byte {
-	b := make([]byte, n)
-	x := key ^ 0x6a09e667f3bcc908
-	for i := range b {
-		x ^= x << 13
-		x ^= x >> 7
-		x ^= x << 17
-		b[i] = byte(x)
-	}
-	return b
-}
-
 // tally is one worker's ledger of operations by acknowledgment status.
 type tally struct {
 	ackedIns, unackedIns, ackedExt, unackedExt map[uint64]int
@@ -280,7 +265,7 @@ func RunRecovery(plan RecoveryPlan) (RecoveryResult, error) {
 	var codec wal.Codec[[]byte]
 	if plan.ValueBytes > 0 {
 		n := plan.ValueBytes
-		valueFor = func(key uint64) []byte { return RecoveryValueFor(key, n) }
+		valueFor = func(key uint64) []byte { return loadgen.ValueFor(key, n) }
 		codec = wal.BytesCodec{}
 	}
 	opts := core.Options[[]byte]{Codec: codec}

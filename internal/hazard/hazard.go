@@ -210,7 +210,3 @@ func (h *Handle[T]) Flush() {
 		}
 	}
 }
-
-// RetiredCount reports how many objects are awaiting reclamation on this
-// handle. Exposed for tests.
-func (h *Handle[T]) RetiredCount() int { return len(h.r.retired) }

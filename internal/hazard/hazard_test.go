@@ -87,8 +87,8 @@ func TestPutHandsRetireesOn(t *testing.T) {
 	if d.Records() != 2 {
 		t.Fatalf("domain has %d records, want 2 (released record reused)", d.Records())
 	}
-	if w2.RetiredCount() != 1 {
-		t.Fatalf("new holder inherited %d retirees, want 1", w2.RetiredCount())
+	if len(w2.r.retired) != 1 {
+		t.Fatalf("new holder inherited %d retirees, want 1", len(w2.r.retired))
 	}
 	reader.Clear(0)
 	w2.Flush()
@@ -129,8 +129,8 @@ func TestScanTriggersAtThreshold(t *testing.T) {
 	if scans != 1 || len(*reclaimed) != scanThreshold {
 		t.Fatalf("%d scans reclaimed %d at threshold, want 1 scan and %d", scans, len(*reclaimed), scanThreshold)
 	}
-	if h.RetiredCount() != 0 {
-		t.Fatalf("retired list has %d entries after scan", h.RetiredCount())
+	if len(h.r.retired) != 0 {
+		t.Fatalf("retired list has %d entries after scan", len(h.r.retired))
 	}
 	d.Put(h)
 }
@@ -258,7 +258,7 @@ func TestStressProtectRetire(t *testing.T) {
 	// Every reader has put its handle, so nothing is published any more.
 	for _, h := range handles {
 		h.Flush()
-		if n := h.RetiredCount(); n != 0 {
+		if n := len(h.r.retired); n != 0 {
 			t.Errorf("Flush left %d retirees with no hazard pointer published", n)
 		}
 		d.Put(h)

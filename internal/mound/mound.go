@@ -251,26 +251,6 @@ func (m *Mound) Len() int {
 // Name implements the harness's Named interface.
 func (m *Mound) Name() string { return "mound" }
 
-// AvgListLen reports the mean list length over nonempty nodes — the
-// statistic §2.2 uses to show the mound devolving into a heap.
-func (m *Mound) AvgListLen() float64 {
-	var sum, n int64
-	top := int(m.leafLevel.Load())
-	for l := 0; l <= top; l++ {
-		nodes := m.levels[l]
-		for i := range nodes {
-			if s := nodes[i].size.Load(); s > 0 {
-				sum += s
-				n++
-			}
-		}
-	}
-	if n == 0 {
-		return 0
-	}
-	return float64(sum) / float64(n)
-}
-
 // CheckInvariants validates the mound structure; quiescent use only.
 func (m *Mound) CheckInvariants() error {
 	top := int(m.leafLevel.Load())

@@ -4,7 +4,7 @@ import (
 	"fmt"
 	"sync"
 
-	"repro/internal/stats"
+	"repro/internal/metrics"
 )
 
 // Tracker observes a single-consumer extraction sequence and reports the
@@ -86,11 +86,11 @@ func (tr *Tracker) Summary() RankSummary {
 		return s
 	}
 	s.MaxRate = float64(tr.maxHits) / float64(len(tr.ranks))
-	sum := stats.Summarize(tr.ranks)
+	sum := metrics.Summarize(tr.ranks)
 	s.Mean = sum.Mean
 	s.Worst = sum.Max
-	s.P50 = stats.Percentile(tr.ranks, 50)
-	s.P99 = stats.Percentile(tr.ranks, 99)
+	s.P50 = metrics.Percentile(tr.ranks, 50)
+	s.P99 = metrics.Percentile(tr.ranks, 99)
 	return s
 }
 

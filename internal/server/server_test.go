@@ -1,6 +1,8 @@
 package server
 
 import (
+	"encoding/binary"
+	"hash/crc32"
 	"net"
 	"os"
 	"path/filepath"
@@ -368,9 +370,9 @@ func TestServerBadFrame(t *testing.T) {
 	}
 	defer c.Close()
 
-	// An unknown-op request is appendable only by hand: craft the frame
-	// via the response encoder's framing by abusing AppendRequest with a
-	// known op, then flip the op byte and re-CRC through a raw conn.
+	// An unknown-op request is appendable only by hand: frame a known op,
+	// then flip the op byte and recompute the CRC, so the frame is intact
+	// and only its grammar is wrong.
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
 		t.Fatal(err)
@@ -380,17 +382,9 @@ func TestServerBadFrame(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Rebuild with a bogus op but a correct CRC: decode payload, mutate,
-	// re-frame via the decoder-checked response path is not available, so
-	// recompute by constructing the payload directly.
-	payload, err := wire.NewDecoder(frame).Next()
-	if err != nil {
-		t.Fatal(err)
-	}
-	bad := append([]byte(nil), payload...)
-	bad[0] = 99
-	out := wire.AppendRaw(nil, bad)
-	if _, err := conn.Write(out); err != nil {
+	frame[wire.HeaderSize] = 99
+	binary.LittleEndian.PutUint32(frame[4:], crc32.Checksum(frame[wire.HeaderSize:], crc32.MakeTable(crc32.Castagnoli)))
+	if _, err := conn.Write(frame); err != nil {
 		t.Fatal(err)
 	}
 	var scratch []byte

@@ -228,9 +228,6 @@ func (q *Queue[V]) newCtx() *opCtx {
 	return c
 }
 
-// NumShards returns the shard count S.
-func (q *Queue[V]) NumShards() int { return len(q.shards) }
-
 func (q *Queue[V]) getCtx() *opCtx  { return q.ctxs.Get().(*opCtx) }
 func (q *Queue[V]) putCtx(c *opCtx) { q.ctxs.Put(c) }
 

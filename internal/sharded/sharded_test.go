@@ -20,8 +20,8 @@ func testCfg(shards, batch int) Config {
 
 func TestBasicInsertExtract(t *testing.T) {
 	q := New[int](testCfg(4, 4))
-	if q.NumShards() != 4 {
-		t.Fatalf("NumShards = %d", q.NumShards())
+	if len(q.shards) != 4 {
+		t.Fatalf("NumShards = %d", len(q.shards))
 	}
 	const n = 1000
 	for i := 0; i < n; i++ {
@@ -66,8 +66,8 @@ func TestDefaultShards(t *testing.T) {
 		t.Fatalf("DefaultShards = %d", s)
 	}
 	q := New[struct{}](Config{Queue: core.Config{Batch: 4, TargetLen: 8}})
-	if q.NumShards() != DefaultShards() {
-		t.Fatalf("zero Shards built %d shards, want %d", q.NumShards(), DefaultShards())
+	if len(q.shards) != DefaultShards() {
+		t.Fatalf("zero Shards built %d shards, want %d", len(q.shards), DefaultShards())
 	}
 }
 

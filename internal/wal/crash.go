@@ -1,9 +1,6 @@
 package wal
 
-import (
-	"errors"
-	"fmt"
-)
+import "fmt"
 
 // This file is the crash-simulation support used by the chaos and
 // recovery harnesses. A "crash" is modeled at the file level: the on-disk
@@ -105,6 +102,3 @@ func (l *Log) SimulateCrash() (CrashInfo, error) {
 	}
 	return info, nil
 }
-
-// IsCrashed reports whether err is the simulated-crash sentinel.
-func IsCrashed(err error) bool { return errors.Is(err, ErrCrashed) }

@@ -472,6 +472,3 @@ func (l *Log) durableWatermark() (off int64, lsn uint64) {
 	defer l.mu.Unlock()
 	return l.durableOff.Load(), l.durableLSN.Load()
 }
-
-// Dir returns the durability directory.
-func (l *Log) Dir() string { return l.dir }

@@ -204,15 +204,6 @@ func endFrame(buf []byte, start int) []byte {
 	return buf
 }
 
-// AppendRaw frames an arbitrary payload — length + CRC header, no
-// grammar check. It exists for tests and fault-injection harnesses that
-// need CRC-valid frames the parsers will reject.
-func AppendRaw(buf, payload []byte) []byte {
-	buf, start := beginFrame(buf)
-	buf = append(buf, payload...)
-	return endFrame(buf, start)
-}
-
 // AppendRequest frames r into buf and returns the extended slice. It
 // rejects requests the wire grammar cannot carry (tenant name too long or
 // empty, oversized batch) rather than emitting a frame the peer would
@@ -249,20 +240,9 @@ func AppendRequest(buf []byte, r Request) ([]byte, error) {
 	buf = append(buf, r.Tenant...)
 	switch r.Op {
 	case OpInsert:
-		buf = binary.LittleEndian.AppendUint64(buf, r.Key)
-		if r.Payload != nil {
-			buf = binary.LittleEndian.AppendUint32(buf, uint32(len(r.Payload)))
-			buf = append(buf, r.Payload...)
-		}
+		buf = appendMember(buf, r.Key, r.Payload, r.Payload != nil)
 	case OpInsertBatch:
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(r.Keys)))
-		for i, k := range r.Keys {
-			buf = binary.LittleEndian.AppendUint64(buf, k)
-			if r.Payloads != nil {
-				buf = binary.LittleEndian.AppendUint32(buf, uint32(len(r.Payloads[i])))
-				buf = append(buf, r.Payloads[i]...)
-			}
-		}
+		buf = appendMembers(buf, r.Keys, r.Payloads)
 	case OpExtractBatch:
 		buf = binary.LittleEndian.AppendUint32(buf, uint32(r.N))
 	case OpExtractMax, OpLen, OpSnapshot:
@@ -283,22 +263,11 @@ func AppendResponse(buf []byte, r Response) []byte {
 	case StatusOK:
 		switch r.Op {
 		case OpExtractMax:
-			buf = binary.LittleEndian.AppendUint64(buf, r.Value)
-			if r.Payload != nil {
-				buf = binary.LittleEndian.AppendUint32(buf, uint32(len(r.Payload)))
-				buf = append(buf, r.Payload...)
-			}
+			buf = appendMember(buf, r.Value, r.Payload, r.Payload != nil)
 		case OpLen:
 			buf = binary.LittleEndian.AppendUint64(buf, r.Value)
 		case OpExtractBatch:
-			buf = binary.LittleEndian.AppendUint32(buf, uint32(len(r.Keys)))
-			for i, k := range r.Keys {
-				buf = binary.LittleEndian.AppendUint64(buf, k)
-				if r.Payloads != nil {
-					buf = binary.LittleEndian.AppendUint32(buf, uint32(len(r.Payloads[i])))
-					buf = append(buf, r.Payloads[i]...)
-				}
-			}
+			buf = appendMembers(buf, r.Keys, r.Payloads)
 		case OpSnapshot:
 			buf = append(buf, r.Blob...)
 		}
@@ -308,6 +277,32 @@ func AppendResponse(buf []byte, r Response) []byte {
 		buf = append(buf, r.Msg...)
 	}
 	return endFrame(buf, start)
+}
+
+// appendMember appends one member: key uint64 LE and, when valued, vlen
+// uint32 LE + vlen payload bytes. A valued member may carry an empty
+// payload; only the key-only form omits the length.
+func appendMember(buf []byte, key uint64, val []byte, valued bool) []byte {
+	buf = binary.LittleEndian.AppendUint64(buf, key)
+	if valued {
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(val)))
+		buf = append(buf, val...)
+	}
+	return buf
+}
+
+// appendMembers appends a counted run of members: count uint32 LE, then
+// every key, each valued when vals (aligned with keys) is non-nil.
+func appendMembers(buf []byte, keys []uint64, vals [][]byte) []byte {
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(keys)))
+	for i, k := range keys {
+		var v []byte
+		if vals != nil {
+			v = vals[i]
+		}
+		buf = appendMember(buf, k, v, vals != nil)
+	}
+	return buf
 }
 
 // ParseRequest decodes a request payload (the bytes inside one frame).
@@ -338,40 +333,17 @@ func ParseRequestBytes(payload []byte, keyScratch []uint64) (r Request, tenant [
 	body := payload[reqFixed+tlen:]
 	switch r.Op {
 	case OpInsert:
-		switch {
-		case len(body) == 8:
-			r.Key = binary.LittleEndian.Uint64(body)
-		case len(body) >= 12:
-			r.Key = binary.LittleEndian.Uint64(body)
-			vlen := binary.LittleEndian.Uint32(body[8:])
-			if vlen > MaxValueLen || int(vlen) != len(body)-12 {
-				return Request{}, nil, fmt.Errorf("%w: insert payload length %d disagrees with %d body bytes", ErrProto, vlen, len(body))
-			}
-			r.Payload = body[12 : 12+vlen : 12+vlen]
-		default:
-			return Request{}, nil, fmt.Errorf("%w: insert body of %d bytes (want 8 or >= 12)", ErrProto, len(body))
+		r.Key, r.Payload, err = parseMember(body, "insert")
+		if err != nil {
+			return Request{}, nil, err
 		}
 	case OpInsertBatch:
-		if len(body) < 4 {
-			return Request{}, nil, fmt.Errorf("%w: insert-batch body of %d bytes (want >= 4)", ErrProto, len(body))
+		r.Keys, r.Payloads, err = parseMembers(body, keyScratch[:0], "insert-batch")
+		if err == nil && len(r.Keys) == 0 {
+			err = fmt.Errorf("%w: insert-batch count 0 outside [1, %d]", ErrProto, MaxBatchKeys)
 		}
-		n := binary.LittleEndian.Uint32(body)
-		if n == 0 || n > MaxBatchKeys {
-			return Request{}, nil, fmt.Errorf("%w: insert-batch count %d outside [1, %d]", ErrProto, n, MaxBatchKeys)
-		}
-		if len(body) == 4+8*int(n) {
-			// Key-only form: exactly count keys, no length fields. A valued
-			// batch is always longer (each member carries 4 extra bytes),
-			// so the two grammars cannot collide.
-			r.Keys = keyScratch[:0]
-			for i := 0; i < int(n); i++ {
-				r.Keys = append(r.Keys, binary.LittleEndian.Uint64(body[4+8*i:]))
-			}
-			break
-		}
-		r.Keys, r.Payloads, err = parseValuedMembers(body[4:], int(n), keyScratch[:0])
 		if err != nil {
-			return Request{}, nil, fmt.Errorf("%w: insert-batch: %s", ErrProto, err)
+			return Request{}, nil, err
 		}
 	case OpExtractBatch:
 		if len(body) != 4 {
@@ -392,27 +364,62 @@ func ParseRequestBytes(payload []byte, keyScratch []uint64) (r Request, tenant [
 	return r, tenant, nil
 }
 
-// parseValuedMembers walks n × (key uint64 LE + vlen uint32 LE + vlen
-// bytes) members covering exactly body, appending keys to keys and
-// returning the aligned payload views (which alias body).
-func parseValuedMembers(body []byte, n int, keys []uint64) ([]uint64, [][]byte, error) {
+// parseMember decodes one member covering exactly body: 8 bytes is the
+// key-only form, 12 or more the valued form, whose vlen must account for
+// every remaining byte. The payload aliases body. what names the body in
+// errors.
+func parseMember(body []byte, what string) (key uint64, val []byte, err error) {
+	switch {
+	case len(body) == 8:
+		return binary.LittleEndian.Uint64(body), nil, nil
+	case len(body) >= 12:
+		vlen := binary.LittleEndian.Uint32(body[8:])
+		if vlen > MaxValueLen || int(vlen) != len(body)-12 {
+			return 0, nil, fmt.Errorf("%w: %s payload length %d disagrees with %d body bytes", ErrProto, what, vlen, len(body))
+		}
+		return binary.LittleEndian.Uint64(body), body[12 : 12+vlen : 12+vlen], nil
+	}
+	return 0, nil, fmt.Errorf("%w: %s body of %d bytes (want 8 or >= 12)", ErrProto, what, len(body))
+}
+
+// parseMembers decodes a counted run of members covering exactly body:
+// count uint32 LE, then count keys (the key-only form) or count × (key
+// uint64 LE + vlen uint32 LE + vlen bytes). A valued run is always longer
+// than count keys (each member carries 4 extra bytes), so the two forms
+// cannot collide. Keys are appended to keys; the payload views alias body
+// and are nil for the key-only form. what names the body in errors.
+func parseMembers(body []byte, keys []uint64, what string) ([]uint64, [][]byte, error) {
+	if len(body) < 4 {
+		return nil, nil, fmt.Errorf("%w: %s body of %d bytes (want >= 4)", ErrProto, what, len(body))
+	}
+	n := int(binary.LittleEndian.Uint32(body))
+	if n > MaxBatchKeys {
+		return nil, nil, fmt.Errorf("%w: %s count %d exceeds %d", ErrProto, what, n, MaxBatchKeys)
+	}
+	body = body[4:]
+	if len(body) == 8*n {
+		for i := 0; i < n; i++ {
+			keys = append(keys, binary.LittleEndian.Uint64(body[8*i:]))
+		}
+		return keys, nil, nil
+	}
 	vals := make([][]byte, 0, n)
 	off := 0
 	for i := 0; i < n; i++ {
 		if len(body)-off < 12 {
-			return nil, nil, fmt.Errorf("valued member %d of %d truncated at byte %d", i, n, off)
+			return nil, nil, fmt.Errorf("%w: %s valued member %d of %d truncated at byte %d", ErrProto, what, i, n, off)
 		}
 		keys = append(keys, binary.LittleEndian.Uint64(body[off:]))
 		vlen := int(binary.LittleEndian.Uint32(body[off+8:]))
 		off += 12
 		if vlen > MaxValueLen || len(body)-off < vlen {
-			return nil, nil, fmt.Errorf("valued member %d payload length %d does not fit %d remaining bytes", i, vlen, len(body)-off)
+			return nil, nil, fmt.Errorf("%w: %s valued member %d payload length %d does not fit %d remaining bytes", ErrProto, what, i, vlen, len(body)-off)
 		}
 		vals = append(vals, body[off:off+vlen:off+vlen])
 		off += vlen
 	}
 	if off != len(body) {
-		return nil, nil, fmt.Errorf("%d trailing bytes after %d valued members", len(body)-off, n)
+		return nil, nil, fmt.Errorf("%w: %s has %d trailing bytes after %d valued members", ErrProto, what, len(body)-off, n)
 	}
 	return keys, vals, nil
 }
@@ -430,18 +437,9 @@ func ParseResponse(payload []byte, keyScratch []uint64) (Response, error) {
 	case StatusOK:
 		switch r.Op {
 		case OpExtractMax:
-			switch {
-			case len(body) == 8:
-				r.Value = binary.LittleEndian.Uint64(body)
-			case len(body) >= 12:
-				r.Value = binary.LittleEndian.Uint64(body)
-				vlen := binary.LittleEndian.Uint32(body[8:])
-				if vlen > MaxValueLen || int(vlen) != len(body)-12 {
-					return Response{}, fmt.Errorf("%w: extract payload length %d disagrees with %d body bytes", ErrProto, vlen, len(body))
-				}
-				r.Payload = body[12 : 12+vlen : 12+vlen]
-			default:
-				return Response{}, fmt.Errorf("%w: extract OK body of %d bytes (want 8 or >= 12)", ErrProto, len(body))
+			var err error
+			if r.Value, r.Payload, err = parseMember(body, "extract OK"); err != nil {
+				return Response{}, err
 			}
 		case OpLen:
 			if len(body) != 8 {
@@ -449,24 +447,9 @@ func ParseResponse(payload []byte, keyScratch []uint64) (Response, error) {
 			}
 			r.Value = binary.LittleEndian.Uint64(body)
 		case OpExtractBatch:
-			if len(body) < 4 {
-				return Response{}, fmt.Errorf("%w: extract-batch OK body of %d bytes (want >= 4)", ErrProto, len(body))
-			}
-			n := binary.LittleEndian.Uint32(body)
-			if n > MaxBatchKeys {
-				return Response{}, fmt.Errorf("%w: extract-batch count %d exceeds %d", ErrProto, n, MaxBatchKeys)
-			}
-			if len(body) == 4+8*int(n) {
-				r.Keys = keyScratch[:0]
-				for i := 0; i < int(n); i++ {
-					r.Keys = append(r.Keys, binary.LittleEndian.Uint64(body[4+8*i:]))
-				}
-				break
-			}
 			var err error
-			r.Keys, r.Payloads, err = parseValuedMembers(body[4:], int(n), keyScratch[:0])
-			if err != nil {
-				return Response{}, fmt.Errorf("%w: extract-batch: %s", ErrProto, err)
+			if r.Keys, r.Payloads, err = parseMembers(body, keyScratch[:0], "extract-batch OK"); err != nil {
+				return Response{}, err
 			}
 		case OpSnapshot:
 			r.Blob = body
