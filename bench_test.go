@@ -21,6 +21,7 @@ import (
 	"repro/internal/locks"
 	"repro/internal/mound"
 	"repro/internal/pq"
+	"repro/internal/quality"
 	"repro/internal/spray"
 	"repro/internal/sssp"
 	"repro/internal/xrand"
@@ -449,15 +450,47 @@ func BenchmarkSec32SetStats(b *testing.B) {
 // ---- Ablations (DESIGN.md §3) ----
 
 func benchAblation(b *testing.B, mod func(*core.Config)) {
+	cfg := core.DefaultConfig()
+	mod(&cfg)
 	for _, t := range benchThreads {
 		t := t
 		b.Run(fmt.Sprintf("threads=%d", t), func(b *testing.B) {
-			reportThroughput(b, func(int) pq.Queue {
-				cfg := core.DefaultConfig()
-				mod(&cfg)
-				return harness.NewZMSQ(cfg)
-			}, harness.ThroughputSpec{Threads: t, TotalOps: benchOps, InsertPct: 50,
-				Keys: harness.Normal20, Prefill: benchOps})
+			reportThroughput(b, func(int) pq.Queue { return harness.NewZMSQ(cfg) },
+				harness.ThroughputSpec{Threads: t, TotalOps: benchOps, InsertPct: 50,
+					Keys: harness.Normal20, Prefill: benchOps})
+		})
+	}
+	// The ranked pass: the same 50/50 mix and keys on one goroutine
+	// against 65 536 resident elements, every extraction ranked by
+	// quality.Tracker. One goroutine makes the ranks exact; rank error is
+	// what each mechanism is there to buy.
+	const resident, ops = 1 << 16, 1 << 20
+	for seed := uint64(1); seed <= 3; seed++ {
+		b.Run(fmt.Sprintf("ranked/seed=%d", seed), func(b *testing.B) {
+			var s quality.RankSummary
+			for i := 0; i < b.N; i++ {
+				z := harness.NewZMSQ(cfg)
+				tr := quality.NewTracker(^seed)
+				r := xrand.New(seed)
+				for j := 0; j < resident; j++ {
+					k := harness.Normal20.Draw(r)
+					z.Insert(k)
+					tr.Insert(k)
+				}
+				for j := 0; j < ops; j++ {
+					if r.Uint64()&1 == 0 {
+						k := harness.Normal20.Draw(r)
+						z.Insert(k)
+						tr.Insert(k)
+					} else if k, ok := z.ExtractMax(); ok {
+						tr.ObserveExtract(k)
+					}
+				}
+				z.Close()
+				s = tr.Summary()
+			}
+			b.ReportMetric(s.Mean, "rank_err_mean")
+			b.ReportMetric(s.P99, "rank_err_p99")
 		})
 	}
 }

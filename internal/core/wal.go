@@ -132,8 +132,6 @@ func OpenLog[V any](cfg Config, codec wal.Codec[V]) (WALPolicy, *wal.State, []V,
 		Dir:           d.Dir,
 		GroupCommit:   d.GroupCommit,
 		SnapshotBytes: d.SnapshotBytes,
-		Seed:          cfg.Seed,
-		Faults:        cfg.Faults,
 	})
 	if err != nil {
 		return nil, nil, nil, err

@@ -117,7 +117,7 @@ func snapshotWriteAmpCell(ex *Experiment, opt Options) (CellResult, error) {
 		return cr, fmt.Errorf("snapshot write-amp temp dir: %w", err)
 	}
 	defer os.RemoveAll(dir)
-	l, _, err := wal.Open(wal.Options{Dir: dir, GroupCommit: wal.DefaultGroupCommit, Seed: opt.Seed})
+	l, _, err := wal.Open(wal.Options{Dir: dir, GroupCommit: wal.DefaultGroupCommit})
 	if err != nil {
 		return cr, err
 	}

@@ -51,17 +51,6 @@ const (
 	HazardScan
 	// TreeGrow pauses expandTree before publishing the new level.
 	TreeGrow
-	// WALAppend crashes the write-ahead log mid-append: the simulated
-	// kill cuts the on-disk image inside the record being framed, so
-	// recovery sees a torn tail at that record.
-	WALAppend
-	// WALFsync crashes the log mid-fsync: the group being synced is cut
-	// partway and the durable watermark does not advance, so no ack is
-	// issued for anything in the group.
-	WALFsync
-	// WALSnapshot crashes an online snapshot mid-write, abandoning the
-	// part-written temp file and cutting the log's unsynced tail.
-	WALSnapshot
 
 	numPoints
 )
@@ -80,12 +69,6 @@ func (p Point) String() string {
 		return "hazard-scan"
 	case TreeGrow:
 		return "tree-grow"
-	case WALAppend:
-		return "wal-append"
-	case WALFsync:
-		return "wal-fsync"
-	case WALSnapshot:
-		return "wal-snapshot"
 	default:
 		return fmt.Sprintf("fault.Point(%d)", int(p))
 	}
@@ -93,7 +76,7 @@ func (p Point) String() string {
 
 // Points lists every injection point.
 func Points() []Point {
-	return []Point{TryLock, PoolHandoff, HazardScan, TreeGrow, WALAppend, WALFsync, WALSnapshot}
+	return []Point{TryLock, PoolHandoff, HazardScan, TreeGrow}
 }
 
 // Plan sets per-point fire rates (percent of queries that inject, 0–100;
@@ -114,14 +97,6 @@ type Plan struct {
 	// TreeGrowPct / TreeGrowYields pause tree growth before publication.
 	TreeGrowPct    int
 	TreeGrowYields int
-	// WALAppendPct / WALFsyncPct / WALSnapshotPct are the WAL crash
-	// points. Unlike the delay-style points above, a WAL point firing is
-	// terminal for the run — the log freezes a crash cut and stops
-	// accepting work — so these default to 0 and the recovery harness
-	// arms exactly the one its scenario needs.
-	WALAppendPct   int
-	WALFsyncPct    int
-	WALSnapshotPct int
 }
 
 // DefaultPlan returns the moderate chaos schedule used by cmd/chaos and
@@ -150,12 +125,6 @@ func (pl Plan) pct(p Point) int {
 		return pl.HazardScanPct
 	case TreeGrow:
 		return pl.TreeGrowPct
-	case WALAppend:
-		return pl.WALAppendPct
-	case WALFsync:
-		return pl.WALFsyncPct
-	case WALSnapshot:
-		return pl.WALSnapshotPct
 	default:
 		return 0
 	}

@@ -6,21 +6,23 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
+	"time"
 
 	"repro/internal/contract"
 	"repro/internal/core"
-	"repro/internal/fault"
 	"repro/internal/loadgen"
 	"repro/internal/sharded"
 	"repro/internal/wal"
+	"repro/internal/wal/crashfs"
 )
 
 // This file is the crash-recovery harness: it runs a durable workload
 // with an acknowledgment protocol (insert/extract a chunk, Sync, treat
-// the chunk as acked only if Sync returned nil), injects a crash at a
-// chosen point in the WAL machinery, materializes the crash by
-// truncating the log to the frozen cut, recovers a fresh queue from the
-// surviving bytes, and verifies conservation: every acked operation
+// the chunk as acked only if Sync returned nil) on a log whose file
+// calls go through the crash model of package crashfs, lets one of
+// those calls fail, materializes the crash by truncating the log inside
+// its unsynced tail, recovers a fresh queue from the surviving bytes,
+// and verifies conservation: every acked operation
 // must be reflected in the recovered state, and every unacked operation
 // may have happened or not — but nothing else is allowed. The bounds
 // are checked per key by contract.VerifyRecovery.
@@ -32,21 +34,22 @@ import (
 // single queue and the sharded front-end (which shares one log across
 // shards, so the ack protocol is identical).
 
-// CrashKind selects where the simulated crash is injected.
+// CrashKind selects the file call the simulated crash fails. Whatever
+// the kind, the log is then cut at a seeded offset in its unsynced tail.
 type CrashKind int
 
 const (
-	// CrashMidAppend freezes the cut inside a record being framed: the
-	// recovered log ends in a torn tail starting at that record.
+	// CrashMidAppend fails a write to the log (2 % of them) partway: the
+	// recovered log usually ends in a torn record.
 	CrashMidAppend CrashKind = iota
-	// CrashMidFsync freezes the cut inside the group being fsynced; the
-	// syncing caller gets ErrCrashed instead of an ack.
+	// CrashMidFsync fails an fsync of the log (20 % of them): the syncing
+	// caller gets the error instead of an ack.
 	CrashMidFsync
-	// CrashMidSnapshot crashes during an online snapshot write: the temp
-	// snapshot is abandoned and the log's unsynced tail is cut.
+	// CrashMidSnapshot fails the first write to a snapshot temp partway:
+	// the temp is abandoned and the old chain stays in force.
 	CrashMidSnapshot
-	// CrashTornTail runs the workload to quota, appends a tail of
-	// unsynced inserts, and force-crashes at a seeded random cut.
+	// CrashTornTail runs the workload to quota, appends a burst of
+	// inserts no Sync has covered, and fails the log fsync that follows.
 	CrashTornTail
 )
 
@@ -72,8 +75,8 @@ func (k CrashKind) String() string {
 
 // RecoveryPlan configures one crash-recovery scenario.
 type RecoveryPlan struct {
-	// Seed drives the fault schedule, the crash-cut randomization and the
-	// queue's internal RNGs.
+	// Seed drives the crash schedule, the crash cut and the queue's
+	// internal RNGs.
 	Seed uint64
 	// Kind is the crash point under test.
 	Kind CrashKind
@@ -99,9 +102,6 @@ type RecoveryPlan struct {
 	// Queue is the queue configuration; Seed/Faults/WAL/Durability are
 	// overwritten by the plan.
 	Queue core.Config
-	// Faults configures the non-WAL fault points firing during the
-	// workload (the WAL point for Kind is armed automatically).
-	Faults fault.Plan
 }
 
 func (p RecoveryPlan) withDefaults() RecoveryPlan {
@@ -124,36 +124,26 @@ func (p RecoveryPlan) withDefaults() RecoveryPlan {
 	return p
 }
 
-// walOptions arms the crash point for the plan's kind and picks the
-// group-commit cadence: fast for the fault kinds (the crash races real
-// sync traffic), slow for the torn tail (so the final tail is unsynced).
-func (p RecoveryPlan) walOptions(inj *fault.Injector) wal.Options {
-	opts := wal.Options{
-		Dir:         p.Dir,
-		GroupCommit: wal.DefaultGroupCommit,
-		Seed:        p.Seed,
-		Faults:      inj,
-	}
-	if p.Kind == CrashTornTail {
-		opts.GroupCommit = 50 * wal.DefaultGroupCommit
-	}
-	if p.Kind == CrashMidSnapshot {
-		opts.SnapshotBytes = 4 << 10
-	}
-	return opts
-}
-
-func (p RecoveryPlan) faultPlan() fault.Plan {
-	fp := p.Faults
+// crashLog is the crash model for the plan's kind and the options of the
+// log it runs under. The scheduled kinds race the group commit and crash
+// within a few dozen chunks: a flush is about one write and one fsync
+// per worker chunk. The torn tail runs no group commit, so only the
+// armed Sync touches its burst.
+func (p RecoveryPlan) crashLog() (*crashfs.FS, wal.Options) {
+	opts := wal.Options{Dir: p.Dir, GroupCommit: wal.DefaultGroupCommit}
+	var fs *crashfs.FS
 	switch p.Kind {
 	case CrashMidAppend:
-		fp.WALAppendPct = 1
+		fs = crashfs.New(p.Seed, crashfs.LogWrite, 2)
 	case CrashMidFsync:
-		fp.WALFsyncPct = 20
+		fs = crashfs.New(p.Seed, crashfs.LogSync, 20)
 	case CrashMidSnapshot:
-		fp.WALSnapshotPct = 100
+		fs, opts.SnapshotBytes = crashfs.New(p.Seed, crashfs.SnapWrite, 100), 4<<10
+	default: // CrashTornTail
+		fs, opts.GroupCommit = crashfs.New(p.Seed, crashfs.LogSync, 0), time.Hour
 	}
-	return fp
+	opts.FS = fs
+	return fs, opts
 }
 
 // RecoveryResult summarizes a crash-recovery scenario.
@@ -170,14 +160,22 @@ type RecoveryResult struct {
 	// Stats is the log's activity at the crash moment; Ops/Syncs is the
 	// group-commit amortization factor.
 	Stats wal.Stats `json:"wal_stats"`
-	// Crash reports the frozen cut and what it destroyed.
-	Crash wal.CrashInfo `json:"crash"`
+	// Crash reports the cut and what it destroyed.
+	Crash CrashInfo `json:"crash"`
 	// State summarizes what recovery read back from the directory.
 	Recovered   int    `json:"recovered"`
 	TornBytes   int64  `json:"torn_bytes"`
 	SnapshotLSN uint64 `json:"snapshot_lsn"`
 	// Report is the conservation verdict.
 	Report contract.RecoveryReport `json:"report"`
+}
+
+// CrashInfo is what a materialized crash destroyed, and the durable
+// watermark at the crash: every op at or below DurableLSN was ackable
+// and must survive recovery.
+type CrashInfo struct {
+	crashfs.Info
+	DurableLSN uint64
 }
 
 // target is the queue surface the chaos and recovery harnesses need; both
@@ -248,15 +246,15 @@ func RunRecovery(plan RecoveryPlan) (RecoveryResult, error) {
 		return res, errors.New("recovery: RecoveryPlan.Dir is required")
 	}
 
-	inj := fault.New(plan.Seed, plan.faultPlan())
-	log, _, err := wal.Open(plan.walOptions(inj))
+	fs, walOpts := plan.crashLog()
+	log, _, err := wal.Open(walOpts)
 	if err != nil {
 		return res, err
 	}
 
 	cfg := plan.Queue
 	cfg.Seed = plan.Seed
-	cfg.Faults = inj
+	cfg.Faults = nil
 	cfg.Durability = nil
 	cfg.WAL = log // external policy: the harness keeps the handle for crash control
 	// valueFor is nil for key-only plans; valued plans log through
@@ -279,7 +277,7 @@ func RunRecovery(plan RecoveryPlan) (RecoveryResult, error) {
 
 	crashed := func() bool {
 		select {
-		case <-log.Crashed():
+		case <-fs.Crashed():
 			return true
 		default:
 			return false
@@ -357,8 +355,8 @@ func RunRecovery(plan RecoveryPlan) (RecoveryResult, error) {
 	main := newTally()
 	if plan.Kind == CrashTornTail && !crashed() {
 		// The torn-tail scenario: a burst of inserts that no Sync ever
-		// covered, then a crash at a seeded cut somewhere in that tail —
-		// usually splitting a record.
+		// covered, then a failed fsync of that burst — the cut lands
+		// somewhere in it, usually splitting a record.
 		for i := 0; i < 2*plan.ChunkSize; i++ {
 			key := uint64(len(tallies)+1)<<32 | uint64(i+1)
 			main.unackedIns[key]++
@@ -368,17 +366,19 @@ func RunRecovery(plan RecoveryPlan) (RecoveryResult, error) {
 			}
 			q.Insert(key, val)
 		}
-		log.ForceCrash()
+		fs.Arm()
+		_ = log.Sync() // fails: the armed fsync is this one
 	}
 	if !crashed() {
-		log.SimulateCrash()
+		_ = log.Close()
 		return res, fmt.Errorf("recovery(%s/%s): crash point never fired within %d chunks/worker",
 			res.Name, res.Kind, plan.MaxChunks)
 	}
 
 	res.Stats = log.Stats()
-	info, err := log.SimulateCrash()
-	res.Crash = info
+	info, err := fs.Materialize()
+	_ = log.Close() // releases the log's file and goroutine; the crash already decided its error
+	res.Crash = CrashInfo{Info: info, DurableLSN: res.Stats.DurableLSN}
 	if err != nil {
 		return res, err
 	}

@@ -100,3 +100,28 @@ func TestMetricsMuxEndpoints(t *testing.T) {
 		t.Error("/debug/pprof/ index looks wrong")
 	}
 }
+
+// TestDurableTenantScrapeShowsLogHealth: a durable tenant's view carries
+// its log's health, 0 while the log accepts writes (wal's
+// TestFailedCallLatches covers the 1).
+func TestDurableTenantScrapeShowsLogHealth(t *testing.T) {
+	cfg := baseConfig("alpha")
+	cfg.WALDir = t.TempDir()
+	s, _ := startServer(t, cfg)
+	srv := httptest.NewServer(NewMetricsMux(s.View))
+	defer srv.Close()
+	resp, err := srv.Client().Get(srv.URL + "/metrics?tenant=alpha")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{"# TYPE zmsq_wal_failed gauge\n", "zmsq_wal_failed 0\n"} {
+		if !strings.Contains(string(body), want) {
+			t.Errorf("durable tenant's view lacks %q", want)
+		}
+	}
+}

@@ -12,8 +12,6 @@ import (
 	"slices"
 	"strconv"
 	"strings"
-
-	"repro/internal/fault"
 )
 
 // Online snapshots compact the log without quiescing the queue. A naive
@@ -616,9 +614,6 @@ func deltaFiles(dir string) ([]deltaFile, error) {
 // instead. Automatic snapshots (Options.SnapshotBytes) call this from
 // the group-commit goroutine.
 func (l *Log) Snapshot() error {
-	if l.crashed.Load() {
-		return ErrCrashed
-	}
 	l.snapMu.Lock()
 	defer l.snapMu.Unlock()
 
@@ -688,36 +683,18 @@ func (l *Log) Snapshot() error {
 }
 
 // writeSnapFile writes one chain element atomically: temp file, fsync,
-// rename, directory fsync. The fault.WALSnapshot point fires between
-// chunks of the temp write, abandoning a part-written temp exactly as a
-// mid-snapshot kill would.
+// rename, directory fsync. It fails unless the rename is durable, so
+// Snapshot never trims a log prefix that only an undurable chain
+// element covers.
 func (l *Log) writeSnapFile(tmpName, finalName string, b []byte) error {
 	tmp := filepath.Join(l.dir, tmpName)
-	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
+	f, err := l.opts.FS.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
 	if err != nil {
 		return fmt.Errorf("wal: snapshot: %w", err)
 	}
-	const chunk = 1 << 12
-	for off := 0; off < len(b); off += chunk {
-		if l.faults != nil && l.faults.Fire(fault.WALSnapshot) {
-			// Crash mid-snapshot: the temp is abandoned part-written and
-			// the log's unsynced tail is cut like any other kill.
-			f.Close()
-			l.mu.Lock()
-			total := l.written + int64(len(l.buf))
-			d := l.durableOff.Load()
-			l.crashLocked(d + int64(l.rng.Uint64n(uint64(total-d)+1)))
-			l.mu.Unlock()
-			return ErrCrashed
-		}
-		end := off + chunk
-		if end > len(b) {
-			end = len(b)
-		}
-		if _, err := f.Write(b[off:end]); err != nil {
-			f.Close()
-			return fmt.Errorf("wal: snapshot: %w", err)
-		}
+	if _, err := f.Write(b); err != nil {
+		f.Close()
+		return fmt.Errorf("wal: snapshot: %w", err)
 	}
 	if err := f.Sync(); err != nil {
 		f.Close()
@@ -726,12 +703,11 @@ func (l *Log) writeSnapFile(tmpName, finalName string, b []byte) error {
 	if err := f.Close(); err != nil {
 		return fmt.Errorf("wal: snapshot: %w", err)
 	}
-	if err := os.Rename(tmp, filepath.Join(l.dir, finalName)); err != nil {
+	if err := l.opts.FS.Rename(tmp, filepath.Join(l.dir, finalName)); err != nil {
 		return fmt.Errorf("wal: snapshot: %w", err)
 	}
-	if d, err := os.Open(l.dir); err == nil {
-		_ = d.Sync()
-		d.Close()
+	if err := l.opts.FS.SyncDir(l.dir); err != nil {
+		return fmt.Errorf("wal: snapshot: %w", err)
 	}
 	l.snapBytes.Add(int64(len(b)))
 	return nil
@@ -740,28 +716,23 @@ func (l *Log) writeSnapFile(tmpName, finalName string, b []byte) error {
 // trimTo drops the log prefix [0, cutOff) now covered by the snapshot
 // chain: the tail is copied to a temp file, renamed over the log, and
 // the live handle and offsets rebased. Serialized against Sync by syncMu
-// so the durable watermark and the file identity move together. If a
-// crash froze meanwhile the trim is skipped — the crash cut is in the
-// old file's coordinates, and an untrimmed log is always safe because
-// recovery skips records the chain covers.
+// so the durable watermark and the file identity move together.
 func (l *Log) trimTo(cutOff int64) error {
 	l.syncMu.Lock()
 	defer l.syncMu.Unlock()
 	l.mu.Lock()
 	defer l.mu.Unlock()
 
-	if l.crashed.Load() {
-		return nil
-	}
 	if err := l.flushLocked(); err != nil {
 		return err
 	}
 
 	tmp := filepath.Join(l.dir, walTmpName)
-	nf, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_RDWR, 0o644)
+	nf, err := l.opts.FS.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_RDWR, 0o644)
 	if err != nil {
 		return fmt.Errorf("wal: trim: %w", err)
 	}
+	// The copy leaves nf's offset at its end, where the next append goes.
 	if _, err := io.Copy(nf, io.NewSectionReader(l.f, cutOff, l.written-cutOff)); err != nil {
 		nf.Close()
 		return fmt.Errorf("wal: trim: copying tail: %w", err)
@@ -770,20 +741,19 @@ func (l *Log) trimTo(cutOff int64) error {
 		nf.Close()
 		return fmt.Errorf("wal: trim: %w", err)
 	}
-	if err := os.Rename(tmp, filepath.Join(l.dir, walName)); err != nil {
+	if err := l.opts.FS.Rename(tmp, filepath.Join(l.dir, walName)); err != nil {
 		nf.Close()
 		return fmt.Errorf("wal: trim: %w", err)
-	}
-	if d, err := os.Open(l.dir); err == nil {
-		_ = d.Sync()
-		d.Close()
 	}
 	l.f.Close()
 	l.f = nf
 	l.written -= cutOff
 	l.durableOff.Add(-cutOff)
-	if _, err := l.f.Seek(l.written, 0); err != nil {
-		return fmt.Errorf("wal: trim: %w", err)
+	if err := l.opts.FS.SyncDir(l.dir); err != nil {
+		// A crash could bring the old log back, and it lacks every record
+		// appended from here on: acknowledge none of them.
+		l.err = fmt.Errorf("wal: trim: %w", err)
+		return l.err
 	}
 	l.trims.Add(1)
 	return nil

@@ -10,9 +10,7 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/fault"
 	"repro/internal/metrics"
-	"repro/internal/xrand"
 )
 
 // File names inside a durability directory. The log is a single appended
@@ -40,12 +38,6 @@ const DefaultGroupCommit = 2 * time.Millisecond
 // amplification shrinks with it.
 const rebaseEvery = 8
 
-// ErrCrashed is returned once a simulated crash has been triggered (see
-// the fault.WALAppend/WALFsync/WALSnapshot points and ForceCrash): the
-// log stops accepting work, exactly as if the process had died at the
-// frozen cut point.
-var ErrCrashed = errors.New("wal: simulated crash")
-
 // Options configures Open.
 type Options struct {
 	// Dir is the durability directory (created if missing). Required.
@@ -58,12 +50,9 @@ type Options struct {
 	// log) whenever the log file grows past this size. 0 disables
 	// automatic snapshots; Snapshot can still be called manually.
 	SnapshotBytes int64
-	// Seed seeds the crash-point randomization used by the fault hooks.
-	Seed uint64
-	// Faults, when non-nil, arms the WAL crash points (fault.WALAppend,
-	// fault.WALFsync, fault.WALSnapshot). The first point that fires
-	// freezes a crash cut and flips the log into the crashed state.
-	Faults *fault.Injector
+	// FS carries every write, fsync, truncate, rename and directory fsync
+	// the log makes. nil means the operating system.
+	FS FS
 }
 
 // Stats is a point-in-time summary of a Log's activity, for the recovery
@@ -89,6 +78,9 @@ type Stats struct {
 	// DurableLSN is the highest LSN covered by a completed fsync;
 	// LastLSN is the highest LSN assigned.
 	DurableLSN, LastLSN uint64
+	// Err is the latched I/O error's text, empty while the log is healthy.
+	// Once set, the log acknowledges nothing more.
+	Err string
 }
 
 // Log is a group-committed write-ahead log of queue operations. All
@@ -100,21 +92,19 @@ type Stats struct {
 // are dropped and Sync (and Close) report the error, so an acknowledger
 // can never ack past a failure.
 type Log struct {
-	dir    string
-	opts   Options
-	faults *fault.Injector
+	dir  string
+	opts Options // opts.FS is never nil
 
 	// mu guards the pending buffer, LSN assignment, the file handle and
 	// the rebase-able offsets. syncMu serializes fsync and trim so the
 	// durable watermark and file identity are stable across one sync.
 	mu      sync.Mutex
 	syncMu  sync.Mutex
-	f       *os.File
+	f       File
 	buf     []byte
 	nextLSN uint64
 	written int64 // bytes flushed to f (current-file coordinates)
 	err     error // first latched I/O error
-	rng     xrand.Rand
 	fclosed bool
 
 	durableLSN atomic.Uint64
@@ -123,10 +113,6 @@ type Log struct {
 	stop     chan struct{}
 	done     chan struct{}
 	stopOnce sync.Once
-
-	crashed  atomic.Bool
-	crashCut int64 // guarded by mu, written once under the crashed CAS
-	crashC   chan struct{}
 
 	snapMu     sync.Mutex
 	snapErr    error  // guarded by snapMu
@@ -170,7 +156,10 @@ func Open(opts Options) (*Log, *State, error) {
 	if st.TornOffset >= 0 {
 		end = st.TornOffset
 	}
-	f, err := os.OpenFile(filepath.Join(opts.Dir, walName), os.O_CREATE|os.O_RDWR, 0o644)
+	if opts.FS == nil {
+		opts.FS = osFS{}
+	}
+	f, err := opts.FS.OpenFile(filepath.Join(opts.Dir, walName), os.O_CREATE|os.O_RDWR, 0o644)
 	if err != nil {
 		return nil, nil, fmt.Errorf("wal: %w", err)
 	}
@@ -186,7 +175,6 @@ func Open(opts Options) (*Log, *State, error) {
 	l := &Log{
 		dir:        opts.Dir,
 		opts:       opts,
-		faults:     opts.Faults,
 		f:          f,
 		nextLSN:    st.NextLSN,
 		written:    end,
@@ -195,9 +183,7 @@ func Open(opts Options) (*Log, *State, error) {
 		deltaSeq:   st.deltaSeq,
 		stop:       make(chan struct{}),
 		done:       make(chan struct{}),
-		crashC:     make(chan struct{}),
 	}
-	l.rng.Seed(xrand.Mix64(opts.Seed ^ 0xd0_0d_5eed))
 	// Everything already in the file survived a previous session (or its
 	// crash): it is durable by construction.
 	l.durableOff.Store(end)
@@ -234,7 +220,7 @@ func (l *Log) append(insert bool, keys []uint64, vals [][]byte) {
 		return
 	}
 	l.mu.Lock()
-	if l.err != nil || l.crashed.Load() {
+	if l.err != nil {
 		l.mu.Unlock()
 		return
 	}
@@ -259,12 +245,6 @@ func (l *Log) append(insert bool, keys []uint64, vals [][]byte) {
 		recs++
 	}
 	recLen := int64(len(l.buf) - start)
-	if l.faults != nil && l.faults.Fire(fault.WALAppend) {
-		// Crash mid-append: the cut lands inside this append's frames, so
-		// recovery sees a torn tail beginning at or after their start.
-		recStart := l.written + int64(start)
-		l.crashLocked(recStart + int64(l.rng.Uint64n(uint64(recLen))))
-	}
 	l.mu.Unlock()
 	l.records.Add(recs)
 	l.ops.Add(uint64(n))
@@ -292,37 +272,19 @@ func (l *Log) flushLocked() error {
 // Sync flushes the pending buffer and fsyncs the file, advancing the
 // durable watermark: every append that returned before Sync was called
 // is durable once Sync returns nil. Concurrent Syncs coalesce behind one
-// fsync's lock; this is the group-commit ack path.
+// fsync's lock; this is the group-commit ack path. A failed write or
+// fsync latches: this and every later Sync return the error, so nothing
+// is acknowledged past the failure.
 func (l *Log) Sync() error {
-	if l.crashed.Load() {
-		return ErrCrashed
-	}
 	l.syncMu.Lock()
 	defer l.syncMu.Unlock()
 
 	l.mu.Lock()
-	// Re-check under mu: a crash frozen by another goroutine (ForceCrash,
-	// or a WALFsync fault in a concurrent Sync) fixes the cut at the
-	// watermark's current value — this Sync must not advance it past the
-	// cut and hand out acks the crash has already destroyed.
-	if l.crashed.Load() {
-		l.mu.Unlock()
-		return ErrCrashed
-	}
 	if err := l.flushLocked(); err != nil {
 		l.mu.Unlock()
 		return err
 	}
 	off, lsn, f := l.written, l.nextLSN-1, l.f
-	if l.faults != nil && l.faults.Fire(fault.WALFsync) {
-		// Crash mid-fsync: some prefix of the group being synced reached
-		// the disk, but the sync never completed — the watermark must not
-		// advance and the caller must not ack.
-		d := l.durableOff.Load()
-		l.crashLocked(d + int64(l.rng.Uint64n(uint64(off-d)+1)))
-		l.mu.Unlock()
-		return ErrCrashed
-	}
 	l.mu.Unlock()
 
 	if off == l.durableOff.Load() {
@@ -330,21 +292,14 @@ func (l *Log) Sync() error {
 	}
 	if err := f.Sync(); err != nil {
 		l.mu.Lock()
+		defer l.mu.Unlock()
 		if l.err == nil {
 			l.err = fmt.Errorf("wal: fsync: %w", err)
 		}
-		l.mu.Unlock()
-		return err
+		return l.err
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	// Same re-check after the fsync: if a crash froze its cut while the
-	// fsync was in flight, the bytes beyond the cut reached the disk but
-	// the simulated machine never saw the sync complete — the watermark
-	// stays put and the caller must not ack.
-	if l.crashed.Load() {
-		return ErrCrashed
-	}
 	l.durableOff.Store(off)
 	l.durableLSN.Store(lsn)
 	l.syncs.Add(1)
@@ -362,8 +317,6 @@ func (l *Log) run() {
 		select {
 		case <-l.stop:
 			return
-		case <-l.crashC:
-			return
 		case <-t.C:
 			if err := l.Sync(); err != nil {
 				continue
@@ -373,7 +326,7 @@ func (l *Log) run() {
 				big := l.written > l.opts.SnapshotBytes
 				l.mu.Unlock()
 				if big {
-					if err := l.Snapshot(); err != nil && !errors.Is(err, ErrCrashed) {
+					if err := l.Snapshot(); err != nil {
 						l.snapMu.Lock()
 						l.snapErr = err
 						l.snapMu.Unlock()
@@ -389,15 +342,10 @@ func (l *Log) stopBackground() {
 	<-l.done
 }
 
-// Close performs a final sync and closes the file. After a simulated
-// crash it closes without syncing (the crash already decided what
-// survives) and returns ErrCrashed.
+// Close performs a final sync and closes the file. It reports the
+// latched error, or else the last automatic snapshot's.
 func (l *Log) Close() error {
 	l.stopBackground()
-	if l.crashed.Load() {
-		l.closeFile()
-		return ErrCrashed
-	}
 	serr := l.Sync()
 	l.snapMu.Lock()
 	if serr == nil {
@@ -422,7 +370,10 @@ func (l *Log) closeFile() error {
 
 // Stats returns a point-in-time activity summary.
 func (l *Log) Stats() Stats {
-	return Stats{
+	l.mu.Lock()
+	last, err := l.nextLSN-1, l.err
+	l.mu.Unlock()
+	s := Stats{
 		Records:              l.records.Load(),
 		Ops:                  l.ops.Load(),
 		Syncs:                l.syncs.Load(),
@@ -433,8 +384,12 @@ func (l *Log) Stats() Stats {
 		AppendedBytes:        l.bytes.Load(),
 		SnapshotBytesWritten: l.snapBytes.Load(),
 		DurableLSN:           l.durableLSN.Load(),
-		LastLSN:              l.lastLSN(),
+		LastLSN:              last,
 	}
+	if err != nil {
+		s.Err = err.Error()
+	}
+	return s
 }
 
 // WritePrometheus renders the summary in Prometheus text exposition format
@@ -450,13 +405,12 @@ func (s Stats) WritePrometheus(w io.Writer) error {
 	p.Counter("zmsq_wal_snapshot_bytes_total", "snapshot bytes written (base + delta files)", uint64(s.SnapshotBytesWritten))
 	p.Gauge("zmsq_wal_durable_lsn", "highest LSN covered by a completed fsync", float64(s.DurableLSN))
 	p.Gauge("zmsq_wal_last_lsn", "highest LSN assigned", float64(s.LastLSN))
+	failed := 0.0
+	if s.Err != "" {
+		failed = 1
+	}
+	p.Gauge("zmsq_wal_failed", "1 once an I/O error has latched and the log acknowledges nothing more", failed)
 	return p.Err()
-}
-
-func (l *Log) lastLSN() uint64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.nextLSN - 1
 }
 
 // DurableLSN returns the highest LSN covered by a completed fsync.

@@ -7,13 +7,11 @@ import (
 	"path/filepath"
 	"testing"
 	"time"
-
-	"repro/internal/fault"
 )
 
 func testOptions(t *testing.T) Options {
 	t.Helper()
-	return Options{Dir: t.TempDir(), GroupCommit: time.Millisecond, Seed: 1}
+	return Options{Dir: t.TempDir(), GroupCommit: time.Millisecond}
 }
 
 func mustOpen(t *testing.T, opts Options) *Log {
@@ -131,33 +129,6 @@ func TestReopenContinuesLSN(t *testing.T) {
 	wantKeys(t, st.Keys, 2, 3)
 	if st.NextLSN != 5 {
 		t.Fatalf("NextLSN = %d after 4 records, want 5", st.NextLSN)
-	}
-}
-
-func TestSyncMakesDurable(t *testing.T) {
-	opts := testOptions(t)
-	opts.GroupCommit = time.Hour // no background syncs: only explicit Sync counts
-	l := mustOpen(t, opts)
-	l.AppendInserts([]uint64{11}, nil)
-	if err := l.Sync(); err != nil {
-		t.Fatalf("Sync: %v", err)
-	}
-	if got := l.DurableLSN(); got != 1 {
-		t.Fatalf("DurableLSN = %d after syncing 1 record, want 1", got)
-	}
-	l.AppendInserts([]uint64{22}, nil) // never synced
-	info, err := l.SimulateCrash()
-	if err != nil {
-		t.Fatalf("SimulateCrash: %v", err)
-	}
-	if info.DurableLSN != 1 {
-		t.Fatalf("crash DurableLSN = %d, want 1", info.DurableLSN)
-	}
-	got := recoverKeys(t, opts.Dir)
-	// Key 11 was acked and must survive; 22 may or may not, depending on
-	// where the seeded cut fell.
-	if len(got) == 0 || got[0] != 11 {
-		t.Fatalf("acked key 11 lost: recovered %v", got)
 	}
 }
 
@@ -287,143 +258,6 @@ func TestAutoSnapshotByBytes(t *testing.T) {
 	if got := recoverKeys(t, opts.Dir); len(got) != 2000 {
 		t.Fatalf("recovered %d keys across auto-snapshot, want 2000", len(got))
 	}
-}
-
-func TestCrashMidAppendLeavesTornTail(t *testing.T) {
-	opts := testOptions(t)
-	opts.GroupCommit = time.Hour
-	opts.Faults = fault.New(7, fault.Plan{WALAppendPct: 100})
-	l := mustOpen(t, opts)
-	l.AppendInserts([]uint64{1}, nil) // crash point fires inside this append
-	select {
-	case <-l.Crashed():
-	default:
-		t.Fatal("WALAppend at 100% did not freeze a crash")
-	}
-	if err := l.Sync(); !errors.Is(err, ErrCrashed) {
-		t.Fatalf("Sync after crash = %v, want ErrCrashed", err)
-	}
-	info, err := l.SimulateCrash()
-	if err != nil {
-		t.Fatalf("SimulateCrash: %v", err)
-	}
-	if info.Cut >= info.WrittenBytes && info.WrittenBytes > 0 {
-		// Mid-append cut must fall strictly inside the record.
-		t.Fatalf("mid-append cut %d not inside record (written %d)", info.Cut, info.WrittenBytes)
-	}
-	st, err := Recover(opts.Dir)
-	if err != nil {
-		t.Fatalf("Recover: %v", err)
-	}
-	if len(st.Keys) != 0 {
-		t.Fatalf("unacked key survived a mid-append crash: %v", st.Keys)
-	}
-}
-
-func TestCrashMidFsyncDoesNotAck(t *testing.T) {
-	opts := testOptions(t)
-	opts.GroupCommit = time.Hour
-	opts.Faults = fault.New(3, fault.Plan{WALFsyncPct: 100})
-	l := mustOpen(t, opts)
-	l.AppendInserts([]uint64{1}, nil)
-	if err := l.Sync(); !errors.Is(err, ErrCrashed) {
-		t.Fatalf("Sync with WALFsync at 100%% = %v, want ErrCrashed", err)
-	}
-	if got := l.DurableLSN(); got != 0 {
-		t.Fatalf("watermark advanced across a failed fsync: %d", got)
-	}
-	if _, err := l.SimulateCrash(); err != nil {
-		t.Fatalf("SimulateCrash: %v", err)
-	}
-	if _, err := Recover(opts.Dir); err != nil {
-		t.Fatalf("Recover after mid-fsync crash: %v", err)
-	}
-}
-
-func TestCrashMidSnapshotKeepsOldState(t *testing.T) {
-	opts := testOptions(t)
-	opts.GroupCommit = time.Hour
-	l := mustOpen(t, opts)
-	for i := uint64(1); i <= 50; i++ {
-		l.AppendInserts([]uint64{i}, nil)
-	}
-	if err := l.Snapshot(); err != nil {
-		t.Fatalf("first snapshot: %v", err)
-	}
-	if err := l.Close(); err != nil {
-		t.Fatalf("Close: %v", err)
-	}
-
-	// Reopen with the snapshot point armed; the second snapshot dies
-	// mid-write and must not damage the first.
-	opts.Faults = fault.New(9, fault.Plan{WALSnapshotPct: 100})
-	l = mustOpen(t, opts)
-	l.AppendExtracts([]uint64{50})
-	if err := l.Snapshot(); !errors.Is(err, ErrCrashed) {
-		t.Fatalf("Snapshot with WALSnapshot armed = %v, want ErrCrashed", err)
-	}
-	if _, err := l.SimulateCrash(); err != nil {
-		t.Fatalf("SimulateCrash: %v", err)
-	}
-	st, err := Recover(opts.Dir)
-	if err != nil {
-		t.Fatalf("Recover after mid-snapshot crash: %v", err)
-	}
-	// Keys 1..50 were durable (snapshotted); the extract of 50 was never
-	// acked, so 50 may be live or extracted — both are conservation-legal.
-	if n := len(st.Keys); n != 49 && n != 50 {
-		t.Fatalf("recovered %d keys after mid-snapshot crash, want 49 or 50", n)
-	}
-	if st.Keys[0] != 1 || st.Keys[48] != 49 {
-		t.Fatalf("snapshotted keys damaged: %v...", st.Keys[:5])
-	}
-}
-
-func TestForceCrashTornTail(t *testing.T) {
-	opts := testOptions(t)
-	opts.GroupCommit = time.Hour
-	l := mustOpen(t, opts)
-	for i := uint64(1); i <= 8; i++ {
-		l.AppendInserts([]uint64{i}, nil)
-		if i == 4 {
-			if err := l.Sync(); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	l.ForceCrash()
-	info, err := l.SimulateCrash()
-	if err != nil {
-		t.Fatalf("SimulateCrash: %v", err)
-	}
-	st, err := Recover(opts.Dir)
-	if err != nil {
-		t.Fatalf("Recover: %v", err)
-	}
-	if len(st.Keys) < 4 {
-		t.Fatalf("acked keys 1..4 not all recovered (cut %d): %v", info.Cut, st.Keys)
-	}
-	for i, k := range st.Keys {
-		if k != uint64(i+1) {
-			t.Fatalf("recovered keys not a prefix of the insert order: %v", st.Keys)
-		}
-	}
-}
-
-func TestAppendsDroppedAfterCrash(t *testing.T) {
-	opts := testOptions(t)
-	opts.GroupCommit = time.Hour
-	l := mustOpen(t, opts)
-	l.AppendInserts([]uint64{1}, nil)
-	if err := l.Sync(); err != nil {
-		t.Fatal(err)
-	}
-	l.ForceCrash()
-	l.AppendInserts([]uint64{2}, nil) // dropped: the process is "dead"
-	if _, err := l.SimulateCrash(); err != nil {
-		t.Fatal(err)
-	}
-	wantKeys(t, recoverKeys(t, opts.Dir), 1)
 }
 
 func TestOpenValidatesOptions(t *testing.T) {

@@ -3,13 +3,10 @@ package wal
 import (
 	"bytes"
 	"encoding/json"
-	"errors"
 	"os"
 	"path/filepath"
 	"testing"
 	"time"
-
-	"repro/internal/fault"
 )
 
 // goldenDir is the checked-in v1 key-only fixture: a snapshot and log
@@ -82,7 +79,7 @@ func TestGoldenV1ContinuesAsV2(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	l := mustOpen(t, Options{Dir: dir, GroupCommit: time.Millisecond, Seed: 1})
+	l := mustOpen(t, Options{Dir: dir, GroupCommit: time.Millisecond})
 	l.AppendInserts([]uint64{900}, [][]byte{[]byte("payload")})
 	l.AppendInserts([]uint64{901, 902}, [][]byte{[]byte("a"), nil})
 	if err := l.Close(); err != nil {
@@ -325,53 +322,6 @@ func TestRebaseFoldsChain(t *testing.T) {
 	// The folded chain must be shorter than the full history.
 	if st.Deltas >= 5 {
 		t.Fatalf("rebase left %d deltas in the chain", st.Deltas)
-	}
-}
-
-// TestCrashDuringRebaseKeepsState arms the snapshot crash point on a
-// rebase cycle: whatever the crash leaves behind (old chain, or new base
-// plus stale deltas) must recover to the same acked state.
-func TestCrashDuringRebaseKeepsState(t *testing.T) {
-	opts := testOptions(t)
-	opts.GroupCommit = time.Hour
-	l := mustOpen(t, opts)
-	l.AppendInserts([]uint64{1}, [][]byte{[]byte("one")})
-	for i := 0; i < rebaseEvery; i++ { // deltas #0..#7
-		if i > 0 {
-			// Each delta needs a window; this one nets out to nothing.
-			l.AppendInserts([]uint64{100}, [][]byte{[]byte("gone")})
-			l.AppendExtracts([]uint64{100})
-		}
-		if err := l.Snapshot(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := l.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	// Reopen with the crash point armed; the next snapshot is a rebase
-	// (deltaCount == rebaseEvery) and dies mid-write.
-	opts.Faults = fault.New(9, fault.Plan{WALSnapshotPct: 100})
-	l = mustOpen(t, opts)
-	l.AppendInserts([]uint64{2}, [][]byte{[]byte("two")})
-	if err := l.Sync(); err != nil {
-		t.Fatal(err)
-	}
-	if err := l.Snapshot(); !errors.Is(err, ErrCrashed) {
-		t.Fatalf("rebase with WALSnapshot armed = %v, want ErrCrashed", err)
-	}
-	if _, err := l.SimulateCrash(); err != nil {
-		t.Fatal(err)
-	}
-
-	st, err := Recover(opts.Dir)
-	if err != nil {
-		t.Fatalf("Recover after mid-rebase crash: %v", err)
-	}
-	wantKeys(t, st.Keys, 1, 2)
-	if string(st.Vals[0]) != "one" || string(st.Vals[1]) != "two" {
-		t.Fatalf("acked values lost in mid-rebase crash: %q", st.Vals)
 	}
 }
 
