@@ -1,8 +1,6 @@
 package core
 
 import (
-	"context"
-	"errors"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -14,7 +12,7 @@ import (
 
 // Shutdown-semantics coverage: Close idempotency, Insert-after-Close,
 // blocked-consumer release, helper goroutine termination, and the
-// context/drain extensions (ExtractMaxContext, Drain, CloseAndDrain).
+// drain extensions (Drain, CloseAndDrain).
 
 func TestCloseIdempotent(t *testing.T) {
 	for name, cfg := range testConfigs() {
@@ -144,109 +142,16 @@ func TestCloseAndDrainReleasesAndReturnsRemainder(t *testing.T) {
 	}
 }
 
-func TestExtractMaxContextImmediate(t *testing.T) {
-	q := New[int](Config{Batch: 4, TargetLen: 4, Lock: locks.TATAS})
-	q.Insert(7, 70)
-	k, v, err := q.ExtractMaxContext(context.Background())
-	if err != nil || k != 7 || v != 70 {
-		t.Fatalf("got (%d, %d, %v)", k, v, err)
-	}
-}
-
-func TestExtractMaxContextEmptyNonBlocking(t *testing.T) {
-	q := New[int](Config{Batch: 4, TargetLen: 4, Lock: locks.TATAS})
-	if _, _, err := q.ExtractMaxContext(context.Background()); !errors.Is(err, ErrEmpty) {
-		t.Fatalf("err = %v, want ErrEmpty", err)
-	}
-}
-
-func TestExtractMaxContextCancellation(t *testing.T) {
-	q := New[int](Config{Batch: 4, TargetLen: 4, Blocking: true})
-	ctx, cancel := context.WithCancel(context.Background())
-	errc := make(chan error, 1)
-	go func() {
-		_, _, err := q.ExtractMaxContext(ctx)
-		errc <- err
-	}()
-	time.Sleep(10 * time.Millisecond) // let it reach the wait
-	cancel()
-	select {
-	case err := <-errc:
-		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("err = %v, want context.Canceled", err)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("cancellation did not release the waiting consumer")
-	}
-}
-
-func TestExtractMaxContextDeadline(t *testing.T) {
-	q := New[int](Config{Batch: 4, TargetLen: 4, Blocking: true})
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
-	defer cancel()
-	start := time.Now()
-	_, _, err := q.ExtractMaxContext(ctx)
-	if !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("err = %v, want context.DeadlineExceeded", err)
-	}
-	if elapsed := time.Since(start); elapsed > 3*time.Second {
-		t.Fatalf("deadline honored only after %v", elapsed)
-	}
-}
-
-func TestExtractMaxContextWokenByInsert(t *testing.T) {
-	q := New[int](Config{Batch: 4, TargetLen: 4, Blocking: true})
-	type result struct {
-		k   uint64
-		err error
-	}
-	resc := make(chan result, 1)
-	go func() {
-		k, _, err := q.ExtractMaxContext(context.Background())
-		resc <- result{k, err}
-	}()
-	time.Sleep(10 * time.Millisecond)
-	q.Insert(42, 420)
-	select {
-	case r := <-resc:
-		if r.err != nil || r.k != 42 {
-			t.Fatalf("got (%d, %v)", r.k, r.err)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("insert did not wake the waiting consumer")
-	}
-}
-
-func TestExtractMaxContextClosedDrains(t *testing.T) {
+func TestExtractMaxClosedDrains(t *testing.T) {
 	q := New[int](Config{Batch: 4, TargetLen: 4, Blocking: true})
 	q.Insert(5, 50)
 	q.Close()
 	// A closed queue still hands out its remaining elements...
-	k, _, err := q.ExtractMaxContext(context.Background())
-	if err != nil || k != 5 {
-		t.Fatalf("got (%d, %v), want (5, nil)", k, err)
+	if k, v, ok := q.ExtractMax(); !ok || k != 5 || v != 50 {
+		t.Fatalf("got (%d, %d, %v), want (5, 50, true)", k, v, ok)
 	}
-	// ...and reports ErrClosed once drained.
-	if _, _, err := q.ExtractMaxContext(context.Background()); !errors.Is(err, ErrClosed) {
-		t.Fatalf("err = %v, want ErrClosed", err)
-	}
-}
-
-func TestExtractMaxContextCloseReleasesWaiter(t *testing.T) {
-	q := New[int](Config{Batch: 4, TargetLen: 4, Blocking: true})
-	errc := make(chan error, 1)
-	go func() {
-		_, _, err := q.ExtractMaxContext(context.Background())
-		errc <- err
-	}()
-	time.Sleep(10 * time.Millisecond)
-	q.Close()
-	select {
-	case err := <-errc:
-		if !errors.Is(err, ErrClosed) {
-			t.Fatalf("err = %v, want ErrClosed", err)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("Close did not release the context waiter")
+	// ...and reports ok=false, without blocking, once drained.
+	if _, _, ok := q.ExtractMax(); ok {
+		t.Fatal("ExtractMax returned ok=true on a drained closed queue")
 	}
 }

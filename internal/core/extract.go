@@ -1,20 +1,10 @@
 package core
 
 import (
-	"context"
-	"errors"
 	"runtime"
 
 	"repro/internal/fault"
 )
-
-// ErrClosed is returned by ExtractMaxContext when the queue has been
-// closed and fully drained.
-var ErrClosed = errors.New("zmsq: queue closed and drained")
-
-// ErrEmpty is returned by ExtractMaxContext on a non-blocking queue when
-// the queue is observed empty (there is no wait mechanism to sleep on).
-var ErrEmpty = errors.New("zmsq: queue empty")
 
 // This file implements Listing 2 of the paper: pool claims by
 // fetch-and-decrement, pool refill from the root (reserving the maximum for
@@ -298,50 +288,6 @@ func (q *Queue[V]) Drain() []Element[V] {
 func (q *Queue[V]) CloseAndDrain() []Element[V] {
 	q.Close()
 	return q.Drain()
-}
-
-// ExtractMaxContext removes and returns a high-priority element, honoring
-// ctx. On a blocking queue it sleeps — deadline-aware — while the queue is
-// empty; on a non-blocking queue it returns ErrEmpty instead of waiting.
-// It returns ctx.Err() if ctx is done first and ErrClosed once the queue
-// is closed and empty; a closed queue's remaining elements are still
-// handed out, so shutdown never strands queued work.
-//
-// Unlike ExtractMax, waiting here does not consume a ring ticket, so a
-// context cancellation cannot skew the ticket pairing for other blocked
-// consumers.
-func (q *Queue[V]) ExtractMaxContext(ctx context.Context) (uint64, V, error) {
-	var zero V
-	c := q.getCtx()
-	defer q.putCtx(c)
-	for {
-		if err := ctx.Err(); err != nil {
-			return 0, zero, err
-		}
-		// Observe the signal counter before trying, so an insert landing
-		// between a failed try and the wait below cannot be missed.
-		var seen uint64
-		if q.ring != nil {
-			seen = q.ring.Pushes()
-		}
-		if k, v, ok := q.tryExtract(c); ok {
-			return k, v, nil
-		}
-		if q.closed.Load() {
-			// Re-try once: an element may have landed between the failed
-			// try and the closed check (Insert remains legal after Close).
-			if k, v, ok := q.tryExtract(c); ok {
-				return k, v, nil
-			}
-			return 0, zero, ErrClosed
-		}
-		if q.ring == nil {
-			return 0, zero, ErrEmpty
-		}
-		if err := q.ring.AwaitChange(ctx, seen); err != nil {
-			return 0, zero, err
-		}
-	}
 }
 
 // PeekMax returns an advisory snapshot of the highest-priority key without

@@ -56,6 +56,11 @@ func TestEmptyQueue(t *testing.T) {
 		if _, _, ok := q.TryExtractMax(); ok {
 			t.Fatal("TryExtractMax on empty queue succeeded")
 		}
+		if !cfg.Blocking {
+			if _, _, ok := q.ExtractMax(); ok {
+				t.Fatal("ExtractMax on empty non-blocking queue succeeded")
+			}
+		}
 		if !q.Empty() || q.Len() != 0 {
 			t.Fatal("fresh queue not empty")
 		}

@@ -9,7 +9,6 @@ import (
 	"sync"
 
 	"repro/internal/core"
-	"repro/internal/klsm"
 	"repro/internal/pq"
 )
 
@@ -82,29 +81,7 @@ var (
 	_ pq.Named   = (*ZMSQ)(nil)
 	_ pq.Closer  = (*ZMSQ)(nil)
 	_ pq.Batcher = (*ZMSQ)(nil)
-	_ pq.Queue   = (*KLSMAdapter)(nil)
-	_ pq.Closer  = (*KLSMAdapter)(nil)
 )
-
-// KLSMAdapter exposes a k-LSM through pq.Queue using one handle per
-// adapter; the caller must use one adapter per goroutine (matching the
-// thread-local design).
-type KLSMAdapter struct {
-	h *klsm.Handle
-	q *klsm.KLSM
-}
-
-// Insert implements pq.Queue.
-func (a *KLSMAdapter) Insert(key uint64) { a.h.Insert(key) }
-
-// ExtractMax implements pq.Queue.
-func (a *KLSMAdapter) ExtractMax() (uint64, bool) { return a.h.ExtractMax() }
-
-// Name implements pq.Named.
-func (a *KLSMAdapter) Name() string { return "klsm" }
-
-// Close releases the handle (spilling local elements).
-func (a *KLSMAdapter) Close() { a.h.Release() }
 
 // QueueMaker builds a fresh queue for one experiment run. threads is the
 // worker count the experiment will use — SprayList, MultiQueue and the

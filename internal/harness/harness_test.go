@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/klsm"
 	"repro/internal/pq"
 	"repro/internal/xrand"
 )
@@ -227,20 +226,6 @@ func TestSummarizeExact(t *testing.T) {
 	}
 	if (summarize(nil) != Latency{}) {
 		t.Fatal("summary of no samples is not zero")
-	}
-}
-
-func TestKLSMAdapter(t *testing.T) {
-	q := klsm.New(16)
-	a := &KLSMAdapter{h: q.Handle(), q: q}
-	defer a.Close()
-	a.Insert(5)
-	a.Insert(9)
-	if k, ok := a.ExtractMax(); !ok || k != 9 {
-		t.Fatalf("got (%d,%v)", k, ok)
-	}
-	if a.Name() != "klsm" {
-		t.Fatal("name wrong")
 	}
 }
 

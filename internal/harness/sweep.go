@@ -32,9 +32,6 @@ type Recorder struct {
 // Add appends a row.
 func (r *Recorder) Add(row Row) { r.rows = append(r.rows, row) }
 
-// Rows returns the accumulated rows.
-func (r *Recorder) Rows() []Row { return r.rows }
-
 // WriteCSV emits all rows with a unified header: experiment, queue, every
 // label column in labelOrder that appears, then every metric column in
 // first-seen order.

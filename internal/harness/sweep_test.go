@@ -71,7 +71,7 @@ func TestRecorderText(t *testing.T) {
 
 func TestRecorderRows(t *testing.T) {
 	r := sampleRecorder()
-	if len(r.Rows()) != 3 {
-		t.Fatalf("Rows = %d", len(r.Rows()))
+	if len(r.rows) != 3 {
+		t.Fatalf("rows = %d", len(r.rows))
 	}
 }

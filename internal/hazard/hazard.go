@@ -194,19 +194,3 @@ retirees:
 	clear(r.retired[len(kept):])
 	r.retired = kept
 }
-
-// Flush runs scans until the handle's retired list is empty or stops
-// shrinking (i.e. every remaining object is still protected). Tests and
-// shutdown paths use it to drain retirements deterministically.
-func (h *Handle[T]) Flush() {
-	for {
-		before := len(h.r.retired)
-		if before == 0 {
-			return
-		}
-		h.scan()
-		if len(h.r.retired) == before {
-			return
-		}
-	}
-}

@@ -370,3 +370,19 @@ func BenchmarkRetireScan(b *testing.B) {
 		d.Put(o)
 	}
 }
+
+// Flush runs scans until the handle's retired list is empty or stops
+// shrinking (i.e. every remaining object is still protected), so a test
+// drains retirements deterministically.
+func (h *Handle[T]) Flush() {
+	for {
+		before := len(h.r.retired)
+		if before == 0 {
+			return
+		}
+		h.scan()
+		if len(h.r.retired) == before {
+			return
+		}
+	}
+}

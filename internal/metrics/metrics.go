@@ -63,22 +63,6 @@ func (c *Counter) Value() uint64 {
 	return total
 }
 
-// Gauge is a single instantaneous value (occupancy, level, size). Gauges
-// are written from one place at a time in practice and read rarely, so
-// they are a plain atomic without sharding. The zero value is ready to use.
-type Gauge struct {
-	v atomic.Int64
-}
-
-// Set stores v.
-func (g *Gauge) Set(v int64) { g.v.Store(v) }
-
-// Add adds d (negative to decrement).
-func (g *Gauge) Add(d int64) { g.v.Add(d) }
-
-// Value reads the gauge.
-func (g *Gauge) Value() int64 { return g.v.Load() }
-
 // HistBuckets is the number of buckets in a Histogram: bucket 0 holds the
 // value 0 and bucket b >= 1 holds values in [2^(b-1), 2^b). Values at or
 // above 2^(HistBuckets-2) clamp into the last bucket. 26 buckets cover

@@ -38,15 +38,6 @@ func TestCounterConcurrent(t *testing.T) {
 	}
 }
 
-func TestGauge(t *testing.T) {
-	var g Gauge
-	g.Set(42)
-	g.Add(-2)
-	if got := g.Value(); got != 40 {
-		t.Fatalf("Value = %d, want 40", got)
-	}
-}
-
 func TestBucketBoundsRoundTrip(t *testing.T) {
 	// Every bucket's bounds must contain exactly the values that map to it.
 	for b := 0; b < HistBuckets; b++ {

@@ -235,55 +235,5 @@ func (m *Mound) swapDown(level, slot int) {
 	}
 }
 
-// Len returns a snapshot element count (exact when quiescent).
-func (m *Mound) Len() int {
-	var total int64
-	top := int(m.leafLevel.Load())
-	for l := 0; l <= top; l++ {
-		nodes := m.levels[l]
-		for i := range nodes {
-			total += nodes[i].size.Load()
-		}
-	}
-	return int(total)
-}
-
 // Name implements the harness's Named interface.
 func (m *Mound) Name() string { return "mound" }
-
-// CheckInvariants validates the mound structure; quiescent use only.
-func (m *Mound) CheckInvariants() error {
-	top := int(m.leafLevel.Load())
-	for level := 0; level <= top; level++ {
-		nodes := m.levels[level]
-		for slot := range nodes {
-			n := &nodes[slot]
-			var cnt int64
-			var prev uint64
-			first := true
-			for ln := n.head; ln != nil; ln = ln.next {
-				if !first && ln.key > prev {
-					return errNotSorted(level, slot)
-				}
-				prev = ln.key
-				first = false
-				cnt++
-			}
-			if cnt != n.size.Load() {
-				return errBadSize(level, slot)
-			}
-			if cnt > 0 {
-				if n.top.Load() != n.head.key {
-					return errBadTop(level, slot)
-				}
-				if level > 0 {
-					p := m.node(level-1, slot/2)
-					if p.size.Load() == 0 || p.top.Load() < n.top.Load() {
-						return errInvariant(level, slot)
-					}
-				}
-			}
-		}
-	}
-	return nil
-}

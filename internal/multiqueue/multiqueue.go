@@ -136,15 +136,6 @@ func (m *MultiQueue) popFrom(i int) (uint64, bool) {
 	return k, ok
 }
 
-// Len reports a snapshot element count.
-func (m *MultiQueue) Len() int {
-	var total int64
-	for i := range m.queues {
-		total += m.queues[i].size.Load()
-	}
-	return int(total)
-}
-
 // Name implements the harness's Named interface.
 func (m *MultiQueue) Name() string { return "multiqueue" }
 

@@ -146,3 +146,12 @@ func BenchmarkMixed(b *testing.B) {
 		}
 	})
 }
+
+// Len reports a snapshot element count.
+func (m *MultiQueue) Len() int {
+	var total int64
+	for i := range m.queues {
+		total += m.queues[i].size.Load()
+	}
+	return int(total)
+}

@@ -15,9 +15,6 @@ func NewSeqHeap(cap int) *SeqHeap {
 	return &SeqHeap{a: make([]uint64, 0, max(cap, 0))}
 }
 
-// Len reports the number of elements.
-func (h *SeqHeap) Len() int { return len(h.a) }
-
 // Insert adds key.
 func (h *SeqHeap) Insert(key uint64) {
 	h.a = append(h.a, key)
@@ -113,13 +110,6 @@ func (q *GlobalHeap) ExtractMax() (uint64, bool) {
 	v, ok := q.h.ExtractMax()
 	q.mu.Unlock()
 	return v, ok
-}
-
-// Len reports the current number of elements.
-func (q *GlobalHeap) Len() int {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	return q.h.Len()
 }
 
 // Name implements Named.

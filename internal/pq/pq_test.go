@@ -32,8 +32,8 @@ func TestSeqHeapBasics(t *testing.T) {
 			t.Fatalf("extract %d: got %d,%v want %d", i, got, ok, w)
 		}
 	}
-	if h.Len() != 0 {
-		t.Fatalf("Len = %d after draining", h.Len())
+	if n := len(h.a); n != 0 {
+		t.Fatalf("Len = %d after draining", n)
 	}
 }
 

@@ -177,8 +177,8 @@ func TestTrackerRanks(t *testing.T) {
 	if got := tr.ObserveExtract(30); got != 0 {
 		t.Fatalf("rank of 30 = %d", got)
 	}
-	if tr.Remaining() != 1 {
-		t.Fatalf("remaining = %d", tr.Remaining())
+	if n := tr.t.Len(); n != 1 {
+		t.Fatalf("remaining = %d", n)
 	}
 	s := tr.Summary()
 	if s.Extractions != 3 {

@@ -56,13 +56,6 @@ func (tr *Tracker) ObserveExtract(key uint64) int {
 	return rank
 }
 
-// Remaining reports how many elements the tracker still holds.
-func (tr *Tracker) Remaining() int {
-	tr.mu.Lock()
-	defer tr.mu.Unlock()
-	return tr.t.Len()
-}
-
 // RankSummary aggregates the observed rank errors.
 type RankSummary struct {
 	Extractions int

@@ -18,7 +18,7 @@ func (q *Queue[V]) InsertBatch(keys []uint64, vals []V) {
 
 // ExtractBatch removes up to n high-priority elements, appending them to
 // dst. Each element goes through the same shard-selection policy as a
-// single ExtractMax — including the periodic full sweep — so the composed
+// single TryExtractMax — including the periodic full sweep — so the composed
 // S·(Batch+1) window contract is identical to n sequential calls; what the
 // batch saves is context acquisition.
 func (q *Queue[V]) ExtractBatch(dst []core.Element[V], n int) []core.Element[V] {

@@ -111,7 +111,7 @@ func TestGoldenSequence(t *testing.T) {
 	for _, e := range q.Drain() {
 		record(e.Key)
 	}
-	if !q.Empty() {
+	if q.Len() != 0 {
 		t.Fatal("queue not empty after Drain")
 	}
 

@@ -254,9 +254,6 @@ func (q *Queue[V]) TryExtractMax() (key uint64, val V, ok bool) {
 	return key, val, ok
 }
 
-// ExtractMax is TryExtractMax: the sharded queue has no blocking mode.
-func (q *Queue[V]) ExtractMax() (uint64, V, bool) { return q.TryExtractMax() }
-
 func (q *Queue[V]) tryExtract(c *opCtx) (uint64, V, bool) {
 	s := uint32(len(q.shards))
 	c.ops++
@@ -335,21 +332,6 @@ func (q *Queue[V]) stealSweep(c *opCtx, skip uint32) (uint64, V, bool) {
 	return 0, zero, false
 }
 
-// PeekMax returns an advisory snapshot of the highest-priority key across
-// all shards; exact when quiescent, possibly stale under concurrency.
-func (q *Queue[V]) PeekMax() (uint64, bool) {
-	var (
-		best  uint64
-		found bool
-	)
-	for i := range q.shards {
-		if k, ok := q.shards[i].q.PeekMax(); ok && (!found || k > best) {
-			best, found = k, true
-		}
-	}
-	return best, found
-}
-
 // Len returns a snapshot count of queued elements across all shards;
 // exact when quiescent, best-effort under concurrency.
 func (q *Queue[V]) Len() int {
@@ -358,35 +340,6 @@ func (q *Queue[V]) Len() int {
 		total += q.shards[i].q.Len()
 	}
 	return total
-}
-
-// Empty reports whether Len() == 0, with the same snapshot caveat.
-func (q *Queue[V]) Empty() bool {
-	for i := range q.shards {
-		if !q.shards[i].q.Empty() {
-			return false
-		}
-	}
-	return true
-}
-
-// ForEach visits every queued element across all shards in unspecified
-// order, stopping early if f returns false. Quiescent-queue diagnostics,
-// exactly like core.Queue.ForEach.
-func (q *Queue[V]) ForEach(f func(key uint64, val V) bool) {
-	stopped := false
-	for i := range q.shards {
-		if stopped {
-			return
-		}
-		q.shards[i].q.ForEach(func(k uint64, v V) bool {
-			if !f(k, v) {
-				stopped = true
-				return false
-			}
-			return true
-		})
-	}
 }
 
 // CheckInvariants validates every shard's structural invariants. Like the

@@ -30,12 +30,6 @@ func TestBasicInsertExtract(t *testing.T) {
 	if q.Len() != n {
 		t.Fatalf("Len = %d, want %d", q.Len(), n)
 	}
-	if q.Empty() {
-		t.Fatal("Empty on nonempty queue")
-	}
-	if k, ok := q.PeekMax(); !ok || k != n-1 {
-		t.Fatalf("PeekMax = %d,%v want %d", k, ok, n-1)
-	}
 	seen := make(map[uint64]bool, n)
 	for i := 0; i < n; i++ {
 		k, v, ok := q.TryExtractMax()
@@ -53,7 +47,7 @@ func TestBasicInsertExtract(t *testing.T) {
 	if _, _, ok := q.TryExtractMax(); ok {
 		t.Fatal("extraction succeeded on empty queue")
 	}
-	if !q.Empty() {
+	if q.Len() != 0 {
 		t.Fatal("queue nonempty after full drain")
 	}
 	if err := q.CheckInvariants(); err != nil {
@@ -84,26 +78,16 @@ func TestValidate(t *testing.T) {
 	}
 }
 
-func TestForEachAndDrain(t *testing.T) {
+func TestDrainEmptiesShards(t *testing.T) {
 	q := New[int](testCfg(3, 4))
 	for i := 0; i < 300; i++ {
 		q.Insert(uint64(i), i)
-	}
-	count := 0
-	q.ForEach(func(k uint64, v int) bool { count++; return true })
-	if count != 300 {
-		t.Fatalf("ForEach visited %d, want 300", count)
-	}
-	count = 0
-	q.ForEach(func(k uint64, v int) bool { count++; return count < 10 })
-	if count != 10 {
-		t.Fatalf("ForEach early stop visited %d", count)
 	}
 	out := q.Drain()
 	if len(out) != 300 {
 		t.Fatalf("Drain returned %d elements", len(out))
 	}
-	if !q.Empty() {
+	if q.Len() != 0 {
 		t.Fatal("nonempty after Drain")
 	}
 }

@@ -62,9 +62,6 @@ type SprayList struct {
 	threads int // p, the configured thread count governing spray width
 	rngs    sync.Pool
 	seed    atomic.Uint64
-	// size is a relaxed element counter used by Len; correctness does not
-	// depend on it.
-	size atomic.Int64
 }
 
 // New returns an empty SprayList tuned for p concurrent threads (p >= 1).
@@ -87,16 +84,6 @@ func New(p int) *SprayList {
 // Insert adds key (larger key = higher priority).
 func (s *SprayList) Insert(key uint64) {
 	s.insertSorted(^key)
-	s.size.Add(1)
-}
-
-// Len reports an approximate element count.
-func (s *SprayList) Len() int {
-	n := s.size.Load()
-	if n < 0 {
-		n = 0
-	}
-	return int(n)
 }
 
 // Name implements the harness's Named interface.
@@ -253,7 +240,6 @@ func (s *SprayList) deleteFirst() (uint64, bool) {
 			continue
 		}
 		if claim(cur) {
-			s.size.Add(-1)
 			return ^cur.sortKey, true
 		}
 	}
@@ -302,7 +288,6 @@ func (s *SprayList) sprayDelete(r *xrand.Rand) (uint64, bool) {
 	n := cur
 	for i := 0; i < attempts && n != nil; i++ {
 		if n != s.head && claim(n) {
-			s.size.Add(-1)
 			s.cleanupFront()
 			return ^n.sortKey, true
 		}

@@ -16,9 +16,6 @@ func TestEmpty(t *testing.T) {
 	if _, ok := s.ExtractMax(); ok {
 		t.Fatal("extract from empty spraylist succeeded")
 	}
-	if s.Len() != 0 {
-		t.Fatal("empty list Len != 0")
-	}
 }
 
 func TestStrictSingleThread(t *testing.T) {

@@ -16,7 +16,6 @@ package waitring
 import (
 	"sync"
 	"sync/atomic"
-	"time"
 )
 
 // Futex is a 32-bit word with futex-style wait/wake semantics.
@@ -46,10 +45,6 @@ func (f *Futex) CompareAndSwap(old, new uint32) bool {
 	return f.word.CompareAndSwap(old, new)
 }
 
-// Store atomically writes the word. It does not wake sleepers; callers that
-// change the word and need sleepers to notice must call Wake.
-func (f *Futex) Store(v uint32) { f.word.Store(v) }
-
 // Wait blocks while the word equals val. The check and the transition to
 // sleeping are atomic with respect to Wake, so a Wake that follows a word
 // change can never be missed.
@@ -60,35 +55,6 @@ func (f *Futex) Wait(val uint32) {
 		f.cond.Wait()
 	}
 	f.mu.Unlock()
-}
-
-// WaitTimeout blocks while the word equals val, for at most d. It reports
-// whether the word was observed to differ (false means the wait timed
-// out). Like Wait it may also return early spuriously — FUTEX_WAIT's
-// contract with a relative timeout. d <= 0 degenerates to a single check.
-func (f *Futex) WaitTimeout(val uint32, d time.Duration) bool {
-	f.init()
-	if d <= 0 {
-		return f.word.Load() != val
-	}
-	deadline := time.Now().Add(d)
-	timer := time.AfterFunc(d, func() {
-		// Take the lock (empty critical section) before broadcasting so
-		// the timeout cannot slip between a sleeper's word check and its
-		// transition to sleeping.
-		f.mu.Lock()
-		//lint:ignore SA2001 lock/unlock orders the broadcast after in-flight waits
-		f.mu.Unlock()
-		f.cond.Broadcast()
-	})
-	defer timer.Stop()
-	f.mu.Lock()
-	for f.word.Load() == val && time.Now().Before(deadline) {
-		f.cond.Wait()
-	}
-	changed := f.word.Load() != val
-	f.mu.Unlock()
-	return changed
 }
 
 // Wake wakes every goroutine currently blocked in Wait. Callers change the

@@ -1,10 +1,8 @@
 package waitring
 
 import (
-	"context"
 	"runtime"
 	"sync/atomic"
-	"time"
 )
 
 // DefaultSlots is the default ring size. Large enough to disperse sleepers
@@ -35,15 +33,6 @@ type Ring struct {
 	slots  []paddedFutex
 	mask   uint64
 	spin   int
-
-	// ctxWaiters / ctxSeq support AwaitChange, the ticketless deadline-
-	// aware wait used by ExtractMaxContext. ctxSeq is a version word bumped
-	// (and woken) by Signal and Close whenever ctxWaiters is nonzero, so
-	// the ticket protocol above is untouched and the producer hot path pays
-	// one extra load only while a context waiter exists.
-	ctxWaiters atomic.Int32
-	_          [60]byte
-	ctxSeq     Futex
 }
 
 // New returns a ring with n slots (rounded up to a power of two; n <= 0
@@ -79,28 +68,10 @@ func (r *Ring) Signal() {
 			if cur&1 != 0 {
 				slot.Wake()
 			}
-			if r.ctxWaiters.Load() != 0 {
-				r.bumpCtx()
-			}
 			return
 		}
 	}
 }
-
-// bumpCtx advances the context waiters' version word and wakes them.
-func (r *Ring) bumpCtx() {
-	for {
-		cur := r.ctxSeq.Load()
-		if r.ctxSeq.CompareAndSwap(cur, cur+1) {
-			r.ctxSeq.Wake()
-			return
-		}
-	}
-}
-
-// Pushes reports the number of Signal calls so far. The ZMSQ emptiness fast
-// path reads it to decide whether a consumer's ticket is already covered.
-func (r *Ring) Pushes() uint64 { return r.pushes.Load() }
 
 // Await takes a consumer ticket and blocks until a matching producer ticket
 // exists (pushes > ticket) or the ring is closed. It reports true when the
@@ -156,58 +127,6 @@ func (r *Ring) Await() bool {
 	}
 }
 
-// AwaitChange blocks until the ring's push counter differs from seen, the
-// ring is closed, or ctx is done — whichever comes first. It returns nil
-// in the first two cases and ctx.Err() in the third. Unlike Await it takes
-// no ticket and gives no coverage guarantee: callers re-try their
-// extraction and call AwaitChange again with a fresh counter reading, so a
-// cancelled wait cannot skew the ticket pairing for Await-based consumers.
-//
-// Sleeping is deadline-aware: each sleep is bounded by ctx's deadline
-// (when one exists) and a coarse heartbeat, and a cancellation wakes the
-// sleeper promptly via context.AfterFunc rather than waiting out the
-// slice.
-func (r *Ring) AwaitChange(ctx context.Context, seen uint64) error {
-	if r.pushes.Load() != seen || r.closed.Load() {
-		return nil
-	}
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	// Publish the waiter before re-checking the predicate: Signal loads
-	// ctxWaiters after bumping pushes, so either it sees us and bumps
-	// ctxSeq, or our re-check below sees the new push count.
-	r.ctxWaiters.Add(1)
-	defer r.ctxWaiters.Add(-1)
-	stop := context.AfterFunc(ctx, func() { r.bumpCtx() })
-	defer stop()
-	for i := 0; i < r.spin; i++ {
-		if r.pushes.Load() != seen || r.closed.Load() {
-			return nil
-		}
-		if i%16 == 15 {
-			runtime.Gosched()
-		}
-	}
-	const heartbeat = 100 * time.Millisecond
-	for {
-		w := r.ctxSeq.Load()
-		if r.pushes.Load() != seen || r.closed.Load() {
-			return nil
-		}
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		d := heartbeat
-		if dl, ok := ctx.Deadline(); ok {
-			if until := time.Until(dl); until < d {
-				d = until
-			}
-		}
-		r.ctxSeq.WaitTimeout(w, d)
-	}
-}
-
 // Close wakes every sleeper and makes subsequent Await calls return without
 // blocking (true if their ticket is covered, false otherwise). It is used
 // for queue shutdown so blocked consumers can observe termination.
@@ -223,8 +142,4 @@ func (r *Ring) Close() {
 		}
 		r.slots[i].f.Wake()
 	}
-	r.bumpCtx()
 }
-
-// Closed reports whether Close has been called.
-func (r *Ring) Closed() bool { return r.closed.Load() }

@@ -1,7 +1,6 @@
 package waitring
 
 import (
-	"context"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -10,7 +9,7 @@ import (
 
 func TestFutexWaitReturnsWhenValueDiffers(t *testing.T) {
 	var f Futex
-	f.Store(5)
+	f.word.Store(5)
 	done := make(chan struct{})
 	go func() {
 		f.Wait(4) // word is 5, differs immediately
@@ -25,7 +24,7 @@ func TestFutexWaitReturnsWhenValueDiffers(t *testing.T) {
 
 func TestFutexWaitWake(t *testing.T) {
 	var f Futex
-	f.Store(1)
+	f.word.Store(1)
 	done := make(chan struct{})
 	go func() {
 		f.Wait(1)
@@ -38,7 +37,7 @@ func TestFutexWaitWake(t *testing.T) {
 		t.Fatal("Wait returned before value changed")
 	default:
 	}
-	f.Store(2)
+	f.word.Store(2)
 	f.Wake()
 	select {
 	case <-done:
@@ -62,7 +61,7 @@ func TestFutexNoLostWakeup(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 0; i < rounds; i++ {
-			f.Store(uint32(i + 1))
+			f.word.Store(uint32(i + 1))
 			f.Wake()
 		}
 	}()
@@ -147,8 +146,8 @@ func TestCloseReleasesWaiters(t *testing.T) {
 	}
 	time.Sleep(20 * time.Millisecond)
 	r.Close()
-	if !r.Closed() {
-		t.Fatal("Closed() false after Close")
+	if !r.closed.Load() {
+		t.Fatal("closed flag unset after Close")
 	}
 	for i := 0; i < waiters; i++ {
 		select {
@@ -246,8 +245,8 @@ func TestPushesCounter(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		r.Signal()
 	}
-	if got := r.Pushes(); got != 5 {
-		t.Fatalf("Pushes = %d, want 5", got)
+	if got := r.pushes.Load(); got != 5 {
+		t.Fatalf("pushes = %d, want 5", got)
 	}
 }
 
@@ -375,228 +374,5 @@ func TestManyWaitersSingleProducer(t *testing.T) {
 	}
 	if released.Load() != waiters {
 		t.Fatalf("released %d, want %d", released.Load(), waiters)
-	}
-}
-
-func TestFutexWaitTimeoutExpires(t *testing.T) {
-	var f Futex
-	start := time.Now()
-	changed := f.WaitTimeout(0, 30*time.Millisecond)
-	if changed {
-		t.Fatal("WaitTimeout reported a change on an untouched word")
-	}
-	if elapsed := time.Since(start); elapsed > 3*time.Second {
-		t.Fatalf("timeout honored only after %v", elapsed)
-	}
-}
-
-func TestFutexWaitTimeoutWokenEarly(t *testing.T) {
-	var f Futex
-	done := make(chan bool, 1)
-	go func() {
-		done <- f.WaitTimeout(0, 10*time.Second)
-	}()
-	time.Sleep(10 * time.Millisecond)
-	f.Store(1)
-	f.Wake()
-	select {
-	case changed := <-done:
-		if !changed {
-			t.Fatal("WaitTimeout missed the store")
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("WaitTimeout slept through a wake")
-	}
-}
-
-func TestFutexWaitTimeoutNonPositive(t *testing.T) {
-	var f Futex
-	if f.WaitTimeout(0, 0) {
-		t.Fatal("zero-duration wait on an unchanged word reported a change")
-	}
-	f.Store(2)
-	if !f.WaitTimeout(0, -time.Second) {
-		t.Fatal("negative-duration wait missed an already-changed word")
-	}
-}
-
-func TestAwaitChangeReturnsOnSignal(t *testing.T) {
-	r := New(4)
-	seen := r.Pushes()
-	errc := make(chan error, 1)
-	go func() { errc <- r.AwaitChange(context.Background(), seen) }()
-	time.Sleep(10 * time.Millisecond)
-	r.Signal()
-	select {
-	case err := <-errc:
-		if err != nil {
-			t.Fatalf("AwaitChange = %v after Signal", err)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("AwaitChange slept through a Signal")
-	}
-}
-
-func TestAwaitChangeFastPathWhenAlreadyChanged(t *testing.T) {
-	r := New(4)
-	seen := r.Pushes()
-	r.Signal()
-	if err := r.AwaitChange(context.Background(), seen); err != nil {
-		t.Fatalf("AwaitChange = %v with the change already published", err)
-	}
-}
-
-func TestAwaitChangeCancellation(t *testing.T) {
-	r := New(4)
-	ctx, cancel := context.WithCancel(context.Background())
-	errc := make(chan error, 1)
-	go func() { errc <- r.AwaitChange(ctx, r.Pushes()) }()
-	time.Sleep(10 * time.Millisecond)
-	cancel()
-	select {
-	case err := <-errc:
-		if err != context.Canceled {
-			t.Fatalf("AwaitChange = %v, want context.Canceled", err)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("cancellation did not wake AwaitChange")
-	}
-}
-
-func TestAwaitChangeDeadline(t *testing.T) {
-	r := New(4)
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
-	defer cancel()
-	start := time.Now()
-	if err := r.AwaitChange(ctx, r.Pushes()); err != context.DeadlineExceeded {
-		t.Fatalf("AwaitChange = %v, want context.DeadlineExceeded", err)
-	}
-	if elapsed := time.Since(start); elapsed > 3*time.Second {
-		t.Fatalf("deadline honored only after %v", elapsed)
-	}
-}
-
-func TestAwaitChangeClose(t *testing.T) {
-	r := New(4)
-	errc := make(chan error, 1)
-	go func() { errc <- r.AwaitChange(context.Background(), r.Pushes()) }()
-	time.Sleep(10 * time.Millisecond)
-	r.Close()
-	select {
-	case err := <-errc:
-		if err != nil {
-			t.Fatalf("AwaitChange = %v after Close, want nil", err)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("Close did not wake AwaitChange")
-	}
-}
-
-func TestAwaitChangeHeartbeatRearm(t *testing.T) {
-	// With no deadline on the context, AwaitChange sleeps in heartbeat
-	// slices (100ms). A signal arriving after several slices exercises the
-	// re-arm path: WaitTimeout expires with the word unchanged, the loop
-	// re-checks the predicate and goes back to sleep, repeatedly, until the
-	// push lands.
-	if testing.Short() {
-		t.Skip("multi-heartbeat sleep")
-	}
-	r := New(4)
-	seen := r.Pushes()
-	errc := make(chan error, 1)
-	go func() { errc <- r.AwaitChange(context.Background(), seen) }()
-	time.Sleep(250 * time.Millisecond) // > 2 heartbeat slices
-	r.Signal()
-	select {
-	case err := <-errc:
-		if err != nil {
-			t.Fatalf("AwaitChange = %v after a late Signal", err)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("heartbeat re-arm lost the late Signal")
-	}
-}
-
-func TestAwaitChangeDeadlineBeyondHeartbeat(t *testing.T) {
-	// A deadline longer than the heartbeat must still be honored: the
-	// sleeper wakes on heartbeat expiries with no change, re-arms, and
-	// finally returns DeadlineExceeded — not early, not never.
-	if testing.Short() {
-		t.Skip("multi-heartbeat sleep")
-	}
-	r := New(4)
-	ctx, cancel := context.WithTimeout(context.Background(), 250*time.Millisecond)
-	defer cancel()
-	start := time.Now()
-	if err := r.AwaitChange(ctx, r.Pushes()); err != context.DeadlineExceeded {
-		t.Fatalf("AwaitChange = %v, want context.DeadlineExceeded", err)
-	}
-	if elapsed := time.Since(start); elapsed < 200*time.Millisecond {
-		t.Fatalf("returned after %v, before the 250ms deadline", elapsed)
-	}
-}
-
-func TestAwaitChangeWaiterBookkeeping(t *testing.T) {
-	// The producer hot path pays for ctx waiters only while one exists; a
-	// leaked registration would tax every future Signal. Verify the counter
-	// returns to zero after each way out of AwaitChange.
-	r := New(4)
-
-	r.Signal() // fast path: counter already differs
-	if err := r.AwaitChange(context.Background(), 0); err != nil {
-		t.Fatalf("fast path AwaitChange = %v", err)
-	}
-	if n := r.ctxWaiters.Load(); n != 0 {
-		t.Fatalf("ctxWaiters = %d after fast path, want 0", n)
-	}
-
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	if err := r.AwaitChange(ctx, r.Pushes()); err != context.Canceled {
-		t.Fatalf("AwaitChange = %v on a cancelled context", err)
-	}
-	if n := r.ctxWaiters.Load(); n != 0 {
-		t.Fatalf("ctxWaiters = %d after cancellation, want 0", n)
-	}
-
-	errc := make(chan error, 1)
-	go func() { errc <- r.AwaitChange(context.Background(), r.Pushes()) }()
-	time.Sleep(10 * time.Millisecond)
-	r.Signal()
-	if err := <-errc; err != nil {
-		t.Fatalf("AwaitChange = %v after Signal", err)
-	}
-	if n := r.ctxWaiters.Load(); n != 0 {
-		t.Fatalf("ctxWaiters = %d after a signalled wait, want 0", n)
-	}
-}
-
-func TestAwaitChangeManyWaitersOneSignal(t *testing.T) {
-	r := New(4)
-	const waiters = 16
-	seen := r.Pushes()
-	var wg sync.WaitGroup
-	errs := make(chan error, waiters)
-	for i := 0; i < waiters; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			errs <- r.AwaitChange(context.Background(), seen)
-		}()
-	}
-	time.Sleep(20 * time.Millisecond)
-	r.Signal() // one push changes the counter for every waiter
-	done := make(chan struct{})
-	go func() { wg.Wait(); close(done) }()
-	select {
-	case <-done:
-	case <-time.After(10 * time.Second):
-		t.Fatal("a single Signal left AwaitChange waiters asleep")
-	}
-	close(errs)
-	for err := range errs {
-		if err != nil {
-			t.Fatalf("waiter returned %v", err)
-		}
 	}
 }

@@ -78,12 +78,12 @@ func TestSyncMakesDurable(t *testing.T) {
 	if err := l.Sync(); err != nil {
 		t.Fatalf("Sync: %v", err)
 	}
-	if got := l.DurableLSN(); got != 1 {
+	if got := l.Stats().DurableLSN; got != 1 {
 		t.Fatalf("DurableLSN = %d after syncing 1 record, want 1", got)
 	}
 	l.AppendInserts([]uint64{22}, nil) // never synced
 	materialize(t, fs, l)
-	if got := l.DurableLSN(); got != 1 {
+	if got := l.Stats().DurableLSN; got != 1 {
 		t.Fatalf("crash DurableLSN = %d, want 1", got)
 	}
 	// Key 11 was acked and must survive; 22 never left the process.
@@ -127,7 +127,7 @@ func TestCrashMidFsyncDoesNotAck(t *testing.T) {
 	if err := l.Sync(); !errors.Is(err, crashfs.ErrCrashed) {
 		t.Fatalf("Sync with a failing fsync = %v, want ErrCrashed", err)
 	}
-	if got := l.DurableLSN(); got != 0 {
+	if got := l.Stats().DurableLSN; got != 0 {
 		t.Fatalf("watermark advanced across a failed fsync: %d", got)
 	}
 	materialize(t, fs, l)
@@ -470,7 +470,7 @@ func TestOpenMatchesRecover(t *testing.T) {
 			if err := l.Sync(); err != nil {
 				t.Fatal(err)
 			}
-			if lsn := l.DurableLSN(); lsn != want.NextLSN {
+			if lsn := l.Stats().DurableLSN; lsn != want.NextLSN {
 				t.Fatalf("first record after Open got LSN %d, want NextLSN %d", lsn, want.NextLSN)
 			}
 			if err := l.Close(); err != nil {

@@ -413,9 +413,6 @@ func (s Stats) WritePrometheus(w io.Writer) error {
 	return p.Err()
 }
 
-// DurableLSN returns the highest LSN covered by a completed fsync.
-func (l *Log) DurableLSN() uint64 { return l.durableLSN.Load() }
-
 // durableWatermark returns the durable (offset, LSN) watermark as a
 // consistent pair. Sync stores both values while holding mu (and trimTo
 // rebases the offset under it), so two bare atomic loads could observe

@@ -34,7 +34,7 @@ func FuzzFrameDecode(f *testing.F) {
 		// Property 1: arbitrary bytes never panic — decoder and both
 		// parsers — and the decoder always advances or stops.
 		d := NewDecoder(raw)
-		prevOff := d.Offset()
+		prevOff := d.off
 		for {
 			payload, err := d.Next()
 			if err != nil {
@@ -45,10 +45,10 @@ func FuzzFrameDecode(f *testing.F) {
 			}
 			_, _ = ParseRequest(payload, nil)
 			_, _ = ParseResponse(payload, nil)
-			if d.Offset() <= prevOff {
-				t.Fatalf("decoder did not advance: %d -> %d", prevOff, d.Offset())
+			if d.off <= prevOff {
+				t.Fatalf("decoder did not advance: %d -> %d", prevOff, d.off)
 			}
-			prevOff = d.Offset()
+			prevOff = d.off
 		}
 
 		// Reinterpret the fuzz input as request content and check
@@ -134,8 +134,8 @@ func FuzzFrameDecode(f *testing.F) {
 		for {
 			payload, err := d.Next()
 			if err != nil {
-				if errors.Is(err, io.EOF) && d.Offset() != int64(cut) {
-					t.Fatalf("EOF off a frame boundary: offset %d cut %d", d.Offset(), cut)
+				if errors.Is(err, io.EOF) && d.off != int64(cut) {
+					t.Fatalf("EOF off a frame boundary: offset %d cut %d", d.off, cut)
 				}
 				if !errors.Is(err, io.EOF) && !errors.Is(err, ErrTorn) {
 					t.Fatalf("prefix decode: unclassified error %v", err)

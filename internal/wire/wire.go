@@ -516,9 +516,6 @@ type Decoder struct {
 // NewDecoder returns a decoder over b.
 func NewDecoder(b []byte) *Decoder { return &Decoder{b: b} }
 
-// Offset returns the byte offset of the next undecoded frame.
-func (d *Decoder) Offset() int64 { return d.off }
-
 func (d *Decoder) torn(reason string) ([]byte, error) {
 	return nil, &TornError{Offset: d.off, Reason: reason}
 }

@@ -17,7 +17,8 @@
 // goroutines are operating. With b = 0 the queue is strict. Extraction
 // never fails while the queue is nonempty; with Config.Blocking set,
 // ExtractMax sleeps on an empty queue until an insert arrives or Close is
-// called.
+// called. That is the queue's one way to wait, the paper's §3.6 ticket
+// ring; a consumer that needs a deadline polls TryExtractMax instead.
 //
 // For bulk workloads, InsertBatch and ExtractBatch amortize per-operation
 // overhead (context acquisition, pool-slot handoff, root-lock traffic)
@@ -28,8 +29,8 @@
 // mode), and all transient buffers live in pooled per-operation contexts.
 //
 // The repository also contains the paper's baselines (mound, SprayList,
-// MultiQueue, k-LSM), the experiment harness that regenerates every table
-// and figure of the evaluation (see DESIGN.md and EXPERIMENTS.md), and
+// MultiQueue), the experiment harness that regenerates every table and
+// figure of the evaluation (see DESIGN.md and EXPERIMENTS.md), and
 // runnable examples under examples/.
 package repro
 
@@ -66,14 +67,6 @@ type MetricsSnapshot = core.MetricsSnapshot
 // Element is one key/value pair returned by Queue.Drain and
 // Queue.CloseAndDrain.
 type Element[V any] = core.Element[V]
-
-// ErrClosed is returned by ExtractMaxContext once the queue is closed and
-// fully drained; ErrEmpty is returned by ExtractMaxContext on a
-// non-blocking queue observed empty.
-var (
-	ErrClosed = core.ErrClosed
-	ErrEmpty  = core.ErrEmpty
-)
 
 // LockKind selects the per-node lock implementation (§4.1 of the paper).
 type LockKind = locks.Kind
