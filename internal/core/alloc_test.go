@@ -77,18 +77,24 @@ func warmQueue(t *testing.T, cfg Config) (*Queue[int], func() uint64) {
 	for i := 0; i < 1<<13; i++ {
 		q.Insert(draw(), i)
 	}
-	// Overshoot the steady size and come back. In memory-safe mode the
-	// nodes in circulation must cover the resident set plus a retired list
-	// one short of its scan plus a pool refill's worth; left to the mix
-	// that population is reached one fresh node at a time, whenever an
-	// allocation happens to find every spare node waiting for a scan.
-	for i := 0; i < 256; i++ {
+	// Overshoot the steady size and come back, then churn. The blocks in
+	// circulation must cover the resident set at its least dense, plus (in
+	// memory-safe mode) a retired list one short of its scan, plus a pool
+	// refill's worth. Unlike a node per element, the number of blocks the
+	// resident set occupies is not fixed by its size: it follows how the
+	// elements spread over TNodes and how full splits and removals leave
+	// their blocks, and it keeps reaching new highs for some ten thousand
+	// operations after the fill. Left to the mix, that population is
+	// reached one fresh block at a time, whenever an allocation happens to
+	// find every spare block in use; the overshoot allocates the spares up
+	// front and the churn lets the spread settle.
+	for i := 0; i < 1<<12; i++ {
 		q.Insert(draw(), i)
 	}
-	for i := 0; i < 256; i++ {
+	for i := 0; i < 1<<12; i++ {
 		q.TryExtractMax()
 	}
-	for i := 0; i < 1<<12; i++ {
+	for i := 0; i < 1<<14; i++ {
 		q.Insert(draw(), i)
 		q.TryExtractMax()
 	}

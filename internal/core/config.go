@@ -40,11 +40,13 @@ type SetMode int
 
 const (
 	// SetModeList (the zero value) selects the mound-style sorted doubly
-	// linked list (memory-safe via hazard pointers unless Config.Leaky).
+	// linked list, unrolled into blocks of 16 elements that hold the
+	// element-per-node list's exact order (memory-safe via hazard pointers
+	// unless Config.Leaky).
 	SetModeList SetMode = iota
 	// SetModeArray selects the unsorted fixed-capacity array set (the
-	// "(array)" curves in the paper's figures; no lnodes, so nothing to
-	// reclaim).
+	// "(array)" curves in the paper's figures; no list blocks, so nothing
+	// to reclaim).
 	SetModeArray
 )
 

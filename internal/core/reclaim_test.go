@@ -88,9 +88,11 @@ func TestReleaseHandsNodesOn(t *testing.T) {
 // TestHazardSeams pins the two seams other tools hang on the reclamation
 // path, so their numbers compare across changes to it: the HazardScan fault
 // point is consulted at the top of every scan, Metrics.HazardScans counts
-// the same scans, a scan runs once per 64 retirements, and every lnode
+// the same scans, a scan runs once per 64 retired blocks, and every block
 // allocation is either a NodeCacheHit (recycled — from the context's own
-// stack or the shared freelist) or a NodeCacheMiss (fresh).
+// stack or the shared freelist) or a NodeCacheMiss (fresh). The churn is
+// long enough that blocks, which a set needs once per blockLen elements at
+// most, are mostly recycled.
 func TestHazardSeams(t *testing.T) {
 	inj := fault.New(1, fault.Plan{HazardScanPct: 100, HazardScanYields: 1})
 	met := NewMetrics()
@@ -99,13 +101,25 @@ func TestHazardSeams(t *testing.T) {
 	for i := 0; i < 3000; i++ {
 		q.Insert(r.Uint64()%100000, 0)
 	}
-	for round := 0; round < 5; round++ {
+	rounds := 20
+	if raceEnabled {
+		rounds = 5 // only the assertions above the raceEnabled return run
+	}
+	for round := 0; round < rounds; round++ {
 		for i := 0; i < 2000; i++ {
 			q.Insert(r.Uint64()%100000, 0)
 			q.TryExtractMax()
 		}
 	}
 	q.Drain()
+	// A scan's worth of retirements through one held context. Under the
+	// race detector sync.Pool drops contexts after a few operations, too
+	// soon for any of them to retire 64 blocks on its own.
+	ctx := q.getCtx()
+	for i := 0; i < 64; i++ {
+		ctx.al.put(ctx.al.get())
+	}
+	q.putCtx(ctx)
 
 	snap := q.Snapshot()
 	if snap.HazardScans == 0 {
@@ -121,7 +135,7 @@ func TestHazardSeams(t *testing.T) {
 		return // what follows needs the one context that sync.Pool keeps dropping
 	}
 	// One goroutine means one context and one record; the queue is empty,
-	// so every lnode ever handed out has been retired.
+	// so every block ever handed out has been retired.
 	retired := snap.NodeCacheHit + snap.NodeCacheMiss
 	if want := retired / 64; snap.HazardScans != want {
 		t.Fatalf("%d scans for %d retirements, want one per 64 (%d)", snap.HazardScans, retired, want)
@@ -131,42 +145,44 @@ func TestHazardSeams(t *testing.T) {
 	}
 }
 
-// TestRecycledNodesCarryNoLinks: a node that has sat in a list comes back
-// from alloc.get with neither link, whichever way it was recycled — the
-// context's own free stack or the shared freelist behind it, in either
-// list mode. A surviving prev would splice a dead list into a live one the
-// first time the node became a head.
+// TestRecycledNodesCarryNoLinks: a block that has sat in a list comes back
+// from alloc.get empty and with neither link, whichever way it was recycled
+// — the context's own free stack or the shared freelist behind it, in
+// either list mode. A surviving prev would splice a dead list into a live
+// one the first time the block became a head, and a surviving element
+// would reappear in the next set the block joined.
 func TestRecycledNodesCarryNoLinks(t *testing.T) {
-	// cycle links fresh-or-recycled nodes into a list, unlinks them by every
-	// removing operation, and returns the set of nodes that went through.
-	cycle := func(al *alloc[int]) map[*lnode[int]]bool {
+	// cycle links fresh-or-recycled blocks into a list, unlinks them by
+	// every removing operation, and returns the set of blocks that went
+	// through and how many of them were freed.
+	cycle := func(al *alloc[int]) (map[*lnode[int]]bool, int) {
 		s := &listSet[int]{}
-		for i := 0; i < 256; i++ {
-			s.insertMax(al, element[int]{key: uint64(i)})
-			s.insertNonMax(al, element[int]{key: uint64(i / 2)})
+		for i := 0; i < 4096; i++ {
+			s.insertMax(al, element[int]{key: uint64(i), val: i})
+			s.insertNonMax(al, element[int]{key: uint64(i / 2), val: i})
 		}
-		used := make(map[*lnode[int]]bool, s.size)
-		for n := s.head; n != nil; n = n.next {
-			used[n] = true
+		used := make(map[*lnode[int]]bool)
+		for b := s.head; b != nil; b = b.next {
+			used[b] = true
 		}
 		s.splitLower(al, nil)
-		s.takeTop(al, 64, nil)
+		s.takeTop(al, 1000, nil)
 		for s.length() > 1 {
 			s.removeMin(al)
 			s.removeMax(al)
 		}
-		return used
+		return used, len(used) - 1 // one block keeps the last element
 	}
 	expectRecycled := func(t *testing.T, al *alloc[int], used map[*lnode[int]]bool, count int) (got []*lnode[int]) {
 		t.Helper()
 		for i := 0; i < count; i++ {
-			n := al.get()
-			got = append(got, n)
-			if !used[n] {
-				t.Fatalf("get %d returned a fresh node, want a recycled one", i)
+			b := al.get()
+			got = append(got, b)
+			if !used[b] {
+				t.Fatalf("get %d returned a fresh block, want a recycled one", i)
 			}
-			if n.next != nil || n.prev != nil || n.e != (element[int]{}) {
-				t.Fatalf("get %d returned a node with next=%p prev=%p e=%v", i, n.next, n.prev, n.e)
+			if b.next != nil || b.prev != nil || b.n != 0 || b.e != [blockLen]element[int]{} {
+				t.Fatalf("get %d returned a block with next=%p prev=%p n=%d e=%v", i, b.next, b.prev, b.n, b.e)
 			}
 		}
 		return got
@@ -180,17 +196,21 @@ func TestRecycledNodesCarryNoLinks(t *testing.T) {
 			q := New[int](Config{Batch: 0, TargetLen: 8, Leaky: tc.leaky})
 			ctx := q.getCtx()
 			runtime.SetFinalizer(ctx, nil) // released by hand below
-			used := cycle(&ctx.al)
-			// 511 frees — seven scans' worth in memory-safe mode: the last
-			// ones sit on the context's stack, the rest were spilled to the
-			// freelist.
-			for _, n := range expectRecycled(t, &ctx.al, used, 300) {
-				n.next, n.prev = n, n // as if it had been linked again
-				ctx.al.put(n)
+			used, freed := cycle(&ctx.al)
+			if freed < 256 {
+				t.Fatalf("the cycle freed %d blocks, too few for four scans", freed)
+			}
+			// In memory-safe mode all but the last freed%64 have passed a
+			// scan; of those, the last ones sit on the context's stack and
+			// the rest were spilled to the freelist.
+			for _, b := range expectRecycled(t, &ctx.al, used, freed/2) {
+				b.next, b.prev = b, b // as if it had been linked again
+				b.e[0], b.e[1], b.n = element[int]{key: 7, val: 7}, element[int]{key: 3, val: 3}, 2
+				ctx.al.put(b)
 			}
 			ctx.al.release()
 			next := q.ctxs.New().(*opCtx[int])
-			expectRecycled(t, &next.al, used, 200) // all through the shared freelist
+			expectRecycled(t, &next.al, used, freed/3) // all through the shared freelist
 		})
 	}
 }

@@ -3,15 +3,18 @@ package core
 import "slices"
 
 // element is one queue entry: a priority key (larger = higher priority) and
-// an arbitrary payload.
+// an arbitrary payload. The payload comes first so that a zero-size V adds
+// no padding: element[struct{}] is 8 bytes, not 16, which halves a list
+// block of them.
 type element[V any] struct {
-	key uint64
 	val V
+	key uint64
 }
 
 // nodeSet is the per-TNode element container. Two implementations exist,
 // matching the paper's evaluation: a sorted doubly-linked list (the mound's
-// representation plus a back link, the default) and an unsorted
+// representation plus a back link, unrolled into blocks of blockLen
+// elements; the default) and an unsorted
 // fixed-capacity array (the "(array)" curves). All methods are called with
 // the owning TNode's lock held; sets need no internal synchronization.
 //
@@ -48,9 +51,9 @@ type nodeSet[V any] interface {
 	// swapMin removes the minimum and inserts e, returning the removed
 	// minimum and the new minimum key. Requirements: length >= 2,
 	// minKey() < e.key <= maxKey(). This is the §3.2 parent-min quality
-	// swap, which runs on most regular inserts: the list unlinks its tail
-	// and walks only from the nearer end to e's position, the array makes
-	// one scan.
+	// swap, which runs on most regular inserts: the list walks blocks only
+	// from the nearer end to e's position and drops its last element, the
+	// array makes one scan.
 	swapMin(a *alloc[V], e element[V]) (demoted element[V], newMin uint64)
 	// maxKey/minKey report the extreme keys; undefined when empty. O(1) on
 	// a list, a scan of an array (callers cache both in the TNode).
@@ -62,26 +65,36 @@ type nodeSet[V any] interface {
 	ascending(dst []element[V]) []element[V]
 }
 
-// lnode is a node of the sorted list representation, linked both ways so
-// that the minimum leaves in O(1) and a position can be approached from
-// whichever end is nearer. For V = []byte the node is 48 bytes with or
-// without prev (40 rounds up to the 48-byte size class); for V = struct{} it
-// grows from the 16-byte class to the 24-byte one. Both list modes recycle
-// lnodes through per-context free stacks and a shared freelist; in
-// memory-safe mode a node reaches them only through a hazard scan, in leaky
-// mode at once (the GC backs any stale diagnostic reader). Either way a
-// recycled node carries no links (alloc.put clears both).
+// blockLen is how many elements one lnode holds. 8, 16 and 32 were
+// measured (EXPERIMENTS.md, "Unrolled list"): 8 was slowest everywhere; 32
+// was faster than 16 on every probe, by up to a fifth, but holds a []byte
+// element in 70 bytes to 16's 61 at the fill splits leave, against 48 for
+// a node per element.
+const blockLen = 16
+
+// lnode is one block of the unrolled list: up to blockLen elements in
+// descending key order in e[:n], every slot from n up zero, linked both ways
+// so that the minimum leaves in O(1) and a position can be approached from
+// whichever end is nearer. Both list modes recycle lnodes through
+// per-context free stacks and a shared freelist; in memory-safe mode a block
+// reaches them only through a hazard scan, in leaky mode at once (the GC
+// backs any stale diagnostic reader). Either way a recycled block is empty
+// and carries no links (alloc.put clears its slots and both links).
 type lnode[V any] struct {
-	e    element[V]
+	n    int
 	next *lnode[V]
 	prev *lnode[V]
+	e    [blockLen]element[V]
 }
 
-// listSet is a doubly-linked list sorted descending by key: the head is the
-// maximum, as in the original mound, and the tail the minimum, so both
-// extremes are read and removed in O(1). Among equal keys the order is
-// fixed by the insert rule (seek) and is part of the queue's observable
-// behaviour: it decides which of two equal keys is extracted first.
+// listSet is an unrolled doubly-linked list sorted descending by key: read
+// block by block from the head, it is the sequence a list of one element per
+// node would hold. The head block starts with the maximum, as in the
+// original mound, and the tail block ends with the minimum, so both extremes
+// are read and removed in O(1). No linked block is empty. Among equal keys
+// the order is fixed by the insert rule (seek) and is part of the queue's
+// observable behaviour: it decides which of two equal keys is extracted
+// first.
 type listSet[V any] struct {
 	head *lnode[V]
 	tail *lnode[V]
@@ -89,126 +102,170 @@ type listSet[V any] struct {
 }
 
 func (s *listSet[V]) length() int    { return s.size }
-func (s *listSet[V]) maxKey() uint64 { return s.head.e.key }
-func (s *listSet[V]) minKey() uint64 { return s.tail.e.key }
+func (s *listSet[V]) maxKey() uint64 { return s.head.e[0].key }
+func (s *listSet[V]) minKey() uint64 { return s.tail.e[s.tail.n-1].key }
 
 func (s *listSet[V]) insertMax(a *alloc[V], e element[V]) {
-	n := a.get()
-	n.e = e
-	n.next = s.head
-	if s.head != nil {
-		s.head.prev = n
-	} else {
-		s.tail = n
+	if s.head == nil {
+		b := a.get()
+		s.head, s.tail = b, b
 	}
-	s.head = n
-	s.size++
+	s.insertAt(a, s.head, 0, e)
 }
 
-// seek returns the node a non-max element with this key goes behind: the
-// last node that is the head or holds a strictly greater key. The new
-// element so lands behind every greater key and in front of every equal
-// one (the head excepted). The set must be nonempty. The search starts
-// from the end whose key is nearer, which on uniform keys is the end with
-// fewer nodes in between; both directions stop at the same node.
-func (s *listSet[V]) seek(key uint64) *lnode[V] {
-	lo, hi := s.tail.e.key, s.head.e.key
+// seek returns where a non-max element with this key goes: behind the head
+// and every strictly greater key, in front of every equal one. The block is
+// the last one whose first key is strictly greater, or the head; the index
+// is the first one from 1 in it whose key is not greater, or its count. The
+// set must be nonempty. The block walk starts from the end whose key is
+// nearer, which on uniform keys is the end with fewer blocks in between;
+// both directions stop at the same block.
+func (s *listSet[V]) seek(key uint64) (*lnode[V], int) {
+	lo, hi := s.minKey(), s.maxKey()
 	if key < lo || key-lo < hi-key {
-		p := s.tail
-		for p != s.head && p.e.key <= key {
-			p = p.prev
+		b := s.tail
+		for b != s.head && b.e[0].key <= key {
+			b = b.prev
 		}
-		return p
+		return b, b.scan(1, key)
 	}
-	return s.seekFrom(s.head, key)
+	return s.seekFrom(s.head, 1, key)
 }
 
-// seekFrom is seek walking forward from p, which must be the head or hold a
-// key strictly greater than key.
-func (s *listSet[V]) seekFrom(p *lnode[V], key uint64) *lnode[V] {
-	for p.next != nil && p.next.e.key > key {
-		p = p.next
+// seekFrom is seek walking forward from index j >= 1 of block b: every key
+// in front of it is greater than this one, or it is index 1 of the head.
+func (s *listSet[V]) seekFrom(b *lnode[V], j int, key uint64) (*lnode[V], int) {
+	for b.next != nil && b.next.e[0].key > key {
+		b, j = b.next, 1
 	}
-	return p
+	return b, b.scan(j, key)
 }
 
-func (s *listSet[V]) insertAfter(a *alloc[V], p *lnode[V], e element[V]) {
-	n := a.get()
-	n.e = e
-	n.prev, n.next = p, p.next
-	if p.next != nil {
-		p.next.prev = n
-	} else {
-		s.tail = n
+// scan returns the first index from j whose key is not greater than key,
+// or the block's count.
+func (b *lnode[V]) scan(j int, key uint64) int {
+	for j < b.n && b.e[j].key > key {
+		j++
 	}
-	p.next = n
+	return j
+}
+
+// insertAt puts e at index j of block b, first splitting a full block into
+// halves, and returns the block and index e landed at.
+func (s *listSet[V]) insertAt(a *alloc[V], b *lnode[V], j int, e element[V]) (*lnode[V], int) {
+	if b.n == blockLen {
+		const half = blockLen / 2
+		nb := a.get()
+		copy(nb.e[:], b.e[half:])
+		clear(b.e[half:])
+		nb.n, b.n = half, half
+		nb.prev, nb.next = b, b.next
+		if b.next != nil {
+			b.next.prev = nb
+		} else {
+			s.tail = nb
+		}
+		b.next = nb
+		if j > half {
+			b, j = nb, j-half
+		}
+	}
+	copy(b.e[j+1:b.n+1], b.e[j:b.n])
+	b.e[j] = e
+	b.n++
 	s.size++
+	return b, j
+}
+
+// removeAt removes the element at index j of block b, unlinking and
+// freeing the block if that empties it.
+func (s *listSet[V]) removeAt(a *alloc[V], b *lnode[V], j int) element[V] {
+	e := b.e[j]
+	b.n--
+	copy(b.e[j:b.n], b.e[j+1:b.n+1])
+	b.e[b.n] = element[V]{}
+	s.size--
+	if b.n == 0 {
+		s.unlink(a, b)
+	}
+	return e
+}
+
+// unlink takes block b out of the list and frees it.
+func (s *listSet[V]) unlink(a *alloc[V], b *lnode[V]) {
+	if b.prev != nil {
+		b.prev.next = b.next
+	} else {
+		s.head = b.next
+	}
+	if b.next != nil {
+		b.next.prev = b.prev
+	} else {
+		s.tail = b.prev
+	}
+	a.put(b)
 }
 
 func (s *listSet[V]) insertNonMax(a *alloc[V], e element[V]) {
-	if s.head == nil || e.key > s.head.e.key {
+	if s.head == nil || e.key > s.maxKey() {
 		// Degenerate call on an empty set; preserve sortedness anyway.
 		s.insertMax(a, e)
 		return
 	}
-	s.insertAfter(a, s.seek(e.key), e)
+	b, j := s.seek(e.key)
+	s.insertAt(a, b, j, e)
 }
 
 func (s *listSet[V]) addRun(a *alloc[V], run []element[V]) {
 	// One forward-only cursor serves the whole run: each element is no
-	// greater than the one before, so it goes behind p (the node its
-	// predecessor went behind) or further down, never back towards the head.
-	var p *lnode[V]
+	// greater than the one before, so it goes where its predecessor went
+	// or further down, never back towards the head.
+	var b *lnode[V]
+	var j int
 	for _, e := range run {
-		if s.head == nil || e.key >= s.head.e.key {
+		switch {
+		case s.head == nil || e.key >= s.maxKey():
 			s.insertMax(a, e)
-			p = s.head
+			b, j = s.head, 1
 			continue
+		case b == nil:
+			b, j = s.seek(e.key)
+		default:
+			b, j = s.seekFrom(b, j, e.key)
 		}
-		if p == nil {
-			p = s.seek(e.key)
-		} else {
-			p = s.seekFrom(p, e.key)
-		}
-		s.insertAfter(a, p, e)
+		b, j = s.insertAt(a, b, j, e)
 	}
 }
 
 func (s *listSet[V]) removeMax(a *alloc[V]) element[V] {
-	n := s.head
-	s.head = n.next
-	if s.head != nil {
-		s.head.prev = nil
-	} else {
-		s.tail = nil
-	}
-	s.size--
-	e := n.e
-	a.put(n)
-	return e
+	return s.removeAt(a, s.head, 0)
 }
 
 func (s *listSet[V]) removeMin(a *alloc[V]) element[V] {
-	n := s.tail
-	s.tail = n.prev
-	if s.tail != nil {
-		s.tail.next = nil
-	} else {
-		s.head = nil
-	}
-	s.size--
-	e := n.e
-	a.put(n)
-	return e
+	return s.removeAt(a, s.tail, s.tail.n-1)
 }
 
 func (s *listSet[V]) takeTop(a *alloc[V], n int, dst []element[V]) []element[V] {
 	// The list is sorted descending, so the n largest are the first n.
-	// Append them to dst in ascending order: reserve space, fill backwards.
+	// Append them to dst in ascending order: reserve space, fill backwards,
+	// a head block at a time.
 	base := len(dst)
 	dst = slices.Grow(dst, n)[:base+n]
-	for i := n - 1; i >= 0; i-- {
-		dst[base+i] = s.removeMax(a)
+	s.size -= n
+	for n > 0 {
+		b := s.head
+		t := min(n, b.n)
+		for j := 0; j < t; j++ {
+			dst[base+n-1-j] = b.e[j]
+		}
+		n -= t
+		if t == b.n {
+			s.unlink(a, b)
+			continue
+		}
+		copy(b.e[:], b.e[t:b.n])
+		clear(b.e[b.n-t : b.n])
+		b.n -= t
 	}
 	return dst
 }
@@ -219,40 +276,39 @@ func (s *listSet[V]) splitLower(a *alloc[V], dst []element[V]) []element[V] {
 		return dst
 	}
 	// Unlink the run from the tail upwards, filling dst backwards so that it
-	// reads in list order: one pass over the nodes that leave, none over
-	// those that stay. take < size, so the walk ends on a kept node.
+	// reads in list order: whole tail blocks are copied and freed, the last
+	// one cut. take < size, so the walk ends on a kept block.
 	base := len(dst)
 	dst = slices.Grow(dst, take)[:base+take]
-	n := s.tail
-	for i := take - 1; i >= 0; i-- {
-		dst[base+i] = n.e
-		up := n.prev
-		a.put(n)
-		n = up
-	}
-	n.next = nil
-	s.tail = n
 	s.size -= take
+	for rem := take; rem > 0; {
+		b := s.tail
+		if rem < b.n {
+			copy(dst[base:], b.e[b.n-rem:b.n])
+			clear(b.e[b.n-rem : b.n])
+			b.n -= rem
+			break
+		}
+		rem -= b.n
+		copy(dst[base+rem:], b.e[:b.n])
+		s.unlink(a, b)
+	}
 	return dst
 }
 
 func (s *listSet[V]) swapMin(a *alloc[V], e element[V]) (element[V], uint64) {
 	// The contract (minKey < e.key <= maxKey, length >= 2) puts e strictly
-	// in front of the old tail, so the node seek finds is never the one
-	// unlinked below.
-	s.insertAfter(a, s.seek(e.key), e)
+	// in front of the old minimum, so the element removed below is never e.
+	s.insertNonMax(a, e)
 	demoted := s.removeMin(a)
-	return demoted, s.tail.e.key
+	return demoted, s.minKey()
 }
 
 func (s *listSet[V]) ascending(dst []element[V]) []element[V] {
-	base := len(dst)
-	for n := s.head; n != nil; n = n.next {
-		dst = append(dst, n.e)
-	}
-	// Reverse the appended (descending) run.
-	for i, j := base, len(dst)-1; i < j; i, j = i+1, j-1 {
-		dst[i], dst[j] = dst[j], dst[i]
+	for b := s.tail; b != nil; b = b.prev {
+		for j := b.n - 1; j >= 0; j-- {
+			dst = append(dst, b.e[j])
+		}
 	}
 	return dst
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"encoding/binary"
 	"math"
+	"reflect"
 	"slices"
 	"testing"
 
@@ -72,9 +73,15 @@ var modelKeys = []uint64{
 	math.MaxUint64 - 2, math.MaxUint64 - 1, math.MaxUint64, math.MaxUint64,
 }
 
+// fewKeys has four values, so that runs of equal keys outgrow a list block
+// and every insert rule meets a block boundary.
+var fewKeys = []uint64{0, 1 << 40, 1 << 63, math.MaxUint64}
+
 // runSetModel drives one set through random sequences of every mutating
-// operation and compares it with the model after each.
-func runSetModel[V any](t *testing.T, mk func() nodeSet[V], val func(uint64) V, id func(V) uint64) {
+// operation, drawing keys from modelKeys, and compares it with the model
+// after each. It returns how many checks found two blocks of a list set
+// meeting on equal keys.
+func runSetModel[V any](t *testing.T, mk func() nodeSet[V], val func(uint64) V, id func(V) uint64, modelKeys []uint64) (tiedBoundaries int) {
 	r := xrand.New(0x5e7)
 	a := &alloc[V]{}
 	var serial uint64
@@ -172,8 +179,16 @@ func runSetModel[V any](t *testing.T, mk func() nodeSet[V], val func(uint64) V, 
 				}
 			}
 			checkSetAgainstModel(t, s, md, ent)
+			if ls, ok := s.(*listSet[V]); ok {
+				for b := ls.head; b != nil && b.next != nil; b = b.next {
+					if b.e[b.n-1].key == b.next.e[0].key {
+						tiedBoundaries++
+					}
+				}
+			}
 		}
 	}
+	return tiedBoundaries
 }
 
 func checkSetAgainstModel[V any](t *testing.T, s nodeSet[V], md *setModel, ent func(element[V]) ment) {
@@ -183,24 +198,28 @@ func checkSetAgainstModel[V any](t *testing.T, s nodeSet[V], md *setModel, ent f
 	}
 	if ls, ok := s.(*listSet[V]); ok {
 		var fwd, back []*lnode[V]
-		for n := ls.head; n != nil; n = n.next {
-			fwd = append(fwd, n)
+		for b := ls.head; b != nil; b = b.next {
+			fwd = append(fwd, b)
 		}
-		for n := ls.tail; n != nil; n = n.prev {
-			back = append(back, n)
+		for b := ls.tail; b != nil; b = b.prev {
+			back = append(back, b)
 		}
 		slices.Reverse(back)
 		if !slices.Equal(fwd, back) {
-			t.Fatalf("forward walk (%d nodes) is not the backward walk reversed (%d nodes)", len(fwd), len(back))
-		}
-		if len(fwd) != ls.size {
-			t.Fatalf("walked %d nodes, size %d", len(fwd), ls.size)
+			t.Fatalf("forward walk (%d blocks) is not the backward walk reversed (%d blocks)", len(fwd), len(back))
 		}
 		if len(fwd) > 0 && (ls.head.prev != nil || ls.tail.next != nil) {
 			t.Fatal("head has a prev or tail has a next")
 		}
 		if len(fwd) == 0 && (ls.head != nil || ls.tail != nil) {
 			t.Fatal("empty list keeps a head or a tail")
+		}
+		for i, b := range fwd {
+			for j := b.n; j < blockLen; j++ {
+				if !reflect.ValueOf(b.e[j]).IsZero() {
+					t.Fatalf("block %d keeps an element in free slot %d", i, j)
+				}
+			}
 		}
 		if err := ls.checkLinks(); err != nil {
 			t.Fatal(err)
@@ -250,15 +269,22 @@ func TestSetModel(t *testing.T) {
 	bytesID := func(v []byte) uint64 { return binary.LittleEndian.Uint64(v) }
 
 	t.Run("list/int", func(t *testing.T) {
-		runSetModel(t, func() nodeSet[int] { return &listSet[int]{} }, intVal, intID)
+		runSetModel(t, func() nodeSet[int] { return &listSet[int]{} }, intVal, intID, modelKeys)
 	})
 	t.Run("list/bytes", func(t *testing.T) {
-		runSetModel(t, func() nodeSet[[]byte] { return &listSet[[]byte]{} }, bytesVal, bytesID)
+		runSetModel(t, func() nodeSet[[]byte] { return &listSet[[]byte]{} }, bytesVal, bytesID, modelKeys)
+	})
+	// Four keys: equal keys span block boundaries, where the head
+	// exception, behind-greater and in-front-of-equal must still hold.
+	t.Run("list/int/fourkeys", func(t *testing.T) {
+		if n := runSetModel(t, func() nodeSet[int] { return &listSet[int]{} }, intVal, intID, fewKeys); n == 0 {
+			t.Fatal("no two blocks ever met on equal keys")
+		}
 	})
 	t.Run("array/int", func(t *testing.T) {
-		runSetModel(t, func() nodeSet[int] { return newArraySet[int](16) }, intVal, intID)
+		runSetModel(t, func() nodeSet[int] { return newArraySet[int](16) }, intVal, intID, modelKeys)
 	})
 	t.Run("array/bytes", func(t *testing.T) {
-		runSetModel(t, func() nodeSet[[]byte] { return newArraySet[[]byte](16) }, bytesVal, bytesID)
+		runSetModel(t, func() nodeSet[[]byte] { return newArraySet[[]byte](16) }, bytesVal, bytesID, modelKeys)
 	})
 }

@@ -57,7 +57,7 @@ func TestSetModeSelectsImplementation(t *testing.T) {
 }
 
 // TestSharedAllocDomain builds two queues over one domain and verifies (a)
-// cross-queue recycling: lnodes retired through one queue, once its
+// cross-queue recycling: blocks retired through one queue, once its
 // context's free stack spills them, serve the other queue's allocations
 // without a fresh one, and (b) mode-mismatched sharing is refused with an
 // error and nothing left behind.
@@ -72,25 +72,30 @@ func TestSharedAllocDomain(t *testing.T) {
 		t.Fatal("queue did not adopt the shared domain")
 	}
 
-	const n = 2000
+	const n = 16000
 	for i := 0; i < n; i++ {
 		a.Insert(uint64(i), i)
 	}
 	for i := 0; i < n; i++ {
 		a.TryExtractMax()
 	}
-	// All but the last partial scan's worth and one free stack's worth of
-	// a's n nodes have spilled to the shared freelist; b allocates from
-	// there.
-	const reusable = n - 4*localFreeDepth
-	for i := 0; i < reusable; i++ {
+	// a emptied itself, so every block it allocated fresh is free: all but
+	// the last partial scan's worth and one free stack's worth have spilled
+	// to the shared freelist, and b allocates from there.
+	sa := a.Snapshot()
+	if sa.NodeCacheMiss <= 8*localFreeDepth {
+		t.Fatalf("queue a allocated %d fresh blocks, too few to tell recycled ones apart", sa.NodeCacheMiss)
+	}
+	reusable := sa.NodeCacheMiss - 4*localFreeDepth
+	allocated := func() uint64 { s := b.Snapshot(); return s.NodeCacheHit + s.NodeCacheMiss }
+	for i := 0; allocated() < reusable; i++ {
 		b.Insert(uint64(i), i)
 	}
 	// (Not under the race detector: there sync.Pool drops contexts between
-	// operations, and a dropped context's nodes wait for its finalizer.)
+	// operations, and a dropped context's blocks wait for its finalizer.)
 	snap := b.Snapshot()
 	if !raceEnabled && (snap.NodeCacheMiss != 0 || snap.NodeCacheHit < reusable) {
-		t.Fatalf("queue b: %d fresh lnodes and %d recycled for %d inserts, want none fresh: nodes a retired did not reach it",
+		t.Fatalf("queue b: %d fresh blocks and %d recycled, want none fresh of the %d reusable: blocks a retired did not reach it",
 			snap.NodeCacheMiss, snap.NodeCacheHit, reusable)
 	}
 	for _, q := range []*Queue[int]{a, b} {

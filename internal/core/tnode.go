@@ -124,7 +124,8 @@ func (a *alloc[V]) get() *lnode[V] {
 }
 
 func (a *alloc[V]) put(n *lnode[V]) {
-	n.e = element[V]{}
+	clear(n.e[:n.n])
+	n.n = 0
 	n.next, n.prev = nil, nil
 	switch {
 	case a.h != nil:

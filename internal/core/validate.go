@@ -84,23 +84,37 @@ func (q *Queue[V]) checkNode(level, slot int, n *tnode[V]) error {
 }
 
 // checkLinks verifies the list's shape: prev mirrors next from a head with
-// no prev to the cached tail with no next, over exactly size nodes.
+// no prev to the cached tail with no next; no linked block is empty; each
+// block is descending and its last key is no smaller than the next block's
+// first; and the counts sum to size.
 func (s *listSet[V]) checkLinks() error {
 	var last *lnode[V]
-	walked := 0
-	for n := s.head; n != nil; last, n = n, n.next {
-		if n.prev != last {
-			return fmt.Errorf("list node %d: back link does not mirror the forward link", walked)
+	blocks, elems := 0, 0
+	for b := s.head; b != nil; last, b = b, b.next {
+		if b.prev != last {
+			return fmt.Errorf("list block %d: back link does not mirror the forward link", blocks)
 		}
-		if walked++; walked > s.size {
+		if b.n < 1 || b.n > blockLen {
+			return fmt.Errorf("list block %d holds %d elements", blocks, b.n)
+		}
+		for j := 1; j < b.n; j++ {
+			if b.e[j-1].key < b.e[j].key {
+				return fmt.Errorf("list block %d not descending at %d", blocks, j)
+			}
+		}
+		if last != nil && last.e[last.n-1].key < b.e[0].key {
+			return fmt.Errorf("list block %d starts above the previous block's last key", blocks)
+		}
+		blocks++
+		if elems += b.n; elems > s.size {
 			break
 		}
 	}
-	if walked != s.size {
-		return fmt.Errorf("list walk found %d nodes (or more), size says %d", walked, s.size)
+	if elems != s.size {
+		return fmt.Errorf("list walk found %d elements (or more), size says %d", elems, s.size)
 	}
 	if s.tail != last {
-		return fmt.Errorf("list tail is not the last node of the walk")
+		return fmt.Errorf("list tail is not the last block of the walk")
 	}
 	return nil
 }

@@ -62,7 +62,8 @@ type DurabilityConfig struct {
 	// is set; wal.DefaultGroupCommit is the recommended value.
 	GroupCommit time.Duration
 	// SnapshotBytes, when > 0, compacts the log with an online snapshot
-	// whenever it grows past this many bytes. Requires WAL.
+	// whenever it grows past this many bytes, reading the log at most this
+	// many bytes at a time (wal.Options.SnapshotBytes). Requires WAL.
 	SnapshotBytes int64
 }
 

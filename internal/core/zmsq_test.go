@@ -532,9 +532,9 @@ func TestLenWithPool(t *testing.T) {
 	}
 }
 
-// TestFreelistReuseInSafeMode: once a list-mode queue's node population
-// has settled, churn at the same size allocates no fresh lnode, in either
-// mode — a memory-safe queue's freed nodes come back through a hazard
+// TestFreelistReuseInSafeMode: once a list-mode queue's block population
+// has settled, churn at the same size allocates no fresh block, in either
+// mode — a memory-safe queue's freed blocks come back through a hazard
 // scan, a leaky queue's straight through the same free stack, with no
 // scan at all.
 func TestFreelistReuseInSafeMode(t *testing.T) {
@@ -555,7 +555,7 @@ func TestFreelistReuseInSafeMode(t *testing.T) {
 					q.TryExtractMax()
 				}
 			}
-			// The first rounds allocate, until the nodes in circulation cover
+			// The first rounds allocate, until the blocks in circulation cover
 			// the 200 resident plus (memory-safe) a retired list one short of
 			// its scan.
 			for round := 0; round < 10; round++ {
@@ -567,10 +567,12 @@ func TestFreelistReuseInSafeMode(t *testing.T) {
 			}
 			after := q.Snapshot()
 			if after.NodeCacheMiss != warm.NodeCacheMiss {
-				t.Fatalf("steady churn allocated %d fresh lnodes", after.NodeCacheMiss-warm.NodeCacheMiss)
+				t.Fatalf("steady churn allocated %d fresh blocks", after.NodeCacheMiss-warm.NodeCacheMiss)
 			}
-			if after.NodeCacheHit-warm.NodeCacheHit < 2000 {
-				t.Fatalf("only %d recycled allocations over 2000 inserts", after.NodeCacheHit-warm.NodeCacheHit)
+			// At least one block per blockLen inserts: a block a set needs
+			// comes back recycled.
+			if after.NodeCacheHit-warm.NodeCacheHit < 2000/blockLen {
+				t.Fatalf("only %d recycled blocks over 2000 inserts", after.NodeCacheHit-warm.NodeCacheHit)
 			}
 			if scans := after.HazardScans; tc.leaky != (scans == 0) {
 				t.Fatalf("%d hazard scans, leaky=%v", scans, tc.leaky)

@@ -75,13 +75,19 @@ func (p ChaosPlan) withDefaults() ChaosPlan {
 	return p
 }
 
+// chaosSnapshotBytes is the durable chaos run's snapshot threshold: small
+// enough that the log passes it by the first group commit of a round, and
+// a snapshot cycle then writes many chunks, rebases among them, while the
+// fault schedules run.
+const chaosSnapshotBytes = 4 << 10
+
 // durability translates the plan's Durable/WALDir pair into the queue's
 // durability configuration (nil when durability is off).
 func (p ChaosPlan) durability() *core.DurabilityConfig {
 	if !p.Durable {
 		return nil
 	}
-	return &core.DurabilityConfig{WAL: true, Dir: p.WALDir, GroupCommit: wal.DefaultGroupCommit}
+	return &core.DurabilityConfig{WAL: true, Dir: p.WALDir, GroupCommit: wal.DefaultGroupCommit, SnapshotBytes: chaosSnapshotBytes}
 }
 
 // verifyDurableEmpty replays the durable state after a full drain: every

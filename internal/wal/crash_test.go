@@ -260,6 +260,57 @@ func TestCrashDuringRebaseKeepsState(t *testing.T) {
 	}
 }
 
+// TestCrashBetweenChunkElements fails a snapshot temp write or a
+// directory fsync partway through a snapshot that writes one chain
+// element per SnapshotBytes chunk: the elements installed before the
+// crash and the untrimmed log must recover every acked record,
+// byte-exact.
+func TestCrashBetweenChunkElements(t *testing.T) {
+	between := 0
+	for seed := uint64(1); seed <= 12; seed++ {
+		for _, call := range []crashfs.Call{crashfs.SnapWrite, crashfs.DirSync} {
+			dir := t.TempDir()
+			fs := crashfs.New(seed, call, 25)
+			opts := crashOptions(dir, fs)
+			opts.SnapshotBytes = 512
+			l := open(t, opts)
+			acked := map[uint64]string{}
+			for k := uint64(1); k <= 160; k++ {
+				v := strings.Repeat(string(rune('a'+k%26)), int(k%23))
+				l.AppendInserts([]uint64{k}, [][]byte{[]byte(v)})
+				acked[k] = v
+				if k%4 == 0 {
+					l.AppendExtracts([]uint64{k - 3})
+					delete(acked, k-3)
+				}
+			}
+			if err := l.Sync(); err != nil {
+				t.Fatal(err)
+			}
+			err := l.Snapshot()
+			if err != nil && !errors.Is(err, crashfs.ErrCrashed) {
+				t.Fatalf("seed %d: Snapshot = %v, want nil or ErrCrashed", seed, err)
+			}
+			if err != nil && l.Stats().Snapshots > 0 {
+				between++
+			}
+			materialize(t, fs, l)
+			st := recoverState(t, dir)
+			if len(st.Keys) != len(acked) {
+				t.Fatalf("seed %d: recovered %d keys, want the %d acked", seed, len(st.Keys), len(acked))
+			}
+			for i, k := range st.Keys {
+				if v, ok := acked[k]; !ok || string(st.Vals[i]) != v {
+					t.Fatalf("seed %d: key %d recovered as %q, acked %q (%v)", seed, k, st.Vals[i], v, ok)
+				}
+			}
+		}
+	}
+	if between == 0 {
+		t.Fatal("no schedule failed a call between two chunk elements")
+	}
+}
+
 // TestFailedCallLatches: a failed write and a failed fsync each latch the
 // log's error. Every later Sync returns it, appends are dropped, the
 // durable watermark stops, Stats and the scrape show it, Close reports

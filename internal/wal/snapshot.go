@@ -608,11 +608,18 @@ func deltaFiles(dir string) ([]deltaFile, error) {
 // Snapshot extends the snapshot chain and trims the covered log prefix.
 // It never blocks queue operations: concurrent appends keep landing in
 // the pending buffer and the file tail while the durable prefix is read
-// back and compacted. The common cycle writes an incremental delta —
+// back and compacted. The common cycle writes incremental deltas —
 // O(operations since the last snapshot), not O(live state); every
 // rebaseEvery (8) deltas the chain is folded into a fresh full base
 // instead. Automatic snapshots (Options.SnapshotBytes) call this from
 // the group-commit goroutine.
+//
+// With Options.SnapshotBytes set, the prefix is read in chunks of at most
+// that many bytes into one buffer, and each chunk becomes one chain
+// element, so a snapshot never holds more than a chunk of log however far
+// the log ran ahead of the last one; a record larger than a chunk is a
+// chunk of its own. Without it, the whole prefix is one chunk. The prefix
+// is trimmed once, after the last element is installed.
 func (l *Log) Snapshot() error {
 	l.snapMu.Lock()
 	defer l.snapMu.Unlock()
@@ -635,51 +642,106 @@ func (l *Log) Snapshot() error {
 
 	// Read the durable prefix back. These bytes are stable: fsynced,
 	// append-only, and trims are serialized by snapMu.
-	prefix := make([]byte, cutOff)
 	f, err := os.Open(filepath.Join(l.dir, walName))
 	if err != nil {
 		return fmt.Errorf("wal: snapshot: %w", err)
 	}
-	_, err = io.ReadFull(f, prefix)
-	f.Close()
-	if err != nil {
-		return fmt.Errorf("wal: snapshot: reading durable prefix: %w", err)
+	defer f.Close()
+	chunk := cutOff
+	if sb := l.opts.SnapshotBytes; sb > 0 && sb < cutOff {
+		chunk = sb
 	}
+	var buf []byte
+	for off := int64(0); off < cutOff; {
+		n := min(chunk, cutOff-off)
+		for {
+			if int64(cap(buf)) < n {
+				buf = make([]byte, n)
+			}
+			if _, err := f.ReadAt(buf[:n], off); err != nil {
+				return fmt.Errorf("wal: snapshot: reading durable prefix: %w", err)
+			}
+			// A chunk that cannot hold the first record's frame grows to it.
+			need := min(firstFrameLen(buf[:n]), cutOff-off)
+			if need <= n {
+				break
+			}
+			n = need
+		}
+		used, err := l.snapshotChunk(buf[:n], off, off+n == cutOff, cutLSN)
+		if err != nil {
+			return err
+		}
+		off += used
+	}
+	return l.trimTo(cutOff)
+}
 
-	// A rebase folds base + deltas + window into one fresh base; otherwise
-	// the window alone becomes the next delta.
+// firstFrameLen is the length of the frame b starts with, as its header
+// states it (a header claiming more than maxPayload counts as
+// maxPayload), or headerSize when b is too short to hold a header.
+func firstFrameLen(b []byte) int64 {
+	if len(b) < headerSize {
+		return headerSize
+	}
+	return headerSize + int64(min(binary.LittleEndian.Uint32(b), maxPayload))
+}
+
+// snapshotChunk makes the records of one chunk of the durable prefix,
+// which starts at byte off of the log, into the next chain element, and
+// returns how many bytes of it those records take: the chunk ends at the
+// last complete record, and only the final chunk (the one ending at the
+// durable watermark cutLSN) must end on a record boundary. A chunk holding
+// only records the chain already covers writes nothing.
+func (l *Log) snapshotChunk(b []byte, off int64, final bool, cutLSN uint64) (int64, error) {
+	// A rebase folds base + deltas + chunk into one fresh base; otherwise
+	// the chunk alone becomes the next delta.
 	rebase := l.deltaCount >= rebaseEvery
 	ch, w := chain{lsn: l.chainLSN}, window{}
 	apply := w.apply
 	if rebase {
+		var err error
 		if ch, err = loadChain(l.dir); err != nil {
-			return err
+			return 0, err
 		}
 		apply = ch.ms.apply
 	}
-	if _, _, torn, err := replay(prefix, ch.lsn, apply); err != nil {
-		return err
-	} else if torn >= 0 {
-		return fmt.Errorf("%w: durable prefix of live log is torn at byte %d", ErrCorrupt, torn)
+	lastLSN, _, torn, err := replay(b, ch.lsn, apply)
+	if err != nil {
+		return 0, err
+	}
+	used := int64(len(b))
+	if torn >= 0 {
+		if final || torn == 0 {
+			return 0, fmt.Errorf("%w: durable prefix of live log is torn at byte %d", ErrCorrupt, off+torn)
+		}
+		used = torn
+	}
+	lsn := lastLSN
+	if final {
+		lsn = cutLSN
+	}
+	if lsn <= l.chainLSN {
+		return used, nil
 	}
 	if rebase {
-		if err := l.writeSnapFile(snapTmpName, snapName, encodeBase(cutLSN, ch.ms)); err != nil {
-			return err
+		if err := l.writeSnapFile(snapTmpName, snapName, encodeBase(lsn, ch.ms)); err != nil {
+			return 0, err
 		}
 		removeDeltas(l.dir)
 		l.deltaCount, l.deltaSeq = 0, 0
 		l.rebases.Add(1)
 	} else {
-		if err := l.writeSnapFile(deltaTmpName, deltaName(l.deltaSeq), encodeDelta(l.chainLSN, cutLSN, w)); err != nil {
-			return err
+		if err := l.writeSnapFile(deltaTmpName, deltaName(l.deltaSeq), encodeDelta(l.chainLSN, lsn, w)); err != nil {
+			return 0, err
 		}
 		l.deltaSeq++
 		l.deltaCount++
 		l.deltaSnaps.Add(1)
 	}
-	l.chainLSN = cutLSN
+	l.chainLSN = lsn
 	l.snaps.Add(1)
-	return l.trimTo(cutOff)
+	return used, nil
 }
 
 // writeSnapFile writes one chain element atomically: temp file, fsync,

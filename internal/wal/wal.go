@@ -47,8 +47,10 @@ type Options struct {
 	// (ack-able) only once Sync has covered it. Must be > 0.
 	GroupCommit time.Duration
 	// SnapshotBytes, when > 0, takes an online snapshot (and trims the
-	// log) whenever the log file grows past this size. 0 disables
-	// automatic snapshots; Snapshot can still be called manually.
+	// log) whenever the log file grows past this size, and a snapshot then
+	// reads the log at most this many bytes at a time, one chain element
+	// per chunk. 0 disables automatic snapshots; Snapshot can still be
+	// called manually, and reads the whole durable prefix at once.
 	SnapshotBytes int64
 	// FS carries every write, fsync, truncate, rename and directory fsync
 	// the log makes. nil means the operating system.
@@ -64,7 +66,9 @@ type Stats struct {
 	// Syncs counts completed fsyncs; Ops/Syncs is the group-commit
 	// amortization factor.
 	Syncs uint64
-	// Snapshots and Trims count completed snapshot/compaction cycles.
+	// Snapshots counts chain elements written, Trims completed
+	// snapshot/compaction cycles; a cycle writes one element per chunk
+	// (see Log.Snapshot).
 	Snapshots, Trims uint64
 	// DeltaSnapshots and Rebases split Snapshots into incremental deltas
 	// and full chain rebases.
@@ -399,7 +403,7 @@ func (s Stats) WritePrometheus(w io.Writer) error {
 	p.Counter("zmsq_wal_ops_total", "logged operations (batch members each count)", s.Ops)
 	p.Counter("zmsq_wal_records_total", "appended records", s.Records)
 	p.Counter("zmsq_wal_syncs_total", "completed fsyncs (ops/syncs is the group-commit factor)", s.Syncs)
-	p.Counter("zmsq_wal_snapshots_total", "completed online snapshots", s.Snapshots)
+	p.Counter("zmsq_wal_snapshots_total", "snapshot chain elements written (one per chunk of log)", s.Snapshots)
 	p.Counter("zmsq_wal_rebases_total", "snapshots that rebased the delta chain", s.Rebases)
 	p.Counter("zmsq_wal_appended_bytes_total", "record bytes appended", uint64(s.AppendedBytes))
 	p.Counter("zmsq_wal_snapshot_bytes_total", "snapshot bytes written (base + delta files)", uint64(s.SnapshotBytesWritten))

@@ -80,7 +80,9 @@ const (
 )
 
 // SetMode selects the per-node set implementation (Config.SetMode):
-// sorted lists, the default, or the paper's "(array)" variant.
+// sorted lists, the default, stored as doubly linked blocks of 16
+// elements in the order a list of one element per node would hold, or
+// the paper's "(array)" variant.
 type SetMode = core.SetMode
 
 const (
