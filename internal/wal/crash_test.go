@@ -260,6 +260,52 @@ func TestCrashDuringRebaseKeepsState(t *testing.T) {
 	}
 }
 
+// TestFailedDeltaRemovalIsHarmless: the process dies as a rebase starts
+// removing the deltas it folded. The new base is installed; the stale
+// deltas stay beside it and are skipped, and the untrimmed log's records
+// are all covered, so the directory recovers the acked state.
+func TestFailedDeltaRemovalIsHarmless(t *testing.T) {
+	dir := t.TempDir()
+	fs := crashfs.New(5, crashfs.Remove, 0)
+	l := open(t, crashOptions(dir, fs))
+	for k := uint64(1); k <= rebaseEvery; k++ { // deltas #0..#7
+		l.AppendInserts([]uint64{k}, [][]byte{{byte(k)}})
+		if err := l.Snapshot(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	l.AppendInserts([]uint64{100}, [][]byte{[]byte("rebased")})
+	if err := l.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	fs.Arm()
+	if err := l.Snapshot(); !errors.Is(err, crashfs.ErrCrashed) {
+		t.Fatalf("rebase with a failing remove = %v, want ErrCrashed from the trim after it", err)
+	}
+	if s := l.Stats(); s.Rebases != 1 {
+		t.Fatalf("%d rebases installed, want 1 before the failed remove", s.Rebases)
+	}
+	materialize(t, fs, l)
+
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stale := 0
+	for _, e := range ents {
+		if strings.HasPrefix(e.Name(), "queue.snap.d") {
+			stale++
+		}
+	}
+	st := recoverState(t, dir)
+	if stale != rebaseEvery || st.Deltas != 0 {
+		t.Fatalf("%d delta files left and %d recovered from, want %d left and none live", stale, st.Deltas, rebaseEvery)
+	}
+	if !slices.Equal(st.Keys, []uint64{1, 2, 3, 4, 5, 6, 7, 8, 100}) || string(st.Vals[8]) != "rebased" {
+		t.Fatalf("recovered %v %q", st.Keys, st.Vals)
+	}
+}
+
 // TestCrashBetweenChunkElements fails a snapshot temp write or a
 // directory fsync partway through a snapshot that writes one chain
 // element per SnapshotBytes chunk: the elements installed before the

@@ -1,8 +1,8 @@
 // Package crashfs is the crash model the recovery harness and the wal
 // tests run a Log under: a wal.FS over the real directory that fails one
-// call on a seeded schedule and, from then on, every write, fsync, open
-// and rename, as if the process had died there. The Log meets the crash
-// the way it meets a dying disk: its error latches and no Sync
+// call on a seeded schedule and, from then on, every write, fsync, open,
+// rename and remove, as if the process had died there. The Log meets the
+// crash the way it meets a dying disk: its error latches and no Sync
 // acknowledges again. Materialize then cuts queue.wal inside the part no
 // successful fsync covered. The model is one appended file and no
 // directory reordering: a rename is durable once it returns.
@@ -30,6 +30,7 @@ const (
 	LogSync               // an fsync of queue.wal
 	SnapWrite             // a write to a snapshot temp; the failing one lands a seeded strict prefix
 	DirSync               // a directory fsync
+	Remove                // a file removal: a crash left the file in place
 )
 
 // FS is a wal.FS that crashes at one call. Every call does its file
@@ -123,6 +124,15 @@ func (fs *FS) Rename(oldpath, newpath string) error {
 		return err
 	}
 	return fs.adopt(fs.last)
+}
+
+func (fs *FS) Remove(name string) error {
+	fs.mu.Lock()
+	defer fs.mu.Unlock()
+	if fs.fails(Remove) {
+		return ErrCrashed
+	}
+	return os.Remove(name)
 }
 
 func (fs *FS) SyncDir(dir string) error {

@@ -6,14 +6,15 @@ import (
 )
 
 // FS is the seam for every call by which a Log changes disk state: it
-// opens files for writing, renames them and fsyncs the directory. Reads
-// (Recover, a snapshot's read of the durable prefix) go to the os
-// package directly. Options.FS nil means the operating system; the
-// recovery harness substitutes a crash model, under which a simulated
+// opens files for writing, renames and removes them and fsyncs the
+// directory. Reads (Recover, a snapshot's read of the durable prefix) go
+// to the os package directly. Options.FS nil means the operating system;
+// the recovery harness substitutes a crash model, under which a simulated
 // crash is just a call that fails.
 type FS interface {
 	OpenFile(name string, flag int, perm os.FileMode) (File, error)
 	Rename(oldpath, newpath string) error
+	Remove(name string) error
 	SyncDir(dir string) error
 }
 
@@ -38,6 +39,8 @@ func (osFS) OpenFile(name string, flag int, perm os.FileMode) (File, error) {
 }
 
 func (osFS) Rename(oldpath, newpath string) error { return os.Rename(oldpath, newpath) }
+
+func (osFS) Remove(name string) error { return os.Remove(name) }
 
 // SyncDir makes the directory's entries — the names renames installed —
 // durable.

@@ -11,39 +11,66 @@ import (
 	"time"
 )
 
-// FuzzSnapshotDecode drives the chain-file body decoders — v1 base, v2
-// base, delta — with arbitrary bytes, and applies every body that
-// decodes as a delta to a small live multiset (or to the base the same
-// body decoded to). Chain files are CRC-framed, so a mutated file never
-// reaches these decoders; fuzzing the bodies directly is what exercises
-// their bounds checks. The property: nothing panics, and every error
-// wraps ErrCorrupt. Seeds are the bodies of real chain files.
+// FuzzSnapshotDecode drives the chain-file run parser with arbitrary
+// bodies, as a v1 base, a v2 base and a delta, and folds every run that
+// parses, together with a small log window, the two ways the package
+// does: into a State (Recover) and into a new base (a rebase). Chain
+// files are CRC-framed, so a mutated file never reaches the parser;
+// fuzzing the bodies directly is what exercises its bounds checks. The
+// property: nothing panics, and every error wraps ErrCorrupt. Seeds are
+// the bodies of real chain files, in key order and reversed.
 func FuzzSnapshotDecode(f *testing.F) {
-	for _, body := range chainBodies(f) {
+	bodies := chainBodies(f)
+	for _, body := range bodies {
 		f.Add(body)
 	}
 	f.Add(wrappedV1Body())
 	f.Add(hugeCountV1Body())
 	f.Add([]byte{})
+	for _, body := range bodies {
+		for _, magic := range []uint64{snapMagic, snapMagicV2, deltaMagic} {
+			if _, err := newRun("seed", magic, body); err == nil && len(entrySpans(magic, body)) > 1 {
+				f.Add(reversedBody(magic, body))
+			}
+		}
+	}
+
+	var img []byte
+	img = appendRecord(img, recInsertV, 1, []uint64{7}, [][]byte{[]byte("x")})
+	img = appendRecord(img, recInsertBatch, 2, []uint64{1, 7}, nil)
+	img = appendRecord(img, recExtractBatch, 3, []uint64{7, 1}, nil)
+	img = appendRecord(img, recInsertBatchV, 4, []uint64{1, 9}, [][]byte{{}, []byte("yz")})
+	ev, _, _, _, err := scanLog(img, 0, nil)
+	if err != nil {
+		f.Fatal(err)
+	}
+	ev, _ = sortEvents(ev, nil)
+	if d := encodeDelta(0, 4, &run{name: walName, img: img, ev: ev}); len(d) != cap(d) {
+		f.Fatalf("delta sized %d bytes, filled %d", cap(d), len(d))
+	}
 
 	f.Fuzz(func(t *testing.T, body []byte) {
 		ok := func(err error) bool {
 			if err != nil && !errors.Is(err, ErrCorrupt) {
-				t.Fatalf("decode error does not wrap ErrCorrupt: %v", err)
+				t.Fatalf("error does not wrap ErrCorrupt: %v", err)
 			}
 			return err == nil
 		}
-		ms := multiset{}
-		ms.insert(7, nil)
-		ms.insert(7, []byte("x"))
-		ms.insert(1, nil)
-		for _, valued := range []bool{false, true} {
-			if _, m, err := decodeBase(body, valued); ok(err) {
-				ms = m
+		var runs []*run
+		for _, magic := range []uint64{snapMagic, snapMagicV2, deltaMagic} {
+			if r, err := newRun("fuzz", magic, body); ok(err) {
+				runs = append(runs, r)
 			}
 		}
-		if _, _, w, err := decodeDelta(body); ok(err) {
-			ok(applyDelta(ms, w))
+		runs = append(runs, &run{name: walName, img: img, ev: ev})
+		// Fold only what fits in memory: a well-formed v1 base can claim up
+		// to maxLive instances, and expanding those is not under test.
+		if fs, err := sizeFold(runs); !ok(err) || fs.live > 1<<16 {
+			return
+		}
+		ok(foldState(&State{}, runs))
+		if b, err := encodeBase(1, runs); ok(err) && len(b) != cap(b) {
+			t.Fatalf("base sized %d bytes, filled %d", cap(b), len(b))
 		}
 	})
 }

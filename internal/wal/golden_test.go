@@ -149,3 +149,94 @@ func hashState(st *State) string {
 	}
 	return shortHash(b)
 }
+
+// goldenSnapHashes pins TestSnapshotBytesGolden's chain files: the first
+// 8 bytes of SHA-256 over the v1 base, the v2 base and the delta, and
+// their lengths. Chain files list their keys in ascending order, so one
+// history always writes the same bytes; a new hash means a byte of the
+// snapshot format changed.
+var goldenSnapHashes = []struct {
+	hash string
+	size int
+}{{"9d50e376a71974c0", 364}, {"c47dad1f704b47a6", 876}, {"7573d0d7ca86f980", 133}}
+
+// TestSnapshotBytesGolden runs one fixed history through rebaseEvery+1
+// key-only snapshots (the last a rebase into a v1 base), then as many
+// valued ones with empty and payload-less instances (a rebase into a v2
+// base), then one more (a delta), and pins the bytes of those three
+// files.
+func TestSnapshotBytesGolden(t *testing.T) {
+	opts := testOptions(t)
+	opts.GroupCommit = time.Hour
+	l := mustOpen(t, opts)
+	rng := xrand.New(36)
+	var live []uint64
+	snapshot := func() {
+		t.Helper()
+		for i := 0; i < 3; i++ {
+			j := rng.Intn(len(live))
+			l.AppendExtracts([]uint64{live[j]})
+			live[j] = live[len(live)-1]
+			live = live[:len(live)-1]
+		}
+		if err := l.Snapshot(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	read := func(name string, magic uint64) []byte {
+		t.Helper()
+		b, err := os.ReadFile(filepath.Join(opts.Dir, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := binary.LittleEndian.Uint64(b); got != magic {
+			t.Fatalf("%s has magic %x, want %x", name, got, magic)
+		}
+		if _, err := newRun(name, magic, b[8:len(b)-4]); err != nil || !inKeyOrder(magic, b[8:len(b)-4]) {
+			t.Fatalf("%s does not parse in key order (%v)", name, err)
+		}
+		return b
+	}
+	var files [][]byte
+	for phase := 0; phase < 2; phase++ {
+		for i := 0; i <= rebaseEvery; i++ {
+			keys := make([]uint64, 6)
+			var vals [][]byte
+			if phase == 1 {
+				vals = make([][]byte, len(keys))
+			}
+			for j := range keys {
+				keys[j] = rng.Uint64n(24) << (8 * rng.Uint64n(3))
+				if vals != nil && j%3 > 0 {
+					vals[j] = make([]byte, rng.Intn(5)*(j%3-1))
+					for x := range vals[j] {
+						vals[j][x] = byte(rng.Uint64())
+					}
+				}
+			}
+			l.AppendInserts(keys, vals)
+			live = append(live, keys...)
+			snapshot()
+		}
+		files = append(files, read(snapName, []uint64{snapMagic, snapMagicV2}[phase]))
+	}
+	l.AppendInserts([]uint64{5, 1 << 40, 5}, [][]byte{nil, []byte("delta"), {}})
+	live = append(live, 5, 1<<40, 5)
+	snapshot()
+	files = append(files, read(deltaName(0), deltaMagic))
+	if st := l.Stats(); st.Rebases != 2 || st.DeltaSnapshots != 2*rebaseEvery+1 {
+		t.Fatalf("history took %d rebases and %d deltas, want 2 and %d", st.Rebases, st.DeltaSnapshots, 2*rebaseEvery+1)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if st := recoverDir(t, opts.Dir); st.Live() != len(live) {
+		t.Fatalf("recovered %d live keys, history left %d", st.Live(), len(live))
+	}
+	for i, b := range files {
+		t.Logf("file %d: %d bytes, hash %s", i, len(b), shortHash(b))
+		if g := goldenSnapHashes[i]; shortHash(b) != g.hash || len(b) != g.size {
+			t.Errorf("file %d: %d bytes hashing %s, golden %d bytes hashing %s", i, len(b), shortHash(b), g.size, g.hash)
+		}
+	}
+}

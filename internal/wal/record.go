@@ -138,7 +138,8 @@ func (e *TornTailError) Unwrap() error { return ErrTornTail }
 // Record is one decoded log record. Keys and Vals alias the Decoder's
 // scratch and the decoded image and are only valid until the next call
 // to Next. Vals is nil for v1 (key-only) records; for v2 records it is
-// aligned with Keys and every entry is non-nil (possibly empty).
+// aligned with Keys and every entry is non-nil (possibly empty): a slice
+// of the image running to its end.
 type Record struct {
 	LSN  uint64
 	Kind byte
@@ -238,11 +239,6 @@ func (d *Decoder) torn(reason string) (Record, error) {
 	return Record{}, &TornTailError{Offset: d.off, Reason: reason}
 }
 
-// emptyVal is the non-nil zero-length value decoded for a vlen=0 member,
-// so "has a payload, and it is empty" never collapses into the nil that
-// means "key-only instance".
-var emptyVal = []byte{}
-
 // Next decodes the next record. It returns io.EOF when the stream ends
 // exactly on a frame boundary.
 func (d *Decoder) Next() (Record, error) {
@@ -298,11 +294,7 @@ func (d *Decoder) Next() (Record, error) {
 			return Record{}, fmt.Errorf("%w: valued record vlen %d disagrees with %d body bytes", ErrCorrupt, vlen, len(body))
 		}
 		d.keys = append(d.keys[:0], binary.LittleEndian.Uint64(body))
-		v := body[12:]
-		if vlen == 0 {
-			v = emptyVal
-		}
-		d.vals = append(d.vals[:0], v)
+		d.vals = append(d.vals[:0], body[12:])
 		rec.Vals = d.vals
 	case recInsertBatchV:
 		if len(body) < 4 {
@@ -323,12 +315,8 @@ func (d *Decoder) Next() (Record, error) {
 			if vlen > len(body)-off-12 {
 				return Record{}, fmt.Errorf("%w: valued batch member %d vlen %d overruns %d body bytes", ErrCorrupt, i, vlen, len(body))
 			}
-			v := body[off+12 : off+12+vlen]
-			if vlen == 0 {
-				v = emptyVal
-			}
 			d.keys = append(d.keys, k)
-			d.vals = append(d.vals, v)
+			d.vals = append(d.vals, body[off+12:off+12+vlen])
 			off += 12 + vlen
 		}
 		if off != len(body) {

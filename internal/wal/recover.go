@@ -1,13 +1,11 @@
 package wal
 
 import (
-	"cmp"
 	"errors"
 	"fmt"
 	"math"
 	"os"
 	"path/filepath"
-	"slices"
 )
 
 // State is the durable queue state recovered from a durability
@@ -16,16 +14,16 @@ import (
 // recovery harness to explain what the log contained.
 type State struct {
 	// Keys is the live multiset, fully expanded (a key durably inserted
-	// twice and never extracted appears twice) and sorted ascending for
-	// determinism.
+	// twice and never extracted appears twice), in ascending order.
 	Keys []uint64
 
 	// Vals holds each instance's recovered payload bytes, aligned with
 	// Keys; a nil entry is a payload-less instance (logged key-only, so
 	// recovery restores a zero value). Instances of the same key appear
 	// in insertion order. Vals is nil when no live instance carries a
-	// payload — the key-only fast path. Entries do not alias
-	// the on-disk files; decode them with the queue's Codec.
+	// payload — the key-only fast path. Entries may alias the file images
+	// Recover read: decode them with the queue's Codec, which copies what
+	// it keeps.
 	Vals [][]byte
 
 	// NextLSN is the LSN the reopened log will assign next.
@@ -80,10 +78,7 @@ func Recover(dir string) (*State, error) {
 	if err != nil {
 		return nil, err
 	}
-	st.SnapshotLSN = ch.lsn
-	st.SnapshotKeys = ch.ms.instances()
-	st.Deltas = ch.deltas
-	st.deltaSeq = ch.nextSeq
+	st.SnapshotLSN, st.Deltas, st.deltaSeq = ch.lsn, ch.deltas, ch.nextSeq
 
 	b, err := os.ReadFile(filepath.Join(dir, walName))
 	if err != nil && !errors.Is(err, os.ErrNotExist) {
@@ -91,59 +86,47 @@ func Recover(dir string) (*State, error) {
 	}
 	st.WALBytes = int64(len(b))
 
-	lastLSN, records, torn, err := replay(b, ch.lsn, ch.ms.apply)
+	ev, lastLSN, records, torn, err := scanLog(b, ch.lsn, nil)
 	if err != nil {
 		return nil, err
 	}
 	st.Records = records
 	if torn >= 0 {
-		st.TornOffset = torn
-		st.TornBytes = int64(len(b)) - torn
+		st.TornOffset, st.TornBytes = torn, int64(len(b))-torn
 	}
+	st.NextLSN = max(lastLSN, ch.lsn) + 1
 
-	next := lastLSN
-	if ch.lsn > next {
-		next = ch.lsn
+	ev, _ = sortEvents(ev, nil)
+	if err := foldState(st, append(ch.runs, &run{name: walName, img: b, ev: ev})); err != nil {
+		return nil, err
 	}
-	st.NextLSN = next + 1
+	return st, nil
+}
 
-	// Sort (key, state) pairs rather than bare keys: expanding them then
-	// needs no second map lookup per key.
-	type liveKey struct {
-		k  uint64
-		ks *keyState
+// foldState folds runs, the chain and then the log tail, into st's Keys,
+// Vals and SnapshotKeys.
+func foldState(st *State, runs []*run) error {
+	fs, err := sizeFold(runs)
+	if err != nil {
+		return err
 	}
-	distinct := make([]liveKey, 0, len(ch.ms))
-	var n uint64
-	for k, ks := range ch.ms {
-		distinct = append(distinct, liveKey{k, ks})
-		// n <= maxLive before the add and a count is below 2^63, so the
-		// sum cannot wrap before the check catches it.
-		if n += uint64(ks.count); n > maxLive {
-			return nil, fmt.Errorf("%w: recovered state claims more than %d live instances", ErrCorrupt, uint64(maxLive))
-		}
+	st.SnapshotKeys = int(fs.chainLive)
+	st.Keys = make([]uint64, 0, fs.live)
+	if fs.valued {
+		st.Vals = make([][]byte, 0, fs.live)
 	}
-	slices.SortFunc(distinct, func(a, b liveKey) int { return cmp.Compare(a.k, b.k) })
-	st.Keys = make([]uint64, 0, n)
-	for _, d := range distinct {
-		k, ks := d.k, d.ks
-		for i := int64(0); i < ks.count; i++ {
-			st.Keys = append(st.Keys, k)
-			var v []byte
-			if ks.vals != nil {
-				v = ks.vals[i]
-			}
-			if v != nil && st.Vals == nil {
-				// The first live payload: every instance before it is
-				// payload-less. A key-only directory never gets here.
-				st.Vals = make([][]byte, len(st.Keys)-1, n)
-			}
-			if st.Vals != nil {
+	var key uint64
+	return fold(runs, func(k uint64, _, _ int64) error {
+		key = k
+		return nil
+	}, func(v []byte, n int64) {
+		for ; n > 0; n-- {
+			st.Keys = append(st.Keys, key)
+			if fs.valued {
 				st.Vals = append(st.Vals, v)
 			}
 		}
-	}
-	return st, nil
+	})
 }
 
 // maxLive is the most live instances a recovered State can hold: Keys

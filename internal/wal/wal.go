@@ -100,12 +100,14 @@ type Log struct {
 	opts Options // opts.FS is never nil
 
 	// mu guards the pending buffer, LSN assignment, the file handle and
-	// the rebase-able offsets. syncMu serializes fsync and trim so the
-	// durable watermark and file identity are stable across one sync.
+	// the rebase-able offsets. syncMu serializes Sync and trim, the only
+	// writers of f, so the durable watermark and file identity are stable
+	// across one sync.
 	mu      sync.Mutex
 	syncMu  sync.Mutex
 	f       File
 	buf     []byte
+	spare   []byte // the buffer the last Sync wrote, for the next one to take
 	nextLSN uint64
 	written int64 // bytes flushed to f (current-file coordinates)
 	err     error // first latched I/O error
@@ -119,10 +121,11 @@ type Log struct {
 	stopOnce sync.Once
 
 	snapMu     sync.Mutex
-	snapErr    error  // guarded by snapMu
-	chainLSN   uint64 // watermark of the newest chain element (snapMu)
-	deltaCount int    // deltas since the last full base (snapMu)
-	deltaSeq   int    // next delta file sequence number (snapMu)
+	snapErr    error   // guarded by snapMu
+	chainLSN   uint64  // watermark of the newest chain element (snapMu)
+	deltaCount int     // deltas since the last full base (snapMu)
+	deltaSeq   int     // next delta file sequence number (snapMu)
+	ev, evTmp  []event // a chunk's events and the sort's scratch (snapMu)
 
 	records, ops, syncs, snaps, trims atomic.Uint64
 	deltaSnaps, rebases               atomic.Uint64
@@ -146,11 +149,14 @@ func Open(opts Options) (*Log, *State, error) {
 	if err := os.MkdirAll(opts.Dir, 0o755); err != nil {
 		return nil, nil, fmt.Errorf("wal: %w", err)
 	}
+	if opts.FS == nil {
+		opts.FS = osFS{}
+	}
 	// Temps are crash leftovers: never valid, always safe to drop. (The
 	// rename in trimTo is atomic, so queue.wal itself is always whole.)
-	_ = os.Remove(filepath.Join(opts.Dir, snapTmpName))
-	_ = os.Remove(filepath.Join(opts.Dir, deltaTmpName))
-	_ = os.Remove(filepath.Join(opts.Dir, walTmpName))
+	for _, tmp := range []string{snapTmpName, deltaTmpName, walTmpName} {
+		_ = opts.FS.Remove(filepath.Join(opts.Dir, tmp))
+	}
 
 	st, err := Recover(opts.Dir)
 	if err != nil {
@@ -159,9 +165,6 @@ func Open(opts Options) (*Log, *State, error) {
 	end := st.WALBytes
 	if st.TornOffset >= 0 {
 		end = st.TornOffset
-	}
-	if opts.FS == nil {
-		opts.FS = osFS{}
 	}
 	f, err := opts.FS.OpenFile(filepath.Join(opts.Dir, walName), os.O_CREATE|os.O_RDWR, 0o644)
 	if err != nil {
@@ -255,55 +258,56 @@ func (l *Log) append(insert bool, keys []uint64, vals [][]byte) {
 	l.bytes.Add(recLen)
 }
 
-// flushLocked writes the pending buffer to the file. l.mu must be held.
-func (l *Log) flushLocked() error {
-	if l.err != nil {
-		return l.err
+// flush writes the pending buffer to f and returns f's length after it
+// and the last LSN in it. It takes the buffer under mu and writes without
+// it, so appends go on into the spare buffer; the caller holds syncMu.
+// A failed write latches.
+func (l *Log) flush() (int64, uint64, error) {
+	l.mu.Lock()
+	buf, lsn, err := l.buf, l.nextLSN-1, l.err
+	l.buf, l.spare = l.spare[:0], nil
+	l.mu.Unlock()
+
+	n := 0
+	if err == nil && len(buf) > 0 {
+		if n, err = l.f.Write(buf); err != nil {
+			err = fmt.Errorf("wal: append: %w", err)
+		}
 	}
-	if len(l.buf) == 0 {
-		return nil
-	}
-	n, err := l.f.Write(l.buf)
+	l.mu.Lock()
+	defer l.mu.Unlock()
 	l.written += int64(n)
-	if err != nil {
-		l.err = fmt.Errorf("wal: append: %w", err)
-		return l.err
+	l.spare = buf[:0]
+	if l.err == nil {
+		l.err = err
 	}
-	l.buf = l.buf[:0]
-	return nil
+	return l.written, lsn, l.err
 }
 
 // Sync flushes the pending buffer and fsyncs the file, advancing the
 // durable watermark: every append that returned before Sync was called
 // is durable once Sync returns nil. Concurrent Syncs coalesce behind one
-// fsync's lock; this is the group-commit ack path. A failed write or
-// fsync latches: this and every later Sync return the error, so nothing
-// is acknowledged past the failure.
+// fsync's lock; this is the group-commit ack path. Appends never wait on
+// it: neither the write nor the fsync holds mu. A failed write or fsync
+// latches: this and every later Sync return the error, so nothing is
+// acknowledged past the failure.
 func (l *Log) Sync() error {
 	l.syncMu.Lock()
 	defer l.syncMu.Unlock()
 
+	off, lsn, err := l.flush()
+	if err != nil || off == l.durableOff.Load() {
+		return err // on nil, nothing new since the last sync
+	}
+	err = l.f.Sync()
 	l.mu.Lock()
-	if err := l.flushLocked(); err != nil {
-		l.mu.Unlock()
-		return err
-	}
-	off, lsn, f := l.written, l.nextLSN-1, l.f
-	l.mu.Unlock()
-
-	if off == l.durableOff.Load() {
-		return nil // nothing new since the last sync
-	}
-	if err := f.Sync(); err != nil {
-		l.mu.Lock()
-		defer l.mu.Unlock()
+	defer l.mu.Unlock()
+	if err != nil {
 		if l.err == nil {
 			l.err = fmt.Errorf("wal: fsync: %w", err)
 		}
 		return l.err
 	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
 	l.durableOff.Store(off)
 	l.durableLSN.Store(lsn)
 	l.syncs.Add(1)
@@ -363,6 +367,8 @@ func (l *Log) Close() error {
 }
 
 func (l *Log) closeFile() error {
+	l.syncMu.Lock()
+	defer l.syncMu.Unlock()
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.fclosed {
