@@ -66,7 +66,7 @@ func BenchmarkFig2aLockInsertOnly(b *testing.B) {
 		for _, t := range benchThreads {
 			cfg := cell.cfg
 			b.Run(fmt.Sprintf("%s/threads=%d", cell.name, t), func(b *testing.B) {
-				reportThroughput(b, func(int) pq.Queue { return harness.NewZMSQ(cfg) },
+				reportThroughput(b, func(int) pq.Queue { return harness.NewHazardZMSQ(cfg) },
 					harness.ThroughputSpec{Threads: t, TotalOps: benchOps, InsertPct: 100, Keys: harness.Normal20})
 			})
 		}
@@ -78,7 +78,7 @@ func BenchmarkFig2bLockMixed(b *testing.B) {
 		for _, t := range benchThreads {
 			cfg := cell.cfg
 			b.Run(fmt.Sprintf("%s/threads=%d", cell.name, t), func(b *testing.B) {
-				reportThroughput(b, func(int) pq.Queue { return harness.NewZMSQ(cfg) },
+				reportThroughput(b, func(int) pq.Queue { return harness.NewHazardZMSQ(cfg) },
 					harness.ThroughputSpec{Threads: t, TotalOps: benchOps, InsertPct: 50,
 						Keys: harness.Normal20, Prefill: benchOps})
 			})
@@ -97,13 +97,13 @@ func fig3Cells() []struct {
 		mk   func(t int) pq.Queue
 	}{
 		{"dynamic1to1.5", func(t int) pq.Queue {
-			return harness.NewZMSQ(core.Config{Batch: t, TargetLen: t * 3 / 2, Lock: locks.TATAS})
+			return harness.NewHazardZMSQ(core.Config{Batch: t, TargetLen: t * 3 / 2, Lock: locks.TATAS})
 		}},
 		{"static32", func(int) pq.Queue {
-			return harness.NewZMSQ(core.Config{Batch: 32, TargetLen: 32, Lock: locks.TATAS})
+			return harness.NewHazardZMSQ(core.Config{Batch: 32, TargetLen: 32, Lock: locks.TATAS})
 		}},
 		{"static64", func(int) pq.Queue {
-			return harness.NewZMSQ(core.Config{Batch: 64, TargetLen: 64, Lock: locks.TATAS})
+			return harness.NewHazardZMSQ(core.Config{Batch: 64, TargetLen: 64, Lock: locks.TATAS})
 		}},
 		{"mound", func(int) pq.Queue { return mound.New() }},
 	}
@@ -163,7 +163,7 @@ func accuracyQueues() []struct {
 			mk      harness.QueueMaker
 			threads int
 		}{fmt.Sprintf("zmsq-batch%d", batch), func(int) pq.Queue {
-			return harness.NewZMSQ(core.Config{Batch: batch, TargetLen: 64})
+			return harness.NewHazardZMSQ(core.Config{Batch: batch, TargetLen: 64})
 		}, 1})
 	}
 	for _, p := range []int{1, 32, 64} {
@@ -212,7 +212,7 @@ func benchHandoffZMSQ(b *testing.B, blocking bool, metric string) {
 	cfg := core.DefaultConfig()
 	cfg.Batch = 32
 	cfg.Blocking = blocking
-	mk := func(int) pq.Queue { return harness.NewZMSQ(cfg) }
+	mk := func(int) pq.Queue { return harness.NewHazardZMSQ(cfg) }
 	for _, consumers := range []int{2, 8, 32} {
 		consumers := consumers
 		b.Run(fmt.Sprintf("consumers=%d", consumers), func(b *testing.B) {
@@ -244,22 +244,20 @@ func fig5Cells() []struct {
 	name string
 	mk   harness.QueueMaker
 } {
-	zmsq := func(mod func(*core.Config)) harness.QueueMaker {
+	zmsq := func(newQ func(core.Config) *harness.ZMSQ, mode core.SetMode) harness.QueueMaker {
 		return func(int) pq.Queue {
 			cfg := core.DefaultConfig()
-			if mod != nil {
-				mod(&cfg)
-			}
-			return harness.NewZMSQ(cfg)
+			cfg.SetMode = mode
+			return newQ(cfg)
 		}
 	}
 	return []struct {
 		name string
 		mk   harness.QueueMaker
 	}{
-		{"zmsq", zmsq(nil)},
-		{"zmsq-array", zmsq(func(c *core.Config) { c.SetMode = core.SetModeArray })},
-		{"zmsq-leak", zmsq(func(c *core.Config) { c.Leaky = true })},
+		{"zmsq", zmsq(harness.NewHazardZMSQ, core.SetModeList)},
+		{"zmsq-array", zmsq(harness.NewZMSQ, core.SetModeArray)},
+		{"zmsq-leak", zmsq(harness.NewZMSQ, core.SetModeList)},
 		{"mound", func(int) pq.Queue { return mound.New() }},
 		{"spraylist", func(p int) pq.Queue { return spray.New(p) }},
 	}
@@ -293,7 +291,7 @@ func BenchmarkBatchThroughput(b *testing.B) {
 		for _, t := range benchThreads {
 			batch, t := batch, t
 			b.Run(fmt.Sprintf("batch=%d/threads=%d", batch, t), func(b *testing.B) {
-				reportThroughput(b, func(int) pq.Queue { return harness.NewZMSQ(core.DefaultConfig()) },
+				reportThroughput(b, func(int) pq.Queue { return harness.NewHazardZMSQ(core.DefaultConfig()) },
 					harness.ThroughputSpec{Threads: t, TotalOps: benchOps, InsertPct: 50,
 						Keys: harness.Uniform20, Prefill: benchOps, Batch: batch})
 			})
@@ -385,7 +383,7 @@ func fig7Cells() []struct {
 		mk   harness.QueueMaker
 	}{
 		{"zmsq42-64", func(int) pq.Queue {
-			return harness.NewZMSQ(core.Config{Batch: 42, TargetLen: 64})
+			return harness.NewHazardZMSQ(core.Config{Batch: 42, TargetLen: 64})
 		}},
 		{"mound", func(int) pq.Queue { return mound.New() }},
 		{"spraylist", func(p int) pq.Queue { return spray.New(p) }},
@@ -417,7 +415,7 @@ func BenchmarkFig8SSSPLiveJournalScaled(b *testing.B) {
 			name string
 			mk   harness.QueueMaker
 		}{fmt.Sprintf("zmsq%d-%d", bt[0], bt[1]), func(int) pq.Queue {
-			return harness.NewZMSQ(core.Config{Batch: bt[0], TargetLen: bt[1]})
+			return harness.NewHazardZMSQ(core.Config{Batch: bt[0], TargetLen: bt[1]})
 		}})
 	}
 	cells = append(cells, fig7Cells()[1:]...)
@@ -432,7 +430,7 @@ func BenchmarkSec32SetStats(b *testing.B) {
 		cfg := core.DefaultConfig()
 		cfg.Batch = 32
 		cfg.TargetLen = 32
-		z := harness.NewZMSQ(cfg)
+		z := harness.NewHazardZMSQ(cfg)
 		r := xrand.New(uint64(i) + 1)
 		for j := 0; j < 100_000; j++ {
 			z.Insert(harness.Normal20.Draw(r))
@@ -449,13 +447,15 @@ func BenchmarkSec32SetStats(b *testing.B) {
 
 // ---- Ablations (DESIGN.md §3) ----
 
-func benchAblation(b *testing.B, mod func(*core.Config)) {
+// benchAblation measures the paper's memory-safe ZMSQ with one mechanism
+// changed by mod; newQ is harness.NewZMSQ only for the leak ablation.
+func benchAblation(b *testing.B, newQ func(core.Config) *harness.ZMSQ, mod func(*core.Config)) {
 	cfg := core.DefaultConfig()
 	mod(&cfg)
 	for _, t := range benchThreads {
 		t := t
 		b.Run(fmt.Sprintf("threads=%d", t), func(b *testing.B) {
-			reportThroughput(b, func(int) pq.Queue { return harness.NewZMSQ(cfg) },
+			reportThroughput(b, func(int) pq.Queue { return newQ(cfg) },
 				harness.ThroughputSpec{Threads: t, TotalOps: benchOps, InsertPct: 50,
 					Keys: harness.Normal20, Prefill: benchOps})
 		})
@@ -469,7 +469,7 @@ func benchAblation(b *testing.B, mod func(*core.Config)) {
 		b.Run(fmt.Sprintf("ranked/seed=%d", seed), func(b *testing.B) {
 			var s quality.RankSummary
 			for i := 0; i < b.N; i++ {
-				z := harness.NewZMSQ(cfg)
+				z := newQ(cfg)
 				tr := quality.NewTracker(^seed)
 				r := xrand.New(seed)
 				for j := 0; j < resident; j++ {
@@ -495,25 +495,27 @@ func benchAblation(b *testing.B, mod func(*core.Config)) {
 	}
 }
 
-func BenchmarkAblationBaseline(b *testing.B) { benchAblation(b, func(c *core.Config) {}) }
+func BenchmarkAblationBaseline(b *testing.B) {
+	benchAblation(b, harness.NewHazardZMSQ, func(c *core.Config) {})
+}
 func BenchmarkAblationNoMinSwap(b *testing.B) {
-	benchAblation(b, func(c *core.Config) { c.NoMinSwap = true })
+	benchAblation(b, harness.NewHazardZMSQ, func(c *core.Config) { c.NoMinSwap = true })
 }
 func BenchmarkAblationNoForcedInsert(b *testing.B) {
-	benchAblation(b, func(c *core.Config) { c.NoForcedInsert = true })
+	benchAblation(b, harness.NewHazardZMSQ, func(c *core.Config) { c.NoForcedInsert = true })
 }
 func BenchmarkAblationNoTryLock(b *testing.B) {
-	benchAblation(b, func(c *core.Config) { c.NoTryLock = true })
+	benchAblation(b, harness.NewHazardZMSQ, func(c *core.Config) { c.NoTryLock = true })
 }
 func BenchmarkAblationLeaky(b *testing.B) {
-	benchAblation(b, func(c *core.Config) { c.Leaky = true })
+	benchAblation(b, harness.NewZMSQ, func(c *core.Config) {})
 }
 func BenchmarkAblationStrict(b *testing.B) {
-	benchAblation(b, func(c *core.Config) { c.Batch = 0 })
+	benchAblation(b, harness.NewHazardZMSQ, func(c *core.Config) { c.Batch = 0 })
 }
 
 func BenchmarkAblationHelper(b *testing.B) {
-	benchAblation(b, func(c *core.Config) { c.Helper = true })
+	benchAblation(b, harness.NewHazardZMSQ, func(c *core.Config) { c.Helper = true })
 }
 
 // BenchmarkOpLatency quantifies §4.2's latency claims: small targetLen
@@ -534,7 +536,7 @@ func BenchmarkOpLatency(b *testing.B) {
 		b.Run(cell.name, func(b *testing.B) {
 			var last harness.LatencyResult
 			for i := 0; i < b.N; i++ {
-				last = harness.RunOpLatency(func(int) pq.Queue { return harness.NewZMSQ(cfg) },
+				last = harness.RunOpLatency(func(int) pq.Queue { return harness.NewHazardZMSQ(cfg) },
 					harness.ThroughputSpec{
 						Threads: 1, TotalOps: 100_000, InsertPct: 50,
 						Keys: harness.Normal20, Prefill: 100_000, Seed: uint64(i) + 1,

@@ -51,7 +51,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		target    = fs.Int("target", 8, "queue targetLen parameter")
 		trylock   = fs.Int("trylock", faults.TryLockPct, "forced trylock-failure percentage")
 		handoff   = fs.Int("handoff", faults.PoolHandoffPct, "pool-handoff stall percentage")
-		hazard    = fs.Int("hazard", faults.HazardScanPct, "hazard-scan stall percentage")
 		grow      = fs.Int("grow", faults.TreeGrowPct, "tree-growth stall percentage")
 		shardedN  = fs.Int("sharded", 0, "also chaos a sharded front-end with this many shards (0 or 1 = off)")
 		baselines = fs.Bool("baselines", false, "also run conservation chaos over the baselines")
@@ -64,8 +63,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		return 2
 	}
-	faults.TryLockPct, faults.PoolHandoffPct = *trylock, *handoff
-	faults.HazardScanPct, faults.TreeGrowPct = *hazard, *grow
+	faults.TryLockPct, faults.PoolHandoffPct, faults.TreeGrowPct = *trylock, *handoff, *grow
 
 	plan := harness.ChaosPlan{
 		Rounds:      *rounds,
@@ -90,8 +88,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	// the seed, so the single-seed command reproduces the failure.
 	repro := func(seed uint64, shards int, extra string) string {
 		var b strings.Builder
-		fmt.Fprintf(&b, "go run ./cmd/chaos -seed %d -seeds 1 -rounds %d -producers %d -consumers %d -ops %d -batch %d -target %d -trylock %d -handoff %d -hazard %d -grow %d",
-			seed, *rounds, *producers, *consumers, *ops, *batch, *target, *trylock, *handoff, *hazard, *grow)
+		fmt.Fprintf(&b, "go run ./cmd/chaos -seed %d -seeds 1 -rounds %d -producers %d -consumers %d -ops %d -batch %d -target %d -trylock %d -handoff %d -grow %d",
+			seed, *rounds, *producers, *consumers, *ops, *batch, *target, *trylock, *handoff, *grow)
 		if shards > 0 {
 			fmt.Fprintf(&b, " -sharded %d", shards)
 		}

@@ -85,20 +85,20 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	var cells []cell
 	if *tune {
-		// Figure 8's seven configurations plus the leak and array variants
-		// of the best performer (42, 64).
+		// Figure 8's seven memory-safe configurations plus the leak and
+		// array variants of the best performer (42, 64).
 		for _, bt := range [][2]int{{16, 24}, {24, 36}, {32, 48}, {42, 64}, {48, 72}, {64, 96}, {96, 144}} {
 			bt := bt
 			cells = append(cells, cell{
 				fmt.Sprintf("zmsq(%d,%d)", bt[0], bt[1]),
 				func(int) pq.Queue {
-					return harness.NewZMSQ(core.Config{Batch: bt[0], TargetLen: bt[1]})
+					return harness.NewHazardZMSQ(core.Config{Batch: bt[0], TargetLen: bt[1]})
 				},
 			})
 		}
 		cells = append(cells,
 			cell{"zmsq(42,64)leak", func(int) pq.Queue {
-				return harness.NewZMSQ(core.Config{Batch: 42, TargetLen: 64, Leaky: true})
+				return harness.NewZMSQ(core.Config{Batch: 42, TargetLen: 64})
 			}},
 			cell{"zmsq(42,64)array", func(int) pq.Queue {
 				return harness.NewZMSQ(core.Config{Batch: 42, TargetLen: 64, SetMode: core.SetModeArray})
@@ -106,16 +106,17 @@ func run(args []string, stdout, stderr io.Writer) int {
 			cell{"spraylist", harness.Makers()["spraylist"]},
 		)
 	} else {
-		// Figure 7 uses the tuned (42, 64) ZMSQ.
+		// Figure 7 uses the tuned (42, 64) ZMSQ, memory-safe as in the
+		// paper, beside its array and leak variants.
 		cells = []cell{
 			{"zmsq(42,64)", func(int) pq.Queue {
-				return harness.NewZMSQ(core.Config{Batch: 42, TargetLen: 64})
+				return harness.NewHazardZMSQ(core.Config{Batch: 42, TargetLen: 64})
 			}},
 			{"zmsq(42,64)array", func(int) pq.Queue {
 				return harness.NewZMSQ(core.Config{Batch: 42, TargetLen: 64, SetMode: core.SetModeArray})
 			}},
 			{"zmsq(42,64)leak", func(int) pq.Queue {
-				return harness.NewZMSQ(core.Config{Batch: 42, TargetLen: 64, Leaky: true})
+				return harness.NewZMSQ(core.Config{Batch: 42, TargetLen: 64})
 			}},
 			{"mound", harness.Makers()["mound"]},
 			{"spraylist", harness.Makers()["spraylist"]},

@@ -8,9 +8,11 @@ import (
 
 // Zero-allocation regression tests for the steady-state hot paths. The
 // contract: with a warmed queue, one paired Insert+TryExtractMax must
-// perform zero heap allocations in every set mode — memory-safe list (a
-// hazard publication is a store, and retired nodes come back through the
-// context's free stack), leaky list and array. The pairing matters — an
+// perform zero heap allocations in every set mode — list (a freed block
+// goes back onto the context's free stack), the paper's memory-safe list
+// (a hazard publication is a store, and a scan pushes retired blocks onto
+// the same stack) and array; "leaky" names the product's recycler, as in
+// the paper's "ZMSQ (leak)". The pairing matters — an
 // insert-only workload grows the queue and therefore must allocate new
 // element storage eventually; "zero-allocation" is a claim about steady
 // state, where node recycling balances consumption.
@@ -24,33 +26,30 @@ import (
 
 func zeroAllocConfigs() []struct {
 	name string
-	cfg  Config
+	cfg  testConfig
 } {
-	safe := DefaultConfig()
-	leaky := DefaultConfig()
-	leaky.Leaky = true
-	array := DefaultConfig()
+	list := testConfig{Config: DefaultConfig()}
+	safe := list
+	safe.hazard = true
+	array := list
 	array.SetMode = SetModeArray
-	arrayLeaky := DefaultConfig()
-	arrayLeaky.SetMode, arrayLeaky.Leaky = SetModeArray, true
 	out := []struct {
 		name string
-		cfg  Config
+		cfg  testConfig
 	}{
 		{"memory-safe-list", safe},
-		{"leaky-list", leaky},
+		{"leaky-list", list},
 		{"array", array},
-		{"array-leaky", arrayLeaky},
+		{"array-leaky", array},
 	}
 	// The metrics hook must not cost an allocation: every instrumented
-	// variant carries the same zero-alloc contract as its plain twin
-	// (ISSUE 3 acceptance).
+	// variant carries the same zero-alloc contract as its plain twin.
 	for _, mode := range out[:len(out):len(out)] {
 		cfg := mode.cfg
 		cfg.Metrics = NewMetrics()
 		out = append(out, struct {
 			name string
-			cfg  Config
+			cfg  testConfig
 		}{mode.name + "+metrics", cfg})
 	}
 	return out
@@ -59,13 +58,13 @@ func zeroAllocConfigs() []struct {
 // warmQueue builds a queue at a steady-state size with warmed context
 // pools, scratch capacities, and free stacks, and keeps finalizers from
 // running until the test ends.
-func warmQueue(t *testing.T, cfg Config) (*Queue[int], func() uint64) {
+func warmQueue(t *testing.T, cfg testConfig) (*Queue[int], func() uint64) {
 	t.Helper()
 	// Held from before the warm-up, not from just before the measurement:
 	// the collection it takes empties every sync.Pool, and the warm-up is
 	// what fills them again.
 	t.Cleanup(holdFinalizers())
-	q := New[int](cfg)
+	q := newTestQueue[int](cfg)
 	t.Cleanup(q.Close)
 	var rng uint64 = 0x9e3779b97f4a7c15
 	draw := func() uint64 {
@@ -79,7 +78,7 @@ func warmQueue(t *testing.T, cfg Config) (*Queue[int], func() uint64) {
 	}
 	// Overshoot the steady size and come back, then churn. The blocks in
 	// circulation must cover the resident set at its least dense, plus (in
-	// memory-safe mode) a retired list one short of its scan, plus a pool
+	// hazard-gated rows) a retired list one short of its scan, plus a pool
 	// refill's worth. Unlike a node per element, the number of blocks the
 	// resident set occupies is not fixed by its size: it follows how the
 	// elements spread over TNodes and how full splits and removals leave
@@ -115,7 +114,7 @@ func pinForAllocs(t *testing.T) {
 
 // holdFinalizers parks the runtime's finalizer goroutine — one goroutine
 // runs every finalizer, in sequence — until the returned function is
-// called. A memory-safe context that sync.Pool dropped, or a whole queue an
+// called. A context that sync.Pool dropped, or a whole queue an
 // earlier subtest left behind, is finalized at a time of the collector's
 // choosing; the finalizer pushes the context's free stack onto the shared
 // freelist, which may grow it, and that must not land in a measured window.

@@ -16,25 +16,26 @@ import (
 
 func batchTestConfigs() []struct {
 	name string
-	cfg  Config
+	cfg  testConfig
 } {
-	leaky := DefaultConfig()
-	leaky.Leaky = true
-	array := withSetMode(DefaultConfig(), SetModeArray)
+	def := testConfig{Config: DefaultConfig()}
+	hazard := def
+	hazard.hazard = true
+	array := testConfig{Config: withSetMode(DefaultConfig(), SetModeArray)}
 	strict := DefaultConfig()
 	strict.Batch = 0
-	small := Config{Batch: 4, TargetLen: 6}
 	return []struct {
 		name string
-		cfg  Config
+		cfg  testConfig
 	}{
-		{"default", DefaultConfig()},
-		{"leaky", leaky},
+		{"default", def},
+		{"leaky", def},
+		{"hazard", hazard},
 		{"array", array},
-		{"array-leaky", withSetMode(leaky, SetModeArray)},
-		{"strict", strict},
-		{"array-strict", withSetMode(strict, SetModeArray)},
-		{"small", small},
+		{"array-leaky", array},
+		{"strict", testConfig{Config: strict}},
+		{"array-strict", testConfig{Config: withSetMode(strict, SetModeArray)}},
+		{"small", testConfig{Config: Config{Batch: 4, TargetLen: 6}}},
 	}
 }
 
@@ -47,7 +48,7 @@ func TestBatchContract(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			for seed := uint64(1); seed <= 3; seed++ {
 				cfg := tc.cfg
-				q := New[int](cfg)
+				q := newTestQueue[int](cfg)
 				checker := contract.NewChecker(contract.Config{Batch: cfg.Batch, Slack: 0})
 				rec := checker.Recorder()
 				r := xrand.New(seed)
@@ -132,7 +133,7 @@ func TestBatchContract(t *testing.T) {
 func TestBatchConcurrentConservation(t *testing.T) {
 	for _, tc := range batchTestConfigs() {
 		t.Run(tc.name, func(t *testing.T) {
-			q := New[int](tc.cfg)
+			q := newTestQueue[int](tc.cfg)
 			const (
 				producers = 4
 				consumers = 4

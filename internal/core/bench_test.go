@@ -16,8 +16,8 @@ import (
 // safe-vs-leak gap that Figures 5, 7 and 8 isolate is a number
 // `go test -bench SteadyMix -count 10 | benchstat` reproduces:
 //
-//	safe   DefaultConfig: list sets, hazard pointers (§3.5)
-//	leaky  the paper's "ZMSQ (leak)": list sets, no protocol
+//	safe   list sets over a hazard-gated domain (§3.5), the paper's "ZMSQ"
+//	leaky  DefaultConfig: the product, the paper's "ZMSQ (leak)"
 //	array  array sets, which have no nodes to reclaim
 //
 // each at 1 goroutine and at GOMAXPROCS. A queue holds 65 536 uniform
@@ -30,17 +30,30 @@ func BenchmarkSteadyMix(b *testing.B) {
 		resident = 1 << 16
 		warmup   = 2 << 20
 	)
-	safe := DefaultConfig()
-	safe.SetMode = SetModeList
-	leaky := safe
-	leaky.Leaky = true
-	array := DefaultConfig()
+	leaky := testConfig{Config: DefaultConfig()}
+	safe := leaky
+	safe.hazard = true
+	array := leaky
 	array.SetMode = SetModeArray
 	modes := []struct {
 		name string
-		cfg  Config
+		cfg  testConfig
 	}{{"safe", safe}, {"leaky", leaky}, {"array", array}}
 
+	// scans counts the safe queue's hazard scans and nothing else: the
+	// queue itself is uninstrumented, as in the other two modes.
+	scans := NewMetrics()
+	open := func(tc testConfig) *Queue[struct{}] {
+		if !tc.hazard {
+			return New[struct{}](tc.Config)
+		}
+		ad, _ := hazardDomain[struct{}](scans, nil)
+		q, _, err := Open(tc.Config, Options[struct{}]{Domain: ad})
+		if err != nil {
+			panic(err)
+		}
+		return q
+	}
 	mix := func(q *Queue[struct{}], seed uint64, ops int) {
 		r := xrand.New(seed)
 		for i := 0; i < ops; i += 2 {
@@ -53,7 +66,7 @@ func BenchmarkSteadyMix(b *testing.B) {
 			var q *Queue[struct{}]
 			b.Run(fmt.Sprintf("%s/%d", mode.name, workers), func(b *testing.B) {
 				if q == nil {
-					q = New[struct{}](mode.cfg)
+					q = open(mode.cfg)
 					r := xrand.New(1)
 					for i := 0; i < resident; i++ {
 						q.Insert(r.Uint64()>>16, struct{}{})
@@ -61,6 +74,7 @@ func BenchmarkSteadyMix(b *testing.B) {
 					mix(q, 2, warmup)
 				}
 				b.ReportAllocs()
+				s0 := scans.HazardScans.Value()
 				b.ResetTimer()
 				var wg sync.WaitGroup
 				for w := 0; w < workers; w++ {
@@ -71,6 +85,9 @@ func BenchmarkSteadyMix(b *testing.B) {
 					}(w)
 				}
 				wg.Wait()
+				if mode.cfg.hazard {
+					b.ReportMetric(float64(scans.HazardScans.Value()-s0)*1000/float64(b.N), "scans/kop")
+				}
 			})
 		}
 	}
@@ -97,8 +114,8 @@ func timeBatches(b *testing.B, per int, setup func(), op func()) {
 
 // BenchmarkSetOps times the nodeSet operations of the insert side on sets
 // of the sizes a default queue keeps (TargetLen = 72 to 2×TargetLen = 144),
-// through a memory-safe context's allocator, so a list's node traffic pays
-// the hazard protocol as it does in a queue. A set is rebuilt from uniform
+// through a queue context's allocator, so a list's block traffic recycles
+// as it does in a queue. A set is rebuilt from uniform
 // 48-bit keys before every batch of N/2 operations (before every operation
 // for the two that move many elements at once) and only the operations are
 // timed. The few hundred nodes of one set stay in L1, which a queue's

@@ -17,7 +17,7 @@ import (
 func TestCloseIdempotent(t *testing.T) {
 	for name, cfg := range testConfigs() {
 		t.Run(name, func(t *testing.T) {
-			q := New[int](cfg)
+			q := newTestQueue[int](cfg)
 			q.Close()
 			q.Close() // second Close must be a no-op, not a panic
 			if !q.Closed() {

@@ -14,9 +14,12 @@
 // Distinguishing practical features (paper §1): extraction is guaranteed to
 // succeed whenever the queue is nonempty; consumers can block on an empty
 // queue (Config.Blocking); memory safety does not depend on the garbage
-// collector (a hazard-pointer domain gates the reuse of set nodes — see
-// Config.Leaky); and relaxation accuracy is governed solely by `batch`,
-// independent of the number of threads.
+// collector; and relaxation accuracy is governed solely by `batch`,
+// independent of the number of threads. In Go the third needs no protocol:
+// a set's list blocks are only read or written under their TNode's lock, so
+// a freed block is reused at once (AllocDomain). The paper's hazard
+// pointers (§3.5) plug in from outside through AllocDomain's Reclaimer, for
+// the cells that measure what they cost.
 package core
 
 import (
@@ -41,8 +44,7 @@ type SetMode int
 const (
 	// SetModeList (the zero value) selects the mound-style sorted doubly
 	// linked list, unrolled into blocks of 16 elements that hold the
-	// element-per-node list's exact order (memory-safe via hazard pointers
-	// unless Config.Leaky).
+	// element-per-node list's exact order.
 	SetModeList SetMode = iota
 	// SetModeArray selects the unsorted fixed-capacity array set (the
 	// "(array)" curves in the paper's figures; no list blocks, so nothing
@@ -92,14 +94,6 @@ type Config struct {
 	// zero value) or SetModeArray.
 	SetMode SetMode
 
-	// Leaky disables the hazard-pointer protocol, mirroring the paper's
-	// "ZMSQ (leak)" configuration: a freed set node goes straight back onto
-	// its context's free stack for reuse, with no hazard scan, and any stale
-	// pointer to it is left to the garbage collector. Both list modes
-	// recycle through the same stacks and freelist, so the gap between them
-	// is the cost of the memory-safety protocol alone.
-	Leaky bool
-
 	// Blocking enables the §3.6 futex-ring blocking mechanism: ExtractMax
 	// sleeps when the queue is empty and Insert wakes sleepers. When false,
 	// ExtractMax behaves like TryExtractMax. The ring has
@@ -136,10 +130,10 @@ type Config struct {
 
 	// Faults, when non-nil, injects deterministic faults at the queue's
 	// riskiest synchronization surfaces: TNode trylock acquisition,
-	// pool-slot handoff, hazard-pointer reclamation scans, tree growth,
-	// and (with durability on) the WAL crash points. For chaos testing
-	// only — nil (the default) compiles the hooks down to a single
-	// predictable branch per site.
+	// pool-slot handoff and tree growth. (The HazardScan point stalls the
+	// scans of a hazard-gated AllocDomain, which is wired to it where it
+	// is built.) For chaos testing only — nil (the default) compiles the
+	// hooks down to a single predictable branch per site.
 	Faults *fault.Injector
 
 	// Durability, when non-nil with WAL set, makes the queue own a
@@ -187,7 +181,7 @@ func (c Config) Validate() error {
 func (c Config) arraySet() bool { return c.SetMode == SetModeArray }
 
 // DefaultConfig returns the paper's recommended configuration: batch = 48,
-// targetLen = 72, TATAS trylocks, memory-safe list sets, blocking disabled.
+// targetLen = 72, TATAS trylocks, list sets, blocking disabled.
 // Config.SetMode selects array sets.
 func DefaultConfig() Config {
 	return Config{

@@ -16,10 +16,10 @@ func FuzzStrictMatchesOracle(f *testing.F) {
 	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}, uint8(2))
 	f.Add([]byte{}, uint8(3))
 	f.Fuzz(func(t *testing.T, ops []byte, variant uint8) {
-		cfg := Config{Batch: 0, TargetLen: 2 + int(variant%8)}
+		cfg := testConfig{Config: Config{Batch: 0, TargetLen: 2 + int(variant%8)}}
 		cfg.SetMode = SetMode(variant & 1)
-		cfg.Leaky = variant&2 != 0
-		q := New[int](cfg)
+		cfg.hazard = variant&2 == 0
+		q := newTestQueue[int](cfg)
 		var oracle []uint64
 		for i, op := range ops {
 			if op < 170 || len(oracle) == 0 {

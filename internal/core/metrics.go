@@ -58,8 +58,9 @@ type Metrics struct {
 	// invariant repair (§3.4) — the write-side cost of extraction.
 	SwapDownMoves metrics.Counter
 
-	// HazardScans counts hazard-pointer reclamation scans (§3.5, memory-
-	// safe list mode only). NodeCacheHit/Miss classify list block (lnode)
+	// HazardScans counts hazard-pointer reclamation scans (§3.5): 0 in the
+	// product, whose domain carries no Reclaimer; a hazard-gated domain
+	// counts its scans here when it is built. NodeCacheHit/Miss classify list block (lnode)
 	// allocations: a hit recycles a block through the context's free stack
 	// or the domain freelist behind it; a miss allocates fresh. Steady
 	// state should be ~100% hits.

@@ -6,11 +6,38 @@ import (
 	"testing"
 
 	"repro/internal/fault"
+	"repro/internal/hazard"
 	"repro/internal/xrand"
 )
 
+// hazardDomain plugs internal/hazard into an allocation domain as
+// harness.NewHazardDomain does outside core — the paper's memory-safe ZMSQ
+// (§3.5), its scans counted on met and stalled by inj — and returns the
+// hazard domain too, for the tests that count its records.
+func hazardDomain[V any](met *Metrics, inj *fault.Injector) (*AllocDomain[V], *hazard.Domain[lnode[V]]) {
+	d := hazard.NewDomain[lnode[V]]()
+	d.SetScanHook(func() {
+		if met != nil {
+			met.HazardScans.Inc(0)
+		}
+		inj.Stall(fault.HazardScan)
+	})
+	return NewAllocDomain[V](func(done func(*lnode[V])) Hazards[lnode[V]] { return d.Get(done) }), d
+}
+
+// openHazard opens cfg's queue over a fresh hazardDomain built from cfg's
+// Metrics and Faults.
+func openHazard(cfg Config) (*Queue[int], *hazard.Domain[lnode[int]]) {
+	ad, d := hazardDomain[int](cfg.Metrics, cfg.Faults)
+	q, _, err := Open(cfg, Options[int]{Domain: ad})
+	if err != nil {
+		panic(err)
+	}
+	return q, d
+}
+
 // TestHazardRecordsReleased: sync.Pool drops idle contexts at a GC, and a
-// dropped context must give its hazard record back. Before it did, every
+// dropped context of a hazard-gated queue must give its hazard record back. Before it did, every
 // context ever created left an active record on the domain's grow-only
 // list — one more for every later scan to walk — so the count after many
 // bursts separated by collections was the number of bursts times the
@@ -20,7 +47,7 @@ func TestHazardRecordsReleased(t *testing.T) {
 		workers = 4
 		bursts  = 24
 	)
-	q := New[int](Config{Batch: 4, TargetLen: 8})
+	q, dom := openHazard(Config{Batch: 4, TargetLen: 8})
 	for b := 0; b < bursts; b++ {
 		var wg sync.WaitGroup
 		for w := 0; w < workers; w++ {
@@ -46,7 +73,7 @@ func TestHazardRecordsReleased(t *testing.T) {
 	// Under the race detector sync.Pool drops a quarter of what is put, so
 	// contexts die by the thousand between collections; the run still
 	// exercises the finalizer path, the bound means nothing.
-	if n := q.ad.dom.Records(); n > 4*workers && !raceEnabled {
+	if n := dom.Records(); n > 4*workers && !raceEnabled {
 		t.Fatalf("%d hazard records after %d bursts of %d workers: released contexts keep theirs", n, bursts, workers)
 	}
 	if err := q.CheckInvariants(); err != nil {
@@ -55,10 +82,11 @@ func TestHazardRecordsReleased(t *testing.T) {
 }
 
 // TestReleaseHandsNodesOn: a released context's recycled nodes go to the
-// shared freelist, where the next context finds them.
+// shared freelist, where the next context finds them, and its hazard
+// record goes back to the domain for the next context to reuse.
 func TestReleaseHandsNodesOn(t *testing.T) {
 	met := NewMetrics()
-	q := New[int](Config{Batch: 0, TargetLen: 8, Metrics: met})
+	q, dom := openHazard(Config{Batch: 0, TargetLen: 8, Metrics: met})
 	ctx := q.getCtx()
 	runtime.SetFinalizer(ctx, nil) // released by hand below
 	nodes := make([]*lnode[int], 100)
@@ -80,13 +108,14 @@ func TestReleaseHandsNodesOn(t *testing.T) {
 	if miss := q.Snapshot().NodeCacheMiss - before; miss != 0 {
 		t.Fatalf("%d fresh allocations with %d released nodes on the freelist", miss, len(nodes))
 	}
-	if n := q.ad.dom.Records(); n != 1 {
+	if n := dom.Records(); n != 1 {
 		t.Fatalf("%d hazard records, want the released one reused", n)
 	}
 }
 
-// TestHazardSeams pins the two seams other tools hang on the reclamation
-// path, so their numbers compare across changes to it: the HazardScan fault
+// TestHazardSeams pins the two seams a hazard-gated domain hangs on the
+// reclamation path, so their numbers compare across changes to it: the
+// HazardScan fault
 // point is consulted at the top of every scan, Metrics.HazardScans counts
 // the same scans, a scan runs once per 64 retired blocks, and every block
 // allocation is either a NodeCacheHit (recycled — from the context's own
@@ -96,7 +125,7 @@ func TestReleaseHandsNodesOn(t *testing.T) {
 func TestHazardSeams(t *testing.T) {
 	inj := fault.New(1, fault.Plan{HazardScanPct: 100, HazardScanYields: 1})
 	met := NewMetrics()
-	q := New[int](Config{Batch: 4, TargetLen: 8, Faults: inj, Metrics: met})
+	q, _ := openHazard(Config{Batch: 4, TargetLen: 8, Faults: inj, Metrics: met})
 	r := xrand.New(9)
 	for i := 0; i < 3000; i++ {
 		q.Insert(r.Uint64()%100000, 0)
@@ -147,8 +176,8 @@ func TestHazardSeams(t *testing.T) {
 
 // TestRecycledNodesCarryNoLinks: a block that has sat in a list comes back
 // from alloc.get empty and with neither link, whichever way it was recycled
-// — the context's own free stack or the shared freelist behind it, in
-// either list mode. A surviving prev would splice a dead list into a live
+// — the context's own free stack or the shared freelist behind it, with or
+// without a hazard scan on the way. A surviving prev would splice a dead list into a live
 // one the first time the block became a head, and a surviving element
 // would reappear in the next set the block joined.
 func TestRecycledNodesCarryNoLinks(t *testing.T) {
@@ -189,18 +218,18 @@ func TestRecycledNodesCarryNoLinks(t *testing.T) {
 	}
 
 	for _, tc := range []struct {
-		name  string
-		leaky bool
-	}{{"safe", false}, {"leaky", true}} {
+		name   string
+		hazard bool
+	}{{"safe", true}, {"leaky", false}} {
 		t.Run(tc.name, func(t *testing.T) {
-			q := New[int](Config{Batch: 0, TargetLen: 8, Leaky: tc.leaky})
+			q := newTestQueue[int](testConfig{Config{Batch: 0, TargetLen: 8}, tc.hazard})
 			ctx := q.getCtx()
 			runtime.SetFinalizer(ctx, nil) // released by hand below
 			used, freed := cycle(&ctx.al)
 			if freed < 256 {
 				t.Fatalf("the cycle freed %d blocks, too few for four scans", freed)
 			}
-			// In memory-safe mode all but the last freed%64 have passed a
+			// Hazard-gated, all but the last freed%64 have passed a
 			// scan; of those, the last ones sit on the context's stack and
 			// the rest were spilled to the freelist.
 			for _, b := range expectRecycled(t, &ctx.al, used, freed/2) {

@@ -75,11 +75,9 @@ const blockLen = 16
 // lnode is one block of the unrolled list: up to blockLen elements in
 // descending key order in e[:n], every slot from n up zero, linked both ways
 // so that the minimum leaves in O(1) and a position can be approached from
-// whichever end is nearer. Both list modes recycle lnodes through
-// per-context free stacks and a shared freelist; in memory-safe mode a block
-// reaches them only through a hazard scan, in leaky mode at once (the GC
-// backs any stale diagnostic reader). Either way a recycled block is empty
-// and carries no links (alloc.put clears its slots and both links).
+// whichever end is nearer. lnodes recycle through per-context free stacks
+// and a shared freelist (see alloc); a recycled block is empty and carries
+// no links (alloc.put clears its slots and both links).
 type lnode[V any] struct {
 	n    int
 	next *lnode[V]

@@ -5,7 +5,8 @@ import (
 	"testing"
 )
 
-// newAlloc returns a leaky allocator for direct set testing.
+// newAlloc returns an allocator with no stack and no domain for direct set
+// testing: get allocates fresh blocks and put drops them.
 func newAlloc() *alloc[int] { return &alloc[int]{} }
 
 func mkSet(array bool) nodeSet[int] {

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"os"
 	"strings"
 	"testing"
 )
@@ -59,11 +58,11 @@ func TestSetModeSelectsImplementation(t *testing.T) {
 // TestSharedAllocDomain builds two queues over one domain and verifies (a)
 // cross-queue recycling: blocks retired through one queue, once its
 // context's free stack spills them, serve the other queue's allocations
-// without a fresh one, and (b) mode-mismatched sharing is refused with an
-// error and nothing left behind.
+// without a fresh one, and (b) a domain has no set mode: an array-mode
+// queue opens over it too, and its sets take no block from it.
 func TestSharedAllocDomain(t *testing.T) {
 	cfg := Config{Batch: 4, TargetLen: 8}
-	ad := NewAllocDomain[int](cfg)
+	ad := NewAllocDomain[int](nil)
 	cfgA, cfgB := cfg, cfg
 	cfgA.Metrics, cfgB.Metrics = NewMetrics(), NewMetrics()
 	a, _ := mustOpen(t, cfgA, Options[int]{Domain: ad})
@@ -104,14 +103,19 @@ func TestSharedAllocDomain(t *testing.T) {
 		}
 	}
 
-	// A mismatched domain is an error, found before anything is opened.
-	dir := t.TempDir()
-	bad := durableConfig(dir)
-	bad.SetMode = SetModeArray
-	if q, _, err := Open(bad, Options[int]{Domain: ad}); err == nil || q != nil {
-		t.Fatalf("Open accepted a mode-mismatched domain (queue %v, err %v)", q, err)
+	arrCfg := withSetMode(cfg, SetModeArray)
+	arrCfg.Metrics = NewMetrics()
+	arr, _ := mustOpen(t, arrCfg, Options[int]{Domain: ad})
+	for i := 0; i < n; i++ {
+		arr.Insert(uint64(i), i)
 	}
-	if ents, err := os.ReadDir(dir); err != nil || len(ents) != 0 {
-		t.Fatalf("refused Open left %d entries in the durability directory (%v)", len(ents), err)
+	for i := 0; i < n/2; i++ {
+		arr.TryExtractMax()
+	}
+	if s := arr.Snapshot(); s.NodeCacheHit+s.NodeCacheMiss != 0 {
+		t.Fatalf("array-mode queue allocated %d list blocks through the shared domain", s.NodeCacheHit+s.NodeCacheMiss)
+	}
+	if err := arr.CheckInvariants(); err != nil {
+		t.Fatal(err)
 	}
 }

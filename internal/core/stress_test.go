@@ -12,15 +12,16 @@ import (
 )
 
 // stressConfigs are the configurations worth hammering concurrently.
-func stressConfigs() map[string]Config {
-	return map[string]Config{
-		"default":   DefaultConfig(),
-		"def-array": withSetMode(DefaultConfig(), SetModeArray),
-		"strict":    {Batch: 0, TargetLen: 16, Lock: locks.TATAS},
-		"array":     {Batch: 16, TargetLen: 16, Lock: locks.TATAS, SetMode: SetModeArray},
-		"leaky":     {Batch: 16, TargetLen: 16, Lock: locks.TATAS, Leaky: true},
-		"std-block": {Batch: 16, TargetLen: 16, Lock: locks.Std, NoTryLock: true},
-		"tiny":      {Batch: 2, TargetLen: 2, Lock: locks.TAS},
+func stressConfigs() map[string]testConfig {
+	return map[string]testConfig{
+		"default":   {Config: DefaultConfig()},
+		"def-array": {Config: withSetMode(DefaultConfig(), SetModeArray)},
+		"strict":    {Config: Config{Batch: 0, TargetLen: 16, Lock: locks.TATAS}},
+		"array":     {Config: Config{Batch: 16, TargetLen: 16, Lock: locks.TATAS, SetMode: SetModeArray}},
+		"leaky":     {Config: Config{Batch: 16, TargetLen: 16, Lock: locks.TATAS}},
+		"hazard":    {Config: Config{Batch: 16, TargetLen: 16, Lock: locks.TATAS}, hazard: true},
+		"std-block": {Config: Config{Batch: 16, TargetLen: 16, Lock: locks.Std, NoTryLock: true}},
+		"tiny":      {Config: Config{Batch: 2, TargetLen: 2, Lock: locks.TAS}},
 	}
 }
 
@@ -29,7 +30,7 @@ func TestConcurrentConservation(t *testing.T) {
 		cfg := cfg
 		t.Run(name, func(t *testing.T) {
 			t.Parallel()
-			q := New[int](cfg)
+			q := newTestQueue[int](cfg)
 			goroutines := runtime.GOMAXPROCS(0)
 			if goroutines > 8 {
 				goroutines = 8
@@ -106,7 +107,7 @@ func TestConcurrentExtractNeverFailsWithBalance(t *testing.T) {
 		cfg := cfg
 		t.Run(name, func(t *testing.T) {
 			t.Parallel()
-			q := New[int](cfg)
+			q := newTestQueue[int](cfg)
 			const producers = 4
 			const consumers = 4
 			perP := 10000

@@ -3,8 +3,8 @@ package core
 import (
 	"sync"
 	"sync/atomic"
+	"unsafe"
 
-	"repro/internal/hazard"
 	"repro/internal/locks"
 	"repro/internal/xrand"
 )
@@ -50,54 +50,52 @@ func swapContents[V any](a, b *tnode[V]) {
 }
 
 // alloc is the per-operation view of an AllocDomain: the set-node allocator
-// threaded through set operations. Both list modes recycle through local,
-// this context's own LIFO stack: get pops there first — no lock, no shared
-// counter, and the node it returns is the one most recently in cache — and
-// the domain's shared freelist is touched only to spill half a full stack
-// or refill an empty one, which is also how a node freed through one queue
-// of a shared domain reaches another. The modes differ only in how a freed
-// node reaches the stack. In memory-safe mode (h != nil) put retires it
-// through the hazard-pointer domain, and only a clean scan pushes it, so
-// reuse never depends on the garbage collector. In leaky mode (the paper's
-// "ZMSQ (leak)" configuration) put pushes it at once, with no scan: every
-// lnode is only ever read or written under its owning TNode's lock (the
-// optimistic paths read TNode atomics, never list nodes), so immediate
-// reuse is safe, and any stale pointer held by a quiescent-only diagnostic
-// keeps its object alive through the GC. Array mode has no lnodes and no
-// stack.
+// threaded through set operations. It recycles through local, this
+// context's own LIFO stack: get pops there first — no lock, no shared
+// counter, and the block it returns is the one most recently in cache —
+// and the domain's shared freelist is touched only to spill half a full
+// stack or refill an empty one, which is also how a block freed through one
+// queue of a shared domain reaches another. put pushes a freed block onto
+// the stack at once: every lnode is only ever read or written under its
+// owning TNode's lock (the optimistic paths read TNode atomics, never list
+// blocks), so immediate reuse is safe, and any stale pointer held by a
+// quiescent-only diagnostic keeps its object alive through the GC. When the
+// domain carries a Reclaimer (h != nil), put retires the block through h
+// instead, and it reaches the stack when h's protocol lets it go. Array
+// mode has no lnodes and no stack.
 type alloc[V any] struct {
 	ad    *AllocDomain[V]
-	h     *hazard.Handle[lnode[V]] // nil in leaky/array mode
-	local *freeStack[V]            // nil in array mode
-	met   *Metrics                 // nil unless Config.Metrics was set
-	shard uint32                   // metrics shard hash for this context
+	h     Hazards[lnode[V]] // nil unless the domain carries a Reclaimer
+	local *freeStack[V]     // nil in array mode
+	met   *Metrics          // nil unless Config.Metrics was set
+	shard uint32            // metrics shard hash for this context
 }
 
 // newCtxAlloc returns a context's allocator; in list mode, with a free
-// stack of its own, and in memory-safe mode a hazard record whose scans
-// push onto that stack. The stack is a separate heap object because the
-// handle's reclaim callback points at it: were it a field of the opCtx, the
-// context would be reachable from itself and its finalizer (see Open)
+// stack of its own and, if the domain carries a Reclaimer, Hazards whose
+// reclamation pushes onto that stack. The stack is a separate heap object
+// because that done callback points at it: were it a field of the opCtx,
+// the context would be reachable from itself and its finalizer (see Open)
 // would never run.
-func newCtxAlloc[V any](ad *AllocDomain[V], met *Metrics, shard uint32) alloc[V] {
+func newCtxAlloc[V any](ad *AllocDomain[V], list bool, met *Metrics, shard uint32) alloc[V] {
 	a := alloc[V]{ad: ad, met: met, shard: shard}
-	if ad.arraySet {
+	if !list {
 		return a
 	}
 	local := &freeStack[V]{}
 	a.local = local
-	if ad.dom != nil {
-		a.h = ad.dom.Get(func(n *lnode[V]) { local.push(&ad.free, n) })
+	if ad.join != nil {
+		a.h = ad.join(func(n *lnode[V]) { local.push(&ad.free, n) })
 	}
 	return a
 }
 
-// release gives the context's hazard record, if it has one, back to the
-// domain and its stacked nodes to the shared freelist. Put's last scan
-// pushes onto local, so the stack is handed over after it.
+// release gives the context's stacked blocks to the shared freelist, after
+// releasing its Hazards, if it has them: their last reclamation pushes onto
+// local.
 func (a *alloc[V]) release() {
 	if a.h != nil {
-		a.ad.dom.Put(a.h)
+		a.h.Release()
 	}
 	a.ad.free.push(a.local.nodes[:a.local.n])
 }
@@ -135,14 +133,14 @@ func (a *alloc[V]) put(n *lnode[V]) {
 	}
 }
 
-// localFreeDepth is the depth of a context's free stack: one hazard scan's
-// worth, which is what a context that retires as often as it allocates
-// needs to run without the shared freelist. Deeper stacks bought no
-// throughput and held more idle nodes per context.
+// localFreeDepth is the depth of a context's free stack: what a context
+// that retires as often as it allocates needs to run without the shared
+// freelist (and one hazard scan's worth, when a Reclaimer gates reuse).
+// Deeper stacks bought no throughput and held more idle nodes per context.
 const localFreeDepth = 64
 
-// freeStack is one context's LIFO of reusable lnodes — in memory-safe mode,
-// ones that have passed a hazard scan; only its context touches it.
+// freeStack is one context's LIFO of reusable lnodes; only its context
+// touches it.
 type freeStack[V any] struct {
 	n     int
 	nodes [localFreeDepth]*lnode[V]
@@ -159,10 +157,9 @@ func (s *freeStack[V]) push(f *freelist[V], n *lnode[V]) {
 
 // freelist is the domain-wide pool behind the contexts' free stacks: what
 // they spill when full, what they refill from when empty, and what a dying
-// context leaves behind. In memory-safe mode nodes reach it only after a
-// hazard scan. Transfers move half a stack under one lock acquisition, so
-// even a context that only allocates, or only retires, takes the lock once
-// per localFreeDepth/2 operations.
+// context leaves behind. Transfers move half a stack under one lock
+// acquisition, so even a context that only allocates, or only retires,
+// takes the lock once per localFreeDepth/2 operations.
 type freelist[V any] struct {
 	mu    sync.Mutex
 	nodes []*lnode[V]
@@ -196,7 +193,7 @@ func (f *freelist[V]) refill(s *freeStack[V]) {
 }
 
 // opCtx carries per-operation state: a private RNG, the set-node allocator
-// (and with it the participant's hazard-pointer handle), and reusable scratch
+// (and with it the context's Hazards, if any), and reusable scratch
 // buffers — scratch for pool refills and batch root grabs, split for the
 // lower half moved by a set split and splitR for the part of it bound for
 // the right child. Contexts are pooled; one is held for
@@ -228,11 +225,11 @@ type opCtx[V any] struct {
 	sctr uint32
 }
 
-// protect publishes a hazard pointer on n in slot i; outside memory-safe
-// mode there is no protocol to follow.
+// protect publishes n's identity in hazard slot i, when the domain
+// carries a Reclaimer.
 func (c *opCtx[V]) protect(i int, n *tnode[V]) {
 	if h := c.al.h; h != nil {
-		h.Protect(i, hazard.ID(n))
+		h.Protect(i, uintptr(unsafe.Pointer(n)))
 	}
 }
 

@@ -37,7 +37,7 @@ type Queue[V any] struct {
 	pool *batchPool[V]
 
 	ring   *waitring.Ring  // non-nil iff cfg.Blocking
-	ad     *AllocDomain[V] // set-node reclamation seam (possibly shared)
+	ad     *AllocDomain[V] // where list blocks recycle (possibly shared)
 	faults *fault.Injector // non-nil only under chaos testing
 	met    *Metrics        // non-nil iff cfg.Metrics was set
 
@@ -64,12 +64,11 @@ type Queue[V any] struct {
 // generic over the payload type V. The zero value is a private allocation
 // domain and key-only logging.
 type Options[V any] struct {
-	// Domain, when non-nil, is the allocation domain the queue's set nodes
-	// recycle through. Handing the same domain to several queues pools their
-	// recycled nodes and hazard handles — the sharded front-end builds S
-	// shards over one domain this way. It must have been built
-	// (NewAllocDomain) from a config with the same set mode and leak
-	// setting. nil builds a private domain.
+	// Domain, when non-nil, is the allocation domain the queue's list
+	// blocks recycle through. Handing the same domain to several queues
+	// pools their recycled blocks — the sharded front-end builds S shards
+	// over one domain this way — and queues of either set mode may share
+	// one. nil builds a private domain with no Reclaimer.
 	Domain *AllocDomain[V]
 	// Codec, when non-nil, encodes payloads for the durability layer: Insert
 	// and InsertBatch log each element's encoded value alongside its key (wal
@@ -103,18 +102,13 @@ func New[V any](cfg Config) *Queue[V] {
 // recovered; State.Live() == 0 is a fresh queue. A directory holding value
 // payloads is rejected without a codec rather than silently stripped.
 //
-// Everything that can fail — validation, a domain whose mode does not match
-// cfg, recovery, opening the log, decoding — runs before the queue is built,
-// and a log opened before a failure is closed again, so an error leaves no
-// queue, goroutine or open file behind.
+// Everything that can fail — validation, recovery, opening the log,
+// decoding — runs before the queue is built, and a log opened before a
+// failure is closed again, so an error leaves no queue, goroutine or open
+// file behind.
 func Open[V any](cfg Config, opts Options[V]) (*Queue[V], *wal.State, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, nil, err
-	}
-	if opts.Domain != nil {
-		if err := opts.Domain.Compatible(cfg); err != nil {
-			return nil, nil, err
-		}
 	}
 	w, st, vals, err := OpenLog(cfg, opts.Codec)
 	if err != nil {
@@ -132,7 +126,7 @@ func Open[V any](cfg Config, opts Options[V]) (*Queue[V], *wal.State, error) {
 		codec:     opts.Codec,
 	}
 	if q.ad = opts.Domain; q.ad == nil {
-		q.ad = NewAllocDomain[V](cfg)
+		q.ad = NewAllocDomain[V](nil)
 	}
 	q.levels[0] = q.newLevel(1)
 	if cfg.Batch > 0 {
@@ -148,13 +142,11 @@ func Open[V any](cfg Config, opts Options[V]) (*Queue[V], *wal.State, error) {
 		id := q.seedCtr.Add(1)
 		c := &opCtx[V]{}
 		c.rng.Seed(xrand.Mix64(cfg.Seed + id*0x9e3779b97f4a7c15))
-		c.al = newCtxAlloc(q.ad, q.met, uint32(id))
+		c.al = newCtxAlloc(q.ad, !cfg.arraySet(), q.met, uint32(id))
 		if c.al.local != nil {
 			// sync.Pool drops idle contexts at a GC. One that kept its
-			// stack would take up to localFreeDepth reusable nodes with it,
-			// and one that kept its hazard record would strand it, active
-			// and with its retirees, on the domain's grow-only list for
-			// every later scan to walk.
+			// stack would take up to localFreeDepth reusable blocks with
+			// it (and Hazards it kept, whatever they hold).
 			runtime.SetFinalizer(c, func(c *opCtx[V]) { c.al.release() })
 		}
 		// Pool refills move up to Batch elements; a batch root grab moves up

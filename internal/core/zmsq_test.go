@@ -9,24 +9,47 @@ import (
 	"repro/internal/xrand"
 )
 
+// testConfig is one row of a test table: a Config, and whether the queue
+// plugs internal/hazard into its allocation domain — the paper's
+// memory-safe ZMSQ — instead of running the product's recycler alone.
+type testConfig struct {
+	Config
+	hazard bool
+}
+
+// newTestQueue builds tc's queue.
+func newTestQueue[V any](tc testConfig) *Queue[V] {
+	var opts Options[V]
+	if tc.hazard {
+		opts.Domain, _ = hazardDomain[V](tc.Metrics, tc.Faults)
+	}
+	q, _, err := Open(tc.Config, opts)
+	if err != nil {
+		panic(err)
+	}
+	return q
+}
+
 // configs exercised by most behavioral tests: every combination that
-// changes a code path.
-func testConfigs() map[string]Config {
-	return map[string]Config{
-		"default":       DefaultConfig(),
-		"default-array": withSetMode(DefaultConfig(), SetModeArray),
-		"strict":        {Batch: 0, TargetLen: 16, Lock: locks.TATAS},
-		"small-batch":   {Batch: 4, TargetLen: 8, Lock: locks.TATAS},
-		"array":         {Batch: 16, TargetLen: 16, Lock: locks.TATAS, SetMode: SetModeArray},
-		"leaky":         {Batch: 16, TargetLen: 16, Lock: locks.TATAS, Leaky: true},
-		"std-lock":      {Batch: 16, TargetLen: 16, Lock: locks.Std, NoTryLock: true},
-		"tas-lock":      {Batch: 16, TargetLen: 16, Lock: locks.TAS},
-		"no-minswap":    {Batch: 16, TargetLen: 16, Lock: locks.TATAS, NoMinSwap: true},
-		"no-forced":     {Batch: 16, TargetLen: 16, Lock: locks.TATAS, NoForcedInsert: true},
-		"array-leaky":   {Batch: 16, TargetLen: 16, SetMode: SetModeArray, Leaky: true},
-		"strict-array":  {Batch: 0, TargetLen: 16, SetMode: SetModeArray},
-		"tiny-targets":  {Batch: 2, TargetLen: 2},
-		"blocking-ring": {Batch: 8, TargetLen: 8, Blocking: true},
+// changes a code path. "leaky" rows run the product's recycler, the paper's
+// "ZMSQ (leak)"; the "hazard" row gates block reuse on hazard pointers.
+func testConfigs() map[string]testConfig {
+	return map[string]testConfig{
+		"default":       {Config: DefaultConfig()},
+		"default-array": {Config: withSetMode(DefaultConfig(), SetModeArray)},
+		"strict":        {Config: Config{Batch: 0, TargetLen: 16, Lock: locks.TATAS}},
+		"small-batch":   {Config: Config{Batch: 4, TargetLen: 8, Lock: locks.TATAS}},
+		"array":         {Config: Config{Batch: 16, TargetLen: 16, Lock: locks.TATAS, SetMode: SetModeArray}},
+		"leaky":         {Config: Config{Batch: 16, TargetLen: 16, Lock: locks.TATAS}},
+		"hazard":        {Config: Config{Batch: 16, TargetLen: 16, Lock: locks.TATAS}, hazard: true},
+		"std-lock":      {Config: Config{Batch: 16, TargetLen: 16, Lock: locks.Std, NoTryLock: true}},
+		"tas-lock":      {Config: Config{Batch: 16, TargetLen: 16, Lock: locks.TAS}},
+		"no-minswap":    {Config: Config{Batch: 16, TargetLen: 16, Lock: locks.TATAS, NoMinSwap: true}},
+		"no-forced":     {Config: Config{Batch: 16, TargetLen: 16, Lock: locks.TATAS, NoForcedInsert: true}},
+		"array-leaky":   {Config: Config{Batch: 16, TargetLen: 16, SetMode: SetModeArray}},
+		"strict-array":  {Config: Config{Batch: 0, TargetLen: 16, SetMode: SetModeArray}},
+		"tiny-targets":  {Config: Config{Batch: 2, TargetLen: 2}},
+		"blocking-ring": {Config: Config{Batch: 8, TargetLen: 8, Blocking: true}},
 	}
 }
 
@@ -44,15 +67,15 @@ func forEachSetMode(t *testing.T, f func(t *testing.T, cfg Config)) {
 	}
 }
 
-func forEachConfig(t *testing.T, f func(t *testing.T, cfg Config)) {
+func forEachConfig(t *testing.T, f func(t *testing.T, cfg testConfig)) {
 	for name, cfg := range testConfigs() {
 		t.Run(name, func(t *testing.T) { f(t, cfg) })
 	}
 }
 
 func TestEmptyQueue(t *testing.T) {
-	forEachConfig(t, func(t *testing.T, cfg Config) {
-		q := New[int](cfg)
+	forEachConfig(t, func(t *testing.T, cfg testConfig) {
+		q := newTestQueue[int](cfg)
 		if _, _, ok := q.TryExtractMax(); ok {
 			t.Fatal("TryExtractMax on empty queue succeeded")
 		}
@@ -71,8 +94,8 @@ func TestEmptyQueue(t *testing.T) {
 }
 
 func TestSingleElement(t *testing.T) {
-	forEachConfig(t, func(t *testing.T, cfg Config) {
-		q := New[string](cfg)
+	forEachConfig(t, func(t *testing.T, cfg testConfig) {
+		q := newTestQueue[string](cfg)
 		q.Insert(42, "answer")
 		if q.Empty() || q.Len() != 1 {
 			t.Fatalf("Len = %d, want 1", q.Len())
@@ -117,8 +140,8 @@ func TestStrictModeExactOrder(t *testing.T) {
 }
 
 func TestConservationSingleThread(t *testing.T) {
-	forEachConfig(t, func(t *testing.T, cfg Config) {
-		q := New[int](cfg)
+	forEachConfig(t, func(t *testing.T, cfg testConfig) {
+		q := newTestQueue[int](cfg)
 		r := xrand.New(5)
 		n := 20000
 		if raceEnabled {
@@ -158,11 +181,11 @@ func TestConservationSingleThread(t *testing.T) {
 func TestExtractionNeverFailsWhenNonempty(t *testing.T) {
 	// The headline practical feature: any interleaving of inserts and
 	// extracts, extraction succeeds whenever elements remain.
-	forEachConfig(t, func(t *testing.T, cfg Config) {
+	forEachConfig(t, func(t *testing.T, cfg testConfig) {
 		if cfg.Blocking {
 			t.Skip("blocking config covered separately")
 		}
-		q := New[int](cfg)
+		q := newTestQueue[int](cfg)
 		r := xrand.New(99)
 		size := 0
 		ops := 30000
@@ -234,8 +257,8 @@ func TestRelaxationAccuracyBound(t *testing.T) {
 
 func TestFirstExtractIsTrueMaxAfterPrefill(t *testing.T) {
 	// The first extraction always refills and must return the global max.
-	forEachConfig(t, func(t *testing.T, cfg Config) {
-		q := New[int](cfg)
+	forEachConfig(t, func(t *testing.T, cfg testConfig) {
+		q := newTestQueue[int](cfg)
 		r := xrand.New(3)
 		var want uint64
 		for i := 0; i < 5000; i++ {
@@ -253,8 +276,8 @@ func TestFirstExtractIsTrueMaxAfterPrefill(t *testing.T) {
 }
 
 func TestInterleavedInvariants(t *testing.T) {
-	forEachConfig(t, func(t *testing.T, cfg Config) {
-		q := New[int](cfg)
+	forEachConfig(t, func(t *testing.T, cfg testConfig) {
+		q := newTestQueue[int](cfg)
 		r := xrand.New(1234)
 		size := 0
 		for i := 0; i < 5000; i++ {
@@ -311,8 +334,8 @@ func TestPayloadIntegrity(t *testing.T) {
 }
 
 func TestDuplicateKeys(t *testing.T) {
-	forEachConfig(t, func(t *testing.T, cfg Config) {
-		q := New[int](cfg)
+	forEachConfig(t, func(t *testing.T, cfg testConfig) {
+		q := newTestQueue[int](cfg)
 		const dup = 500
 		for i := 0; i < dup; i++ {
 			q.Insert(7, i)
@@ -533,20 +556,20 @@ func TestLenWithPool(t *testing.T) {
 }
 
 // TestFreelistReuseInSafeMode: once a list-mode queue's block population
-// has settled, churn at the same size allocates no fresh block, in either
-// mode — a memory-safe queue's freed blocks come back through a hazard
-// scan, a leaky queue's straight through the same free stack, with no
-// scan at all.
+// has settled, churn at the same size allocates no fresh block, with or
+// without hazard pointers — a hazard-gated queue's freed blocks come back
+// through a scan, the product's ("leaky") straight through the same free
+// stack, with no scan at all.
 func TestFreelistReuseInSafeMode(t *testing.T) {
 	if raceEnabled {
 		t.Skip("under the race detector sync.Pool drops contexts between operations; their nodes wait for a finalizer")
 	}
 	for _, tc := range []struct {
-		name  string
-		leaky bool
-	}{{"safe", false}, {"leaky", true}} {
+		name   string
+		hazard bool
+	}{{"safe", true}, {"leaky", false}} {
 		t.Run(tc.name, func(t *testing.T) {
-			q := New[int](Config{Batch: 0, TargetLen: 8, Leaky: tc.leaky, Metrics: NewMetrics()})
+			q := newTestQueue[int](testConfig{Config{Batch: 0, TargetLen: 8, Metrics: NewMetrics()}, tc.hazard})
 			churn := func() {
 				for i := 0; i < 200; i++ {
 					q.Insert(uint64(i), 0)
@@ -556,7 +579,7 @@ func TestFreelistReuseInSafeMode(t *testing.T) {
 				}
 			}
 			// The first rounds allocate, until the blocks in circulation cover
-			// the 200 resident plus (memory-safe) a retired list one short of
+			// the 200 resident plus (hazard-gated) a retired list one short of
 			// its scan.
 			for round := 0; round < 10; round++ {
 				churn()
@@ -574,28 +597,40 @@ func TestFreelistReuseInSafeMode(t *testing.T) {
 			if after.NodeCacheHit-warm.NodeCacheHit < 2000/blockLen {
 				t.Fatalf("only %d recycled blocks over 2000 inserts", after.NodeCacheHit-warm.NodeCacheHit)
 			}
-			if scans := after.HazardScans; tc.leaky != (scans == 0) {
-				t.Fatalf("%d hazard scans, leaky=%v", scans, tc.leaky)
+			if scans := after.HazardScans; tc.hazard != (scans != 0) {
+				t.Fatalf("%d hazard scans, hazard=%v", scans, tc.hazard)
 			}
 		})
 	}
 }
 
-// TestLeakyModeSkipsHazardScans: leaky mode builds no hazard domain, so its
-// contexts recycle through their free stacks without a hazard record.
+// TestLeakyModeSkipsHazardScans: the product's domain — the paper's "ZMSQ
+// (leak)" — carries no Reclaimer, so its contexts hold no Hazards, no scan
+// runs, and a freed block lands on its context's free stack at once.
 func TestLeakyModeSkipsHazardScans(t *testing.T) {
-	q := New[int](Config{Batch: 0, TargetLen: 8, Leaky: true})
+	q := New[int](Config{Batch: 0, TargetLen: 8, Metrics: NewMetrics()})
 	for i := 0; i < 500; i++ {
 		q.Insert(uint64(i), 0)
 	}
 	for i := 0; i < 500; i++ {
 		q.TryExtractMax()
 	}
-	if q.ad.dom != nil {
-		t.Fatal("leaky mode built a hazard domain")
+	if q.ad.join != nil {
+		t.Fatal("the product's domain carries a Reclaimer")
 	}
-	if ctx := q.getCtx(); ctx.al.h != nil || ctx.al.local == nil {
-		t.Fatalf("leaky context has hazard record %p and free stack %p, want none and one", ctx.al.h, ctx.al.local)
+	if scans := q.Snapshot().HazardScans; scans != 0 {
+		t.Fatalf("%d hazard scans without a Reclaimer", scans)
+	}
+	ctx := q.getCtx()
+	defer q.putCtx(ctx)
+	if ctx.al.h != nil || ctx.al.local == nil {
+		t.Fatalf("context has Hazards %v and free stack %p, want none and one", ctx.al.h, ctx.al.local)
+	}
+	b := ctx.al.get()
+	depth := ctx.al.local.n
+	ctx.al.put(b)
+	if s := ctx.al.local; s.n != depth+1 || s.nodes[depth] != b {
+		t.Fatalf("a freed block did not land on its context's stack at once (depth %d -> %d)", depth, s.n)
 	}
 }
 
@@ -614,8 +649,8 @@ func TestDrain(t *testing.T) {
 }
 
 func TestPeekMax(t *testing.T) {
-	forEachConfig(t, func(t *testing.T, cfg Config) {
-		q := New[int](cfg)
+	forEachConfig(t, func(t *testing.T, cfg testConfig) {
+		q := newTestQueue[int](cfg)
 		if _, ok := q.PeekMax(); ok {
 			t.Fatal("PeekMax on empty queue succeeded")
 		}
@@ -642,8 +677,8 @@ func TestPeekMax(t *testing.T) {
 }
 
 func TestForEach(t *testing.T) {
-	forEachConfig(t, func(t *testing.T, cfg Config) {
-		q := New[int](cfg)
+	forEachConfig(t, func(t *testing.T, cfg testConfig) {
+		q := newTestQueue[int](cfg)
 		const n = 2000
 		want := map[uint64]int{}
 		for i := 0; i < n; i++ {

@@ -39,7 +39,10 @@ func runAllocExperiment(ex *Experiment, sc Scale, opt Options) ([]CellResult, er
 			return nil, fmt.Errorf("variant %q: %w", v.Name, err)
 		}
 		for _, op := range ops {
-			measured, perOp, err := measureAllocs(cfg, op, runs, opt.Seed)
+			scans := core.NewMetrics()
+			q := v.Config.newQueue(cfg, scans)
+			measured, perOp, err := measureAllocs(q, op, runs, opt.Seed)
+			q.Close()
 			if err != nil {
 				return nil, fmt.Errorf("variant %q: %w", v.Name, err)
 			}
@@ -47,21 +50,23 @@ func runAllocExperiment(ex *Experiment, sc Scale, opt Options) ([]CellResult, er
 				Experiment: ex.Name, Kind: ex.Kind, Variant: v.Name,
 				Op: op, Ops: measured, Repeats: 1, Seed: opt.Seed,
 			}
-			out = append(out, CellResult{
+			res := CellResult{
 				Cell: cell, Unit: "allocs/op", Statistic: "mean",
 				Samples: []float64{perOp}, Value: perOp,
-			})
+			}
+			if v.Config.hazard() {
+				res.Extra = map[string]float64{"hazard_scans": float64(scans.HazardScans.Value())}
+			}
+			out = append(out, res)
 			opt.progress("%s: %s/%s %.4f allocs/op over %d ops", ex.Name, v.Name, op, perOp, measured)
 		}
 	}
 	return out, nil
 }
 
-// measureAllocs runs one alloc cell and returns the measured operation
-// count and the allocations per operation.
-func measureAllocs(cfg core.Config, op string, runs int, seed uint64) (int, float64, error) {
-	q := core.New[struct{}](cfg)
-	defer q.Close()
+// measureAllocs runs one alloc cell on q and returns the measured
+// operation count and the allocations per operation.
+func measureAllocs(q *core.Queue[struct{}], op string, runs int, seed uint64) (int, float64, error) {
 	r := xrand.New(seed)
 	// Narrow keys collide often, exercising the set paths rather than
 	// degenerate single-element nodes.

@@ -31,6 +31,9 @@ func runRecoveryExperiment(ex *Experiment, sc Scale, opt Options) ([]CellResult,
 	if err != nil {
 		return nil, err
 	}
+	if ex.Config.hazard() {
+		return nil, errHazard
+	}
 	valueSizes := ex.ValueSizes
 	if len(valueSizes) == 0 {
 		valueSizes = []int{0}

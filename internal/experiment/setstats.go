@@ -3,7 +3,6 @@ package experiment
 import (
 	"fmt"
 
-	"repro/internal/core"
 	"repro/internal/xrand"
 )
 
@@ -25,7 +24,7 @@ func runSetStats(ex *Experiment, sc Scale, opt Options) ([]CellResult, error) {
 		if err != nil {
 			return nil, fmt.Errorf("variant %q: %w", v.Name, err)
 		}
-		q := core.New[struct{}](cfg)
+		q := v.Config.newQueue(cfg, nil)
 		r := xrand.New(opt.Seed)
 		for i := 0; i < prefill; i++ {
 			q.Insert(keys.Draw(r), struct{}{})

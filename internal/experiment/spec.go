@@ -158,7 +158,7 @@ type QueueConfig struct {
 	Lock      string `json:"lock,omitempty"` // "std", "tas", "tatas"
 	NoTryLock bool   `json:"no_trylock,omitempty"`
 	SetMode   string `json:"set_mode,omitempty"` // "list", "array"
-	Leaky     bool   `json:"leaky,omitempty"`
+	Hazard    bool   `json:"hazard,omitempty"`   // the paper's memory-safe ZMSQ (zmsq cells only)
 	Blocking  bool   `json:"blocking,omitempty"`
 	Metrics   bool   `json:"metrics,omitempty"`
 	Helper    bool   `json:"helper,omitempty"` // the §5 maintenance goroutine

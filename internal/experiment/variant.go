@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"errors"
 	"fmt"
 	"math"
 
@@ -47,9 +48,6 @@ func (c *QueueConfig) coreConfig() (core.Config, error) {
 	if c.NoTryLock {
 		cfg.NoTryLock = true
 	}
-	if c.Leaky {
-		cfg.Leaky = true
-	}
 	if c.Blocking {
 		cfg.Blocking = true
 	}
@@ -57,6 +55,30 @@ func (c *QueueConfig) coreConfig() (core.Config, error) {
 		cfg.Helper = true
 	}
 	return cfg, nil
+}
+
+// hazard reports whether the cell runs the paper's memory-safe ZMSQ: its
+// queue's list blocks reused only after a hazard-pointer scan
+// (harness.NewHazardDomain) instead of through the product's recycler.
+func (c *QueueConfig) hazard() bool { return c != nil && c.Hazard }
+
+// errHazard refuses the hazard key outside the cells that build one core
+// queue: the sharded, service and recovery cells drive the product.
+var errHazard = errors.New(`"hazard" applies to zmsq cells only`)
+
+// newQueue builds the bare core queue of a cell that drives one directly:
+// over a harness.NewHazardDomain, whose scans count on scans, when the
+// cell asks for hazard.
+func (c *QueueConfig) newQueue(cfg core.Config, scans *core.Metrics) *core.Queue[struct{}] {
+	var opts core.Options[struct{}]
+	if c.hazard() {
+		opts.Domain = harness.NewHazardDomain[struct{}](scans, nil)
+	}
+	q, _, err := core.Open(cfg, opts)
+	if err != nil {
+		panic(err) // cfg came through coreConfig, and opts open nothing
+	}
+	return q
 }
 
 // maker resolves the variant into a harness.QueueMaker. Each call of the
@@ -83,12 +105,18 @@ func (v Variant) maker(opt Options) (harness.QueueMaker, error) {
 			if metrics {
 				cfg.Metrics = core.NewMetrics()
 			}
+			if v.Config.hazard() {
+				return harness.NewHazardZMSQ(cfg)
+			}
 			return harness.NewZMSQ(cfg)
 		}
 	case "sharded":
 		base, err := v.Config.coreConfig()
 		if err != nil {
 			return nil, err
+		}
+		if v.Config.hazard() {
+			return nil, errHazard
 		}
 		shards := v.Shards
 		metrics := opt.Metrics || (v.Config != nil && v.Config.Metrics)

@@ -15,7 +15,9 @@
 //     Listing 2.
 //   - HazardScan: a hazard-pointer reclamation scan stalls mid-operation
 //     (scans run inside set mutations, under node locks), stretching the
-//     windows in which retired nodes must stay unreclaimed.
+//     windows in which retired nodes must stay unreclaimed. Only a
+//     hazard-gated allocation domain scans; the harness wires its scan
+//     hook to this point where it builds one.
 //   - TreeGrow: expandTree pauses between deciding to grow and publishing
 //     the new level, while concurrent inserts spin through position
 //     selection against the stale leafLevel.

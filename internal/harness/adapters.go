@@ -9,6 +9,8 @@ import (
 	"sync"
 
 	"repro/internal/core"
+	"repro/internal/fault"
+	"repro/internal/hazard"
 	"repro/internal/pq"
 )
 
@@ -18,20 +20,61 @@ type ZMSQ struct {
 	n string
 }
 
-// NewZMSQ builds a ZMSQ adapter from cfg.
+// NewZMSQ builds a ZMSQ adapter from cfg over the product's recycler: the
+// paper's "ZMSQ (leak)".
 func NewZMSQ(cfg core.Config) *ZMSQ {
-	return &ZMSQ{Q: core.New[struct{}](cfg), n: VariantName(cfg)}
+	return &ZMSQ{Q: core.New[struct{}](cfg), n: VariantName(cfg, false)}
+}
+
+// NewHazardZMSQ builds the paper's memory-safe ZMSQ from cfg: a queue over
+// NewHazardDomain, its scans counted on cfg.Metrics and stalled by
+// cfg.Faults.
+func NewHazardZMSQ(cfg core.Config) *ZMSQ {
+	q, _, err := core.Open(cfg, core.Options[struct{}]{Domain: NewHazardDomain[struct{}](cfg.Metrics, cfg.Faults)})
+	if err != nil {
+		panic(err)
+	}
+	return &ZMSQ{Q: q, n: VariantName(cfg, true)}
+}
+
+// NewHazardDomain returns an allocation domain that gates list-block reuse
+// on internal/hazard's hazard pointers: the paper's §3.5 protocol, which
+// the product does not run (core.AllocDomain says why), at its full cost.
+// Its scans count on met.HazardScans and stall at inj's HazardScan point;
+// either may be nil. Hand it to core.Open or sharded.Open as
+// core.Options.Domain.
+func NewHazardDomain[V any](met *core.Metrics, inj *fault.Injector) *core.AllocDomain[V] {
+	return plugHazards(core.NewAllocDomain[V], func() {
+		if met != nil {
+			// Scans run with no operation context in reach; they are rare
+			// (one per 64 retirements), so a fixed shard is fine.
+			met.HazardScans.Inc(0)
+		}
+		inj.Stall(fault.HazardScan)
+	})
+}
+
+// plugHazards builds a hazard.Domain over B, installs scanHook, and hands
+// build a Reclaimer whose contexts join that domain. B is core's list
+// block type, which this package cannot name: it is inferred from build's
+// signature.
+func plugHazards[B, D any](build func(core.Reclaimer[B]) D, scanHook func()) D {
+	d := hazard.NewDomain[B]()
+	d.SetScanHook(scanHook)
+	return build(func(done func(*B)) core.Hazards[B] { return d.Get(done) })
 }
 
 // VariantName formats the display name the paper's figures use for a ZMSQ
-// configuration. Registry makers override it with the maker key (see
-// makers_zmsq.go); this is the label for ad-hoc Config cells.
-func VariantName(cfg core.Config) string {
+// configuration: "zmsq" is the memory-safe queue (safe: over a
+// NewHazardDomain), "(leak)" marks the product's recycler. Registry makers
+// override it with the maker key (see makers_zmsq.go); this is the label
+// for ad-hoc Config cells.
+func VariantName(cfg core.Config, safe bool) string {
 	name := "zmsq"
 	if cfg.SetMode == core.SetModeArray {
 		name += "(array)"
 	}
-	if cfg.Leaky {
+	if !safe {
 		name += "(leak)"
 	}
 	return name

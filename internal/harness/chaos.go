@@ -19,14 +19,14 @@ import (
 // structural invariants between rounds.
 //
 // Each round has two phases. In the mixed phase, producers insert while
-// consumers extract concurrently — with faults injected at the four core
-// synchronization surfaces (trylock acquisition, pool handoff, hazard
-// scans, tree growth). In the strict phase producers are quiescent and a
-// single consumer drains part of the queue under the contract checker's
-// exact b+1 window accounting (faults still firing). After each round the
-// workers quiesce and CheckInvariants must pass; at the end the queue is
-// fully drained and the recorded history is verified (conservation,
-// never-fails, b+1).
+// consumers extract concurrently — with faults injected at the core
+// synchronization surfaces (trylock acquisition, pool handoff, tree
+// growth, and the hazard scans of a hazard-gated domain). In the strict
+// phase producers are quiescent and a single consumer drains part of the
+// queue under the contract checker's exact b+1 window accounting (faults
+// still firing). After each round the workers quiesce and CheckInvariants
+// must pass; at the end the queue is fully drained and the recorded
+// history is verified (conservation, never-fails, b+1).
 
 // ChaosPlan configures a chaos run.
 type ChaosPlan struct {
@@ -128,14 +128,19 @@ type ChaosResult struct {
 // bound (contract.Config.Shards), and the never-fails check is per-shard
 // only — the checker skips it because a cross-shard empty observation is a
 // sweep, not an atomic cut.
-func RunChaos(plan ChaosPlan) (ChaosResult, error) {
+func RunChaos(plan ChaosPlan) (ChaosResult, error) { return runChaos(plan, false) }
+
+// runChaos is RunChaos, over a NewHazardDomain if hazard is set: the
+// paper's memory-safe ZMSQ, whose reclamation scans are the HazardScan
+// fault point.
+func runChaos(plan ChaosPlan, hazard bool) (ChaosResult, error) {
 	plan = plan.withDefaults()
 	inj := fault.New(plan.Seed, plan.Faults)
 	cfg := plan.Queue
 	cfg.Seed = plan.Seed
 	cfg.Faults = inj
 	cfg.Durability = plan.durability()
-	q, _, name, err := openTarget(plan.Shards, cfg, core.Options[[]byte]{})
+	q, _, name, err := openTarget(plan.Shards, cfg, core.Options[[]byte]{}, hazard)
 	if err != nil {
 		return ChaosResult{Name: name}, err
 	}

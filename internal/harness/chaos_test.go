@@ -9,9 +9,10 @@ import (
 )
 
 // chaosPlan returns a small but adversarial plan: a tiny TargetLen forces
-// tree growth (TreeGrow point), memory-safe sets drive hazard scans
-// (HazardScan point), a nonzero batch exercises the pool (PoolHandoff
-// point), and trylocks everywhere hit the TryLock point.
+// tree growth (TreeGrow point), a nonzero batch exercises the pool
+// (PoolHandoff point), and trylocks everywhere hit the TryLock point; run
+// over a hazard-gated domain, list sets drive hazard scans (HazardScan
+// point).
 func chaosPlan(seed uint64) ChaosPlan {
 	return ChaosPlan{
 		Seed:        seed,
@@ -29,33 +30,39 @@ func chaosPlan(seed uint64) ChaosPlan {
 	}
 }
 
-// TestChaosZMSQ is the acceptance gate, for the single queue and for the
-// sharded front-end: a seeded fault schedule must inject at all four points
-// and complete with intact invariants (per round, across shards), zero
-// failed extractions on a provably nonempty queue, conservation, and no
-// violation of the b+1 window — composed to S·(Batch+1) for S shards.
+// TestChaosZMSQ is the acceptance gate, for the paper's memory-safe single
+// queue and for the product's sharded front-end: a seeded fault schedule
+// must inject at every point the queue has — all four over a hazard-gated
+// domain — and complete with intact invariants (per round, across shards),
+// zero failed extractions on a provably nonempty queue, conservation, and
+// no violation of the b+1 window — composed to S·(Batch+1) for S shards.
 func TestChaosZMSQ(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
 		seed   uint64
 		shards int
+		hazard bool
 	}{
-		{"zmsq", 0xC4A05, 0},
-		{"sharded(3)", 0x5A4D, 3},
+		{"zmsq", 0xC4A05, 0, true},
+		{"sharded(3)", 0x5A4D, 3, false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			plan := chaosPlan(tc.seed)
 			plan.Shards = tc.shards
-			res, err := RunChaos(plan)
+			res, err := runChaos(plan, tc.hazard)
 			if err != nil {
 				t.Fatalf("chaos run failed: %v\nviolations: %v", err, res.Report.Violations)
 			}
 			if res.Name != tc.name {
 				t.Errorf("result is named %q, want %q", res.Name, tc.name)
 			}
-			// The four delay-style points; the WAL crash points stay unarmed
-			// in volatile chaos runs.
-			for _, p := range []fault.Point{fault.TryLock, fault.PoolHandoff, fault.HazardScan, fault.TreeGrow} {
+			points := []fault.Point{fault.TryLock, fault.PoolHandoff, fault.TreeGrow}
+			if tc.hazard {
+				points = append(points, fault.HazardScan)
+			} else if n := res.FaultCalls[fault.HazardScan.String()]; n != 0 {
+				t.Errorf("the product's domain consulted the HazardScan point %d times", n)
+			}
+			for _, p := range points {
 				if res.FaultFired[p.String()] == 0 {
 					t.Errorf("fault point %v never fired (calls=%d)", p, res.FaultCalls[p.String()])
 				}
@@ -79,21 +86,24 @@ func TestChaosZMSQ(t *testing.T) {
 }
 
 // TestChaosZMSQVariants runs shorter schedules over the paper's other
-// configurations: strict (batch=0), leaky (no hazard domain), array sets,
-// and blocking-lock inserts (NoTryLock).
+// configurations: strict (batch=0), leaky (the product's recycler, as in
+// every row but one), hazard (a hazard-gated domain), array sets,
+// blocking-lock inserts (NoTryLock) and the helper goroutine.
 func TestChaosZMSQVariants(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
 	variants := []struct {
-		name string
-		mod  func(*core.Config)
+		name   string
+		mod    func(*core.Config)
+		hazard bool
 	}{
-		{"strict", func(c *core.Config) { c.Batch = 0 }},
-		{"leaky", func(c *core.Config) { c.Leaky = true }},
-		{"arrayset", func(c *core.Config) { c.SetMode = core.SetModeArray }},
-		{"notrylock", func(c *core.Config) { c.NoTryLock = true }},
-		{"helper", func(c *core.Config) { c.Helper = true }},
+		{"strict", func(c *core.Config) { c.Batch = 0 }, false},
+		{"leaky", func(*core.Config) {}, false},
+		{"hazard", func(*core.Config) {}, true},
+		{"arrayset", func(c *core.Config) { c.SetMode = core.SetModeArray }, false},
+		{"notrylock", func(c *core.Config) { c.NoTryLock = true }, false},
+		{"helper", func(c *core.Config) { c.Helper = true }, false},
 	}
 	for _, v := range variants {
 		t.Run(v.name, func(t *testing.T) {
@@ -101,7 +111,7 @@ func TestChaosZMSQVariants(t *testing.T) {
 			plan.Rounds = 2
 			plan.OpsPerRound = 800
 			v.mod(&plan.Queue)
-			res, err := RunChaos(plan)
+			res, err := runChaos(plan, v.hazard)
 			if err != nil {
 				t.Fatalf("chaos(%s) failed: %v\nviolations: %v", v.name, err, res.Report.Violations)
 			}

@@ -35,13 +35,35 @@ func TestMakersProduceWorkingQueues(t *testing.T) {
 
 func TestVariantNames(t *testing.T) {
 	cfg := core.DefaultConfig()
-	if VariantName(cfg) != "zmsq" {
+	if VariantName(cfg, true) != "zmsq" {
 		t.Fatal("base variant name wrong")
 	}
+	if NewHazardZMSQ(cfg).Name() != "zmsq" || NewZMSQ(cfg).Name() != "zmsq(leak)" {
+		t.Fatal("adapters are not named for their reclamation")
+	}
 	cfg.SetMode = core.SetModeArray
-	cfg.Leaky = true
-	if VariantName(cfg) != "zmsq(array)(leak)" {
-		t.Fatalf("got %q", VariantName(cfg))
+	if VariantName(cfg, false) != "zmsq(array)(leak)" {
+		t.Fatalf("got %q", VariantName(cfg, false))
+	}
+}
+
+// TestHazardZMSQScans: the memory-safe adapter runs the hazard protocol
+// and counts its scans on the queue's Metrics; the product's runs none.
+func TestHazardZMSQScans(t *testing.T) {
+	for _, tc := range []struct {
+		newQ  func(core.Config) *ZMSQ
+		scans bool
+	}{{NewHazardZMSQ, true}, {NewZMSQ, false}} {
+		cfg := core.Config{Batch: 4, TargetLen: 8, Metrics: core.NewMetrics()}
+		z := tc.newQ(cfg)
+		r := xrand.New(3)
+		for i := 0; i < 20000; i++ {
+			z.Insert(r.Uint64() % 100000)
+			z.ExtractMax()
+		}
+		if n := z.Q.Snapshot().HazardScans; tc.scans != (n > 0) {
+			t.Errorf("%s: %d hazard scans", z.Name(), n)
+		}
 	}
 }
 

@@ -11,22 +11,24 @@ import (
 
 // registerZMSQ registers a ZMSQ maker whose adapter is named by the maker
 // key itself: the key — not VariantName — is what labels result rows.
-func registerZMSQ(name string, mod func(*core.Config)) {
+// newQ is NewHazardZMSQ for the paper's memory-safe ZMSQ, NewZMSQ for the
+// product's recycler.
+func registerZMSQ(name string, newQ func(core.Config) *ZMSQ, mod func(*core.Config)) {
 	Register(name, func(int) pq.Queue {
 		cfg := core.DefaultConfig()
 		if mod != nil {
 			mod(&cfg)
 		}
-		z := NewZMSQ(cfg)
+		z := newQ(cfg)
 		z.n = name
 		return z
 	})
 }
 
 func init() {
-	registerZMSQ("zmsq", nil)
-	registerZMSQ("zmsq(array)", func(c *core.Config) { c.SetMode = core.SetModeArray })
-	registerZMSQ("zmsq(leak)", func(c *core.Config) { c.Leaky = true })
+	registerZMSQ("zmsq", NewHazardZMSQ, nil)
+	registerZMSQ("zmsq(array)", NewZMSQ, func(c *core.Config) { c.SetMode = core.SetModeArray })
+	registerZMSQ("zmsq(leak)", NewZMSQ, nil)
 
 	// The sharded front-end sizes its shard count to the worker count like
 	// SprayList and MultiQueue size their relaxation, capped at the same

@@ -194,9 +194,12 @@ type target interface {
 }
 
 // openTarget opens the queue a plan describes — the sharded front-end for
-// shards > 1, a single queue otherwise — and returns it with the name
-// reports give it.
-func openTarget(shards int, cfg core.Config, opts core.Options[[]byte]) (target, *wal.State, string, error) {
+// shards > 1, a single queue otherwise, over a NewHazardDomain if hazard
+// is set — and returns it with the name reports give it.
+func openTarget(shards int, cfg core.Config, opts core.Options[[]byte], hazard bool) (target, *wal.State, string, error) {
+	if hazard {
+		opts.Domain = NewHazardDomain[[]byte](cfg.Metrics, cfg.Faults)
+	}
 	if shards > 1 {
 		name := fmt.Sprintf("sharded(%d)", shards)
 		q, st, err := sharded.Open(sharded.Config{Shards: shards, Queue: cfg}, opts)
@@ -207,9 +210,9 @@ func openTarget(shards int, cfg core.Config, opts core.Options[[]byte]) (target,
 	}
 	q, st, err := core.Open(cfg, opts)
 	if err != nil {
-		return nil, nil, VariantName(cfg), err
+		return nil, nil, VariantName(cfg, hazard), err
 	}
-	return q, st, VariantName(cfg), nil
+	return q, st, VariantName(cfg, hazard), nil
 }
 
 // tally is one worker's ledger of operations by acknowledgment status.
@@ -267,7 +270,7 @@ func RunRecovery(plan RecoveryPlan) (RecoveryResult, error) {
 		codec = wal.BytesCodec{}
 	}
 	opts := core.Options[[]byte]{Codec: codec}
-	q, _, name, err := openTarget(plan.Shards, cfg, opts)
+	q, _, name, err := openTarget(plan.Shards, cfg, opts, false)
 	res.Name = name
 	if err != nil {
 		_ = log.Close()
@@ -420,7 +423,7 @@ func RunRecovery(plan RecoveryPlan) (RecoveryResult, error) {
 	rcfg.Durability = &core.DurabilityConfig{
 		WAL: true, Dir: plan.Dir, GroupCommit: wal.DefaultGroupCommit,
 	}
-	rq, st, _, err := openTarget(plan.Shards, rcfg, opts)
+	rq, st, _, err := openTarget(plan.Shards, rcfg, opts, false)
 	if err != nil {
 		return res, fmt.Errorf("recovery(%s/%s): %w", res.Name, res.Kind, err)
 	}

@@ -18,6 +18,12 @@
 //
 // A Domain is typed by what it retires; what it protects may be of any
 // type, because a hazard slot holds only an identity word (see ID).
+//
+// The package is not part of the queue product. A queue's list blocks
+// recycle through core's free stacks alone, and the hazard-gated variant —
+// the paper's memory-safe "ZMSQ" — plugs a Domain in from outside, through
+// core.Hazards (harness.NewHazardDomain), for the cells that measure what
+// the protocol costs.
 package hazard
 
 import (
@@ -140,6 +146,11 @@ func (d *Domain[T]) Put(h *Handle[T]) {
 	h.r.active.Store(false)
 	h.r = nil
 }
+
+// Release is Put on the handle's own domain: the shape in which a handle
+// plugs into a queue's allocation domain (core.Hazards), whose contexts
+// hold only the handle.
+func (h *Handle[T]) Release() { h.d.Put(h) }
 
 // Protect publishes id (see ID) in hazard slot i. The caller must
 // re-validate its source pointer afterwards (the standard hazard-pointer

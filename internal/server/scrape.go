@@ -44,8 +44,6 @@ type Scrape struct {
 	Server          Stats                     `json:"server"`
 	InsertBatchSize metrics.HistogramSnapshot `json:"insert_batch_size"`
 	// Queues is every tenant's merged queue snapshot folded into one.
-	// HazardScans is the shared allocation domain's: its scans belong to
-	// no one tenant, so the per-tenant views read 0 there.
 	Queues  core.MetricsSnapshot    `json:"queues"`
 	Tenants map[string]TenantScrape `json:"tenants"`
 }
@@ -62,7 +60,6 @@ func (s *Server) Scrape() Scrape {
 		sc.Tenants[name] = ts
 		sc.Queues = sc.Queues.Merge(ts.Queue.Merged)
 	}
-	sc.Queues.HazardScans = s.domMet.HazardScans.Value()
 	return sc
 }
 

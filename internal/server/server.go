@@ -1,7 +1,7 @@
 // Package server implements zmsqd, the multi-tenant network front-end
 // over the sharded relaxed priority queue. Each tenant is one
 // sharded.Queue; all tenants share a single core.AllocDomain, so N
-// tenants cost one hazard-pointer domain and one freelist instead of N.
+// tenants recycle list blocks through one freelist instead of N.
 // The wire protocol (package wire) is a
 // compact CRC-checked binary framing over TCP; requests pipeline, and
 // the per-connection read loop coalesces consecutive same-tenant Insert
@@ -119,9 +119,6 @@ type Server struct {
 	protoErrors metrics.Counter
 	// connSeq numbers accepted connections: the last id is also the count.
 	connSeq atomic.Uint32
-	// domMet observes the shared allocation domain, whose hazard scans
-	// belong to no one tenant; only its HazardScans is ever written.
-	domMet *core.Metrics
 }
 
 // RecoveredTenant reports one tenant's startup recovery.
@@ -172,11 +169,8 @@ func New(cfg Config) (*Server, []RecoveredTenant, error) {
 		tenants: make(map[string]*tenant, len(cfg.Tenants)),
 		conns:   make(map[net.Conn]struct{}),
 		done:    make(chan struct{}),
-		domMet:  core.NewMetrics(),
 	}
-	dcfg := cfg.Queue.Queue
-	dcfg.Metrics = s.domMet
-	ad := core.NewAllocDomain[[]byte](dcfg)
+	ad := core.NewAllocDomain[[]byte](nil)
 	var recovered []RecoveredTenant
 	for _, name := range cfg.Tenants {
 		t := &tenant{name: name, durable: cfg.WALDir != ""}

@@ -1,7 +1,6 @@
 package sharded
 
 import (
-	"os"
 	"path/filepath"
 	"testing"
 
@@ -13,7 +12,7 @@ import (
 // operate independently while sharing the reclamation substrate.
 func TestSharedDomainAcrossQueues(t *testing.T) {
 	qcfg := core.DefaultConfig()
-	ad := core.NewAllocDomain[int](qcfg)
+	ad := core.NewAllocDomain[int](nil)
 
 	const tenants, keys = 3, 500
 	qs := make([]*Queue[int], tenants)
@@ -41,24 +40,30 @@ func TestSharedDomainAcrossQueues(t *testing.T) {
 	}
 }
 
-// TestSharedDomainModeMismatch pins the compatibility contract: a domain
-// built for one set mode must refuse a tenant of the other — with an
-// error, before the tenant's durability directory is touched.
-func TestSharedDomainModeMismatch(t *testing.T) {
-	for _, tc := range []struct{ domain, tenant core.SetMode }{
+// TestSharedDomainMixedSetModes: a domain has no set mode, so tenants of
+// both modes share one — the list tenant's blocks recycle through it, the
+// array tenant's sets hold none — and each durable tenant round-trips its
+// own log.
+func TestSharedDomainMixedSetModes(t *testing.T) {
+	for _, tc := range []struct{ first, second core.SetMode }{
 		{core.SetModeList, core.SetModeArray},
 		{core.SetModeArray, core.SetModeList},
 	} {
-		t.Run(tc.domain.String()+"-domain", func(t *testing.T) {
-			dir := t.TempDir()
-			dcfg, tcfg := core.DefaultConfig(), durableConfig(2, dir)
-			dcfg.SetMode, tcfg.Queue.SetMode = tc.domain, tc.tenant
-			ad := core.NewAllocDomain[int](dcfg)
-			if q, _, err := Open(tcfg, core.Options[int]{Domain: ad}); err == nil || q != nil {
-				t.Fatalf("Open accepted a %v tenant on a %v domain (queue %v, err %v)", tc.tenant, tc.domain, q, err)
-			}
-			if ents, err := os.ReadDir(dir); err != nil || len(ents) != 0 {
-				t.Fatalf("refused Open left %d entries in the durability directory (%v)", len(ents), err)
+		t.Run(tc.first.String()+"-domain", func(t *testing.T) {
+			ad := core.NewAllocDomain[int](nil)
+			for i, mode := range []core.SetMode{tc.first, tc.second} {
+				cfg := durableConfig(2, t.TempDir())
+				cfg.Queue.SetMode = mode
+				q, _ := mustOpen(t, cfg, core.Options[int]{Domain: ad})
+				for k := 1; k <= 500; k++ {
+					q.Insert(uint64(k), i)
+				}
+				if got := len(q.Drain()); got != 500 {
+					t.Fatalf("%v tenant drained %d of 500", mode, got)
+				}
+				if err := q.CloseWAL(); err != nil {
+					t.Fatalf("%v tenant: CloseWAL: %v", mode, err)
+				}
 			}
 		})
 	}
@@ -70,7 +75,7 @@ func TestSharedDomainModeMismatch(t *testing.T) {
 func TestDurableSharedDomainRoundTrip(t *testing.T) {
 	root := t.TempDir()
 	mkcfg := func(tenant string) Config { return durableConfig(2, filepath.Join(root, tenant)) }
-	ad := core.NewAllocDomain[struct{}](core.DefaultConfig())
+	ad := core.NewAllocDomain[struct{}](nil)
 
 	tenants := []string{"alpha", "beta"}
 	for ti, name := range tenants {
@@ -89,7 +94,7 @@ func TestDurableSharedDomainRoundTrip(t *testing.T) {
 		}
 	}
 
-	rd := core.NewAllocDomain[struct{}](core.DefaultConfig())
+	rd := core.NewAllocDomain[struct{}](nil)
 	for ti, name := range tenants {
 		q, st := mustOpen(t, mkcfg(name), core.Options[struct{}]{Domain: rd})
 		want := 100*(ti+1) - 1

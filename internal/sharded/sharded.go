@@ -27,9 +27,9 @@
 // consecutive extractions. internal/contract encodes exactly this bound
 // (contract.Config.Shards).
 //
-// All shards recycle set nodes through ONE shared core.AllocDomain — one
-// hazard domain, one freelist — instead of S private copies, so churn
-// moving between shards does not fragment the recycling pools.
+// All shards recycle list blocks through ONE shared core.AllocDomain — one
+// freelist — instead of S private copies, so churn moving between shards
+// does not fragment the recycling pools.
 package sharded
 
 import (
@@ -144,10 +144,9 @@ func New[V any](cfg Config) *Queue[V] {
 // Open is the one way to build a sharded queue; it takes the same Options
 // as core.Open and makes the same promises. Every shard of the returned
 // queue — and, when several queues are opened over one Options.Domain,
-// every shard of every such queue — shares one hazard-pointer domain and
-// freelist; this is how a multi-tenant server keeps N tenant
-// queues on one memory-reclamation substrate instead of N (see
-// internal/server). Without durability in cfg.Queue the queue is volatile
+// every shard of every such queue — shares one freelist; this is how a
+// multi-tenant server keeps N tenant queues on one recycling pool instead
+// of N (see internal/server). Without durability in cfg.Queue the queue is volatile
 // and the returned state is nil; an external cfg.Queue.WAL policy is shared
 // by every shard un-owned. With cfg.Queue.Durability.WAL set, Open always
 // recovers: core.OpenLog reads the durable multiset back while it opens the
@@ -162,18 +161,13 @@ func Open[V any](cfg Config, opts core.Options[V]) (*Queue[V], *wal.State, error
 	if cfg.Shards == 0 {
 		cfg.Shards = DefaultShards()
 	}
-	if opts.Domain != nil {
-		if err := opts.Domain.Compatible(cfg.Queue); err != nil {
-			return nil, nil, err
-		}
-	}
 	w, st, vals, err := core.OpenLog(cfg.Queue, opts.Codec)
 	if err != nil {
 		return nil, nil, err
 	}
 
 	if opts.Domain == nil {
-		opts.Domain = core.NewAllocDomain[V](cfg.Queue)
+		opts.Domain = core.NewAllocDomain[V](nil)
 	}
 	q := &Queue[V]{
 		shards: make([]shardSlot[V], cfg.Shards),
@@ -191,8 +185,7 @@ func Open[V any](cfg Config, opts core.Options[V]) (*Queue[V], *wal.State, error
 		if cfg.Queue.Metrics != nil {
 			if i == 0 {
 				// Shard 0 keeps the caller's Metrics so an externally held
-				// pointer still observes traffic (and the shared domain's
-				// hazard-scan hook, wired to it by NewAllocDomain).
+				// pointer still observes traffic.
 				q.shards[i].met = cfg.Queue.Metrics
 			} else {
 				q.shards[i].met = core.NewMetrics()
@@ -201,8 +194,8 @@ func Open[V any](cfg Config, opts core.Options[V]) (*Queue[V], *wal.State, error
 		}
 		sq, _, err := core.Open(scfg, opts)
 		if err != nil {
-			// Unreachable: cfg.Queue and the domain were checked above, and a
-			// bare shard opens nothing.
+			// Unreachable: cfg.Queue was checked above, and a bare shard
+			// opens nothing.
 			panic(err)
 		}
 		q.shards[i].q = sq

@@ -28,8 +28,9 @@ const goldenStateHash = "9330b50814b2cf1d"
 // Log — key-only and valued batches of 2-64 keys, single inserts and
 // extracts, an explicit Snapshot per phase through eight deltas and one
 // rebase — and pins the log bytes after every phase and the recovered
-// state at the end. Chain files are compared by the state they recover
-// to, not by bytes: they are encoded in map order.
+// state at the end. Chain files are compared here by the state they
+// recover to; their bytes, which are deterministic (keys in ascending
+// order), are TestSnapshotBytesGolden's to pin.
 func TestLogBytesGolden(t *testing.T) {
 	opts := testOptions(t)
 	opts.GroupCommit = time.Hour

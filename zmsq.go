@@ -25,8 +25,11 @@
 // across a whole batch while observing the same relaxation contract as the
 // equivalent sequence of single-element calls. The steady-state hot paths
 // are allocation-free: set nodes recycle through per-context free stacks
-// and a shared freelist (hazard-gated in memory-safe mode, direct in leaky
-// mode), and all transient buffers live in pooled per-operation contexts.
+// and a shared freelist, and all transient buffers live in pooled
+// per-operation contexts. A freed set node is reused at once, because no
+// optimistic reader ever holds one (DESIGN.md §5); the paper's hazard
+// pointers (§3.5) run only in the experiment harness's memory-safe cells,
+// which measure what the protocol costs.
 //
 // The repository also contains the paper's baselines (mound, SprayList,
 // MultiQueue), the experiment harness that regenerates every table and
@@ -111,8 +114,7 @@ func New[V any](cfg Config) *Queue[V] { return core.New[V](cfg) }
 func NewMetrics() *Metrics { return core.NewMetrics() }
 
 // DefaultConfig returns the paper's recommended configuration: batch = 48,
-// targetLen = 72, TATAS trylocks, hazard-pointer memory safety, blocking
-// disabled.
+// targetLen = 72, TATAS trylocks, list sets, blocking disabled.
 func DefaultConfig() Config { return core.DefaultConfig() }
 
 // NewBlocking returns a queue with the §3.6 blocking mechanism enabled:
