@@ -25,9 +25,23 @@ package core
 import (
 	"fmt"
 
-	"repro/internal/fault"
 	"repro/internal/locks"
 )
+
+// Faults is the queue's fault-injection seam: one method per site that
+// chaos testing perturbs. The queue consults it only where Config.Faults
+// is non-nil.
+type Faults interface {
+	// FailTryLock reports whether a TNode trylock acquisition is forced
+	// to fail, as if the lock had been lost to a racing holder.
+	FailTryLock() bool
+	// StallPoolHandoff runs between a pool claim's read of its slot and
+	// the release of the slot to refillers: a lagging consumer.
+	StallPoolHandoff()
+	// StallTreeGrow runs between expandTree's decision to grow and the
+	// publication of the new level.
+	StallTreeGrow()
+}
 
 // DefaultBatch and DefaultTargetLen are the static configuration the paper
 // recommends as a default (§4.2: "We recommend the static (batch=48,
@@ -128,13 +142,11 @@ type Config struct {
 	// CI overhead gate). Read it through Queue.Snapshot.
 	Metrics *Metrics
 
-	// Faults, when non-nil, injects deterministic faults at the queue's
-	// riskiest synchronization surfaces: TNode trylock acquisition,
-	// pool-slot handoff and tree growth. (The HazardScan point stalls the
-	// scans of a hazard-gated AllocDomain, which is wired to it where it
-	// is built.) For chaos testing only — nil (the default) compiles the
-	// hooks down to a single predictable branch per site.
-	Faults *fault.Injector
+	// Faults, when non-nil, injects faults at the queue's riskiest
+	// synchronization surfaces (see the Faults interface). For chaos
+	// testing only (internal/fault's Injector implements it); nil, the
+	// default, costs one predictable branch per site.
+	Faults Faults
 
 	// Durability, when non-nil with WAL set, makes the queue own a
 	// write-ahead log: Open recovers what Durability.Dir holds and opens

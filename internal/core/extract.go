@@ -1,10 +1,6 @@
 package core
 
-import (
-	"runtime"
-
-	"repro/internal/fault"
-)
+import "runtime"
 
 // This file implements Listing 2 of the paper: pool claims by
 // fetch-and-decrement, pool refill from the root (reserving the maximum for
@@ -140,7 +136,7 @@ func (q *Queue[V]) lockRoot(ctx *opCtx[V], force bool) (*tnode[V], int64, extrac
 		// Chaos hook: a forced trylock failure behaves exactly like losing
 		// the race to a concurrent refiller. The force path (attempt >= 16)
 		// deliberately bypasses injection so progress is never starved.
-		if (q.faults != nil && q.faults.Fire(fault.TryLock)) || !root.lock.TryLock() {
+		if (q.faults != nil && q.faults.FailTryLock()) || !root.lock.TryLock() {
 			// Likely a concurrent refill; go back to the pool.
 			q.countRaced(ctx)
 			return nil, 0, extractRaced

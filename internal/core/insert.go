@@ -1,10 +1,6 @@
 package core
 
-import (
-	"runtime"
-
-	"repro/internal/fault"
-)
+import "runtime"
 
 // This file implements Listing 1 of the paper: position selection, the
 // regular insert (new maximum of a node on the leaf-to-root path), the
@@ -152,7 +148,7 @@ func (q *Queue[V]) lockNode(ctx *opCtx[V], n *tnode[V], bypass bool) bool {
 	if q.useTry {
 		// Chaos hook: a forced failure is indistinguishable from losing the
 		// trylock race; the caller restarts along a different random path.
-		if !bypass && q.faults != nil && q.faults.Fire(fault.TryLock) {
+		if !bypass && q.faults != nil && q.faults.FailTryLock() {
 			if m := q.met; m != nil {
 				m.TryLockFail.Inc(ctx.al.shard)
 			}

@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"runtime"
 	"sync/atomic"
-
-	"repro/internal/fault"
 )
 
 // This file is the extraction pool of §3.3 — the only relaxation mechanism
@@ -41,9 +39,9 @@ type batchPool[V any] struct {
 	// publishes it. A claim at index idx estimates its refill-time rank as
 	// gen - idx. Telemetry only — never consulted for correctness.
 	gen atomic.Int64
-	// faults is the chaos injector (nil outside chaos testing); the pool
-	// owns the PoolHandoff stall point.
-	faults *fault.Injector
+	// faults is Config.Faults (nil outside chaos testing); the pool owns
+	// its StallPoolHandoff site.
+	faults Faults
 }
 
 // poolSlot is one entry of the extraction pool, padded to its own cache
@@ -60,7 +58,7 @@ type poolSlot[V any] struct {
 	_    [44]byte
 }
 
-func newBatchPool[V any](batch int, faults *fault.Injector) *batchPool[V] {
+func newBatchPool[V any](batch int, faults Faults) *batchPool[V] {
 	return &batchPool[V]{
 		slots:  make([]poolSlot[V], batch),
 		faults: faults,
@@ -90,7 +88,9 @@ func (p *batchPool[V]) claim() (uint64, V, int64, bool) {
 	// Chaos hook: stall between reading the slot and releasing it,
 	// simulating a lagging consumer so refillers exercise the
 	// wait-for-lagging-consumers loop.
-	p.faults.Stall(fault.PoolHandoff)
+	if p.faults != nil {
+		p.faults.StallPoolHandoff()
+	}
 	slot.full.Store(0) // release the slot to future refillers
 	// Rank at refill time: the refiller took rank 0 and the pool is claimed
 	// from the top down, so slots[idx] of a gen-sized refill was rank

@@ -26,9 +26,13 @@ func hazardDomain[V any](met *Metrics, inj *fault.Injector) (*AllocDomain[V], *h
 }
 
 // openHazard opens cfg's queue over a fresh hazardDomain built from cfg's
-// Metrics and Faults.
-func openHazard(cfg Config) (*Queue[int], *hazard.Domain[lnode[int]]) {
-	ad, d := hazardDomain[int](cfg.Metrics, cfg.Faults)
+// Metrics and inj, which also becomes the queue's Faults when non-nil (a
+// nil *fault.Injector in Config.Faults would be a non-nil interface).
+func openHazard(cfg Config, inj *fault.Injector) (*Queue[int], *hazard.Domain[lnode[int]]) {
+	if inj != nil {
+		cfg.Faults = inj
+	}
+	ad, d := hazardDomain[int](cfg.Metrics, inj)
 	q, _, err := Open(cfg, Options[int]{Domain: ad})
 	if err != nil {
 		panic(err)
@@ -47,7 +51,7 @@ func TestHazardRecordsReleased(t *testing.T) {
 		workers = 4
 		bursts  = 24
 	)
-	q, dom := openHazard(Config{Batch: 4, TargetLen: 8})
+	q, dom := openHazard(Config{Batch: 4, TargetLen: 8}, nil)
 	for b := 0; b < bursts; b++ {
 		var wg sync.WaitGroup
 		for w := 0; w < workers; w++ {
@@ -86,7 +90,7 @@ func TestHazardRecordsReleased(t *testing.T) {
 // record goes back to the domain for the next context to reuse.
 func TestReleaseHandsNodesOn(t *testing.T) {
 	met := NewMetrics()
-	q, dom := openHazard(Config{Batch: 0, TargetLen: 8, Metrics: met})
+	q, dom := openHazard(Config{Batch: 0, TargetLen: 8, Metrics: met}, nil)
 	ctx := q.getCtx()
 	runtime.SetFinalizer(ctx, nil) // released by hand below
 	nodes := make([]*lnode[int], 100)
@@ -125,7 +129,7 @@ func TestReleaseHandsNodesOn(t *testing.T) {
 func TestHazardSeams(t *testing.T) {
 	inj := fault.New(1, fault.Plan{HazardScanPct: 100, HazardScanYields: 1})
 	met := NewMetrics()
-	q, _ := openHazard(Config{Batch: 4, TargetLen: 8, Faults: inj, Metrics: met})
+	q, _ := openHazard(Config{Batch: 4, TargetLen: 8, Metrics: met}, inj)
 	r := xrand.New(9)
 	for i := 0; i < 3000; i++ {
 		q.Insert(r.Uint64()%100000, 0)

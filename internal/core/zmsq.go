@@ -5,7 +5,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"repro/internal/fault"
 	"repro/internal/locks"
 	"repro/internal/waitring"
 	"repro/internal/wal"
@@ -38,7 +37,7 @@ type Queue[V any] struct {
 
 	ring   *waitring.Ring  // non-nil iff cfg.Blocking
 	ad     *AllocDomain[V] // where list blocks recycle (possibly shared)
-	faults *fault.Injector // non-nil only under chaos testing
+	faults Faults          // non-nil only under chaos testing
 	met    *Metrics        // non-nil iff cfg.Metrics was set
 
 	// wal is the durability policy (see wal.go); nil keeps the hot paths
@@ -216,7 +215,9 @@ func (q *Queue[V]) expandTree(from int) bool {
 	// Chaos hook: pause between deciding to grow and publishing the level,
 	// while concurrent inserts spin through selectPosition against the
 	// stale leafLevel and other growers block on growMu.
-	q.faults.Stall(fault.TreeGrow)
+	if q.faults != nil {
+		q.faults.StallTreeGrow()
+	}
 	// Publish the level's nodes before advancing leafLevel: readers load
 	// leafLevel (acquire) before indexing levels, so they always observe
 	// initialized nodes.

@@ -21,7 +21,7 @@ type testConfig struct {
 func newTestQueue[V any](tc testConfig) *Queue[V] {
 	var opts Options[V]
 	if tc.hazard {
-		opts.Domain, _ = hazardDomain[V](tc.Metrics, tc.Faults)
+		opts.Domain, _ = hazardDomain[V](tc.Metrics, nil)
 	}
 	q, _, err := Open(tc.Config, opts)
 	if err != nil {

@@ -28,9 +28,9 @@
 // depends on scheduling; determinism here means a seeded fault *schedule*,
 // reproducible in aggregate, not a replayed interleaving.)
 //
-// A nil *Injector is valid and injects nothing: every method nil-checks
-// its receiver, so production paths pay one predictable branch and the
-// hooks compile to no-ops on the default path.
+// An *Injector plugs into a queue as core.Config.Faults: FailTryLock,
+// StallPoolHandoff and StallTreeGrow implement core.Faults, and this
+// package does not import core, so the product never links it.
 package fault
 
 import (
@@ -202,6 +202,15 @@ func (in *Injector) Stall(p Point) {
 		runtime.Gosched()
 	}
 }
+
+// FailTryLock is Fire(TryLock), core.Faults' trylock site.
+func (in *Injector) FailTryLock() bool { return in.Fire(TryLock) }
+
+// StallPoolHandoff is Stall(PoolHandoff), core.Faults' pool-handoff site.
+func (in *Injector) StallPoolHandoff() { in.Stall(PoolHandoff) }
+
+// StallTreeGrow is Stall(TreeGrow), core.Faults' tree-growth site.
+func (in *Injector) StallTreeGrow() { in.Stall(TreeGrow) }
 
 // Calls reports how many times point p has been queried.
 func (in *Injector) Calls(p Point) uint64 {

@@ -27,10 +27,9 @@ func NewZMSQ(cfg core.Config) *ZMSQ {
 }
 
 // NewHazardZMSQ builds the paper's memory-safe ZMSQ from cfg: a queue over
-// NewHazardDomain, its scans counted on cfg.Metrics and stalled by
-// cfg.Faults.
+// NewHazardDomain, its scans counted on cfg.Metrics.
 func NewHazardZMSQ(cfg core.Config) *ZMSQ {
-	q, _, err := core.Open(cfg, core.Options[struct{}]{Domain: NewHazardDomain[struct{}](cfg.Metrics, cfg.Faults)})
+	q, _, err := core.Open(cfg, core.Options[struct{}]{Domain: NewHazardDomain[struct{}](cfg.Metrics, nil)})
 	if err != nil {
 		panic(err)
 	}

@@ -113,7 +113,9 @@ type ChaosResult struct {
 	// FailedExtracts counts extraction attempts that returned ok=false
 	// (all of them legitimate if the run passed).
 	FailedExtracts int
-	// FaultCalls/FaultFired report per-point injection activity.
+	// FaultCalls/FaultFired report per-point injection activity, keyed by
+	// Point.String, for the points the run consulted: a point the queue
+	// never reaches (HazardScan off a hazard-gated domain) has no entry.
 	FaultCalls, FaultFired map[string]uint64
 	// Report is the contract checker's summary.
 	Report contract.Report
@@ -140,7 +142,11 @@ func runChaos(plan ChaosPlan, hazard bool) (ChaosResult, error) {
 	cfg.Seed = plan.Seed
 	cfg.Faults = inj
 	cfg.Durability = plan.durability()
-	q, _, name, err := openTarget(plan.Shards, cfg, core.Options[[]byte]{}, hazard)
+	var opts core.Options[[]byte]
+	if hazard {
+		opts.Domain = NewHazardDomain[[]byte](cfg.Metrics, inj)
+	}
+	q, _, name, err := openTarget(plan.Shards, cfg, opts, hazard)
 	if err != nil {
 		return ChaosResult{Name: name}, err
 	}
@@ -272,8 +278,10 @@ func runChaos(plan ChaosPlan, hazard bool) (ChaosResult, error) {
 	res.FaultCalls = make(map[string]uint64, fault.NumPoints)
 	res.FaultFired = make(map[string]uint64, fault.NumPoints)
 	for _, p := range fault.Points() {
-		res.FaultCalls[p.String()] = inj.Calls(p)
-		res.FaultFired[p.String()] = inj.Fired(p)
+		if calls := inj.Calls(p); calls > 0 {
+			res.FaultCalls[p.String()] = calls
+			res.FaultFired[p.String()] = inj.Fired(p)
+		}
 	}
 
 	rep, err := checker.Verify()

@@ -194,12 +194,10 @@ type target interface {
 }
 
 // openTarget opens the queue a plan describes — the sharded front-end for
-// shards > 1, a single queue otherwise, over a NewHazardDomain if hazard
-// is set — and returns it with the name reports give it.
+// shards > 1, a single queue otherwise — and returns it with the name
+// reports give it; hazard names a queue whose opts.Domain is a
+// NewHazardDomain.
 func openTarget(shards int, cfg core.Config, opts core.Options[[]byte], hazard bool) (target, *wal.State, string, error) {
-	if hazard {
-		opts.Domain = NewHazardDomain[[]byte](cfg.Metrics, cfg.Faults)
-	}
 	if shards > 1 {
 		name := fmt.Sprintf("sharded(%d)", shards)
 		q, st, err := sharded.Open(sharded.Config{Shards: shards, Queue: cfg}, opts)

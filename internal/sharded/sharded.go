@@ -50,10 +50,11 @@ type Config struct {
 	// scalability at a proportionally wider quality window.
 	Shards int
 
-	// Queue is the per-shard ZMSQ configuration template. Faults is shared
-	// by every shard; a non-nil Metrics enables instrumentation, with each
-	// shard receiving its own derived Metrics (a core.Metrics must observe
-	// at most one queue) — read the merged view through Queue.Snapshot.
+	// Queue is the per-shard ZMSQ configuration template. Faults (chaos
+	// testing only) is shared by every shard; a non-nil Metrics enables
+	// instrumentation, with each shard receiving its own derived Metrics
+	// (a core.Metrics must observe at most one queue) — read the merged
+	// view through Queue.Snapshot.
 	// Blocking is rejected: per-shard wait rings cannot compose a
 	// cross-shard sleep (see Validate).
 	Queue core.Config
