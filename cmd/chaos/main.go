@@ -15,7 +15,9 @@
 //	chaos -sharded 3           # also chaos the sharded front-end (3 shards,
 //	                           # composed S·(b+1) window, per-shard never-fails)
 //	chaos -durable             # attach a WAL; after the drain the durable
-//	                           # state must replay to empty
+//	                           # state must replay to empty (the log is the
+//	                           # sharded front-end's, so the single-queue
+//	                           # row runs as sharded(1))
 //	chaos -baselines           # also run conservation checks on baselines
 package main
 

@@ -95,15 +95,15 @@ func declared(t *testing.T, path string) map[string]decl {
 // TestOneWayIn pins the construction surface: in core, sharded and the
 // facade, the exported functions and Queue methods named like a way in
 // (New…, Open…, Recover…, Attach…, Decode…) are exactly these. A new
-// variation is a field of Config or core.Options, not another name; the
-// names marked deprecated exist only for the frozen bench/ module.
+// variation is a field of Config, core.Options or sharded.Options, not
+// another name; the names marked deprecated exist only for the frozen
+// bench/ module.
 func TestOneWayIn(t *testing.T) {
 	wayIn := regexp.MustCompile(`^(Queue\.)?(New|Open|Recover|Attach|Decode)`)
 	const deprecated = true
 	for path, want := range map[string]map[string]bool{
 		"internal/core": {
 			"New": false, "Open": false, "NewAllocDomain": false, "NewMetrics": false,
-			"Queue.AttachWAL": false, "OpenLog": false,
 		},
 		"internal/sharded": {
 			"New": false, "Open": false, "Queue.NewHandle": false,
@@ -121,7 +121,7 @@ func TestOneWayIn(t *testing.T) {
 			wantDeprecated, ok := want[name]
 			switch {
 			case !ok:
-				t.Errorf("%s exports %s: one way in — make it a field of Config or core.Options", path, name)
+				t.Errorf("%s exports %s: one way in — make it a field of Config, core.Options or sharded.Options", path, name)
 			case d.deprecated != wantDeprecated:
 				t.Errorf("%s: %s has Deprecated=%v, want %v", path, name, d.deprecated, wantDeprecated)
 			}

@@ -24,18 +24,6 @@ func (q *Queue[V]) InsertBatch(keys []uint64, vals []V) {
 		panic("zmsq: InsertBatch called with len(vals) != len(keys)")
 	}
 	ctx := q.getCtx()
-	if q.wal != nil {
-		// One record for the whole batch, logged before any element
-		// becomes visible — the group-commit amortization lever. With no
-		// payloads to carry (vals == nil inserts zero values, which is
-		// exactly what a key-only record recovers to) or no codec it is
-		// the v1 key-only record, bit-identical to pre-codec logs.
-		var enc [][]byte
-		if q.codec != nil && vals != nil {
-			enc = q.encodeVals(ctx, vals)
-		}
-		q.wal.AppendInserts(keys, enc)
-	}
 	for i, k := range keys {
 		e := element[V]{key: k}
 		if vals != nil {
@@ -51,27 +39,6 @@ func (q *Queue[V]) InsertBatch(keys []uint64, vals []V) {
 			q.ring.Signal()
 		}
 	}
-}
-
-// encodeVals encodes every payload into the context's arena (appends can
-// grow/move it, so the member views are sliced out only after the last
-// encode) and returns the views, aligned with vals. They alias the
-// context's scratch: the WAL copies the bytes before returning, and the
-// next batch overwrites them.
-func (q *Queue[V]) encodeVals(ctx *opCtx[V], vals []V) [][]byte {
-	ctx.venc = ctx.venc[:0]
-	ctx.voffs = ctx.voffs[:0]
-	for _, v := range vals {
-		ctx.venc = q.codec.Append(ctx.venc, v)
-		ctx.voffs = append(ctx.voffs, len(ctx.venc))
-	}
-	ctx.vptrs = ctx.vptrs[:0]
-	prev := 0
-	for _, end := range ctx.voffs {
-		ctx.vptrs = append(ctx.vptrs, ctx.venc[prev:end:end])
-		prev = end
-	}
-	return ctx.vptrs
 }
 
 // ExtractBatch removes up to n high-priority elements, appending them to
@@ -94,18 +61,7 @@ func (q *Queue[V]) ExtractBatch(dst []Element[V], n int) []Element[V] {
 	}
 	ctx := q.getCtx()
 	defer q.putCtx(ctx)
-	start := len(dst)
-	dst = q.extractBatch(ctx, dst, n)
-	if q.wal != nil && len(dst) > start {
-		// Log after the elements are physically removed, as one batch
-		// record covering everything this call took.
-		ctx.wkeys = ctx.wkeys[:0]
-		for _, e := range dst[start:] {
-			ctx.wkeys = append(ctx.wkeys, e.Key)
-		}
-		q.wal.AppendExtracts(ctx.wkeys)
-	}
-	return dst
+	return q.extractBatch(ctx, dst, n)
 }
 
 func (q *Queue[V]) extractBatch(ctx *opCtx[V], dst []Element[V], n int) []Element[V] {

@@ -48,7 +48,7 @@ func BenchmarkSteadyMix(b *testing.B) {
 			return New[struct{}](tc.Config)
 		}
 		ad, _ := hazardDomain[struct{}](scans, nil)
-		q, _, err := Open(tc.Config, Options[struct{}]{Domain: ad})
+		q, err := Open(tc.Config, Options[struct{}]{Domain: ad})
 		if err != nil {
 			panic(err)
 		}

@@ -20,6 +20,11 @@
 // a freed block is reused at once (AllocDomain). The paper's hazard
 // pointers (§3.5) plug in from outside through AllocDomain's Reclaimer, for
 // the cells that measure what they cost.
+//
+// The queue is in-memory, as the paper's is: this package has no log and
+// does not import internal/wal. Durability belongs to the sharded
+// front-end (package sharded), which logs at its own operation boundaries;
+// Open refuses a Config that sets Durability.
 package core
 
 import (
@@ -148,20 +153,11 @@ type Config struct {
 	// default, costs one predictable branch per site.
 	Faults Faults
 
-	// Durability, when non-nil with WAL set, makes the queue own a
-	// write-ahead log: Open recovers what Durability.Dir holds and opens
-	// the log there, every mutation is logged (inserts before visibility,
-	// extracts after removal), SyncWAL is the acknowledgement point, and
-	// CloseWAL closes the log after the final drain. nil keeps the queue
-	// purely in-memory with the hot paths at 0 allocs/op.
+	// Durability is read by sharded.Open, which owns the write-ahead log
+	// a durable queue logs through (see DurabilityConfig). This package's
+	// queue has no log: Open refuses a config that sets the field, and a
+	// durable single queue is a one-shard sharded queue.
 	Durability *DurabilityConfig
-
-	// WAL attaches an externally owned durability policy instead of a
-	// queue-owned log: the queue appends through it but CloseWAL only
-	// syncs — whoever built the policy closes it. The sharded front-end
-	// threads one shared *wal.Log through all its shards this way.
-	// Mutually exclusive with Durability.WAL.
-	WAL WALPolicy
 }
 
 // Validate reports a descriptive error for nonsensical configurations
@@ -186,7 +182,7 @@ func (c Config) Validate() error {
 	default:
 		return fmt.Errorf("zmsq: Config.SetMode is unknown mode %d; valid modes are list(0), array(1)", int(c.SetMode))
 	}
-	return c.validateDurability()
+	return nil
 }
 
 // arraySet is the internal shorthand for SetMode == SetModeArray.

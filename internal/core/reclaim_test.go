@@ -33,7 +33,7 @@ func openHazard(cfg Config, inj *fault.Injector) (*Queue[int], *hazard.Domain[ln
 		cfg.Faults = inj
 	}
 	ad, d := hazardDomain[int](cfg.Metrics, inj)
-	q, _, err := Open(cfg, Options[int]{Domain: ad})
+	q, err := Open(cfg, Options[int]{Domain: ad})
 	if err != nil {
 		panic(err)
 	}

@@ -65,8 +65,8 @@ func TestSharedAllocDomain(t *testing.T) {
 	ad := NewAllocDomain[int](nil)
 	cfgA, cfgB := cfg, cfg
 	cfgA.Metrics, cfgB.Metrics = NewMetrics(), NewMetrics()
-	a, _ := mustOpen(t, cfgA, Options[int]{Domain: ad})
-	b, _ := mustOpen(t, cfgB, Options[int]{Domain: ad})
+	a := mustOpen(t, cfgA, Options[int]{Domain: ad})
+	b := mustOpen(t, cfgB, Options[int]{Domain: ad})
 	if a.ad != ad || b.ad != ad {
 		t.Fatal("queue did not adopt the shared domain")
 	}
@@ -105,7 +105,7 @@ func TestSharedAllocDomain(t *testing.T) {
 
 	arrCfg := withSetMode(cfg, SetModeArray)
 	arrCfg.Metrics = NewMetrics()
-	arr, _ := mustOpen(t, arrCfg, Options[int]{Domain: ad})
+	arr := mustOpen(t, arrCfg, Options[int]{Domain: ad})
 	for i := 0; i < n; i++ {
 		arr.Insert(uint64(i), i)
 	}

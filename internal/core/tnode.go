@@ -206,20 +206,6 @@ type opCtx[V any] struct {
 	scratch []element[V]
 	split   []element[V]
 	splitR  []element[V]
-	// wkeys is ExtractBatch's key scratch for batch WAL records;
-	// allocated only when the queue has a durability policy. k1 and v1
-	// back the one-element slices Insert and single extractions log.
-	wkeys []uint64
-	k1    [1]uint64
-	v1    [1][]byte
-	// Valued-insert encoding scratch, allocated only when a payload
-	// codec is attached: venc is the arena the codec appends encoded
-	// payloads into, voffs the end offset of each member in it, vptrs
-	// the per-member views handed to AppendInserts. The WAL copies the
-	// bytes before returning, so the arena is reused freely.
-	venc  []byte
-	voffs []int
-	vptrs [][]byte
 	// sctr drives the metrics rank-error sampler: one in rankSampleEvery
 	// extractions on this context records a sample (see Metrics.RankError).
 	sctr uint32

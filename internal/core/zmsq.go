@@ -1,13 +1,13 @@
 package core
 
 import (
+	"errors"
 	"runtime"
 	"sync"
 	"sync/atomic"
 
 	"repro/internal/locks"
 	"repro/internal/waitring"
-	"repro/internal/wal"
 	"repro/internal/xrand"
 )
 
@@ -40,17 +40,6 @@ type Queue[V any] struct {
 	faults Faults          // non-nil only under chaos testing
 	met    *Metrics        // non-nil iff cfg.Metrics was set
 
-	// wal is the durability policy (see wal.go); nil keeps the hot paths
-	// free of durability branches beyond one predictable nil check.
-	// walOwned records whether CloseWAL closes it (Config.Durability) or
-	// only syncs it (Config.WAL, externally owned).
-	wal      WALPolicy
-	walOwned bool
-	// codec encodes payloads for valued WAL records (Options.Codec); nil
-	// keeps the log key-only. Checked only inside q.wal != nil branches,
-	// so codec-off costs nothing on the hot paths.
-	codec wal.Codec[V]
-
 	ctxs    sync.Pool
 	seedCtr atomic.Uint64
 	closed  atomic.Bool
@@ -59,9 +48,9 @@ type Queue[V any] struct {
 	helperMoves atomic.Int64
 }
 
-// Options carries the two construction inputs Config cannot: both are
+// Options carries the construction input Config cannot, because it is
 // generic over the payload type V. The zero value is a private allocation
-// domain and key-only logging.
+// domain.
 type Options[V any] struct {
 	// Domain, when non-nil, is the allocation domain the queue's list
 	// blocks recycle through. Handing the same domain to several queues
@@ -69,49 +58,31 @@ type Options[V any] struct {
 	// over one domain this way — and queues of either set mode may share
 	// one. nil builds a private domain with no Reclaimer.
 	Domain *AllocDomain[V]
-	// Codec, when non-nil, encodes payloads for the durability layer: Insert
-	// and InsertBatch log each element's encoded value alongside its key (wal
-	// record format v2) and Open decodes recovered payloads back through it.
-	// nil logs key-only v1 records — bit-identical on disk to the pre-payload
-	// format — and recovers zero values.
-	Codec wal.Codec[V]
 }
 
+// errDurable is Open's refusal of Config.Durability.
+var errDurable = errors.New("zmsq: core.Open opens no log; Config.Durability is for sharded.Open (a durable single queue is one shard)")
+
 // New returns an empty queue configured by cfg — Open with default Options,
-// the recovered state dropped, and any error a panic. Callers building
-// configs from external input, or pointing Config.Durability at a directory
-// someone else supplied, should call Open. See Config and DefaultConfig.
+// and any error a panic. Callers building configs from external input should
+// call Open. See Config and DefaultConfig.
 func New[V any](cfg Config) *Queue[V] {
-	q, _, err := Open(cfg, Options[V]{})
+	q, err := Open(cfg, Options[V]{})
 	if err != nil {
 		panic(err)
 	}
 	return q
 }
 
-// Open is the one way to build a queue. Without durability in cfg the queue
-// is volatile and the returned state is nil; an external Config.WAL policy is
-// attached un-owned. With Config.Durability.WAL set, Open always recovers:
-// OpenLog reads the durable element multiset back from the directory's
-// snapshot chain + log (a missing or empty directory recovers to an empty
-// state) while it opens the log and decodes the elements through
-// opts.Codec, they are re-inserted, and only then is the log attached — the
-// recovered elements are already in the log, and re-appending them would
-// double-count on the next Open. The returned wal.State says what was
-// recovered; State.Live() == 0 is a fresh queue. A directory holding value
-// payloads is rejected without a codec rather than silently stripped.
-//
-// Everything that can fail — validation, recovery, opening the log,
-// decoding — runs before the queue is built, and a log opened before a
-// failure is closed again, so an error leaves no queue, goroutine or open
-// file behind.
-func Open[V any](cfg Config, opts Options[V]) (*Queue[V], *wal.State, error) {
+// Open is the one way to build a queue. It refuses an invalid config and a
+// config that sets Durability, before anything is built: the queue is
+// in-memory, and logging belongs to the sharded front-end.
+func Open[V any](cfg Config, opts Options[V]) (*Queue[V], error) {
 	if err := cfg.Validate(); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	w, st, vals, err := OpenLog(cfg, opts.Codec)
-	if err != nil {
-		return nil, nil, err
+	if cfg.Durability != nil {
+		return nil, errDurable
 	}
 
 	cfg = cfg.withDefaults()
@@ -122,7 +93,6 @@ func Open[V any](cfg Config, opts Options[V]) (*Queue[V], *wal.State, error) {
 		useTry:    !cfg.NoTryLock,
 		faults:    cfg.Faults,
 		met:       cfg.Metrics,
-		codec:     opts.Codec,
 	}
 	if q.ad = opts.Domain; q.ad == nil {
 		q.ad = NewAllocDomain[V](nil)
@@ -155,30 +125,12 @@ func Open[V any](cfg Config, opts Options[V]) (*Queue[V], *wal.State, error) {
 		c.scratch = make([]element[V], 0, cfg.Batch+1)
 		c.split = make([]element[V], 0, cfg.TargetLen+2)
 		c.splitR = make([]element[V], 0, cfg.TargetLen+2)
-		if q.wal != nil {
-			// Scratch for ExtractBatch's one-record-per-batch logging;
-			// only paid for when durability is on.
-			c.wkeys = make([]uint64, 0, cfg.Batch+1)
-			if q.codec != nil {
-				// Valued-insert encoding scratch: one arena the codec
-				// appends into plus the per-member views handed to the
-				// WAL. Sized for a batch; they grow to steady state if
-				// payloads are larger.
-				c.venc = make([]byte, 0, 4096)
-				c.voffs = make([]int, 0, cfg.Batch+1)
-				c.vptrs = make([][]byte, 0, cfg.Batch+1)
-			}
-		}
 		return c
 	}
-	if st != nil {
-		q.InsertBatch(st.Keys, vals) // bare: the log already holds these
-	}
-	q.wal, q.walOwned = w, st != nil // a log Open opened is the queue's to close
 	if cfg.Helper {
 		go q.helperLoop()
 	}
-	return q, st, nil
+	return q, nil
 }
 
 func (q *Queue[V]) newLevel(n int) []tnode[V] {

@@ -23,7 +23,7 @@ func newTestQueue[V any](tc testConfig) *Queue[V] {
 	if tc.hazard {
 		opts.Domain, _ = hazardDomain[V](tc.Metrics, nil)
 	}
-	q, _, err := Open(tc.Config, opts)
+	q, err := Open(tc.Config, opts)
 	if err != nil {
 		panic(err)
 	}

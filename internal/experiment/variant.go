@@ -74,9 +74,9 @@ func (c *QueueConfig) newQueue(cfg core.Config, scans *core.Metrics) *core.Queue
 	if c.hazard() {
 		opts.Domain = harness.NewHazardDomain[struct{}](scans, nil)
 	}
-	q, _, err := core.Open(cfg, opts)
+	q, err := core.Open(cfg, opts)
 	if err != nil {
-		panic(err) // cfg came through coreConfig, and opts open nothing
+		panic(err) // cfg came through coreConfig
 	}
 	return q
 }

@@ -29,7 +29,7 @@ func NewZMSQ(cfg core.Config) *ZMSQ {
 // NewHazardZMSQ builds the paper's memory-safe ZMSQ from cfg: a queue over
 // NewHazardDomain, its scans counted on cfg.Metrics.
 func NewHazardZMSQ(cfg core.Config) *ZMSQ {
-	q, _, err := core.Open(cfg, core.Options[struct{}]{Domain: NewHazardDomain[struct{}](cfg.Metrics, nil)})
+	q, err := core.Open(cfg, core.Options[struct{}]{Domain: NewHazardDomain[struct{}](cfg.Metrics, nil)})
 	if err != nil {
 		panic(err)
 	}
@@ -41,7 +41,7 @@ func NewHazardZMSQ(cfg core.Config) *ZMSQ {
 // the product does not run (core.AllocDomain says why), at its full cost.
 // Its scans count on met.HazardScans and stall at inj's HazardScan point;
 // either may be nil. Hand it to core.Open or sharded.Open as
-// core.Options.Domain.
+// Options.Domain.
 func NewHazardDomain[V any](met *core.Metrics, inj *fault.Injector) *core.AllocDomain[V] {
 	return plugHazards(core.NewAllocDomain[V], func() {
 		if met != nil {

@@ -9,6 +9,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/fault"
 	"repro/internal/pq"
+	"repro/internal/sharded"
 	"repro/internal/wal"
 	"repro/internal/xrand"
 )
@@ -45,7 +46,8 @@ type ChaosPlan struct {
 	// fields are overwritten by the plan's.
 	Queue core.Config
 	// Shards > 1 runs the schedule against the sharded front-end, faults
-	// shared across shards; 0 or 1 against a single queue.
+	// shared across shards; 0 or 1 against a single queue, or against one
+	// shard when Durable is set (the log belongs to the front-end).
 	Shards int
 	// Keys selects the workload key distribution.
 	Keys KeyDist
@@ -142,11 +144,11 @@ func runChaos(plan ChaosPlan, hazard bool) (ChaosResult, error) {
 	cfg.Seed = plan.Seed
 	cfg.Faults = inj
 	cfg.Durability = plan.durability()
-	var opts core.Options[[]byte]
+	var domain *core.AllocDomain[[]byte]
 	if hazard {
-		opts.Domain = NewHazardDomain[[]byte](cfg.Metrics, inj)
+		domain = NewHazardDomain[[]byte](cfg.Metrics, inj)
 	}
-	q, _, name, err := openTarget(plan.Shards, cfg, opts, hazard)
+	q, name, err := openTarget(plan.Shards, cfg, domain, hazard)
 	if err != nil {
 		return ChaosResult{Name: name}, err
 	}
@@ -262,10 +264,11 @@ func runChaos(plan ChaosPlan, hazard bool) (ChaosResult, error) {
 		return res, fmt.Errorf("chaos(%s) final drain: %w", name, err)
 	}
 	if plan.Durable {
-		if stats, ok := q.WALStats(); ok {
+		sq := q.(*sharded.Queue[[]byte]) // a durable plan opens the front-end
+		if stats, ok := sq.WALStats(); ok {
 			res.WAL = &stats
 		}
-		if err := q.CloseWAL(); err != nil {
+		if err := sq.CloseWAL(); err != nil {
 			return res, fmt.Errorf("chaos(%s) durable: closing WAL: %w", name, err)
 		}
 		if err := verifyDurableEmpty(plan.WALDir); err != nil {
@@ -295,6 +298,39 @@ func runChaos(plan ChaosPlan, hazard bool) (ChaosResult, error) {
 			name, rep.Remaining, res.Inserted, res.Extracted)
 	}
 	return res, nil
+}
+
+// target is the queue surface the chaos harness needs; both
+// core.Queue[[]byte] and sharded.Queue[[]byte] satisfy it. A durable plan
+// logs key-only: nil values, no codec, v1 records on disk.
+type target interface {
+	Insert(key uint64, val []byte)
+	TryExtractMax() (key uint64, val []byte, ok bool)
+	Len() int
+	CheckInvariants() error
+	Close()
+}
+
+// openTarget opens the queue a plan describes — the sharded front-end for
+// shards > 1 or a durable cfg (whose log only the front-end opens; a
+// durable single queue is one shard), a single queue otherwise, over
+// domain when it is non-nil — and returns it with the name reports give
+// it; hazard names a queue over a NewHazardDomain.
+func openTarget(shards int, cfg core.Config, domain *core.AllocDomain[[]byte], hazard bool) (target, string, error) {
+	if shards > 1 || cfg.Durability != nil {
+		shards = max(shards, 1)
+		name := fmt.Sprintf("sharded(%d)", shards)
+		q, _, err := sharded.Open(sharded.Config{Shards: shards, Queue: cfg}, sharded.Options[[]byte]{Domain: domain})
+		if err != nil {
+			return nil, name, err
+		}
+		return q, name, nil
+	}
+	q, err := core.Open(cfg, core.Options[[]byte]{Domain: domain})
+	if err != nil {
+		return nil, VariantName(cfg, hazard), err
+	}
+	return q, VariantName(cfg, hazard), nil
 }
 
 // RunChaosBaseline runs the chaos workload (without fault injection —

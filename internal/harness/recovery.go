@@ -30,9 +30,10 @@ import (
 // Keys are unique per run (worker<<32|seq), so the per-key bounds are
 // sharp: an acked insert whose key is missing is a lost element, an
 // extracted-and-acked key that reappears is a resurrection, and a key
-// never inserted is an invention. The same protocol runs against the
-// single queue and the sharded front-end (which shares one log across
-// shards, so the ack protocol is identical).
+// never inserted is an invention. The log belongs to the sharded
+// front-end, so every scenario opens it through sharded.Open — a single
+// queue is one shard — with the crash model as its Options.FS: the
+// product's own durable open path, crash logs included.
 
 // CrashKind selects the file call the simulated crash fails. Whatever
 // the kind, the log is then cut at a seeded offset in its unsynced tail.
@@ -80,8 +81,8 @@ type RecoveryPlan struct {
 	Seed uint64
 	// Kind is the crash point under test.
 	Kind CrashKind
-	// Shards > 1 runs the scenario against the sharded front-end (shared
-	// log); 0 or 1 against a single queue.
+	// Shards is the front-end's shard count; 0 or 1 runs one shard, a
+	// durable single queue.
 	Shards int
 	// Producers and Consumers set the worker counts.
 	Producers, Consumers int
@@ -99,7 +100,7 @@ type RecoveryPlan struct {
 	MaxChunks int
 	// Dir is the durability directory (required; the caller owns cleanup).
 	Dir string
-	// Queue is the queue configuration; Seed/Faults/WAL/Durability are
+	// Queue is the queue configuration; Seed/Faults/Durability are
 	// overwritten by the plan.
 	Queue core.Config
 }
@@ -124,13 +125,13 @@ func (p RecoveryPlan) withDefaults() RecoveryPlan {
 	return p
 }
 
-// crashLog is the crash model for the plan's kind and the options of the
-// log it runs under. The scheduled kinds race the group commit and crash
-// within a few dozen chunks: a flush is about one write and one fsync
-// per worker chunk. The torn tail runs no group commit, so only the
-// armed Sync touches its burst.
-func (p RecoveryPlan) crashLog() (*crashfs.FS, wal.Options) {
-	opts := wal.Options{Dir: p.Dir, GroupCommit: wal.DefaultGroupCommit}
+// crashLog is the crash model for the plan's kind and the log it runs
+// under. The scheduled kinds race the group commit and crash within a few
+// dozen chunks: a flush is about one write and one fsync per worker
+// chunk. The torn tail runs no group commit, so only the armed Sync
+// touches its burst.
+func (p RecoveryPlan) crashLog() (*crashfs.FS, *core.DurabilityConfig) {
+	d := &core.DurabilityConfig{WAL: true, Dir: p.Dir, GroupCommit: wal.DefaultGroupCommit}
 	var fs *crashfs.FS
 	switch p.Kind {
 	case CrashMidAppend:
@@ -138,12 +139,11 @@ func (p RecoveryPlan) crashLog() (*crashfs.FS, wal.Options) {
 	case CrashMidFsync:
 		fs = crashfs.New(p.Seed, crashfs.LogSync, 20)
 	case CrashMidSnapshot:
-		fs, opts.SnapshotBytes = crashfs.New(p.Seed, crashfs.SnapWrite, 100), 4<<10
+		fs, d.SnapshotBytes = crashfs.New(p.Seed, crashfs.SnapWrite, 100), 4<<10
 	default: // CrashTornTail
-		fs, opts.GroupCommit = crashfs.New(p.Seed, crashfs.LogSync, 0), time.Hour
+		fs, d.GroupCommit = crashfs.New(p.Seed, crashfs.LogSync, 0), time.Hour
 	}
-	opts.FS = fs
-	return fs, opts
+	return fs, d
 }
 
 // RecoveryResult summarizes a crash-recovery scenario.
@@ -176,41 +176,6 @@ type RecoveryResult struct {
 type CrashInfo struct {
 	crashfs.Info
 	DurableLSN uint64
-}
-
-// target is the queue surface the chaos and recovery harnesses need; both
-// core.Queue[[]byte] and sharded.Queue[[]byte] satisfy it. The element
-// type is []byte even for key-only plans (nil values, no codec, v1
-// records on disk) so one workload covers both protocols.
-type target interface {
-	Insert(key uint64, val []byte)
-	TryExtractMax() (key uint64, val []byte, ok bool)
-	Drain() []core.Element[[]byte]
-	Len() int
-	CheckInvariants() error
-	Close()
-	WALStats() (wal.Stats, bool)
-	CloseWAL() error
-}
-
-// openTarget opens the queue a plan describes — the sharded front-end for
-// shards > 1, a single queue otherwise — and returns it with the name
-// reports give it; hazard names a queue whose opts.Domain is a
-// NewHazardDomain.
-func openTarget(shards int, cfg core.Config, opts core.Options[[]byte], hazard bool) (target, *wal.State, string, error) {
-	if shards > 1 {
-		name := fmt.Sprintf("sharded(%d)", shards)
-		q, st, err := sharded.Open(sharded.Config{Shards: shards, Queue: cfg}, opts)
-		if err != nil {
-			return nil, nil, name, err
-		}
-		return q, st, name, nil
-	}
-	q, st, err := core.Open(cfg, opts)
-	if err != nil {
-		return nil, nil, VariantName(cfg, hazard), err
-	}
-	return q, st, VariantName(cfg, hazard), nil
 }
 
 // tally is one worker's ledger of operations by acknowledgment status.
@@ -247,17 +212,11 @@ func RunRecovery(plan RecoveryPlan) (RecoveryResult, error) {
 		return res, errors.New("recovery: RecoveryPlan.Dir is required")
 	}
 
-	fs, walOpts := plan.crashLog()
-	log, _, err := wal.Open(walOpts)
-	if err != nil {
-		return res, err
-	}
-
+	fs, durability := plan.crashLog()
 	cfg := plan.Queue
 	cfg.Seed = plan.Seed
 	cfg.Faults = nil
-	cfg.Durability = nil
-	cfg.WAL = log // external policy: the harness keeps the handle for crash control
+	cfg.Durability = durability
 	// valueFor is nil for key-only plans; valued plans log through
 	// BytesCodec and every insert carries valueFor(key).
 	var valueFor func(key uint64) []byte
@@ -267,11 +226,10 @@ func RunRecovery(plan RecoveryPlan) (RecoveryResult, error) {
 		valueFor = func(key uint64) []byte { return loadgen.ValueFor(key, n) }
 		codec = wal.BytesCodec{}
 	}
-	opts := core.Options[[]byte]{Codec: codec}
-	q, _, name, err := openTarget(plan.Shards, cfg, opts, false)
-	res.Name = name
+	shards := max(plan.Shards, 1)
+	res.Name = fmt.Sprintf("sharded(%d)", shards)
+	q, _, err := sharded.Open(sharded.Config{Shards: shards, Queue: cfg}, sharded.Options[[]byte]{Codec: codec, FS: fs})
 	if err != nil {
-		_ = log.Close()
 		return res, err
 	}
 	defer q.Close()
@@ -311,7 +269,7 @@ func RunRecovery(plan RecoveryPlan) (RecoveryResult, error) {
 					}
 					q.Insert(key, val)
 				}
-				err := log.Sync()
+				err := q.SyncWAL()
 				settle(pending, t.ackedIns, t.unackedIns, err == nil)
 				if err != nil {
 					return
@@ -343,7 +301,7 @@ func RunRecovery(plan RecoveryPlan) (RecoveryResult, error) {
 				if len(pending) == 0 {
 					continue
 				}
-				err := log.Sync()
+				err := q.SyncWAL()
 				settle(pending, t.ackedExt, t.unackedExt, err == nil)
 				if err != nil {
 					return
@@ -368,17 +326,17 @@ func RunRecovery(plan RecoveryPlan) (RecoveryResult, error) {
 			q.Insert(key, val)
 		}
 		fs.Arm()
-		_ = log.Sync() // fails: the armed fsync is this one
+		_ = q.SyncWAL() // fails: the armed fsync is this one
 	}
 	if !crashed() {
-		_ = log.Close()
+		_ = q.CloseWAL()
 		return res, fmt.Errorf("recovery(%s/%s): crash point never fired within %d chunks/worker",
 			res.Name, res.Kind, plan.MaxChunks)
 	}
 
-	res.Stats = log.Stats()
+	res.Stats, _ = q.WALStats()
 	info, err := fs.Materialize()
-	_ = log.Close() // releases the log's file and goroutine; the crash already decided its error
+	_ = q.CloseWAL() // releases the log's file and goroutine; the crash already decided its error
 	res.Crash = CrashInfo{Info: info, DurableLSN: res.Stats.DurableLSN}
 	if err != nil {
 		return res, err
@@ -417,11 +375,10 @@ func RunRecovery(plan RecoveryPlan) (RecoveryResult, error) {
 	rcfg := plan.Queue
 	rcfg.Seed = plan.Seed + 1
 	rcfg.Faults = nil
-	rcfg.WAL = nil
 	rcfg.Durability = &core.DurabilityConfig{
 		WAL: true, Dir: plan.Dir, GroupCommit: wal.DefaultGroupCommit,
 	}
-	rq, st, _, err := openTarget(plan.Shards, rcfg, opts, false)
+	rq, st, err := sharded.Open(sharded.Config{Shards: shards, Queue: rcfg}, sharded.Options[[]byte]{Codec: codec})
 	if err != nil {
 		return res, fmt.Errorf("recovery(%s/%s): %w", res.Name, res.Kind, err)
 	}

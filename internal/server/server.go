@@ -140,8 +140,8 @@ func New(cfg Config) (*Server, []RecoveredTenant, error) {
 	if len(cfg.Tenants) == 0 {
 		return nil, nil, errors.New("server: at least one tenant required")
 	}
-	if q := cfg.Queue.Queue; q.Durability != nil || q.WAL != nil || q.Metrics != nil {
-		return nil, nil, errors.New("server: Queue.Queue.Durability/WAL/Metrics must be unset — durability (Config.WALDir) and metrics are per tenant")
+	if q := cfg.Queue.Queue; q.Durability != nil || q.Metrics != nil {
+		return nil, nil, errors.New("server: Queue.Queue.Durability/Metrics must be unset — durability (Config.WALDir) and metrics are per tenant")
 	}
 	if cfg.MaxInflight == 0 {
 		cfg.MaxInflight = DefaultMaxInflight
@@ -182,7 +182,7 @@ func New(cfg Config) (*Server, []RecoveredTenant, error) {
 				SnapshotBytes: cfg.WALSnapshotBytes,
 			}
 		}
-		q, st, err := sharded.Open(qcfg, core.Options[[]byte]{Domain: ad, Codec: wal.BytesCodec{}})
+		q, st, err := sharded.Open(qcfg, sharded.Options[[]byte]{Domain: ad, Codec: wal.BytesCodec{}})
 		if err != nil {
 			_ = s.closeTenants() // the open failure is the error to report
 			return nil, nil, fmt.Errorf("server: tenant %q: %w", name, err)

@@ -4,11 +4,12 @@ import (
 	"bytes"
 	"fmt"
 	"os"
+	"path/filepath"
+	"reflect"
 	"runtime"
 	"sync"
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/wal"
 )
 
@@ -17,12 +18,12 @@ func valueFor(key uint64) []byte {
 }
 
 // TestDurableShardedCodecRoundTrip drives concurrent value-bearing
-// inserts through the sharded front-end and checks reopening restores
-// every surviving payload byte-exactly. All shards share one log, so the
-// values interleave in a single LSN space.
+// inserts — single and batch — through the sharded front-end and checks
+// reopening restores every surviving payload byte-exactly. All shards
+// share one log, so the values interleave in a single LSN space.
 func TestDurableShardedCodecRoundTrip(t *testing.T) {
 	cfg := durableConfig(4, t.TempDir())
-	opts := core.Options[[]byte]{Codec: wal.BytesCodec{}}
+	opts := Options[[]byte]{Codec: wal.BytesCodec{}}
 	q, _ := mustOpen(t, cfg, opts)
 	const producers, perProducer = 4, 200
 	var wg sync.WaitGroup
@@ -30,10 +31,17 @@ func TestDurableShardedCodecRoundTrip(t *testing.T) {
 		wg.Add(1)
 		go func(p int) {
 			defer wg.Done()
+			keys := make([]uint64, 0, perProducer/2)
+			vals := make([][]byte, 0, perProducer/2)
 			for i := 0; i < perProducer; i++ {
 				k := uint64(p)<<32 | uint64(i+1)
-				q.Insert(k, valueFor(k))
+				if i%2 == 0 {
+					q.Insert(k, valueFor(k))
+					continue
+				}
+				keys, vals = append(keys, k), append(vals, valueFor(k))
 			}
+			q.InsertBatch(keys, vals)
 		}(p)
 	}
 	wg.Wait()
@@ -77,23 +85,61 @@ func TestDurableShardedCodecRoundTrip(t *testing.T) {
 	}
 }
 
-// TestRefusedOpenClosesLog is core.TestRefusedOpenClosesLog for the
-// front-end: refusing a valued directory without a codec closes the log
-// Open opened — no group-commit goroutine, no open file left — and the
-// directory then opens with the codec, every payload intact.
+// TestRecoverValuedWithoutCodecFails pins the safety property: a
+// directory holding value payloads must not open through the key-only
+// path, which would silently discard acknowledged data — and the refusal
+// must leave the directory openable with the codec.
+func TestRecoverValuedWithoutCodecFails(t *testing.T) {
+	cfg := durableConfig(1, t.TempDir())
+	opts := Options[[]byte]{Codec: wal.BytesCodec{}}
+	q, _ := mustOpen(t, cfg, opts)
+	q.Insert(7, []byte("precious"))
+	if err := q.CloseWAL(); err != nil {
+		t.Fatal(err)
+	}
+	if q, _, err := Open(cfg, Options[[]byte]{}); err == nil || q != nil {
+		t.Fatalf("Open without a codec accepted a valued directory (queue %v, err %v)", q, err)
+	}
+	r, st := mustOpen(t, cfg, opts)
+	if _, v, ok := r.TryExtractMax(); st.Live() != 1 || !ok || string(v) != "precious" {
+		t.Fatalf("after the refused Open the directory recovered %d keys, value %q", st.Live(), v)
+	}
+	if err := r.CloseWAL(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestRefusedOpenClosesLog: Open opens the log (recovering as it does)
+// before it decodes, so refusing a valued directory without a codec must
+// close that log again — no group-commit goroutine, no open file left —
+// and a later Open with the codec must recover exactly what Recover
+// reported before the refusal, torn tail included, every payload intact.
 func TestRefusedOpenClosesLog(t *testing.T) {
 	cfg := durableConfig(3, t.TempDir())
-	opts := core.Options[[]byte]{Codec: wal.BytesCodec{}}
+	opts := Options[[]byte]{Codec: wal.BytesCodec{}}
 	q, _ := mustOpen(t, cfg, opts)
 	for k := uint64(1); k <= 40; k++ {
 		q.Insert(k, valueFor(k))
 	}
+	q.ExtractBatch(nil, 5)
 	if err := q.CloseWAL(); err != nil {
 		t.Fatal(err)
 	}
+	f, err := os.OpenFile(filepath.Join(cfg.Queue.Durability.Dir, "queue.wal"), os.O_APPEND|os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Write([]byte{9, 0, 0}); err != nil { // a torn frame header
+		t.Fatal(err)
+	}
+	f.Close()
+	want, err := wal.Recover(cfg.Queue.Durability.Dir)
+	if err != nil || want.TornOffset < 0 || want.Live() != 35 {
+		t.Fatalf("Recover = (%+v, %v), want 35 keys and a torn tail", want, err)
+	}
 
 	goroutines, fds := runtime.NumGoroutine(), openFDs(t)
-	if r, _, err := Open(cfg, core.Options[[]byte]{}); err == nil || r != nil {
+	if r, _, err := Open(cfg, Options[[]byte]{}); err == nil || r != nil {
 		t.Fatalf("Open without a codec accepted a valued directory (queue %v, err %v)", r, err)
 	}
 	if n := runtime.NumGoroutine(); n > goroutines {
@@ -103,9 +149,9 @@ func TestRefusedOpenClosesLog(t *testing.T) {
 		t.Fatalf("refused Open left %d files open, %d before", n, fds)
 	}
 
-	r, st := mustOpen(t, cfg, opts)
-	if st.Live() != 40 {
-		t.Fatalf("Open after the refusal recovered %d keys, want 40", st.Live())
+	r, got := mustOpen(t, cfg, opts)
+	if !reflect.DeepEqual(got.Keys, want.Keys) || !reflect.DeepEqual(got.Vals, want.Vals) {
+		t.Fatalf("Open after the refusal recovered %d keys, Recover reported %d before it", got.Live(), want.Live())
 	}
 	for _, e := range r.Drain() {
 		if want := valueFor(e.Key); !bytes.Equal(e.Val, want) {

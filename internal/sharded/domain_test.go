@@ -17,7 +17,7 @@ func TestSharedDomainAcrossQueues(t *testing.T) {
 	const tenants, keys = 3, 500
 	qs := make([]*Queue[int], tenants)
 	for i := range qs {
-		qs[i], _ = mustOpen(t, Config{Shards: 2, Queue: qcfg}, core.Options[int]{Domain: ad})
+		qs[i], _ = mustOpen(t, Config{Shards: 2, Queue: qcfg}, Options[int]{Domain: ad})
 	}
 	for i, q := range qs {
 		for k := 1; k <= keys; k++ {
@@ -54,7 +54,7 @@ func TestSharedDomainMixedSetModes(t *testing.T) {
 			for i, mode := range []core.SetMode{tc.first, tc.second} {
 				cfg := durableConfig(2, t.TempDir())
 				cfg.Queue.SetMode = mode
-				q, _ := mustOpen(t, cfg, core.Options[int]{Domain: ad})
+				q, _ := mustOpen(t, cfg, Options[int]{Domain: ad})
 				for k := 1; k <= 500; k++ {
 					q.Insert(uint64(k), i)
 				}
@@ -79,7 +79,7 @@ func TestDurableSharedDomainRoundTrip(t *testing.T) {
 
 	tenants := []string{"alpha", "beta"}
 	for ti, name := range tenants {
-		q, _ := mustOpen(t, mkcfg(name), core.Options[struct{}]{Domain: ad})
+		q, _ := mustOpen(t, mkcfg(name), Options[struct{}]{Domain: ad})
 		for k := 1; k <= 100*(ti+1); k++ {
 			q.Insert(uint64(k), struct{}{})
 		}
@@ -96,7 +96,7 @@ func TestDurableSharedDomainRoundTrip(t *testing.T) {
 
 	rd := core.NewAllocDomain[struct{}](nil)
 	for ti, name := range tenants {
-		q, st := mustOpen(t, mkcfg(name), core.Options[struct{}]{Domain: rd})
+		q, st := mustOpen(t, mkcfg(name), Options[struct{}]{Domain: rd})
 		want := 100*(ti+1) - 1
 		if st.Live() != want {
 			t.Fatalf("tenant %s: recovered %d live keys, want %d", name, st.Live(), want)

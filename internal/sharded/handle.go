@@ -24,12 +24,12 @@ func (q *Queue[V]) NewHandle() *Handle[V] {
 // InsertBatch is Queue.InsertBatch on the Handle's context.
 func (h *Handle[V]) InsertBatch(keys []uint64, vals []V) {
 	if len(keys) > 0 {
-		h.q.shards[h.c.home].q.InsertBatch(keys, vals)
+		h.q.insertBatch(h.c, keys, vals)
 	}
 }
 
 // TryExtractMax is Queue.TryExtractMax on the Handle's context.
-func (h *Handle[V]) TryExtractMax() (uint64, V, bool) { return h.q.tryExtract(h.c) }
+func (h *Handle[V]) TryExtractMax() (uint64, V, bool) { return h.q.extractOne(h.c) }
 
 // ExtractBatch is Queue.ExtractBatch on the Handle's context.
 func (h *Handle[V]) ExtractBatch(dst []core.Element[V], n int) []core.Element[V] {

@@ -2,13 +2,19 @@ package sharded
 
 import (
 	"bytes"
+	"errors"
 	"os"
 	"testing"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/wal"
+	"repro/internal/wal/crashfs"
 )
+
+// brokenCodec encodes like BytesCodec and refuses to decode.
+type brokenCodec struct{ wal.BytesCodec }
+
+func (brokenCodec) Decode([]byte) ([]byte, error) { return nil, errors.New("undecodable") }
 
 // TestOpen walks the one builder through every way in and checks what
 // comes back — queue, recovered state, error — for each shape of
@@ -16,8 +22,8 @@ import (
 // one shared domain are TestDurableSharedDomainRoundTrip; the mismatched
 // domain is TestSharedDomainModeMismatch.)
 func TestOpen(t *testing.T) {
-	bytesCodec := core.Options[[]byte]{Codec: wal.BytesCodec{}}
-	// seed leaves n acknowledged valued elements in dir.
+	bytesCodec := Options[[]byte]{Codec: wal.BytesCodec{}}
+	// seed leaves five acknowledged valued elements in dir.
 	seed := func(t *testing.T, dir string) {
 		q, _ := mustOpen(t, durableConfig(3, dir), bytesCodec)
 		for k := uint64(1); k <= 5; k++ {
@@ -27,30 +33,27 @@ func TestOpen(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// The external policy is a log the test owns, as the crash harness does.
-	extDir := t.TempDir()
-	ext, _, err := wal.Open(wal.Options{Dir: extDir, GroupCommit: time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
+	// The crash filesystem row's log goes through a crash model, as the
+	// crash harness's does; the row arms it at the end, so the final sync
+	// must fail.
+	crash := crashfs.New(1, crashfs.LogSync, 0)
 	for _, tc := range []struct {
 		name    string
 		cfg     func(dir string) Config
-		opts    core.Options[[]byte]
+		opts    Options[[]byte]
 		prepare func(t *testing.T, dir string)
 		wantErr bool
 		durable bool // a state comes back
 		live    int
 	}{
 		{name: "volatile", cfg: func(string) Config { return Config{Shards: 3, Queue: core.DefaultConfig()} }},
-		{name: "external policy", opts: bytesCodec, cfg: func(string) Config {
-			cfg := Config{Shards: 3, Queue: core.DefaultConfig()}
-			cfg.Queue.WAL = ext
-			return cfg
-		}},
+		{name: "crash filesystem", cfg: func(dir string) Config { return durableConfig(3, dir) },
+			opts: Options[[]byte]{Codec: wal.BytesCodec{}, FS: crash}, durable: true},
 		{name: "fresh directory", cfg: func(dir string) Config { return durableConfig(3, dir) }, opts: bytesCodec, durable: true},
 		{name: "reopened directory", cfg: func(dir string) Config { return durableConfig(3, dir) }, opts: bytesCodec, prepare: seed, durable: true, live: 5},
 		{name: "valued directory without codec", cfg: func(dir string) Config { return durableConfig(3, dir) }, prepare: seed, wantErr: true},
+		{name: "undecodable payload", cfg: func(dir string) Config { return durableConfig(3, dir) },
+			opts: Options[[]byte]{Codec: brokenCodec{}}, prepare: seed, wantErr: true},
 		{name: "invalid config", cfg: func(dir string) Config { return durableConfig(-1, dir) }, wantErr: true},
 		{name: "blocking shards", cfg: func(dir string) Config {
 			cfg := durableConfig(3, dir)
@@ -111,23 +114,23 @@ func TestOpen(t *testing.T) {
 			if err := q.SyncWAL(); err != nil {
 				t.Fatalf("SyncWAL: %v", err)
 			}
+			if tc.opts.FS != nil {
+				// The log's fsyncs reach Options.FS: an armed crash fails
+				// the next one, and the log stays failed through its close.
+				crash.Arm()
+				q.Insert(101, valueFor(101))
+				if err := q.SyncWAL(); !errors.Is(err, crashfs.ErrCrashed) {
+					t.Fatalf("SyncWAL after arming the crash filesystem = %v, want ErrCrashed", err)
+				}
+				if err := q.CloseWAL(); err == nil {
+					t.Fatal("CloseWAL of a crashed log returned nil")
+				}
+				return
+			}
 			if err := q.CloseWAL(); err != nil {
 				t.Fatalf("CloseWAL: %v", err)
 			}
 		})
-	}
-	// CloseWAL only synced the external policy: its owner can still close
-	// it, and it holds the one element that row left queued, payload
-	// included.
-	if err := ext.Close(); err != nil {
-		t.Fatalf("closing the external policy after CloseWAL: %v", err)
-	}
-	st, err := wal.Recover(extDir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Live() != 1 || st.Keys[0] != 100 || st.Vals == nil || !bytes.Equal(st.Vals[0], valueFor(100)) {
-		t.Fatalf("external policy holds %v / %q, want key 100 with its payload", st.Keys, st.Vals)
 	}
 }
 
@@ -138,11 +141,11 @@ func TestOpen(t *testing.T) {
 func TestReopenIsRecover(t *testing.T) {
 	for _, tc := range []struct {
 		name  string
-		opts  core.Options[[]byte]
+		opts  Options[[]byte]
 		value func(uint64) []byte
 	}{
-		{"valued", core.Options[[]byte]{Codec: wal.BytesCodec{}}, valueFor},
-		{"key-only", core.Options[[]byte]{}, func(uint64) []byte { return nil }},
+		{"valued", Options[[]byte]{Codec: wal.BytesCodec{}}, valueFor},
+		{"key-only", Options[[]byte]{}, func(uint64) []byte { return nil }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			const n = 200

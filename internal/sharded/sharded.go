@@ -30,6 +30,15 @@
 // All shards recycle list blocks through ONE shared core.AllocDomain — one
 // freelist — instead of S private copies, so churn moving between shards
 // does not fragment the recycling pools.
+//
+// # Durability
+//
+// This package owns the write-ahead log; the core shards have none. With
+// Config.Queue.Durability set, Open opens one log for all shards and
+// recovers it, and every Insert, InsertBatch, TryExtractMax and
+// ExtractBatch call — through the queue or a Handle — writes one record:
+// inserts before they reach a shard, extractions after they leave it (see
+// wal.go). A durable single queue is a one-shard Queue.
 package sharded
 
 import (
@@ -56,7 +65,8 @@ type Config struct {
 	// (a core.Metrics must observe at most one queue) — read the merged
 	// view through Queue.Snapshot.
 	// Blocking is rejected: per-shard wait rings cannot compose a
-	// cross-shard sleep (see Validate).
+	// cross-shard sleep (see Validate). Durability is the front-end's: Open
+	// opens the one log and builds the shards without it (see wal.go).
 	Queue core.Config
 }
 
@@ -67,6 +77,9 @@ func (c Config) Validate() error {
 	}
 	if c.Queue.Blocking {
 		return fmt.Errorf("sharded: Config.Queue.Blocking is not supported: a consumer sleeping on one shard's ring would miss inserts landing on the other shards; poll TryExtractMax or use a single blocking core queue")
+	}
+	if err := validateDurability(c.Queue.Durability); err != nil {
+		return err
 	}
 	return c.Queue.Validate()
 }
@@ -102,12 +115,11 @@ type Queue[V any] struct {
 	cfg    Config
 	ad     *core.AllocDomain[V]
 
-	// wal is the durability policy shared by every shard (see wal.go):
-	// one log, one LSN space, so recovery rebuilds the union of the
-	// shards without per-shard log merging. walOwned records whether
-	// CloseWAL closes it.
-	wal      core.WALPolicy
-	walOwned bool
+	// wal is the one log every operation of every shard goes through
+	// (see wal.go), nil for a volatile queue; codec encodes the payloads
+	// of valued insert records, nil logs them key-only.
+	wal   *wal.Log
+	codec wal.Codec[V]
 
 	ctxs    sync.Pool
 	seedCtr atomic.Uint64
@@ -122,12 +134,13 @@ type Queue[V any] struct {
 }
 
 // opCtx is the pooled per-operation state: a private RNG, the context's
-// home shard for thread-affine inserts, and the extraction counter driving
-// the periodic full peek sweep.
+// home shard for thread-affine inserts, the extraction counter driving
+// the periodic full peek sweep, and the logging scratch of a durable queue.
 type opCtx struct {
 	rng  xrand.Rand
 	home uint32
 	ops  uint32
+	log  logScratch
 }
 
 // New returns an empty sharded queue configured by cfg — Open with default
@@ -135,34 +148,40 @@ type opCtx struct {
 // external input, or a durability directory someone else supplied, should
 // call Open.
 func New[V any](cfg Config) *Queue[V] {
-	q, _, err := Open(cfg, core.Options[V]{})
+	q, _, err := Open(cfg, Options[V]{})
 	if err != nil {
 		panic(err)
 	}
 	return q
 }
 
-// Open is the one way to build a sharded queue; it takes the same Options
-// as core.Open and makes the same promises. Every shard of the returned
-// queue — and, when several queues are opened over one Options.Domain,
-// every shard of every such queue — shares one freelist; this is how a
-// multi-tenant server keeps N tenant queues on one recycling pool instead
-// of N (see internal/server). Without durability in cfg.Queue the queue is volatile
-// and the returned state is nil; an external cfg.Queue.WAL policy is shared
-// by every shard un-owned. With cfg.Queue.Durability.WAL set, Open always
-// recovers: core.OpenLog reads the durable multiset back while it opens the
-// one log all shards share and decodes it through opts.Codec, and the
-// multiset is re-inserted bare before that log is attached (see wal.go).
-// Everything that can fail runs before the first shard is built, and a log
-// opened before a failure is closed again.
-func Open[V any](cfg Config, opts core.Options[V]) (*Queue[V], *wal.State, error) {
+// Open is the one way to build a sharded queue. Every shard of the
+// returned queue — and, when several queues are opened over one
+// Options.Domain, every shard of every such queue — shares one freelist;
+// this is how a multi-tenant server keeps N tenant queues on one recycling
+// pool instead of N (see internal/server).
+//
+// Without durability in cfg.Queue the queue is volatile and the returned
+// state is nil. With cfg.Queue.Durability.WAL set, Open always recovers:
+// it opens the log (wal.Open reads the durable multiset back from the
+// directory's snapshot chain and log; a missing or empty directory
+// recovers to an empty state) and decodes it through opts.Codec, the
+// multiset is re-inserted bare, and only then does the queue start logging
+// — the recovered elements are already in the log, and re-appending them
+// would double-count on the next Open (see wal.go). The returned wal.State
+// says what was recovered; State.Live() == 0 is a fresh queue. A directory
+// holding value payloads is refused without a codec rather than silently
+// stripped. Everything that can fail runs before the first shard is built,
+// and a log opened before a failure is closed again, so an error leaves no
+// queue, goroutine or open file behind.
+func Open[V any](cfg Config, opts Options[V]) (*Queue[V], *wal.State, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, nil, err
 	}
 	if cfg.Shards == 0 {
 		cfg.Shards = DefaultShards()
 	}
-	w, st, vals, err := core.OpenLog(cfg.Queue, opts.Codec)
+	log, st, vals, err := openLog(cfg.Queue.Durability, opts)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -174,15 +193,14 @@ func Open[V any](cfg Config, opts core.Options[V]) (*Queue[V], *wal.State, error
 		shards: make([]shardSlot[V], cfg.Shards),
 		cfg:    cfg,
 		ad:     opts.Domain,
+		codec:  opts.Codec,
 	}
 	for i := range q.shards {
 		scfg := cfg.Queue
 		// Decorrelate the shards' insert-path RNG streams.
 		scfg.Seed = cfg.Queue.Seed + uint64(i+1)*0x9e3779b97f4a7c15
-		// The shards are built bare: they log through ONE shared policy
-		// (single LSN space), attached below and never owned by a shard.
+		// The shards have no log: the front-end logs for them.
 		scfg.Durability = nil
-		scfg.WAL = nil
 		if cfg.Queue.Metrics != nil {
 			if i == 0 {
 				// Shard 0 keeps the caller's Metrics so an externally held
@@ -193,10 +211,9 @@ func Open[V any](cfg Config, opts core.Options[V]) (*Queue[V], *wal.State, error
 			}
 			scfg.Metrics = q.shards[i].met
 		}
-		sq, _, err := core.Open(scfg, opts)
+		sq, err := core.Open(scfg, core.Options[V]{Domain: opts.Domain})
 		if err != nil {
-			// Unreachable: cfg.Queue was checked above, and a bare shard
-			// opens nothing.
+			// Unreachable: cfg.Queue was checked above.
 			panic(err)
 		}
 		q.shards[i].q = sq
@@ -205,12 +222,7 @@ func Open[V any](cfg Config, opts core.Options[V]) (*Queue[V], *wal.State, error
 	if st != nil {
 		q.InsertBatch(st.Keys, vals) // bare: the log already holds these
 	}
-	if w != nil {
-		for i := range q.shards {
-			q.shards[i].q.AttachWAL(w)
-		}
-		q.wal, q.walOwned = w, st != nil // a log Open opened is the queue's to close
-	}
+	q.wal = log
 	return q, st, nil
 }
 
@@ -231,6 +243,11 @@ func (q *Queue[V]) putCtx(c *opCtx) { q.ctxs.Put(c) }
 // extraction side (choice-of-two, sweeps, stealing).
 func (q *Queue[V]) Insert(key uint64, val V) {
 	c := q.getCtx()
+	if q.wal != nil {
+		c.log.k1[0] = key
+		vals := [1]V{val}
+		q.logInserts(c, c.log.k1[:], vals[:])
+	}
 	q.shards[c.home].q.Insert(key, val)
 	q.putCtx(c)
 }
@@ -243,9 +260,19 @@ func (q *Queue[V]) Insert(key uint64, val V) {
 // but only best-effort across shards.
 func (q *Queue[V]) TryExtractMax() (key uint64, val V, ok bool) {
 	c := q.getCtx()
-	key, val, ok = q.tryExtract(c)
+	key, val, ok = q.extractOne(c)
 	q.putCtx(c)
 	return key, val, ok
+}
+
+// extractOne is tryExtract with the extraction logged.
+func (q *Queue[V]) extractOne(c *opCtx) (uint64, V, bool) {
+	k, v, ok := q.tryExtract(c)
+	if ok && q.wal != nil {
+		c.log.k1[0] = k
+		q.wal.AppendExtracts(c.log.k1[:])
+	}
+	return k, v, ok
 }
 
 func (q *Queue[V]) tryExtract(c *opCtx) (uint64, V, bool) {
@@ -368,7 +395,7 @@ func (q *Queue[V]) Drain() []core.Element[V] {
 	c := q.getCtx()
 	defer q.putCtx(c)
 	for {
-		k, v, ok := q.tryExtract(c)
+		k, v, ok := q.extractOne(c)
 		if !ok {
 			return out
 		}

@@ -1,8 +1,9 @@
-// Package wal is the durability layer behind core.Config.Durability: a
-// write-ahead log of queue operations with group-committed fsync, an
-// online snapshot chain (incremental deltas with periodic full rebases)
-// that compacts the log without quiescing the queue, and crash recovery
-// that rebuilds the live multiset from snapshot chain + tail replay.
+// Package wal is the durability layer the sharded front-end opens for
+// core.Config.Durability: a write-ahead log of queue operations with
+// group-committed fsync, an online snapshot chain (incremental deltas
+// with periodic full rebases) that compacts the log without quiescing
+// the queue, and crash recovery that rebuilds the live multiset from
+// snapshot chain + tail replay.
 //
 // # What is logged
 //

@@ -88,7 +88,8 @@ type Stats struct {
 }
 
 // Log is a group-committed write-ahead log of queue operations. All
-// methods are safe for concurrent use. It implements core.WALPolicy.
+// methods are safe for concurrent use; sharded.Open is the one product
+// path that opens one.
 //
 // Append methods do not return errors: a hot-path insert cannot
 // meaningfully handle a disk failure, and durability is only ever

@@ -20,6 +20,11 @@
 // called. That is the queue's one way to wait, the paper's §3.6 ticket
 // ring; a consumer that needs a deadline polls TryExtractMax instead.
 //
+// The queue is in-memory. Open builds a durable one: a DurableQueue, the
+// sharded front-end over one shard, which keeps a write-ahead log in
+// Config.Durability.Dir and recovers it on every open; New refuses a config
+// that sets Durability.
+//
 // For bulk workloads, InsertBatch and ExtractBatch amortize per-operation
 // overhead (context acquisition, pool-slot handoff, root-lock traffic)
 // across a whole batch while observing the same relaxation contract as the
@@ -40,6 +45,7 @@ package repro
 import (
 	"repro/internal/core"
 	"repro/internal/locks"
+	"repro/internal/sharded"
 	"repro/internal/wal"
 )
 
@@ -101,7 +107,7 @@ const (
 )
 
 // New returns an empty queue configured by cfg, panicking on an invalid
-// configuration; Open returns the error instead.
+// configuration or one that sets Durability (Open builds durable queues).
 func New[V any](cfg Config) *Queue[V] { return core.New[V](cfg) }
 
 // NewMetrics returns a Metrics ready to assign to Config.Metrics:
@@ -134,11 +140,20 @@ func NewStrict[V any]() *Queue[V] {
 	return core.New[V](cfg)
 }
 
-// DurabilityConfig asks the queue to own a write-ahead log: assign one to
-// Config.Durability (with WAL set) and every insert and extract is logged
-// through group-committed fsyncs. An operation is durable once a later
-// Queue.SyncWAL returns nil; see DESIGN.md §10 for the protocol.
+// DurabilityConfig describes a write-ahead log: assign one to
+// Config.Durability (with WAL set) and Open the config, and every insert and
+// extract of the queue Open returns is logged through group-committed
+// fsyncs. An operation is durable once a later DurableQueue.SyncWAL returns
+// nil; see DESIGN.md §10 for the protocol. New refuses a config that sets
+// Durability: Queue has no log.
 type DurabilityConfig = core.DurabilityConfig
+
+// DurableQueue is the queue Open returns: the sharded front-end over one
+// shard, which owns the write-ahead log. It has Queue's Insert,
+// TryExtractMax, InsertBatch, ExtractBatch, Drain, Len and Close, plus
+// SyncWAL, CloseWAL and WALStats; it does not block (Config.Blocking is
+// refused).
+type DurableQueue[V any] = sharded.Queue[V]
 
 // RecoveredState describes what Open read back from a durability
 // directory: the surviving key multiset, the snapshot watermark, and what
@@ -151,12 +166,11 @@ type RecoveredState = wal.State
 const DefaultGroupCommit = wal.DefaultGroupCommit
 
 // Durability configuration errors, matched with errors.Is against the
-// error Config.Validate (and Open) returns.
+// error Open returns.
 var (
-	ErrDurabilityDir         = core.ErrDurabilityDir
-	ErrDurabilityGroupCommit = core.ErrDurabilityGroupCommit
-	ErrSnapshotWithoutWAL    = core.ErrSnapshotWithoutWAL
-	ErrDurabilityConflict    = core.ErrDurabilityConflict
+	ErrDurabilityDir         = sharded.ErrDurabilityDir
+	ErrDurabilityGroupCommit = sharded.ErrDurabilityGroupCommit
+	ErrSnapshotWithoutWAL    = sharded.ErrSnapshotWithoutWAL
 )
 
 // Codec encodes element values for the write-ahead log: hand one to Open
@@ -169,15 +183,17 @@ type Codec[V any] = wal.Codec[V]
 // BytesCodec is the identity Codec for Queue[[]byte].
 type BytesCodec = wal.BytesCodec
 
-// Open is New with errors instead of panics, and the one way to a durable
-// queue. With Config.Durability.WAL set it always recovers first: whatever
+// Open is the one way to a durable queue: it opens cfg as a one-shard
+// DurableQueue, returning errors instead of panicking. With
+// Config.Durability.WAL set it always recovers first: whatever
 // cfg.Durability.Dir durably holds — nothing, for a new directory — is
 // re-inserted and the reopened log attached, so new operations continue the
 // sequence; the returned state says what came back. With a codec the
 // recovered queue holds the same (key, value) pairs the last one had durably
 // acknowledged; with nil, values are not logged and a directory that carries
-// value payloads is rejected rather than stripped. Call Queue.CloseWAL after
-// the final drain. Without durability in cfg the state is nil.
-func Open[V any](cfg Config, codec Codec[V]) (*Queue[V], *RecoveredState, error) {
-	return core.Open(cfg, core.Options[V]{Codec: codec})
+// value payloads is rejected rather than stripped. Call DurableQueue.CloseWAL
+// after the final drain. Without durability in cfg the queue is volatile and
+// the state is nil.
+func Open[V any](cfg Config, codec Codec[V]) (*DurableQueue[V], *RecoveredState, error) {
+	return sharded.Open(sharded.Config{Shards: 1, Queue: cfg}, sharded.Options[V]{Codec: codec})
 }
