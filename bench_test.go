@@ -211,8 +211,13 @@ func BenchmarkTable1bAccuracy64K(b *testing.B) {
 func benchHandoffZMSQ(b *testing.B, blocking bool, metric string) {
 	cfg := core.DefaultConfig()
 	cfg.Batch = 32
-	cfg.Blocking = blocking
-	mk := func(int) pq.Queue { return harness.NewHazardZMSQ(cfg) }
+	mk := func(int) pq.Queue {
+		z := harness.NewHazardZMSQ(cfg)
+		if blocking {
+			return harness.NewBlockingZMSQ(z)
+		}
+		return z
+	}
 	for _, consumers := range []int{2, 8, 32} {
 		consumers := consumers
 		b.Run(fmt.Sprintf("consumers=%d", consumers), func(b *testing.B) {

@@ -7,12 +7,13 @@ import (
 )
 
 // outsideProduct lists the packages under repro/internal/ that cmd/zmsqd
-// must not link: fault injection, the hazard-pointer protocol, the
-// harness and its baselines, checkers, the experiment grid, the frozen
-// statistics forwarder and the crash model. They plug into the serving
-// stack from outside, through seams it declares.
+// must not link: fault injection, the hazard-pointer protocol, the §3.6
+// wait ring, the harness and its baselines, checkers, the experiment grid,
+// the frozen statistics forwarder and the crash model. They plug into the
+// serving stack from outside, through seams it declares or wrappers around
+// its queue.
 var outsideProduct = []string{
-	"fault", "hazard", "harness", "spray", "mound", "multiqueue",
+	"fault", "hazard", "waitring", "harness", "spray", "mound", "multiqueue",
 	"contract", "quality", "experiment", "stats", "wal/crashfs",
 }
 

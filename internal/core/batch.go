@@ -14,8 +14,7 @@ import "runtime"
 // must equal len(keys) or InsertBatch panics. The elements become visible
 // one at a time, exactly as if Insert had been called in a loop, but the
 // whole batch shares one operation context, so the per-call setup cost is
-// paid once. In blocking mode, sleeping consumers are woken once per
-// element after the batch is physically inserted.
+// paid once.
 func (q *Queue[V]) InsertBatch(keys []uint64, vals []V) {
 	if len(keys) == 0 {
 		return
@@ -32,13 +31,6 @@ func (q *Queue[V]) InsertBatch(keys []uint64, vals []V) {
 		q.insert(ctx, e)
 	}
 	q.putCtx(ctx)
-	if q.ring != nil {
-		// Signal strictly after the elements are physically inserted, so a
-		// woken consumer's extraction cannot observe an empty queue.
-		for range keys {
-			q.ring.Signal()
-		}
-	}
 }
 
 // ExtractBatch removes up to n high-priority elements, appending them to
@@ -47,7 +39,7 @@ func (q *Queue[V]) InsertBatch(keys []uint64, vals []V) {
 // lock, so the observation is exact). Passing a dst with spare capacity
 // makes steady-state batch extraction allocation-free.
 //
-// Relaxation is identical to n sequential ExtractMax calls: pool elements
+// Relaxation is identical to n sequential TryExtractMax calls: pool elements
 // are claimed first, and a root refill hands the caller at most Batch+1
 // elements (the root maximum — the true queue maximum at that instant —
 // first), so every b+1 window of the extraction sequence still contains a

@@ -2,8 +2,6 @@ package core
 
 import (
 	"runtime"
-	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -11,8 +9,8 @@ import (
 )
 
 // Shutdown-semantics coverage: Close idempotency, Insert-after-Close,
-// blocked-consumer release, helper goroutine termination, and the
-// drain extensions (Drain, CloseAndDrain).
+// helper goroutine termination, and the drain extensions (Drain,
+// CloseAndDrain). Blocked-consumer release is package waitring's.
 
 func TestCloseIdempotent(t *testing.T) {
 	for name, cfg := range testConfigs() {
@@ -42,36 +40,6 @@ func TestInsertAfterCloseIsRetrievable(t *testing.T) {
 	}
 	if len(got) != 2 || got[1] != 10 || got[2] != 20 {
 		t.Fatalf("elements after close: %v", got)
-	}
-}
-
-func TestCloseReleasesBlockedConsumersExactlyOnce(t *testing.T) {
-	q := New[int](Config{Batch: 4, TargetLen: 4, Blocking: true})
-	const consumers = 8
-	var returned atomic.Int32
-	var wg sync.WaitGroup
-	for i := 0; i < consumers; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			_, _, ok := q.ExtractMax() // empty queue: blocks until Close
-			if ok {
-				t.Error("ExtractMax returned ok=true on an empty closed queue")
-			}
-			returned.Add(1)
-		}()
-	}
-	time.Sleep(20 * time.Millisecond) // let the consumers reach their sleep
-	q.Close()
-	done := make(chan struct{})
-	go func() { wg.Wait(); close(done) }()
-	select {
-	case <-done:
-	case <-time.After(5 * time.Second):
-		t.Fatalf("only %d/%d blocked consumers released by Close", returned.Load(), consumers)
-	}
-	if returned.Load() != consumers {
-		t.Fatalf("released %d consumers, want %d", returned.Load(), consumers)
 	}
 }
 
@@ -112,46 +80,5 @@ func TestDrainReturnsEverything(t *testing.T) {
 	}
 	if _, _, ok := q.TryExtractMax(); ok {
 		t.Fatal("queue nonempty after Drain")
-	}
-}
-
-func TestCloseAndDrainReleasesAndReturnsRemainder(t *testing.T) {
-	q := New[int](Config{Batch: 4, TargetLen: 4, Blocking: true})
-	var blocked sync.WaitGroup
-	blocked.Add(1)
-	go func() {
-		defer blocked.Done()
-		q.ExtractMax() // blocks on the empty queue until Close
-	}()
-	time.Sleep(10 * time.Millisecond)
-	for i := 1; i <= 50; i++ {
-		q.Insert(uint64(i), i)
-	}
-	out := q.CloseAndDrain()
-	blocked.Wait() // the blocked consumer must have been released
-	// The racing consumer may have taken one element; everything else must
-	// be in the drain, each element exactly once.
-	if len(out) < 49 || len(out) > 50 {
-		t.Fatalf("CloseAndDrain returned %d elements, want 49 or 50", len(out))
-	}
-	// Idempotent: a second call returns only what arrived since.
-	q.Insert(99, 99)
-	out2 := q.CloseAndDrain()
-	if len(out2) != 1 || out2[0].Key != 99 {
-		t.Fatalf("second CloseAndDrain: %v", out2)
-	}
-}
-
-func TestExtractMaxClosedDrains(t *testing.T) {
-	q := New[int](Config{Batch: 4, TargetLen: 4, Blocking: true})
-	q.Insert(5, 50)
-	q.Close()
-	// A closed queue still hands out its remaining elements...
-	if k, v, ok := q.ExtractMax(); !ok || k != 5 || v != 50 {
-		t.Fatalf("got (%d, %d, %v), want (5, 50, true)", k, v, ok)
-	}
-	// ...and reports ok=false, without blocking, once drained.
-	if _, _, ok := q.ExtractMax(); ok {
-		t.Fatal("ExtractMax returned ok=true on a drained closed queue")
 	}
 }

@@ -6,20 +6,22 @@
 // count). The tree maintains the mound invariant — a parent's maximum is at
 // least as large as either child's maximum — so the globally largest
 // element is always at the root. Relaxation comes from an extraction pool:
-// an ExtractMax that finds the pool empty locks the root, takes the maximum
+// an extraction that finds the pool empty locks the root, takes the maximum
 // for itself, and moves the next `batch` largest root elements into the
-// pool, where subsequent ExtractMax calls claim them with a single
+// pool, where subsequent extractions claim them with a single
 // fetch-and-decrement. With batch = 0 the queue is strict.
 //
 // Distinguishing practical features (paper §1): extraction is guaranteed to
 // succeed whenever the queue is nonempty; consumers can block on an empty
-// queue (Config.Blocking); memory safety does not depend on the garbage
-// collector; and relaxation accuracy is governed solely by `batch`,
-// independent of the number of threads. In Go the third needs no protocol:
-// a set's list blocks are only read or written under their TNode's lock, so
-// a freed block is reused at once (AllocDomain). The paper's hazard
-// pointers (§3.5) plug in from outside through AllocDomain's Reclaimer, for
-// the cells that measure what they cost.
+// queue; memory safety does not depend on the garbage collector; and
+// relaxation accuracy is governed solely by `batch`, independent of the
+// number of threads. The second composes from outside: package waitring
+// wraps a Queue in the §3.6 ticket ring, and this package declares nothing
+// about waiting. In Go the third needs no protocol: a set's list blocks are
+// only read or written under their TNode's lock, so a freed block is reused
+// at once (AllocDomain). The paper's hazard pointers (§3.5) plug in from
+// outside through AllocDomain's Reclaimer, for the cells that measure what
+// they cost.
 //
 // The queue is in-memory, as the paper's is: this package has no log and
 // does not import internal/wal. Durability belongs to the sharded
@@ -90,8 +92,8 @@ type Config struct {
 	// Batch bounds how many elements (beyond the one returned to the
 	// refilling caller) one pool refill moves out of the root. It is also
 	// the accuracy knob: the true maximum is returned at least once per
-	// Batch+1 consecutive ExtractMax calls. Batch = 0 disables the pool
-	// entirely, making every ExtractMax strict.
+	// Batch+1 consecutive extractions. Batch = 0 disables the pool
+	// entirely, making every extraction strict.
 	Batch int
 
 	// TargetLen is the number of elements each TNode tries to hold. A set
@@ -112,12 +114,6 @@ type Config struct {
 	// SetMode selects the per-TNode set implementation: sorted lists (the
 	// zero value) or SetModeArray.
 	SetMode SetMode
-
-	// Blocking enables the §3.6 futex-ring blocking mechanism: ExtractMax
-	// sleeps when the queue is empty and Insert wakes sleepers. When false,
-	// ExtractMax behaves like TryExtractMax. The ring has
-	// waitring.DefaultSlots slots.
-	Blocking bool
 
 	// NoMinSwap disables the insertion-quality optimization that moves a
 	// parent's minimum down into the child when inserting a new child
@@ -189,8 +185,8 @@ func (c Config) Validate() error {
 func (c Config) arraySet() bool { return c.SetMode == SetModeArray }
 
 // DefaultConfig returns the paper's recommended configuration: batch = 48,
-// targetLen = 72, TATAS trylocks, list sets, blocking disabled.
-// Config.SetMode selects array sets.
+// targetLen = 72, TATAS trylocks, list sets. Config.SetMode selects array
+// sets.
 func DefaultConfig() Config {
 	return Config{
 		Batch:     DefaultBatch,

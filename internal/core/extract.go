@@ -5,8 +5,8 @@ import "runtime"
 // This file implements Listing 2 of the paper: pool claims by
 // fetch-and-decrement, pool refill from the root (reserving the maximum for
 // the refilling caller), and the downward set-swapping that restores the
-// mound invariant. With batch == 0 the pool is absent and ExtractMax is the
-// strict mound extraction.
+// mound invariant. With batch == 0 the pool is absent and TryExtractMax is
+// the strict mound extraction.
 
 type extractStatus int
 
@@ -25,39 +25,6 @@ func (q *Queue[V]) TryExtractMax() (key uint64, val V, ok bool) {
 	key, val, ok = q.tryExtract(ctx)
 	q.putCtx(ctx)
 	return key, val, ok
-}
-
-// ExtractMax removes and returns a high-priority element. In blocking mode
-// it sleeps while the queue is empty and returns ok=false only after Close;
-// otherwise it behaves exactly like TryExtractMax.
-func (q *Queue[V]) ExtractMax() (key uint64, val V, ok bool) {
-	if q.ring == nil {
-		return q.TryExtractMax()
-	}
-	ctx := q.getCtx()
-	defer q.putCtx(ctx)
-	if !q.ring.Await() {
-		// Queue closed before this consumer's ticket was covered; drain
-		// best-effort.
-		return q.tryExtract(ctx)
-	}
-	// The ticket argument (§3.6): once a consumer's ticket is covered by an
-	// insert, the queue holds at least one element until this consumer
-	// takes one, so the loop below terminates — unless a non-ticketed
-	// extractor (TryExtractMax, Drain) takes the covered element. That race
-	// matters during shutdown, where CloseAndDrain deliberately empties the
-	// queue, so a closed observation ends the wait instead of spinning on a
-	// queue that will stay empty.
-	for {
-		key, val, ok = q.tryExtract(ctx)
-		if ok {
-			return key, val, true
-		}
-		if q.closed.Load() {
-			return q.tryExtract(ctx)
-		}
-		runtime.Gosched()
-	}
 }
 
 func (q *Queue[V]) tryExtract(ctx *opCtx[V]) (uint64, V, bool) {
@@ -264,8 +231,8 @@ func (q *Queue[V]) Drain() []Element[V] {
 	}
 }
 
-// CloseAndDrain closes the queue (releasing any blocked consumers) and
-// returns every remaining element instead of stranding them. Consumers
+// CloseAndDrain closes the queue and returns every remaining element
+// instead of stranding them. Consumers
 // racing the drain simply take some of the elements themselves: each
 // element goes to exactly one taker. Like Close it is idempotent; a second
 // call returns whatever was inserted since the first drain.

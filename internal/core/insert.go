@@ -7,17 +7,11 @@ import "runtime"
 // forced insert (non-max member of an under-full deep leaf), the parent-min
 // quality swap, and set splitting.
 
-// Insert adds (key, val) to the queue. In blocking mode it also wakes one
-// sleeping consumer if any is waiting for this element.
+// Insert adds (key, val) to the queue.
 func (q *Queue[V]) Insert(key uint64, val V) {
 	ctx := q.getCtx()
 	q.insert(ctx, element[V]{key: key, val: val})
 	q.putCtx(ctx)
-	if q.ring != nil {
-		// Signal strictly after the element is physically inserted, so a
-		// woken consumer's extraction cannot observe an empty queue.
-		q.ring.Signal()
-	}
 }
 
 func (q *Queue[V]) insert(ctx *opCtx[V], e element[V]) {

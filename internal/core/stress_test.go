@@ -156,125 +156,6 @@ func TestConcurrentExtractNeverFailsWithBalance(t *testing.T) {
 	}
 }
 
-func TestBlockingProducerConsumer(t *testing.T) {
-	q := New[int](Config{Batch: 8, TargetLen: 8, Blocking: true})
-	const producers = 2
-	const consumers = 8 // must divide producers*perP so the handoff balances
-	perP := 20000
-	if testing.Short() {
-		perP = 4000
-	}
-	if raceEnabled {
-		perP /= 5
-	}
-	total := producers * perP
-	perC := total / consumers
-
-	var wg sync.WaitGroup
-	var sum atomic.Uint64
-	for c := 0; c < consumers; c++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < perC; i++ {
-				k, _, ok := q.ExtractMax()
-				if !ok {
-					t.Error("blocking ExtractMax returned false without Close")
-					return
-				}
-				sum.Add(k)
-			}
-		}()
-	}
-	// Stagger producers so consumers actually block.
-	var wantSum uint64
-	for p := 0; p < producers; p++ {
-		wg.Add(1)
-		go func(p int) {
-			defer wg.Done()
-			for i := 0; i < perP; i++ {
-				k := uint64(p*perP + i + 1)
-				q.Insert(k, 0)
-			}
-		}(p)
-	}
-	for i := 1; i <= total; i++ {
-		wantSum += uint64(i)
-	}
-	done := make(chan struct{})
-	go func() { wg.Wait(); close(done) }()
-	select {
-	case <-done:
-	case <-time.After(120 * time.Second):
-		t.Fatal("blocking handoff stalled")
-	}
-	if sum.Load() != wantSum {
-		t.Fatalf("checksum %d != %d: elements lost or duplicated", sum.Load(), wantSum)
-	}
-	if !q.Empty() {
-		t.Fatalf("queue not empty after balanced handoff: Len=%d", q.Len())
-	}
-}
-
-func TestBlockingConsumersSleepUntilInsert(t *testing.T) {
-	q := New[int](Config{Batch: 4, TargetLen: 4, Blocking: true})
-	got := make(chan uint64, 1)
-	go func() {
-		k, _, ok := q.ExtractMax()
-		if ok {
-			got <- k
-		} else {
-			close(got)
-		}
-	}()
-	select {
-	case <-got:
-		t.Fatal("consumer returned before any insert")
-	case <-time.After(50 * time.Millisecond):
-	}
-	q.Insert(77, 0)
-	select {
-	case k := <-got:
-		if k != 77 {
-			t.Fatalf("got %d, want 77", k)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("insert did not wake the blocked consumer")
-	}
-}
-
-func TestCloseReleasesBlockedConsumers(t *testing.T) {
-	q := New[int](Config{Batch: 4, TargetLen: 4, Blocking: true})
-	const waiters = 4
-	done := make(chan bool, waiters)
-	for i := 0; i < waiters; i++ {
-		go func() {
-			_, _, ok := q.ExtractMax()
-			done <- ok
-		}()
-	}
-	time.Sleep(50 * time.Millisecond)
-	q.Close()
-	if !q.Closed() {
-		t.Fatal("Closed() false after Close")
-	}
-	for i := 0; i < waiters; i++ {
-		select {
-		case ok := <-done:
-			if ok {
-				t.Fatal("consumer extracted from an empty closed queue")
-			}
-		case <-time.After(5 * time.Second):
-			t.Fatal("Close did not release blocked consumers")
-		}
-	}
-	// The queue is still usable non-blockingly after Close.
-	q.Insert(5, 1)
-	if k, _, ok := q.TryExtractMax(); !ok || k != 5 {
-		t.Fatal("queue unusable after Close")
-	}
-}
-
 func TestConcurrentMixedWithInvariantChecks(t *testing.T) {
 	// Alternate stress phases with quiescent invariant validation.
 	q := New[int](Config{Batch: 8, TargetLen: 8})

@@ -7,7 +7,6 @@ import (
 	"sync/atomic"
 
 	"repro/internal/locks"
-	"repro/internal/waitring"
 	"repro/internal/xrand"
 )
 
@@ -35,7 +34,6 @@ type Queue[V any] struct {
 	// Config.Batch == 0, in which case every extraction is strict.
 	pool *batchPool[V]
 
-	ring   *waitring.Ring  // non-nil iff cfg.Blocking
 	ad     *AllocDomain[V] // where list blocks recycle (possibly shared)
 	faults Faults          // non-nil only under chaos testing
 	met    *Metrics        // non-nil iff cfg.Metrics was set
@@ -100,9 +98,6 @@ func Open[V any](cfg Config, opts Options[V]) (*Queue[V], error) {
 	q.levels[0] = q.newLevel(1)
 	if cfg.Batch > 0 {
 		q.pool = newBatchPool[V](cfg.Batch, cfg.Faults)
-	}
-	if cfg.Blocking {
-		q.ring = waitring.New(waitring.DefaultSlots)
 	}
 	if cfg.Helper {
 		q.helperStop = make(chan struct{})
@@ -226,18 +221,14 @@ func (q *Queue[V]) PoolOccupancy() int64 {
 	return 0
 }
 
-// Close releases consumers blocked in ExtractMax (blocking mode). Blocked
-// and future ExtractMax calls return ok=false once the queue is empty.
-// Insert remains usable; Close is idempotent.
+// Close marks the queue closed and stops the helper goroutine, if any.
+// Insert and extraction remain usable; Close is idempotent.
 func (q *Queue[V]) Close() {
 	if !q.closed.CompareAndSwap(false, true) {
 		return
 	}
 	if q.helperStop != nil {
 		close(q.helperStop)
-	}
-	if q.ring != nil {
-		q.ring.Close()
 	}
 }
 

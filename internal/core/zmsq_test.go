@@ -49,7 +49,6 @@ func testConfigs() map[string]testConfig {
 		"array-leaky":   {Config: Config{Batch: 16, TargetLen: 16, SetMode: SetModeArray}},
 		"strict-array":  {Config: Config{Batch: 0, TargetLen: 16, SetMode: SetModeArray}},
 		"tiny-targets":  {Config: Config{Batch: 2, TargetLen: 2}},
-		"blocking-ring": {Config: Config{Batch: 8, TargetLen: 8, Blocking: true}},
 	}
 }
 
@@ -78,11 +77,6 @@ func TestEmptyQueue(t *testing.T) {
 		q := newTestQueue[int](cfg)
 		if _, _, ok := q.TryExtractMax(); ok {
 			t.Fatal("TryExtractMax on empty queue succeeded")
-		}
-		if !cfg.Blocking {
-			if _, _, ok := q.ExtractMax(); ok {
-				t.Fatal("ExtractMax on empty non-blocking queue succeeded")
-			}
 		}
 		if !q.Empty() || q.Len() != 0 {
 			t.Fatal("fresh queue not empty")
@@ -182,9 +176,6 @@ func TestExtractionNeverFailsWhenNonempty(t *testing.T) {
 	// The headline practical feature: any interleaving of inserts and
 	// extracts, extraction succeeds whenever elements remain.
 	forEachConfig(t, func(t *testing.T, cfg testConfig) {
-		if cfg.Blocking {
-			t.Skip("blocking config covered separately")
-		}
 		q := newTestQueue[int](cfg)
 		r := xrand.New(99)
 		size := 0

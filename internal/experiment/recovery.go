@@ -31,8 +31,8 @@ func runRecoveryExperiment(ex *Experiment, sc Scale, opt Options) ([]CellResult,
 	if err != nil {
 		return nil, err
 	}
-	if ex.Config.hazard() {
-		return nil, errHazard
+	if ex.Config.hazard() || ex.Config.blocking() {
+		return nil, errCoreOnly
 	}
 	valueSizes := ex.ValueSizes
 	if len(valueSizes) == 0 {

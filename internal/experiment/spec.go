@@ -159,7 +159,7 @@ type QueueConfig struct {
 	NoTryLock bool   `json:"no_trylock,omitempty"`
 	SetMode   string `json:"set_mode,omitempty"` // "list", "array"
 	Hazard    bool   `json:"hazard,omitempty"`   // the paper's memory-safe ZMSQ (zmsq cells only)
-	Blocking  bool   `json:"blocking,omitempty"`
+	Blocking  bool   `json:"blocking,omitempty"` // Figure 4's sleeping consumers (zmsq handoff cells only)
 	Metrics   bool   `json:"metrics,omitempty"`
 	Helper    bool   `json:"helper,omitempty"` // the §5 maintenance goroutine
 }
@@ -263,6 +263,9 @@ func (s *Spec) Validate() error {
 			vseen[v.Name] = true
 			if _, err := v.maker(Options{}); err != nil {
 				return fmt.Errorf("experiment %q variant %q: %w", ex.Name, v.Name, err)
+			}
+			if v.Config.blocking() && ex.Kind != "handoff" {
+				return fmt.Errorf("experiment %q variant %q: blocking consumers run in handoff cells only", ex.Name, v.Name)
 			}
 			if ex.Kind == "setstats" && v.Queue != "zmsq" && v.Queue != "" {
 				return fmt.Errorf("experiment %q variant %q: setstats kind reads a ZMSQ's tree, queue is %q", ex.Name, v.Name, v.Queue)

@@ -72,6 +72,13 @@ func TestValidateRejects(t *testing.T) {
 		{"setstats on a baseline", func(s *Spec) {
 			s.Experiments[0].Kind, s.Experiments[0].Variants[0].Queue = "setstats", "mound"
 		}, "reads a ZMSQ's tree"},
+		{"blocking outside handoff", func(s *Spec) {
+			s.Experiments[0].Variants[0].Config = &QueueConfig{Blocking: true}
+		}, "handoff cells only"},
+		{"blocking sharded", func(s *Spec) {
+			s.Experiments[0].Kind = "handoff"
+			s.Experiments[0].Variants[0] = Variant{Name: "v", Queue: "sharded", Config: &QueueConfig{Blocking: true}}
+		}, "zmsq cells only"},
 		{"bad lock", func(s *Spec) {
 			s.Experiments[0].Variants[0].Config = &QueueConfig{Lock: "spin"}
 		}, "unknown lock"},

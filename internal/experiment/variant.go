@@ -48,9 +48,6 @@ func (c *QueueConfig) coreConfig() (core.Config, error) {
 	if c.NoTryLock {
 		cfg.NoTryLock = true
 	}
-	if c.Blocking {
-		cfg.Blocking = true
-	}
 	if c.Helper {
 		cfg.Helper = true
 	}
@@ -62,9 +59,14 @@ func (c *QueueConfig) coreConfig() (core.Config, error) {
 // (harness.NewHazardDomain) instead of through the product's recycler.
 func (c *QueueConfig) hazard() bool { return c != nil && c.Hazard }
 
-// errHazard refuses the hazard key outside the cells that build one core
-// queue: the sharded, service and recovery cells drive the product.
-var errHazard = errors.New(`"hazard" applies to zmsq cells only`)
+// blocking reports whether the cell's consumers sleep on an empty queue:
+// its queue wrapped in the §3.6 ticket ring (harness.NewBlockingZMSQ).
+func (c *QueueConfig) blocking() bool { return c != nil && c.Blocking }
+
+// errCoreOnly refuses the hazard and blocking keys outside the cells that
+// build one core queue: the sharded, service and recovery cells drive the
+// product.
+var errCoreOnly = errors.New(`"hazard" and "blocking" apply to zmsq cells only`)
 
 // newQueue builds the bare core queue of a cell that drives one directly:
 // over a harness.NewHazardDomain, whose scans count on scans, when the
@@ -105,18 +107,22 @@ func (v Variant) maker(opt Options) (harness.QueueMaker, error) {
 			if metrics {
 				cfg.Metrics = core.NewMetrics()
 			}
+			z := harness.NewZMSQ
 			if v.Config.hazard() {
-				return harness.NewHazardZMSQ(cfg)
+				z = harness.NewHazardZMSQ
 			}
-			return harness.NewZMSQ(cfg)
+			if v.Config.blocking() {
+				return harness.NewBlockingZMSQ(z(cfg))
+			}
+			return z(cfg)
 		}
 	case "sharded":
 		base, err := v.Config.coreConfig()
 		if err != nil {
 			return nil, err
 		}
-		if v.Config.hazard() {
-			return nil, errHazard
+		if v.Config.hazard() || v.Config.blocking() {
+			return nil, errCoreOnly
 		}
 		shards := v.Shards
 		metrics := opt.Metrics || (v.Config != nil && v.Config.Metrics)

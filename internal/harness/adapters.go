@@ -12,6 +12,7 @@ import (
 	"repro/internal/fault"
 	"repro/internal/hazard"
 	"repro/internal/pq"
+	"repro/internal/waitring"
 )
 
 // ZMSQ adapts a payload-less core.Queue to the harness's pq.Queue.
@@ -82,10 +83,9 @@ func VariantName(cfg core.Config, safe bool) string {
 // Insert implements pq.Queue.
 func (z *ZMSQ) Insert(key uint64) { z.Q.Insert(key, struct{}{}) }
 
-// ExtractMax implements pq.Queue. It is TryExtractMax unless the queue was
-// built with Config.Blocking, where it sleeps while the queue is empty.
+// ExtractMax implements pq.Queue with TryExtractMax.
 func (z *ZMSQ) ExtractMax() (uint64, bool) {
-	k, _, ok := z.Q.ExtractMax()
+	k, _, ok := z.Q.TryExtractMax()
 	return k, ok
 }
 
@@ -116,6 +116,36 @@ func (z *ZMSQ) ExtractBatch(dst []uint64, n int) []uint64 {
 	return dst
 }
 
+// BlockingZMSQ is a ZMSQ whose consumers sleep while the queue is empty:
+// its core queue wrapped in the §3.6 ticket ring (waitring.Queue), Figure
+// 4's blocking mode. Inserts and Close go through the ring; ExtractBatch,
+// Name and Snapshot are the ZMSQ's.
+type BlockingZMSQ struct {
+	*ZMSQ
+	w *waitring.Queue[struct{}]
+}
+
+// NewBlockingZMSQ wraps z, plain or over a NewHazardDomain, in the ring.
+// z must be used only through the returned adapter from then on.
+func NewBlockingZMSQ(z *ZMSQ) *BlockingZMSQ {
+	return &BlockingZMSQ{ZMSQ: z, w: waitring.New(z.Q)}
+}
+
+// Insert implements pq.Queue, waking a sleeping consumer.
+func (b *BlockingZMSQ) Insert(key uint64) { b.w.Insert(key, struct{}{}) }
+
+// InsertBatch implements pq.Batcher, waking one sleeper per key.
+func (b *BlockingZMSQ) InsertBatch(keys []uint64) { b.w.InsertBatch(keys, nil) }
+
+// ExtractMax implements pq.Queue, sleeping while the queue is empty.
+func (b *BlockingZMSQ) ExtractMax() (uint64, bool) {
+	k, _, ok := b.w.ExtractMax()
+	return k, ok
+}
+
+// Close implements pq.Closer, releasing every sleeping consumer.
+func (b *BlockingZMSQ) Close() { b.w.Close() }
+
 // Compile-time capability registrations: every substrate reaches the
 // runners through pq.Queue plus these optional interfaces.
 var (
@@ -123,6 +153,8 @@ var (
 	_ pq.Named   = (*ZMSQ)(nil)
 	_ pq.Closer  = (*ZMSQ)(nil)
 	_ pq.Batcher = (*ZMSQ)(nil)
+	_ pq.Closer  = (*BlockingZMSQ)(nil)
+	_ pq.Batcher = (*BlockingZMSQ)(nil)
 )
 
 // QueueMaker builds a fresh queue for one experiment run. threads is the

@@ -223,9 +223,13 @@ func TestRunHandoffUnevenSplit(t *testing.T) {
 func TestRunHandoffZMSQBothModes(t *testing.T) {
 	spec := HandoffSpec{Producers: 2, Consumers: 4, TotalItems: 20000, Seed: 2}
 	for _, blocking := range []bool{false, true} {
-		cfg := core.DefaultConfig()
-		cfg.Blocking = blocking
-		res := RunHandoff(func(int) pq.Queue { return NewZMSQ(cfg) }, spec)
+		res := RunHandoff(func(int) pq.Queue {
+			z := NewZMSQ(core.DefaultConfig())
+			if blocking {
+				return NewBlockingZMSQ(z)
+			}
+			return z
+		}, spec)
 		if res.Elapsed <= 0 || res.Latency.Count != spec.TotalItems || res.Latency.Mean < 0 {
 			t.Fatalf("blocking=%v: bad result: %+v", blocking, res)
 		}

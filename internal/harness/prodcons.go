@@ -64,11 +64,11 @@ func cpuSeconds() float64 {
 
 // RunHandoff runs the Figures 4 and 6 experiment: transfer TotalItems
 // through a fresh queue from mk with dedicated producers and consumers.
-// Consumers call ExtractMax, so a ZMSQ built with Config.Blocking sleeps on
-// the futex ring (Figure 4's blocking mode) and every other queue spins
-// (Figure 6 disables blocking for cross-queue fairness — SprayList cannot
-// block). The consumer that takes the last item closes a pq.Closer queue,
-// which releases blocked siblings.
+// Consumers call ExtractMax, so a BlockingZMSQ sleeps on the futex ring
+// (Figure 4's blocking mode) and every other queue spins (Figure 6
+// disables blocking for cross-queue fairness — SprayList cannot block).
+// The consumer that takes the last item closes a pq.Closer queue, which
+// releases blocked siblings.
 func RunHandoff(mk QueueMaker, spec HandoffSpec) HandoffResult {
 	q := mk(spec.Producers + spec.Consumers)
 	total := int64(spec.TotalItems)

@@ -55,11 +55,6 @@ func TestOpen(t *testing.T) {
 		{name: "undecodable payload", cfg: func(dir string) Config { return durableConfig(3, dir) },
 			opts: Options[[]byte]{Codec: brokenCodec{}}, prepare: seed, wantErr: true},
 		{name: "invalid config", cfg: func(dir string) Config { return durableConfig(-1, dir) }, wantErr: true},
-		{name: "blocking shards", cfg: func(dir string) Config {
-			cfg := durableConfig(3, dir)
-			cfg.Queue.Blocking = true
-			return cfg
-		}, wantErr: true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()

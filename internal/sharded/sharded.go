@@ -63,9 +63,7 @@ type Config struct {
 	// testing only) is shared by every shard; a non-nil Metrics enables
 	// instrumentation, with each shard receiving its own derived Metrics
 	// (a core.Metrics must observe at most one queue) — read the merged
-	// view through Queue.Snapshot.
-	// Blocking is rejected: per-shard wait rings cannot compose a
-	// cross-shard sleep (see Validate). Durability is the front-end's: Open
+	// view through Queue.Snapshot. Durability is the front-end's: Open
 	// opens the one log and builds the shards without it (see wal.go).
 	Queue core.Config
 }
@@ -74,9 +72,6 @@ type Config struct {
 func (c Config) Validate() error {
 	if c.Shards < 0 {
 		return fmt.Errorf("sharded: Config.Shards is %d; it must be >= 0 (0 selects min(GOMAXPROCS, %d))", c.Shards, defaultMaxShards)
-	}
-	if c.Queue.Blocking {
-		return fmt.Errorf("sharded: Config.Queue.Blocking is not supported: a consumer sleeping on one shard's ring would miss inserts landing on the other shards; poll TryExtractMax or use a single blocking core queue")
 	}
 	if err := validateDurability(c.Queue.Durability); err != nil {
 		return err

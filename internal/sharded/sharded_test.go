@@ -69,10 +69,6 @@ func TestValidate(t *testing.T) {
 	if err := (Config{Shards: -1, Queue: core.Config{}}).Validate(); err == nil {
 		t.Fatal("negative Shards accepted")
 	}
-	err := (Config{Queue: core.Config{Blocking: true}}).Validate()
-	if err == nil || !strings.Contains(err.Error(), "Blocking") {
-		t.Fatalf("Blocking accepted: %v", err)
-	}
 	if err := (Config{Queue: core.Config{Batch: -1}}).Validate(); err == nil {
 		t.Fatal("invalid per-shard config accepted")
 	}

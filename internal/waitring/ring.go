@@ -5,26 +5,26 @@ import (
 	"sync/atomic"
 )
 
-// DefaultSlots is the default ring size. Large enough to disperse sleepers
+// defaultSlots is the default ring size. Large enough to disperse sleepers
 // and wakers across distinct cache lines at the thread counts the paper
 // evaluates (up to 256 consumers), small enough to stay cache-resident.
-const DefaultSlots = 64
+const defaultSlots = 64
 
 // paddedFutex fills a cache line, as in the paper ("each position in the
 // circular buffer contains a futex, padded to fill a cache line").
 type paddedFutex struct {
-	f Futex
+	f futex
 	_ [64]byte
 }
 
-// Ring couples two atomic operation counters with a circular buffer of
+// ring couples two atomic operation counters with a circular buffer of
 // futexes (Listing 3 of the paper). Producers call Signal after every
 // insert; consumers call Await before every extract. The counters give each
 // operation a ticket; consumer ticket c may proceed once producer ticket c
 // exists, i.e. once pushes > c. Consumer c sleeps on slot c mod N and
 // producer p signals slot p mod N, so a matched pair always meets on the
 // same slot, and the population of any one slot is 1/N of the threads.
-type Ring struct {
+type ring struct {
 	pushes atomic.Uint64
 	_      [56]byte
 	pops   atomic.Uint64
@@ -35,17 +35,17 @@ type Ring struct {
 	spin   int
 }
 
-// New returns a ring with n slots (rounded up to a power of two; n <= 0
-// selects DefaultSlots).
-func New(n int) *Ring {
+// newRing returns a ring with n slots (rounded up to a power of two; n <= 0
+// selects defaultSlots).
+func newRing(n int) *ring {
 	if n <= 0 {
-		n = DefaultSlots
+		n = defaultSlots
 	}
 	size := 1
 	for size < n {
 		size <<= 1
 	}
-	return &Ring{
+	return &ring{
 		slots: make([]paddedFutex, size),
 		mask:  uint64(size - 1),
 		spin:  128,
@@ -55,7 +55,7 @@ func New(n int) *Ring {
 // Signal records one completed insert and wakes the consumer whose ticket it
 // covers, if that consumer is sleeping. The common case — no sleeper on the
 // slot — is one fetch-add plus one atomic read.
-func (r *Ring) Signal() {
+func (r *ring) Signal() {
 	p := r.pushes.Add(1) - 1
 	slot := &r.slots[p&r.mask].f
 	for {
@@ -78,7 +78,7 @@ func (r *Ring) Signal() {
 // ticket is covered and false when the ring was closed first. On a true
 // return the caller is guaranteed, by the ticket argument in §3.6, that the
 // queue holds at least one element until this caller extracts one.
-func (r *Ring) Await() bool {
+func (r *ring) Await() bool {
 	c := r.pops.Add(1) - 1
 	if r.pushes.Load() > c {
 		return true // fast path: one fetch-add, one load
@@ -130,7 +130,7 @@ func (r *Ring) Await() bool {
 // Close wakes every sleeper and makes subsequent Await calls return without
 // blocking (true if their ticket is covered, false otherwise). It is used
 // for queue shutdown so blocked consumers can observe termination.
-func (r *Ring) Close() {
+func (r *ring) Close() {
 	r.closed.Store(true)
 	for i := range r.slots {
 		slot := &r.slots[i].f

@@ -8,7 +8,7 @@ import (
 )
 
 func TestFutexWaitReturnsWhenValueDiffers(t *testing.T) {
-	var f Futex
+	var f futex
 	f.word.Store(5)
 	done := make(chan struct{})
 	go func() {
@@ -23,7 +23,7 @@ func TestFutexWaitReturnsWhenValueDiffers(t *testing.T) {
 }
 
 func TestFutexWaitWake(t *testing.T) {
-	var f Futex
+	var f futex
 	f.word.Store(1)
 	done := make(chan struct{})
 	go func() {
@@ -48,7 +48,7 @@ func TestFutexWaitWake(t *testing.T) {
 
 func TestFutexNoLostWakeup(t *testing.T) {
 	// Hammer the wait/wake pair; a lost wakeup manifests as a hang.
-	var f Futex
+	var f futex
 	const rounds = 2000
 	var wg sync.WaitGroup
 	wg.Add(2)
@@ -75,7 +75,7 @@ func TestFutexNoLostWakeup(t *testing.T) {
 }
 
 func TestFutexCASAndLoad(t *testing.T) {
-	var f Futex
+	var f futex
 	if !f.CompareAndSwap(0, 7) {
 		t.Fatal("CAS from zero failed")
 	}
@@ -88,16 +88,16 @@ func TestFutexCASAndLoad(t *testing.T) {
 }
 
 func TestRingSizeRounding(t *testing.T) {
-	for _, c := range []struct{ in, want int }{{0, DefaultSlots}, {-1, DefaultSlots}, {1, 1}, {3, 4}, {64, 64}, {65, 128}} {
-		r := New(c.in)
+	for _, c := range []struct{ in, want int }{{0, defaultSlots}, {-1, defaultSlots}, {1, 1}, {3, 4}, {64, 64}, {65, 128}} {
+		r := newRing(c.in)
 		if len(r.slots) != c.want {
-			t.Errorf("New(%d) has %d slots, want %d", c.in, len(r.slots), c.want)
+			t.Errorf("newRing(%d) has %d slots, want %d", c.in, len(r.slots), c.want)
 		}
 	}
 }
 
 func TestAwaitFastPathWhenCovered(t *testing.T) {
-	r := New(8)
+	r := newRing(8)
 	r.Signal()
 	done := make(chan bool, 1)
 	go func() { done <- r.Await() }()
@@ -112,7 +112,7 @@ func TestAwaitFastPathWhenCovered(t *testing.T) {
 }
 
 func TestAwaitBlocksUntilSignal(t *testing.T) {
-	r := New(8)
+	r := newRing(8)
 	started := make(chan struct{})
 	done := make(chan bool, 1)
 	go func() {
@@ -138,7 +138,7 @@ func TestAwaitBlocksUntilSignal(t *testing.T) {
 }
 
 func TestCloseReleasesWaiters(t *testing.T) {
-	r := New(8)
+	r := newRing(8)
 	const waiters = 8
 	results := make(chan bool, waiters)
 	for i := 0; i < waiters; i++ {
@@ -162,7 +162,7 @@ func TestCloseReleasesWaiters(t *testing.T) {
 }
 
 func TestAwaitAfterCloseDoesNotBlock(t *testing.T) {
-	r := New(8)
+	r := newRing(8)
 	r.Close()
 	done := make(chan bool, 1)
 	go func() { done <- r.Await() }()
@@ -176,7 +176,7 @@ func TestAwaitAfterCloseDoesNotBlock(t *testing.T) {
 func TestEveryTicketCovered(t *testing.T) {
 	// N producers and N consumers; every Await must return true and the
 	// total handoffs must balance.
-	r := New(16)
+	r := newRing(16)
 	const producers = 4
 	const consumers = 4
 	const perProducer = 5000
@@ -218,7 +218,7 @@ func TestEveryTicketCovered(t *testing.T) {
 }
 
 func TestSlowConsumerManyProducers(t *testing.T) {
-	r := New(4) // small ring forces slot sharing
+	r := newRing(4) // small ring forces slot sharing
 	const signals = 10000
 	done := make(chan struct{})
 	go func() {
@@ -241,7 +241,7 @@ func TestSlowConsumerManyProducers(t *testing.T) {
 }
 
 func TestPushesCounter(t *testing.T) {
-	r := New(8)
+	r := newRing(8)
 	for i := 0; i < 5; i++ {
 		r.Signal()
 	}
@@ -251,14 +251,14 @@ func TestPushesCounter(t *testing.T) {
 }
 
 func BenchmarkSignalNoSleeper(b *testing.B) {
-	r := New(64)
+	r := newRing(64)
 	for i := 0; i < b.N; i++ {
 		r.Signal()
 	}
 }
 
 func BenchmarkUncontendedHandoff(b *testing.B) {
-	r := New(64)
+	r := newRing(64)
 	for i := 0; i < b.N; i++ {
 		r.Signal()
 		r.Await()
@@ -266,7 +266,7 @@ func BenchmarkUncontendedHandoff(b *testing.B) {
 }
 
 func BenchmarkParallelHandoff(b *testing.B) {
-	r := New(64)
+	r := newRing(64)
 	b.RunParallel(func(pb *testing.PB) {
 		for pb.Next() {
 			r.Signal()
@@ -278,7 +278,7 @@ func BenchmarkParallelHandoff(b *testing.B) {
 func TestRingSizeOne(t *testing.T) {
 	// A single slot serializes all sleepers/wakers; correctness must not
 	// depend on dispersal.
-	r := New(1)
+	r := newRing(1)
 	const n = 5000
 	done := make(chan struct{})
 	go func() {
@@ -304,7 +304,7 @@ func TestCloseDuringChurn(t *testing.T) {
 	// Close racing with active producers/consumers must release every
 	// blocked consumer exactly once and never hang.
 	for trial := 0; trial < 20; trial++ {
-		r := New(8)
+		r := newRing(8)
 		var wg sync.WaitGroup
 		stop := make(chan struct{})
 		for c := 0; c < 4; c++ {
@@ -348,7 +348,7 @@ func TestCloseDuringChurn(t *testing.T) {
 func TestManyWaitersSingleProducer(t *testing.T) {
 	// More sleepers than slots: each signal must wake the right sleeper
 	// (ticket matching), even with heavy slot sharing.
-	r := New(4)
+	r := newRing(4)
 	const waiters = 32
 	var wg sync.WaitGroup
 	var released atomic.Int64

@@ -15,10 +15,11 @@
 // is returned at least once in any b+1 consecutive extractions, and
 // k·(b+1) extractions return the top k elements — independent of how many
 // goroutines are operating. With b = 0 the queue is strict. Extraction
-// never fails while the queue is nonempty; with Config.Blocking set,
-// ExtractMax sleeps on an empty queue until an insert arrives or Close is
-// called. That is the queue's one way to wait, the paper's §3.6 ticket
-// ring; a consumer that needs a deadline polls TryExtractMax instead.
+// never fails while the queue is nonempty. NewBlocking returns a
+// BlockingQueue, whose ExtractMax sleeps on an empty queue until an insert
+// arrives or Close is called: the queue wrapped in the paper's §3.6 ticket
+// ring, the one way to wait. A consumer that needs a deadline polls
+// TryExtractMax instead.
 //
 // The queue is in-memory. Open builds a durable one: a DurableQueue, the
 // sharded front-end over one shard, which keeps a write-ahead log in
@@ -46,6 +47,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/locks"
 	"repro/internal/sharded"
+	"repro/internal/waitring"
 	"repro/internal/wal"
 )
 
@@ -120,16 +122,19 @@ func New[V any](cfg Config) *Queue[V] { return core.New[V](cfg) }
 func NewMetrics() *Metrics { return core.NewMetrics() }
 
 // DefaultConfig returns the paper's recommended configuration: batch = 48,
-// targetLen = 72, TATAS trylocks, list sets, blocking disabled.
+// targetLen = 72, TATAS trylocks, list sets.
 func DefaultConfig() Config { return core.DefaultConfig() }
 
-// NewBlocking returns a queue with the §3.6 blocking mechanism enabled:
-// ExtractMax sleeps while the queue is empty and Insert wakes sleeping
-// consumers through a dispersed futex ring.
-func NewBlocking[V any]() *Queue[V] {
-	cfg := core.DefaultConfig()
-	cfg.Blocking = true
-	return core.New[V](cfg)
+// BlockingQueue is a Queue whose consumers can sleep: ExtractMax blocks
+// while the queue is empty, and Insert and InsertBatch wake sleepers
+// through the §3.6 dispersed futex ring. Close releases every sleeper. It
+// has Insert, InsertBatch, ExtractMax, TryExtractMax, Len, Empty, Close,
+// Closed and CloseAndDrain; every insert and Close must go through it.
+type BlockingQueue[V any] = waitring.Queue[V]
+
+// NewBlocking returns a BlockingQueue over a queue with DefaultConfig.
+func NewBlocking[V any]() *BlockingQueue[V] {
+	return waitring.New(core.New[V](core.DefaultConfig()))
 }
 
 // NewStrict returns a non-relaxed queue (batch = 0): every ExtractMax
@@ -151,8 +156,7 @@ type DurabilityConfig = core.DurabilityConfig
 // DurableQueue is the queue Open returns: the sharded front-end over one
 // shard, which owns the write-ahead log. It has Queue's Insert,
 // TryExtractMax, InsertBatch, ExtractBatch, Drain, Len and Close, plus
-// SyncWAL, CloseWAL and WALStats; it does not block (Config.Blocking is
-// refused).
+// SyncWAL, CloseWAL and WALStats; it does not block.
 type DurableQueue[V any] = sharded.Queue[V]
 
 // RecoveredState describes what Open read back from a durability
