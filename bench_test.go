@@ -18,7 +18,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/harness"
-	"repro/internal/locks"
 	"repro/internal/mound"
 	"repro/internal/pq"
 	"repro/internal/quality"
@@ -55,9 +54,9 @@ func fig2Cells() []struct {
 		name string
 		cfg  core.Config
 	}{
-		{"std", core.Config{Batch: 32, TargetLen: 32, Lock: locks.Std, NoTryLock: true}},
-		{"tas", core.Config{Batch: 32, TargetLen: 32, Lock: locks.TAS}},
-		{"tatas", core.Config{Batch: 32, TargetLen: 32, Lock: locks.TATAS}},
+		{"std", core.Config{Batch: 32, TargetLen: 32, Lock: core.LockStd, NoTryLock: true}},
+		{"tas", core.Config{Batch: 32, TargetLen: 32, Lock: core.LockTAS}},
+		{"tatas", core.Config{Batch: 32, TargetLen: 32, Lock: core.LockTATAS}},
 	}
 }
 
@@ -97,13 +96,13 @@ func fig3Cells() []struct {
 		mk   func(t int) pq.Queue
 	}{
 		{"dynamic1to1.5", func(t int) pq.Queue {
-			return harness.NewHazardZMSQ(core.Config{Batch: t, TargetLen: t * 3 / 2, Lock: locks.TATAS})
+			return harness.NewHazardZMSQ(core.Config{Batch: t, TargetLen: t * 3 / 2, Lock: core.LockTATAS})
 		}},
 		{"static32", func(int) pq.Queue {
-			return harness.NewHazardZMSQ(core.Config{Batch: 32, TargetLen: 32, Lock: locks.TATAS})
+			return harness.NewHazardZMSQ(core.Config{Batch: 32, TargetLen: 32, Lock: core.LockTATAS})
 		}},
 		{"static64", func(int) pq.Queue {
-			return harness.NewHazardZMSQ(core.Config{Batch: 64, TargetLen: 64, Lock: locks.TATAS})
+			return harness.NewHazardZMSQ(core.Config{Batch: 64, TargetLen: 64, Lock: core.LockTATAS})
 		}},
 		{"mound", func(int) pq.Queue { return mound.New() }},
 	}

@@ -33,7 +33,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/fault"
 	"repro/internal/harness"
-	"repro/internal/locks"
 )
 
 func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
@@ -76,7 +75,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		Queue: core.Config{
 			Batch:     *batch,
 			TargetLen: *target,
-			Lock:      locks.TATAS,
+			Lock:      core.LockTATAS,
 		},
 		Keys: harness.Uniform20,
 	}

@@ -69,7 +69,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		tenants     = fs.String("tenants", "default", "comma-separated tenant names")
 		shards      = fs.Int("shards", 4, "shards per tenant queue")
 		batch       = fs.Int("batch", core.DefaultBatch, "queue relaxation (Config.Batch)")
-		array       = fs.Bool("array", false, "use array sets instead of lists (Config.SetMode)")
 		walDir      = fs.String("wal", "", "durability directory: per-tenant WAL + recovery on start (empty = volatile)")
 		walSnap     = fs.Int64("walsnap", 8<<20, "with -wal: compact each tenant's log past this many bytes (0 = never)")
 		inflight    = fs.Int("inflight", server.DefaultMaxInflight, "per-connection inflight bound before StatusOverloaded")
@@ -92,9 +91,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	qcfg := core.DefaultConfig()
 	qcfg.Batch = *batch
 	qcfg.Seed = *seed
-	if *array {
-		qcfg.SetMode = core.SetModeArray
-	}
 
 	s, recovered, err := server.New(server.Config{
 		Tenants:          names,

@@ -12,10 +12,12 @@ import (
 )
 
 // TestDocsNameExistingCommands: every cmd/<name> the living documents
-// mention must be a command that exists. (CHANGES.md and ROADMAP.md are
-// history and may name what was removed.)
+// mention must be a command that exists, and every internal/<path> a
+// directory or file that exists. (CHANGES.md and ROADMAP.md are history
+// and may name what was removed.)
 func TestDocsNameExistingCommands(t *testing.T) {
 	cmdRef := regexp.MustCompile(`\bcmd/([a-z0-9_]+)`)
+	internalRef := regexp.MustCompile(`\binternal/[A-Za-z0-9_./-]*[A-Za-z0-9_]`)
 	for _, doc := range []string{"README.md", "DESIGN.md", "EXPERIMENTS.md", ".claude/skills/verify/SKILL.md"} {
 		text, err := os.ReadFile(doc)
 		if err != nil {
@@ -27,6 +29,13 @@ func TestDocsNameExistingCommands(t *testing.T) {
 			if _, err := os.Stat(filepath.Join("cmd", name, "main.go")); err != nil && !missing[name] {
 				missing[name] = true
 				t.Errorf("%s names cmd/%s, which does not exist", doc, name)
+			}
+		}
+		for _, m := range internalRef.FindAll(text, -1) {
+			path := string(m)
+			if _, err := os.Stat(path); err != nil && !missing[path] {
+				missing[path] = true
+				t.Errorf("%s names %s, which does not exist", doc, path)
 			}
 		}
 	}

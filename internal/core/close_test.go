@@ -4,8 +4,6 @@ import (
 	"runtime"
 	"testing"
 	"time"
-
-	"repro/internal/locks"
 )
 
 // Shutdown-semantics coverage: Close idempotency, Insert-after-Close,
@@ -26,7 +24,7 @@ func TestCloseIdempotent(t *testing.T) {
 }
 
 func TestInsertAfterCloseIsRetrievable(t *testing.T) {
-	q := New[int](Config{Batch: 4, TargetLen: 4, Lock: locks.TATAS})
+	q := New[int](Config{Batch: 4, TargetLen: 4, Lock: LockTATAS})
 	q.Insert(1, 10)
 	q.Close()
 	q.Insert(2, 20) // Insert remains legal after Close
@@ -59,7 +57,7 @@ func TestCloseStopsHelperGoroutine(t *testing.T) {
 }
 
 func TestDrainReturnsEverything(t *testing.T) {
-	q := New[int](Config{Batch: 4, TargetLen: 4, Lock: locks.TATAS})
+	q := New[int](Config{Batch: 4, TargetLen: 4, Lock: LockTATAS})
 	const n = 100
 	for i := 1; i <= n; i++ {
 		q.Insert(uint64(i), i)

@@ -23,17 +23,17 @@
 // outside through AllocDomain's Reclaimer, for the cells that measure what
 // they cost.
 //
+// Each TNode holds its lock inline: one of the three kinds §4.1 compares
+// (Config.Lock), chosen per queue and dispatched on a kind byte, so a node
+// and its lock are one 64-byte object.
+//
 // The queue is in-memory, as the paper's is: this package has no log and
 // does not import internal/wal. Durability belongs to the sharded
 // front-end (package sharded), which logs at its own operation boundaries;
 // Open refuses a Config that sets Durability.
 package core
 
-import (
-	"fmt"
-
-	"repro/internal/locks"
-)
+import "fmt"
 
 // Faults is the queue's fault-injection seam: one method per site that
 // chaos testing perturbs. The queue consults it only where Config.Faults
@@ -85,6 +85,37 @@ func (m SetMode) String() string {
 	}
 }
 
+// LockKind selects the per-TNode lock (§4.1, Fig. 2). It is read once, at
+// construction; every node of a queue holds a lock of the same kind.
+type LockKind uint8
+
+const (
+	// LockStd (the zero value) is the standard library sync.Mutex, a
+	// sleeping lock.
+	LockStd LockKind = iota
+	// LockTAS is a test-and-set spinlock: every acquire attempt is an
+	// atomic exchange, which always invalidates the cache line.
+	LockTAS
+	// LockTATAS is a test-and-test-and-set spinlock: an acquire spins on a
+	// plain load until the lock appears free, then attempts the exchange.
+	// Under contention this keeps the line shared between attempts.
+	LockTATAS
+)
+
+// String returns "std", "tas" or "tatas".
+func (k LockKind) String() string {
+	switch k {
+	case LockStd:
+		return "std"
+	case LockTAS:
+		return "tas"
+	case LockTATAS:
+		return "tatas"
+	default:
+		return fmt.Sprintf("LockKind(%d)", int(k))
+	}
+}
+
 // Config selects a ZMSQ variant. The zero value is NOT the recommended
 // configuration — a zero Batch means a strict (mound-equivalent) queue;
 // call DefaultConfig for the paper's recommended settings.
@@ -101,10 +132,10 @@ type Config struct {
 	// children. If zero, DefaultTargetLen is used.
 	TargetLen int
 
-	// Lock selects the per-TNode lock implementation (§4.1). The default
-	// (zero value) is locks.Std; the paper's best performer is a TATAS
-	// trylock.
-	Lock locks.Kind
+	// Lock selects the per-TNode lock (§4.1), held inline in each node.
+	// The default (zero value) is LockStd; the paper's best performer is
+	// a TATAS trylock.
+	Lock LockKind
 
 	// NoTryLock disables the insert path's trylock-and-retry-elsewhere
 	// optimization (§4.1); inserts then block on node locks instead of
@@ -169,9 +200,9 @@ func (c Config) Validate() error {
 		return fmt.Errorf("zmsq: Config.TargetLen is %d; it must be >= 0 (0 selects the default %d)", c.TargetLen, DefaultTargetLen)
 	}
 	switch c.Lock {
-	case locks.Std, locks.TAS, locks.TATAS:
+	case LockStd, LockTAS, LockTATAS:
 	default:
-		return fmt.Errorf("zmsq: Config.Lock is unknown kind %d; valid kinds are %v", int(c.Lock), locks.Kinds())
+		return fmt.Errorf("zmsq: Config.Lock is unknown kind %d; valid kinds are std(0), tas(1), tatas(2)", int(c.Lock))
 	}
 	switch c.SetMode {
 	case SetModeList, SetModeArray:
@@ -191,7 +222,7 @@ func DefaultConfig() Config {
 	return Config{
 		Batch:     DefaultBatch,
 		TargetLen: DefaultTargetLen,
-		Lock:      locks.TATAS,
+		Lock:      LockTATAS,
 	}
 }
 

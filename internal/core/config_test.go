@@ -3,8 +3,6 @@ package core
 import (
 	"strings"
 	"testing"
-
-	"repro/internal/locks"
 )
 
 func TestConfigValidate(t *testing.T) {
@@ -17,7 +15,7 @@ func TestConfigValidate(t *testing.T) {
 		{"zero value", Config{}, ""},
 		{"negative batch", Config{Batch: -1}, "Batch"},
 		{"negative targetLen", Config{TargetLen: -8}, "TargetLen"},
-		{"unknown lock", Config{Lock: locks.Kind(99)}, "Lock"},
+		{"unknown lock", Config{Lock: LockKind(99)}, "Lock"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -7,7 +7,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/locks"
 	"repro/internal/xrand"
 )
 
@@ -16,12 +15,12 @@ func stressConfigs() map[string]testConfig {
 	return map[string]testConfig{
 		"default":   {Config: DefaultConfig()},
 		"def-array": {Config: withSetMode(DefaultConfig(), SetModeArray)},
-		"strict":    {Config: Config{Batch: 0, TargetLen: 16, Lock: locks.TATAS}},
-		"array":     {Config: Config{Batch: 16, TargetLen: 16, Lock: locks.TATAS, SetMode: SetModeArray}},
-		"leaky":     {Config: Config{Batch: 16, TargetLen: 16, Lock: locks.TATAS}},
-		"hazard":    {Config: Config{Batch: 16, TargetLen: 16, Lock: locks.TATAS}, hazard: true},
-		"std-block": {Config: Config{Batch: 16, TargetLen: 16, Lock: locks.Std, NoTryLock: true}},
-		"tiny":      {Config: Config{Batch: 2, TargetLen: 2, Lock: locks.TAS}},
+		"strict":    {Config: Config{Batch: 0, TargetLen: 16, Lock: LockTATAS}},
+		"array":     {Config: Config{Batch: 16, TargetLen: 16, Lock: LockTATAS, SetMode: SetModeArray}},
+		"leaky":     {Config: Config{Batch: 16, TargetLen: 16, Lock: LockTATAS}},
+		"hazard":    {Config: Config{Batch: 16, TargetLen: 16, Lock: LockTATAS}, hazard: true},
+		"std-block": {Config: Config{Batch: 16, TargetLen: 16, Lock: LockStd, NoTryLock: true}},
+		"tiny":      {Config: Config{Batch: 2, TargetLen: 2, Lock: LockTAS}},
 	}
 }
 

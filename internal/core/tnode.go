@@ -1,11 +1,11 @@
 package core
 
 import (
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"unsafe"
 
-	"repro/internal/locks"
 	"repro/internal/xrand"
 )
 
@@ -17,14 +17,84 @@ import (
 // max and min are only meaningful when count > 0; an empty node compares as
 // -infinity everywhere.
 type tnode[V any] struct {
-	lock  locks.TryMutex
+	lock  nodeLock
 	set   nodeSet[V]
 	max   atomic.Uint64
 	min   atomic.Uint64
 	count atomic.Int64
-	// Pad so adjacent tnodes in a level's backing array do not share cache
-	// lines between their hot atomic fields.
-	_ [24]byte
+	// Pad to 64 bytes, so adjacent tnodes in a level's array do not share
+	// cache lines between their fields. The array starts on a 64-byte
+	// boundary, or 8 bytes past one where the allocator puts its header in
+	// front of a pointerful object over 512 bytes; with the pad last, the
+	// 56 bytes of fields sit on one line either way.
+	_ [8]byte
+}
+
+// nodeLock is a TNode's lock, one of the three kinds §4.1 compares: the
+// sleeping sync.Mutex, a TAS and a TATAS spin trylock. The kind is set
+// once, when the node is made, and every method dispatches on it. The insert
+// path's optimistic reads are re-validated after locking, and a node that is
+// locked now is likely to fail validation anyway, so it pays to TryLock and
+// restart along another random path rather than queue behind the holder;
+// every kind therefore has TryLock as well as Lock and Unlock.
+type nodeLock struct {
+	state atomic.Uint32 // TAS and TATAS: 1 while held
+	kind  LockKind
+	std   sync.Mutex // LockStd only
+}
+
+// spinBudget is how many failed acquire attempts a spinlock makes before
+// yielding the processor. Goroutines are cooperatively scheduled, so an
+// unbounded spin with more goroutines than Ps can livelock; Gosched keeps
+// the spin well-behaved while staying in user space in the common case.
+const spinBudget = 64
+
+// TryLock attempts to acquire the lock without blocking and reports whether
+// it succeeded: TAS makes one exchange, TATAS reads first and exchanges only
+// when the lock appears free.
+func (l *nodeLock) TryLock() bool {
+	switch l.kind {
+	case LockTATAS:
+		return l.state.Load() == 0 && l.state.Swap(1) == 0
+	case LockTAS:
+		return l.state.Swap(1) == 0
+	default:
+		return l.std.TryLock()
+	}
+}
+
+// Lock acquires the lock. Std sleeps; TAS retries the exchange, and TATAS
+// spins on a read until the lock appears free before retrying it.
+func (l *nodeLock) Lock() {
+	switch l.kind {
+	case LockTATAS:
+		spins := 0
+		for !l.TryLock() {
+			for l.state.Load() != 0 {
+				spins++
+				if spins%spinBudget == 0 {
+					runtime.Gosched()
+				}
+			}
+		}
+	case LockTAS:
+		for spins := 1; !l.TryLock(); spins++ {
+			if spins%spinBudget == 0 {
+				runtime.Gosched()
+			}
+		}
+	default:
+		l.std.Lock()
+	}
+}
+
+// Unlock releases the lock. It must only be called by the holder.
+func (l *nodeLock) Unlock() {
+	if l.kind == LockStd {
+		l.std.Unlock()
+		return
+	}
+	l.state.Store(0)
 }
 
 // emptyOrAtMost reports, from the cached fields, whether the node is empty

@@ -6,7 +6,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"repro/internal/locks"
 	"repro/internal/xrand"
 )
 
@@ -131,7 +130,7 @@ func Open[V any](cfg Config, opts Options[V]) (*Queue[V], error) {
 func (q *Queue[V]) newLevel(n int) []tnode[V] {
 	level := make([]tnode[V], n)
 	for i := range level {
-		level[i].lock = locks.New(q.cfg.Lock)
+		level[i].lock.kind = q.cfg.Lock
 		if q.cfg.arraySet() {
 			level[i].set = newArraySet[V](2*q.cfg.TargetLen + 8)
 		} else {

@@ -5,7 +5,6 @@ import (
 	"testing"
 	"testing/quick"
 
-	"repro/internal/locks"
 	"repro/internal/xrand"
 )
 
@@ -37,15 +36,15 @@ func testConfigs() map[string]testConfig {
 	return map[string]testConfig{
 		"default":       {Config: DefaultConfig()},
 		"default-array": {Config: withSetMode(DefaultConfig(), SetModeArray)},
-		"strict":        {Config: Config{Batch: 0, TargetLen: 16, Lock: locks.TATAS}},
-		"small-batch":   {Config: Config{Batch: 4, TargetLen: 8, Lock: locks.TATAS}},
-		"array":         {Config: Config{Batch: 16, TargetLen: 16, Lock: locks.TATAS, SetMode: SetModeArray}},
-		"leaky":         {Config: Config{Batch: 16, TargetLen: 16, Lock: locks.TATAS}},
-		"hazard":        {Config: Config{Batch: 16, TargetLen: 16, Lock: locks.TATAS}, hazard: true},
-		"std-lock":      {Config: Config{Batch: 16, TargetLen: 16, Lock: locks.Std, NoTryLock: true}},
-		"tas-lock":      {Config: Config{Batch: 16, TargetLen: 16, Lock: locks.TAS}},
-		"no-minswap":    {Config: Config{Batch: 16, TargetLen: 16, Lock: locks.TATAS, NoMinSwap: true}},
-		"no-forced":     {Config: Config{Batch: 16, TargetLen: 16, Lock: locks.TATAS, NoForcedInsert: true}},
+		"strict":        {Config: Config{Batch: 0, TargetLen: 16, Lock: LockTATAS}},
+		"small-batch":   {Config: Config{Batch: 4, TargetLen: 8, Lock: LockTATAS}},
+		"array":         {Config: Config{Batch: 16, TargetLen: 16, Lock: LockTATAS, SetMode: SetModeArray}},
+		"leaky":         {Config: Config{Batch: 16, TargetLen: 16, Lock: LockTATAS}},
+		"hazard":        {Config: Config{Batch: 16, TargetLen: 16, Lock: LockTATAS}, hazard: true},
+		"std-lock":      {Config: Config{Batch: 16, TargetLen: 16, Lock: LockStd, NoTryLock: true}},
+		"tas-lock":      {Config: Config{Batch: 16, TargetLen: 16, Lock: LockTAS}},
+		"no-minswap":    {Config: Config{Batch: 16, TargetLen: 16, Lock: LockTATAS, NoMinSwap: true}},
+		"no-forced":     {Config: Config{Batch: 16, TargetLen: 16, Lock: LockTATAS, NoForcedInsert: true}},
 		"array-leaky":   {Config: Config{Batch: 16, TargetLen: 16, SetMode: SetModeArray}},
 		"strict-array":  {Config: Config{Batch: 0, TargetLen: 16, SetMode: SetModeArray}},
 		"tiny-targets":  {Config: Config{Batch: 2, TargetLen: 2}},

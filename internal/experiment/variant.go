@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/harness"
-	"repro/internal/locks"
 	"repro/internal/pq"
 	"repro/internal/sharded"
 )
@@ -28,11 +27,11 @@ func (c *QueueConfig) coreConfig() (core.Config, error) {
 	switch c.Lock {
 	case "":
 	case "std":
-		cfg.Lock = locks.Std
+		cfg.Lock = core.LockStd
 	case "tas":
-		cfg.Lock = locks.TAS
+		cfg.Lock = core.LockTAS
 	case "tatas":
-		cfg.Lock = locks.TATAS
+		cfg.Lock = core.LockTATAS
 	default:
 		return cfg, fmt.Errorf("unknown lock %q (want std, tas, tatas)", c.Lock)
 	}

@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/fault"
-	"repro/internal/locks"
 )
 
 // chaosPlan returns a small but adversarial plan: a tiny TargetLen forces
@@ -24,7 +23,7 @@ func chaosPlan(seed uint64) ChaosPlan {
 		Queue: core.Config{
 			Batch:     8,
 			TargetLen: 8,
-			Lock:      locks.TATAS,
+			Lock:      core.LockTATAS,
 		},
 		Keys: Uniform20,
 	}

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/locks"
 )
 
 func TestRunRecoveryAllKinds(t *testing.T) {
@@ -19,7 +18,7 @@ func TestRunRecoveryAllKinds(t *testing.T) {
 					Shards: shards,
 					Dir:    t.TempDir(),
 					Queue: core.Config{
-						Batch: 8, TargetLen: 8, Lock: locks.TATAS,
+						Batch: 8, TargetLen: 8, Lock: core.LockTATAS,
 					},
 				}
 				res, err := RunRecovery(plan)
@@ -66,7 +65,7 @@ func TestRunRecoveryValuedAllKinds(t *testing.T) {
 						ValueBytes: vb,
 						Dir:        t.TempDir(),
 						Queue: core.Config{
-							Batch: 8, TargetLen: 8, Lock: locks.TATAS,
+							Batch: 8, TargetLen: 8, Lock: core.LockTATAS,
 						},
 					})
 					if err != nil {
@@ -91,7 +90,7 @@ func TestRunRecoveryDeterministicCrash(t *testing.T) {
 	run := func() RecoveryResult {
 		res, err := RunRecovery(RecoveryPlan{
 			Seed: 11, Kind: CrashMidAppend, Dir: t.TempDir(),
-			Queue: core.Config{Batch: 8, TargetLen: 8, Lock: locks.TATAS},
+			Queue: core.Config{Batch: 8, TargetLen: 8, Lock: core.LockTATAS},
 			// Single-threaded shape so the append order (and therefore the
 			// n-th append the fault fires on) is reproducible.
 			Producers: 1, Consumers: 1,

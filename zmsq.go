@@ -45,7 +45,6 @@ package repro
 
 import (
 	"repro/internal/core"
-	"repro/internal/locks"
 	"repro/internal/sharded"
 	"repro/internal/waitring"
 	"repro/internal/wal"
@@ -80,14 +79,14 @@ type MetricsSnapshot = core.MetricsSnapshot
 type Element[V any] = core.Element[V]
 
 // LockKind selects the per-node lock implementation (§4.1 of the paper).
-type LockKind = locks.Kind
+type LockKind = core.LockKind
 
 // Lock implementations: the standard library mutex, a test-and-set
 // trylock, and a test-and-test-and-set trylock (the recommended default).
 const (
-	LockStd   LockKind = locks.Std
-	LockTAS   LockKind = locks.TAS
-	LockTATAS LockKind = locks.TATAS
+	LockStd   LockKind = core.LockStd
+	LockTAS   LockKind = core.LockTAS
+	LockTATAS LockKind = core.LockTATAS
 )
 
 // SetMode selects the per-node set implementation (Config.SetMode):
