@@ -88,14 +88,18 @@ func (l *nodeLock) Lock() {
 	}
 }
 
-// Unlock releases the lock. It must only be called by the holder.
+// Unlock releases the lock. It must only be called by the holder. The Std
+// branch is a call of its own so that the spin kinds' release inlines.
 func (l *nodeLock) Unlock() {
 	if l.kind == LockStd {
-		l.std.Unlock()
+		l.unlockStd()
 		return
 	}
 	l.state.Store(0)
 }
+
+//go:noinline
+func (l *nodeLock) unlockStd() { l.std.Unlock() }
 
 // emptyOrAtMost reports, from the cached fields, whether the node is empty
 // or its max does not exceed key. This is the optimistic test used by

@@ -262,6 +262,13 @@ func (p *PromWriter) Counter(name, help string, v uint64) {
 	p.printf("%s %d\n", name, v)
 }
 
+// CounterFloat emits one counter sample of a non-integer quantity, such
+// as seconds.
+func (p *PromWriter) CounterFloat(name, help string, v float64) {
+	p.header(name, help, "counter")
+	p.printf("%s %g\n", name, v)
+}
+
 // Gauge emits one gauge sample.
 func (p *PromWriter) Gauge(name, help string, v float64) {
 	p.header(name, help, "gauge")

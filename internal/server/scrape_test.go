@@ -103,7 +103,8 @@ func TestMetricsMuxEndpoints(t *testing.T) {
 
 // TestDurableTenantScrapeShowsLogHealth: a durable tenant's view carries
 // its log's health, 0 while the log accepts writes (wal's
-// TestFailedCallLatches covers the 1).
+// TestFailedCallLatches covers the 1), and the time its snapshot cycles
+// take: deltas, rebases, and trims holding the sync lock.
 func TestDurableTenantScrapeShowsLogHealth(t *testing.T) {
 	cfg := baseConfig("alpha")
 	cfg.WALDir = t.TempDir()
@@ -119,7 +120,12 @@ func TestDurableTenantScrapeShowsLogHealth(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{"# TYPE zmsq_wal_failed gauge\n", "zmsq_wal_failed 0\n"} {
+	for _, want := range []string{
+		"# TYPE zmsq_wal_failed gauge\n", "zmsq_wal_failed 0\n",
+		"# TYPE zmsq_wal_delta_seconds_total counter\n",
+		"# TYPE zmsq_wal_rebase_seconds_total counter\n",
+		"# TYPE zmsq_wal_trim_locked_seconds_total counter\n",
+	} {
 		if !strings.Contains(string(body), want) {
 			t.Errorf("durable tenant's view lacks %q", want)
 		}

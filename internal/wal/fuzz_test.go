@@ -6,19 +6,23 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"time"
 )
 
 // FuzzSnapshotDecode drives the chain-file run parser with arbitrary
-// bodies, as a v1 base, a v2 base and a delta, and folds every run that
-// parses, together with a small log window, the two ways the package
-// does: into a State (Recover) and into a new base (a rebase). Chain
-// files are CRC-framed, so a mutated file never reaches the parser;
-// fuzzing the bodies directly is what exercises its bounds checks. The
-// property: nothing panics, and every error wraps ErrCorrupt. Seeds are
-// the bodies of real chain files, in key order and reversed.
+// bodies, framed with a valid CRC as a v1 base, a v2 base and a delta,
+// and folds every run that opens, streamed as loadChain opens it,
+// together with a small log window, the two ways the package does: into
+// a State (Recover) and into a new base (a rebase). Chain files are
+// CRC-framed, so a mutated file never reaches the parser; fuzzing the
+// bodies directly is what exercises its bounds checks. The properties:
+// nothing panics, every error wraps ErrCorrupt, and a base the fold
+// writes parses back and recovers to the same State. Seeds are the
+// bodies of real chain files, in key order and reversed.
 func FuzzSnapshotDecode(f *testing.F) {
 	bodies := chainBodies(f)
 	for _, body := range bodies {
@@ -45,8 +49,20 @@ func FuzzSnapshotDecode(f *testing.F) {
 		f.Fatal(err)
 	}
 	ev, _ = sortEvents(ev, nil)
-	if d := encodeDelta(0, 4, &run{name: walName, img: img, ev: ev}); len(d) != cap(d) {
-		f.Fatalf("delta sized %d bytes, filled %d", cap(d), len(d))
+	// The window's delta, written and read back, recovers what the window
+	// does.
+	var delta bytes.Buffer
+	var fromDelta, fromLog State
+	if err := encodeDelta(&snapWriter{dst: &delta}, 0, 4, &run{name: walName, img: img, ev: ev}); err != nil {
+		f.Fatal(err)
+	}
+	r, err := streamedRun("delta", delta.Bytes())
+	if err == nil {
+		err = foldState(&fromDelta, []*run{r})
+	}
+	if err != nil || foldState(&fromLog, []*run{{name: walName, img: img, ev: ev}}) != nil ||
+		!slices.Equal(fromDelta.Keys, fromLog.Keys) || !reflect.DeepEqual(fromDelta.Vals, fromLog.Vals) {
+		f.Fatalf("the window's delta recovers %v %q (%v), the window %v %q", fromDelta.Keys, fromDelta.Vals, err, fromLog.Keys, fromLog.Vals)
 	}
 
 	f.Fuzz(func(t *testing.T, body []byte) {
@@ -58,7 +74,7 @@ func FuzzSnapshotDecode(f *testing.F) {
 		}
 		var runs []*run
 		for _, magic := range []uint64{snapMagic, snapMagicV2, deltaMagic} {
-			if r, err := newRun("fuzz", magic, body); ok(err) {
+			if r, err := streamedRun("fuzz", snapFileBytes(magic, body)); ok(err) {
 				runs = append(runs, r)
 			}
 		}
@@ -68,9 +84,24 @@ func FuzzSnapshotDecode(f *testing.F) {
 		if fs, err := sizeFold(runs); !ok(err) || fs.live > 1<<16 {
 			return
 		}
-		ok(foldState(&State{}, runs))
-		if b, err := encodeBase(1, runs); ok(err) && len(b) != cap(b) {
-			t.Fatalf("base sized %d bytes, filled %d", cap(b), len(b))
+		var want State
+		if !ok(foldState(&want, runs)) {
+			return
+		}
+		var base bytes.Buffer
+		if !ok(encodeBase(&snapWriter{dst: &base}, 1, runs)) {
+			return
+		}
+		r, err := streamedRun("base", base.Bytes())
+		if err != nil {
+			t.Fatalf("the written base does not open: %v", err)
+		}
+		var got State
+		if err := foldState(&got, []*run{r}); err != nil {
+			t.Fatalf("the written base does not fold: %v", err)
+		}
+		if !slices.Equal(got.Keys, want.Keys) || !reflect.DeepEqual(got.Vals, want.Vals) {
+			t.Fatalf("the written base recovers %v %q, its runs %v %q", got.Keys, got.Vals, want.Keys, want.Vals)
 		}
 	})
 }

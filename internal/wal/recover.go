@@ -21,9 +21,8 @@ type State struct {
 	// Keys; a nil entry is a payload-less instance (logged key-only, so
 	// recovery restores a zero value). Instances of the same key appear
 	// in insertion order. Vals is nil when no live instance carries a
-	// payload — the key-only fast path. Entries may alias the file images
-	// Recover read: decode them with the queue's Codec, which copies what
-	// it keeps.
+	// payload — the key-only fast path. The entries share one arena:
+	// decode them with the queue's Codec, which copies what it keeps.
 	Vals [][]byte
 
 	// NextLSN is the LSN the reopened log will assign next.
@@ -74,7 +73,8 @@ func (s *State) Live() int { return len(s.Keys) }
 func Recover(dir string) (*State, error) {
 	st := &State{TornOffset: -1}
 
-	ch, err := loadChain(dir)
+	ch, err := loadChain(dir, nil)
+	defer ch.close()
 	if err != nil {
 		return nil, err
 	}
@@ -104,7 +104,8 @@ func Recover(dir string) (*State, error) {
 }
 
 // foldState folds runs, the chain and then the log tail, into st's Keys,
-// Vals and SnapshotKeys.
+// Vals and SnapshotKeys. A first pass sizes Keys, Vals and the arena
+// the survivors' payloads are copied into.
 func foldState(st *State, runs []*run) error {
 	fs, err := sizeFold(runs)
 	if err != nil {
@@ -112,14 +113,21 @@ func foldState(st *State, runs []*run) error {
 	}
 	st.SnapshotKeys = int(fs.chainLive)
 	st.Keys = make([]uint64, 0, fs.live)
+	var arena []byte
 	if fs.valued {
 		st.Vals = make([][]byte, 0, fs.live)
+		arena = make([]byte, 0, fs.payBytes)
 	}
 	var key uint64
 	return fold(runs, func(k uint64, _, _ int64) error {
 		key = k
 		return nil
 	}, func(v []byte, n int64) {
+		if v != nil {
+			at := len(arena)
+			arena = append(arena, v...)
+			v = arena[at:len(arena):len(arena)]
+		}
 		for ; n > 0; n-- {
 			st.Keys = append(st.Keys, key)
 			if fs.valued {

@@ -6,6 +6,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -25,6 +26,43 @@ func (l *Log) flushLocked() error {
 	l.written += int64(n)
 	l.buf = l.buf[:0]
 	return err
+}
+
+// newRun parses a chain file body of the kind its magic names into a run
+// held in memory, sorted by key.
+func newRun(name string, magic uint64, body []byte) (*run, error) {
+	r, err := streamedRun(name, snapFileBytes(magic, body))
+	if err != nil {
+		return nil, err
+	}
+	return r, r.load()
+}
+
+// streamedRun is a chain file image (magic, body, CRC) as a streamed run,
+// the way loadChain opens a file.
+func streamedRun(name string, file []byte) (*run, error) {
+	if len(file) < 12 {
+		return nil, fmt.Errorf("%w: %s too short", ErrCorrupt, name)
+	}
+	r := &run{}
+	return r, r.open(name, bytes.NewReader(file), int64(len(file)-12), binary.LittleEndian.Uint64(file))
+}
+
+// readSnapFile reads and CRC-checks one chain file, returning its magic
+// and body (everything between magic and CRC).
+func readSnapFile(path string) (magic uint64, body []byte, err error) {
+	b, err := os.ReadFile(path)
+	if err != nil {
+		return 0, nil, err
+	}
+	if len(b) < 12 {
+		return 0, nil, fmt.Errorf("%w: snapshot file %s too short", ErrCorrupt, filepath.Base(path))
+	}
+	body = b[8 : len(b)-4]
+	if crc32.Checksum(body, castagnoli) != binary.LittleEndian.Uint32(b[len(b)-4:]) {
+		return 0, nil, fmt.Errorf("%w: snapshot file %s crc mismatch", ErrCorrupt, filepath.Base(path))
+	}
+	return binary.LittleEndian.Uint64(b), body, nil
 }
 
 // decodeDelta parses a delta body into its watermarks and its run.
@@ -379,9 +417,11 @@ func TestRecoverMatchesModel(t *testing.T) {
 }
 
 // blockingFS is the OS file system, except that while block is set, a
-// write to the log parks until release, after telling entered.
+// write to the file called name parks until release, after telling
+// entered.
 type blockingFS struct {
 	osFS
+	name             string
 	block            atomic.Bool
 	entered, release chan struct{}
 }
@@ -393,7 +433,7 @@ type blockingFile struct {
 
 func (fs *blockingFS) OpenFile(name string, flag int, perm os.FileMode) (File, error) {
 	f, err := fs.osFS.OpenFile(name, flag, perm)
-	if err != nil || filepath.Base(name) != walName {
+	if err != nil || filepath.Base(name) != fs.name {
 		return f, err
 	}
 	return blockingFile{f, fs}, nil
@@ -412,7 +452,7 @@ func (f blockingFile) Write(b []byte) (int, error) {
 // write(2), an append from another goroutine returns; the Sync then
 // acknowledges exactly the records it took, and the next one the rest.
 func TestAppendDuringSyncWrite(t *testing.T) {
-	fs := &blockingFS{entered: make(chan struct{}), release: make(chan struct{})}
+	fs := &blockingFS{name: walName, entered: make(chan struct{}), release: make(chan struct{})}
 	opts := Options{Dir: t.TempDir(), GroupCommit: time.Hour, FS: fs}
 	l := mustOpen(t, opts)
 	l.AppendInserts([]uint64{1, 2}, nil)

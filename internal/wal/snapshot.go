@@ -12,6 +12,7 @@ import (
 	"slices"
 	"strconv"
 	"strings"
+	"time"
 )
 
 // Online snapshots compact the log without quiescing the queue: the
@@ -31,6 +32,20 @@ import (
 // OLDEST live instance of its key (FIFO), which makes deltas compose;
 // every chain file lists its keys in ascending order, so a rebase and
 // Recover fold the chain as a merge of sorted runs (run.go).
+//
+// The automatic cycle (Options.SnapshotBytes) adds one chain element per
+// whole SnapshotBytes chunk of log and leaves a shorter remainder in the
+// log for the next cycle, so rebaseEvery counts full chunks; an explicit
+// Snapshot covers everything. Chain files never exist whole in memory:
+// bases and deltas are streamed into their temp files through one 64 KiB
+// buffer with a running CRC-32C, and a rebase or Recover streams each
+// chain file through a 64 KiB buffer whose entries it parses in place. A
+// rebase therefore holds the chunk of log it folds in, one read
+// buffer per chain file and the write buffer — about SnapshotBytes +
+// (rebaseEvery + 2) × 64 KiB, whatever the size of the base; Recover adds
+// the state it returns, whose payloads share one arena.
+// Files written before keys were sorted cannot be streamed in key order
+// and are still loaded whole and sorted.
 //
 // Each chain element is written to a temp file, fsynced, and renamed into
 // place; only then is the covered log prefix trimmed. Recovery skips log
@@ -54,57 +69,132 @@ const (
 // v2 and delta files (distinct from 0, a present-but-empty payload).
 const noPayload = ^uint32(0)
 
+// writeBufSize is the buffer a chain file is written through.
+const writeBufSize = 64 << 10
+
+// snapWriter streams one chain file to dst through a fixed buffer,
+// keeping a running CRC-32C of everything after the magic. A write error
+// sticks and is reported by end.
+type snapWriter struct {
+	dst  io.Writer
+	buf  []byte
+	skip int // bytes at buf's front outside the CRC (the magic)
+	crc  uint32
+	n    int64 // bytes written to dst
+	err  error
+}
+
+// begin starts a file with magic.
+func (w *snapWriter) begin(magic uint64) {
+	if w.buf == nil {
+		w.buf = make([]byte, 0, writeBufSize)
+	}
+	w.buf = binary.LittleEndian.AppendUint64(w.buf[:0], magic)
+	w.skip, w.crc, w.n, w.err = 8, 0, 0, nil
+}
+
+func (w *snapWriter) write(b []byte) {
+	if w.err == nil {
+		var n int
+		n, w.err = w.dst.Write(b)
+		w.n += int64(n)
+	}
+}
+
+// flush writes the buffer out.
+func (w *snapWriter) flush() {
+	w.crc = crc32.Update(w.crc, castagnoli, w.buf[w.skip:])
+	w.write(w.buf)
+	w.buf, w.skip = w.buf[:0], 0
+}
+
+func (w *snapWriter) u64(x uint64) {
+	if len(w.buf)+8 > cap(w.buf) {
+		w.flush()
+	}
+	w.buf = binary.LittleEndian.AppendUint64(w.buf, x)
+}
+
+func (w *snapWriter) u32(x uint32) {
+	if len(w.buf)+4 > cap(w.buf) {
+		w.flush()
+	}
+	w.buf = binary.LittleEndian.AppendUint32(w.buf, x)
+}
+
+// payload writes one payload entry of a v2 base or delta: vlen uint32 LE
+// + vlen bytes, or vlen noPayload for a payload-less v (nil).
+func (w *snapWriter) payload(v []byte) {
+	if v == nil {
+		w.u32(noPayload)
+		return
+	}
+	w.u32(uint32(len(v)))
+	if len(w.buf)+len(v) > cap(w.buf) {
+		w.flush()
+	}
+	if len(v) > cap(w.buf) {
+		w.crc = crc32.Update(w.crc, castagnoli, v)
+		w.write(v)
+		return
+	}
+	w.buf = append(w.buf, v...)
+}
+
+// end appends the CRC, writes what is buffered and reports the first
+// write error.
+func (w *snapWriter) end() error {
+	w.crc = crc32.Update(w.crc, castagnoli, w.buf[w.skip:])
+	w.buf = binary.LittleEndian.AppendUint32(w.buf, w.crc)
+	w.write(w.buf)
+	w.buf = w.buf[:0]
+	return w.err
+}
+
 // encodeBase folds runs (see merge) into a base file at watermark lsn,
-// sized exactly by a first pass, in the v1 (key-only) format when no
-// surviving instance carries a payload, bit-compatible with pre-codec
-// snapshots, and in v2 otherwise. Entries are in ascending key order:
+// streamed to w. A first pass counts the keys for the header and decides
+// the format: v1 (key-only) when no surviving instance carries a
+// payload, bit-compatible with pre-codec snapshots, and v2 otherwise.
+// Entries are in ascending key order:
 //
 //	magic  uint64 LE   snapMagic (v1) or snapMagicV2
 //	lsn    uint64 LE   watermark: records with LSN <= lsn are covered
 //	n      uint64 LE   number of distinct keys
 //	n × (key uint64 LE, count uint64 LE)            v1
-//	n × (key uint64 LE, count uint64 LE, payloads)  v2: count entries, see appendPayload
+//	n × (key uint64 LE, count uint64 LE, payloads)  v2: count entries, see snapWriter.payload
 //	crc    uint32 LE   CRC-32C of everything after magic
-func encodeBase(lsn uint64, runs []*run) ([]byte, error) {
+func encodeBase(w *snapWriter, lsn uint64, runs []*run) error {
 	fs, err := sizeFold(runs)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	magic, size := snapMagic, 28+16*fs.keys // header 24, CRC 4
+	magic := snapMagic
 	if fs.valued {
-		magic, size = snapMagicV2, 28+int(fs.v2Bytes)
+		magic = snapMagicV2
 	}
-	b := make([]byte, 0, size)
-	b = binary.LittleEndian.AppendUint64(b, magic)
-	b = binary.LittleEndian.AppendUint64(b, lsn)
-	b = binary.LittleEndian.AppendUint64(b, uint64(fs.keys))
+	w.begin(magic)
+	w.u64(lsn)
+	w.u64(uint64(fs.keys))
 	err = fold(runs, func(k uint64, live, _ int64) error {
 		if live > 0 {
-			b = binary.LittleEndian.AppendUint64(b, k)
-			b = binary.LittleEndian.AppendUint64(b, uint64(live))
+			w.u64(k)
+			w.u64(uint64(live))
 		}
 		return nil
 	}, func(v []byte, n int64) {
 		for ; fs.valued && n > 0; n-- {
-			b = appendPayload(b, v)
+			w.payload(v)
 		}
 	})
-	return binary.LittleEndian.AppendUint32(b, crc32.Checksum(b[8:], castagnoli)), err
-}
-
-// appendPayload encodes one payload entry of a v2 base or delta: vlen
-// uint32 LE + vlen bytes, or vlen noPayload for a payload-less v (nil).
-func appendPayload(b, v []byte) []byte {
-	if v == nil {
-		return binary.LittleEndian.AppendUint32(b, noPayload)
+	if err != nil {
+		return err
 	}
-	b = binary.LittleEndian.AppendUint32(b, uint32(len(v)))
-	return append(b, v...)
+	return w.end()
 }
 
-// encodeDelta serializes a window's sorted events as a delta file, per
+// encodeDelta streams a window's sorted events to w as a delta file, per
 // key in ascending order the window's extract count and its inserts in
-// log order, sized exactly by a first pass:
+// log order:
 //
 //	magic   uint64 LE   deltaMagic
 //	prev    uint64 LE   chain watermark this delta extends (0 = none)
@@ -112,101 +202,121 @@ func appendPayload(b, v []byte) []byte {
 //	n       uint64 LE   number of keys touched
 //	n × (key uint64 LE, drops uint64 LE, adds uint32 LE, adds × payload)
 //	crc     uint32 LE
-func encodeDelta(prevLSN, lsn uint64, w *run) []byte {
-	// inserts emits the head key's insert payloads and counts its extracts.
-	inserts := func(emit func(v []byte)) (drops int) {
-		for _, e := range w.ev[w.lo:w.hi] {
-			switch e.ref & 3 {
-			case evExtract:
+func encodeDelta(w *snapWriter, prevLSN, lsn uint64, win *run) error {
+	ev := win.ev
+	n := 0
+	for i := range ev {
+		if i == 0 || ev[i].key != ev[i-1].key {
+			n++
+		}
+	}
+	w.begin(deltaMagic)
+	w.u64(prevLSN)
+	w.u64(lsn)
+	w.u64(uint64(n))
+	for i := 0; i < len(ev); {
+		j, drops := i, 0
+		for ; j < len(ev) && ev[j].key == ev[i].key; j++ {
+			if ev[j].ref&3 == evExtract {
 				drops++
-			case evKeyOnly:
-				emit(nil)
-			default:
-				emit(w.val(e.ref))
 			}
 		}
-		return drops
-	}
-	one := []*run{w}
-	n, size := 0, 32+4
-	merge(one, func(uint64, []*run) error {
-		n, size = n+1, size+20
-		inserts(func(v []byte) { size += 4 + len(v) })
-		return nil
-	})
-	b := make([]byte, 0, size)
-	b = binary.LittleEndian.AppendUint64(b, deltaMagic)
-	b = binary.LittleEndian.AppendUint64(b, prevLSN)
-	b = binary.LittleEndian.AppendUint64(b, lsn)
-	b = binary.LittleEndian.AppendUint64(b, uint64(n))
-	merge(one, func(k uint64, _ []*run) error {
-		b = binary.LittleEndian.AppendUint64(b, k)
-		at := len(b) // drops and adds go here, once known
-		b = append(b, make([]byte, 12)...)
-		drops := inserts(func(v []byte) { b = appendPayload(b, v) })
-		binary.LittleEndian.PutUint64(b[at:], uint64(drops))
-		binary.LittleEndian.PutUint32(b[at+8:], uint32(w.hi-w.lo-drops))
-		return nil
-	})
-	return binary.LittleEndian.AppendUint32(b, crc32.Checksum(b[8:], castagnoli))
-}
-
-// readSnapFile reads and CRC-validates one chain file, returning its
-// magic and body (everything between magic and CRC). A missing file is
-// os.ErrNotExist; any malformed content is ErrCorrupt — chain files are
-// only ever installed by an atomic rename after fsync, so unlike the log
-// they have no torn-tail excuse.
-func readSnapFile(path string) (magic uint64, body []byte, err error) {
-	b, err := os.ReadFile(path)
-	if err != nil {
-		if errors.Is(err, os.ErrNotExist) {
-			return 0, nil, err
+		w.u64(ev[i].key)
+		w.u64(uint64(drops))
+		w.u32(uint32(j - i - drops))
+		for _, e := range ev[i:j] {
+			switch e.ref & 3 {
+			case evKeyOnly:
+				w.payload(nil)
+			case evPayload:
+				w.payload(win.val(e.ref))
+			}
 		}
-		return 0, nil, fmt.Errorf("wal: snapshot: %w", err)
+		i = j
 	}
-	if len(b) < 12 {
-		return 0, nil, fmt.Errorf("%w: snapshot file %s too short", ErrCorrupt, filepath.Base(path))
-	}
-	magic = binary.LittleEndian.Uint64(b)
-	body = b[8 : len(b)-4]
-	if crc32.Checksum(body, castagnoli) != binary.LittleEndian.Uint32(b[len(b)-4:]) {
-		return 0, nil, fmt.Errorf("%w: snapshot file %s crc mismatch", ErrCorrupt, filepath.Base(path))
-	}
-	return magic, body, nil
+	return w.end()
 }
 
 // deltaName is the file name of delta sequence number seq.
 func deltaName(seq int) string { return fmt.Sprintf("%s%06d", deltaPrefix, seq) }
 
-// chain is a snapshot chain read from disk: the runs of its base and
-// live deltas in chain order, its watermark, how many deltas contributed,
-// and where the delta numbering left off.
+// chain is a snapshot chain read from disk: the streamed runs of its base
+// and live deltas in chain order, its watermark, how many deltas
+// contributed, and where the delta numbering left off; and the files and
+// read buffers its runs hold until close.
 type chain struct {
 	lsn     uint64
 	runs    []*run
 	deltas  int
 	nextSeq int
+	files   []*os.File
+	spare   []*run // runs to reuse, buffers and all: the first used are taken
+	used    int
 }
 
-// loadChain reads and validates the whole snapshot chain of dir: the
-// base (either format), then every delta in sequence order. Deltas whose
-// watermark is at or below the running chain watermark are stale
-// leftovers of an interrupted rebase and are skipped; a live delta must
-// chain exactly from the current watermark; what an entry does to its
-// key is checked when the runs are folded. A missing directory or empty
-// chain loads as no runs at watermark 0.
-func loadChain(dir string) (chain, error) {
-	var ch chain
-	magic, body, err := readSnapFile(filepath.Join(dir, snapName))
+// openFile opens the chain file name of dir as a streamed run, a missing
+// one as os.ErrNotExist. A file too short to hold a magic and a CRC is
+// ErrCorrupt; chain files are only ever installed by an atomic rename
+// after fsync, so unlike the log they have no torn-tail excuse. The CRC
+// is checked when the run is read to its end.
+func (ch *chain) openFile(dir, name string) (r *run, magic uint64, err error) {
+	f, err := os.Open(filepath.Join(dir, name))
+	if err != nil {
+		if errors.Is(err, os.ErrNotExist) {
+			return nil, 0, err
+		}
+		return nil, 0, fmt.Errorf("wal: snapshot: %w", err)
+	}
+	ch.files = append(ch.files, f)
+	fi, err := f.Stat()
+	if err != nil {
+		return nil, 0, fmt.Errorf("wal: snapshot: %w", err)
+	}
+	var m [8]byte
+	if fi.Size() < 12 {
+		return nil, 0, fmt.Errorf("%w: snapshot file %s too short", ErrCorrupt, name)
+	}
+	if _, err := io.ReadFull(f, m[:]); err != nil {
+		return nil, 0, fmt.Errorf("wal: snapshot: %w", err)
+	}
+	magic = binary.LittleEndian.Uint64(m[:])
+	if magic != snapMagic && magic != snapMagicV2 && magic != deltaMagic {
+		return nil, magic, nil
+	}
+	if ch.used == len(ch.spare) {
+		ch.spare = append(ch.spare, &run{})
+	}
+	r = ch.spare[ch.used]
+	ch.used++
+	return r, magic, r.open(name, f, fi.Size()-12, magic)
+}
+
+// close closes the chain's files and returns its runs, for the next
+// chain to reuse with their buffers.
+func (ch *chain) close() []*run {
+	for _, f := range ch.files {
+		f.Close()
+	}
+	return ch.spare
+}
+
+// loadChain opens the whole snapshot chain of dir: the base (either
+// format), then every delta in sequence order, each as a streamed run,
+// reusing the runs of spare first. Deltas whose watermark
+// is at or below the running chain watermark are stale leftovers of an
+// interrupted rebase: their CRC is checked and they are skipped. A live
+// delta must chain exactly from the current watermark; what an entry
+// does to its key is checked when the runs are folded. A missing
+// directory or empty chain loads as no runs at watermark 0. Close the
+// chain after use, also on error.
+func loadChain(dir string, spare []*run) (chain, error) {
+	ch := chain{spare: spare}
+	r, magic, err := ch.openFile(dir, snapName)
 	switch {
 	case errors.Is(err, os.ErrNotExist):
 	case err != nil:
 		return ch, err
 	case magic == snapMagic || magic == snapMagicV2:
-		r, err := newRun(snapName, magic, body)
-		if err != nil {
-			return ch, err
-		}
 		ch.lsn, ch.runs = r.lsn, append(ch.runs, r)
 	default:
 		return ch, fmt.Errorf("%w: snapshot missing magic", ErrCorrupt)
@@ -220,19 +330,19 @@ func loadChain(dir string) (chain, error) {
 		if df.seq >= ch.nextSeq {
 			ch.nextSeq = df.seq + 1
 		}
-		magic, body, err := readSnapFile(filepath.Join(dir, df.name))
+		r, magic, err := ch.openFile(dir, df.name)
 		if err != nil {
 			return ch, err
 		}
 		if magic != deltaMagic {
 			return ch, fmt.Errorf("%w: delta %s has wrong magic", ErrCorrupt, df.name)
 		}
-		r, err := newRun(df.name, magic, body)
-		if err != nil {
-			return ch, err
-		}
 		if r.lsn <= ch.lsn {
-			continue // stale: already folded into the base by a rebase
+			// Stale: already folded into the base by a rebase.
+			if err := r.src.skim(df.name); err != nil {
+				return ch, err
+			}
+			continue
 		}
 		if r.prev != ch.lsn {
 			return ch, fmt.Errorf("%w: delta %s chains from LSN %d, chain is at %d", ErrCorrupt, df.name, r.prev, ch.lsn)
@@ -283,19 +393,24 @@ func deltaFiles(dir string) ([]deltaFile, error) {
 	return dfs, nil
 }
 
-// Snapshot extends the snapshot chain and trims the covered log prefix.
-// It never blocks queue operations: concurrent appends keep landing in
-// the pending buffer and the file tail while the durable prefix is read
-// back and compacted. Automatic snapshots (Options.SnapshotBytes) call
-// this from the group-commit goroutine.
+// Snapshot extends the snapshot chain over the whole durable prefix and
+// trims it from the log. It never blocks queue operations: concurrent
+// appends keep landing in the pending buffer and the file tail while the
+// durable prefix is read back and compacted.
 //
 // With Options.SnapshotBytes set, the prefix is read in chunks of at most
-// that many bytes into one buffer, and each chunk becomes one chain
-// element, so a snapshot never holds more than a chunk of log however far
-// the log ran ahead of the last one; a record larger than a chunk is a
-// chunk of its own. Without it, the whole prefix is one chunk. The prefix
-// is trimmed once, after the last element is installed.
-func (l *Log) Snapshot() error {
+// that many bytes into one buffer, kept across snapshots, and each chunk
+// becomes one chain element, so a snapshot never holds more than a chunk
+// of log however far the log ran ahead of the last one; a record larger
+// than a chunk is a chunk of its own. Without it, the whole prefix is one
+// chunk. The prefix is trimmed once, after the last element is installed.
+func (l *Log) Snapshot() error { return l.snapshot(false) }
+
+// snapshot is Snapshot; with whole set (the automatic cycle) it covers
+// only whole SnapshotBytes chunks and leaves a shorter remainder in the
+// log for the next cycle, so a cycle adds one chain element per chunk of
+// log and rebaseEvery counts full chunks.
+func (l *Log) snapshot(whole bool) error {
 	l.snapMu.Lock()
 	defer l.snapMu.Unlock()
 
@@ -323,12 +438,16 @@ func (l *Log) Snapshot() error {
 	}
 	defer f.Close()
 	chunk := cutOff
-	if sb := l.opts.SnapshotBytes; sb > 0 && sb < cutOff {
+	if sb := l.opts.SnapshotBytes; sb > 0 && (sb < cutOff || whole) {
 		chunk = sb
 	}
-	var buf []byte
-	for off := int64(0); off < cutOff; {
+	buf := l.chunk
+	off := int64(0)
+	for off < cutOff {
 		n := min(chunk, cutOff-off)
+		if whole && n < chunk {
+			break
+		}
 		for {
 			if int64(cap(buf)) < n {
 				buf = make([]byte, n)
@@ -349,7 +468,13 @@ func (l *Log) Snapshot() error {
 		}
 		off += used
 	}
-	return l.trimTo(cutOff)
+	if l.opts.SnapshotBytes > 0 {
+		l.chunk = buf // at most a chunk, or one record larger than that
+	}
+	if off == 0 {
+		return nil
+	}
+	return l.trimTo(off)
 }
 
 // firstFrameLen is the length of the frame b starts with, as its header
@@ -369,13 +494,16 @@ func firstFrameLen(b []byte) int64 {
 // durable watermark cutLSN) must end on a record boundary. A chunk holding
 // only records the chain already covers writes nothing.
 func (l *Log) snapshotChunk(b []byte, off int64, final bool, cutLSN uint64) (int64, error) {
+	start := time.Now()
 	// A rebase folds base + deltas + chunk into one fresh base; otherwise
 	// the chunk alone becomes the next delta.
 	rebase := l.deltaCount >= rebaseEvery
 	ch := chain{lsn: l.chainLSN}
 	if rebase {
 		var err error
-		if ch, err = loadChain(l.dir); err != nil {
+		ch, err = loadChain(l.dir, l.chainRuns)
+		defer func() { l.chainRuns = ch.close() }()
+		if err != nil {
 			return 0, err
 		}
 	}
@@ -399,42 +527,46 @@ func (l *Log) snapshotChunk(b []byte, off int64, final bool, cutLSN uint64) (int
 	}
 	win := &run{name: walName, img: b, ev: l.ev}
 	if rebase {
-		img, err := encodeBase(lsn, append(ch.runs, win))
-		if err != nil {
-			return 0, err
-		}
-		if err := l.writeSnapFile(snapTmpName, snapName, img); err != nil {
+		if err := l.writeSnapFile(snapTmpName, snapName, func(w *snapWriter) error {
+			return encodeBase(w, lsn, append(ch.runs, win))
+		}); err != nil {
 			return 0, err
 		}
 		l.removeDeltas()
 		l.deltaCount, l.deltaSeq = 0, 0
 		l.rebases.Add(1)
+		l.rebaseNs.Add(int64(time.Since(start)))
 	} else {
-		if err := l.writeSnapFile(deltaTmpName, deltaName(l.deltaSeq), encodeDelta(l.chainLSN, lsn, win)); err != nil {
+		if err := l.writeSnapFile(deltaTmpName, deltaName(l.deltaSeq), func(w *snapWriter) error {
+			return encodeDelta(w, l.chainLSN, lsn, win)
+		}); err != nil {
 			return 0, err
 		}
 		l.deltaSeq++
 		l.deltaCount++
 		l.deltaSnaps.Add(1)
+		l.deltaNs.Add(int64(time.Since(start)))
 	}
 	l.chainLSN = lsn
 	l.snaps.Add(1)
 	return used, nil
 }
 
-// writeSnapFile writes one chain element atomically: temp file, fsync,
-// rename, directory fsync. It fails unless the rename is durable, so
-// Snapshot never trims a log prefix that only an undurable chain
-// element covers.
-func (l *Log) writeSnapFile(tmpName, finalName string, b []byte) error {
+// writeSnapFile writes one chain element atomically: encode streams it
+// to a temp file through the log's one write buffer, then fsync, rename,
+// directory fsync. It fails unless the rename is durable, so Snapshot
+// never trims a log prefix that only an undurable chain element covers.
+func (l *Log) writeSnapFile(tmpName, finalName string, encode func(*snapWriter) error) error {
 	tmp := filepath.Join(l.dir, tmpName)
 	f, err := l.opts.FS.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
 	if err != nil {
 		return fmt.Errorf("wal: snapshot: %w", err)
 	}
-	if _, err = f.Write(b); err == nil {
+	l.sw.dst = f
+	if err = encode(&l.sw); err == nil {
 		err = f.Sync()
 	}
+	l.sw.dst = nil
 	if cerr := f.Close(); err == nil {
 		err = cerr
 	}
@@ -447,30 +579,47 @@ func (l *Log) writeSnapFile(tmpName, finalName string, b []byte) error {
 	if err != nil {
 		return fmt.Errorf("wal: snapshot: %w", err)
 	}
-	l.snapBytes.Add(int64(len(b)))
+	l.snapBytes.Add(l.sw.n)
 	return nil
 }
 
 // trimTo drops the log prefix [0, cutOff) now covered by the snapshot
 // chain: the tail is copied to a temp file, renamed over the log, and
-// the live handle and offsets rebased. Serialized against Sync by syncMu
-// so the durable watermark and the file identity move together.
+// the live handle and offsets rebased. The caller holds snapMu, and only
+// trimTo replaces f, so the durable bytes past cutOff — fsynced and never
+// rewritten — are copied and fsynced with no lock held, while appends
+// and Syncs go on. Only the bytes appended since are copied under
+// syncMu, which keeps Sync off the old file until the new one is in
+// place; mu is held just to swap the handle and offsets.
 func (l *Log) trimTo(cutOff int64) error {
-	l.syncMu.Lock()
-	defer l.syncMu.Unlock()
-	if _, _, err := l.flush(); err != nil {
-		return err
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-
 	tmp := filepath.Join(l.dir, walTmpName)
 	nf, err := l.opts.FS.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_RDWR, 0o644)
 	if err != nil {
 		return fmt.Errorf("wal: trim: %w", err)
 	}
-	// The copy leaves nf's offset at its end, where the next append goes.
-	if _, err = io.Copy(nf, io.NewSectionReader(l.f, cutOff, l.written-cutOff)); err == nil {
+	if l.copyBuf == nil {
+		l.copyBuf = make([]byte, writeBufSize)
+	}
+	// The copies leave nf's offset at its end, where the next append goes.
+	copied := l.durableOff.Load()
+	if err = copyRange(nf, l.f, cutOff, copied, l.copyBuf); err == nil {
+		err = nf.Sync()
+	}
+	if err != nil {
+		nf.Close()
+		return fmt.Errorf("wal: trim: %w", err)
+	}
+
+	l.syncMu.Lock()
+	defer l.syncMu.Unlock()
+	start := time.Now()
+	defer func() { l.trimLockedNs.Add(int64(time.Since(start))) }()
+	written, _, err := l.flush()
+	if err != nil {
+		nf.Close()
+		return err
+	}
+	if err = copyRange(nf, l.f, copied, written, l.copyBuf); err == nil {
 		err = nf.Sync()
 	}
 	if err == nil {
@@ -480,16 +629,37 @@ func (l *Log) trimTo(cutOff int64) error {
 		nf.Close()
 		return fmt.Errorf("wal: trim: %w", err)
 	}
-	l.f.Close()
+	l.mu.Lock()
+	old := l.f
 	l.f = nf
 	l.written -= cutOff
 	l.durableOff.Add(-cutOff)
+	l.mu.Unlock()
+	old.Close()
 	if err := l.opts.FS.SyncDir(l.dir); err != nil {
 		// A crash could bring the old log back, and it lacks every record
 		// appended from here on: acknowledge none of them.
-		l.err = fmt.Errorf("wal: trim: %w", err)
-		return l.err
+		err = fmt.Errorf("wal: trim: %w", err)
+		l.mu.Lock()
+		l.err = err
+		l.mu.Unlock()
+		return err
 	}
 	l.trims.Add(1)
+	return nil
+}
+
+// copyRange copies bytes [from, to) of src to dst through buf.
+func copyRange(dst io.Writer, src io.ReaderAt, from, to int64, buf []byte) error {
+	for from < to {
+		n := int(min(int64(len(buf)), to-from))
+		if _, err := src.ReadAt(buf[:n], from); err != nil {
+			return err
+		}
+		if _, err := dst.Write(buf[:n]); err != nil {
+			return err
+		}
+		from += int64(n)
+	}
 	return nil
 }

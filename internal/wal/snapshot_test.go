@@ -6,6 +6,8 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"runtime"
+	"runtime/debug"
 	"testing"
 	"time"
 )
@@ -111,5 +113,208 @@ func TestChunkedSnapshot(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestAppendDuringTrimCopy: a trim copies the durable part of the log it
+// keeps without holding a lock. While an automatic cycle's trim is parked
+// inside the temp file's write(2), an append and a Sync from another
+// goroutine return; the trim then carries the record they made into the
+// new log.
+func TestAppendDuringTrimCopy(t *testing.T) {
+	fs := &blockingFS{name: walTmpName, entered: make(chan struct{}), release: make(chan struct{})}
+	opts := Options{Dir: t.TempDir(), GroupCommit: time.Hour, SnapshotBytes: 256, FS: fs}
+	l := mustOpen(t, opts)
+	for k := uint64(1); k <= 24; k++ {
+		l.AppendInserts([]uint64{k}, [][]byte{[]byte("value")})
+	}
+	if err := l.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	fs.block.Store(true)
+	cycled := make(chan error)
+	go func() { cycled <- l.snapshot(true) }()
+	select {
+	case <-fs.entered:
+	case err := <-cycled:
+		t.Fatalf("the cycle (%v) copied no remainder into the new log", err)
+	}
+
+	synced := make(chan error)
+	go func() {
+		l.AppendInserts([]uint64{100}, [][]byte{[]byte("during")})
+		synced <- l.Sync()
+	}()
+	select {
+	case err := <-synced:
+		if err != nil {
+			t.Fatalf("Sync during the trim's copy: %v", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("an append and a Sync waited on a trim's copy")
+	}
+	fs.block.Store(false)
+	fs.release <- struct{}{}
+	if err := <-cycled; err != nil {
+		t.Fatalf("automatic cycle: %v", err)
+	}
+	s := l.Stats()
+	if s.Snapshots == 0 || s.Trims != 1 || s.DurableLSN != s.LastLSN {
+		t.Fatalf("after the cycle: %d elements, %d trims, durable LSN %d of %d; want some, 1, all", s.Snapshots, s.Trims, s.DurableLSN, s.LastLSN)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	st := recoverDir(t, opts.Dir)
+	if st.Live() != 25 || st.Records == 0 || st.Keys[24] != 100 || string(st.Vals[24]) != "during" {
+		t.Fatalf("recovered %d keys (%d from the log), last %d %q; want 25, the remainder from the log, 100 \"during\"",
+			st.Live(), st.Records, st.Keys[st.Live()-1], st.Vals[st.Live()-1])
+	}
+}
+
+// TestWholeChunkCycle: an automatic cycle covers whole SnapshotBytes
+// chunks only (each up to its last complete record) and leaves the
+// shorter remainder in the log, while an explicit Snapshot still covers
+// everything.
+func TestWholeChunkCycle(t *testing.T) {
+	const chunk = 1 << 10
+	opts := Options{Dir: t.TempDir(), GroupCommit: time.Hour, SnapshotBytes: chunk}
+	l := mustOpen(t, opts)
+	for k := uint64(1); k <= 100; k++ {
+		l.AppendInserts([]uint64{k}, [][]byte{bytes.Repeat([]byte{byte(k)}, 20)})
+	}
+	if err := l.snapshot(true); err != nil {
+		t.Fatal(err)
+	}
+	st := l.Stats()
+	l.mu.Lock()
+	left := l.written
+	l.mu.Unlock()
+	if st.Snapshots < 2 || left == 0 || left >= chunk {
+		t.Fatalf("a cycle over %d bytes wrote %d elements and left %d bytes, want several and under %d", st.AppendedBytes, st.Snapshots, left, chunk)
+	}
+	if err := l.Snapshot(); err != nil {
+		t.Fatal(err)
+	}
+	l.mu.Lock()
+	left = l.written
+	l.mu.Unlock()
+	if s := l.Stats(); s.Snapshots != st.Snapshots+1 || left != 0 {
+		t.Fatalf("Snapshot after the cycle: %d elements, %d bytes left; want one more and 0", s.Snapshots-st.Snapshots, left)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if rs := recoverDir(t, opts.Dir); rs.Live() != 100 || rs.Deltas != int(st.Snapshots)+1 || rs.Records != 0 {
+		t.Fatalf("recovered %d keys from %d deltas and %d records, want 100 from %d and none", rs.Live(), rs.Deltas, rs.Records, st.Snapshots+1)
+	}
+}
+
+// TestSnapshotCycleAllocs: with the GC off, one steady automatic cycle
+// that writes a delta allocates under 256 KiB, and one that rebases a
+// chain of 1 MiB chunks over a base of several MiB under 1 MiB: chain
+// files are written and read through fixed buffers the log keeps, not
+// built or loaded whole.
+func TestSnapshotCycleAllocs(t *testing.T) {
+	if testing.Short() {
+		t.Skip("writes tens of MiB of log")
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	const chunk, batch, valueLen = 1 << 20, 64, 64
+	l := mustOpen(t, Options{Dir: t.TempDir(), GroupCommit: time.Hour, SnapshotBytes: chunk})
+	defer l.Close()
+	keys := make([]uint64, batch)
+	vals := make([][]byte, batch)
+	for i := range vals {
+		vals[i] = make([]byte, valueLen)
+	}
+	next, oldest := uint64(0), uint64(0)
+	// cycle appends a chunk of log — insert batches and, once the live
+	// set holds a few chunks, as many extract batches of the oldest keys
+	// — and runs one automatic cycle, returning the bytes it allocated.
+	cycle := func() uint64 {
+		t.Helper()
+		for l.Stats().AppendedBytes < int64(l.Stats().Snapshots+1)*chunk {
+			for i := range keys {
+				keys[i] = next * 0x9e3779b97f4a7c15 >> 16
+				vals[i][0] = byte(next)
+				next++
+			}
+			l.AppendInserts(keys, vals)
+			if next-oldest > 40_000 {
+				for i := range keys {
+					keys[i] = oldest * 0x9e3779b97f4a7c15 >> 16
+					oldest++
+				}
+				l.AppendExtracts(keys)
+			}
+		}
+		if err := l.Sync(); err != nil {
+			t.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if err := l.snapshot(true); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	// Warm up through a first rebase, so every buffer the log keeps exists.
+	for l.Stats().Rebases == 0 {
+		cycle()
+	}
+	var delta, rebase uint64
+	for l.Stats().Rebases < 2 {
+		n, wasRebase := cycle(), l.deltaCount == 0
+		if wasRebase {
+			rebase = n
+		} else {
+			delta = max(delta, n)
+		}
+	}
+	st := l.Stats()
+	t.Logf("%d cycles: %d deltas, %d rebases, %.1f MiB of chain written; delta cycle %d KiB at most, rebase %d KiB",
+		st.Trims, st.DeltaSnapshots, st.Rebases, float64(st.SnapshotBytesWritten)/(1<<20), delta>>10, rebase>>10)
+	if delta >= 256<<10 {
+		t.Errorf("a delta cycle allocated %d KiB, want under 256 KiB", delta>>10)
+	}
+	if rebase >= 1<<20 {
+		t.Errorf("a rebase cycle allocated %d KiB, want under 1024 KiB", rebase>>10)
+	}
+}
+
+// TestChainEntryLargerThanReadBuffer: a key whose chain file entry is
+// larger than the 64 KiB read buffer (one 200 KiB payload; 3000
+// instances of one key) grows the buffer; a rebase and Recover read it
+// byte-exact.
+func TestChainEntryLargerThanReadBuffer(t *testing.T) {
+	opts := Options{Dir: t.TempDir(), GroupCommit: time.Hour}
+	l := mustOpen(t, opts)
+	big := bytes.Repeat([]byte("0123456789abcdef"), 200<<10/16)
+	l.AppendInserts([]uint64{7}, [][]byte{big})
+	for i := 0; i < 3000; i++ {
+		l.AppendInserts([]uint64{8}, [][]byte{bytes.Repeat([]byte{byte(i)}, 64)})
+	}
+	for i := 0; i <= rebaseEvery; i++ {
+		l.AppendInserts([]uint64{100 + uint64(i)}, nil)
+		if err := l.Snapshot(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if s := l.Stats(); s.Rebases != 1 {
+		t.Fatalf("%d rebases, want the chain's first delta folded into a base", s.Rebases)
+	}
+	st := recoverDir(t, opts.Dir)
+	if st.Live() != 3001+rebaseEvery+1 || st.Keys[0] != 7 || !bytes.Equal(st.Vals[0], big) {
+		t.Fatalf("recovered %d keys, first %d with %d payload bytes; want %d, 7 with %d", st.Live(), st.Keys[0], len(st.Vals[0]), 3001+rebaseEvery+1, len(big))
+	}
+	for i := 0; i < 3000; i++ {
+		if v := st.Vals[1+i]; st.Keys[1+i] != 8 || len(v) != 64 || v[0] != byte(i) {
+			t.Fatalf("instance %d of key 8 recovered as key %d, %d bytes", i, st.Keys[1+i], len(v))
+		}
 	}
 }

@@ -71,8 +71,16 @@ type Stats struct {
 	// (see Log.Snapshot).
 	Snapshots, Trims uint64
 	// DeltaSnapshots and Rebases split Snapshots into incremental deltas
-	// and full chain rebases.
+	// and full chain rebases; DeltaTime and RebaseTime are the wall time
+	// spent making each kind, from reading the chunk to the installed
+	// file.
 	DeltaSnapshots, Rebases uint64
+	DeltaTime, RebaseTime   time.Duration
+	// TrimLockedTime is the wall time trims held the sync lock, copying
+	// what was appended during the trim: Sync, and so every
+	// acknowledgement, waits for it. Appends wait only for the file
+	// handle swap at its end.
+	TrimLockedTime time.Duration
 	// AppendedBytes is the total record bytes appended this session.
 	AppendedBytes int64
 	// SnapshotBytesWritten is the total snapshot bytes written this
@@ -121,16 +129,23 @@ type Log struct {
 	done     chan struct{}
 	stopOnce sync.Once
 
+	// The snapshot cycle's state and the buffers it keeps from one cycle
+	// to the next, all guarded by snapMu.
 	snapMu     sync.Mutex
-	snapErr    error   // guarded by snapMu
-	chainLSN   uint64  // watermark of the newest chain element (snapMu)
-	deltaCount int     // deltas since the last full base (snapMu)
-	deltaSeq   int     // next delta file sequence number (snapMu)
-	ev, evTmp  []event // a chunk's events and the sort's scratch (snapMu)
+	snapErr    error
+	chainLSN   uint64     // watermark of the newest chain element
+	deltaCount int        // deltas since the last full base
+	deltaSeq   int        // next delta file sequence number
+	ev, evTmp  []event    // a chunk's events and the sort's scratch
+	chunk      []byte     // a chunk of log read back
+	chainRuns  []*run     // a rebase's chain file runs, with their buffers
+	sw         snapWriter // the chain file writer
+	copyBuf    []byte     // a trim's copy buffer
 
 	records, ops, syncs, snaps, trims atomic.Uint64
 	deltaSnaps, rebases               atomic.Uint64
 	bytes, snapBytes                  atomic.Int64
+	deltaNs, rebaseNs, trimLockedNs   atomic.Int64
 }
 
 // Open recovers the durability directory opts.Dir (created if missing)
@@ -317,7 +332,8 @@ func (l *Log) Sync() error {
 
 // run is the group-commit loop: one fsync per interval covers every
 // append that landed since the previous one, and the auto-snapshot
-// threshold is checked after each sync.
+// threshold is checked after each sync. An automatic snapshot covers
+// whole SnapshotBytes chunks only (see snapshot).
 func (l *Log) run() {
 	defer close(l.done)
 	t := time.NewTicker(l.opts.GroupCommit)
@@ -335,7 +351,7 @@ func (l *Log) run() {
 				big := l.written > l.opts.SnapshotBytes
 				l.mu.Unlock()
 				if big {
-					if err := l.Snapshot(); err != nil {
+					if err := l.snapshot(true); err != nil {
 						l.snapMu.Lock()
 						l.snapErr = err
 						l.snapMu.Unlock()
@@ -392,6 +408,9 @@ func (l *Log) Stats() Stats {
 		Trims:                l.trims.Load(),
 		DeltaSnapshots:       l.deltaSnaps.Load(),
 		Rebases:              l.rebases.Load(),
+		DeltaTime:            time.Duration(l.deltaNs.Load()),
+		RebaseTime:           time.Duration(l.rebaseNs.Load()),
+		TrimLockedTime:       time.Duration(l.trimLockedNs.Load()),
 		AppendedBytes:        l.bytes.Load(),
 		SnapshotBytesWritten: l.snapBytes.Load(),
 		DurableLSN:           l.durableLSN.Load(),
@@ -412,6 +431,9 @@ func (s Stats) WritePrometheus(w io.Writer) error {
 	p.Counter("zmsq_wal_syncs_total", "completed fsyncs (ops/syncs is the group-commit factor)", s.Syncs)
 	p.Counter("zmsq_wal_snapshots_total", "snapshot chain elements written (one per chunk of log)", s.Snapshots)
 	p.Counter("zmsq_wal_rebases_total", "snapshots that rebased the delta chain", s.Rebases)
+	p.CounterFloat("zmsq_wal_delta_seconds_total", "wall time spent making delta chain elements", s.DeltaTime.Seconds())
+	p.CounterFloat("zmsq_wal_rebase_seconds_total", "wall time spent rebasing the chain into a base", s.RebaseTime.Seconds())
+	p.CounterFloat("zmsq_wal_trim_locked_seconds_total", "wall time trims held the sync lock that acknowledgements wait on", s.TrimLockedTime.Seconds())
 	p.Counter("zmsq_wal_appended_bytes_total", "record bytes appended", uint64(s.AppendedBytes))
 	p.Counter("zmsq_wal_snapshot_bytes_total", "snapshot bytes written (base + delta files)", uint64(s.SnapshotBytesWritten))
 	p.Gauge("zmsq_wal_durable_lsn", "highest LSN covered by a completed fsync", float64(s.DurableLSN))
