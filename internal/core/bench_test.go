@@ -140,7 +140,7 @@ func benchSetOps[V any](b *testing.B, vname string, val func(uint64) V) {
 		elem := func(k uint64) element[V] { return element[V]{key: k, val: val(k)} }
 		// build fills n's (emptied) set with size keys below limit.
 		build := func(n *tnode[V], size int, limit uint64) {
-			n.set.takeTop(al, n.set.length(), nil)
+			n.set.takeTop(al, int(n.count.Load()), nil)
 			n.count.Store(0)
 			for i := 0; i < size; i++ {
 				q.addLocked(ctx, n, elem(r.Uint64n(limit)))
@@ -163,9 +163,6 @@ func benchSetOps[V any](b *testing.B, vname string, val func(uint64) V) {
 					root.set.insertNonMax(al, elem(r.Uint64n(root.set.maxKey()+1)))
 				})
 			})
-			b.Run(name("removeMin"), func(b *testing.B) {
-				timeBatches(b, size/2, fresh, func() { root.set.removeMin(al) })
-			})
 			b.Run(name("takeTop"), func(b *testing.B) {
 				timeBatches(b, 1, fresh, func() {
 					ctx.scratch = root.set.takeTop(al, cfg.Batch, ctx.scratch[:0])
@@ -179,7 +176,7 @@ func benchSetOps[V any](b *testing.B, vname string, val func(uint64) V) {
 					build(l, size/2, 3<<46)
 					build(rt, size/2, 3<<46)
 				}, func() {
-					ctx.split = root.set.splitLower(al, ctx.split[:0])
+					ctx.split = root.set.splitLower(al, int(root.count.Load()), ctx.split[:0])
 					q.distribute(ctx, ctx.split, l, rt)
 				})
 			})
@@ -270,14 +267,18 @@ func insertStaged[V any](q *Queue[V], ctx *opCtx[V], e element[V], clk *stageClo
 			continue
 		}
 		clk.lap(stLock)
-		if !q.cfg.NoMinSwap && pcnt > 1 && p.min.Load() < e.key {
-			demoted, newMin := p.set.swapMin(&ctx.al, e)
-			p.min.Store(newMin)
-			p.lock.Unlock()
-			clk.lap(stSwapMin)
-			q.addLocked(ctx, n, demoted)
-			clk.lap(stDemote)
-		} else {
+		// A refused swapMin books its test to insertMax.
+		swapped := false
+		if !q.cfg.NoMinSwap && pcnt > 1 {
+			var demoted element[V]
+			if demoted, swapped = p.set.swapMin(&ctx.al, e); swapped {
+				p.lock.Unlock()
+				clk.lap(stSwapMin)
+				q.addLocked(ctx, n, demoted)
+				clk.lap(stDemote)
+			}
+		}
+		if !swapped {
 			p.lock.Unlock()
 			q.insertMaxLocked(ctx, n, e)
 			clk.lap(stInsertMax)

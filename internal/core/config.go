@@ -2,7 +2,7 @@
 // Zhou, Michael and Spear (ICPP 2019).
 //
 // ZMSQ stores elements in a binary tree of TNodes. Each TNode holds a small
-// set of elements plus atomically-readable cached metadata (max, min,
+// set of elements plus atomically-readable cached metadata (max and
 // count). The tree maintains the mound invariant — a parent's maximum is at
 // least as large as either child's maximum — so the globally largest
 // element is always at the root. Relaxation comes from an extraction pool:
@@ -23,9 +23,11 @@
 // outside through AllocDomain's Reclaimer, for the cells that measure what
 // they cost.
 //
-// Each TNode holds its lock inline: one of the three kinds §4.1 compares
-// (Config.Lock), chosen per queue and dispatched on a kind byte, so a node
-// and its lock are one 64-byte object.
+// Each TNode holds its lock and its set inline: the lock is one of the
+// three kinds §4.1 compares (Config.Lock), chosen per queue and dispatched
+// on a kind byte, and the set is a list's head and tail, or in
+// SetModeArray a pointer to Fig. 5's array, tested once per set call. A
+// list-mode node, its lock and its set header are one 64-byte object.
 //
 // The queue is in-memory, as the paper's is: this package has no log and
 // does not import internal/wal. Durability belongs to the sharded

@@ -19,7 +19,6 @@ func drainNodeForTest(q *Queue[int], ctx *opCtx[int], level, slot, keep int) {
 	}
 	if n.count.Load() > 0 {
 		n.max.Store(n.set.maxKey())
-		n.min.Store(n.set.minKey())
 	}
 	n.lock.Unlock()
 }

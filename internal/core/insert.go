@@ -161,9 +161,6 @@ func (q *Queue[V]) forcedInsert(ctx *opCtx[V], level, slot int, e element[V], by
 		return false
 	}
 	n.set.insertNonMax(&ctx.al, e)
-	if e.key < n.min.Load() {
-		n.min.Store(e.key)
-	}
 	n.count.Store(cnt + 1)
 	n.lock.Unlock()
 	return true
@@ -175,9 +172,6 @@ func (q *Queue[V]) insertMaxLocked(ctx *opCtx[V], n *tnode[V], e element[V]) {
 	cnt := n.count.Load()
 	n.set.insertMax(&ctx.al, e)
 	n.max.Store(e.key)
-	if cnt == 0 || e.key < n.min.Load() {
-		n.min.Store(e.key)
-	}
 	n.count.Store(cnt + 1)
 }
 
@@ -191,9 +185,6 @@ func (q *Queue[V]) addLocked(ctx *opCtx[V], n *tnode[V], e element[V]) {
 		return
 	}
 	n.set.insertNonMax(&ctx.al, e)
-	if e.key < n.min.Load() {
-		n.min.Store(e.key)
-	}
 	n.count.Store(cnt + 1)
 }
 
@@ -204,17 +195,14 @@ func (q *Queue[V]) addRunLocked(ctx *opCtx[V], n *tnode[V], run []element[V]) {
 	if len(run) == 0 {
 		return
 	}
-	lo, hi := run[0].key, run[0].key
+	hi := run[0].key
 	for _, e := range run[1:] {
-		lo, hi = min(lo, e.key), max(hi, e.key)
+		hi = max(hi, e.key)
 	}
 	cnt := n.count.Load()
 	n.set.addRun(&ctx.al, run)
 	if cnt == 0 || hi > n.max.Load() {
 		n.max.Store(hi)
-	}
-	if cnt == 0 || lo < n.min.Load() {
-		n.min.Store(lo)
 	}
 	n.count.Store(cnt + int64(len(run)))
 }
@@ -255,18 +243,19 @@ func (q *Queue[V]) regularInsert(ctx *opCtx[V], level, slot int, e element[V], b
 		return false
 	}
 
-	if !q.cfg.NoMinSwap && pcnt > 1 && p.min.Load() < e.key {
-		// Quality swap: e replaces the parent's minimum; the old minimum
-		// moves down into n. The parent's count and max are unchanged, so
-		// no parent split or invariant repair is needed. swapMin does both
-		// mutations and the min recomputation in one pass over the set —
-		// this runs on most regular inserts, so the single pass matters.
-		demoted, newMin := p.set.swapMin(&ctx.al, e)
-		p.min.Store(newMin)
-		p.lock.Unlock()
-		q.addLocked(ctx, n, demoted)
-		q.maybeSplit(ctx, level, slot, n) // unlocks n
-		return true
+	if !q.cfg.NoMinSwap && pcnt > 1 {
+		// Quality swap: if the parent's minimum is below e, e replaces it
+		// and the old minimum moves down into n. The parent's count and
+		// max are unchanged, so no parent split or invariant repair is
+		// needed. swapMin makes the test and both mutations in one pass
+		// over the set — this runs on most regular inserts, so the single
+		// pass matters.
+		if demoted, ok := p.set.swapMin(&ctx.al, e); ok {
+			p.lock.Unlock()
+			q.addLocked(ctx, n, demoted)
+			q.maybeSplit(ctx, level, slot, n) // unlocks n
+			return true
+		}
 	}
 
 	p.lock.Unlock()
@@ -314,10 +303,10 @@ func (q *Queue[V]) maybeSplit(ctx *opCtx[V], level, slot int, n *tnode[V]) {
 	// buffers are fully consumed by the distribution below before either
 	// recursive maybeSplit call reuses them, so one pair per context serves
 	// the whole recursion without allocating.
-	ctx.split = n.set.splitLower(&ctx.al, ctx.split[:0])
+	cnt := n.count.Load()
+	ctx.split = n.set.splitLower(&ctx.al, int(cnt), ctx.split[:0])
 	lower := ctx.split
-	n.count.Store(int64(n.set.length()))
-	n.min.Store(n.set.minKey())
+	n.count.Store(cnt - int64(len(lower)))
 	// max unchanged: splitLower removes only the smaller half.
 
 	l := q.node(level+1, 2*slot)

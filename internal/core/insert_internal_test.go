@@ -121,11 +121,11 @@ func TestSwapContents(t *testing.T) {
 	if a.count.Load() != 2 || b.count.Load() != 1 {
 		t.Fatalf("counts after swap: %d, %d", a.count.Load(), b.count.Load())
 	}
-	if a.max.Load() != 99 || a.min.Load() != 50 {
-		t.Fatalf("a max/min = %d/%d", a.max.Load(), a.min.Load())
+	if a.max.Load() != 99 || a.set.minKey() != 50 {
+		t.Fatalf("a max/min = %d/%d", a.max.Load(), a.set.minKey())
 	}
-	if b.max.Load() != 10 || b.min.Load() != 10 {
-		t.Fatalf("b max/min = %d/%d", b.max.Load(), b.min.Load())
+	if b.max.Load() != 10 || b.set.minKey() != 10 {
+		t.Fatalf("b max/min = %d/%d", b.max.Load(), b.set.minKey())
 	}
 	b.lock.Unlock()
 	a.lock.Unlock()
@@ -147,8 +147,8 @@ func TestMaybeSplitDistributesToChildren(t *testing.T) {
 	if got := root.count.Load(); got != 5 {
 		t.Fatalf("root kept %d elements, want upper 5", got)
 	}
-	if root.min.Load() != 50 {
-		t.Fatalf("root min = %d, want 50 (upper half kept)", root.min.Load())
+	if root.set.minKey() != 50 {
+		t.Fatalf("root min = %d, want 50 (upper half kept)", root.set.minKey())
 	}
 	l, r := q.node(1, 0), q.node(1, 1)
 	if l.count.Load()+r.count.Load() != 4 {

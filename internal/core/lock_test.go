@@ -92,11 +92,11 @@ func TestContendedTryLockEventuallySucceeds(t *testing.T) {
 	}
 }
 
-// TestTNodeLayout pins the node layout: the lock lives inline, so a TNode
-// is one 64-byte object whatever V is; every node's fields, all but the
-// trailing pad, sit on one cache line of every level's array; and a
-// list-mode level allocates its array and one set header per node, no lock
-// objects.
+// TestTNodeLayout pins the node layout: the lock and the list header live
+// inline, so a TNode is one 64-byte object whatever V is; every node's
+// fields, all but the trailing pad, sit on one cache line of every level's
+// array; and a list-mode level is one allocation, its array: no lock
+// objects and no set headers.
 func TestTNodeLayout(t *testing.T) {
 	if got := unsafe.Sizeof(tnode[struct{}]{}); got != 64 {
 		t.Errorf("unsafe.Sizeof(tnode[struct{}]) = %d, want 64", got)
@@ -113,8 +113,8 @@ func TestTNodeLayout(t *testing.T) {
 		}
 	}
 	const n = 256
-	if got := testing.AllocsPerRun(10, func() { q.newLevel(n) }); got != n+1 {
-		t.Errorf("newLevel(%d) allocates %v objects, want %d (the array and one list header per node)", n, got, n+1)
+	if got := testing.AllocsPerRun(10, func() { q.newLevel(n) }); got != 1 {
+		t.Errorf("newLevel(%d) allocates %v objects, want 1 (the array)", n, got)
 	}
 }
 

@@ -189,7 +189,7 @@ func TestRecycledNodesCarryNoLinks(t *testing.T) {
 	// every removing operation, and returns the set of blocks that went
 	// through and how many of them were freed.
 	cycle := func(al *alloc[int]) (map[*lnode[int]]bool, int) {
-		s := &listSet[int]{}
+		s := &nodeSet[int]{}
 		for i := 0; i < 4096; i++ {
 			s.insertMax(al, element[int]{key: uint64(i), val: i})
 			s.insertNonMax(al, element[int]{key: uint64(i / 2), val: i})
@@ -198,7 +198,7 @@ func TestRecycledNodesCarryNoLinks(t *testing.T) {
 		for b := s.head; b != nil; b = b.next {
 			used[b] = true
 		}
-		s.splitLower(al, nil)
+		s.splitLower(al, s.length(), nil)
 		s.takeTop(al, 1000, nil)
 		for s.length() > 1 {
 			s.removeMin(al)

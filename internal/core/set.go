@@ -11,60 +11,6 @@ type element[V any] struct {
 	key uint64
 }
 
-// nodeSet is the per-TNode element container. Two implementations exist,
-// matching the paper's evaluation: a sorted doubly-linked list (the mound's
-// representation plus a back link, unrolled into blocks of blockLen
-// elements; the default) and an unsorted
-// fixed-capacity array (the "(array)" curves). All methods are called with
-// the owning TNode's lock held; sets need no internal synchronization.
-//
-// Callers maintain the TNode's cached max/min/count; set methods report
-// enough (maxKey/minKey/length) to recompute them after a mutation.
-//
-// Methods that move elements out of the set (takeTop, splitLower,
-// ascending) append to a caller-supplied buffer instead of allocating:
-// the hot paths thread per-operation scratch slices (opCtx) through them,
-// so steady-state operations touch no new heap memory.
-type nodeSet[V any] interface {
-	// insertMax adds e, whose key must be >= maxKey() (or the set empty).
-	insertMax(a *alloc[V], e element[V])
-	// insertNonMax adds e at a non-head position; e.key must be <= maxKey().
-	insertNonMax(a *alloc[V], e element[V])
-	// addRun adds every element of run, leaving the set exactly as
-	// insertMax (for a key >= maxKey(), or into an empty set) or
-	// insertNonMax (otherwise) applied to each in turn would. run must be
-	// in the order splitLower produces.
-	addRun(a *alloc[V], run []element[V])
-	// removeMax removes and returns the largest element. The set must be
-	// nonempty.
-	removeMax(a *alloc[V]) element[V]
-	// removeMin removes and returns the smallest element. The set must be
-	// nonempty.
-	removeMin(a *alloc[V]) element[V]
-	// takeTop removes the n largest elements (n <= length()) and appends
-	// them to dst in ascending key order.
-	takeTop(a *alloc[V], n int, dst []element[V]) []element[V]
-	// splitLower removes the floor(length/2) smallest elements and appends
-	// them to dst: in descending key order from a list (whose addRun relies
-	// on it), ascending from an array.
-	splitLower(a *alloc[V], dst []element[V]) []element[V]
-	// swapMin removes the minimum and inserts e, returning the removed
-	// minimum and the new minimum key. Requirements: length >= 2,
-	// minKey() < e.key <= maxKey(). This is the §3.2 parent-min quality
-	// swap, which runs on most regular inserts: the list walks blocks only
-	// from the nearer end to e's position and drops its last element, the
-	// array makes one scan.
-	swapMin(a *alloc[V], e element[V]) (demoted element[V], newMin uint64)
-	// maxKey/minKey report the extreme keys; undefined when empty. O(1) on
-	// a list, a scan of an array (callers cache both in the TNode).
-	maxKey() uint64
-	minKey() uint64
-	length() int
-	// ascending appends all elements in ascending key order, without
-	// removing them. Used by validation and draining.
-	ascending(dst []element[V]) []element[V]
-}
-
 // blockLen is how many elements one lnode holds. 8, 16 and 32 were
 // measured (EXPERIMENTS.md, "Unrolled list"): 8 was slowest everywhere; 32
 // was faster than 16 on every probe, by up to a fifth, but holds a []byte
@@ -85,25 +31,62 @@ type lnode[V any] struct {
 	e    [blockLen]element[V]
 }
 
-// listSet is an unrolled doubly-linked list sorted descending by key: read
-// block by block from the head, it is the sequence a list of one element per
-// node would hold. The head block starts with the maximum, as in the
-// original mound, and the tail block ends with the minimum, so both extremes
-// are read and removed in O(1). No linked block is empty. Among equal keys
-// the order is fixed by the insert rule (seek) and is part of the queue's
-// observable behaviour: it decides which of two equal keys is extracted
-// first.
-type listSet[V any] struct {
+// nodeSet is a TNode's element container, held by value in the node. It is
+// one of the two representations of the paper's evaluation. By default it
+// is an unrolled doubly-linked list sorted descending by key (the mound's
+// representation plus a back link), whose head and tail live here: read
+// block by block from the head, it is the sequence a list of one element
+// per node would hold. The head block starts with the maximum, as in the
+// original mound, and the tail block ends with the minimum, so both
+// extremes are read and removed in O(1). No linked block is empty. Among
+// equal keys the order is fixed by the insert rule (seek) and is part of
+// the queue's observable behaviour: it decides which of two equal keys is
+// extracted first.
+//
+// With arr non-nil the set is instead Fig. 5's unsorted array (the
+// "(array)" curves) and head and tail stay nil. Every method the queue
+// calls begins with that one branch, so list mode pays a nil test per set
+// call and no dispatch; the list-only helpers (seek, insertAt, removeAt,
+// unlink) have none.
+//
+// The set does not know its size: the owning TNode's count is the size,
+// and the methods that need it (splitLower) take it from the caller. All
+// methods are called with the owning TNode's lock held; sets need no
+// internal synchronization. Callers maintain the TNode's cached max and
+// count.
+//
+// Methods that move elements out of the set (takeTop, splitLower,
+// ascending) append to a caller-supplied buffer instead of allocating:
+// the hot paths thread per-operation scratch slices (opCtx) through them,
+// so steady-state operations touch no new heap memory.
+type nodeSet[V any] struct {
 	head *lnode[V]
 	tail *lnode[V]
-	size int
+	arr  *arraySet[V]
 }
 
-func (s *listSet[V]) length() int    { return s.size }
-func (s *listSet[V]) maxKey() uint64 { return s.head.e[0].key }
-func (s *listSet[V]) minKey() uint64 { return s.tail.e[s.tail.n-1].key }
+// maxKey and minKey report the extreme keys; undefined when empty. O(1) on
+// a list, a scan of an array.
+func (s *nodeSet[V]) maxKey() uint64 {
+	if s.arr != nil {
+		return s.arr.maxKey()
+	}
+	return s.head.e[0].key
+}
 
-func (s *listSet[V]) insertMax(a *alloc[V], e element[V]) {
+func (s *nodeSet[V]) minKey() uint64 {
+	if s.arr != nil {
+		return s.arr.minKey()
+	}
+	return s.tail.e[s.tail.n-1].key
+}
+
+// insertMax adds e, whose key must be >= maxKey() (or the set empty).
+func (s *nodeSet[V]) insertMax(a *alloc[V], e element[V]) {
+	if s.arr != nil {
+		s.arr.elems = append(s.arr.elems, e)
+		return
+	}
 	if s.head == nil {
 		b := a.get()
 		s.head, s.tail = b, b
@@ -111,14 +94,29 @@ func (s *listSet[V]) insertMax(a *alloc[V], e element[V]) {
 	s.insertAt(a, s.head, 0, e)
 }
 
+// insertNonMax adds e at a non-head position; e.key must be <= maxKey().
+func (s *nodeSet[V]) insertNonMax(a *alloc[V], e element[V]) {
+	if s.arr != nil {
+		s.arr.elems = append(s.arr.elems, e)
+		return
+	}
+	if s.head == nil || e.key > s.maxKey() {
+		// Degenerate call on an empty set; preserve sortedness anyway.
+		s.insertMax(a, e)
+		return
+	}
+	b, j := s.seek(e.key)
+	s.insertAt(a, b, j, e)
+}
+
 // seek returns where a non-max element with this key goes: behind the head
 // and every strictly greater key, in front of every equal one. The block is
 // the last one whose first key is strictly greater, or the head; the index
 // is the first one from 1 in it whose key is not greater, or its count. The
-// set must be nonempty. The block walk starts from the end whose key is
+// list must be nonempty. The block walk starts from the end whose key is
 // nearer, which on uniform keys is the end with fewer blocks in between;
 // both directions stop at the same block.
-func (s *listSet[V]) seek(key uint64) (*lnode[V], int) {
+func (s *nodeSet[V]) seek(key uint64) (*lnode[V], int) {
 	lo, hi := s.minKey(), s.maxKey()
 	if key < lo || key-lo < hi-key {
 		b := s.tail
@@ -132,7 +130,7 @@ func (s *listSet[V]) seek(key uint64) (*lnode[V], int) {
 
 // seekFrom is seek walking forward from index j >= 1 of block b: every key
 // in front of it is greater than this one, or it is index 1 of the head.
-func (s *listSet[V]) seekFrom(b *lnode[V], j int, key uint64) (*lnode[V], int) {
+func (s *nodeSet[V]) seekFrom(b *lnode[V], j int, key uint64) (*lnode[V], int) {
 	for b.next != nil && b.next.e[0].key > key {
 		b, j = b.next, 1
 	}
@@ -150,7 +148,7 @@ func (b *lnode[V]) scan(j int, key uint64) int {
 
 // insertAt puts e at index j of block b, first splitting a full block into
 // halves, and returns the block and index e landed at.
-func (s *listSet[V]) insertAt(a *alloc[V], b *lnode[V], j int, e element[V]) (*lnode[V], int) {
+func (s *nodeSet[V]) insertAt(a *alloc[V], b *lnode[V], j int, e element[V]) (*lnode[V], int) {
 	if b.n == blockLen {
 		const half = blockLen / 2
 		nb := a.get()
@@ -171,18 +169,16 @@ func (s *listSet[V]) insertAt(a *alloc[V], b *lnode[V], j int, e element[V]) (*l
 	copy(b.e[j+1:b.n+1], b.e[j:b.n])
 	b.e[j] = e
 	b.n++
-	s.size++
 	return b, j
 }
 
 // removeAt removes the element at index j of block b, unlinking and
 // freeing the block if that empties it.
-func (s *listSet[V]) removeAt(a *alloc[V], b *lnode[V], j int) element[V] {
+func (s *nodeSet[V]) removeAt(a *alloc[V], b *lnode[V], j int) element[V] {
 	e := b.e[j]
 	b.n--
 	copy(b.e[j:b.n], b.e[j+1:b.n+1])
 	b.e[b.n] = element[V]{}
-	s.size--
 	if b.n == 0 {
 		s.unlink(a, b)
 	}
@@ -190,7 +186,7 @@ func (s *listSet[V]) removeAt(a *alloc[V], b *lnode[V], j int) element[V] {
 }
 
 // unlink takes block b out of the list and frees it.
-func (s *listSet[V]) unlink(a *alloc[V], b *lnode[V]) {
+func (s *nodeSet[V]) unlink(a *alloc[V], b *lnode[V]) {
 	if b.prev != nil {
 		b.prev.next = b.next
 	} else {
@@ -204,17 +200,15 @@ func (s *listSet[V]) unlink(a *alloc[V], b *lnode[V]) {
 	a.put(b)
 }
 
-func (s *listSet[V]) insertNonMax(a *alloc[V], e element[V]) {
-	if s.head == nil || e.key > s.maxKey() {
-		// Degenerate call on an empty set; preserve sortedness anyway.
-		s.insertMax(a, e)
+// addRun adds every element of run, leaving the set exactly as insertMax
+// (for a key >= maxKey(), or into an empty set) or insertNonMax (otherwise)
+// applied to each in turn would. run must be in the order splitLower
+// produces.
+func (s *nodeSet[V]) addRun(a *alloc[V], run []element[V]) {
+	if s.arr != nil {
+		s.arr.elems = append(s.arr.elems, run...)
 		return
 	}
-	b, j := s.seek(e.key)
-	s.insertAt(a, b, j, e)
-}
-
-func (s *listSet[V]) addRun(a *alloc[V], run []element[V]) {
 	// One forward-only cursor serves the whole run: each element is no
 	// greater than the one before, so it goes where its predecessor went
 	// or further down, never back towards the head.
@@ -235,21 +229,26 @@ func (s *listSet[V]) addRun(a *alloc[V], run []element[V]) {
 	}
 }
 
-func (s *listSet[V]) removeMax(a *alloc[V]) element[V] {
+// removeMax removes and returns the largest element. The set must be
+// nonempty.
+func (s *nodeSet[V]) removeMax(a *alloc[V]) element[V] {
+	if s.arr != nil {
+		return s.arr.removeMax()
+	}
 	return s.removeAt(a, s.head, 0)
 }
 
-func (s *listSet[V]) removeMin(a *alloc[V]) element[V] {
-	return s.removeAt(a, s.tail, s.tail.n-1)
-}
-
-func (s *listSet[V]) takeTop(a *alloc[V], n int, dst []element[V]) []element[V] {
+// takeTop removes the n largest elements (n <= the set's size) and appends
+// them to dst in ascending key order.
+func (s *nodeSet[V]) takeTop(a *alloc[V], n int, dst []element[V]) []element[V] {
+	if s.arr != nil {
+		return s.arr.takeTop(n, dst)
+	}
 	// The list is sorted descending, so the n largest are the first n.
 	// Append them to dst in ascending order: reserve space, fill backwards,
 	// a head block at a time.
 	base := len(dst)
 	dst = slices.Grow(dst, n)[:base+n]
-	s.size -= n
 	for n > 0 {
 		b := s.head
 		t := min(n, b.n)
@@ -268,17 +267,23 @@ func (s *listSet[V]) takeTop(a *alloc[V], n int, dst []element[V]) []element[V] 
 	return dst
 }
 
-func (s *listSet[V]) splitLower(a *alloc[V], dst []element[V]) []element[V] {
-	take := s.size / 2
+// splitLower removes the floor(size/2) smallest elements, where size is
+// the set's size (the TNode's count), and appends them to dst: in
+// descending key order from a list (whose addRun relies on it), ascending
+// from an array.
+func (s *nodeSet[V]) splitLower(a *alloc[V], size int, dst []element[V]) []element[V] {
+	take := size / 2
 	if take == 0 {
 		return dst
+	}
+	if s.arr != nil {
+		return s.arr.splitLower(take, dst)
 	}
 	// Unlink the run from the tail upwards, filling dst backwards so that it
 	// reads in list order: whole tail blocks are copied and freed, the last
 	// one cut. take < size, so the walk ends on a kept block.
 	base := len(dst)
 	dst = slices.Grow(dst, take)[:base+take]
-	s.size -= take
 	for rem := take; rem > 0; {
 		b := s.tail
 		if rem < b.n {
@@ -294,15 +299,32 @@ func (s *listSet[V]) splitLower(a *alloc[V], dst []element[V]) []element[V] {
 	return dst
 }
 
-func (s *listSet[V]) swapMin(a *alloc[V], e element[V]) (element[V], uint64) {
-	// The contract (minKey < e.key <= maxKey, length >= 2) puts e strictly
-	// in front of the old minimum, so the element removed below is never e.
+// swapMin is the §3.2 parent-min quality swap, which runs on most regular
+// inserts: if the minimum is below e.key it removes the minimum, inserts e
+// and returns the removed element with ok true; otherwise it leaves the set
+// unchanged and returns ok false. The set must hold at least two elements
+// and e.key must be <= maxKey(). The list reads its minimum in O(1) and
+// walks blocks only from the nearer end to e's position; the array makes
+// one scan.
+func (s *nodeSet[V]) swapMin(a *alloc[V], e element[V]) (demoted element[V], ok bool) {
+	if s.arr != nil {
+		return s.arr.swapMin(e)
+	}
+	if s.minKey() >= e.key {
+		return demoted, false
+	}
+	// minKey < e.key puts e strictly in front of the old minimum, so the
+	// element removed below is never e.
 	s.insertNonMax(a, e)
-	demoted := s.removeMin(a)
-	return demoted, s.minKey()
+	return s.removeAt(a, s.tail, s.tail.n-1), true
 }
 
-func (s *listSet[V]) ascending(dst []element[V]) []element[V] {
+// ascending appends all elements in ascending key order, without removing
+// them. Used by validation and draining.
+func (s *nodeSet[V]) ascending(dst []element[V]) []element[V] {
+	if s.arr != nil {
+		return s.arr.ascending(dst)
+	}
 	for b := s.tail; b != nil; b = b.prev {
 		for j := b.n - 1; j >= 0; j-- {
 			dst = append(dst, b.e[j])
@@ -358,9 +380,11 @@ func sortElemsAsc[V any](e []element[V]) {
 }
 
 // arraySet is an unsorted slice with small fixed capacity (2×targetLen plus
-// slack). Inserts are O(1); extremum queries and removals are O(n) scans,
-// which at n <= 2×targetLen is a handful of cache lines — the locality the
-// paper credits for the "(array)" variant's low single-thread latency.
+// slack), the set behind a nodeSet whose arr is non-nil. Inserts are O(1)
+// appends (nodeSet does them); extremum queries and removals are O(n)
+// scans, which at n <= 2×targetLen is a handful of cache lines — the
+// locality the paper credits for the "(array)" variant's low single-thread
+// latency.
 type arraySet[V any] struct {
 	elems []element[V]
 }
@@ -368,8 +392,6 @@ type arraySet[V any] struct {
 func newArraySet[V any](capacity int) *arraySet[V] {
 	return &arraySet[V]{elems: make([]element[V], 0, capacity)}
 }
-
-func (s *arraySet[V]) length() int { return len(s.elems) }
 
 func (s *arraySet[V]) maxKey() uint64 {
 	best := s.elems[0].key
@@ -391,10 +413,6 @@ func (s *arraySet[V]) minKey() uint64 {
 	return best
 }
 
-func (s *arraySet[V]) insertMax(a *alloc[V], e element[V])    { s.elems = append(s.elems, e) }
-func (s *arraySet[V]) insertNonMax(a *alloc[V], e element[V]) { s.elems = append(s.elems, e) }
-func (s *arraySet[V]) addRun(a *alloc[V], run []element[V])   { s.elems = append(s.elems, run...) }
-
 func (s *arraySet[V]) removeAt(i int) element[V] {
 	e := s.elems[i]
 	last := len(s.elems) - 1
@@ -404,7 +422,7 @@ func (s *arraySet[V]) removeAt(i int) element[V] {
 	return e
 }
 
-func (s *arraySet[V]) removeMax(a *alloc[V]) element[V] {
+func (s *arraySet[V]) removeMax() element[V] {
 	best := 0
 	for i, e := range s.elems {
 		if e.key > s.elems[best].key {
@@ -414,66 +432,39 @@ func (s *arraySet[V]) removeMax(a *alloc[V]) element[V] {
 	return s.removeAt(best)
 }
 
-func (s *arraySet[V]) removeMin(a *alloc[V]) element[V] {
-	best := 0
-	for i, e := range s.elems {
-		if e.key < s.elems[best].key {
-			best = i
-		}
-	}
-	return s.removeAt(best)
-}
-
-func (s *arraySet[V]) sortAscending() { sortElemsAsc(s.elems) }
-
-func (s *arraySet[V]) takeTop(a *alloc[V], n int, dst []element[V]) []element[V] {
-	s.sortAscending()
+func (s *arraySet[V]) takeTop(n int, dst []element[V]) []element[V] {
+	sortElemsAsc(s.elems)
 	cut := len(s.elems) - n
 	dst = append(dst, s.elems[cut:]...)
-	for i := cut; i < len(s.elems); i++ {
-		s.elems[i] = element[V]{}
-	}
+	clear(s.elems[cut:])
 	s.elems = s.elems[:cut]
 	return dst
 }
 
-func (s *arraySet[V]) splitLower(a *alloc[V], dst []element[V]) []element[V] {
-	take := len(s.elems) / 2
-	if take == 0 {
-		return dst
-	}
-	s.sortAscending()
+func (s *arraySet[V]) splitLower(take int, dst []element[V]) []element[V] {
+	sortElemsAsc(s.elems)
 	dst = append(dst, s.elems[:take]...)
 	keep := copy(s.elems, s.elems[take:])
-	for i := keep; i < len(s.elems); i++ {
-		s.elems[i] = element[V]{}
-	}
+	clear(s.elems[keep:])
 	s.elems = s.elems[:keep]
 	return dst
 }
 
-func (s *arraySet[V]) swapMin(a *alloc[V], e element[V]) (element[V], uint64) {
-	// One scan tracking the minimum and second-minimum; the minimum's slot
-	// is overwritten with e in place.
+// swapMin finds the first minimum in one scan and, if it is below e.key,
+// overwrites its slot with e.
+func (s *arraySet[V]) swapMin(e element[V]) (element[V], bool) {
 	minI := 0
-	second := uint64(1<<64 - 1)
 	for i := 1; i < len(s.elems); i++ {
-		k := s.elems[i].key
-		switch {
-		case k < s.elems[minI].key:
-			second = s.elems[minI].key
+		if s.elems[i].key < s.elems[minI].key {
 			minI = i
-		case k < second:
-			second = k
 		}
 	}
 	demoted := s.elems[minI]
-	s.elems[minI] = e
-	newMin := second
-	if e.key < newMin {
-		newMin = e.key
+	if demoted.key >= e.key {
+		return element[V]{}, false
 	}
-	return demoted, newMin
+	s.elems[minI] = e
+	return demoted, true
 }
 
 func (s *arraySet[V]) ascending(dst []element[V]) []element[V] {

@@ -81,7 +81,7 @@ var fewKeys = []uint64{0, 1 << 40, 1 << 63, math.MaxUint64}
 // operation, drawing keys from modelKeys, and compares it with the model
 // after each. It returns how many checks found two blocks of a list set
 // meeting on equal keys.
-func runSetModel[V any](t *testing.T, mk func() nodeSet[V], val func(uint64) V, id func(V) uint64, modelKeys []uint64) (tiedBoundaries int) {
+func runSetModel[V any](t *testing.T, mk func() *nodeSet[V], val func(uint64) V, id func(V) uint64, modelKeys []uint64) (tiedBoundaries int) {
 	r := xrand.New(0x5e7)
 	a := &alloc[V]{}
 	var serial uint64
@@ -93,7 +93,7 @@ func runSetModel[V any](t *testing.T, mk func() nodeSet[V], val func(uint64) V, 
 
 	for trial := 0; trial < 400; trial++ {
 		s := mk()
-		_, isList := s.(*listSet[V])
+		isList := s.arr == nil
 		md := &setModel{exact: isList}
 		// Low bias keeps the set at sizes 0-2, high bias grows it past a
 		// split's worth.
@@ -144,7 +144,7 @@ func runSetModel[V any](t *testing.T, mk func() nodeSet[V], val func(uint64) V, 
 					md.remove(t, ent(out[i]), 0)
 				}
 			case op < insertBias+50:
-				out := s.splitLower(a, nil)
+				out := s.splitLower(a, n, nil)
 				if len(out) != n/2 {
 					t.Fatalf("splitLower of %d returned %d", n, len(out))
 				}
@@ -171,16 +171,16 @@ func runSetModel[V any](t *testing.T, mk func() nodeSet[V], val func(uint64) V, 
 					}
 				}
 				e := elem(k)
-				demoted, newMin := s.swapMin(a, e)
+				demoted, ok := s.swapMin(a, e)
+				if !ok {
+					t.Fatalf("swapMin(%d) refused above the minimum %d", k, md.m[n-1].key)
+				}
 				md.insertBehind(k, id(e.val))
 				md.remove(t, ent(demoted), n)
-				if want := md.m[n-1].key; newMin != want {
-					t.Fatalf("swapMin reported new min %d, want %d", newMin, want)
-				}
 			}
 			checkSetAgainstModel(t, s, md, ent)
-			if ls, ok := s.(*listSet[V]); ok {
-				for b := ls.head; b != nil && b.next != nil; b = b.next {
+			if isList {
+				for b := s.head; b != nil && b.next != nil; b = b.next {
 					if b.e[b.n-1].key == b.next.e[0].key {
 						tiedBoundaries++
 					}
@@ -191,27 +191,27 @@ func runSetModel[V any](t *testing.T, mk func() nodeSet[V], val func(uint64) V, 
 	return tiedBoundaries
 }
 
-func checkSetAgainstModel[V any](t *testing.T, s nodeSet[V], md *setModel, ent func(element[V]) ment) {
+func checkSetAgainstModel[V any](t *testing.T, s *nodeSet[V], md *setModel, ent func(element[V]) ment) {
 	t.Helper()
 	if s.length() != len(md.m) {
 		t.Fatalf("length %d, model %d", s.length(), len(md.m))
 	}
-	if ls, ok := s.(*listSet[V]); ok {
+	if s.arr == nil {
 		var fwd, back []*lnode[V]
-		for b := ls.head; b != nil; b = b.next {
+		for b := s.head; b != nil; b = b.next {
 			fwd = append(fwd, b)
 		}
-		for b := ls.tail; b != nil; b = b.prev {
+		for b := s.tail; b != nil; b = b.prev {
 			back = append(back, b)
 		}
 		slices.Reverse(back)
 		if !slices.Equal(fwd, back) {
 			t.Fatalf("forward walk (%d blocks) is not the backward walk reversed (%d blocks)", len(fwd), len(back))
 		}
-		if len(fwd) > 0 && (ls.head.prev != nil || ls.tail.next != nil) {
+		if len(fwd) > 0 && (s.head.prev != nil || s.tail.next != nil) {
 			t.Fatal("head has a prev or tail has a next")
 		}
-		if len(fwd) == 0 && (ls.head != nil || ls.tail != nil) {
+		if len(fwd) == 0 && (s.head != nil || s.tail != nil) {
 			t.Fatal("empty list keeps a head or a tail")
 		}
 		for i, b := range fwd {
@@ -221,7 +221,7 @@ func checkSetAgainstModel[V any](t *testing.T, s nodeSet[V], md *setModel, ent f
 				}
 			}
 		}
-		if err := ls.checkLinks(); err != nil {
+		if err := s.checkSize(len(md.m)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -269,22 +269,22 @@ func TestSetModel(t *testing.T) {
 	bytesID := func(v []byte) uint64 { return binary.LittleEndian.Uint64(v) }
 
 	t.Run("list/int", func(t *testing.T) {
-		runSetModel(t, func() nodeSet[int] { return &listSet[int]{} }, intVal, intID, modelKeys)
+		runSetModel(t, func() *nodeSet[int] { return &nodeSet[int]{} }, intVal, intID, modelKeys)
 	})
 	t.Run("list/bytes", func(t *testing.T) {
-		runSetModel(t, func() nodeSet[[]byte] { return &listSet[[]byte]{} }, bytesVal, bytesID, modelKeys)
+		runSetModel(t, func() *nodeSet[[]byte] { return &nodeSet[[]byte]{} }, bytesVal, bytesID, modelKeys)
 	})
 	// Four keys: equal keys span block boundaries, where the head
 	// exception, behind-greater and in-front-of-equal must still hold.
 	t.Run("list/int/fourkeys", func(t *testing.T) {
-		if n := runSetModel(t, func() nodeSet[int] { return &listSet[int]{} }, intVal, intID, fewKeys); n == 0 {
+		if n := runSetModel(t, func() *nodeSet[int] { return &nodeSet[int]{} }, intVal, intID, fewKeys); n == 0 {
 			t.Fatal("no two blocks ever met on equal keys")
 		}
 	})
 	t.Run("array/int", func(t *testing.T) {
-		runSetModel(t, func() nodeSet[int] { return newArraySet[int](16) }, intVal, intID, modelKeys)
+		runSetModel(t, func() *nodeSet[int] { return &nodeSet[int]{arr: newArraySet[int](16)} }, intVal, intID, modelKeys)
 	})
 	t.Run("array/bytes", func(t *testing.T) {
-		runSetModel(t, func() nodeSet[[]byte] { return newArraySet[[]byte](16) }, bytesVal, bytesID, modelKeys)
+		runSetModel(t, func() *nodeSet[[]byte] { return &nodeSet[[]byte]{arr: newArraySet[[]byte](16)} }, bytesVal, bytesID, modelKeys)
 	})
 }

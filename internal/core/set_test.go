@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"sort"
 	"testing"
 )
@@ -9,19 +10,48 @@ import (
 // testing: get allocates fresh blocks and put drops them.
 func newAlloc() *alloc[int] { return &alloc[int]{} }
 
-func mkSet(array bool) nodeSet[int] {
+func mkSet(array bool) *nodeSet[int] {
 	if array {
-		return newArraySet[int](64)
+		return &nodeSet[int]{arr: newArraySet[int](64)}
 	}
-	return &listSet[int]{}
+	return &nodeSet[int]{}
 }
 
-func setVariants(t *testing.T, f func(t *testing.T, mk func() nodeSet[int])) {
-	t.Run("list", func(t *testing.T) { f(t, func() nodeSet[int] { return mkSet(false) }) })
-	t.Run("array", func(t *testing.T) { f(t, func() nodeSet[int] { return mkSet(true) }) })
+func setVariants(t *testing.T, f func(t *testing.T, mk func() *nodeSet[int])) {
+	t.Run("list", func(t *testing.T) { f(t, func() *nodeSet[int] { return mkSet(false) }) })
+	t.Run("array", func(t *testing.T) { f(t, func() *nodeSet[int] { return mkSet(true) }) })
 }
 
-func fillSet(s nodeSet[int], a *alloc[int], keys []uint64) {
+// length counts the set's elements. The queue never asks: a TNode's count
+// is its set's size.
+func (s *nodeSet[V]) length() int {
+	if s.arr != nil {
+		return len(s.arr.elems)
+	}
+	n := 0
+	for b := s.head; b != nil; b = b.next {
+		n += b.n
+	}
+	return n
+}
+
+// removeMin removes and returns the smallest element (the first one an
+// array scan meets). The set must be nonempty. The queue removes a minimum
+// only inside swapMin.
+func (s *nodeSet[V]) removeMin(a *alloc[V]) element[V] {
+	if s.arr != nil {
+		best := 0
+		for i, e := range s.arr.elems {
+			if e.key < s.arr.elems[best].key {
+				best = i
+			}
+		}
+		return s.arr.removeAt(best)
+	}
+	return s.removeAt(a, s.tail, s.tail.n-1)
+}
+
+func fillSet(s *nodeSet[int], a *alloc[int], keys []uint64) {
 	for _, k := range keys {
 		if s.length() == 0 || k >= s.maxKey() {
 			s.insertMax(a, element[int]{key: k})
@@ -32,7 +62,7 @@ func fillSet(s nodeSet[int], a *alloc[int], keys []uint64) {
 }
 
 func TestSetInsertAndExtremes(t *testing.T) {
-	setVariants(t, func(t *testing.T, mk func() nodeSet[int]) {
+	setVariants(t, func(t *testing.T, mk func() *nodeSet[int]) {
 		a := newAlloc()
 		s := mk()
 		keys := []uint64{5, 9, 2, 9, 7, 1, 8}
@@ -50,7 +80,7 @@ func TestSetInsertAndExtremes(t *testing.T) {
 }
 
 func TestSetRemoveMaxSortedDrain(t *testing.T) {
-	setVariants(t, func(t *testing.T, mk func() nodeSet[int]) {
+	setVariants(t, func(t *testing.T, mk func() *nodeSet[int]) {
 		a := newAlloc()
 		s := mk()
 		keys := []uint64{5, 9, 2, 9, 7, 1, 8, 3, 3}
@@ -70,7 +100,7 @@ func TestSetRemoveMaxSortedDrain(t *testing.T) {
 }
 
 func TestSetRemoveMin(t *testing.T) {
-	setVariants(t, func(t *testing.T, mk func() nodeSet[int]) {
+	setVariants(t, func(t *testing.T, mk func() *nodeSet[int]) {
 		a := newAlloc()
 		s := mk()
 		fillSet(s, a, []uint64{5, 9, 2, 7})
@@ -87,7 +117,7 @@ func TestSetRemoveMin(t *testing.T) {
 }
 
 func TestSetRemoveMinSingleton(t *testing.T) {
-	setVariants(t, func(t *testing.T, mk func() nodeSet[int]) {
+	setVariants(t, func(t *testing.T, mk func() *nodeSet[int]) {
 		a := newAlloc()
 		s := mk()
 		s.insertMax(a, element[int]{key: 42})
@@ -101,7 +131,7 @@ func TestSetRemoveMinSingleton(t *testing.T) {
 }
 
 func TestSetTakeTopAscending(t *testing.T) {
-	setVariants(t, func(t *testing.T, mk func() nodeSet[int]) {
+	setVariants(t, func(t *testing.T, mk func() *nodeSet[int]) {
 		a := newAlloc()
 		s := mk()
 		fillSet(s, a, []uint64{10, 30, 20, 50, 40})
@@ -122,7 +152,7 @@ func TestSetTakeTopAscending(t *testing.T) {
 }
 
 func TestSetTakeTopAll(t *testing.T) {
-	setVariants(t, func(t *testing.T, mk func() nodeSet[int]) {
+	setVariants(t, func(t *testing.T, mk func() *nodeSet[int]) {
 		a := newAlloc()
 		s := mk()
 		fillSet(s, a, []uint64{3, 1, 2})
@@ -134,11 +164,11 @@ func TestSetTakeTopAll(t *testing.T) {
 }
 
 func TestSetSplitLower(t *testing.T) {
-	setVariants(t, func(t *testing.T, mk func() nodeSet[int]) {
+	setVariants(t, func(t *testing.T, mk func() *nodeSet[int]) {
 		a := newAlloc()
 		s := mk()
 		fillSet(s, a, []uint64{10, 30, 20, 50, 40, 60, 70})
-		lower := s.splitLower(a, nil)
+		lower := s.splitLower(a, s.length(), nil)
 		if len(lower) != 3 {
 			t.Fatalf("splitLower returned %d, want 3", len(lower))
 		}
@@ -154,18 +184,18 @@ func TestSetSplitLower(t *testing.T) {
 }
 
 func TestSetSplitLowerSmall(t *testing.T) {
-	setVariants(t, func(t *testing.T, mk func() nodeSet[int]) {
+	setVariants(t, func(t *testing.T, mk func() *nodeSet[int]) {
 		a := newAlloc()
 		s := mk()
 		s.insertMax(a, element[int]{key: 1})
-		if got := s.splitLower(a, nil); len(got) != 0 {
+		if got := s.splitLower(a, s.length(), nil); len(got) != 0 {
 			t.Fatalf("splitLower of singleton = %v, want empty", got)
 		}
 	})
 }
 
 func TestSetAscending(t *testing.T) {
-	setVariants(t, func(t *testing.T, mk func() nodeSet[int]) {
+	setVariants(t, func(t *testing.T, mk func() *nodeSet[int]) {
 		a := newAlloc()
 		s := mk()
 		fillSet(s, a, []uint64{4, 2, 9, 6})
@@ -183,7 +213,7 @@ func TestSetAscending(t *testing.T) {
 }
 
 func TestSetPayloadsPreserved(t *testing.T) {
-	setVariants(t, func(t *testing.T, mk func() nodeSet[int]) {
+	setVariants(t, func(t *testing.T, mk func() *nodeSet[int]) {
 		a := newAlloc()
 		s := mk()
 		s.insertMax(a, element[int]{key: 10, val: 100})
@@ -202,16 +232,13 @@ func TestSetPayloadsPreserved(t *testing.T) {
 }
 
 func TestSetSwapMin(t *testing.T) {
-	setVariants(t, func(t *testing.T, mk func() nodeSet[int]) {
+	setVariants(t, func(t *testing.T, mk func() *nodeSet[int]) {
 		a := newAlloc()
 		s := mk()
 		fillSet(s, a, []uint64{10, 30, 20, 50})
-		demoted, newMin := s.swapMin(a, element[int]{key: 25, val: 7})
-		if demoted.key != 10 {
-			t.Fatalf("demoted %d, want 10", demoted.key)
-		}
-		if newMin != 20 {
-			t.Fatalf("newMin %d, want 20", newMin)
+		demoted, ok := s.swapMin(a, element[int]{key: 25, val: 7})
+		if !ok || demoted.key != 10 {
+			t.Fatalf("swapMin = %d, %v; want 10, true", demoted.key, ok)
 		}
 		if s.length() != 4 || s.minKey() != 20 || s.maxKey() != 50 {
 			t.Fatalf("set wrong after swapMin: len=%d min=%d max=%d", s.length(), s.minKey(), s.maxKey())
@@ -223,18 +250,36 @@ func TestSetSwapMin(t *testing.T) {
 				t.Fatalf("ascending[%d]=%d want %d", i, out[i].key, w)
 			}
 		}
+
+		// Refused: a key equal to or below the minimum swaps nothing and
+		// leaves every element where it was.
+		contents := func() []element[int] {
+			if s.arr != nil {
+				return slices.Clone(s.arr.elems)
+			}
+			return s.ascending(nil)
+		}
+		for _, k := range []uint64{20, 3} {
+			before := contents()
+			if demoted, ok := s.swapMin(a, element[int]{key: k, val: 9}); ok || demoted != (element[int]{}) {
+				t.Fatalf("swapMin(%d) at minimum 20 = %v, %v; want the zero element, false", k, demoted, ok)
+			}
+			if after := contents(); !slices.Equal(after, before) {
+				t.Fatalf("refused swapMin(%d) changed the set: %v, was %v", k, after, before)
+			}
+		}
 	})
 }
 
 func TestSetSwapMinBecomesNewMin(t *testing.T) {
 	// e lands just above the removed minimum and becomes the new minimum.
-	setVariants(t, func(t *testing.T, mk func() nodeSet[int]) {
+	setVariants(t, func(t *testing.T, mk func() *nodeSet[int]) {
 		a := newAlloc()
 		s := mk()
 		fillSet(s, a, []uint64{10, 50})
-		demoted, newMin := s.swapMin(a, element[int]{key: 11})
-		if demoted.key != 10 || newMin != 11 {
-			t.Fatalf("got demoted=%d newMin=%d, want 10, 11", demoted.key, newMin)
+		demoted, ok := s.swapMin(a, element[int]{key: 11})
+		if !ok || demoted.key != 10 || s.minKey() != 11 {
+			t.Fatalf("got demoted=%d ok=%v min=%d, want 10, true, 11", demoted.key, ok, s.minKey())
 		}
 	})
 }

@@ -40,7 +40,7 @@ func TestSetModeSelectsImplementation(t *testing.T) {
 		for i := 0; i < 200; i++ {
 			q.Insert(uint64(i), i)
 		}
-		_, isArray := q.root().set.(*arraySet[int])
+		isArray := q.root().set.arr != nil
 		if wantArray := mode == SetModeArray; isArray != wantArray {
 			t.Errorf("SetMode %v built arraySet=%v", mode, isArray)
 		}

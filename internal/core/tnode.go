@@ -9,18 +9,19 @@ import (
 	"repro/internal/xrand"
 )
 
-// tnode is one node of the ZMSQ tree (§3.1). The set may only be mutated
-// while lock is held; max, min and count are cached copies of the set's
-// extremes and size, updated only while holding lock but readable at any
-// time. Optimistic readers must re-validate after locking.
+// tnode is one node of the ZMSQ tree (§3.1): its lock, its set, and the
+// set's maximum and size cached in max and count. The set may only be
+// mutated while lock is held; max and count are updated only while holding
+// lock but are readable at any time. Optimistic readers must re-validate
+// after locking. The set's minimum is not cached: only the locked
+// parent-min swap reads it, and the set answers it there.
 //
-// max and min are only meaningful when count > 0; an empty node compares as
+// max is only meaningful when count > 0; an empty node compares as
 // -infinity everywhere.
 type tnode[V any] struct {
 	lock  nodeLock
 	set   nodeSet[V]
 	max   atomic.Uint64
-	min   atomic.Uint64
 	count atomic.Int64
 	// Pad to 64 bytes, so adjacent tnodes in a level's array do not share
 	// cache lines between their fields. The array starts on a 64-byte
@@ -115,9 +116,6 @@ func swapContents[V any](a, b *tnode[V]) {
 	am, bm := a.max.Load(), b.max.Load()
 	a.max.Store(bm)
 	b.max.Store(am)
-	am, bm = a.min.Load(), b.min.Load()
-	a.min.Store(bm)
-	b.min.Store(am)
 	ac, bc := a.count.Load(), b.count.Load()
 	a.count.Store(bc)
 	b.count.Store(ac)

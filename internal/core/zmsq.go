@@ -132,9 +132,7 @@ func (q *Queue[V]) newLevel(n int) []tnode[V] {
 	for i := range level {
 		level[i].lock.kind = q.cfg.Lock
 		if q.cfg.arraySet() {
-			level[i].set = newArraySet[V](2*q.cfg.TargetLen + 8)
-		} else {
-			level[i].set = &listSet[V]{}
+			level[i].set.arr = newArraySet[V](2*q.cfg.TargetLen + 8)
 		}
 	}
 	return level
