@@ -38,7 +38,11 @@ func reportThroughput(b *testing.B, mk harness.QueueMaker, spec harness.Throughp
 	var last harness.ThroughputResult
 	for i := 0; i < b.N; i++ {
 		spec.Seed = uint64(i) + 1
-		last = harness.RunThroughput(mk, spec)
+		var q pq.Queue
+		last = harness.RunThroughput(func(threads int) pq.Queue { q = mk(threads); return q }, spec)
+		if c, ok := q.(pq.Closer); ok {
+			c.Close() // ends a helper driver (BenchmarkAblationHelper)
+		}
 	}
 	b.ReportMetric(last.OpsPerSec()/1e6, "Mops/s")
 	b.ReportMetric(float64(last.FailedExt), "failedExtract")
@@ -452,7 +456,8 @@ func BenchmarkSec32SetStats(b *testing.B) {
 // ---- Ablations (DESIGN.md §3) ----
 
 // benchAblation measures the paper's memory-safe ZMSQ with one mechanism
-// changed by mod; newQ is harness.NewZMSQ only for the leak ablation.
+// changed by mod; newQ is harness.NewZMSQ only for the leak ablation and
+// newHelperZMSQ only for the helper's.
 func benchAblation(b *testing.B, newQ func(core.Config) *harness.ZMSQ, mod func(*core.Config)) {
 	cfg := core.DefaultConfig()
 	mod(&cfg)
@@ -519,7 +524,15 @@ func BenchmarkAblationStrict(b *testing.B) {
 }
 
 func BenchmarkAblationHelper(b *testing.B) {
-	benchAblation(b, harness.NewHazardZMSQ, func(c *core.Config) { c.Helper = true })
+	benchAblation(b, newHelperZMSQ, func(*core.Config) {})
+}
+
+// newHelperZMSQ is the paper's memory-safe ZMSQ with harness.StartHelper
+// driving its §5 helper pass until the queue is closed.
+func newHelperZMSQ(cfg core.Config) *harness.ZMSQ {
+	z := harness.NewHazardZMSQ(cfg)
+	harness.StartHelper(z.Q)
+	return z
 }
 
 // BenchmarkOpLatency quantifies §4.2's latency claims: small targetLen

@@ -1,6 +1,9 @@
 package repro_test
 
 import (
+	"bytes"
+	"go/ast"
+	"os"
 	"strconv"
 	"strings"
 	"testing"
@@ -44,6 +47,35 @@ func TestCoreHasNoLog(t *testing.T) {
 	}
 	if _, ok := reach(t, "repro/internal/sharded")[log]; !ok {
 		t.Errorf("the walk from repro/internal/sharded never reached %s; the check is walking nothing", log)
+	}
+}
+
+// TestCoreStartsNoGoroutine fails on any go statement in internal/core's
+// non-test files: the queue owns no goroutine, and what runs beside it
+// (the §5 helper's driver, the wait ring) is started from outside.
+func TestCoreStartsNoGoroutine(t *testing.T) {
+	const pkg = "repro/internal/core"
+	files := 0
+	for _, gf := range parseModule(t, ".", "repro") {
+		if gf.pkg != pkg || gf.test {
+			continue
+		}
+		files++
+		ast.Inspect(gf.f, func(n ast.Node) bool {
+			if g, ok := n.(*ast.GoStmt); ok {
+				// parseModule gives each file a FileSet of its own, based at 1.
+				src, err := os.ReadFile(gf.name)
+				if err != nil {
+					t.Fatal(err)
+				}
+				line := bytes.Count(src[:g.Pos()-1], []byte("\n")) + 1
+				t.Errorf("%s:%d starts a goroutine", gf.name, line)
+			}
+			return true
+		})
+	}
+	if files == 0 {
+		t.Fatalf("found no non-test files of %s; the check is walking nothing", pkg)
 	}
 }
 

@@ -1,14 +1,10 @@
 package core
 
-import (
-	"runtime"
-	"testing"
-	"time"
-)
+import "testing"
 
-// Shutdown-semantics coverage: Close idempotency, Insert-after-Close,
-// helper goroutine termination, and the drain extensions (Drain,
-// CloseAndDrain). Blocked-consumer release is package waitring's.
+// Shutdown-semantics coverage: Close idempotency, Insert-after-Close, and
+// the drain extensions (Drain, CloseAndDrain). Blocked-consumer release is
+// package waitring's; stopping the helper driver is package harness's.
 
 func TestCloseIdempotent(t *testing.T) {
 	for name, cfg := range testConfigs() {
@@ -38,21 +34,6 @@ func TestInsertAfterCloseIsRetrievable(t *testing.T) {
 	}
 	if len(got) != 2 || got[1] != 10 || got[2] != 20 {
 		t.Fatalf("elements after close: %v", got)
-	}
-}
-
-func TestCloseStopsHelperGoroutine(t *testing.T) {
-	base := runtime.NumGoroutine()
-	q := New[int](Config{Batch: 4, TargetLen: 4, Helper: true})
-	q.Insert(1, 1)
-	time.Sleep(5 * time.Millisecond) // let the helper run at least once
-	q.Close()
-	deadline := time.Now().Add(5 * time.Second)
-	for runtime.NumGoroutine() > base && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
-	if n := runtime.NumGoroutine(); n > base {
-		t.Fatalf("helper goroutine leaked: %d goroutines, baseline %d", n, base)
 	}
 }
 

@@ -29,6 +29,10 @@
 // SetModeArray a pointer to Fig. 5's array, tested once per set call. A
 // list-mode node, its lock and its set header are one 64-byte object.
 //
+// The queue owns no goroutine: this package has no go statement. The §5
+// helper is one exported pass, Queue.HelperPass, which a caller drives on
+// a schedule of its choosing.
+//
 // The queue is in-memory, as the paper's is: this package has no log and
 // does not import internal/wal. Durability belongs to the sharded
 // front-end (package sharded), which logs at its own operation boundaries;
@@ -156,11 +160,6 @@ type Config struct {
 	// NoForcedInsert disables non-max insertion into under-full deep leaves
 	// (§3.2). Exposed for ablation benchmarks.
 	NoForcedInsert bool
-
-	// Helper enables the §5 future-work maintenance goroutine, which
-	// refills under-full non-leaf sets by pulling elements up from their
-	// children, one pass every 200µs (see helper.go). Stopped by Close.
-	Helper bool
 
 	// Seed seeds the per-operation random number generators. Zero means a
 	// fixed default seed; runs with equal seeds and a single goroutine are

@@ -1,15 +1,14 @@
 package core
 
-import (
-	"time"
-)
-
 // This file implements the paper's first future-work item (§5): "the use
-// of helper threads to improve the quality of sets in the ZMSQ". The
-// helper is a background goroutine that repeatedly picks a random
-// non-leaf node and, when its set has fallen below targetLen, refills it
-// by pulling the largest elements up from its denser child, then repairs
-// the child's subtree invariant.
+// of helper threads to improve the quality of sets in the ZMSQ". A helper
+// pass picks a random non-leaf node and, when its set has fallen below
+// targetLen, refills it by pulling the largest elements up from its
+// denser child, then repairs the child's subtree invariant.
+//
+// The queue starts no goroutine and runs no passes of its own: whoever
+// wants the helper calls HelperPass on a schedule of its choosing
+// (harness.StartHelper runs one pass every 200µs for the experiments).
 //
 // Why this helps: extractPool can only move `batch` elements to the pool
 // if the root's set is full enough, and the quality of pooled elements
@@ -32,33 +31,17 @@ import (
 // having observed poolNext <= 0 under the root lock) would race with
 // claimers. See DESIGN.md.
 
-// helperInterval is the pause between helper passes.
-const helperInterval = 200 * time.Microsecond
-
-// helperLoop runs until the queue is closed. helperInterval bounds the
-// pass rate; each pass touches at most one parent/child pair.
-func (q *Queue[V]) helperLoop() {
-	ctx := q.getCtx()
-	defer q.putCtx(ctx)
-	ticker := time.NewTicker(helperInterval)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-q.helperStop:
-			return
-		case <-ticker.C:
-			q.helperPass(ctx)
-		}
-	}
-}
-
-// helperPass attempts one quality-improvement step and reports whether it
-// moved any elements. Exposed (unexported) for deterministic testing.
-func (q *Queue[V]) helperPass(ctx *opCtx[V]) bool {
+// HelperPass runs one helper pass and returns how many elements it moved:
+// 0 when the node it picked was full or empty, when its denser child held
+// at most one element, or when a trylock failed. It is safe to call
+// concurrently with every other operation and with itself.
+func (q *Queue[V]) HelperPass() int {
 	top := int(q.leafLevel.Load())
 	if top < 1 {
-		return false
+		return 0
 	}
+	ctx := q.getCtx()
+	defer q.putCtx(ctx)
 	// Pick a random non-leaf node. Level 0 (the root) is included: a full
 	// root is exactly what extractPool wants; unlike forced inserts this
 	// path takes the same locks extraction does and backs off under
@@ -72,10 +55,10 @@ func (q *Queue[V]) helperPass(ctx *opCtx[V]) bool {
 
 	// Cheap pre-checks without the lock.
 	if n.count.Load() >= int64(q.targetLen) {
-		return false
+		return 0
 	}
 	if !n.lock.TryLock() {
-		return false
+		return 0
 	}
 	cnt := n.count.Load()
 	if cnt == 0 || cnt >= int64(q.targetLen) || int32(level) >= q.leafLevel.Load() {
@@ -83,7 +66,7 @@ func (q *Queue[V]) helperPass(ctx *opCtx[V]) bool {
 		// below a possibly-empty parent; emptiness is repaired by the
 		// ordinary extraction path.
 		n.lock.Unlock()
-		return false
+		return 0
 	}
 
 	l := q.node(level+1, 2*slot)
@@ -94,11 +77,11 @@ func (q *Queue[V]) helperPass(ctx *opCtx[V]) bool {
 	}
 	if c.count.Load() <= 1 {
 		n.lock.Unlock()
-		return false
+		return 0
 	}
 	if !c.lock.TryLock() {
 		n.lock.Unlock()
-		return false
+		return 0
 	}
 
 	// Pull the child's largest elements up until the parent reaches
@@ -115,15 +98,14 @@ func (q *Queue[V]) helperPass(ctx *opCtx[V]) bool {
 	if moved == 0 {
 		c.lock.Unlock()
 		n.lock.Unlock()
-		return false
+		return 0
 	}
 	c.max.Store(c.set.maxKey())
 	n.lock.Unlock()
 	// The child's max dropped; restore its subtree invariant. swapDown
 	// consumes (and releases) the child's lock.
 	q.swapDown(ctx, level+1, childSlot(slot, c == r))
-	q.helperMoves.Add(int64(moved))
-	return true
+	return moved
 }
 
 func childSlot(parentSlot int, right bool) int {
@@ -133,7 +115,3 @@ func childSlot(parentSlot int, right bool) int {
 	}
 	return s
 }
-
-// HelperMoves reports how many elements helper passes have relocated.
-// Useful for observability and tests.
-func (q *Queue[V]) HelperMoves() int64 { return q.helperMoves.Load() }

@@ -3,7 +3,6 @@ package core
 import (
 	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/xrand"
 )
@@ -38,20 +37,20 @@ func TestHelperPassRefillsUnderfullNode(t *testing.T) {
 	if before > 2 {
 		t.Fatalf("drain failed: count=%d", before)
 	}
-	refilled := false
+	refilled, moves := false, 0
 	for i := 0; i < 20000 && !refilled; i++ {
-		q.helperPass(ctx)
+		moves += q.HelperPass()
 		refilled = q.node(1, 0).count.Load() >= int64(q.targetLen)
 	}
 	if !refilled {
 		t.Fatalf("helper never refilled the hollowed node: count=%d moves=%d",
-			q.node(1, 0).count.Load(), q.HelperMoves())
+			q.node(1, 0).count.Load(), moves)
 	}
 	if err := q.CheckInvariants(); err != nil {
 		t.Fatalf("invariants broken after helper passes: %v", err)
 	}
-	if q.HelperMoves() == 0 {
-		t.Fatal("HelperMoves not accounted")
+	if moves == 0 {
+		t.Fatal("HelperPass reported no moves")
 	}
 }
 
@@ -62,11 +61,9 @@ func TestHelperPreservesConservation(t *testing.T) {
 	for i := 0; i < n; i++ {
 		q.Insert(r.Uint64(), 0)
 	}
-	ctx := q.getCtx()
 	for i := 0; i < 5000; i++ {
-		q.helperPass(ctx)
+		q.HelperPass()
 	}
-	q.putCtx(ctx)
 	if got := q.Len(); got != n {
 		t.Fatalf("helper changed element count: %d != %d", got, n)
 	}
@@ -75,45 +72,25 @@ func TestHelperPreservesConservation(t *testing.T) {
 	}
 }
 
-func TestHelperGoroutineLifecycle(t *testing.T) {
-	q := New[int](Config{Batch: 8, TargetLen: 16, Helper: true})
-	r := xrand.New(3)
-	for i := 0; i < 30000; i++ {
-		q.Insert(r.Uint64(), 0)
-	}
-	// Let the helper run briefly against a draining workload.
-	for i := 0; i < 10000; i++ {
-		q.TryExtractMax()
-	}
-	time.Sleep(50 * time.Millisecond)
-	q.Close()
-	q.Close() // idempotent
-	// A pass already in flight when Close fired may still complete; require
-	// the move counter to go quiet within a deadline rather than instantly.
-	stable := false
-	deadline := time.Now().Add(10 * time.Second)
-	for time.Now().Before(deadline) {
-		m := q.HelperMoves()
-		time.Sleep(20 * time.Millisecond)
-		if q.HelperMoves() == m {
-			stable = true
-			break
-		}
-	}
-	if !stable {
-		t.Fatal("helper still running after Close")
-	}
-	if err := q.CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
-	if got := q.Len(); got != 20000 {
-		t.Fatalf("Len = %d, want 20000", got)
-	}
-}
-
+// TestHelperUnderConcurrentLoad runs helper passes back to back on a test
+// goroutine while four workers insert and extract, and checks that every
+// element comes out exactly once.
 func TestHelperUnderConcurrentLoad(t *testing.T) {
-	q := New[int](Config{Batch: 8, TargetLen: 16, Helper: true})
-	defer q.Close()
+	q := New[int](Config{Batch: 8, TargetLen: 16})
+	stop := make(chan struct{})
+	passes := make(chan int)
+	go func() {
+		moves := 0
+		for {
+			select {
+			case <-stop:
+				passes <- moves
+				return
+			default:
+				moves += q.HelperPass()
+			}
+		}
+	}()
 	var wg sync.WaitGroup
 	perG := 10000
 	if raceEnabled {
@@ -138,6 +115,8 @@ func TestHelperUnderConcurrentLoad(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
+	close(stop)
+	t.Logf("helper passes moved %d elements under load", <-passes)
 	for {
 		k, _, ok := q.TryExtractMax()
 		if !ok {
@@ -186,16 +165,15 @@ func TestHelperImprovesRootDensityUnderDrain(t *testing.T) {
 	if raceEnabled {
 		passes = 8000
 	}
-	ctx := q.getCtx()
+	moves := 0
 	for i := 0; i < passes; i++ {
-		q.helperPass(ctx)
+		moves += q.HelperPass()
 	}
-	q.putCtx(ctx)
 	after := q.root().count.Load()
 	if after < before {
 		t.Fatalf("helper reduced root density: %d -> %d", before, after)
 	}
-	if before < int64(q.targetLen) && q.HelperMoves() == 0 {
+	if before < int64(q.targetLen) && moves == 0 {
 		t.Fatalf("helper moved nothing with the root under-full (%d < %d)", before, q.targetLen)
 	}
 	if err := q.CheckInvariants(); err != nil {

@@ -112,7 +112,6 @@ type MetricsSnapshot struct {
 	HazardScans   uint64 `json:"hazard_scans"`
 	NodeCacheHit  uint64 `json:"node_cache_hit"`
 	NodeCacheMiss uint64 `json:"node_cache_miss"`
-	HelperMoves   int64  `json:"helper_moves"`
 
 	// Gauges sampled at snapshot time.
 	PoolOccupancy int64 `json:"pool_occupancy"`
@@ -145,7 +144,6 @@ func (s MetricsSnapshot) Merge(o MetricsSnapshot) MetricsSnapshot {
 	s.HazardScans += o.HazardScans
 	s.NodeCacheHit += o.NodeCacheHit
 	s.NodeCacheMiss += o.NodeCacheMiss
-	s.HelperMoves += o.HelperMoves
 	s.PoolOccupancy += o.PoolOccupancy
 	s.PoolCapacity += o.PoolCapacity
 	s.Len += o.Len
@@ -187,7 +185,6 @@ func (q *Queue[V]) Snapshot() MetricsSnapshot {
 		PoolCapacity: q.batch,
 		Len:          q.Len(),
 		LeafLevel:    int(q.leafLevel.Load()),
-		HelperMoves:  q.helperMoves.Load(),
 	}
 	s.PoolOccupancy = q.PoolOccupancy()
 	m := q.met
@@ -233,7 +230,6 @@ func (s MetricsSnapshot) WritePrometheus(w io.Writer) error {
 	p.Counter("zmsq_hazard_scans_total", "hazard pointer reclamation scans", s.HazardScans)
 	p.Counter("zmsq_node_cache_hit_total", "list block allocations served by recycling", s.NodeCacheHit)
 	p.Counter("zmsq_node_cache_miss_total", "list block allocations that hit the heap", s.NodeCacheMiss)
-	p.Counter("zmsq_helper_moves_total", "elements relocated by the helper goroutine", uint64(s.HelperMoves))
 	p.Gauge("zmsq_pool_occupancy", "unclaimed extraction pool entries", float64(s.PoolOccupancy))
 	p.Gauge("zmsq_pool_capacity", "extraction pool capacity (Config.Batch)", float64(s.PoolCapacity))
 	p.Gauge("zmsq_len", "snapshot element count", float64(s.Len))

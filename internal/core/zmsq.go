@@ -40,9 +40,6 @@ type Queue[V any] struct {
 	ctxs    sync.Pool
 	seedCtr atomic.Uint64
 	closed  atomic.Bool
-
-	helperStop  chan struct{}
-	helperMoves atomic.Int64
 }
 
 // Options carries the construction input Config cannot, because it is
@@ -98,9 +95,6 @@ func Open[V any](cfg Config, opts Options[V]) (*Queue[V], error) {
 	if cfg.Batch > 0 {
 		q.pool = newBatchPool[V](cfg.Batch, cfg.Faults)
 	}
-	if cfg.Helper {
-		q.helperStop = make(chan struct{})
-	}
 	q.ctxs.New = func() any {
 		id := q.seedCtr.Add(1)
 		c := &opCtx[V]{}
@@ -120,9 +114,6 @@ func Open[V any](cfg Config, opts Options[V]) (*Queue[V], error) {
 		c.split = make([]element[V], 0, cfg.TargetLen+2)
 		c.splitR = make([]element[V], 0, cfg.TargetLen+2)
 		return c
-	}
-	if cfg.Helper {
-		go q.helperLoop()
 	}
 	return q, nil
 }
@@ -218,16 +209,9 @@ func (q *Queue[V]) PoolOccupancy() int64 {
 	return 0
 }
 
-// Close marks the queue closed and stops the helper goroutine, if any.
-// Insert and extraction remain usable; Close is idempotent.
-func (q *Queue[V]) Close() {
-	if !q.closed.CompareAndSwap(false, true) {
-		return
-	}
-	if q.helperStop != nil {
-		close(q.helperStop)
-	}
-}
+// Close marks the queue closed; it stops nothing, because the queue runs
+// no goroutine. Insert and extraction remain usable; Close is idempotent.
+func (q *Queue[V]) Close() { q.closed.Store(true) }
 
 // Closed reports whether Close has been called.
 func (q *Queue[V]) Closed() bool { return q.closed.Load() }

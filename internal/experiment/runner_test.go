@@ -33,7 +33,9 @@ func tinySpec() *Spec {
 				},
 			},
 			{
-				Name: "sets", Kind: "setstats", Keys: "normal20",
+				// Enough operations that the helper variant's driver, one
+				// pass per 200µs, runs about a thousand passes.
+				Name: "sets", Kind: "setstats", Keys: "normal20", Ops: 50000,
 				Variants: []Variant{
 					{Name: "plain", Queue: "zmsq", Config: &QueueConfig{Batch: 4, TargetLen: 4}},
 					{Name: "helper", Queue: "zmsq", Config: &QueueConfig{Batch: 4, TargetLen: 4, Helper: true}},
@@ -114,11 +116,14 @@ func TestRunExpansion(t *testing.T) {
 			if c.Unit != "set_size" || c.Value <= 0 || c.Extra["max"] > 8 || c.Extra["leaf_level"] < 1 {
 				t.Errorf("setstats cell %+v", c)
 			}
-			if c.Cell.Prefill != 200 || c.Cell.Ops != 1600 {
-				t.Errorf("setstats cell sized %d+%d, want ops/2 prefill and 4×ops pairs of 400", c.Cell.Prefill, c.Cell.Ops)
+			if c.Cell.Prefill != 25000 || c.Cell.Ops != 200000 {
+				t.Errorf("setstats cell sized %d+%d, want ops/2 prefill and 4×ops pairs of 50000", c.Cell.Prefill, c.Cell.Ops)
 			}
 			if c.Cell.Variant == "plain" && c.Extra["helper_moves"] != 0 {
 				t.Errorf("helper moves without a helper: %v", c.Extra)
+			}
+			if c.Cell.Variant == "helper" && c.Extra["helper_moves"] <= 0 {
+				t.Errorf("the helper variant's driver moved nothing: %v", c.Extra)
 			}
 		case "hand":
 			if c.Unit != "ns/handoff" || c.Value <= 0 {

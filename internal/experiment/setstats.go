@@ -3,6 +3,7 @@ package experiment
 import (
 	"fmt"
 
+	"repro/internal/harness"
 	"repro/internal/xrand"
 )
 
@@ -13,7 +14,8 @@ import (
 // operation count — prefill ops/2, then 4×ops pairs — so the full tier is
 // the paper's run. A cell's Value is the mean non-leaf set size; the rest
 // of the distribution, the tree depth and (for variants with the §5
-// helper on) the helper's moves are in Extra.
+// helper on, driven by harness.StartHelper for the whole run) the
+// helper's moves are in Extra.
 func runSetStats(ex *Experiment, sc Scale, opt Options) ([]CellResult, error) {
 	ops := opsFor(ex, sc, opt)
 	prefill, pairs := ops/2, 4*ops
@@ -25,6 +27,10 @@ func runSetStats(ex *Experiment, sc Scale, opt Options) ([]CellResult, error) {
 			return nil, fmt.Errorf("variant %q: %w", v.Name, err)
 		}
 		q := v.Config.newQueue(cfg, nil)
+		stopHelper := func() int64 { return 0 }
+		if v.Config.helper() {
+			stopHelper = harness.StartHelper(q)
+		}
 		r := xrand.New(opt.Seed)
 		for i := 0; i < prefill; i++ {
 			q.Insert(keys.Draw(r), struct{}{})
@@ -33,8 +39,8 @@ func runSetStats(ex *Experiment, sc Scale, opt Options) ([]CellResult, error) {
 			q.Insert(keys.Draw(r), struct{}{})
 			q.TryExtractMax()
 		}
+		moves := stopHelper()
 		st := q.Stats()
-		moves := q.HelperMoves()
 		q.Close()
 
 		sets := st.NonLeafSets

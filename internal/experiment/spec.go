@@ -161,7 +161,7 @@ type QueueConfig struct {
 	Hazard    bool   `json:"hazard,omitempty"`   // the paper's memory-safe ZMSQ (zmsq cells only)
 	Blocking  bool   `json:"blocking,omitempty"` // Figure 4's sleeping consumers (zmsq handoff cells only)
 	Metrics   bool   `json:"metrics,omitempty"`
-	Helper    bool   `json:"helper,omitempty"` // the §5 maintenance goroutine
+	Helper    bool   `json:"helper,omitempty"` // the §5 helper, driven by harness.StartHelper (setstats cells only)
 }
 
 // GateSpec is one declarative CI gate: a threshold over named grid cells.
@@ -266,6 +266,9 @@ func (s *Spec) Validate() error {
 			}
 			if v.Config.blocking() && ex.Kind != "handoff" {
 				return fmt.Errorf("experiment %q variant %q: blocking consumers run in handoff cells only", ex.Name, v.Name)
+			}
+			if v.Config.helper() && ex.Kind != "setstats" {
+				return fmt.Errorf("experiment %q variant %q: %w", ex.Name, v.Name, errSetStatsOnly)
 			}
 			if ex.Kind == "setstats" && v.Queue != "zmsq" && v.Queue != "" {
 				return fmt.Errorf("experiment %q variant %q: setstats kind reads a ZMSQ's tree, queue is %q", ex.Name, v.Name, v.Queue)

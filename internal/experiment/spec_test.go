@@ -79,6 +79,12 @@ func TestValidateRejects(t *testing.T) {
 			s.Experiments[0].Kind = "handoff"
 			s.Experiments[0].Variants[0] = Variant{Name: "v", Queue: "sharded", Config: &QueueConfig{Blocking: true}}
 		}, "zmsq cells only"},
+		{"helper outside setstats", func(s *Spec) {
+			s.Experiments[0].Variants[0].Config = &QueueConfig{Helper: true}
+		}, "setstats cells only"},
+		{"helper sharded", func(s *Spec) {
+			s.Experiments[0].Variants[0] = Variant{Name: "v", Queue: "sharded", Config: &QueueConfig{Helper: true}}
+		}, "setstats cells only"},
 		{"bad lock", func(s *Spec) {
 			s.Experiments[0].Variants[0].Config = &QueueConfig{Lock: "spin"}
 		}, "unknown lock"},

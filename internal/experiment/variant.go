@@ -47,9 +47,6 @@ func (c *QueueConfig) coreConfig() (core.Config, error) {
 	if c.NoTryLock {
 		cfg.NoTryLock = true
 	}
-	if c.Helper {
-		cfg.Helper = true
-	}
 	return cfg, nil
 }
 
@@ -62,10 +59,18 @@ func (c *QueueConfig) hazard() bool { return c != nil && c.Hazard }
 // its queue wrapped in the §3.6 ticket ring (harness.NewBlockingZMSQ).
 func (c *QueueConfig) blocking() bool { return c != nil && c.Blocking }
 
+// helper reports whether the cell drives the §5 helper on its queue
+// (harness.StartHelper).
+func (c *QueueConfig) helper() bool { return c != nil && c.Helper }
+
 // errCoreOnly refuses the hazard and blocking keys outside the cells that
 // build one core queue: the sharded, service and recovery cells drive the
 // product.
 var errCoreOnly = errors.New(`"hazard" and "blocking" apply to zmsq cells only`)
+
+// errSetStatsOnly refuses the helper key outside setstats cells, the only
+// runner that drives the helper on the queue it builds.
+var errSetStatsOnly = errors.New(`"helper" applies to setstats cells only`)
 
 // newQueue builds the bare core queue of a cell that drives one directly:
 // over a harness.NewHazardDomain, whose scans count on scans, when the

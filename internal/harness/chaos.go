@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -59,6 +60,10 @@ type ChaosPlan struct {
 	Durable bool
 	// WALDir is the durability directory for Durable runs (required then).
 	WALDir string
+	// Helper runs the §5 helper (StartHelper) against the queue through
+	// every phase, stopped for each structural check. It drives one core
+	// queue: a plan that sets Shards > 1 or Durable cannot set it.
+	Helper bool
 }
 
 func (p ChaosPlan) withDefaults() ChaosPlan {
@@ -139,6 +144,9 @@ func RunChaos(plan ChaosPlan) (ChaosResult, error) { return runChaos(plan, false
 // fault point.
 func runChaos(plan ChaosPlan, hazard bool) (ChaosResult, error) {
 	plan = plan.withDefaults()
+	if plan.Helper && (plan.Shards > 1 || plan.Durable) {
+		return ChaosResult{}, errChaosHelper
+	}
 	inj := fault.New(plan.Seed, plan.Faults)
 	cfg := plan.Queue
 	cfg.Seed = plan.Seed
@@ -153,6 +161,17 @@ func runChaos(plan ChaosPlan, hazard bool) (ChaosResult, error) {
 		return ChaosResult{Name: name}, err
 	}
 	defer q.Close()
+
+	// The helper's passes mutate nodes under their locks while
+	// CheckInvariants reads without them, so it stops for every check and
+	// starts again after.
+	startHelper, stopHelper := func() {}, func() int64 { return 0 }
+	if plan.Helper {
+		cq := q.(*core.Queue[[]byte])
+		startHelper = func() { stopHelper = StartHelper(cq) }
+		defer func() { stopHelper() }()
+	}
+	startHelper()
 
 	// Slack 0: the strict phase below is single-consumer with producers
 	// quiescent, so the recorded order is the real order and the window
@@ -244,22 +263,19 @@ func runChaos(plan ChaosPlan, hazard bool) (ChaosResult, error) {
 		}
 
 		// Quiescent: the queue's structural invariants must hold exactly.
-		// With the maintenance helper enabled the queue is never quiescent
-		// (the helper mutates nodes under their locks while CheckInvariants
-		// reads without locks), so the structural check is skipped; the
-		// contract checks above still apply in full.
-		if !cfg.Helper {
-			if err := q.CheckInvariants(); err != nil {
-				return res, fmt.Errorf("chaos(%s) round %d: %w", name, round, err)
-			}
+		stopHelper()
+		if err := q.CheckInvariants(); err != nil {
+			return res, fmt.Errorf("chaos(%s) round %d: %w", name, round, err)
 		}
+		startHelper()
 	}
 
 	// Final drain: everything inserted must come back out exactly once.
 	rec := checker.Recorder()
 	for extract(rec) {
 	}
-	q.Close() // stops the helper (when enabled); idempotent with the deferred Close
+	stopHelper()
+	q.Close() // idempotent with the deferred Close
 	if err := q.CheckInvariants(); err != nil {
 		return res, fmt.Errorf("chaos(%s) final drain: %w", name, err)
 	}
@@ -299,6 +315,10 @@ func runChaos(plan ChaosPlan, hazard bool) (ChaosResult, error) {
 	}
 	return res, nil
 }
+
+// errChaosHelper refuses a plan that runs the helper against the sharded
+// front-end.
+var errChaosHelper = errors.New("chaos: Helper drives one core queue; it cannot be set with Shards > 1 or Durable")
 
 // target is the queue surface the chaos harness needs; both
 // core.Queue[[]byte] and sharded.Queue[[]byte] satisfy it. A durable plan

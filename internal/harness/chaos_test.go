@@ -87,29 +87,30 @@ func TestChaosZMSQ(t *testing.T) {
 // TestChaosZMSQVariants runs shorter schedules over the paper's other
 // configurations: strict (batch=0), leaky (the product's recycler, as in
 // every row but one), hazard (a hazard-gated domain), array sets,
-// blocking-lock inserts (NoTryLock) and the helper goroutine.
+// blocking-lock inserts (NoTryLock) and the §5 helper driven by
+// StartHelper, whose round checks run with the driver stopped.
 func TestChaosZMSQVariants(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
 	variants := []struct {
 		name   string
-		mod    func(*core.Config)
+		mod    func(*ChaosPlan)
 		hazard bool
 	}{
-		{"strict", func(c *core.Config) { c.Batch = 0 }, false},
-		{"leaky", func(*core.Config) {}, false},
-		{"hazard", func(*core.Config) {}, true},
-		{"arrayset", func(c *core.Config) { c.SetMode = core.SetModeArray }, false},
-		{"notrylock", func(c *core.Config) { c.NoTryLock = true }, false},
-		{"helper", func(c *core.Config) { c.Helper = true }, false},
+		{"strict", func(p *ChaosPlan) { p.Queue.Batch = 0 }, false},
+		{"leaky", func(*ChaosPlan) {}, false},
+		{"hazard", func(*ChaosPlan) {}, true},
+		{"arrayset", func(p *ChaosPlan) { p.Queue.SetMode = core.SetModeArray }, false},
+		{"notrylock", func(p *ChaosPlan) { p.Queue.NoTryLock = true }, false},
+		{"helper", func(p *ChaosPlan) { p.Helper = true }, false},
 	}
 	for _, v := range variants {
 		t.Run(v.name, func(t *testing.T) {
 			plan := chaosPlan(0xBADD + uint64(len(v.name)))
 			plan.Rounds = 2
 			plan.OpsPerRound = 800
-			v.mod(&plan.Queue)
+			v.mod(&plan)
 			res, err := runChaos(plan, v.hazard)
 			if err != nil {
 				t.Fatalf("chaos(%s) failed: %v\nviolations: %v", v.name, err, res.Report.Violations)
