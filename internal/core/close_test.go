@@ -4,7 +4,8 @@ import "testing"
 
 // Shutdown-semantics coverage: Close idempotency, Insert-after-Close, and
 // the drain extensions (Drain, CloseAndDrain). Blocked-consumer release is
-// package waitring's; stopping the helper driver is package harness's.
+// package waitring's; Close ending the helper driver is in
+// helper_driver_test.go.
 
 func TestCloseIdempotent(t *testing.T) {
 	for name, cfg := range testConfigs() {

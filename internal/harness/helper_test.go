@@ -13,7 +13,8 @@ import (
 // TestHelperDriver runs StartHelper against a draining workload: the
 // passes must move elements, stop must return their total (the same on a
 // second call) and leave the queue intact, and the driver's goroutine
-// must be gone afterwards — also when Close, not stop, ends it.
+// must be gone afterwards. Close ending the driver is tested in package
+// core (TestCloseStopsHelperGoroutine, TestHelperGoroutineLifecycle).
 func TestHelperDriver(t *testing.T) {
 	base := runtime.NumGoroutine()
 	q := core.New[int](core.Config{Batch: 8, TargetLen: 16})
@@ -41,12 +42,6 @@ func TestHelperDriver(t *testing.T) {
 		t.Fatalf("Len = %d, want 20000", got)
 	}
 	waitGoroutines(t, base, "after stop")
-
-	// A closed queue ends its driver without a stop.
-	stop = StartHelper(q)
-	q.Close()
-	waitGoroutines(t, base, "after Close")
-	stop()
 }
 
 // waitGoroutines fails unless the goroutine count falls back to base
