@@ -9,6 +9,8 @@
 //	expgrid -list                               # show the grid
 //	expgrid -experiments fig5c -scale smoke     # run one experiment
 //	expgrid -experiments paper -out results     # every table and figure of the paper
+//	expgrid -experiments fig7a,fig7b,fig8       # Figures 7–8: SSSP, checked against Dijkstra
+//	expgrid -gates chaos,chaos-durable          # the fault-injected contract gates
 //	expgrid -experiments fig5c -keys uniform7 -threads 1,2,4 -ops 2000000
 //	expgrid -experiments fig5c -metrics -metricsaddr :8217
 //	expgrid -scale small                        # run + judge every gate
@@ -51,7 +53,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	var (
 		specPath    = fs.String("spec", "", "grid spec JSON (empty = embedded default)")
 		scale       = fs.String("scale", "small", "scale tier: smoke|small|full")
-		seed        = fs.Uint64("seed", 1, "base workload seed (failures print it back as a repro command)")
+		seed        = fs.Uint64("seed", 1, "base workload, fault-schedule and graph seed (failures print it back as a repro command)")
 		experiments = fs.String("experiments", "", "comma-separated experiment names to run; \"paper\" = every paper table and figure (empty = the experiments behind -gates)")
 		gates       = fs.String("gates", "", "comma-separated gate names to judge (empty = all gates; ignored when -experiments is set)")
 		out         = fs.String("out", "results", "directory for expgrid.{json,txt,csv} + gate reports (empty = no files)")
@@ -59,10 +61,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 		trajFile    = fs.String("trajfile", "", "trajectory ledger path (default <out>/BENCH_trajectory.json)")
 		mdOut       = fs.String("mdout", "", "append a markdown gate summary here (for CI job summaries)")
 		list        = fs.Bool("list", false, "print the grid spec summary and exit")
-		ops         = fs.Int("ops", 0, "operations per cell: throughput ops, handoff items, alloc measured runs (0 = spec/scale)")
+		ops         = fs.Int("ops", 0, "operations per cell: throughput ops, handoff items, alloc measured runs, chaos inserts per producer per round (0 = spec/scale)")
 		threadsCSV  = fs.String("threads", "", "comma-separated thread counts for every experiment (empty = spec)")
-		repeats     = fs.Int("repeats", 0, "samples, paired rounds, accuracy trials or recovery seeds per cell (0 = spec/scale)")
-		shards      = fs.Int("shards", 0, "shard count of the recovery experiment's sharded shape (0 = spec)")
+		repeats     = fs.Int("repeats", 0, "samples, paired rounds, accuracy trials, or recovery and chaos seeds per cell (0 = spec/scale)")
+		shards      = fs.Int("shards", 0, "shard count of the recovery and chaos experiments' sharded shape (0 = spec)")
 		keys        = fs.String("keys", "", "key distribution for every experiment: uniform20|uniform7|normal20|uniform64 (empty = spec)")
 		metrics     = fs.Bool("metrics", false, "enable Config.Metrics on every zmsq/sharded cell; cells carry the snapshot")
 		metricsAddr = fs.String("metricsaddr", "", "serve /metrics, /metrics.json, /debug/pprof of the running cell's queue here (implies -metrics)")
@@ -310,8 +312,8 @@ func printSpec(w io.Writer, spec *experiment.Spec) {
 	fmt.Fprintln(w, "scales:")
 	for _, name := range []string{"smoke", "small", "full"} {
 		if sc, ok := spec.Scales[name]; ok {
-			fmt.Fprintf(w, "  %-6s ops=%d handoffs=%d repeats=%d trials=%d alloc_runs=%d recovery_seeds=%d\n",
-				name, sc.Ops, sc.Handoffs, sc.Repeats, sc.Trials, sc.AllocRuns, sc.RecoverySeeds)
+			fmt.Fprintf(w, "  %-6s ops=%d handoffs=%d repeats=%d trials=%d alloc_runs=%d recovery_seeds=%d graph_nodes=%d\n",
+				name, sc.Ops, sc.Handoffs, sc.Repeats, sc.Trials, sc.AllocRuns, sc.RecoverySeeds, sc.GraphNodes)
 		}
 	}
 	fmt.Fprintln(w, "experiments:")

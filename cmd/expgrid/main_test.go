@@ -7,10 +7,42 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/experiment"
+	"repro/internal/harness"
+	"repro/internal/pq"
 )
+
+func init() {
+	harness.Register("dropping", func(int) pq.Queue { return &droppingQueue{GlobalHeap: pq.NewGlobalHeap(0)} })
+}
+
+// droppingQueue is a strict heap that loses one element: its first
+// extraction drops the key it took and hands out key 0 in its place.
+type droppingQueue struct {
+	*pq.GlobalHeap
+	dropped atomic.Bool
+}
+
+func (q *droppingQueue) ExtractMax() (uint64, bool) {
+	k, ok := q.GlobalHeap.ExtractMax()
+	if ok && q.dropped.CompareAndSwap(false, true) {
+		return 0, true
+	}
+	return k, ok
+}
+
+// writeSpec writes a grid spec for one test and returns its path.
+func writeSpec(t *testing.T, spec string) string {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "spec.json")
+	if err := os.WriteFile(path, []byte(spec), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
 
 // expgrid runs the front door in-process and returns what it printed.
 func expgrid(t *testing.T, wantCode int, args ...string) (stdout, stderr string) {
@@ -102,7 +134,9 @@ func TestSmokeGridArtifacts(t *testing.T) {
 }
 
 // TestPaperSmoke runs the whole paper grid — what the runall binary used to be —
-// and checks the two cell families this front door added to it.
+// and checks the cell families this front door added to it: the rank
+// error of table1, the set sizes of §3.2, and Figures 7–8, whose every
+// cell ran (the run fails on a distance that differs from Dijkstra's).
 func TestPaperSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the whole paper grid at smoke scale")
@@ -113,6 +147,9 @@ func TestPaperSmoke(t *testing.T) {
 	seen := map[string]int{}
 	for _, c := range grid.Cells {
 		seen[c.Cell.Experiment]++
+		if c.Cell.Kind == "sssp" && (c.Unit != "ms" || c.Cell.Graph == "" || c.Extra["nodes"] <= 0) {
+			t.Errorf("%s cell %s: %v %s on graph %q, want a timing in ms on a named graph", c.Cell.Experiment, c.Cell.Variant, c.Value, c.Unit, c.Cell.Graph)
+		}
 		switch c.Cell.Experiment {
 		case "table1":
 			for _, key := range []string{"rank_err_mean", "rank_err_p99", "rank_err_max"} {
@@ -136,6 +173,14 @@ func TestPaperSmoke(t *testing.T) {
 	for _, name := range spec.PaperExperiments() {
 		if seen[name] == 0 {
 			t.Errorf("paper grid ran no %s cell", name)
+		}
+		if ex := spec.Experiment(name); ex.Kind == "sssp" && seen[name] != len(ex.Variants)*len(ex.Threads) {
+			t.Errorf("%s ran %d cells, want %d variants × %d thread counts", name, seen[name], len(ex.Variants), len(ex.Threads))
+		}
+	}
+	for _, name := range []string{"fig7a", "fig7b", "fig8"} {
+		if ex := spec.Experiment(name); ex == nil || !ex.Paper || ex.Kind != "sssp" {
+			t.Errorf("%s is not a paper sssp experiment", name)
 		}
 	}
 	if seen["sec32"] != 2 {
@@ -324,14 +369,10 @@ func TestUsageErrors(t *testing.T) {
 // TestFailingGate: a red gate exits 1 and prints the command that reruns
 // it, overrides included.
 func TestFailingGate(t *testing.T) {
-	specPath := filepath.Join(t.TempDir(), "spec.json")
-	spec := `{"scales": {"smoke": {"ops": 100}},
+	specPath := writeSpec(t, `{"scales": {"smoke": {"ops": 100}},
 		"experiments": [{"name": "tp", "kind": "throughput", "mix": 50, "threads": [1],
 			"variants": [{"name": "zmsq", "queue": "zmsq"}]}],
-		"gates": [{"name": "tight", "kind": "max", "experiment": "tp", "threshold": 0.5}]}`
-	if err := os.WriteFile(specPath, []byte(spec), 0o644); err != nil {
-		t.Fatal(err)
-	}
+		"gates": [{"name": "tight", "kind": "max", "experiment": "tp", "threshold": 0.5}]}`)
 	_, stderr := expgrid(t, 1, "-spec", specPath, "-scale", "smoke", "-ops", "200", "-out", "")
 	for _, want := range []string{"gate tight", "FAIL",
 		"reproduce with: go run ./cmd/expgrid -gates tight -scale smoke -seed 1", "-ops=200", "-spec=" + specPath} {
@@ -372,5 +413,45 @@ func TestFailureNamesErroredCells(t *testing.T) {
 	}
 	if strings.Contains(got, "mid-fsync") || strings.Contains(got, "not this gate's") {
 		t.Errorf("failure report names a healthy or foreign cell:\n%s", got)
+	}
+}
+
+// TestChaosGateFailsOnLostElement: a chaos cell over a queue that loses
+// an element fails its pass gate with exit 1, and stderr names the cell
+// and its seed and prints the seeded command that reruns the gate. The
+// zmsq cells beside it hold every contract.
+func TestChaosGateFailsOnLostElement(t *testing.T) {
+	specPath := writeSpec(t, `{"scales": {"small": {}},
+		"experiments": [{"name": "c", "kind": "chaos", "shards": 2, "ops": 200, "repeats": 2,
+			"ratios": [[2, 2]], "config": {"batch": 8, "target_len": 8, "lock": "tatas"},
+			"variants": [{"name": "zmsq", "queue": "zmsq"}, {"name": "dropping", "queue": "dropping"}]}],
+		"gates": [{"name": "c", "kind": "pass", "experiment": "c"}]}`)
+	stdout, stderr := expgrid(t, 1, "-spec", specPath, "-seed", "5", "-out", "")
+	for _, want := range []string{"gate c", "FAIL — 4/6 scenarios conserved",
+		"cell dropping seed=5: contract:", "never inserted", "cell dropping seed=6:",
+		"reproduce with: go run ./cmd/expgrid -gates c -scale small -seed 5", "-spec=" + specPath} {
+		if !strings.Contains(stderr, want) {
+			t.Errorf("stderr lacks %q:\n%s", want, stderr)
+		}
+	}
+	if strings.Contains(stderr, "cell zmsq") || strings.Contains(stderr, "cell sharded") {
+		t.Errorf("a zmsq cell failed:\n%s", stderr)
+	}
+	for _, want := range []string{"zmsq(leak)", "sharded(2)"} {
+		if !strings.Contains(stdout, want) {
+			t.Errorf("stdout lacks a %s row:\n%s", want, stdout)
+		}
+	}
+}
+
+// TestSSSPWrongDistancesFail: an sssp cell whose queue loses a task
+// computes wrong distances, and the run exits 1 naming the variant.
+func TestSSSPWrongDistancesFail(t *testing.T) {
+	specPath := writeSpec(t, `{"scales": {"smoke": {"graph_nodes": 512}},
+		"experiments": [{"name": "s", "kind": "sssp", "graph": "politician", "threads": [1],
+			"variants": [{"name": "heap", "queue": "globalheap"}, {"name": "dropping", "queue": "dropping"}]}]}`)
+	_, stderr := expgrid(t, 1, "-spec", specPath, "-experiments", "s", "-scale", "smoke", "-out", "")
+	if !strings.Contains(stderr, "dropping at 1 threads on politician: dist[") {
+		t.Errorf("stderr does not name the wrong cell:\n%s", stderr)
 	}
 }

@@ -74,6 +74,21 @@ func Rows(grid *GridResult) []harness.Row {
 			row.Metrics["setMax"] = c.Extra["max"]
 			row.Metrics["leafLevel"] = c.Extra["leaf_level"]
 			row.Metrics["helperMoves"] = c.Extra["helper_moves"]
+		case "chaos":
+			row.Labels["producers"] = strconv.Itoa(c.Cell.Producers)
+			row.Labels["consumers"] = strconv.Itoa(c.Cell.Consumers)
+			row.Labels["shards"] = strconv.Itoa(c.Cell.Shards)
+			row.Metrics["pass"] = c.Value
+			row.Metrics["inserted"] = c.Extra["inserted"]
+			row.Metrics["extracted"] = c.Extra["extracted"]
+			row.Metrics["failedExtract"] = c.Extra["failed_extracts"]
+			row.Metrics["strict"] = c.Extra["strict_extracts"]
+			row.Metrics["maxRank"] = c.Extra["max_strict_rank"]
+		case "sssp":
+			row.Labels["graph"] = c.Cell.Graph
+			row.Labels["threads"] = strconv.Itoa(c.Cell.Threads)
+			row.Metrics["ms"] = c.Value
+			row.Metrics["wasted%"] = c.Extra["wasted_pct"]
 		}
 		rows = append(rows, row)
 	}
@@ -82,7 +97,7 @@ func Rows(grid *GridResult) []harness.Row {
 
 var validUnits = map[string]bool{
 	"ops/s": true, "ns/handoff": true, "hit_pct": true, "allocs/op": true, "pass": true,
-	"p99_ms": true, "set_size": true,
+	"p99_ms": true, "set_size": true, "ms": true,
 }
 
 // ValidateGrid checks a grid result against the canonical schema — shape,

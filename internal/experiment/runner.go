@@ -22,7 +22,7 @@ type Options struct {
 	Threads []int
 	// Repeats overrides the scale's sample/round/trial/seed counts.
 	Repeats int
-	// Shards overrides the recovery experiment's sharded shape.
+	// Shards overrides the recovery and chaos experiments' sharded shape.
 	Shards int
 	// Keys overrides every experiment's key distribution.
 	Keys string
@@ -65,6 +65,7 @@ type Cell struct {
 	QPS        int    `json:"qps,omitempty"`
 	Clients    int    `json:"clients,omitempty"`
 	Tenants    int    `json:"tenants,omitempty"`
+	Graph      string `json:"graph,omitempty"`
 	Repeats    int    `json:"repeats,omitempty"`
 	Seed       uint64 `json:"seed"`
 }
@@ -74,7 +75,7 @@ type Cell struct {
 type CellResult struct {
 	Cell Cell `json:"cell"`
 	// Unit names what Value measures: "ops/s", "ns/handoff", "hit_pct",
-	// "allocs/op", "pass", "p99_ms", "set_size".
+	// "allocs/op", "pass", "p99_ms", "set_size", "ms".
 	Unit    string    `json:"unit"`
 	Samples []float64 `json:"samples"`
 	// Statistic says how Value was chosen from Samples: "best" or "mean".
@@ -153,6 +154,10 @@ func (s *Spec) Run(names []string, opt Options) (*GridResult, error) {
 			cells, err = runService(ex, sc, opt)
 		case "setstats":
 			cells, err = runSetStats(ex, sc, opt)
+		case "chaos":
+			cells, err = runChaosExperiment(ex, sc, opt)
+		case "sssp":
+			cells, err = runSSSP(ex, sc, opt)
 		default:
 			err = fmt.Errorf("unknown kind %q", ex.Kind)
 		}

@@ -9,7 +9,7 @@ import (
 func tinySpec() *Spec {
 	return &Spec{
 		Scales: map[string]Scale{
-			"small": {Ops: 400, Handoffs: 200, Repeats: 2, Trials: 1, AllocRuns: 200, RecoverySeeds: 1},
+			"small": {Ops: 400, Handoffs: 200, Repeats: 2, Trials: 1, AllocRuns: 200, RecoverySeeds: 1, GraphNodes: 300},
 		},
 		Experiments: []Experiment{
 			{
@@ -41,11 +41,20 @@ func tinySpec() *Spec {
 					{Name: "helper", Queue: "zmsq", Config: &QueueConfig{Batch: 4, TargetLen: 4, Helper: true}},
 				},
 			},
+			{
+				Name: "chaos", Kind: "chaos", Shards: 2, Ops: 100, Repeats: 1, Ratios: [][2]int{{1, 1}},
+				Config:   &QueueConfig{Batch: 4, TargetLen: 4},
+				Variants: []Variant{{Name: "zmsq", Queue: "zmsq"}, {Name: "mound", Queue: "mound"}},
+			},
+			{
+				Name: "sssp", Kind: "sssp", Graph: "politician", Threads: []int{1},
+				Variants: []Variant{{Name: "zmsq", Queue: "zmsq"}, {Name: "delta", Queue: "delta-stepping"}},
+			},
 		},
 	}
 }
 
-// TestRunExpansion runs the five workload kinds at trivially small sizes
+// TestRunExpansion runs the seven workload kinds at trivially small sizes
 // against the real harness and pins the grid's expansion arithmetic and
 // canonical schema.
 func TestRunExpansion(t *testing.T) {
@@ -69,8 +78,9 @@ func TestRunExpansion(t *testing.T) {
 		count[c.Cell.Experiment]++
 	}
 	// tp: 1 thread × 2 variants; pair: 2 sides; acc: 1×1×1; hand: 1 ratio × 2;
-	// sets: 2 variants.
-	for name, want := range map[string]int{"tp": 2, "pair": 2, "acc": 1, "hand": 2, "sets": 2} {
+	// sets: 2 variants; chaos: zmsq on 2 shapes + mound on 1, 1 seed;
+	// sssp: 1 thread × 2 variants.
+	for name, want := range map[string]int{"tp": 2, "pair": 2, "acc": 1, "hand": 2, "sets": 2, "chaos": 3, "sssp": 2} {
 		if count[name] != want {
 			t.Errorf("experiment %s expanded to %d cells, want %d", name, count[name], want)
 		}
@@ -124,6 +134,20 @@ func TestRunExpansion(t *testing.T) {
 			}
 			if c.Cell.Variant == "helper" && c.Extra["helper_moves"] <= 0 {
 				t.Errorf("the helper variant's driver moved nothing: %v", c.Extra)
+			}
+		case "chaos":
+			if c.Unit != "pass" || c.Value != 1 || c.Error != "" || c.Cell.Seed != 3 {
+				t.Errorf("chaos cell %+v: want a passing cell at seed 3", c)
+			}
+			if c.Cell.Producers != 1 || c.Cell.Consumers != 1 || c.Cell.Ops != 100 || c.Extra["inserted"] != 200 || c.Extra["extracted"] != 200 {
+				t.Errorf("chaos cell %s: 1×1 workers × 2 rounds × 100 inserts, got %+v %v", c.Cell.Variant, c.Cell, c.Extra)
+			}
+			if fired := c.Extra["fault_calls_trylock"] > 0; fired != (c.Cell.Variant != "mound") {
+				t.Errorf("chaos cell %s: trylock fault point consulted = %v", c.Cell.Variant, fired)
+			}
+		case "sssp":
+			if c.Unit != "ms" || c.Value <= 0 || c.Cell.Graph != "politician" || c.Extra["nodes"] != 300 {
+				t.Errorf("sssp cell %+v %v: want a timing on the 300-node politician graph", c.Cell, c.Extra)
 			}
 		case "hand":
 			if c.Unit != "ns/handoff" || c.Value <= 0 {

@@ -2,6 +2,8 @@ package experiment
 
 import (
 	"fmt"
+	"runtime"
+	"runtime/debug"
 
 	"repro/internal/harness"
 	"repro/internal/xrand"
@@ -16,6 +18,12 @@ import (
 // of the distribution, the tree depth and (for variants with the §5
 // helper on, driven by harness.StartHelper for the whole run) the
 // helper's moves are in Extra.
+//
+// A cell without the helper is reproducible: the queue's one pooled
+// context, and with it the RNG that places every element, lives as long
+// as the pass because the pass runs on one P with the collector off (a GC
+// empties the pool; another P starts a context of its own). The helper's
+// cells stay scheduler-dependent: their driver is a second goroutine.
 func runSetStats(ex *Experiment, sc Scale, opt Options) ([]CellResult, error) {
 	ops := opsFor(ex, sc, opt)
 	prefill, pairs := ops/2, 4*ops
@@ -25,6 +33,10 @@ func runSetStats(ex *Experiment, sc Scale, opt Options) ([]CellResult, error) {
 		cfg, err := v.Config.coreConfig()
 		if err != nil {
 			return nil, fmt.Errorf("variant %q: %w", v.Name, err)
+		}
+		unpin := func() {}
+		if !v.Config.helper() {
+			unpin = pinScheduler()
 		}
 		q := v.Config.newQueue(cfg, nil)
 		stopHelper := func() int64 { return 0 }
@@ -42,6 +54,7 @@ func runSetStats(ex *Experiment, sc Scale, opt Options) ([]CellResult, error) {
 		moves := stopHelper()
 		st := q.Stats()
 		q.Close()
+		unpin()
 
 		sets := st.NonLeafSets
 		out = append(out, CellResult{
@@ -63,4 +76,15 @@ func runSetStats(ex *Experiment, sc Scale, opt Options) ([]CellResult, error) {
 			ex.Name, v.Name, sets, st.LeafLevel, moves)
 	}
 	return out, nil
+}
+
+// pinScheduler holds the process at one P with the collector off until
+// the returned func restores both.
+func pinScheduler() (restore func()) {
+	procs := runtime.GOMAXPROCS(1)
+	gc := debug.SetGCPercent(-1)
+	return func() {
+		debug.SetGCPercent(gc)
+		runtime.GOMAXPROCS(procs)
+	}
 }

@@ -5,7 +5,10 @@
 // existing harness entry points (RunThroughput / RunAccuracy / RunHandoff
 // / RunRecovery plus the alloc and set-size probes), and emits one
 // canonical result schema: cell spec + samples + chosen statistic +
-// environment block.
+// environment block. The chaos kind (RunChaos / RunChaosBaseline) checks
+// the paper's robustness claims under seeded fault schedules, and the sssp
+// kind regenerates Figures 7–8 from sssp.Run, every distance checked
+// against graph.Dijkstra.
 //
 // On top of the runner sit two layers:
 //
@@ -59,6 +62,11 @@ type Scale struct {
 	AllocRuns int `json:"alloc_runs"`
 	// RecoverySeeds is the seed count per (crash kind, shape) pair.
 	RecoverySeeds int `json:"recovery_seeds"`
+	// GraphNodes sizes the sssp kind's graphs: livejournal's R-MAT graph
+	// has the largest power of two nodes not above it, and artist and
+	// politician are cut to it when the paper's graph is larger. 0 means
+	// 65 536.
+	GraphNodes int `json:"graph_nodes,omitempty"`
 }
 
 // Experiment is one named grid axis product. Kind selects the harness
@@ -67,7 +75,7 @@ type Scale struct {
 type Experiment struct {
 	Name string `json:"name"`
 	// Kind is one of "throughput", "paired", "accuracy", "handoff",
-	// "alloc", "recovery", "service", "setstats".
+	// "alloc", "recovery", "service", "setstats", "chaos", "sssp".
 	Kind string `json:"kind"`
 	// Paper marks experiments belonging to the paper-reproduction grid
 	// (expgrid -experiments paper) behind EXPERIMENTS.md's tables and
@@ -89,9 +97,10 @@ type Experiment struct {
 	BatchSizes []int `json:"batch_sizes,omitempty"`
 	// Sizes lists the accuracy-table (queue size, extract counts) pairs.
 	Sizes []AccuracySize `json:"sizes,omitempty"`
-	// Ratios lists handoff (producers, consumers) pairs.
+	// Ratios lists handoff and chaos (producers, consumers) pairs.
 	Ratios [][2]int `json:"ratios,omitempty"`
-	// Ops overrides the scale's operation count for this experiment.
+	// Ops overrides the scale's operation count for this experiment (the
+	// chaos kind: inserts per producer per round).
 	Ops int `json:"ops,omitempty"`
 	// QPS lists the offered-load sweep of a service-kind experiment
 	// (requests/second per cell); empty means one 20 000 QPS point.
@@ -102,17 +111,23 @@ type Experiment struct {
 	TenantCount int `json:"tenants,omitempty"`
 	// Repeats overrides the scale's sample/round count for this
 	// experiment (gate experiments pin it so verdict fidelity does not
-	// change with -scale).
+	// change with -scale); the chaos kind runs this many seeds.
 	Repeats int `json:"repeats,omitempty"`
 	// AllocOps lists the alloc-kind probes: "insert+extract", "batch64".
 	AllocOps []string `json:"alloc_ops,omitempty"`
-	// Shards is the sharded shape the recovery kind sweeps next to the
-	// single-queue shape.
+	// Shards is the sharded shape the recovery and chaos kinds sweep next
+	// to the single-queue shape.
 	Shards int `json:"shards,omitempty"`
+	// Durable runs the chaos kind's zmsq cells with a write-ahead log in a
+	// temporary directory: after the drain the log must replay to empty.
+	Durable bool `json:"durable,omitempty"`
+	// Graph names the sssp kind's graph: artist, politician, livejournal.
+	Graph string `json:"graph,omitempty"`
 	// ValueSizes are the per-insert payload sizes (bytes) the recovery
 	// kind sweeps; 0 is the key-only v1 protocol. Empty means {0}.
 	ValueSizes []int `json:"value_sizes,omitempty"`
-	// Config is the experiment-wide queue configuration (recovery kind).
+	// Config is the experiment-wide queue configuration (recovery kind,
+	// and the chaos kind's zmsq cells).
 	Config *QueueConfig `json:"config,omitempty"`
 	// Variants are the grid cells' queue constructors.
 	Variants []Variant `json:"variants,omitempty"`
@@ -129,7 +144,9 @@ type Variant struct {
 	Name string `json:"name"`
 	// Queue selects the substrate: "zmsq" (a core.Config built from
 	// Config/Dynamic), "sharded" (the sharded front-end over a zmsq
-	// template), or any harness registry key (mound, spraylist, fifo, ...).
+	// template), any harness registry key (mound, spraylist, fifo, ...),
+	// or, in sssp experiments only, "delta-stepping" (sssp.DeltaStepping,
+	// no queue).
 	Queue string `json:"queue"`
 	// Config tunes the zmsq/sharded template; nil means DefaultConfig.
 	Config *QueueConfig `json:"config,omitempty"`
@@ -198,7 +215,7 @@ type GateSpec struct {
 var kinds = map[string]bool{
 	"throughput": true, "paired": true, "accuracy": true,
 	"handoff": true, "alloc": true, "recovery": true, "service": true,
-	"setstats": true,
+	"setstats": true, "chaos": true, "sssp": true,
 }
 
 // LoadSpec reads a grid spec from path, or the embedded default grid when
@@ -249,6 +266,12 @@ func (s *Spec) Validate() error {
 		if ex.Kind == "paired" && len(ex.Variants) != 2 {
 			return fmt.Errorf("experiment %q: paired kind needs exactly 2 variants, has %d", ex.Name, len(ex.Variants))
 		}
+		if _, err := ex.Config.coreConfig(); err != nil {
+			return fmt.Errorf("experiment %q: %w", ex.Name, err)
+		}
+		if (ex.Kind == "sssp" || ex.Graph != "") && ssspGraphs[ex.Graph] == nil {
+			return fmt.Errorf("experiment %q: unknown graph %q (want artist, politician, livejournal)", ex.Name, ex.Graph)
+		}
 		if ex.Kind != "recovery" && len(ex.Variants) == 0 {
 			return fmt.Errorf("experiment %q: no variants", ex.Name)
 		}
@@ -261,6 +284,15 @@ func (s *Spec) Validate() error {
 				return fmt.Errorf("experiment %q: duplicate variant %q", ex.Name, v.Name)
 			}
 			vseen[v.Name] = true
+			if v.Queue == deltaStepping {
+				if ex.Kind != "sssp" {
+					return fmt.Errorf("experiment %q variant %q: %s runs in sssp experiments only", ex.Name, v.Name, deltaStepping)
+				}
+				continue
+			}
+			if ex.Durable && v.Queue != "zmsq" && v.Queue != "" {
+				return fmt.Errorf("experiment %q variant %q: a durable chaos cell logs a zmsq queue, queue is %q", ex.Name, v.Name, v.Queue)
+			}
 			if _, err := v.maker(Options{}); err != nil {
 				return fmt.Errorf("experiment %q variant %q: %w", ex.Name, v.Name, err)
 			}

@@ -21,12 +21,13 @@ func TestEmbeddedSpecValid(t *testing.T) {
 	}
 	for _, name := range []string{"table1", "sec32", "fig2a", "fig2b", "fig3a", "fig3b", "fig4",
 		"fig5a", "fig5b", "fig5c", "fig6", "batch", "sharded-sweep",
-		"metrics-overhead", "sharded-speedup", "alloc", "recovery"} {
+		"metrics-overhead", "sharded-speedup", "alloc", "recovery",
+		"fig7a", "fig7b", "fig8", "chaos", "chaos-durable"} {
 		if spec.Experiment(name) == nil {
 			t.Errorf("embedded spec lacks experiment %q", name)
 		}
 	}
-	for _, name := range []string{"alloc", "metrics-overhead", "sharded-speedup", "recovery"} {
+	for _, name := range []string{"alloc", "metrics-overhead", "sharded-speedup", "recovery", "chaos", "chaos-durable"} {
 		g := spec.Gate(name)
 		if g == nil {
 			t.Errorf("embedded spec lacks gate %q", name)
@@ -85,6 +86,21 @@ func TestValidateRejects(t *testing.T) {
 		{"helper sharded", func(s *Spec) {
 			s.Experiments[0].Variants[0] = Variant{Name: "v", Queue: "sharded", Config: &QueueConfig{Helper: true}}
 		}, "setstats cells only"},
+		{"unknown graph", func(s *Spec) { s.Experiments[0].Kind, s.Experiments[0].Graph = "sssp", "twitter" }, "unknown graph"},
+		{"sssp without a graph", func(s *Spec) { s.Experiments[0].Kind = "sssp" }, "unknown graph"},
+		{"delta-stepping outside sssp", func(s *Spec) {
+			s.Experiments[0].Variants[0].Queue = "delta-stepping"
+		}, "sssp experiments only"},
+		{"durable baseline", func(s *Spec) {
+			s.Experiments[0].Kind, s.Experiments[0].Durable = "chaos", true
+			s.Experiments[0].Variants[0].Queue = "mound"
+		}, "durable chaos cell logs a zmsq queue"},
+		{"negative batch", func(s *Spec) {
+			s.Experiments[0].Variants[0].Config = &QueueConfig{Batch: -1}
+		}, "Config.Batch is -1"},
+		{"negative target in an experiment config", func(s *Spec) {
+			s.Experiments[0].Kind, s.Experiments[0].Config = "chaos", &QueueConfig{TargetLen: -5}
+		}, "Config.TargetLen is -5"},
 		{"bad lock", func(s *Spec) {
 			s.Experiments[0].Variants[0].Config = &QueueConfig{Lock: "spin"}
 		}, "unknown lock"},
@@ -108,6 +124,16 @@ func TestValidateRejects(t *testing.T) {
 	}
 	if err := base().Validate(); err != nil {
 		t.Fatalf("base spec should validate: %v", err)
+	}
+
+	// LoadSpec refuses the same through a file.
+	bad := filepath.Join(t.TempDir(), "spec.json")
+	if err := os.WriteFile(bad, []byte(`{"scales": {"small": {}}, "experiments": [{"name": "s",
+		"kind": "sssp", "graph": "twitter", "variants": [{"name": "d", "queue": "delta-stepping"}]}]}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := LoadSpec(bad); err == nil || !strings.Contains(err.Error(), `unknown graph "twitter"`) {
+		t.Errorf("LoadSpec of an unknown graph: err = %v", err)
 	}
 
 	// More ways, which only decoding can catch: a spec written for a schema

@@ -18,10 +18,10 @@ func (c *QueueConfig) coreConfig() (core.Config, error) {
 	if c == nil {
 		return cfg, nil
 	}
-	if c.Batch > 0 {
+	if c.Batch != 0 {
 		cfg.Batch = c.Batch
 	}
-	if c.TargetLen > 0 {
+	if c.TargetLen != 0 {
 		cfg.TargetLen = c.TargetLen
 	}
 	switch c.Lock {
@@ -47,7 +47,7 @@ func (c *QueueConfig) coreConfig() (core.Config, error) {
 	if c.NoTryLock {
 		cfg.NoTryLock = true
 	}
-	return cfg, nil
+	return cfg, cfg.Validate()
 }
 
 // hazard reports whether the cell runs the paper's memory-safe ZMSQ: its

@@ -101,9 +101,10 @@ type Plan struct {
 	TreeGrowYields int
 }
 
-// DefaultPlan returns the moderate chaos schedule used by cmd/chaos and
-// the Chaos tests: every point fires often enough to be exercised in a
-// short run without starving progress.
+// DefaultPlan returns the moderate chaos schedule every chaos run uses —
+// the experiment grid's chaos cells and the Chaos tests: every point
+// fires often enough to be exercised in a short run without starving
+// progress.
 func DefaultPlan() Plan {
 	return Plan{
 		TryLockPct:        20,

@@ -104,38 +104,9 @@ func rmatPick(r *xrand.Rand, scale int) (uint32, uint32) {
 	return u, v
 }
 
-// Grid generates an undirected rows×cols lattice with uniform random
-// weights: a high-diameter graph where SSSP priority order matters most,
-// used by tests and the quickstart example. Deterministic in (rows, cols,
-// seed).
-func Grid(rows, cols int, seed uint64) *Graph {
-	r := xrand.New(seed)
-	n := rows * cols
-	b := NewBuilder(n)
-	id := func(i, j int) uint32 { return uint32(i*cols + j) }
-	for i := 0; i < rows; i++ {
-		for j := 0; j < cols; j++ {
-			if j+1 < cols {
-				b.AddUndirected(id(i, j), id(i, j+1), weightIn(r, MaxWeight))
-			}
-			if i+1 < rows {
-				b.AddUndirected(id(i, j), id(i+1, j), weightIn(r, MaxWeight))
-			}
-		}
-	}
-	return b.Build()
-}
-
-// Named graph presets matching the paper's datasets (see the substitution
-// note in the package comment).
-
-// Politician approximates the Facebook "Politician" pages graph: 6K nodes.
+// Politician approximates the Facebook "Politician" pages graph of the
+// paper's §4.6 (see the substitution note in the package comment): 6K
+// nodes. The grid's sssp experiments build it, the Artist graph (50K
+// nodes, 16 edges per node) and LiveJournal (R-MAT, 8 edges per node)
+// from the same generators.
 func Politician(seed uint64) *Graph { return PreferentialAttachment(6000, 7, seed) }
-
-// Artist approximates the Facebook "Artist" pages graph: 50K nodes.
-func Artist(seed uint64) *Graph { return PreferentialAttachment(50000, 16, seed) }
-
-// LiveJournalScaled approximates the LiveJournal OSN at a configurable
-// scale (the full graph is 2^22-ish nodes; benchmarks default lower so the
-// harness runs everywhere). edges ≈ 8·2^scale.
-func LiveJournalScaled(scale int, seed uint64) *Graph { return RMAT(scale, 8, seed) }

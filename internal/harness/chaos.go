@@ -446,16 +446,3 @@ func RunChaosBaseline(name string, maker QueueMaker, plan ChaosPlan) (ChaosResul
 	}
 	return res, nil
 }
-
-// BaselineMakers returns the subset of Makers suitable for the chaos
-// conservation run (queues whose drain terminates deterministically).
-func BaselineMakers() map[string]QueueMaker {
-	all := Makers()
-	out := map[string]QueueMaker{
-		"mound":      all["mound"],
-		"multiqueue": all["multiqueue"],
-		"globalheap": all["globalheap"],
-		"spraylist":  all["spraylist"],
-	}
-	return out
-}

@@ -171,7 +171,11 @@ func TestChaosBaselineConservation(t *testing.T) {
 	plan := chaosPlan(11)
 	plan.Rounds = 2
 	plan.OpsPerRound = 500
-	for name, maker := range BaselineMakers() {
+	// The baselines whose drain terminates deterministically: the
+	// variants of expgrid's chaos experiment.
+	makers := Makers()
+	for _, name := range []string{"globalheap", "mound", "multiqueue", "spraylist"} {
+		maker := makers[name]
 		t.Run(name, func(t *testing.T) {
 			res, err := RunChaosBaseline(name, maker, plan)
 			if err != nil {

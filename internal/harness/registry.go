@@ -11,8 +11,8 @@ import (
 // themselves from per-implementation files (makers_zmsq.go,
 // makers_baselines.go) instead of being enumerated in one hand-maintained
 // map, so adding a substrate is one Register call next to its adapter — and
-// everything that looks a queue up by name (the grid spec, sssp, chaos
-// -baselines) picks it up without edits.
+// everything that looks a queue up by name (the grid spec's variants,
+// chaos and SSSP cells among them) picks it up without edits.
 //
 // The registered name is also the display name: a maker must build queues
 // whose pq.Named.Name() returns the maker key (asserted by

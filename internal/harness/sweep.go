@@ -20,9 +20,9 @@ type Row struct {
 }
 
 // labelOrder and metricOrder pin column order for deterministic output.
-var labelOrder = []string{"threads", "mix", "keys", "batch", "shards", "producers", "consumers", "extracts", "size", "mode", "op", "crash", "valueBytes", "qps", "clients", "tenants"}
+var labelOrder = []string{"graph", "threads", "mix", "keys", "batch", "shards", "producers", "consumers", "extracts", "size", "mode", "op", "crash", "valueBytes", "qps", "clients", "tenants"}
 
-var metricOrder = []string{"Mops/s", "failedExtract", "hit%", "failures", "rankErrMean", "rankErrP99", "rankErrMax", "ns/handoff", "meanLatNs", "cpuSec", "allocs/op", "pass", "atRisk", "opsPerSync", "p99ms", "p50ms", "achievedQPS", "batchP50", "setMean", "setStddev", "setMin", "setMax", "leafLevel", "helperMoves"}
+var metricOrder = []string{"Mops/s", "failedExtract", "hit%", "failures", "rankErrMean", "rankErrP99", "rankErrMax", "ns/handoff", "meanLatNs", "cpuSec", "allocs/op", "pass", "atRisk", "opsPerSync", "p99ms", "p50ms", "achievedQPS", "batchP50", "setMean", "setStddev", "setMin", "setMax", "leafLevel", "helperMoves", "inserted", "extracted", "strict", "maxRank", "ms", "wasted%"}
 
 // Recorder accumulates rows for one run and renders them.
 type Recorder struct {

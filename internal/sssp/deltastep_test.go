@@ -10,7 +10,7 @@ import (
 func TestDeltaSteppingMatchesDijkstra(t *testing.T) {
 	graphs := map[string]*graph.Graph{
 		"ba":   graph.PreferentialAttachment(3000, 6, 42),
-		"grid": graph.Grid(40, 40, 9),
+		"grid": grid(40, 40, 9),
 		"rmat": graph.RMAT(10, 6, 5),
 	}
 	for name, g := range graphs {
@@ -67,7 +67,7 @@ func TestDeltaSteppingWorkAccounting(t *testing.T) {
 
 func TestDeltaSteppingQuickGrids(t *testing.T) {
 	f := func(seed uint64, deltaRaw uint16) bool {
-		g := graph.Grid(8, 8, seed)
+		g := grid(8, 8, seed)
 		delta := uint64(deltaRaw)%500 + 1
 		res := DeltaStepping(g, 0, delta, 2)
 		want := graph.Dijkstra(g, 0)

@@ -82,13 +82,13 @@ func TestMatchesDijkstraAllQueues(t *testing.T) {
 func TestFIFOStillCorrect(t *testing.T) {
 	// Label-correcting SSSP is correct with ANY queue discipline; a FIFO
 	// (Bellman-Ford-ish) just wastes more work. Small graph keeps it fast.
-	g := graph.Grid(12, 12, 3)
+	g := grid(12, 12, 3)
 	res := Run(g, 0, pq.NewFIFO(), 4)
 	matchesDijkstra(t, g, res.Dist)
 }
 
 func TestGridCorrectness(t *testing.T) {
-	g := graph.Grid(40, 40, 9)
+	g := grid(40, 40, 9)
 	res := Run(g, 0, pq.NewGlobalHeap(0), 4)
 	matchesDijkstra(t, g, res.Dist)
 }
