@@ -9,6 +9,7 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/experiment"
 	"repro/internal/harness"
@@ -17,6 +18,19 @@ import (
 
 func init() {
 	harness.Register("dropping", func(int) pq.Queue { return &droppingQueue{GlobalHeap: pq.NewGlobalHeap(0)} })
+	harness.Register("losing", func(int) pq.Queue { return &losingQueue{GlobalHeap: pq.NewGlobalHeap(0)} })
+}
+
+// losingQueue is a strict heap that loses its second insert.
+type losingQueue struct {
+	*pq.GlobalHeap
+	inserts atomic.Int64
+}
+
+func (q *losingQueue) Insert(key uint64) {
+	if q.inserts.Add(1) != 2 {
+		q.GlobalHeap.Insert(key)
+	}
 }
 
 // droppingQueue is a strict heap that loses one element: its first
@@ -441,6 +455,23 @@ func TestChaosGateFailsOnLostElement(t *testing.T) {
 		if !strings.Contains(stdout, want) {
 			t.Errorf("stdout lacks a %s row:\n%s", want, stdout)
 		}
+	}
+}
+
+// TestSSSPLostTaskFails: an sssp cell whose queue loses a task, so that
+// the task stays pending forever, fails the run within seconds, naming
+// the variant, instead of hanging.
+func TestSSSPLostTaskFails(t *testing.T) {
+	specPath := writeSpec(t, `{"scales": {"smoke": {"graph_nodes": 512}},
+		"experiments": [{"name": "s", "kind": "sssp", "graph": "politician", "threads": [2],
+			"variants": [{"name": "heap", "queue": "globalheap"}, {"name": "losing", "queue": "losing"}]}]}`)
+	start := time.Now()
+	_, stderr := expgrid(t, 1, "-spec", specPath, "-experiments", "s", "-scale", "smoke", "-out", "")
+	if !strings.Contains(stderr, "losing at 2 threads on politician: sssp: queue reports empty with tasks pending") {
+		t.Errorf("stderr does not name the stalled cell:\n%s", stderr)
+	}
+	if d := time.Since(start); d > 20*time.Second {
+		t.Errorf("the stalled cell failed after %v", d)
 	}
 }
 

@@ -35,7 +35,8 @@ var ssspGraphs = map[string]func(nodes int, seed uint64) *graph.Graph{
 // variant (or by sssp.DeltaStepping). A cell's Value is the run's elapsed
 // milliseconds, with the share of stale extractions in Extra. Every run's
 // distances must equal graph.Dijkstra's: a single difference fails the
-// experiment, since a timing of a wrong answer is no result.
+// experiment, since a timing of a wrong answer is no result, and so does
+// a run that stalled on a queue that lost a task (sssp.ErrStalled).
 func runSSSP(ex *Experiment, sc Scale, opt Options) ([]CellResult, error) {
 	nodes := sc.GraphNodes
 	if nodes <= 0 {
@@ -58,6 +59,9 @@ func runSSSP(ex *Experiment, sc Scale, opt Options) ([]CellResult, error) {
 				res = sssp.Run(g, 0, q, t)
 				if cl, ok := q.(pq.Closer); ok {
 					cl.Close()
+				}
+				if res.Err != nil {
+					return out, fmt.Errorf("%s at %d threads on %s: %w", v.Name, t, ex.Graph, res.Err)
 				}
 			}
 			for i := range want {

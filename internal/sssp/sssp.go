@@ -9,6 +9,8 @@
 package sssp
 
 import (
+	"errors"
+	"fmt"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -42,6 +44,26 @@ type Result struct {
 	Stale     int64 // tasks extracted but already superseded (wasted work)
 	Updates   int64 // successful distance improvements
 	Workers   int
+	// Err is ErrStalled when the run gave up on a queue that lost a task;
+	// Dist is then incomplete.
+	Err error
+}
+
+// ErrStalled is a run whose queue reported empty, with tasks still
+// pending, while no worker extracted anything for stallAfter: the queue
+// lost a task, and waiting for it would never end.
+var ErrStalled = errors.New("sssp: queue reports empty with tasks pending")
+
+// stallAfter is how long Run waits on an empty queue that should hold a
+// task before it gives up. A task is always visible to some extraction
+// once its insert returns, so the wait only has to outlast a worker
+// expanding one node while the queue is empty.
+var stallAfter = 2 * time.Second
+
+// progress is a worker's count of extractions, on a cache line of its own.
+type progress struct {
+	n atomic.Int64
+	_ [56]byte
 }
 
 // WastedFraction is the share of extracted tasks that were stale.
@@ -57,7 +79,9 @@ func (r Result) WastedFraction() float64 {
 // worker goroutines. q must be empty; it is drained (terminated) when Run
 // returns. Any pq.Queue works: strict queues yield zero stale extractions
 // on one worker; relaxed queues trade stale work for extraction
-// scalability.
+// scalability. A queue that loses a task would leave the workers
+// waiting for it forever; Run notices the stall and returns ErrStalled
+// in Result.Err instead.
 func Run(g *graph.Graph, src uint32, q pq.Queue, workers int) Result {
 	if workers < 1 {
 		workers = runtime.GOMAXPROCS(0)
@@ -77,6 +101,15 @@ func Run(g *graph.Graph, src uint32, q pq.Queue, workers int) Result {
 	q.Insert(EncodeTask(0, src))
 
 	var processed, stale, updates atomic.Int64
+	var stalled atomic.Bool
+	extracted := make([]progress, workers)
+	// moved sums every worker's extractions.
+	moved := func() (n int64) {
+		for i := range extracted {
+			n += extracted[i].n.Load()
+		}
+		return n
+	}
 	start := time.Now()
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -85,21 +118,32 @@ func Run(g *graph.Graph, src uint32, q pq.Queue, workers int) Result {
 			defer wg.Done()
 			var localProcessed, localStale, localUpdates int64
 			idleSpins := 0
+			var idleSince time.Time
+			var got, seen int64
 			for {
 				key, ok := q.ExtractMax()
 				if !ok {
-					if pending.Load() == 0 {
+					if pending.Load() == 0 || stalled.Load() {
 						break
 					}
 					// Relaxed queues may fail spuriously (SprayList) or
-					// transiently; yield and retry while work remains.
+					// transiently; yield and retry while work remains, as
+					// long as some worker still extracts.
 					idleSpins++
 					if idleSpins%64 == 0 {
+						if n := moved(); idleSpins == 64 || n != seen {
+							idleSince, seen = time.Now(), n
+						} else if time.Since(idleSince) > stallAfter {
+							stalled.Store(true)
+							break
+						}
 						runtime.Gosched()
 					}
 					continue
 				}
 				idleSpins = 0
+				got++
+				extracted[w].n.Store(got)
 				d, u := DecodeTask(key)
 				if d > dist[u].Load() {
 					localStale++
@@ -137,7 +181,7 @@ func Run(g *graph.Graph, src uint32, q pq.Queue, workers int) Result {
 	for i := range out {
 		out[i] = dist[i].Load()
 	}
-	return Result{
+	res := Result{
 		Dist:      out,
 		Elapsed:   elapsed,
 		Processed: processed.Load(),
@@ -145,4 +189,8 @@ func Run(g *graph.Graph, src uint32, q pq.Queue, workers int) Result {
 		Updates:   updates.Load(),
 		Workers:   workers,
 	}
+	if stalled.Load() {
+		res.Err = fmt.Errorf("%w: %d tasks pending, none extracted for %v", ErrStalled, pending.Load(), stallAfter)
+	}
+	return res
 }

@@ -1,8 +1,11 @@
 package sssp
 
 import (
+	"errors"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"repro/internal/graph"
 	"repro/internal/harness"
@@ -140,5 +143,39 @@ func BenchmarkSSSPZMSQ(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		Run(g, 0, harness.NewZMSQ(coreDefault()), 4)
+	}
+}
+
+// losingQueue is a strict heap that loses its second insert.
+type losingQueue struct {
+	*pq.GlobalHeap
+	inserts atomic.Int64
+}
+
+func (q *losingQueue) Insert(key uint64) {
+	if q.inserts.Add(1) != 2 {
+		q.GlobalHeap.Insert(key)
+	}
+}
+
+// TestRunStallsOnLostTask: a queue that loses a task leaves it pending
+// forever; Run gives up within seconds with ErrStalled instead of
+// spinning on the empty queue, on one worker and on several.
+func TestRunStallsOnLostTask(t *testing.T) {
+	defer func(d time.Duration) { stallAfter = d }(stallAfter)
+	stallAfter = 200 * time.Millisecond
+	g := graph.Politician(1)
+	for _, workers := range []int{1, 4} {
+		start := time.Now()
+		res := Run(g, 0, &losingQueue{GlobalHeap: pq.NewGlobalHeap(0)}, workers)
+		if !errors.Is(res.Err, ErrStalled) {
+			t.Fatalf("%d workers: Err = %v, want ErrStalled", workers, res.Err)
+		}
+		if d := time.Since(start); d > 5*time.Second {
+			t.Fatalf("%d workers: gave up after %v", workers, d)
+		}
+	}
+	if res := Run(g, 0, pq.NewGlobalHeap(0), 4); res.Err != nil {
+		t.Fatalf("a queue that loses nothing: Err = %v", res.Err)
 	}
 }

@@ -2,10 +2,12 @@ package wal_test
 
 import (
 	"errors"
+	"io"
 	"os"
 	"path/filepath"
 	"reflect"
 	"slices"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -354,6 +356,111 @@ func TestCrashBetweenChunkElements(t *testing.T) {
 	}
 	if between == 0 {
 		t.Fatal("no schedule failed a call between two chunk elements")
+	}
+}
+
+// patchFS is a crashfs.FS that, once armed, arms the crash model when a
+// writer seeks back to byte 16 of a snapshot temp file: the next
+// SnapWrite is then the key count a one-pass base patches over its
+// placeholder.
+type patchFS struct {
+	*crashfs.FS
+	arm     bool
+	patches int // seeks that armed the crash model
+}
+
+func (fs *patchFS) OpenFile(name string, flag int, perm os.FileMode) (wal.File, error) {
+	f, err := fs.FS.OpenFile(name, flag, perm)
+	if err != nil || !strings.HasPrefix(filepath.Base(name), "queue.snap") {
+		return f, err
+	}
+	return patchFile{f, fs}, nil
+}
+
+type patchFile struct {
+	wal.File
+	fs *patchFS
+}
+
+func (f patchFile) Seek(off int64, whence int) (int64, error) {
+	if f.fs.arm && off == 16 && whence == io.SeekStart {
+		f.fs.FS.Arm()
+		f.fs.patches++
+	}
+	return f.File.Seek(off, whence)
+}
+
+// TestCrashOnBaseCountPatch: the process dies on the write that puts a
+// rebase's key count over its placeholder, the one write that goes back
+// into a file already written. The temp file is never renamed, the
+// previous base stays as it was, and a reopen recovers every acked key
+// and payload from the previous chain and the log.
+func TestCrashOnBaseCountPatch(t *testing.T) {
+	dir := t.TempDir()
+	fs := &patchFS{FS: crashfs.New(3, crashfs.SnapWrite, 0)}
+	l := open(t, crashOptions(dir, fs))
+	acked := map[uint64]string{}
+	insert := func(keys ...uint64) {
+		vals := make([][]byte, len(keys))
+		for i, k := range keys {
+			acked[k] = strconv.FormatUint(k*k, 16)
+			vals[i] = []byte(acked[k])
+		}
+		l.AppendInserts(keys, vals)
+	}
+	// 6000 keys make a base past the 64 KiB write buffer, so its count is
+	// patched by seeking back; the first rebase installs it.
+	keys := make([]uint64, 100)
+	for k := uint64(1); k <= 6000; k += 100 {
+		for i := range keys {
+			keys[i] = k + uint64(i)
+		}
+		insert(keys...)
+	}
+	for i := uint64(0); i < 2*rebaseEvery+1; i++ {
+		insert(10_000 + i)
+		if err := l.Snapshot(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if s := l.Stats(); s.Rebases != 1 || s.DeltaSnapshots != 2*rebaseEvery {
+		t.Fatalf("%d rebases and %d deltas, want 1 and %d", s.Rebases, s.DeltaSnapshots, 2*rebaseEvery)
+	}
+	base, err := os.ReadFile(filepath.Join(dir, "queue.snap"))
+	if err != nil || len(base) <= 64<<10 {
+		t.Fatalf("the base is %d bytes (%v), want more than the 64 KiB write buffer", len(base), err)
+	}
+
+	insert(20_000)
+	l.AppendExtracts([]uint64{5})
+	delete(acked, 5)
+	if err := l.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	fs.arm = true
+	if err := l.Snapshot(); !errors.Is(err, crashfs.ErrCrashed) || fs.patches != 1 {
+		t.Fatalf("rebase crashing on its count patch = %v after %d patches, want ErrCrashed after 1", err, fs.patches)
+	}
+	materialize(t, fs.FS, l)
+	if b, err := os.ReadFile(filepath.Join(dir, "queue.snap")); err != nil || !slices.Equal(b, base) {
+		t.Fatalf("the base changed under a rebase that crashed (%v)", err)
+	}
+	if _, err := os.Stat(filepath.Join(dir, "queue.snap.tmp")); err != nil {
+		t.Fatalf("the crashed rebase's temp file: %v, want it left unrenamed", err)
+	}
+
+	l, st, err := wal.Open(wal.Options{Dir: dir, GroupCommit: time.Hour})
+	if err != nil {
+		t.Fatalf("reopen: %v", err)
+	}
+	defer l.Close()
+	if st.Deltas != rebaseEvery || len(st.Keys) != len(acked) {
+		t.Fatalf("reopen recovered %d keys over %d deltas, want the %d acked over %d", len(st.Keys), st.Deltas, len(acked), rebaseEvery)
+	}
+	for i, k := range st.Keys {
+		if v, ok := acked[k]; !ok || string(st.Vals[i]) != v {
+			t.Fatalf("key %d recovered as %q, acked %q (%v)", k, st.Vals[i], v, ok)
+		}
 	}
 }
 

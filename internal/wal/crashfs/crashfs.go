@@ -4,8 +4,12 @@
 // rename and remove, as if the process had died there. The Log meets the
 // crash the way it meets a dying disk: its error latches and no Sync
 // acknowledges again. Materialize then cuts queue.wal inside the part no
-// successful fsync covered. The model is one appended file and no
-// directory reordering: a rename is durable once it returns.
+// successful fsync covered. The model is an appended log and no
+// directory reordering: a rename is durable once it returns. A snapshot
+// temp file may also be rewritten in place before its fsync — a base's
+// key count is written last, over its placeholder, and a base is emptied
+// and started again when its format was guessed wrong — and every such
+// write and truncate is a SnapWrite call like an append.
 package crashfs
 
 import (
@@ -28,7 +32,7 @@ type Call int
 const (
 	LogWrite  Call = iota // a write to queue.wal; the failing one lands a seeded strict prefix
 	LogSync               // an fsync of queue.wal
-	SnapWrite             // a write to a snapshot temp; the failing one lands a seeded strict prefix
+	SnapWrite             // a write or truncate of a snapshot temp; a failing write lands a seeded strict prefix, a failing truncate nothing
 	DirSync               // a directory fsync
 	Remove                // a file removal: a crash left the file in place
 )
@@ -184,13 +188,23 @@ type file struct {
 	snap bool // a snapshot temp
 }
 
-// Truncate is Open cutting the log's torn tail: nothing past size is
-// synced any more. Open's first call fails after the crash, so this one
-// never runs then.
+// Truncate is Open cutting the log's torn tail, after which nothing past
+// size is synced any more, or a snapshot temp emptied to be written
+// again, a SnapWrite.
 func (f *file) Truncate(size int64) error {
-	f.fs.mu.Lock()
-	defer f.fs.mu.Unlock()
-	f.fs.synced = min(f.fs.synced, size)
+	fs := f.fs
+	fs.mu.Lock()
+	defer fs.mu.Unlock()
+	c := Call(-1)
+	if f.snap {
+		c = SnapWrite
+	}
+	if fs.fails(c) {
+		return ErrCrashed
+	}
+	if f == fs.log {
+		fs.synced = min(fs.synced, size)
+	}
 	return f.File.Truncate(size)
 }
 

@@ -19,10 +19,12 @@ import (
 // together with a small log window, the two ways the package does: into
 // a State (Recover) and into a new base (a rebase). Chain files are
 // CRC-framed, so a mutated file never reaches the parser; fuzzing the
-// bodies directly is what exercises its bounds checks. The properties:
-// nothing panics, every error wraps ErrCorrupt, and a base the fold
-// writes parses back and recovers to the same State. Seeds are the
-// bodies of real chain files, in key order and reversed.
+// bodies directly is what exercises its bounds checks. The base is
+// written the way a Log writes it, in one pass into a seekable file
+// (memFile). The properties: nothing panics, every error wraps
+// ErrCorrupt, and a base the fold writes parses back, recovers to the
+// same State and is byte for byte the base the two-pass writer makes.
+// Seeds are the bodies of real chain files, in key order and reversed.
 func FuzzSnapshotDecode(f *testing.F) {
 	bodies := chainBodies(f)
 	for _, body := range bodies {
@@ -51,12 +53,12 @@ func FuzzSnapshotDecode(f *testing.F) {
 	ev, _ = sortEvents(ev, nil)
 	// The window's delta, written and read back, recovers what the window
 	// does.
-	var delta bytes.Buffer
+	var delta memFile
 	var fromDelta, fromLog State
 	if err := encodeDelta(&snapWriter{dst: &delta}, 0, 4, &run{name: walName, img: img, ev: ev}); err != nil {
 		f.Fatal(err)
 	}
-	r, err := streamedRun("delta", delta.Bytes())
+	r, err := streamedRun("delta", delta.b)
 	if err == nil {
 		err = foldState(&fromDelta, []*run{r})
 	}
@@ -88,11 +90,14 @@ func FuzzSnapshotDecode(f *testing.F) {
 		if !ok(foldState(&want, runs)) {
 			return
 		}
-		var base bytes.Buffer
+		var base, sized memFile
 		if !ok(encodeBase(&snapWriter{dst: &base}, 1, runs)) {
 			return
 		}
-		r, err := streamedRun("base", base.Bytes())
+		if err := encodeBaseSized(&snapWriter{dst: &sized}, 1, runs); err != nil || !bytes.Equal(base.b, sized.b) {
+			t.Fatalf("the one-pass base differs from the two-pass one (%v)", err)
+		}
+		r, err := streamedRun("base", base.b)
 		if err != nil {
 			t.Fatalf("the written base does not open: %v", err)
 		}

@@ -7,6 +7,7 @@ import (
 	"hash/crc32"
 	"io"
 	"math"
+	"sync/atomic"
 )
 
 // A chain file and a log window parse into the same thing, a run: per
@@ -396,9 +397,14 @@ func (r *run) val(ref uint64) []byte {
 	return r.img[off+4 : end : end]
 }
 
+// merges counts the merges begun, by which tests count the passes a
+// rebase makes over its chain.
+var merges atomic.Int64
+
 // merge walks the keys of runs in ascending order and calls visit with
 // each key and the runs that hold it, in chain order, their heads at it.
 func merge(runs []*run, visit func(k uint64, at []*run) error) error {
+	merges.Add(1)
 	for _, r := range runs {
 		if err := r.rewind(); err != nil {
 			return err
@@ -506,8 +512,9 @@ type foldSize struct {
 }
 
 // sizeFold folds runs once, counting what a fill would emit, so the fill
-// can write its header first and size its output exactly. It is the
-// first pass over a chain: it checks every file whole, CRC included,
+// can write its header first and size its output exactly. It is
+// Recover's first pass over a chain, and a rebase's when the one-pass
+// base's format guess fails: it checks every file whole, CRC included,
 // and loads any streamed run found out of key order. A fold over more
 // than maxLive instances is ErrCorrupt.
 func sizeFold(runs []*run) (fs foldSize, err error) {
@@ -533,12 +540,21 @@ func sizeFold(runs []*run) (fs foldSize, err error) {
 		if !errors.Is(err, errUnsorted) {
 			return fs, err
 		}
-		for _, r := range runs {
-			if r.src != nil && r.src.unsorted {
-				if err := r.load(); err != nil {
-					return fs, err
-				}
+		if err := loadUnsorted(runs); err != nil {
+			return fs, err
+		}
+	}
+}
+
+// loadUnsorted loads whole every streamed run a fold found out of key
+// order, so that the fold can start again.
+func loadUnsorted(runs []*run) error {
+	for _, r := range runs {
+		if r.src != nil && r.src.unsorted {
+			if err := r.load(); err != nil {
+				return err
 			}
 		}
 	}
+	return nil
 }

@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -26,6 +27,45 @@ func (l *Log) flushLocked() error {
 	l.written += int64(n)
 	l.buf = l.buf[:0]
 	return err
+}
+
+// memFile is an in-memory snapFile, counting its seeks: a base whose
+// key count was patched in place seeked back to it.
+type memFile struct {
+	b     []byte
+	off   int64
+	seeks int
+}
+
+func (f *memFile) Write(p []byte) (int, error) {
+	if end := f.off + int64(len(p)); end > int64(len(f.b)) {
+		f.b = append(f.b, make([]byte, end-int64(len(f.b)))...)
+	}
+	f.off += int64(copy(f.b[f.off:], p))
+	return len(p), nil
+}
+
+func (f *memFile) Seek(off int64, whence int) (int64, error) {
+	switch whence {
+	case io.SeekCurrent:
+		off += f.off
+	case io.SeekEnd:
+		off += int64(len(f.b))
+	}
+	if off < 0 {
+		return 0, errors.New("memFile: seek before the start")
+	}
+	f.off = off
+	f.seeks++
+	return off, nil
+}
+
+func (f *memFile) Truncate(size int64) error {
+	if size > int64(len(f.b)) {
+		f.b = append(f.b, make([]byte, size-int64(len(f.b)))...)
+	}
+	f.b = f.b[:size]
+	return nil
 }
 
 // newRun parses a chain file body of the kind its magic names into a run

@@ -40,10 +40,13 @@ import (
 // bases and deltas are streamed into their temp files through one 64 KiB
 // buffer with a running CRC-32C, and a rebase or Recover streams each
 // chain file through a 64 KiB buffer whose entries it parses in place. A
-// rebase therefore holds the chunk of log it folds in, one read
-// buffer per chain file and the write buffer — about SnapshotBytes +
-// (rebaseEvery + 2) × 64 KiB, whatever the size of the base; Recover adds
-// the state it returns, whose payloads share one arena.
+// rebase folds the chain once, writing the base as it goes, and puts the
+// base's key count, which only the fold learns, over a placeholder at
+// the end (encodeBase). A rebase therefore holds the chunk of log it
+// folds in, one read buffer per chain file and the write buffer — about
+// SnapshotBytes + (rebaseEvery + 2) × 64 KiB, whatever the size of the
+// base; Recover adds the state it returns, whose payloads share one
+// arena.
 // Files written before keys were sorted cannot be streamed in key order
 // and are still loaded whole and sorted.
 //
@@ -72,13 +75,27 @@ const noPayload = ^uint32(0)
 // writeBufSize is the buffer a chain file is written through.
 const writeBufSize = 64 << 10
 
+// baseHeader is the length of a base's header: magic, lsn and key count.
+const baseHeader = 24
+
+// snapFile is what a chain file is written to, a File in a Log. A base
+// is written in one pass and its key count put in place last, and a
+// base whose format was guessed wrong is started again, so the file must
+// seek and truncate.
+type snapFile interface {
+	io.Writer
+	io.Seeker
+	Truncate(size int64) error
+}
+
 // snapWriter streams one chain file to dst through a fixed buffer,
-// keeping a running CRC-32C of everything after the magic. A write error
+// keeping a running CRC-32C of everything after the magic (of a base
+// written in one pass, of everything after its header). A write error
 // sticks and is reported by end.
 type snapWriter struct {
-	dst  io.Writer
+	dst  snapFile
 	buf  []byte
-	skip int // bytes at buf's front outside the CRC (the magic)
+	skip int // bytes at buf's front outside the CRC (the magic or header)
 	crc  uint32
 	n    int64 // bytes written to dst
 	err  error
@@ -91,6 +108,19 @@ func (w *snapWriter) begin(magic uint64) {
 	}
 	w.buf = binary.LittleEndian.AppendUint64(w.buf[:0], magic)
 	w.skip, w.crc, w.n, w.err = 8, 0, 0, nil
+}
+
+// restart empties the file for another begin, or reports the write error
+// that stopped it.
+func (w *snapWriter) restart() error {
+	if w.err != nil {
+		return w.err
+	}
+	if err := w.dst.Truncate(0); err != nil {
+		return err
+	}
+	_, err := w.dst.Seek(0, io.SeekStart)
+	return err
 }
 
 func (w *snapWriter) write(b []byte) {
@@ -151,11 +181,44 @@ func (w *snapWriter) end() error {
 	return w.err
 }
 
+// endBase ends a base begun with a placeholder key count, whose running
+// CRC covers only its entries: the file's CRC combines the header's
+// (lsn‖keys) with the entries', and the count goes into the buffer when
+// nothing was written yet, or over the placeholder, by seeking back to
+// it, when the file has grown past the buffer. The patch overwrites
+// bytes already counted, so it adds nothing to w.n.
+func (w *snapWriter) endBase(lsn, keys uint64) error {
+	w.crc = crc32.Update(w.crc, castagnoli, w.buf[w.skip:])
+	w.skip = len(w.buf)
+	var hdr [16]byte
+	binary.LittleEndian.PutUint64(hdr[:], lsn)
+	binary.LittleEndian.PutUint64(hdr[8:], keys)
+	w.crc = crc32cCombine(crc32.Checksum(hdr[:], castagnoli), w.crc, w.n+int64(len(w.buf))-baseHeader)
+	patch := w.n > 0
+	if !patch {
+		copy(w.buf[16:baseHeader], hdr[8:])
+	}
+	if err := w.end(); err != nil || !patch {
+		return err
+	}
+	if _, err := w.dst.Seek(16, io.SeekStart); err != nil {
+		return err
+	}
+	_, err := w.dst.Write(hdr[8:])
+	return err
+}
+
 // encodeBase folds runs (see merge) into a base file at watermark lsn,
-// streamed to w. A first pass counts the keys for the header and decides
-// the format: v1 (key-only) when no surviving instance carries a
-// payload, bit-compatible with pre-codec snapshots, and v2 otherwise.
-// Entries are in ascending key order:
+// streamed to w in one pass. The format is guessed first (guessValued):
+// v1 (key-only) when no surviving instance carries a payload,
+// bit-compatible with pre-codec snapshots, and v2 otherwise. The header
+// goes out with a placeholder key count, which endBase puts in place once
+// the fold has counted the keys. A fold that proves the guess wrong
+// starts the file again and writes it the two-pass way (encodeBaseSized);
+// one that meets a file out of key order (errUnsorted) loads it whole and
+// starts again. Corrupt input fails the fold partway, with the file
+// unfinished, and the caller renames nothing. Entries are in ascending
+// key order:
 //
 //	magic  uint64 LE   snapMagic (v1) or snapMagicV2
 //	lsn    uint64 LE   watermark: records with LSN <= lsn are covered
@@ -164,6 +227,100 @@ func (w *snapWriter) end() error {
 //	n × (key uint64 LE, count uint64 LE, payloads)  v2: count entries, see snapWriter.payload
 //	crc    uint32 LE   CRC-32C of everything after magic
 func encodeBase(w *snapWriter, lsn uint64, runs []*run) error {
+	valued := guessValued(runs)
+	for {
+		err := foldBase(w, lsn, runs, valued)
+		guessed := errors.Is(err, errGuess)
+		if !guessed && !errors.Is(err, errUnsorted) {
+			return err
+		}
+		if err := w.restart(); err != nil {
+			return err
+		}
+		if guessed {
+			return encodeBaseSized(w, lsn, runs)
+		}
+		if err := loadUnsorted(runs); err != nil {
+			return err
+		}
+	}
+}
+
+// errGuess is a one-pass base fold finding its format guessed wrong.
+var errGuess = errors.New("wal: base format guessed wrong")
+
+// guessValued guesses, before the fold, whether a payload survives it:
+// yes when the base is v2 or the log window carries a payload. A delta's
+// payloads are not known until it is read, so they do not count. A chain
+// on a v1 base is guessed key-only whatever else it holds: the base's
+// counts, unchecked until its CRC is read at its end, would each become
+// that many payload entries of a v2 file, where the two-pass path counts
+// them before it writes a byte.
+func guessValued(runs []*run) bool {
+	valued := false
+	for _, r := range runs {
+		switch {
+		case r.src != nil && r.src.magic == snapMagic:
+			return false
+		case r.src != nil:
+			valued = valued || r.src.magic == snapMagicV2
+		case !valued:
+			valued = slices.ContainsFunc(r.ev, func(e event) bool { return e.ref&3 == evPayload })
+		}
+	}
+	return valued
+}
+
+// foldBase is one pass of encodeBase, in the format valued guesses: it
+// writes the header with a placeholder key count, streams the entries
+// while it counts the keys, and fails with errGuess as soon as a payload
+// survives a key-only guess, or at the end when none survived a v2 one.
+func foldBase(w *snapWriter, lsn uint64, runs []*run, valued bool) error {
+	magic := snapMagic
+	if valued {
+		magic = snapMagicV2
+	}
+	w.begin(magic)
+	w.u64(lsn)
+	w.u64(0) // the key count, put in place by endBase
+	w.skip = len(w.buf)
+	var keys uint64
+	var live int64
+	payload := false
+	err := fold(runs, func(k uint64, n, _ int64) error {
+		if payload && !valued {
+			return errGuess
+		}
+		if n == 0 {
+			return nil
+		}
+		// As in sizeFold: live <= maxLive before the add, and one key adds
+		// at most a base's count plus what deltas and a log image hold.
+		if keys, live = keys+1, live+n; live > maxLive {
+			return fmt.Errorf("%w: fold claims more than %d live instances", ErrCorrupt, uint64(maxLive))
+		}
+		w.u64(k)
+		w.u64(uint64(n))
+		return nil
+	}, func(v []byte, n int64) {
+		payload = payload || v != nil
+		for ; valued && n > 0; n-- {
+			w.payload(v)
+		}
+	})
+	if err == nil && payload != valued {
+		err = errGuess
+	}
+	if err != nil {
+		return err
+	}
+	return w.endBase(lsn, keys)
+}
+
+// encodeBaseSized is encodeBase in two passes: sizeFold counts the keys
+// and learns the format, then the fold writes the file, header first.
+// It is the way out of a wrong format guess.
+func encodeBaseSized(w *snapWriter, lsn uint64, runs []*run) error {
 	fs, err := sizeFold(runs)
 	if err != nil {
 		return err

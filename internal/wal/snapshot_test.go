@@ -2,12 +2,14 @@ package wal
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"io"
 	"os"
 	"path/filepath"
 	"runtime"
 	"runtime/debug"
+	"slices"
 	"testing"
 	"time"
 )
@@ -315,6 +317,165 @@ func TestChainEntryLargerThanReadBuffer(t *testing.T) {
 	for i := 0; i < 3000; i++ {
 		if v := st.Vals[1+i]; st.Keys[1+i] != 8 || len(v) != 64 || v[0] != byte(i) {
 			t.Fatalf("instance %d of key 8 recovered as key %d, %d bytes", i, st.Keys[1+i], len(v))
+		}
+	}
+}
+
+// rebaseRuns opens dir's chain and the log after it as the runs a rebase
+// folds, and returns them with the log's last LSN.
+func rebaseRuns(t *testing.T, dir string) ([]*run, uint64) {
+	t.Helper()
+	ch, err := loadChain(dir, nil)
+	t.Cleanup(func() { ch.close() })
+	if err != nil {
+		t.Fatal(err)
+	}
+	img, err := os.ReadFile(filepath.Join(dir, walName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ev, lsn, _, torn, err := scanLog(img, ch.lsn, nil)
+	if err != nil || torn >= 0 || lsn <= ch.lsn {
+		t.Fatalf("log after the chain: last LSN %d over chain LSN %d, torn at %d, %v", lsn, ch.lsn, torn, err)
+	}
+	ev, _ = sortEvents(ev, nil)
+	return append(ch.runs, &run{name: walName, img: img, ev: ev}), lsn
+}
+
+// TestEncodeBaseOnePass: the one-pass base writer makes, byte for byte,
+// the file the two-pass one does, on chains that take each of its ways:
+// a key count patched in the buffer or over a flushed header by a seek,
+// a restart after a legacy file out of key order, and the two-pass
+// fallback when a payload survives a key-only guess or none survives a
+// valued one. Each chain is a base and a delta, the rebaseEvery+2
+// snapshots of history, followed by the log window of window.
+func TestEncodeBaseOnePass(t *testing.T) {
+	keyOnly := func(l *Log, i uint64) {
+		l.AppendInserts([]uint64{i, i + 1, 7}, nil)
+	}
+	valued := func(l *Log, i uint64) {
+		l.AppendInserts([]uint64{i, i + 1, 7}, [][]byte{[]byte("payload"), nil, {}})
+	}
+	for _, tc := range []struct {
+		name    string
+		history func(l *Log, i uint64)
+		window  func(l *Log)
+		reverse bool // the chain files out of key order
+		magic   uint64
+		merges  int64 // begun by the one-pass writer
+		seeks   int   // of its file: the patch, and a restart's rewind
+	}{
+		{"key-only", keyOnly, func(l *Log) {
+			l.AppendInserts([]uint64{3, 300}, nil)
+			l.AppendExtracts([]uint64{7})
+		}, false, snapMagic, 1, 0},
+		{"valued", valued, func(l *Log) {
+			l.AppendInserts([]uint64{3, 300}, [][]byte{[]byte("w"), nil})
+			l.AppendExtracts([]uint64{7})
+		}, false, snapMagicV2, 1, 0},
+		{"over the write buffer", valued, func(l *Log) {
+			keys := make([]uint64, 5000)
+			for i := range keys {
+				keys[i] = 1000 + uint64(i)*3
+			}
+			l.AppendInserts(keys, slices.Repeat([][]byte{[]byte("sixteen bytes..!")}, len(keys)))
+		}, false, snapMagicV2, 1, 1},
+		{"key-only over the write buffer", keyOnly, func(l *Log) {
+			keys := make([]uint64, 5000)
+			for i := range keys {
+				keys[i] = 1000 + uint64(i)*3
+			}
+			l.AppendInserts(keys, nil)
+		}, false, snapMagic, 1, 1},
+		// One restart per file found out of key order, the base and then
+		// the delta.
+		{"legacy key order", valued, func(l *Log) {
+			l.AppendInserts([]uint64{3}, [][]byte{[]byte("w")})
+		}, true, snapMagicV2, 3, 2},
+		{"payloads all die", func(l *Log, i uint64) {
+			l.AppendInserts([]uint64{i}, [][]byte{[]byte("payload")})
+			l.AppendInserts([]uint64{100 + i}, nil)
+		}, func(l *Log) {
+			// Keys 0..9 held every payload; 100..109 none.
+			l.AppendExtracts([]uint64{0, 1, 2, 3, 4, 5, 6, 7, 8, 9})
+			l.AppendInserts([]uint64{5000}, nil)
+		}, false, snapMagic, 3, 1},
+		{"payloads arrive on a key-only base", keyOnly, func(l *Log) {
+			l.AppendInserts([]uint64{3}, [][]byte{[]byte("w")})
+		}, false, snapMagicV2, 3, 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			l := mustOpen(t, Options{Dir: dir, GroupCommit: time.Hour})
+			for i := uint64(0); i < rebaseEvery+2; i++ {
+				tc.history(l, i)
+				if err := l.Snapshot(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			tc.window(l)
+			if err := l.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if s := l.Stats(); s.Rebases != 1 {
+				t.Fatalf("%d rebases, want a base and a delta", s.Rebases)
+			}
+			if tc.reverse && reverseChainFiles(t, dir) < 2 {
+				t.Fatal("the base and the delta are not out of key order")
+			}
+			runs, lsn := rebaseRuns(t, dir)
+			var one, two memFile
+			before := merges.Load()
+			if err := encodeBase(&snapWriter{dst: &one}, lsn, runs); err != nil {
+				t.Fatal(err)
+			}
+			merged := merges.Load() - before
+			if err := encodeBaseSized(&snapWriter{dst: &two}, lsn, runs); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(one.b, two.b) {
+				t.Fatalf("one pass wrote %d bytes, two passes %d, and they differ", len(one.b), len(two.b))
+			}
+			if magic := binary.LittleEndian.Uint64(one.b); magic != tc.magic || merged != tc.merges || one.seeks != tc.seeks {
+				t.Fatalf("magic %x, %d merges, %d seeks over %d bytes; want %x, %d, %d",
+					magic, merged, one.seeks, len(one.b), tc.magic, tc.merges, tc.seeks)
+			}
+			if tc.seeks == 1 && !tc.reverse && tc.merges == 1 && len(one.b) <= writeBufSize {
+				t.Fatalf("a %d-byte base fits the write buffer: nothing to seek back over", len(one.b))
+			}
+		})
+	}
+}
+
+// TestRebaseMergesOnce: in a steady key-only log and a steady valued one,
+// every rebase, the first included, merges its chain once and a delta
+// never does, so neither takes the two-pass path.
+func TestRebaseMergesOnce(t *testing.T) {
+	for _, valued := range []bool{false, true} {
+		l := mustOpen(t, Options{Dir: t.TempDir(), GroupCommit: time.Hour})
+		for i := uint64(0); i < 3*rebaseEvery+3; i++ {
+			keys := []uint64{i * 31 % 97, i, 1000 + i}
+			var vals [][]byte
+			if valued {
+				vals = [][]byte{[]byte("v"), {byte(i)}, nil}
+			}
+			l.AppendInserts(keys, vals)
+			if i > 2 {
+				l.AppendExtracts([]uint64{i - 2})
+			}
+			rebases, before := l.Stats().Rebases, merges.Load()
+			if err := l.Snapshot(); err != nil {
+				t.Fatal(err)
+			}
+			if got, want := merges.Load()-before, l.Stats().Rebases-rebases; got != int64(want) {
+				t.Fatalf("valued %v, snapshot %d: %d merges for %d rebases", valued, i, got, want)
+			}
+		}
+		if err := l.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if r := l.Stats().Rebases; r != 3 {
+			t.Fatalf("valued %v: %d rebases, want 3", valued, r)
 		}
 	}
 }
