@@ -23,7 +23,8 @@ import (
 // written the way a Log writes it, in one pass into a seekable file
 // (memFile). The properties: nothing panics, every error wraps
 // ErrCorrupt, and a base the fold writes parses back, recovers to the
-// same State and is byte for byte the base the two-pass writer makes.
+// same State and is byte for byte that State written as a base
+// (encodeState).
 // Seeds are the bodies of real chain files, in key order and reversed.
 func FuzzSnapshotDecode(f *testing.F) {
 	bodies := chainBodies(f)
@@ -83,19 +84,19 @@ func FuzzSnapshotDecode(f *testing.F) {
 		runs = append(runs, &run{name: walName, img: img, ev: ev})
 		// Fold only what fits in memory: a well-formed v1 base can claim up
 		// to maxLive instances, and expanding those is not under test.
-		if fs, err := sizeFold(runs); !ok(err) || fs.live > 1<<16 {
+		if err := countLive(runs, 1<<16); errors.Is(err, errTooMany) || !ok(err) {
 			return
 		}
 		var want State
 		if !ok(foldState(&want, runs)) {
 			return
 		}
-		var base, sized memFile
+		var base, ref memFile
 		if !ok(encodeBase(&snapWriter{dst: &base}, 1, runs)) {
 			return
 		}
-		if err := encodeBaseSized(&snapWriter{dst: &sized}, 1, runs); err != nil || !bytes.Equal(base.b, sized.b) {
-			t.Fatalf("the one-pass base differs from the two-pass one (%v)", err)
+		if err := encodeState(&snapWriter{dst: &ref}, 1, &want); err != nil || !bytes.Equal(base.b, ref.b) {
+			t.Fatalf("the one-pass base differs from the State's (%v)", err)
 		}
 		r, err := streamedRun("base", base.b)
 		if err != nil {
@@ -109,6 +110,29 @@ func FuzzSnapshotDecode(f *testing.F) {
 			t.Fatalf("the written base recovers %v %q, its runs %v %q", got.Keys, got.Vals, want.Keys, want.Vals)
 		}
 	})
+}
+
+// errTooMany is countLive finding more live instances than it allows.
+var errTooMany = errors.New("too many live instances")
+
+// countLive folds runs, loading any found out of key order, and fails
+// with errTooMany as soon as more than limit instances survive.
+func countLive(runs []*run, limit int64) error {
+	for {
+		var live int64
+		err := fold(runs, func(_ uint64, n, _ int64) error {
+			if live += n; live > limit {
+				return errTooMany
+			}
+			return nil
+		}, func([]byte, int64) {})
+		if !errors.Is(err, errUnsorted) {
+			return err
+		}
+		if err := loadUnsorted(runs); err != nil {
+			return err
+		}
+	}
 }
 
 // chainBodies runs a key-only and a valued log through rebaseEvery+2

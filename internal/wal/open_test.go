@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"testing"
 	"time"
 )
@@ -67,6 +68,39 @@ func TestSnapshotCountOverflowIsCorrupt(t *testing.T) {
 	}
 	if _, _, err := Open(Options{Dir: dir, GroupCommit: time.Millisecond}); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("Open = %v, want ErrCorrupt", err)
+	}
+}
+
+// TestStaleV1CountIsCorrupt: a v1 base larger than a read buffer whose
+// first count was raised after its CRC was taken is corruption, found
+// before the count is expanded: the CRC mismatch is at the file's end,
+// past the buffer holding that count, so Recover checks a v1 base's CRC
+// before it folds.
+func TestStaleV1CountIsCorrupt(t *testing.T) {
+	const keys, raised = readBufSize / 8, 1 << 24
+	body := binary.LittleEndian.AppendUint64(nil, 1) // watermark LSN
+	body = binary.LittleEndian.AppendUint64(body, keys)
+	for k := uint64(1); k <= keys; k++ {
+		body = binary.LittleEndian.AppendUint64(body, k)
+		body = binary.LittleEndian.AppendUint64(body, 1)
+	}
+	file := snapFileBytes(snapMagic, body)
+	binary.LittleEndian.PutUint64(file[8+16+8:], raised) // key 1's count; the CRC stays
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, snapName), file, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, rerr := Recover(dir)
+	_, _, oerr := Open(Options{Dir: dir, GroupCommit: time.Millisecond})
+	runtime.ReadMemStats(&after)
+	if !errors.Is(rerr, ErrCorrupt) || !errors.Is(oerr, ErrCorrupt) {
+		t.Fatalf("Recover = %v, Open = %v; want ErrCorrupt", rerr, oerr)
+	}
+	// The raised count would expand into raised keys of 8 bytes each.
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc > raised*8/16 {
+		t.Fatalf("Recover and Open allocated %d bytes; a stale count expands into %d", alloc, raised*8)
 	}
 }
 

@@ -21,8 +21,9 @@ type State struct {
 	// Keys; a nil entry is a payload-less instance (logged key-only, so
 	// recovery restores a zero value). Instances of the same key appear
 	// in insertion order. Vals is nil when no live instance carries a
-	// payload — the key-only fast path. The entries share one arena:
-	// decode them with the queue's Codec, which copies what it keeps.
+	// payload — the key-only fast path. The entries share 64 KiB arena
+	// chunks: decode them with the queue's Codec, which copies what it
+	// keeps.
 	Vals [][]byte
 
 	// NextLSN is the LSN the reopened log will assign next.
@@ -104,38 +105,79 @@ func Recover(dir string) (*State, error) {
 }
 
 // foldState folds runs, the chain and then the log tail, into st's Keys,
-// Vals and SnapshotKeys. A first pass sizes Keys, Vals and the arena
-// the survivors' payloads are copied into.
+// Vals and SnapshotKeys in one pass, and starts again with a run loaded
+// whole when one is found out of key order. A v1 base's CRC is checked
+// first: its counts are the one input whose size its bytes do not bound,
+// and the fold expands them as it reads them. Keys starts at the runs'
+// key counts, which bound the distinct survivors and are bounded by the
+// bytes that hold them; only keys with several instances grow it. Vals is
+// made at the first surviving payload, nil-filled before it, and the
+// payloads are copied into shared chunks of arenaChunk bytes.
 func foldState(st *State, runs []*run) error {
-	fs, err := sizeFold(runs)
-	if err != nil {
-		return err
-	}
-	st.SnapshotKeys = int(fs.chainLive)
-	st.Keys = make([]uint64, 0, fs.live)
-	var arena []byte
-	if fs.valued {
-		st.Vals = make([][]byte, 0, fs.live)
-		arena = make([]byte, 0, fs.payBytes)
-	}
-	var key uint64
-	return fold(runs, func(k uint64, _, _ int64) error {
-		key = k
-		return nil
-	}, func(v []byte, n int64) {
-		if v != nil {
-			at := len(arena)
-			arena = append(arena, v...)
-			v = arena[at:len(arena):len(arena)]
-		}
-		for ; n > 0; n-- {
-			st.Keys = append(st.Keys, key)
-			if fs.valued {
-				st.Vals = append(st.Vals, v)
+	for _, r := range runs {
+		if c := r.src; c != nil && c.magic == snapMagic {
+			if err := r.rewind(); err != nil {
+				return err
+			}
+			if err := c.skim(r.name); err != nil {
+				return err
 			}
 		}
-	})
+	}
+	for {
+		keys := 0
+		for _, r := range runs {
+			if r.src != nil {
+				keys += int(r.src.n)
+			} else {
+				keys += len(r.ev)
+			}
+		}
+		st.Keys, st.Vals, st.SnapshotKeys = make([]uint64, 0, keys), nil, 0
+		var arena []byte
+		var key uint64
+		err := fold(runs, func(k uint64, live, chainLive int64) error {
+			// len(Keys) <= maxLive, and live is at most a base's count plus
+			// what deltas and a log image add, so the sum cannot wrap.
+			if int64(len(st.Keys))+live > maxLive {
+				return errTooLive
+			}
+			key, st.SnapshotKeys = k, st.SnapshotKeys+int(chainLive)
+			return nil
+		}, func(v []byte, n int64) {
+			if v != nil {
+				if st.Vals == nil {
+					st.Vals = make([][]byte, len(st.Keys), cap(st.Keys))
+				}
+				// A fresh chunk also keeps an empty payload non-nil.
+				if arena == nil || len(v) > cap(arena)-len(arena) {
+					arena = make([]byte, 0, max(arenaChunk, len(v)))
+				}
+				arena = append(arena, v...)
+				v = arena[len(arena)-len(v) : len(arena) : len(arena)]
+			}
+			for ; n > 0; n-- {
+				st.Keys = append(st.Keys, key)
+				if st.Vals != nil {
+					st.Vals = append(st.Vals, v)
+				}
+			}
+		})
+		if !errors.Is(err, errUnsorted) {
+			return err
+		}
+		if err := loadUnsorted(runs); err != nil {
+			return err
+		}
+	}
 }
+
+// arenaChunk is the size of the chunks recovered payloads are copied
+// into; a larger payload takes a chunk of its own.
+const arenaChunk = 64 << 10
+
+// errTooLive is a fold claiming more than maxLive live instances.
+var errTooLive = fmt.Errorf("%w: fold claims more than %d live instances", ErrCorrupt, uint64(maxLive))
 
 // maxLive is the most live instances a recovered State can hold: Keys
 // takes 8 bytes per instance, and the Go runtime allocates at most 2^48

@@ -398,7 +398,7 @@ func (r *run) val(ref uint64) []byte {
 }
 
 // merges counts the merges begun, by which tests count the passes a
-// rebase makes over its chain.
+// rebase or a restart makes over its chain.
 var merges atomic.Int64
 
 // merge walks the keys of runs in ascending order and calls visit with
@@ -499,51 +499,6 @@ func fold(runs []*run, key func(k uint64, live, chainLive int64) error, emit fun
 		}
 		return nil
 	})
-}
-
-// foldSize is what sizeFold found: surviving keys and instances, the
-// chain's share, whether a payload survives, and the survivors' payload
-// bytes.
-type foldSize struct {
-	keys            int
-	live, chainLive int64
-	valued          bool
-	payBytes        int64
-}
-
-// sizeFold folds runs once, counting what a fill would emit, so the fill
-// can write its header first and size its output exactly. It is
-// Recover's first pass over a chain, and a rebase's when the one-pass
-// base's format guess fails: it checks every file whole, CRC included,
-// and loads any streamed run found out of key order. A fold over more
-// than maxLive instances is ErrCorrupt.
-func sizeFold(runs []*run) (fs foldSize, err error) {
-	for {
-		fs = foldSize{}
-		err = fold(runs, func(_ uint64, live, chainLive int64) error {
-			fs.chainLive += chainLive
-			if live > 0 {
-				fs.keys, fs.live = fs.keys+1, fs.live+live
-			}
-			// fs.live <= maxLive before the add, and a key's live instances
-			// are at most a base's count (<= maxLive) plus what deltas and a
-			// log image can add, so the sum cannot wrap before the check
-			// catches it.
-			if fs.live > maxLive {
-				return fmt.Errorf("%w: fold claims more than %d live instances", ErrCorrupt, uint64(maxLive))
-			}
-			return nil
-		}, func(v []byte, n int64) {
-			fs.payBytes += n * int64(len(v))
-			fs.valued = fs.valued || v != nil
-		})
-		if !errors.Is(err, errUnsorted) {
-			return fs, err
-		}
-		if err := loadUnsorted(runs); err != nil {
-			return fs, err
-		}
-	}
 }
 
 // loadUnsorted loads whole every streamed run a fold found out of key

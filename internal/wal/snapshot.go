@@ -45,8 +45,8 @@ import (
 // the end (encodeBase). A rebase therefore holds the chunk of log it
 // folds in, one read buffer per chain file and the write buffer — about
 // SnapshotBytes + (rebaseEvery + 2) × 64 KiB, whatever the size of the
-// base; Recover adds the state it returns, whose payloads share one
-// arena.
+// base; Recover, which folds once too, adds the state it returns, whose
+// payloads share 64 KiB arena chunks.
 // Files written before keys were sorted cannot be streamed in key order
 // and are still loaded whole and sorted.
 //
@@ -214,11 +214,10 @@ func (w *snapWriter) endBase(lsn, keys uint64) error {
 // bit-compatible with pre-codec snapshots, and v2 otherwise. The header
 // goes out with a placeholder key count, which endBase puts in place once
 // the fold has counted the keys. A fold that proves the guess wrong
-// starts the file again and writes it the two-pass way (encodeBaseSized);
-// one that meets a file out of key order (errUnsorted) loads it whole and
-// starts again. Corrupt input fails the fold partway, with the file
-// unfinished, and the caller renames nothing. Entries are in ascending
-// key order:
+// (errGuess) or meets a file out of key order (errUnsorted) starts the
+// file again: in the other format, or with that file loaded whole.
+// Corrupt input fails the fold partway, with the file unfinished, and the
+// caller renames nothing. Entries are in ascending key order:
 //
 //	magic  uint64 LE   snapMagic (v1) or snapMagicV2
 //	lsn    uint64 LE   watermark: records with LSN <= lsn are covered
@@ -238,15 +237,14 @@ func encodeBase(w *snapWriter, lsn uint64, runs []*run) error {
 			return err
 		}
 		if guessed {
-			return encodeBaseSized(w, lsn, runs)
-		}
-		if err := loadUnsorted(runs); err != nil {
+			valued = !valued
+		} else if err := loadUnsorted(runs); err != nil {
 			return err
 		}
 	}
 }
 
-// errGuess is a one-pass base fold finding its format guessed wrong.
+// errGuess is a base fold finding its format guessed wrong.
 var errGuess = errors.New("wal: base format guessed wrong")
 
 // guessValued guesses, before the fold, whether a payload survives it:
@@ -254,8 +252,8 @@ var errGuess = errors.New("wal: base format guessed wrong")
 // payloads are not known until it is read, so they do not count. A chain
 // on a v1 base is guessed key-only whatever else it holds: the base's
 // counts, unchecked until its CRC is read at its end, would each become
-// that many payload entries of a v2 file, where the two-pass path counts
-// them before it writes a byte.
+// that many payload entries of a v2 file; a wrong key-only guess folds
+// the whole chain, CRCs included, before any payload entry is written.
 func guessValued(runs []*run) bool {
 	valued := false
 	for _, r := range runs {
@@ -273,8 +271,8 @@ func guessValued(runs []*run) bool {
 
 // foldBase is one pass of encodeBase, in the format valued guesses: it
 // writes the header with a placeholder key count, streams the entries
-// while it counts the keys, and fails with errGuess as soon as a payload
-// survives a key-only guess, or at the end when none survived a v2 one.
+// while it counts the keys, and fails at the end with errGuess if a
+// payload survived a key-only guess or none survived a valued one.
 func foldBase(w *snapWriter, lsn uint64, runs []*run, valued bool) error {
 	magic := snapMagic
 	if valued {
@@ -288,16 +286,13 @@ func foldBase(w *snapWriter, lsn uint64, runs []*run, valued bool) error {
 	var live int64
 	payload := false
 	err := fold(runs, func(k uint64, n, _ int64) error {
-		if payload && !valued {
-			return errGuess
-		}
 		if n == 0 {
 			return nil
 		}
-		// As in sizeFold: live <= maxLive before the add, and one key adds
-		// at most a base's count plus what deltas and a log image hold.
+		// live <= maxLive before the add, and one key adds at most a base's
+		// count plus what deltas and a log image hold: the sum cannot wrap.
 		if keys, live = keys+1, live+n; live > maxLive {
-			return fmt.Errorf("%w: fold claims more than %d live instances", ErrCorrupt, uint64(maxLive))
+			return errTooLive
 		}
 		w.u64(k)
 		w.u64(uint64(n))
@@ -315,38 +310,6 @@ func foldBase(w *snapWriter, lsn uint64, runs []*run, valued bool) error {
 		return err
 	}
 	return w.endBase(lsn, keys)
-}
-
-// encodeBaseSized is encodeBase in two passes: sizeFold counts the keys
-// and learns the format, then the fold writes the file, header first.
-// It is the way out of a wrong format guess.
-func encodeBaseSized(w *snapWriter, lsn uint64, runs []*run) error {
-	fs, err := sizeFold(runs)
-	if err != nil {
-		return err
-	}
-	magic := snapMagic
-	if fs.valued {
-		magic = snapMagicV2
-	}
-	w.begin(magic)
-	w.u64(lsn)
-	w.u64(uint64(fs.keys))
-	err = fold(runs, func(k uint64, live, _ int64) error {
-		if live > 0 {
-			w.u64(k)
-			w.u64(uint64(live))
-		}
-		return nil
-	}, func(v []byte, n int64) {
-		for ; fs.valued && n > 0; n-- {
-			w.payload(v)
-		}
-	})
-	if err != nil {
-		return err
-	}
-	return w.end()
 }
 
 // encodeDelta streams a window's sorted events to w as a delta file, per

@@ -342,13 +342,47 @@ func rebaseRuns(t *testing.T, dir string) ([]*run, uint64) {
 	return append(ch.runs, &run{name: walName, img: img, ev: ev}), lsn
 }
 
+// encodeState writes st as a base at watermark lsn: v1 when no instance
+// carries a payload (Vals nil), else v2, one entry per run of equal keys.
+// It is the reference a base that encodeBase folds is compared against.
+func encodeState(w *snapWriter, lsn uint64, st *State) error {
+	magic, keys := snapMagic, 0
+	if st.Vals != nil {
+		magic = snapMagicV2
+	}
+	for i, k := range st.Keys {
+		if i == 0 || k != st.Keys[i-1] {
+			keys++
+		}
+	}
+	w.begin(magic)
+	w.u64(lsn)
+	w.u64(uint64(keys))
+	for i := 0; i < len(st.Keys); {
+		j := i + 1
+		for j < len(st.Keys) && st.Keys[j] == st.Keys[i] {
+			j++
+		}
+		w.u64(st.Keys[i])
+		w.u64(uint64(j - i))
+		if st.Vals != nil {
+			for _, v := range st.Vals[i:j] {
+				w.payload(v)
+			}
+		}
+		i = j
+	}
+	return w.end()
+}
+
 // TestEncodeBaseOnePass: the one-pass base writer makes, byte for byte,
-// the file the two-pass one does, on chains that take each of its ways:
-// a key count patched in the buffer or over a flushed header by a seek,
-// a restart after a legacy file out of key order, and the two-pass
-// fallback when a payload survives a key-only guess or none survives a
-// valued one. Each chain is a base and a delta, the rebaseEvery+2
-// snapshots of history, followed by the log window of window.
+// the recovered State written as a base (encodeState), on chains that
+// take each of its ways: a key count patched in the buffer or over a
+// flushed header by a seek, a restart after a legacy file out of key
+// order, and a restart in the other format when a payload survives a
+// key-only guess or none survives a valued one. Each chain is a base and
+// a delta, the rebaseEvery+2 snapshots of history, followed by the log
+// window of window.
 func TestEncodeBaseOnePass(t *testing.T) {
 	keyOnly := func(l *Log, i uint64) {
 		l.AppendInserts([]uint64{i, i + 1, 7}, nil)
@@ -399,10 +433,10 @@ func TestEncodeBaseOnePass(t *testing.T) {
 			// Keys 0..9 held every payload; 100..109 none.
 			l.AppendExtracts([]uint64{0, 1, 2, 3, 4, 5, 6, 7, 8, 9})
 			l.AppendInserts([]uint64{5000}, nil)
-		}, false, snapMagic, 3, 1},
+		}, false, snapMagic, 2, 1},
 		{"payloads arrive on a key-only base", keyOnly, func(l *Log) {
 			l.AppendInserts([]uint64{3}, [][]byte{[]byte("w")})
-		}, false, snapMagicV2, 3, 1},
+		}, false, snapMagicV2, 2, 1},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()
@@ -424,17 +458,21 @@ func TestEncodeBaseOnePass(t *testing.T) {
 				t.Fatal("the base and the delta are not out of key order")
 			}
 			runs, lsn := rebaseRuns(t, dir)
-			var one, two memFile
+			var one, ref memFile
 			before := merges.Load()
 			if err := encodeBase(&snapWriter{dst: &one}, lsn, runs); err != nil {
 				t.Fatal(err)
 			}
 			merged := merges.Load() - before
-			if err := encodeBaseSized(&snapWriter{dst: &two}, lsn, runs); err != nil {
+			var st State
+			if err := foldState(&st, runs); err != nil {
 				t.Fatal(err)
 			}
-			if !bytes.Equal(one.b, two.b) {
-				t.Fatalf("one pass wrote %d bytes, two passes %d, and they differ", len(one.b), len(two.b))
+			if err := encodeState(&snapWriter{dst: &ref}, lsn, &st); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(one.b, ref.b) {
+				t.Fatalf("one pass wrote %d bytes, the recovered State %d, and they differ", len(one.b), len(ref.b))
 			}
 			if magic := binary.LittleEndian.Uint64(one.b); magic != tc.magic || merged != tc.merges || one.seeks != tc.seeks {
 				t.Fatalf("magic %x, %d merges, %d seeks over %d bytes; want %x, %d, %d",
@@ -449,7 +487,7 @@ func TestEncodeBaseOnePass(t *testing.T) {
 
 // TestRebaseMergesOnce: in a steady key-only log and a steady valued one,
 // every rebase, the first included, merges its chain once and a delta
-// never does, so neither takes the two-pass path.
+// never does, so neither guesses its base's format wrong.
 func TestRebaseMergesOnce(t *testing.T) {
 	for _, valued := range []bool{false, true} {
 		l := mustOpen(t, Options{Dir: t.TempDir(), GroupCommit: time.Hour})
@@ -476,6 +514,54 @@ func TestRebaseMergesOnce(t *testing.T) {
 		}
 		if r := l.Stats().Rebases; r != 3 {
 			t.Fatalf("valued %v: %d rebases, want 3", valued, r)
+		}
+	}
+}
+
+// TestRecoverMergesOnce: Recover and Open each fold a chain of a base,
+// deltas and a log tail in one merge, on a key-only directory and on a
+// valued one.
+func TestRecoverMergesOnce(t *testing.T) {
+	for _, valued := range []bool{false, true} {
+		dir := t.TempDir()
+		l := mustOpen(t, Options{Dir: dir, GroupCommit: time.Hour})
+		for i := uint64(0); i < rebaseEvery+4; i++ {
+			var vals [][]byte
+			if valued {
+				vals = [][]byte{[]byte("v"), nil}
+			}
+			l.AppendInserts([]uint64{i * 31 % 97, 1000 + i}, vals)
+			if i > 0 {
+				l.AppendExtracts([]uint64{999 + i})
+			}
+			if i < rebaseEvery+3 {
+				if err := l.Snapshot(); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		if err := l.Close(); err != nil {
+			t.Fatal(err)
+		}
+		before := merges.Load()
+		st := recoverDir(t, dir)
+		if got := merges.Load() - before; got != 1 || st.SnapshotLSN == 0 || st.Deltas != 2 || st.Records == 0 {
+			t.Fatalf("valued %v: Recover merged %d times over %d deltas at LSN %d and %d records; want once over a base, 2 deltas and a log tail",
+				valued, got, st.Deltas, st.SnapshotLSN, st.Records)
+		}
+		if (st.Vals != nil) != valued {
+			t.Fatalf("valued %v: recovered Vals %q", valued, st.Vals)
+		}
+		before = merges.Load()
+		l, ost, err := Open(Options{Dir: dir, GroupCommit: time.Hour})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := merges.Load() - before; got != 1 || !slices.Equal(ost.Keys, st.Keys) {
+			t.Fatalf("valued %v: Open merged %d times and recovered %v; want once and %v", valued, got, ost.Keys, st.Keys)
+		}
+		if err := l.Close(); err != nil {
+			t.Fatal(err)
 		}
 	}
 }
