@@ -75,6 +75,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		return 2
 	}
+	if fs.NArg() > 0 {
+		fmt.Fprintf(stderr, "expgrid: unexpected argument %q (every setting is a flag)\n", fs.Arg(0))
+		fs.Usage()
+		return 2
+	}
 	// A repro command must carry the overrides this run was given.
 	overrides := ""
 	fs.Visit(func(f *flag.Flag) {

@@ -365,6 +365,7 @@ func TestUsageErrors(t *testing.T) {
 		{"-gates", "nope"},
 		{"-spec", "/does/not/exist.json"},
 		{"-nosuchflag"},
+		{"-experiments", "fig5c", "small"}, // a positional argument is no setting
 	} {
 		dir := t.TempDir()
 		stdout, stderr := expgrid(t, 2, append(args, "-out", dir)...)

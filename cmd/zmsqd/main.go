@@ -82,6 +82,11 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		}
 		return 2
 	}
+	if fs.NArg() > 0 {
+		fmt.Fprintf(stderr, "zmsqd: unexpected argument %q (every setting is a flag)\n", fs.Arg(0))
+		fs.Usage()
+		return 2
+	}
 
 	names := strings.Split(*tenants, ",")
 	for i := range names {

@@ -214,3 +214,19 @@ func TestListenFailureClosesLogs(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 }
+
+// TestStrayArgumentRefused: a positional argument is no setting, so zmsqd
+// prints its usage and exits 2 without starting a server.
+func TestStrayArgumentRefused(t *testing.T) {
+	var stdout, stderr bytes.Buffer
+	code := run(context.Background(), []string{"-addr", "127.0.0.1:0", "size"}, &stdout, &stderr)
+	if code != 2 {
+		t.Fatalf("exit %d, want 2\nstdout:\n%s\nstderr:\n%s", code, &stdout, &stderr)
+	}
+	if !strings.Contains(stderr.String(), `unexpected argument "size"`) || !strings.Contains(stderr.String(), "-addr") {
+		t.Fatalf("stderr carries no diagnostic and usage:\n%s", &stderr)
+	}
+	if stdout.Len() != 0 {
+		t.Fatalf("a server started:\n%s", &stdout)
+	}
+}

@@ -8,9 +8,9 @@ import (
 
 // Zero-allocation regression tests for the steady-state hot paths. The
 // contract: with a warmed queue, one paired Insert+TryExtractMax must
-// perform zero heap allocations in every set mode — list (a freed block
+// perform zero heap allocations in every set mode — list (a freed buffer
 // goes back onto the context's free stack), the paper's memory-safe list
-// (a hazard publication is a store, and a scan pushes retired blocks onto
+// (a hazard publication is a store, and a scan pushes retired buffers onto
 // the same stack) and array; "leaky" names the product's recycler, as in
 // the paper's "ZMSQ (leak)". The pairing matters — an
 // insert-only workload grows the queue and therefore must allocate new
@@ -76,17 +76,16 @@ func warmQueue(t *testing.T, cfg testConfig) (*Queue[int], func() uint64) {
 	for i := 0; i < 1<<13; i++ {
 		q.Insert(draw(), i)
 	}
-	// Overshoot the steady size and come back, then churn. The blocks in
-	// circulation must cover the resident set at its least dense, plus (in
-	// hazard-gated rows) a retired list one short of its scan, plus a pool
-	// refill's worth. Unlike a node per element, the number of blocks the
-	// resident set occupies is not fixed by its size: it follows how the
-	// elements spread over TNodes and how full splits and removals leave
-	// their blocks, and it keeps reaching new highs for some ten thousand
-	// operations after the fill. Left to the mix, that population is
-	// reached one fresh block at a time, whenever an allocation happens to
-	// find every spare block in use; the overshoot allocates the spares up
-	// front and the churn lets the spread settle.
+	// Overshoot the steady size and come back, then churn. The run buffers
+	// in circulation must cover the resident set in every class its sets
+	// pass through, plus (in hazard-gated rows) a retired list one short of
+	// its scan. The number of buffers of each class is not fixed by the
+	// resident set's size: it follows how the elements spread over TNodes
+	// and how splits and removals leave their sets, and it keeps reaching
+	// new highs for some ten thousand operations after the fill. Left to
+	// the mix, that population is reached one fresh buffer at a time,
+	// whenever an allocation happens to find every spare in use; the
+	// overshoot and the churn let the spread settle.
 	for i := 0; i < 1<<12; i++ {
 		q.Insert(draw(), i)
 	}

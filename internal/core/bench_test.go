@@ -114,7 +114,7 @@ func timeBatches(b *testing.B, per int, setup func(), op func()) {
 
 // BenchmarkSetOps times the nodeSet operations of the insert side on sets
 // of the sizes a default queue keeps (TargetLen = 72 to 2×TargetLen = 144),
-// through a queue context's allocator, so a list's block traffic recycles
+// through a queue context's allocator, so a run's buffer traffic recycles
 // as it does in a queue. A set is rebuilt from uniform
 // 48-bit keys before every batch of N/2 operations (before every operation
 // for the two that move many elements at once) and only the operations are
@@ -154,13 +154,13 @@ func benchSetOps[V any](b *testing.B, vname string, val func(uint64) V) {
 			fresh := func() { build(root, size, 1<<48) }
 			b.Run(name("swapMin"), func(b *testing.B) {
 				timeBatches(b, size/2, fresh, func() {
-					lo, hi := root.set.minKey(), root.set.maxKey()
+					lo, hi := root.set.minKey(al), root.set.maxKey(al)
 					root.set.swapMin(al, elem(lo+1+r.Uint64n(hi-lo)))
 				})
 			})
 			b.Run(name("insertNonMax"), func(b *testing.B) {
 				timeBatches(b, size/2, fresh, func() {
-					root.set.insertNonMax(al, elem(r.Uint64n(root.set.maxKey()+1)))
+					root.set.insertNonMax(al, elem(r.Uint64n(root.set.maxKey(al)+1)))
 				})
 			})
 			b.Run(name("takeTop"), func(b *testing.B) {

@@ -17,17 +17,18 @@
 // relaxation accuracy is governed solely by `batch`, independent of the
 // number of threads. The second composes from outside: package waitring
 // wraps a Queue in the §3.6 ticket ring, and this package declares nothing
-// about waiting. In Go the third needs no protocol: a set's list blocks are
-// only read or written under their TNode's lock, so a freed block is reused
+// about waiting. In Go the third needs no protocol: a set's run buffer is
+// only read or written under its TNode's lock, so a freed buffer is reused
 // at once (AllocDomain). The paper's hazard pointers (§3.5) plug in from
 // outside through AllocDomain's Reclaimer, for the cells that measure what
 // they cost.
 //
 // Each TNode holds its lock and its set inline: the lock is one of the
 // three kinds §4.1 compares (Config.Lock), chosen per queue and dispatched
-// on a kind byte, and the set is a list's head and tail, or in
-// SetModeArray a pointer to Fig. 5's array, tested once per set call. A
-// list-mode node, its lock and its set header are one 64-byte object.
+// on a kind byte, and the set is one slice: a sorted run, or in
+// SetModeArray Fig. 5's unsorted array, the operation's context telling
+// which once per set call. A node, its lock and its set's slice header
+// are one 64-byte object.
 //
 // The queue owns no goroutine: this package has no go statement. The §5
 // helper is one exported pass, Queue.HelperPass, which a caller drives on
@@ -69,12 +70,12 @@ const (
 type SetMode int
 
 const (
-	// SetModeList (the zero value) selects the mound-style sorted doubly
-	// linked list, unrolled into blocks of 16 elements that hold the
-	// element-per-node list's exact order.
+	// SetModeList (the zero value) selects the mound-style sorted list,
+	// held as one sorted run per set that holds the element-per-node
+	// list's exact order.
 	SetModeList SetMode = iota
 	// SetModeArray selects the unsorted fixed-capacity array set (the
-	// "(array)" curves in the paper's figures; no list blocks, so nothing
+	// "(array)" curves in the paper's figures; no run buffers, so nothing
 	// to reclaim).
 	SetModeArray
 )

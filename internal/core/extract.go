@@ -124,7 +124,7 @@ func (q *Queue[V]) lockRoot(ctx *opCtx[V], force bool) (*tnode[V], int64, extrac
 func (q *Queue[V]) releaseRoot(ctx *opCtx[V], root *tnode[V], cnt int64, taken int) {
 	root.count.Store(cnt)
 	if cnt > 0 {
-		root.max.Store(root.set.maxKey())
+		root.max.Store(root.set.maxKey(&ctx.al))
 	}
 	q.swapDown(ctx, 0, 0)
 	if m := q.met; m != nil {

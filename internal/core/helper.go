@@ -100,7 +100,7 @@ func (q *Queue[V]) HelperPass() int {
 		n.lock.Unlock()
 		return 0
 	}
-	c.max.Store(c.set.maxKey())
+	c.max.Store(c.set.maxKey(&ctx.al))
 	n.lock.Unlock()
 	// The child's max dropped; restore its subtree invariant. swapDown
 	// consumes (and releases) the child's lock.

@@ -17,7 +17,7 @@ func drainNodeForTest(q *Queue[int], ctx *opCtx[int], level, slot, keep int) {
 		n.count.Add(-1)
 	}
 	if n.count.Load() > 0 {
-		n.max.Store(n.set.maxKey())
+		n.max.Store(n.set.maxKey(&ctx.al))
 	}
 	n.lock.Unlock()
 }

@@ -121,11 +121,11 @@ func TestSwapContents(t *testing.T) {
 	if a.count.Load() != 2 || b.count.Load() != 1 {
 		t.Fatalf("counts after swap: %d, %d", a.count.Load(), b.count.Load())
 	}
-	if a.max.Load() != 99 || a.set.minKey() != 50 {
-		t.Fatalf("a max/min = %d/%d", a.max.Load(), a.set.minKey())
+	if a.max.Load() != 99 || a.set.minKey(&ctx.al) != 50 {
+		t.Fatalf("a max/min = %d/%d", a.max.Load(), a.set.minKey(&ctx.al))
 	}
-	if b.max.Load() != 10 || b.set.minKey() != 10 {
-		t.Fatalf("b max/min = %d/%d", b.max.Load(), b.set.minKey())
+	if b.max.Load() != 10 || b.set.minKey(&ctx.al) != 10 {
+		t.Fatalf("b max/min = %d/%d", b.max.Load(), b.set.minKey(&ctx.al))
 	}
 	b.lock.Unlock()
 	a.lock.Unlock()
@@ -147,8 +147,8 @@ func TestMaybeSplitDistributesToChildren(t *testing.T) {
 	if got := root.count.Load(); got != 5 {
 		t.Fatalf("root kept %d elements, want upper 5", got)
 	}
-	if root.set.minKey() != 50 {
-		t.Fatalf("root min = %d, want 50 (upper half kept)", root.set.minKey())
+	if root.set.minKey(&ctx.al) != 50 {
+		t.Fatalf("root min = %d, want 50 (upper half kept)", root.set.minKey(&ctx.al))
 	}
 	l, r := q.node(1, 0), q.node(1, 1)
 	if l.count.Load()+r.count.Load() != 4 {
@@ -173,5 +173,42 @@ func TestRootFallbackInsert(t *testing.T) {
 	}
 	if q.Len() != 200 {
 		t.Fatalf("Len = %d", q.Len())
+	}
+}
+
+// TestRunOutgrowsClasses: a set held past the split bound — what the
+// depth cap tolerates, and what rootFallbackInsert builds there — outgrows
+// every buffer class, passes CheckInvariants in a buffer of none, and
+// moves back into the classes as it drains.
+func TestRunOutgrowsClasses(t *testing.T) {
+	q := New[int](Config{Batch: 0, TargetLen: 4})
+	ctx := q.getCtx()
+	defer q.putCtx(ctx)
+	root := q.root()
+	const n = 500
+	root.lock.Lock()
+	for i := 0; i < n; i++ {
+		q.addLocked(ctx, root, element[int]{key: uint64(i * 7919 % 1000), val: i})
+	}
+	root.lock.Unlock()
+	if c := cap(root.set.e); q.ad.classOf(c) >= 0 {
+		t.Fatalf("a run of %d sits in a class buffer of capacity %d, want one past the classes", n, c)
+	}
+	if err := q.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	prev := ^uint64(0)
+	for i := 0; i < n; i++ {
+		k, _, ok := q.TryExtractMax()
+		if !ok || k > prev {
+			t.Fatalf("extraction %d = %d, %v after %d", i, k, ok, prev)
+		}
+		prev = k
+		if m := len(root.set.e); m > 0 && m <= q.ad.caps[topClass] && q.ad.classOf(cap(root.set.e)) < 0 {
+			t.Fatalf("a run of %d stayed in a buffer of capacity %d, which is of no class", m, cap(root.set.e))
+		}
+	}
+	if root.set.e != nil {
+		t.Fatalf("the drained root keeps a buffer of capacity %d", cap(root.set.e))
 	}
 }

@@ -60,8 +60,8 @@ type Metrics struct {
 
 	// HazardScans counts hazard-pointer reclamation scans (§3.5): 0 in the
 	// product, whose domain carries no Reclaimer; a hazard-gated domain
-	// counts its scans here when it is built. NodeCacheHit/Miss classify list block (lnode)
-	// allocations: a hit recycles a block through the context's free stack
+	// counts its scans here when it is built. NodeCacheHit/Miss classify run buffer
+	// requests: a hit recycles a buffer through the context's free stack
 	// or the domain freelist behind it; a miss allocates fresh. Steady
 	// state should be ~100% hits.
 	HazardScans   metrics.Counter
@@ -166,7 +166,7 @@ func (s MetricsSnapshot) ExtractsTotal() uint64 {
 	return s.ExtractPoolHit + s.ExtractRootElems
 }
 
-// NodeCacheHitRate is the fraction of list block allocations served by
+// NodeCacheHitRate is the fraction of run buffer requests served by
 // recycling (0 when no allocations were recorded).
 func (s MetricsSnapshot) NodeCacheHitRate() float64 {
 	total := s.NodeCacheHit + s.NodeCacheMiss
@@ -228,8 +228,8 @@ func (s MetricsSnapshot) WritePrometheus(w io.Writer) error {
 	p.Counter("zmsq_pool_refills_total", "extraction pool refill cycles", s.PoolRefills)
 	p.Counter("zmsq_swapdown_moves_total", "set exchanges during downward invariant repair", s.SwapDownMoves)
 	p.Counter("zmsq_hazard_scans_total", "hazard pointer reclamation scans", s.HazardScans)
-	p.Counter("zmsq_node_cache_hit_total", "list block allocations served by recycling", s.NodeCacheHit)
-	p.Counter("zmsq_node_cache_miss_total", "list block allocations that hit the heap", s.NodeCacheMiss)
+	p.Counter("zmsq_node_cache_hit_total", "run buffer requests served by recycling", s.NodeCacheHit)
+	p.Counter("zmsq_node_cache_miss_total", "run buffer requests that hit the heap", s.NodeCacheMiss)
 	p.Gauge("zmsq_pool_occupancy", "unclaimed extraction pool entries", float64(s.PoolOccupancy))
 	p.Gauge("zmsq_pool_capacity", "extraction pool capacity (Config.Batch)", float64(s.PoolCapacity))
 	p.Gauge("zmsq_len", "snapshot element count", float64(s.Len))

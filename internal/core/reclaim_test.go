@@ -14,21 +14,21 @@ import (
 // harness.NewHazardDomain does outside core — the paper's memory-safe ZMSQ
 // (§3.5), its scans counted on met and stalled by inj — and returns the
 // hazard domain too, for the tests that count its records.
-func hazardDomain[V any](met *Metrics, inj *fault.Injector) (*AllocDomain[V], *hazard.Domain[lnode[V]]) {
-	d := hazard.NewDomain[lnode[V]]()
+func hazardDomain[V any](met *Metrics, inj *fault.Injector) (*AllocDomain[V], *hazard.Domain[runBuf[V]]) {
+	d := hazard.NewDomain[runBuf[V]]()
 	d.SetScanHook(func() {
 		if met != nil {
 			met.HazardScans.Inc(0)
 		}
 		inj.Stall(fault.HazardScan)
 	})
-	return NewAllocDomain[V](func(done func(*lnode[V])) Hazards[lnode[V]] { return d.Get(done) }), d
+	return NewAllocDomain[V](func(done func(*runBuf[V])) Hazards[runBuf[V]] { return d.Get(done) }), d
 }
 
 // openHazard opens cfg's queue over a fresh hazardDomain built from cfg's
 // Metrics and inj, which also becomes the queue's Faults when non-nil (a
 // nil *fault.Injector in Config.Faults would be a non-nil interface).
-func openHazard(cfg Config, inj *fault.Injector) (*Queue[int], *hazard.Domain[lnode[int]]) {
+func openHazard(cfg Config, inj *fault.Injector) (*Queue[int], *hazard.Domain[runBuf[int]]) {
 	if inj != nil {
 		cfg.Faults = inj
 	}
@@ -85,7 +85,7 @@ func TestHazardRecordsReleased(t *testing.T) {
 	}
 }
 
-// TestReleaseHandsNodesOn: a released context's recycled nodes go to the
+// TestReleaseHandsNodesOn: a released context's recycled buffers go to the
 // shared freelist, where the next context finds them, and its hazard
 // record goes back to the domain for the next context to reuse.
 func TestReleaseHandsNodesOn(t *testing.T) {
@@ -93,24 +93,28 @@ func TestReleaseHandsNodesOn(t *testing.T) {
 	q, dom := openHazard(Config{Batch: 0, TargetLen: 8, Metrics: met}, nil)
 	ctx := q.getCtx()
 	runtime.SetFinalizer(ctx, nil) // released by hand below
-	nodes := make([]*lnode[int], 100)
-	for i := range nodes {
-		nodes[i] = ctx.al.get()
+	bufs := make([][]element[int], 4*localFreeDepth)
+	for i := range bufs {
+		bufs[i] = ctx.al.get(1)
 	}
-	for _, n := range nodes {
-		ctx.al.put(n)
+	for _, b := range bufs {
+		ctx.al.put(b)
 	}
 	ctx.al.release() // what the finalizer does
-	if got := len(q.ad.free.nodes); got != len(nodes) {
-		t.Fatalf("shared freelist holds %d nodes after release, want all %d", got, len(nodes))
+	held := 0
+	for c := range q.ad.free {
+		held += len(q.ad.free[c].bufs)
+	}
+	if held < len(bufs) {
+		t.Fatalf("shared freelist holds %d buffers after release, want at least the %d put", held, len(bufs))
 	}
 	before := q.Snapshot().NodeCacheMiss
 	next := q.ctxs.New().(*opCtx[int])
-	for range nodes {
-		next.al.get()
+	for range bufs {
+		next.al.get(1)
 	}
 	if miss := q.Snapshot().NodeCacheMiss - before; miss != 0 {
-		t.Fatalf("%d fresh allocations with %d released nodes on the freelist", miss, len(nodes))
+		t.Fatalf("%d fresh allocations with %d released buffers on the freelist", miss, len(bufs))
 	}
 	if n := dom.Records(); n != 1 {
 		t.Fatalf("%d hazard records, want the released one reused", n)
@@ -121,11 +125,10 @@ func TestReleaseHandsNodesOn(t *testing.T) {
 // reclamation path, so their numbers compare across changes to it: the
 // HazardScan fault
 // point is consulted at the top of every scan, Metrics.HazardScans counts
-// the same scans, a scan runs once per 64 retired blocks, and every block
-// allocation is either a NodeCacheHit (recycled — from the context's own
-// stack or the shared freelist) or a NodeCacheMiss (fresh). The churn is
-// long enough that blocks, which a set needs once per blockLen elements at
-// most, are mostly recycled.
+// the same scans, a scan runs once per 64 retired run buffers, and every
+// buffer allocation is either a NodeCacheHit (recycled — from the context's
+// own stack or the shared freelist) or a NodeCacheMiss (fresh). The churn
+// is long enough that buffers are mostly recycled.
 func TestHazardSeams(t *testing.T) {
 	inj := fault.New(1, fault.Plan{HazardScanPct: 100, HazardScanYields: 1})
 	met := NewMetrics()
@@ -147,10 +150,10 @@ func TestHazardSeams(t *testing.T) {
 	q.Drain()
 	// A scan's worth of retirements through one held context. Under the
 	// race detector sync.Pool drops contexts after a few operations, too
-	// soon for any of them to retire 64 blocks on its own.
+	// soon for any of them to retire 64 buffers on its own.
 	ctx := q.getCtx()
 	for i := 0; i < 64; i++ {
-		ctx.al.put(ctx.al.get())
+		ctx.al.put(ctx.al.get(1))
 	}
 	q.putCtx(ctx)
 
@@ -168,7 +171,7 @@ func TestHazardSeams(t *testing.T) {
 		return // what follows needs the one context that sync.Pool keeps dropping
 	}
 	// One goroutine means one context and one record; the queue is empty,
-	// so every block ever handed out has been retired.
+	// so every buffer ever handed out has been retired.
 	retired := snap.NodeCacheHit + snap.NodeCacheMiss
 	if want := retired / 64; snap.HazardScans != want {
 		t.Fatalf("%d scans for %d retirements, want one per 64 (%d)", snap.HazardScans, retired, want)
@@ -178,44 +181,59 @@ func TestHazardSeams(t *testing.T) {
 	}
 }
 
-// TestRecycledNodesCarryNoLinks: a block that has sat in a list comes back
-// from alloc.get empty and with neither link, whichever way it was recycled
-// — the context's own free stack or the shared freelist behind it, with or
-// without a hazard scan on the way. A surviving prev would splice a dead list into a live
-// one the first time the block became a head, and a surviving element
-// would reappear in the next set the block joined.
-func TestRecycledNodesCarryNoLinks(t *testing.T) {
-	// cycle links fresh-or-recycled blocks into a list, unlinks them by
-	// every removing operation, and returns the set of blocks that went
-	// through and how many of them were freed.
-	cycle := func(al *alloc[int]) (map[*lnode[int]]bool, int) {
-		s := &nodeSet[int]{}
-		for i := 0; i < 4096; i++ {
-			s.insertMax(al, element[int]{key: uint64(i), val: i})
-			s.insertNonMax(al, element[int]{key: uint64(i / 2), val: i})
+// TestRecycledBuffersHoldNoElement: a buffer that has held a run comes
+// back from alloc.get empty and with every slot zero, whichever way it was
+// recycled — the context's own free stack or the shared freelist behind
+// it, with or without a hazard scan on the way — so a free buffer pins no
+// payload, and no element reappears in the next set the buffer serves.
+func TestRecycledBuffersHoldNoElement(t *testing.T) {
+	// cycle grows a run of []byte payloads through every class, shrinks it
+	// by every removing operation, and returns the buffers that went
+	// through the set (by their first slot) and how many were freed.
+	cycle := func(al *alloc[[]byte]) (map[*element[[]byte]]bool, int) {
+		s := &nodeSet[[]byte]{}
+		used := make(map[*element[[]byte]]bool)
+		note := func() {
+			if cap(s.e) > 0 {
+				used[&s.e[:1][0]] = true
+			}
 		}
-		used := make(map[*lnode[int]]bool)
-		for b := s.head; b != nil; b = b.next {
-			used[b] = true
-		}
-		s.splitLower(al, s.length(), nil)
-		s.takeTop(al, 1000, nil)
-		for s.length() > 1 {
-			s.removeMin(al)
+		for round := 0; round < 48; round++ {
+			for i := 0; i < 600; i++ {
+				k := uint64(i)
+				s.insertMax(al, element[[]byte]{key: k, val: []byte{byte(i)}})
+				note()
+				s.insertNonMax(al, element[[]byte]{key: k / 2, val: []byte{byte(i)}})
+				note()
+			}
+			s.splitLower(al, len(s.e), nil)
+			note()
+			s.takeTop(al, len(s.e)/3, nil)
+			note()
+			for len(s.e) > 1 {
+				s.swapMin(al, element[[]byte]{key: s.e[len(s.e)-1].key, val: []byte{1}})
+				s.removeMax(al)
+				note()
+			}
 			s.removeMax(al)
 		}
-		return used, len(used) - 1 // one block keeps the last element
+		return used, len(used)
 	}
-	expectRecycled := func(t *testing.T, al *alloc[int], used map[*lnode[int]]bool, count int) (got []*lnode[int]) {
+	expectRecycled := func(t *testing.T, al *alloc[[]byte], used map[*element[[]byte]]bool, c, count int) (got [][]element[[]byte]) {
 		t.Helper()
 		for i := 0; i < count; i++ {
-			b := al.get()
+			b := al.get(al.ad.caps[c])
 			got = append(got, b)
-			if !used[b] {
-				t.Fatalf("get %d returned a fresh block, want a recycled one", i)
+			if !used[&b[:1][0]] {
+				t.Fatalf("get %d of class %d returned a fresh buffer, want a recycled one", i, c)
 			}
-			if b.next != nil || b.prev != nil || b.n != 0 || b.e != [blockLen]element[int]{} {
-				t.Fatalf("get %d returned a block with next=%p prev=%p n=%d e=%v", i, b.next, b.prev, b.n, b.e)
+			if len(b) != 0 || cap(b) != al.ad.caps[c] {
+				t.Fatalf("get %d returned len %d cap %d, want an empty buffer of capacity %d", i, len(b), cap(b), al.ad.caps[c])
+			}
+			for j, e := range b[:cap(b)] {
+				if e.key != 0 || e.val != nil {
+					t.Fatalf("get %d returned a buffer holding (%d, %v) in slot %d", i, e.key, e.val, j)
+				}
 			}
 		}
 		return got
@@ -226,24 +244,27 @@ func TestRecycledNodesCarryNoLinks(t *testing.T) {
 		hazard bool
 	}{{"safe", true}, {"leaky", false}} {
 		t.Run(tc.name, func(t *testing.T) {
-			q := newTestQueue[int](testConfig{Config{Batch: 0, TargetLen: 8}, tc.hazard})
+			q := newTestQueue[[]byte](testConfig{Config{Batch: 0, TargetLen: 8}, tc.hazard})
 			ctx := q.getCtx()
 			runtime.SetFinalizer(ctx, nil) // released by hand below
 			used, freed := cycle(&ctx.al)
-			if freed < 256 {
-				t.Fatalf("the cycle freed %d blocks, too few for four scans", freed)
+			if freed < 2*nClasses {
+				t.Fatalf("the cycle went through %d buffers, too few to reach every class", freed)
 			}
-			// Hazard-gated, all but the last freed%64 have passed a
-			// scan; of those, the last ones sit on the context's stack and
-			// the rest were spilled to the freelist.
-			for _, b := range expectRecycled(t, &ctx.al, used, freed/2) {
-				b.next, b.prev = b, b // as if it had been linked again
-				b.e[0], b.e[1], b.n = element[int]{key: 7, val: 7}, element[int]{key: 3, val: 3}, 2
-				ctx.al.put(b)
+			// Hazard-gated, all but the last few have passed a scan; the last
+			// ones sit on the context's stacks and the rest were spilled to
+			// the freelist.
+			for c := 0; c < nClasses; c++ {
+				for _, b := range expectRecycled(t, &ctx.al, used, c, 1) {
+					b = append(b, element[[]byte]{key: 7, val: []byte{7}}, element[[]byte]{key: 3, val: []byte{3}})
+					ctx.al.put(b)
+				}
 			}
 			ctx.al.release()
-			next := q.ctxs.New().(*opCtx[int])
-			expectRecycled(t, &next.al, used, freed/3) // all through the shared freelist
+			next := q.ctxs.New().(*opCtx[[]byte])
+			for c := 0; c < nClasses; c++ {
+				expectRecycled(t, &next.al, used, c, 1) // through the shared freelist
+			}
 		})
 	}
 }

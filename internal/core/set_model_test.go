@@ -10,6 +10,32 @@ import (
 	"repro/internal/xrand"
 )
 
+// modelTargetLen fixes the run classes of the model's list sets small
+// (3, 5, 9, 17 and 26 elements), so that random sequences cross every class
+// boundary, fill buffers to the last slot and outgrow the largest class.
+const modelTargetLen = 8
+
+// setStats counts the situations runSetModel met, so that a test can
+// insist that a sequence reached them.
+type setStats struct {
+	tiedMerges   int // addRun with equal keys inside the run and against the set
+	swapAtMin    int // swapMin whose element became the new minimum
+	swapBelowMax int // swapMin whose element landed just below the maximum
+	full         int // a run that filled its buffer to the last slot
+	oversize     int // a run past the largest class
+	shrunk       int // a removal that moved the run to a smaller class
+	released     int // a removal that emptied the run and gave its buffer back
+}
+
+// modelAlloc is the allocator runSetModel drives a set with: a list
+// context of its own over a private domain, or an array one.
+func modelAlloc[V any](arr bool) *alloc[V] {
+	ad := NewAllocDomain[V](nil)
+	ad.init(modelTargetLen)
+	a := newCtxAlloc(ad, !arr, nil, 0)
+	return &a
+}
+
 // ment is one element of the set model: its key and the serial number its
 // value carries, which tells equal keys apart.
 type ment struct{ key, id uint64 }
@@ -73,17 +99,16 @@ var modelKeys = []uint64{
 	math.MaxUint64 - 2, math.MaxUint64 - 1, math.MaxUint64, math.MaxUint64,
 }
 
-// fewKeys has four values, so that runs of equal keys outgrow a list block
-// and every insert rule meets a block boundary.
+// fewKeys has four values, so that runs of equal keys fill whole buffers
+// and every merge meets equal keys on both sides.
 var fewKeys = []uint64{0, 1 << 40, 1 << 63, math.MaxUint64}
 
 // runSetModel drives one set through random sequences of every mutating
 // operation, drawing keys from modelKeys, and compares it with the model
-// after each. It returns how many checks found two blocks of a list set
-// meeting on equal keys.
-func runSetModel[V any](t *testing.T, mk func() *nodeSet[V], val func(uint64) V, id func(V) uint64, modelKeys []uint64) (tiedBoundaries int) {
+// after each.
+func runSetModel[V any](t *testing.T, arr bool, val func(uint64) V, id func(V) uint64, modelKeys []uint64) (st setStats) {
 	r := xrand.New(0x5e7)
-	a := &alloc[V]{}
+	a := modelAlloc[V](arr)
 	var serial uint64
 	elem := func(k uint64) element[V] {
 		serial++
@@ -92,14 +117,17 @@ func runSetModel[V any](t *testing.T, mk func() *nodeSet[V], val func(uint64) V,
 	ent := func(e element[V]) ment { return ment{e.key, id(e.val)} }
 
 	for trial := 0; trial < 400; trial++ {
-		s := mk()
-		isList := s.arr == nil
-		md := &setModel{exact: isList}
+		s := &nodeSet[V]{}
+		if arr {
+			s.e = make([]element[V], 0, 16)
+		}
+		md := &setModel{exact: !arr}
 		// Low bias keeps the set at sizes 0-2, high bias grows it past a
-		// split's worth.
+		// split's worth and past the largest class.
 		insertBias := 20 + r.Intn(70)
 		for step := 0; step < 200; step++ {
 			n := len(md.m)
+			capBefore := cap(s.e)
 			op := r.Intn(100)
 			switch {
 			case n == 0 || op < insertBias/2: // one element, by the caller's rule
@@ -125,6 +153,11 @@ func runSetModel[V any](t *testing.T, mk func() *nodeSet[V], val func(uint64) V,
 					}
 					return 0
 				})
+				if tiedRun(run) && slices.ContainsFunc(md.m, func(m ment) bool {
+					return slices.ContainsFunc(run, func(e element[V]) bool { return e.key == m.key })
+				}) {
+					st.tiedMerges++
+				}
 				s.addRun(a, run)
 				for _, e := range run {
 					md.add(e.key, id(e.val))
@@ -148,7 +181,7 @@ func runSetModel[V any](t *testing.T, mk func() *nodeSet[V], val func(uint64) V,
 				if len(out) != n/2 {
 					t.Fatalf("splitLower of %d returned %d", n, len(out))
 				}
-				if isList {
+				if !arr {
 					// List order, so that addRun can take it as it comes.
 					for _, e := range out {
 						md.remove(t, ent(e), n-n/2)
@@ -177,62 +210,68 @@ func runSetModel[V any](t *testing.T, mk func() *nodeSet[V], val func(uint64) V,
 				}
 				md.insertBehind(k, id(e.val))
 				md.remove(t, ent(demoted), n)
-			}
-			checkSetAgainstModel(t, s, md, ent)
-			if isList {
-				for b := s.head; b != nil && b.next != nil; b = b.next {
-					if b.e[b.n-1].key == b.next.e[0].key {
-						tiedBoundaries++
+				if !arr {
+					switch ent(e) {
+					case ent(s.e[0]):
+						st.swapAtMin++
+					case ent(s.e[n-2]):
+						st.swapBelowMax++
 					}
+				}
+			}
+			checkSetAgainstModel(t, s, a, md, ent)
+			if !arr {
+				switch c := cap(s.e); {
+				case len(s.e) == 0 && capBefore > 0:
+					st.released++
+				case c < capBefore:
+					st.shrunk++
+				}
+				if len(s.e) > 0 && len(s.e) == cap(s.e) {
+					st.full++
+				}
+				if cap(s.e) > a.ad.caps[nClasses-1] {
+					st.oversize++
 				}
 			}
 		}
 	}
-	return tiedBoundaries
+	return st
 }
 
-func checkSetAgainstModel[V any](t *testing.T, s *nodeSet[V], md *setModel, ent func(element[V]) ment) {
+// tiedRun reports whether run repeats a key.
+func tiedRun[V any](run []element[V]) bool {
+	for i := 1; i < len(run); i++ {
+		if run[i].key == run[i-1].key {
+			return true
+		}
+	}
+	return false
+}
+
+func checkSetAgainstModel[V any](t *testing.T, s *nodeSet[V], a *alloc[V], md *setModel, ent func(element[V]) ment) {
 	t.Helper()
 	if s.length() != len(md.m) {
 		t.Fatalf("length %d, model %d", s.length(), len(md.m))
 	}
-	if s.arr == nil {
-		var fwd, back []*lnode[V]
-		for b := s.head; b != nil; b = b.next {
-			fwd = append(fwd, b)
-		}
-		for b := s.tail; b != nil; b = b.prev {
-			back = append(back, b)
-		}
-		slices.Reverse(back)
-		if !slices.Equal(fwd, back) {
-			t.Fatalf("forward walk (%d blocks) is not the backward walk reversed (%d blocks)", len(fwd), len(back))
-		}
-		if len(fwd) > 0 && (s.head.prev != nil || s.tail.next != nil) {
-			t.Fatal("head has a prev or tail has a next")
-		}
-		if len(fwd) == 0 && (s.head != nil || s.tail != nil) {
-			t.Fatal("empty list keeps a head or a tail")
-		}
-		for i, b := range fwd {
-			for j := b.n; j < blockLen; j++ {
-				if !reflect.ValueOf(b.e[j]).IsZero() {
-					t.Fatalf("block %d keeps an element in free slot %d", i, j)
-				}
+	if !a.arr {
+		for j, e := range s.e[len(s.e):cap(s.e)] {
+			if !reflect.ValueOf(e).IsZero() {
+				t.Fatalf("run of %d keeps an element in free slot %d", len(s.e), len(s.e)+j)
 			}
 		}
-		if err := s.checkSize(len(md.m)); err != nil {
+		if err := s.checkSize(a, len(md.m)); err != nil {
 			t.Fatal(err)
 		}
 	}
 	if len(md.m) == 0 {
 		return
 	}
-	if s.maxKey() != md.m[0].key || s.minKey() != md.m[len(md.m)-1].key {
-		t.Fatalf("extremes [%d,%d], model [%d,%d]", s.minKey(), s.maxKey(), md.m[len(md.m)-1].key, md.m[0].key)
+	if s.maxKey(a) != md.m[0].key || s.minKey(a) != md.m[len(md.m)-1].key {
+		t.Fatalf("extremes [%d,%d], model [%d,%d]", s.minKey(a), s.maxKey(a), md.m[len(md.m)-1].key, md.m[0].key)
 	}
 	got := make([]ment, 0, len(md.m))
-	for _, e := range s.ascending(nil) {
+	for _, e := range s.ascending(a, nil) {
 		got = append(got, ent(e))
 	}
 	slices.Reverse(got)
@@ -261,30 +300,50 @@ func checkSetAgainstModel[V any](t *testing.T, s *nodeSet[V], md *setModel, ent 
 }
 
 // TestSetModel checks both set representations, with a small and a
-// pointer-carrying value type, against the sorted-slice model.
+// pointer-carrying value type, against the sorted-slice model. The list
+// rows also insist that the sequences reached what a run does differently
+// from the block list it replaced: merges with ties on both sides, swaps
+// landing at either end of the shift, buffers filled to the last slot,
+// growth past the largest class, and the moves down a class and releases
+// that give buffers back to the recycler.
 func TestSetModel(t *testing.T) {
 	intVal := func(id uint64) int { return int(id) }
 	intID := func(v int) uint64 { return uint64(v) }
 	bytesVal := func(id uint64) []byte { return binary.LittleEndian.AppendUint64(nil, id) }
 	bytesID := func(v []byte) uint64 { return binary.LittleEndian.Uint64(v) }
+	reached := func(t *testing.T, st setStats) {
+		t.Helper()
+		for name, n := range map[string]int{
+			"a merge with ties in the run and against the set": st.tiedMerges,
+			"a swap landing at the minimum":                    st.swapAtMin,
+			"a swap landing below the maximum":                 st.swapBelowMax,
+			"a full buffer":                                    st.full,
+			"a run past the largest class":                     st.oversize,
+			"a move down a class":                              st.shrunk,
+			"a release":                                        st.released,
+		} {
+			if n == 0 {
+				t.Errorf("no sequence reached %s", name)
+			}
+		}
+	}
 
 	t.Run("list/int", func(t *testing.T) {
-		runSetModel(t, func() *nodeSet[int] { return &nodeSet[int]{} }, intVal, intID, modelKeys)
+		reached(t, runSetModel(t, false, intVal, intID, modelKeys))
 	})
 	t.Run("list/bytes", func(t *testing.T) {
-		runSetModel(t, func() *nodeSet[[]byte] { return &nodeSet[[]byte]{} }, bytesVal, bytesID, modelKeys)
+		reached(t, runSetModel(t, false, bytesVal, bytesID, modelKeys))
 	})
-	// Four keys: equal keys span block boundaries, where the head
-	// exception, behind-greater and in-front-of-equal must still hold.
+	// Four keys: equal keys fill whole buffers and every merge meets ties
+	// on both sides, where behind-greater and in-front-of-equal must
+	// still hold.
 	t.Run("list/int/fourkeys", func(t *testing.T) {
-		if n := runSetModel(t, func() *nodeSet[int] { return &nodeSet[int]{} }, intVal, intID, fewKeys); n == 0 {
-			t.Fatal("no two blocks ever met on equal keys")
-		}
+		reached(t, runSetModel(t, false, intVal, intID, fewKeys))
 	})
 	t.Run("array/int", func(t *testing.T) {
-		runSetModel(t, func() *nodeSet[int] { return &nodeSet[int]{arr: newArraySet[int](16)} }, intVal, intID, modelKeys)
+		runSetModel(t, true, intVal, intID, modelKeys)
 	})
 	t.Run("array/bytes", func(t *testing.T) {
-		runSetModel(t, func() *nodeSet[[]byte] { return &nodeSet[[]byte]{arr: newArraySet[[]byte](16)} }, bytesVal, bytesID, modelKeys)
+		runSetModel(t, true, bytesVal, bytesID, modelKeys)
 	})
 }

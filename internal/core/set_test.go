@@ -6,54 +6,50 @@ import (
 	"testing"
 )
 
-// newAlloc returns an allocator with no stack and no domain for direct set
-// testing: get allocates fresh blocks and put drops them.
-func newAlloc() *alloc[int] { return &alloc[int]{} }
+// newAlloc returns a list allocator over a private domain for direct set
+// testing, with the classes of a targetLen-8 queue.
+func newAlloc() *alloc[int] { return modelAlloc[int](false) }
 
-func mkSet(array bool) *nodeSet[int] {
+func mkSet(array bool) (*nodeSet[int], *alloc[int]) {
 	if array {
-		return &nodeSet[int]{arr: newArraySet[int](64)}
+		return &nodeSet[int]{e: make([]element[int], 0, 64)}, modelAlloc[int](true)
 	}
-	return &nodeSet[int]{}
+	return &nodeSet[int]{}, newAlloc()
 }
 
-func setVariants(t *testing.T, f func(t *testing.T, mk func() *nodeSet[int])) {
-	t.Run("list", func(t *testing.T) { f(t, func() *nodeSet[int] { return mkSet(false) }) })
-	t.Run("array", func(t *testing.T) { f(t, func() *nodeSet[int] { return mkSet(true) }) })
+func setVariants(t *testing.T, f func(t *testing.T, mk func() (*nodeSet[int], *alloc[int]))) {
+	t.Run("list", func(t *testing.T) { f(t, func() (*nodeSet[int], *alloc[int]) { return mkSet(false) }) })
+	t.Run("array", func(t *testing.T) { f(t, func() (*nodeSet[int], *alloc[int]) { return mkSet(true) }) })
 }
 
 // length counts the set's elements. The queue never asks: a TNode's count
 // is its set's size.
-func (s *nodeSet[V]) length() int {
-	if s.arr != nil {
-		return len(s.arr.elems)
-	}
-	n := 0
-	for b := s.head; b != nil; b = b.next {
-		n += b.n
-	}
-	return n
-}
+func (s *nodeSet[V]) length() int { return len(s.e) }
 
 // removeMin removes and returns the smallest element (the first one an
 // array scan meets). The set must be nonempty. The queue removes a minimum
 // only inside swapMin.
 func (s *nodeSet[V]) removeMin(a *alloc[V]) element[V] {
-	if s.arr != nil {
+	if a.arr {
 		best := 0
-		for i, e := range s.arr.elems {
-			if e.key < s.arr.elems[best].key {
+		for i, e := range s.e {
+			if e.key < s.e[best].key {
 				best = i
 			}
 		}
-		return s.arr.removeAt(best)
+		return s.arrayRemoveAt(best)
 	}
-	return s.removeAt(a, s.tail, s.tail.n-1)
+	e := s.e[0]
+	n := copy(s.e, s.e[1:])
+	s.e[n] = element[V]{}
+	s.e = s.e[:n]
+	s.fit(a)
+	return e
 }
 
 func fillSet(s *nodeSet[int], a *alloc[int], keys []uint64) {
 	for _, k := range keys {
-		if s.length() == 0 || k >= s.maxKey() {
+		if s.length() == 0 || k >= s.maxKey(a) {
 			s.insertMax(a, element[int]{key: k})
 		} else {
 			s.insertNonMax(a, element[int]{key: k})
@@ -62,27 +58,25 @@ func fillSet(s *nodeSet[int], a *alloc[int], keys []uint64) {
 }
 
 func TestSetInsertAndExtremes(t *testing.T) {
-	setVariants(t, func(t *testing.T, mk func() *nodeSet[int]) {
-		a := newAlloc()
-		s := mk()
+	setVariants(t, func(t *testing.T, mk func() (*nodeSet[int], *alloc[int])) {
+		s, a := mk()
 		keys := []uint64{5, 9, 2, 9, 7, 1, 8}
 		fillSet(s, a, keys)
 		if s.length() != len(keys) {
 			t.Fatalf("length = %d, want %d", s.length(), len(keys))
 		}
-		if s.maxKey() != 9 {
-			t.Fatalf("maxKey = %d, want 9", s.maxKey())
+		if s.maxKey(a) != 9 {
+			t.Fatalf("maxKey = %d, want 9", s.maxKey(a))
 		}
-		if s.minKey() != 1 {
-			t.Fatalf("minKey = %d, want 1", s.minKey())
+		if s.minKey(a) != 1 {
+			t.Fatalf("minKey = %d, want 1", s.minKey(a))
 		}
 	})
 }
 
 func TestSetRemoveMaxSortedDrain(t *testing.T) {
-	setVariants(t, func(t *testing.T, mk func() *nodeSet[int]) {
-		a := newAlloc()
-		s := mk()
+	setVariants(t, func(t *testing.T, mk func() (*nodeSet[int], *alloc[int])) {
+		s, a := mk()
 		keys := []uint64{5, 9, 2, 9, 7, 1, 8, 3, 3}
 		fillSet(s, a, keys)
 		sorted := append([]uint64(nil), keys...)
@@ -100,15 +94,14 @@ func TestSetRemoveMaxSortedDrain(t *testing.T) {
 }
 
 func TestSetRemoveMin(t *testing.T) {
-	setVariants(t, func(t *testing.T, mk func() *nodeSet[int]) {
-		a := newAlloc()
-		s := mk()
+	setVariants(t, func(t *testing.T, mk func() (*nodeSet[int], *alloc[int])) {
+		s, a := mk()
 		fillSet(s, a, []uint64{5, 9, 2, 7})
 		if got := s.removeMin(a); got.key != 2 {
 			t.Fatalf("removeMin = %d, want 2", got.key)
 		}
-		if s.minKey() != 5 {
-			t.Fatalf("minKey after removeMin = %d, want 5", s.minKey())
+		if s.minKey(a) != 5 {
+			t.Fatalf("minKey after removeMin = %d, want 5", s.minKey(a))
 		}
 		if s.length() != 3 {
 			t.Fatalf("length = %d, want 3", s.length())
@@ -117,9 +110,8 @@ func TestSetRemoveMin(t *testing.T) {
 }
 
 func TestSetRemoveMinSingleton(t *testing.T) {
-	setVariants(t, func(t *testing.T, mk func() *nodeSet[int]) {
-		a := newAlloc()
-		s := mk()
+	setVariants(t, func(t *testing.T, mk func() (*nodeSet[int], *alloc[int])) {
+		s, a := mk()
 		s.insertMax(a, element[int]{key: 42})
 		if got := s.removeMin(a); got.key != 42 {
 			t.Fatalf("removeMin singleton = %d", got.key)
@@ -131,9 +123,8 @@ func TestSetRemoveMinSingleton(t *testing.T) {
 }
 
 func TestSetTakeTopAscending(t *testing.T) {
-	setVariants(t, func(t *testing.T, mk func() *nodeSet[int]) {
-		a := newAlloc()
-		s := mk()
+	setVariants(t, func(t *testing.T, mk func() (*nodeSet[int], *alloc[int])) {
+		s, a := mk()
 		fillSet(s, a, []uint64{10, 30, 20, 50, 40})
 		out := s.takeTop(a, 3, nil)
 		want := []uint64{30, 40, 50}
@@ -145,16 +136,15 @@ func TestSetTakeTopAscending(t *testing.T) {
 				t.Fatalf("takeTop[%d] = %d, want %d", i, out[i].key, w)
 			}
 		}
-		if s.length() != 2 || s.maxKey() != 20 || s.minKey() != 10 {
-			t.Fatalf("remaining set wrong: len=%d max=%d min=%d", s.length(), s.maxKey(), s.minKey())
+		if s.length() != 2 || s.maxKey(a) != 20 || s.minKey(a) != 10 {
+			t.Fatalf("remaining set wrong: len=%d max=%d min=%d", s.length(), s.maxKey(a), s.minKey(a))
 		}
 	})
 }
 
 func TestSetTakeTopAll(t *testing.T) {
-	setVariants(t, func(t *testing.T, mk func() *nodeSet[int]) {
-		a := newAlloc()
-		s := mk()
+	setVariants(t, func(t *testing.T, mk func() (*nodeSet[int], *alloc[int])) {
+		s, a := mk()
 		fillSet(s, a, []uint64{3, 1, 2})
 		out := s.takeTop(a, 3, nil)
 		if len(out) != 3 || s.length() != 0 {
@@ -164,9 +154,8 @@ func TestSetTakeTopAll(t *testing.T) {
 }
 
 func TestSetSplitLower(t *testing.T) {
-	setVariants(t, func(t *testing.T, mk func() *nodeSet[int]) {
-		a := newAlloc()
-		s := mk()
+	setVariants(t, func(t *testing.T, mk func() (*nodeSet[int], *alloc[int])) {
+		s, a := mk()
 		fillSet(s, a, []uint64{10, 30, 20, 50, 40, 60, 70})
 		lower := s.splitLower(a, s.length(), nil)
 		if len(lower) != 3 {
@@ -177,16 +166,15 @@ func TestSetSplitLower(t *testing.T) {
 				t.Fatalf("splitLower returned high key %d", e.key)
 			}
 		}
-		if s.length() != 4 || s.minKey() != 40 || s.maxKey() != 70 {
-			t.Fatalf("kept half wrong: len=%d min=%d max=%d", s.length(), s.minKey(), s.maxKey())
+		if s.length() != 4 || s.minKey(a) != 40 || s.maxKey(a) != 70 {
+			t.Fatalf("kept half wrong: len=%d min=%d max=%d", s.length(), s.minKey(a), s.maxKey(a))
 		}
 	})
 }
 
 func TestSetSplitLowerSmall(t *testing.T) {
-	setVariants(t, func(t *testing.T, mk func() *nodeSet[int]) {
-		a := newAlloc()
-		s := mk()
+	setVariants(t, func(t *testing.T, mk func() (*nodeSet[int], *alloc[int])) {
+		s, a := mk()
 		s.insertMax(a, element[int]{key: 1})
 		if got := s.splitLower(a, s.length(), nil); len(got) != 0 {
 			t.Fatalf("splitLower of singleton = %v, want empty", got)
@@ -195,11 +183,10 @@ func TestSetSplitLowerSmall(t *testing.T) {
 }
 
 func TestSetAscending(t *testing.T) {
-	setVariants(t, func(t *testing.T, mk func() *nodeSet[int]) {
-		a := newAlloc()
-		s := mk()
+	setVariants(t, func(t *testing.T, mk func() (*nodeSet[int], *alloc[int])) {
+		s, a := mk()
 		fillSet(s, a, []uint64{4, 2, 9, 6})
-		out := s.ascending(nil)
+		out := s.ascending(a, nil)
 		want := []uint64{2, 4, 6, 9}
 		for i, w := range want {
 			if out[i].key != w {
@@ -213,9 +200,8 @@ func TestSetAscending(t *testing.T) {
 }
 
 func TestSetPayloadsPreserved(t *testing.T) {
-	setVariants(t, func(t *testing.T, mk func() *nodeSet[int]) {
-		a := newAlloc()
-		s := mk()
+	setVariants(t, func(t *testing.T, mk func() (*nodeSet[int], *alloc[int])) {
+		s, a := mk()
 		s.insertMax(a, element[int]{key: 10, val: 100})
 		s.insertMax(a, element[int]{key: 20, val: 200})
 		s.insertNonMax(a, element[int]{key: 15, val: 150})
@@ -232,18 +218,17 @@ func TestSetPayloadsPreserved(t *testing.T) {
 }
 
 func TestSetSwapMin(t *testing.T) {
-	setVariants(t, func(t *testing.T, mk func() *nodeSet[int]) {
-		a := newAlloc()
-		s := mk()
+	setVariants(t, func(t *testing.T, mk func() (*nodeSet[int], *alloc[int])) {
+		s, a := mk()
 		fillSet(s, a, []uint64{10, 30, 20, 50})
 		demoted, ok := s.swapMin(a, element[int]{key: 25, val: 7})
 		if !ok || demoted.key != 10 {
 			t.Fatalf("swapMin = %d, %v; want 10, true", demoted.key, ok)
 		}
-		if s.length() != 4 || s.minKey() != 20 || s.maxKey() != 50 {
-			t.Fatalf("set wrong after swapMin: len=%d min=%d max=%d", s.length(), s.minKey(), s.maxKey())
+		if s.length() != 4 || s.minKey(a) != 20 || s.maxKey(a) != 50 {
+			t.Fatalf("set wrong after swapMin: len=%d min=%d max=%d", s.length(), s.minKey(a), s.maxKey(a))
 		}
-		out := s.ascending(nil)
+		out := s.ascending(a, nil)
 		want := []uint64{20, 25, 30, 50}
 		for i, w := range want {
 			if out[i].key != w {
@@ -254,10 +239,10 @@ func TestSetSwapMin(t *testing.T) {
 		// Refused: a key equal to or below the minimum swaps nothing and
 		// leaves every element where it was.
 		contents := func() []element[int] {
-			if s.arr != nil {
-				return slices.Clone(s.arr.elems)
+			if a.arr {
+				return slices.Clone(s.e)
 			}
-			return s.ascending(nil)
+			return s.ascending(a, nil)
 		}
 		for _, k := range []uint64{20, 3} {
 			before := contents()
@@ -273,13 +258,12 @@ func TestSetSwapMin(t *testing.T) {
 
 func TestSetSwapMinBecomesNewMin(t *testing.T) {
 	// e lands just above the removed minimum and becomes the new minimum.
-	setVariants(t, func(t *testing.T, mk func() *nodeSet[int]) {
-		a := newAlloc()
-		s := mk()
+	setVariants(t, func(t *testing.T, mk func() (*nodeSet[int], *alloc[int])) {
+		s, a := mk()
 		fillSet(s, a, []uint64{10, 50})
 		demoted, ok := s.swapMin(a, element[int]{key: 11})
-		if !ok || demoted.key != 10 || s.minKey() != 11 {
-			t.Fatalf("got demoted=%d ok=%v min=%d, want 10, true, 11", demoted.key, ok, s.minKey())
+		if !ok || demoted.key != 10 || s.minKey(a) != 11 {
+			t.Fatalf("got demoted=%d ok=%v min=%d, want 10, true, 11", demoted.key, ok, s.minKey(a))
 		}
 	})
 }

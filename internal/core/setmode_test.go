@@ -40,7 +40,9 @@ func TestSetModeSelectsImplementation(t *testing.T) {
 		for i := 0; i < 200; i++ {
 			q.Insert(uint64(i), i)
 		}
-		isArray := q.root().set.arr != nil
+		ctx := q.getCtx()
+		isArray := ctx.al.arr && cap(q.root().set.e) == 2*8+8
+		q.putCtx(ctx)
 		if wantArray := mode == SetModeArray; isArray != wantArray {
 			t.Errorf("SetMode %v built arraySet=%v", mode, isArray)
 		}
@@ -56,10 +58,10 @@ func TestSetModeSelectsImplementation(t *testing.T) {
 }
 
 // TestSharedAllocDomain builds two queues over one domain and verifies (a)
-// cross-queue recycling: blocks retired through one queue, once its
-// context's free stack spills them, serve the other queue's allocations
+// cross-queue recycling: buffers retired through one queue, once its
+// context's free stacks spill them, serve the other queue's allocations
 // without a fresh one, and (b) a domain has no set mode: an array-mode
-// queue opens over it too, and its sets take no block from it.
+// queue opens over it too, and its sets take no buffer from it.
 func TestSharedAllocDomain(t *testing.T) {
 	cfg := Config{Batch: 4, TargetLen: 8}
 	ad := NewAllocDomain[int](nil)
@@ -78,24 +80,25 @@ func TestSharedAllocDomain(t *testing.T) {
 	for i := 0; i < n; i++ {
 		a.TryExtractMax()
 	}
-	// a emptied itself, so every block it allocated fresh is free: all but
-	// the last partial scan's worth and one free stack's worth have spilled
-	// to the shared freelist, and b allocates from there.
-	sa := a.Snapshot()
-	if sa.NodeCacheMiss <= 8*localFreeDepth {
-		t.Fatalf("queue a allocated %d fresh blocks, too few to tell recycled ones apart", sa.NodeCacheMiss)
-	}
-	reusable := sa.NodeCacheMiss - 4*localFreeDepth
-	allocated := func() uint64 { s := b.Snapshot(); return s.NodeCacheHit + s.NodeCacheMiss }
-	for i := 0; allocated() < reusable; i++ {
-		b.Insert(uint64(i), i)
+	// a emptied itself, so every buffer it allocated is free: what its
+	// context's stacks could not hold has spilled to the shared freelist,
+	// up to the freelist's bound, and b, filling the same way, allocates
+	// from there.
+	spilled := uint64(0)
+	for c := range ad.free {
+		spilled += uint64(len(ad.free[c].bufs))
 	}
 	// (Not under the race detector: there sync.Pool drops contexts between
-	// operations, and a dropped context's blocks wait for its finalizer.)
-	snap := b.Snapshot()
-	if !raceEnabled && (snap.NodeCacheMiss != 0 || snap.NodeCacheHit < reusable) {
-		t.Fatalf("queue b: %d fresh blocks and %d recycled, want none fresh of the %d reusable: blocks a retired did not reach it",
-			snap.NodeCacheMiss, snap.NodeCacheHit, reusable)
+	// operations, and a dropped context's buffers wait for its finalizer.)
+	if spilled < 2*localFreeDepth && !raceEnabled {
+		t.Fatalf("queue a left %d buffers on the shared freelist, too few to tell recycled ones apart", spilled)
+	}
+	for i := 0; i < n; i++ {
+		b.Insert(uint64(i), i)
+	}
+	if snap := b.Snapshot(); !raceEnabled && snap.NodeCacheHit < spilled {
+		t.Fatalf("queue b: %d recycled buffers, want at least the %d a spilled: buffers a retired did not reach it",
+			snap.NodeCacheHit, spilled)
 	}
 	for _, q := range []*Queue[int]{a, b} {
 		if err := q.CheckInvariants(); err != nil {
@@ -113,7 +116,7 @@ func TestSharedAllocDomain(t *testing.T) {
 		arr.TryExtractMax()
 	}
 	if s := arr.Snapshot(); s.NodeCacheHit+s.NodeCacheMiss != 0 {
-		t.Fatalf("array-mode queue allocated %d list blocks through the shared domain", s.NodeCacheHit+s.NodeCacheMiss)
+		t.Fatalf("array-mode queue allocated %d run buffers through the shared domain", s.NodeCacheHit+s.NodeCacheMiss)
 	}
 	if err := arr.CheckInvariants(); err != nil {
 		t.Fatal(err)

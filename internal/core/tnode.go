@@ -121,125 +121,237 @@ func swapContents[V any](a, b *tnode[V]) {
 	b.count.Store(ac)
 }
 
-// alloc is the per-operation view of an AllocDomain: the set-node allocator
-// threaded through set operations. It recycles through local, this
-// context's own LIFO stack: get pops there first — no lock, no shared
-// counter, and the block it returns is the one most recently in cache —
-// and the domain's shared freelist is touched only to spill half a full
-// stack or refill an empty one, which is also how a block freed through one
-// queue of a shared domain reaches another. put pushes a freed block onto
-// the stack at once: every lnode is only ever read or written under its
-// owning TNode's lock (the optimistic paths read TNode atomics, never list
-// blocks), so immediate reuse is safe, and any stale pointer held by a
-// quiescent-only diagnostic keeps its object alive through the GC. When the
-// domain carries a Reclaimer (h != nil), put retires the block through h
-// instead, and it reaches the stack when h's protocol lets it go. Array
-// mode has no lnodes and no stack.
+// alloc is the per-operation view of an AllocDomain: where the run
+// buffers of list sets come from and go back to, threaded through set
+// operations, and which representation those sets have (arr: Fig. 5's
+// arrays, which take no buffer from it). It recycles through local, this
+// context's own LIFO stacks, one per capacity class: get pops there first
+// — no lock, no shared counter, and the buffer it returns is the one most
+// recently in cache — and the domain's shared freelist is touched only to
+// spill half a full stack or refill an empty one, which is also how a
+// buffer freed through one queue of a shared domain reaches another. put
+// pushes a freed buffer onto its stack at once: a run buffer is only ever
+// read or written under its owning TNode's lock (the optimistic paths read
+// TNode atomics, never sets), so immediate reuse is safe. When the domain
+// carries a Reclaimer (h != nil), put retires the buffer through h
+// instead, in a runBuf box, and it reaches the stack when h's protocol
+// lets it go.
 type alloc[V any] struct {
 	ad    *AllocDomain[V]
-	h     Hazards[lnode[V]] // nil unless the domain carries a Reclaimer
-	local *freeStack[V]     // nil in array mode
-	met   *Metrics          // nil unless Config.Metrics was set
-	shard uint32            // metrics shard hash for this context
+	arr   bool               // sets are arrays; local is nil
+	h     Hazards[runBuf[V]] // nil unless the domain carries a Reclaimer
+	local *ctxFree[V]        // nil in array mode
+	met   *Metrics           // nil unless Config.Metrics was set
+	shard uint32             // metrics shard hash for this context
 }
 
-// newCtxAlloc returns a context's allocator; in list mode, with a free
-// stack of its own and, if the domain carries a Reclaimer, Hazards whose
-// reclamation pushes onto that stack. The stack is a separate heap object
-// because that done callback points at it: were it a field of the opCtx,
-// the context would be reachable from itself and its finalizer (see Open)
-// would never run.
+// runBuf is the box a run buffer travels in while a Reclaimer holds it
+// back: the type the domain's Reclaimer retires. Boxes are the context's
+// own and come back to it with their buffer, so they are allocated only
+// while the number a protocol holds at once grows.
+type runBuf[V any] struct {
+	e []element[V]
+}
+
+// hazardScanEvery is how many retirements a hazard-gated context makes
+// between scans (internal/hazard's threshold): how many boxes one scan can
+// hand back at once.
+const hazardScanEvery = 64
+
+// hazardSpares is how many spare buffers of every class a hazard-gated
+// context's miss adds to the domain (stockSpares).
+const hazardSpares = 4
+
+// ctxFree is a context's recycling state: a free stack per capacity class,
+// and the spare boxes of a hazard-gated context.
+type ctxFree[V any] struct {
+	stacks [nClasses]freeStack[V]
+	boxes  []*runBuf[V]
+}
+
+// newCtxAlloc returns a context's allocator; in list mode, with free
+// stacks of its own and, if the domain carries a Reclaimer, Hazards whose
+// reclamation pushes onto those stacks. The stacks are a separate heap
+// object because that done callback points at them: were they a field of
+// the opCtx, the context would be reachable from itself and its finalizer
+// (see Open) would never run.
 func newCtxAlloc[V any](ad *AllocDomain[V], list bool, met *Metrics, shard uint32) alloc[V] {
-	a := alloc[V]{ad: ad, met: met, shard: shard}
+	a := alloc[V]{ad: ad, arr: !list, met: met, shard: shard}
 	if !list {
 		return a
 	}
-	local := &freeStack[V]{}
+	local := &ctxFree[V]{}
 	a.local = local
 	if ad.join != nil {
-		a.h = ad.join(func(n *lnode[V]) { local.push(&ad.free, n) })
+		// A scan's worth of boxes up front, the most a retired list holds
+		// between scans, with room for a scan's worth more.
+		boxes := make([]runBuf[V], hazardScanEvery)
+		local.boxes = make([]*runBuf[V], 0, 2*hazardScanEvery)
+		for i := range boxes {
+			local.boxes = append(local.boxes, &boxes[i])
+		}
+		a.h = ad.join(func(b *runBuf[V]) {
+			local.push(ad, b.e)
+			b.e = nil
+			local.boxes = append(local.boxes, b)
+		})
 	}
 	return a
 }
 
-// release gives the context's stacked blocks to the shared freelist, after
+// release gives the context's stacked buffers to the shared freelist, after
 // releasing its Hazards, if it has them: their last reclamation pushes onto
 // local.
 func (a *alloc[V]) release() {
 	if a.h != nil {
 		a.h.Release()
 	}
-	a.ad.free.push(a.local.nodes[:a.local.n])
+	for c := range a.local.stacks {
+		s := &a.local.stacks[c]
+		a.ad.free[c].push(s.bufs[:s.n])
+		clear(s.bufs[:s.n])
+		s.n = 0
+	}
 }
 
-func (a *alloc[V]) get() *lnode[V] {
-	if s := a.local; s != nil {
-		if s.n == 0 {
-			a.ad.free.refill(s)
-		}
-		if s.n > 0 {
-			s.n--
-			n := s.nodes[s.n]
-			s.nodes[s.n] = nil
-			if a.met != nil {
-				a.met.NodeCacheHit.Inc(a.shard)
-			}
-			return n
+// get returns an empty buffer that holds need elements: of the smallest
+// class that does, recycled if one is free, or else of the next class up;
+// fresh (a miss) otherwise, and past the largest class always. Drawing on
+// the next class up lets a shift in the mix of classes a queue needs use
+// what it has already allocated. A hazard-gated context draws on every
+// class up: its retired list holds up to a scan's worth of buffers back,
+// of whatever classes they were, so its own classes run dry more often.
+func (a *alloc[V]) get(need int) []element[V] {
+	c0 := a.ad.class(need)
+	if c0 < 0 {
+		a.countMiss()
+		return make([]element[V], 0, 2*need)
+	}
+	up := c0 + 2
+	if a.h != nil {
+		up = nClasses
+	}
+	for c := c0; c < min(up, nClasses); c++ {
+		if b := a.pop(c); b != nil {
+			return b
 		}
 	}
+	a.countMiss()
+	if a.h != nil {
+		a.stockSpares()
+	}
+	return make([]element[V], 0, a.ad.caps[c0])
+}
+
+// pop returns a free buffer of class c, from the context's stack or, when
+// that is empty, the domain's freelist; nil when neither has one.
+func (a *alloc[V]) pop(c int) []element[V] {
+	s := &a.local.stacks[c]
+	if s.n == 0 {
+		a.ad.free[c].refill(s)
+		if s.n == 0 {
+			return nil
+		}
+	}
+	s.n--
+	b := s.bufs[s.n]
+	s.bufs[s.n] = nil
+	if a.met != nil {
+		a.met.NodeCacheHit.Inc(a.shard)
+	}
+	return b
+}
+
+// stockSpares gives the domain hazardSpares more free buffers of every
+// class. A hazard-gated context holds up to a scan's worth of retired
+// buffers back, of whatever classes they were, so its queue needs spares
+// of every class its runs pass through; it finds how many by missing.
+func (a *alloc[V]) stockSpares() {
+	for c := range a.ad.free {
+		var spares [hazardSpares][]element[V]
+		for i := range spares {
+			spares[i] = make([]element[V], 0, a.ad.caps[c])
+		}
+		a.ad.free[c].push(spares[:])
+	}
+}
+
+func (a *alloc[V]) countMiss() {
 	if a.met != nil {
 		a.met.NodeCacheMiss.Inc(a.shard)
 	}
-	return new(lnode[V])
 }
 
-func (a *alloc[V]) put(n *lnode[V]) {
-	clear(n.e[:n.n])
-	n.n = 0
-	n.next, n.prev = nil, nil
-	switch {
-	case a.h != nil:
-		a.h.Retire(n)
-	case a.local != nil:
-		a.local.push(&a.ad.free, n)
+// put takes a buffer back, clearing its elements first (every slot past
+// them is zero already), so that a free buffer pins no payload.
+func (a *alloc[V]) put(b []element[V]) {
+	clear(b)
+	b = b[:0]
+	if a.h != nil {
+		var box *runBuf[V]
+		if n := len(a.local.boxes); n > 0 {
+			box = a.local.boxes[n-1]
+			a.local.boxes = a.local.boxes[:n-1]
+		} else {
+			box = new(runBuf[V])
+		}
+		box.e = b
+		a.h.Retire(box)
+		return
 	}
+	a.local.push(a.ad, b)
 }
 
-// localFreeDepth is the depth of a context's free stack: what a context
-// that retires as often as it allocates needs to run without the shared
-// freelist (and one hazard scan's worth, when a Reclaimer gates reuse).
-// Deeper stacks bought no throughput and held more idle nodes per context.
-const localFreeDepth = 64
-
-// freeStack is one context's LIFO of reusable lnodes; only its context
-// touches it.
-type freeStack[V any] struct {
-	n     int
-	nodes [localFreeDepth]*lnode[V]
-}
-
-// push stacks n, first spilling half a full stack to f.
-func (s *freeStack[V]) push(f *freelist[V], n *lnode[V]) {
-	if s.n == len(s.nodes) {
-		f.spill(s)
+// push stacks b on its class's stack, first spilling half a full stack to
+// the domain; a buffer of no class (one a depth-capped set outgrew the
+// classes with) is left to the collector.
+func (f *ctxFree[V]) push(ad *AllocDomain[V], b []element[V]) {
+	c := ad.classOf(cap(b))
+	if c < 0 {
+		return
 	}
-	s.nodes[s.n] = n
+	s := &f.stacks[c]
+	if s.n == len(s.bufs) {
+		ad.free[c].spill(s)
+	}
+	s.bufs[s.n] = b
 	s.n++
 }
 
-// freelist is the domain-wide pool behind the contexts' free stacks: what
-// they spill when full, what they refill from when empty, and what a dying
-// context leaves behind. Transfers move half a stack under one lock
-// acquisition, so even a context that only allocates, or only retires,
-// takes the lock once per localFreeDepth/2 operations.
-type freelist[V any] struct {
-	mu    sync.Mutex
-	nodes []*lnode[V]
+// localFreeDepth is the depth of a context's free stack for one class:
+// what a context that retires about as often as it allocates needs to run
+// without the shared freelist.
+const localFreeDepth = 12
+
+// freeStack is one context's LIFO of reusable buffers of one class; only
+// its context touches it.
+type freeStack[V any] struct {
+	n    int
+	bufs [localFreeDepth][]element[V]
 }
 
-func (f *freelist[V]) push(nodes []*lnode[V]) {
+// domainFreeRuns bounds what the domain's freelist keeps of each class:
+// buffers of that class holding this many split-bound runs between them.
+// A spill past it leaves the excess to the collector. Without the bound a
+// drained queue would keep every buffer it ever filled.
+const domainFreeRuns = 16
+
+// freelist is the domain-wide pool of one class behind the contexts' free
+// stacks: what they spill when full, what they refill from when empty, and
+// what a dying context leaves behind. Transfers move half a stack under
+// one lock acquisition, so even a context that only allocates, or only
+// retires, takes the lock once per localFreeDepth/2 operations.
+type freelist[V any] struct {
+	mu    sync.Mutex
+	bufs  [][]element[V]
+	depth int // the bound: domainFreeRuns split-bound runs' worth
+}
+
+// push keeps as many of bufs as the bound leaves room for.
+func (f *freelist[V]) push(bufs [][]element[V]) {
 	f.mu.Lock()
-	f.nodes = append(f.nodes, nodes...)
+	room := f.depth - len(f.bufs)
+	f.bufs = append(f.bufs, bufs[:max(0, min(room, len(bufs)))]...)
 	f.mu.Unlock()
 }
 
@@ -247,20 +359,20 @@ func (f *freelist[V]) push(nodes []*lnode[V]) {
 // recently retired, cache-warm half local.
 func (f *freelist[V]) spill(s *freeStack[V]) {
 	const half = localFreeDepth / 2
-	f.push(s.nodes[:half])
-	copy(s.nodes[:half], s.nodes[half:])
-	clear(s.nodes[half:])
+	f.push(s.bufs[:half])
+	copy(s.bufs[:half], s.bufs[half:])
+	clear(s.bufs[half:])
 	s.n = half
 }
 
-// refill moves up to half a stack's worth of nodes into an empty stack.
+// refill moves up to half a stack's worth of buffers into an empty stack.
 func (f *freelist[V]) refill(s *freeStack[V]) {
 	f.mu.Lock()
-	k := len(f.nodes)
+	k := len(f.bufs)
 	take := min(k, localFreeDepth/2)
-	s.n = copy(s.nodes[:], f.nodes[k-take:])
-	clear(f.nodes[k-take:])
-	f.nodes = f.nodes[:k-take]
+	s.n = copy(s.bufs[:], f.bufs[k-take:])
+	clear(f.bufs[k-take:])
+	f.bufs = f.bufs[:k-take]
 	f.mu.Unlock()
 }
 

@@ -11,9 +11,8 @@ import (
 // it takes no locks. Checked invariants:
 //
 //   - every node's cached count and max agree with its set's contents,
-//   - list sets are sorted descending, every back link mirrors its
-//     forward link, the tail is the walk's last block and the walk finds
-//     count elements,
+//   - list sets are runs sorted ascending in a buffer of their domain's
+//     classes (or, past the largest, of none), and hold count elements,
 //   - a nonempty node's parent is nonempty with parent.max >= node.max
 //     (the mound invariant, §3.1),
 //   - the pool policy's structural invariants hold: for the batch pool,
@@ -40,13 +39,14 @@ func (q *Queue[V]) CheckInvariants() error {
 
 func (q *Queue[V]) checkNode(level, slot int, n *tnode[V]) error {
 	cnt := int(n.count.Load())
-	if err := n.set.checkSize(cnt); err != nil {
+	al := &alloc[V]{ad: q.ad, arr: q.cfg.arraySet()}
+	if err := n.set.checkSize(al, cnt); err != nil {
 		return fmt.Errorf("node (%d,%d): %w", level, slot, err)
 	}
 	if cnt == 0 {
 		return nil
 	}
-	elems := n.set.ascending(nil)
+	elems := n.set.ascending(al, nil)
 	for i := 1; i < len(elems); i++ {
 		if elems[i-1].key > elems[i].key {
 			return fmt.Errorf("node (%d,%d): set not ordered at %d", level, slot, i)
@@ -55,12 +55,11 @@ func (q *Queue[V]) checkNode(level, slot int, n *tnode[V]) error {
 	if got := elems[len(elems)-1].key; got != n.max.Load() {
 		return fmt.Errorf("node (%d,%d): cached max %d != set max %d", level, slot, n.max.Load(), got)
 	}
-	// Cross-check the set's O(1) extreme queries against the full walk;
-	// for a list this validates the tail pointer.
-	if got := n.set.minKey(); got != elems[0].key {
+	// Cross-check the set's extreme queries against the sorted copy.
+	if got := n.set.minKey(al); got != elems[0].key {
 		return fmt.Errorf("node (%d,%d): set minKey %d != walked min %d", level, slot, got, elems[0].key)
 	}
-	if got := n.set.maxKey(); got != elems[len(elems)-1].key {
+	if got := n.set.maxKey(al); got != elems[len(elems)-1].key {
 		return fmt.Errorf("node (%d,%d): set maxKey %d != walked max %d", level, slot, got, elems[len(elems)-1].key)
 	}
 	if level > 0 {
@@ -76,45 +75,26 @@ func (q *Queue[V]) checkNode(level, slot int, n *tnode[V]) error {
 	return nil
 }
 
-// checkSize verifies that the set holds size elements, and for a list its
-// shape: prev mirrors next from a head with no prev to the tail with no
-// next; no linked block is empty; each block is descending and its last
-// key is no smaller than the next block's first; and the counts sum to
-// size.
-func (s *nodeSet[V]) checkSize(size int) error {
-	if s.arr != nil {
-		if got := len(s.arr.elems); got != size {
-			return fmt.Errorf("cached count %d != array length %d", size, got)
-		}
+// checkSize verifies that the set holds size elements, and for a run that
+// it is ascending and that its buffer is of the class that holds it, or of
+// none when it outgrew them, or absent when empty.
+func (s *nodeSet[V]) checkSize(a *alloc[V], size int) error {
+	if got := len(s.e); got != size {
+		return fmt.Errorf("cached count %d != set length %d", size, got)
+	}
+	if a.arr {
 		return nil
 	}
-	var last *lnode[V]
-	blocks, elems := 0, 0
-	for b := s.head; b != nil; last, b = b, b.next {
-		if b.prev != last {
-			return fmt.Errorf("list block %d: back link does not mirror the forward link", blocks)
-		}
-		if b.n < 1 || b.n > blockLen {
-			return fmt.Errorf("list block %d holds %d elements", blocks, b.n)
-		}
-		for j := 1; j < b.n; j++ {
-			if b.e[j-1].key < b.e[j].key {
-				return fmt.Errorf("list block %d not descending at %d", blocks, j)
-			}
-		}
-		if last != nil && last.e[last.n-1].key < b.e[0].key {
-			return fmt.Errorf("list block %d starts above the previous block's last key", blocks)
-		}
-		blocks++
-		if elems += b.n; elems > size {
-			break
+	for i := 1; i < len(s.e); i++ {
+		if s.e[i-1].key > s.e[i].key {
+			return fmt.Errorf("run not ascending at %d", i)
 		}
 	}
-	if elems != size {
-		return fmt.Errorf("list walk found %d elements (or more), cached count says %d", elems, size)
-	}
-	if s.tail != last {
-		return fmt.Errorf("list tail is not the last block of the walk")
+	switch c := a.ad.classOf(cap(s.e)); {
+	case size == 0 && s.e != nil:
+		return fmt.Errorf("empty run keeps a buffer of capacity %d", cap(s.e))
+	case size > 0 && c < 0 && size <= a.ad.caps[topClass]:
+		return fmt.Errorf("run of %d in a buffer of capacity %d, which is of no class", size, cap(s.e))
 	}
 	return nil
 }

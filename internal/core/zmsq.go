@@ -33,7 +33,7 @@ type Queue[V any] struct {
 	// Config.Batch == 0, in which case every extraction is strict.
 	pool *batchPool[V]
 
-	ad     *AllocDomain[V] // where list blocks recycle (possibly shared)
+	ad     *AllocDomain[V] // where run buffers recycle (possibly shared)
 	faults Faults          // non-nil only under chaos testing
 	met    *Metrics        // non-nil iff cfg.Metrics was set
 
@@ -46,9 +46,9 @@ type Queue[V any] struct {
 // generic over the payload type V. The zero value is a private allocation
 // domain.
 type Options[V any] struct {
-	// Domain, when non-nil, is the allocation domain the queue's list
-	// blocks recycle through. Handing the same domain to several queues
-	// pools their recycled blocks — the sharded front-end builds S shards
+	// Domain, when non-nil, is the allocation domain the queue's run
+	// buffers recycle through. Handing the same domain to several queues
+	// pools their recycled buffers — the sharded front-end builds S shards
 	// over one domain this way — and queues of either set mode may share
 	// one. nil builds a private domain with no Reclaimer.
 	Domain *AllocDomain[V]
@@ -91,6 +91,7 @@ func Open[V any](cfg Config, opts Options[V]) (*Queue[V], error) {
 	if q.ad = opts.Domain; q.ad == nil {
 		q.ad = NewAllocDomain[V](nil)
 	}
+	q.ad.init(cfg.TargetLen)
 	q.levels[0] = q.newLevel(1)
 	if cfg.Batch > 0 {
 		q.pool = newBatchPool[V](cfg.Batch, cfg.Faults)
@@ -102,8 +103,8 @@ func Open[V any](cfg Config, opts Options[V]) (*Queue[V], error) {
 		c.al = newCtxAlloc(q.ad, !cfg.arraySet(), q.met, uint32(id))
 		if c.al.local != nil {
 			// sync.Pool drops idle contexts at a GC. One that kept its
-			// stack would take up to localFreeDepth reusable blocks with
-			// it (and Hazards it kept, whatever they hold).
+			// stacks would take the reusable buffers on them with it (and
+			// Hazards it kept, whatever they hold).
 			runtime.SetFinalizer(c, func(c *opCtx[V]) { c.al.release() })
 		}
 		// Pool refills move up to Batch elements; a batch root grab moves up
@@ -123,7 +124,7 @@ func (q *Queue[V]) newLevel(n int) []tnode[V] {
 	for i := range level {
 		level[i].lock.kind = q.cfg.Lock
 		if q.cfg.arraySet() {
-			level[i].set.arr = newArraySet[V](2*q.cfg.TargetLen + 8)
+			level[i].set.e = make([]element[V], 0, 2*q.cfg.TargetLen+8)
 		}
 	}
 	return level
@@ -239,15 +240,10 @@ func (q *Queue[V]) ForEach(f func(key uint64, val V) bool) {
 		}
 	}
 	top := int(q.leafLevel.Load())
-	var scratch []element[V]
 	for l := 0; l <= top; l++ {
 		nodes := q.levels[l]
 		for i := range nodes {
-			if nodes[i].count.Load() == 0 {
-				continue
-			}
-			scratch = nodes[i].set.ascending(scratch[:0])
-			for _, e := range scratch {
+			for _, e := range nodes[i].set.e {
 				if !f(e.key, e.val) {
 					return
 				}

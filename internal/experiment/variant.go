@@ -51,7 +51,7 @@ func (c *QueueConfig) coreConfig() (core.Config, error) {
 }
 
 // hazard reports whether the cell runs the paper's memory-safe ZMSQ: its
-// queue's list blocks reused only after a hazard-pointer scan
+// queue's run buffers reused only after a hazard-pointer scan
 // (harness.NewHazardDomain) instead of through the product's recycler.
 func (c *QueueConfig) hazard() bool { return c != nil && c.Hazard }
 

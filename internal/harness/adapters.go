@@ -37,7 +37,7 @@ func NewHazardZMSQ(cfg core.Config) *ZMSQ {
 	return &ZMSQ{Q: q, n: VariantName(cfg, true)}
 }
 
-// NewHazardDomain returns an allocation domain that gates list-block reuse
+// NewHazardDomain returns an allocation domain that gates run-buffer reuse
 // on internal/hazard's hazard pointers: the paper's §3.5 protocol, which
 // the product does not run (core.AllocDomain says why), at its full cost.
 // Its scans count on met.HazardScans and stall at inj's HazardScan point;
@@ -55,9 +55,9 @@ func NewHazardDomain[V any](met *core.Metrics, inj *fault.Injector) *core.AllocD
 }
 
 // plugHazards builds a hazard.Domain over B, installs scanHook, and hands
-// build a Reclaimer whose contexts join that domain. B is core's list
-// block type, which this package cannot name: it is inferred from build's
-// signature.
+// build a Reclaimer whose contexts join that domain. B is the box core
+// retires a run buffer in, which this package cannot name: it is inferred
+// from build's signature.
 func plugHazards[B, D any](build func(core.Reclaimer[B]) D, scanHook func()) D {
 	d := hazard.NewDomain[B]()
 	d.SetScanHook(scanHook)

@@ -19,7 +19,7 @@
 // A Domain is typed by what it retires; what it protects may be of any
 // type, because a hazard slot holds only an identity word (see ID).
 //
-// The package is not part of the queue product. A queue's list blocks
+// The package is not part of the queue product. A queue's run buffers
 // recycle through core's free stacks alone, and the hazard-gated variant —
 // the paper's memory-safe "ZMSQ" — plugs a Domain in from outside, through
 // core.Hazards (harness.NewHazardDomain), for the cells that measure what

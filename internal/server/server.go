@@ -1,7 +1,7 @@
 // Package server implements zmsqd, the multi-tenant network front-end
 // over the sharded relaxed priority queue. Each tenant is one
 // sharded.Queue; all tenants share a single core.AllocDomain, so N
-// tenants recycle list blocks through one freelist instead of N.
+// tenants recycle run buffers through one freelist instead of N.
 // The wire protocol (package wire) is a
 // compact CRC-checked binary framing over TCP; requests pipeline, and
 // the per-connection read loop coalesces consecutive same-tenant Insert

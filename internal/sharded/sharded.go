@@ -27,7 +27,7 @@
 // consecutive extractions. internal/contract encodes exactly this bound
 // (contract.Config.Shards).
 //
-// All shards recycle list blocks through ONE shared core.AllocDomain — one
+// All shards recycle run buffers through ONE shared core.AllocDomain — one
 // freelist — instead of S private copies, so churn moving between shards
 // does not fragment the recycling pools.
 //
